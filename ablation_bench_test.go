@@ -1,4 +1,4 @@
-// Ablation benchmarks for the two planner fast paths DESIGN.md calls out.
+// Ablation benchmarks for the two planner fast paths.
 // Run with: go test -bench=Ablation -benchmem .
 package crosse
 

@@ -1,5 +1,5 @@
-// Repository-level benchmarks: one family per experiment of EXPERIMENTS.md
-// (and hence per reproduced figure/artifact of the paper). Run with
+// Repository-level benchmarks: one family per experiment of
+// internal/experiments (and hence per reproduced figure/artifact of the paper). Run with
 //
 //	go test -bench=. -benchmem .
 //
@@ -930,30 +930,6 @@ func BenchmarkStoreCount(b *testing.B) {
 		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				st.Count(pats[i%len(pats)])
-			}
-		})
-	}
-}
-
-// BenchmarkStoreClone measures the point-in-time snapshot path: Clone
-// bulk-copies the encoded indexes under one lock instead of re-inserting
-// (and re-hashing) every triple.
-func BenchmarkStoreClone(b *testing.B) {
-	for _, size := range []int{1000, 10000, 100000} {
-		st := rdf.NewStore()
-		rng := rand.New(rand.NewSource(4))
-		for i := 0; i < size; i++ {
-			st.Add(rdf.Triple{
-				S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", rng.Intn(size/10+1))),
-				P: rdf.NewIRI(fmt.Sprintf("http://x/p%d", rng.Intn(20))),
-				O: rdf.NewIRI(fmt.Sprintf("http://x/o%d", rng.Intn(size/2+1))),
-			})
-		}
-		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if c := st.Clone(); c.Len() != st.Len() {
-					b.Fatal("clone lost triples")
-				}
 			}
 		})
 	}

@@ -1,6 +1,6 @@
-// Command crosse-experiments runs the measurement study of EXPERIMENTS.md:
-// the functional reproduction of the paper's worked examples plus the
-// performance experiments E2-E10.
+// Command crosse-experiments runs the measurement study
+// (internal/experiments): the functional reproduction of the paper's
+// worked examples plus the performance experiments E2-E10.
 //
 // Usage:
 //

@@ -18,8 +18,7 @@
 //	crosse-server -max-inflight 32 -inflight-queue 64  # admission control
 //	crosse-server -cache-entries 0       # disable the enriched-result cache
 //
-// The public API is versioned under /api/v1/...; unversioned /api/...
-// paths are deprecated aliases kept for one release. The serving tier in
+// The public API is versioned under /api/v1/.... The serving tier in
 // front of the handlers — an epoch-keyed enriched-result cache, per-
 // endpoint request metrics (GET /api/v1/metrics) and admission control on
 // the query endpoints — is configured by the -cache-* and -*inflight*
@@ -29,12 +28,12 @@
 // (bulk ID-level load — no re-import of the corpus) and falls back to
 // synthesising the sample databank when it does not. The image is written
 // atomically on shutdown signals, every -snapshot-interval when set, and on
-// demand via POST /api/admin/snapshot.
+// demand via POST /api/v1/admin/snapshot.
 //
 // With -wal, the platform journals every mutation to an append-only log
 // before acknowledging it (group-committed under -wal-sync), recovery on
 // boot is image + log replay, and compaction (periodic via
-// -compact-interval, on demand via POST /api/admin/compact, and once at
+// -compact-interval, on demand via POST /api/v1/admin/compact, and once at
 // shutdown) re-anchors the image and empties the log. -wal and -snapshot
 // are mutually exclusive: the journal owns its own image.
 package main
@@ -178,10 +177,10 @@ func main() {
 	}
 
 	enricher := core.New(db, platform, m)
-	enricher.Activity = core.NewActivity() // feeds /api/peers?by=activity
+	enricher.Activity = core.NewActivity() // feeds /api/v1/peers?by=activity
 	platform.SetConceptChecker(core.NewConceptChecker(db, enricher.Mapping))
 
-	enricher.SetPartialResults(*partial)
+	enricher.SetExecOptions(core.ExecOptions{PartialResults: *partial})
 
 	var health *fdw.Health
 	if *attach != "" {
@@ -307,7 +306,7 @@ func main() {
 	if strings.HasPrefix(hint, ":") {
 		hint = "localhost" + hint
 	}
-	fmt.Println("try: curl -s " + hint + "/api/tables")
+	fmt.Println("try: curl -s " + hint + "/api/v1/tables")
 	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 		log.Fatal(err)
 	}

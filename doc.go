@@ -16,7 +16,7 @@
 //	internal/fdw      foreign-data-wrapper federation (postgres_fdw role)
 //	internal/rest     HTTP/JSON integration API
 //	internal/dataset  synthetic SmartGround databank + ontologies
-//	internal/experiments  the measurement study (EXPERIMENTS.md)
+//	internal/experiments  the measurement study (run by cmd/crosse-experiments)
 //
 // # Storage and query-compilation architecture
 //
@@ -30,8 +30,6 @@
 // count without decoding a single term, Dict.TermOf / Dict.IDOf translate
 // at the edges, and Store.ReadIDs opens a one-lock read transaction whose
 // rdf.IDReader serves nested probes lock-free — the access shape of a join.
-// Store.Clone provides point-in-time snapshots by bulk-copying the encoded
-// indexes under a single lock.
 //
 // Per-user knowledge bases are overlay views over one shared arena
 // (rdf.SharedStore + rdf.View): the platform interns and indexes every
@@ -126,11 +124,13 @@
 // wins — and every fallback names its reason:
 // sqlexec/sparql Result.ParallelFallback (and the streaming StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages
-// ("base-sql: ...", "sparql: ...", "final-sql: ..."), and the REST stats
-// object surfaces it as parallel_fallback, so "why didn't this query
-// parallelise" is an API field, not a profiling session. The knob is
-// sqlexec.Options.Parallelism / sparql.Options.Parallelism /
-// core.Enricher.SetParallelism (0 = GOMAXPROCS, 1 = serial); parity
+// that run a plan ("base-sql: ...", "sparql: ..."; the final stage is a
+// sort of rows already in memory and has no entry), and the REST stats
+// object surfaces it as parallel_fallback on /query and /sparql alike, so
+// "why didn't this query parallelise" is an API field, not a profiling
+// session. The knob is sqlexec.Options.Parallelism /
+// sparql.Options.Parallelism / core.ExecOptions.Parallelism, set through
+// core.Enricher.SetExecOptions (0 = GOMAXPROCS, 1 = serial); parity
 // suites run every test at 1, 2 and 4 workers, and a determinism suite
 // requires ORDER BY (+ OFFSET/LIMIT) output to be byte-identical across
 // parallelism levels on tie-heavy keys.
@@ -151,6 +151,23 @@
 // SESQL's cleaned base query (Fig. 6's relational step, on the hot path of
 // every enriched request) and plain SQL fast-path queries stream their
 // rows directly into the JoinManager's workset through cached plans.
+//
+// The pipeline ends in place. The paper's Fig. 6 hands the joined rows to
+// a temporary support database and runs a "final query" there; here the
+// workset already sits in the same process as the SQL executor's compiled
+// comparator, so the final stage projects the visible columns (dropping
+// the hidden ones WHERE enrichments add) and, when ORDER BY / LIMIT /
+// OFFSET had to wait for enrichment, sorts and slices the rows directly
+// (sqlexec.SortLimit: keys compiled once against the result headers,
+// stable, the same key comparison every other ORDER BY in the system
+// uses). The tail waits when a WHERE enrichment filters rows after the
+// base query or when an ORDER BY key names a column a schema enrichment
+// adds; otherwise it stays in the base query and keeps the top-K
+// pushdown. Values keep the types the ontology gave them — nothing is
+// coerced to a column type on the way out. core.Stats.FinalSQLText
+// ("final_sql" over REST) renders the stage as the SELECT ... FROM
+// sesql_result ORDER BY ... of Fig. 6 so the correspondence stays
+// visible; it is a description, no SQL text is parsed or run.
 //
 // # Persistence and recovery
 //
@@ -208,9 +225,10 @@
 // when the file exists, saves atomically on SIGINT/SIGTERM and every
 // -snapshot-interval, exits non-zero when the shutdown save fails (a
 // second signal forces immediate exit), and the REST layer exposes
-// GET /api/admin/snapshot (stream a backup), POST /api/admin/snapshot
-// (persist to the configured path), GET /api/admin/wal (log position and
-// sync counters) and POST /api/admin/compact. cmd/snapcheck proves
+// GET /api/v1/admin/snapshot (stream a backup), POST
+// /api/v1/admin/snapshot (persist to the configured path), GET
+// /api/v1/admin/wal (log position and sync counters) and POST
+// /api/v1/admin/compact. cmd/snapcheck proves
 // cold-start recovery in CI: it saves an image plus recorded probe
 // results, restores in a fresh process, and diffs SESQL/SPARQL results
 // and pattern counts.
@@ -252,7 +270,7 @@
 // Operationally, GET /healthz is the liveness probe (200 while the node
 // serves queries, 503 only when the journal is wedged; degraded sources
 // mark status "degraded" without failing the probe) and
-// GET /api/admin/sources dumps the full per-source resilience state. The
+// GET /api/v1/admin/sources dumps the full per-source resilience state. The
 // guarantees are enforced twice: a randomized fault-injection property
 // suite (internal/fdw/fault_test.go over fdw.FaultConn — latency, wrong
 // errors, short writes, hangups and blackholes injected at arbitrary
@@ -265,9 +283,7 @@
 // # Serving tier
 //
 // The REST surface (internal/rest) is versioned: the public API lives
-// under /api/v1/..., legacy unversioned /api/... paths answer as
-// deprecated thin aliases for one release (Deprecation + Link
-// successor-version headers, once-per-path log notice), and every error
+// under /api/v1/... and nowhere else, and every error
 // response is a uniform {"error": {code, message, details}} envelope with
 // a typed error→status mapping (kb.ErrUnknownUser/ErrNoStatement → 404,
 // kb.DupError → 409, serve.ErrOverloaded → 429, fdw.ErrSourceDown and
@@ -275,7 +291,9 @@
 // paginate with limit/offset plus a pre-pagination total (default 100,
 // max 1000). Execution options are unified in core.ExecOptions — one
 // struct projected into sqlexec.Options and sparql.Options — instead of
-// per-package plumbing. docs/API.md is the contract; the CI api-contract
+// per-package plumbing, and both query endpoints run under them: /sparql
+// evaluates through core.Enricher.SPARQL, on the same cached plans as the
+// pipeline's own ontology queries. docs/API.md is the contract; the CI api-contract
 // job boots the real binary and fails on envelope drift.
 //
 // In front of the handlers sits internal/serve, the heavy-traffic tier:
@@ -296,8 +314,7 @@
 //   - Per-endpoint request metrics (serve.Metrics): request counts,
 //     in-flight gauges, status classes and fixed-bucket latency
 //     histograms (p50/p95/p99), exposed at GET /api/v1/metrics together
-//     with cache, admission, plan-cache, circuit and WAL state. Legacy
-//     aliases fold into the v1 endpoint label.
+//     with cache, admission, plan-cache, circuit and WAL state.
 //   - Admission control (serve.Limiter) on the query-execution
 //     endpoints: at most -max-inflight requests execute, at most
 //     -inflight-queue wait, the rest shed immediately as typed 429s —
@@ -311,5 +328,7 @@
 // ~10x the uncached QPS, and a -race suite hammers cached queries
 // against journaled mutations asserting read-your-writes.
 //
-// See README.md for a tour and DESIGN.md for the reproduction inventory.
+// See docs/API.md for the REST contract, ROADMAP.md for the state of the
+// system and open directions, CHANGES.md for per-PR detail and
+// benchmark/README.md for the request-level benchmark.
 package crosse

@@ -98,7 +98,7 @@ func TestEndToEndFederatedEnrichedQuery(t *testing.T) {
 	d := deploy(t)
 
 	// Federated tables are visible through the API.
-	_, out := d.call(t, "GET", "/api/tables", nil)
+	_, out := d.call(t, "GET", "/api/v1/tables", nil)
 	tables := out["tables"].([]any)
 	names := map[string]bool{}
 	for _, tb := range tables {
@@ -111,9 +111,9 @@ func TestEndToEndFederatedEnrichedQuery(t *testing.T) {
 	}
 
 	// A user annotates elements as hazardous, via the API.
-	d.call(t, "POST", "/api/users", map[string]string{"name": "analyst"})
+	d.call(t, "POST", "/api/v1/users", map[string]string{"name": "analyst"})
 	for _, e := range []string{"element_000", "element_001"} {
-		code, resp := d.call(t, "POST", "/api/statements", map[string]any{
+		code, resp := d.call(t, "POST", "/api/v1/statements", map[string]any{
 			"user": "analyst", "subject": e, "property": "isA", "object": "HazardousWaste",
 		})
 		if code != http.StatusCreated {
@@ -123,7 +123,7 @@ func TestEndToEndFederatedEnrichedQuery(t *testing.T) {
 
 	// A SESQL query joining LOCAL data against the REMOTE registry,
 	// enriched with the analyst's context — every subsystem in one query.
-	code, out := d.call(t, "POST", "/api/query", map[string]any{
+	code, out := d.call(t, "POST", "/api/v1/query", map[string]any{
 		"user": "analyst",
 		"sesql": `SELECT m.site, e.elem_name
 FROM my_sites m JOIN eu_elem_contained e ON m.eu_landfill = e.landfill_name
@@ -161,29 +161,29 @@ ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`,
 func TestEndToEndCrowdsourcingAndRecommendation(t *testing.T) {
 	d := deploy(t)
 	for _, u := range []string{"expert", "novice"} {
-		d.call(t, "POST", "/api/users", map[string]string{"name": u})
+		d.call(t, "POST", "/api/v1/users", map[string]string{"name": u})
 	}
 	// The expert publishes knowledge; the novice imports one statement.
 	var firstID string
 	for i := 0; i < 3; i++ {
-		_, out := d.call(t, "POST", "/api/statements", map[string]any{
+		_, out := d.call(t, "POST", "/api/v1/statements", map[string]any{
 			"user": "expert", "subject": fmt.Sprintf("element_%03d", i),
 			"property": "isA", "object": "HazardousWaste"})
 		if firstID == "" {
 			firstID = out["id"].(string)
 		}
 	}
-	d.call(t, "POST", "/api/statements/"+firstID+"/import", map[string]string{"user": "novice"})
+	d.call(t, "POST", "/api/v1/statements/"+firstID+"/import", map[string]string{"user": "novice"})
 
 	// The novice's peers: the expert.
-	_, out := d.call(t, "GET", "/api/peers?user=novice", nil)
+	_, out := d.call(t, "GET", "/api/v1/peers?user=novice", nil)
 	peers := out["peers"].([]any)
 	if len(peers) != 1 || peers[0].(map[string]any)["user"] != "expert" {
 		t.Fatalf("peers = %v", peers)
 	}
 
 	// Recommendations: the expert's other two statements.
-	_, out = d.call(t, "GET", "/api/recommendations?user=novice", nil)
+	_, out = d.call(t, "GET", "/api/v1/recommendations?user=novice", nil)
 	recs := out["recommendations"].([]any)
 	if len(recs) != 2 {
 		t.Fatalf("recs = %v", recs)
@@ -191,8 +191,8 @@ func TestEndToEndCrowdsourcingAndRecommendation(t *testing.T) {
 
 	// Import one recommendation and query with the new context.
 	recID := recs[0].(map[string]any)["statement"].(map[string]any)["id"].(string)
-	d.call(t, "POST", "/api/statements/"+recID+"/import", map[string]string{"user": "novice"})
-	code, out := d.call(t, "POST", "/api/query", map[string]any{
+	d.call(t, "POST", "/api/v1/statements/"+recID+"/import", map[string]string{"user": "novice"})
+	code, out := d.call(t, "POST", "/api/v1/query", map[string]any{
 		"user":  "novice",
 		"sesql": `SELECT elem_name FROM eu_elem_contained ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`,
 	})
@@ -212,11 +212,11 @@ func TestEndToEndCrowdsourcingAndRecommendation(t *testing.T) {
 
 func TestEndToEndStatsShapesSane(t *testing.T) {
 	d := deploy(t)
-	d.call(t, "POST", "/api/users", map[string]string{"name": "u"})
-	d.call(t, "POST", "/api/statements", map[string]any{
+	d.call(t, "POST", "/api/v1/users", map[string]string{"name": "u"})
+	d.call(t, "POST", "/api/v1/statements", map[string]any{
 		"user": "u", "subject": "element_000", "property": "dangerLevel",
 		"object": "high", "object_literal": true})
-	_, out := d.call(t, "POST", "/api/query", map[string]any{
+	_, out := d.call(t, "POST", "/api/v1/query", map[string]any{
 		"user":  "u",
 		"sesql": `SELECT elem_name FROM eu_elem_contained ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`,
 		"stats": true,

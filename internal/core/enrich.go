@@ -12,7 +12,6 @@ import (
 	"crosse/internal/rdf"
 	"crosse/internal/sesql"
 	"crosse/internal/sparql"
-	"crosse/internal/sqldb"
 	"crosse/internal/sqlexec"
 	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
@@ -58,22 +57,6 @@ func (e *Enricher) SetExecOptions(o ExecOptions) { e.opts = o }
 
 // ExecOptions returns the enricher's current execution options.
 func (e *Enricher) ExecOptions() ExecOptions { return e.opts }
-
-// SetParallelism caps intra-query parallelism for the enrichment
-// pipeline's SQL and SPARQL evaluation: 0 (the default) means GOMAXPROCS,
-// 1 forces the serial executors. Large scans, joins and BGP probes then
-// fan out across a bounded worker pool; output is identical at every
-// setting. Shorthand for mutating ExecOptions.Parallelism; not safe to
-// call concurrently with Query.
-func (e *Enricher) SetParallelism(n int) { e.opts.Parallelism = n }
-
-// SetPartialResults toggles graceful degradation for unavailable remote
-// sources: when on, a scan over a source that is down before producing any
-// row (an open FDW circuit) contributes zero rows and the source is named
-// in Stats.SkippedSources; when off (the default) such queries fail fast
-// with an error matching fdw.ErrSourceDown. Shorthand for mutating
-// ExecOptions.PartialResults; not safe to call concurrently with Query.
-func (e *Enricher) SetPartialResults(on bool) { e.opts.PartialResults = on }
 
 // QueryCacheStats reports the cache's cumulative hits and misses; zeros when
 // caching is disabled.
@@ -128,14 +111,17 @@ type Stats struct {
 	BaseSQL  time.Duration // relational query on the main platform
 	SPARQL   time.Duration // ontology queries on the user's KB
 	Join     time.Duration // JoinManager: combine partial results
-	FinalSQL time.Duration // final query on the support database
+	FinalSQL time.Duration // final stage: deferred ORDER BY / LIMIT / OFFSET over the workset
 
 	BaseRows  int
 	FinalRows int
 
 	BaseSQLText   string
 	SPARQLQueries []string
-	FinalSQLText  string
+	// FinalSQLText describes the final stage as Fig. 6's "final query" over
+	// a notional sesql_result table. No SQL runs: the stage sorts and slices
+	// the workset in place. Empty when nothing was deferred.
+	FinalSQLText string
 
 	// SkippedSources names remote sources that were down and skipped
 	// under partial-results degradation (empty on complete results).
@@ -253,8 +239,13 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	if err != nil {
 		return nil, st, err
 	}
-	deferOrder := len(whereEnr) > 0
-	if deferOrder {
+	// ORDER BY / LIMIT / OFFSET stay in the base query (top-K pushdown)
+	// unless enrichment changes what they see: a WHERE enrichment filters
+	// rows afterwards, and a key naming an enriched column has nothing to
+	// sort by until the column exists. Then they wait for the final stage.
+	deferTail := (len(q.Select.OrderBy) > 0 || q.Select.Limit != nil || q.Select.Offset != nil) &&
+		(len(whereEnr) > 0 || ordersByEnriched(q.Select, schemaEnr))
+	if deferTail {
 		base.OrderBy, base.Limit, base.Offset = nil, nil, nil
 	}
 	st.BaseSQLText = sqlparser.SelectSQL(base)
@@ -300,57 +291,55 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		visible = len(work.headers) - len(hidden.order) // new columns are visible
 	}
 
-	// Fast path: when nothing was deferred to the final query (no ORDER
-	// BY / LIMIT / OFFSET left to re-apply), Fig. 6's final SQL is a pure
-	// projection of the visible columns — answer it straight from the
-	// JoinManager's buffer instead of materialising a temporary support
-	// database and re-scanning it. FinalSQLText stays empty to record that
-	// no final query ran.
-	if !deferOrder || (len(q.Select.OrderBy) == 0 && q.Select.Limit == nil && q.Select.Offset == nil) {
-		t0 = time.Now()
-		visibleN := len(work.headers) - len(hidden.order)
-		res := &sqlexec.Result{Columns: append([]string(nil), work.headers[:visibleN]...)}
-		if visibleN == len(work.headers) {
-			res.Rows = work.rows
-		} else {
-			rows := make([][]sqlval.Value, len(work.rows))
-			for i, r := range work.rows {
-				rows[i] = r[:visibleN]
-			}
-			res.Rows = rows
-		}
-		st.Join += time.Since(t0)
-		st.FinalRows = len(res.Rows)
-		res.SkippedSources = skipped
-		return res, st, nil
-	}
-
-	// --- Materialise into the temporary support database, then run the
-	// final SQL query (Fig. 6's last step) ---
+	// --- Final stage (Fig. 6's last step) ---
+	// The paper hands the joined rows to a support database and queries
+	// them; here they already sit next to a compiled comparator, so the
+	// stage projects the visible columns and sorts and slices in place.
 	t0 = time.Now()
-	support := engine.Open()
-	tempCols, err := materialize(support, "sesql_result", work)
-	if err != nil {
-		return nil, st, err
+	res := &sqlexec.Result{Columns: work.headers[:visible:visible], Rows: work.rows, SkippedSources: skipped}
+	for i, r := range res.Rows {
+		res.Rows[i] = r[:visible]
 	}
 	st.Join += time.Since(t0)
 
-	finalSQL := buildFinalSQL(tempCols, work.headers, len(work.headers)-len(hidden.order), q.Select, deferOrder)
-	st.FinalSQLText = finalSQL
-
-	t0 = time.Now()
-	finalRes, err := support.Query(finalSQL)
-	st.FinalSQL = time.Since(t0)
-	if err != nil {
-		return nil, st, fmt.Errorf("core: final query: %w", err)
+	if deferTail {
+		t0 = time.Now()
+		final := &sqlparser.Select{
+			From:    []sqlparser.TableRef{{Table: "sesql_result"}},
+			OrderBy: q.Select.OrderBy, Limit: q.Select.Limit, Offset: q.Select.Offset,
+		}
+		cols := make([]sqlexec.ScopeCol, visible)
+		for i, h := range res.Columns {
+			final.Items = append(final.Items, sqlparser.SelectItem{Expr: &sqlparser.ColRef{Name: h}})
+			cols[i] = sqlexec.ScopeCol{Name: h}
+		}
+		st.FinalSQLText = sqlparser.SelectSQL(final)
+		res.Rows, err = sqlexec.SortLimit(cols, final, res.Rows)
+		st.FinalSQL = time.Since(t0)
+		if err != nil {
+			return nil, st, fmt.Errorf("core: final stage: %w", err)
+		}
 	}
-	// Restore the exact output headers (quoted aliases survive, but make
-	// doubly sure derived names match the visible headers).
-	finalRes.Columns = append([]string(nil), work.headers[:len(work.headers)-len(hidden.order)]...)
-	st.FinalRows = len(finalRes.Rows)
-	finalRes.SkippedSources = skipped
-	st.addParallelFallback("final-sql", finalRes.ParallelFallback)
-	return finalRes, st, nil
+	st.FinalRows = len(res.Rows)
+	return res, st, nil
+}
+
+// ordersByEnriched reports whether an ORDER BY key names a column a schema
+// enrichment adds or substitutes (the property's short name) — a column
+// the base query cannot sort by.
+func ordersByEnriched(sel *sqlparser.Select, schemaEnr []sesql.Enrichment) bool {
+	var refs []*sqlparser.ColRef
+	for _, ob := range sel.OrderBy {
+		collectColRefs(ob.Expr, &refs)
+	}
+	for _, cr := range refs {
+		for _, en := range schemaEnr {
+			if cr.Qualifier == "" && strings.EqualFold(cr.Name, shortName(en.Property)) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // workset is the JoinManager's in-flight partial result.
@@ -824,6 +813,21 @@ func (e *Enricher) streamSPARQL(view rdf.Graph, text string, st *Stats, minVars 
 	return nil
 }
 
+// SPARQL evaluates a SPARQL query (SELECT or ASK) directly over the user's
+// KB view, with the same cached plans and execution options the enrichment
+// pipeline's own ontology queries use.
+func (e *Enricher) SPARQL(user, text string) (*sparql.Result, error) {
+	view, err := e.Platform.View(user)
+	if err != nil {
+		return nil, err
+	}
+	p, err := e.planSPARQL(text)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalOpts(view, e.opts.SPARQL())
+}
+
 // --- helpers ---
 
 // valueKey encodes a SQL value for hash joining ontology results with
@@ -950,125 +954,4 @@ func uniqueName(base string, taken []string) string {
 		}
 		name = fmt.Sprintf("%s_%d", base, n)
 	}
-}
-
-// materialize writes the workset into the support database as a temp table
-// and returns the (sanitised, unique) physical column names in order.
-func materialize(support *engine.DB, table string, work *workset) ([]string, error) {
-	cols := make([]string, len(work.headers))
-	used := map[string]bool{}
-	for i, h := range work.headers {
-		name := sanitizeIdent(h)
-		if name == "" {
-			name = fmt.Sprintf("col%d", i+1)
-		}
-		base := name
-		for n := 2; used[strings.ToLower(name)]; n++ {
-			name = fmt.Sprintf("%s_%d", base, n)
-		}
-		used[strings.ToLower(name)] = true
-		cols[i] = name
-	}
-	schema := make(sqldb.Schema, len(cols))
-	for i, c := range cols {
-		schema[i] = sqldb.Column{Name: c, Type: inferType(work.rows, i)}
-	}
-	tab, err := support.Catalog().CreateTable(table, schema, false)
-	if err != nil {
-		return nil, err
-	}
-	for _, row := range work.rows {
-		if err := tab.Insert(row); err != nil {
-			return nil, fmt.Errorf("core: materialising %s: %w", table, err)
-		}
-	}
-	return cols, nil
-}
-
-func sanitizeIdent(s string) string {
-	var b strings.Builder
-	for _, r := range s {
-		switch {
-		case r >= 'a' && r <= 'z' || r >= 'A' && r <= 'Z' || r == '_':
-			b.WriteRune(r)
-		case r >= '0' && r <= '9':
-			if b.Len() == 0 {
-				b.WriteByte('c')
-			}
-			b.WriteRune(r)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return strings.Trim(b.String(), "_")
-}
-
-// inferType picks the narrowest type covering a column's values.
-func inferType(rows [][]sqlval.Value, col int) sqlval.Type {
-	sawInt, sawFloat, sawBool, sawString := false, false, false, false
-	for _, r := range rows {
-		switch r[col].Type() {
-		case sqlval.TypeInt:
-			sawInt = true
-		case sqlval.TypeFloat:
-			sawFloat = true
-		case sqlval.TypeBool:
-			sawBool = true
-		case sqlval.TypeString:
-			sawString = true
-		}
-	}
-	switch {
-	case sawString:
-		return sqlval.TypeString
-	case sawFloat && !sawBool:
-		return sqlval.TypeFloat
-	case sawInt && !sawBool:
-		return sqlval.TypeInt
-	case sawBool && !sawInt && !sawFloat:
-		return sqlval.TypeBool
-	case sawBool || sawInt || sawFloat:
-		return sqlval.TypeString // mixed bool/numeric: fall back to text
-	default:
-		return sqlval.TypeString // all NULL
-	}
-}
-
-// buildFinalSQL renders the Fig. 6 final query: project the visible columns
-// (dropping hidden ones) from the temp table, re-applying any deferred
-// ORDER BY / LIMIT / OFFSET.
-func buildFinalSQL(tempCols, headers []string, visible int, orig *sqlparser.Select, deferOrder bool) string {
-	var b strings.Builder
-	b.WriteString("SELECT ")
-	for i := 0; i < visible; i++ {
-		if i > 0 {
-			b.WriteString(", ")
-		}
-		fmt.Fprintf(&b, "%q", tempCols[i])
-		if tempCols[i] != headers[i] {
-			fmt.Fprintf(&b, " AS %q", strings.ReplaceAll(headers[i], `"`, `'`))
-		}
-	}
-	b.WriteString(" FROM sesql_result")
-	if deferOrder {
-		if len(orig.OrderBy) > 0 {
-			b.WriteString(" ORDER BY ")
-			for i, o := range orig.OrderBy {
-				if i > 0 {
-					b.WriteString(", ")
-				}
-				b.WriteString(o.Expr.SQL())
-				if o.Desc {
-					b.WriteString(" DESC")
-				}
-			}
-		}
-		if orig.Limit != nil {
-			b.WriteString(" LIMIT " + orig.Limit.SQL())
-		}
-		if orig.Offset != nil {
-			b.WriteString(" OFFSET " + orig.Offset.SQL())
-		}
-	}
-	return b.String()
 }

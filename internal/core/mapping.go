@@ -4,8 +4,9 @@
 // tree; this package's Enricher — the Semantic Query Module (SQM) — then
 // constructs SPARQL queries against the user's knowledge base, issues the
 // SQL and SPARQL queries independently, and a JoinManager combines the
-// partial results in a temporary support database using an XML-declared
-// resource mapping, over which a final SQL query produces the SESQL result.
+// partial results using an XML-declared resource mapping. The paper stages
+// them in a temporary support database and runs a final SQL query there;
+// this implementation sorts and slices the joined rows in place.
 package core
 
 import (

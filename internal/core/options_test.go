@@ -41,11 +41,10 @@ func TestExecOptionsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestEnricherExecOptionsSetters(t *testing.T) {
+func TestEnricherSetExecOptions(t *testing.T) {
 	e := &Enricher{}
-	e.SetParallelism(4)
-	e.SetPartialResults(true)
 	want := ExecOptions{Parallelism: 4, PartialResults: true}
+	e.SetExecOptions(want)
 	if got := e.ExecOptions(); got != want {
 		t.Errorf("ExecOptions() = %+v, want %+v", got, want)
 	}

@@ -86,7 +86,7 @@ func TestParallelQueriesRaceJournaledWrites(t *testing.T) {
 
 	enr := New(j.DB(), j.Platform(), nil)
 	enr.SetQueryCache(NewQueryCache(0))
-	enr.SetParallelism(4)
+	enr.SetExecOptions(ExecOptions{Parallelism: 4})
 
 	const rounds = 40
 	var wg sync.WaitGroup

@@ -183,17 +183,6 @@ func (c *QueryCache) SPARQLPlan(text string) (*sparql.Plan, error) {
 	return p, nil
 }
 
-// SPARQL returns the parsed form of a SPARQL query, compiling (and caching
-// the full plan) on first sight. Kept for callers that only need the AST;
-// the hot path is SPARQLPlan.
-func (c *QueryCache) SPARQL(text string) (*sparql.Query, error) {
-	p, err := c.SPARQLPlan(text)
-	if err != nil {
-		return nil, err
-	}
-	return p.Query(), nil
-}
-
 // sqlLen reports the live SQL-plan entry count (tests).
 func (c *QueryCache) sqlLen() int {
 	c.mu.RLock()

@@ -27,11 +27,11 @@ func TestQueryCacheReusesCompiledQueries(t *testing.T) {
 	}
 
 	const sparqlText = `SELECT ?s ?o WHERE { ?s <http://x/p> ?o }`
-	s1, err := c.SPARQL(sparqlText)
+	s1, err := c.SPARQLPlan(sparqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.SPARQL(sparqlText)
+	s2, err := c.SPARQLPlan(sparqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +51,7 @@ func TestQueryCacheDoesNotCacheErrors(t *testing.T) {
 		if _, err := c.SESQL("SELEKT nope"); err == nil {
 			t.Fatal("bad SESQL must fail")
 		}
-		if _, err := c.SPARQL("SELEKT nope"); err == nil {
+		if _, err := c.SPARQLPlan("SELEKT nope"); err == nil {
 			t.Fatal("bad SPARQL must fail")
 		}
 	}
@@ -91,7 +91,7 @@ func TestQueryCacheConcurrent(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				if _, err := c.SPARQL(`SELECT ?s WHERE { ?s <http://x/p> ?o }`); err != nil {
+				if _, err := c.SPARQLPlan(`SELECT ?s WHERE { ?s <http://x/p> ?o }`); err != nil {
 					t.Error(err)
 					return
 				}

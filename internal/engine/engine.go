@@ -1,7 +1,7 @@
 // Package engine is the embedded-database facade over the relational
 // substrate: it owns a catalog and executes SQL text. In the paper's
 // architecture this is the "main platform" database that SESQL's cleaned
-// SQL queries and the Fig. 6 temp-table/final-query steps run against.
+// SQL queries run against.
 package engine
 
 import (

@@ -8,8 +8,8 @@ import (
 )
 
 // RunE4 breaks SESQL latency down into the Fig. 6 stages — SQP parse, base
-// SQL on the main platform, SPARQL on the user KB, JoinManager, final SQL
-// on the support database — for each of the six enrichment strategies.
+// SQL on the main platform, SPARQL on the user KB, JoinManager, final
+// stage — for each of the six enrichment strategies.
 // Expected shape: parse ≪ everything else; the join and base-SQL stages
 // dominate; WHERE-rewriting strategies pay extra join time proportional to
 // candidate-set size.
@@ -41,7 +41,7 @@ func RunE4(w io.Writer, quick bool) error {
 	}
 	tab.write(w)
 	fmt.Fprintln(w, "\n(parse is the SQP; SPARQL runs on the user's KB view; join is the")
-	fmt.Fprintln(w, " JoinManager incl. temp-table materialisation; final SQL runs on the")
-	fmt.Fprintln(w, " temporary support database, per Fig. 6)")
+	fmt.Fprintln(w, " JoinManager incl. the projection of visible columns; final SQL is Fig. 6's")
+	fmt.Fprintln(w, " last step, here an in-place sort and slice of the joined rows)")
 	return nil
 }

@@ -1,11 +1,10 @@
-// Package experiments implements the measurement study of EXPERIMENTS.md.
+// Package experiments implements the measurement study.
 // The paper publishes no quantitative evaluation, so these experiments (a)
 // reproduce every functional artifact — each figure and worked example — and
 // (b) measure the system the way a database-systems evaluation would:
 // enrichment overhead against hand-written baselines, scaling in relation
 // and knowledge-base size, pipeline stage breakdown, federation cost, and
-// crowdsourcing fan-out. Each experiment prints the table EXPERIMENTS.md
-// records.
+// crowdsourcing fan-out. Each experiment prints its results as a table.
 package experiments
 
 import (

@@ -3,7 +3,7 @@ package fdw
 // health.go — the per-source health registry. Every attached remote source
 // registers its Client; the registry pings each one on an interval (the
 // probe that closes a half-open circuit once the peer returns) and exposes
-// a snapshot that crosse-server serves via GET /api/admin/sources and
+// a snapshot that crosse-server serves via GET /api/v1/admin/sources and
 // folds into GET /healthz.
 
 import (

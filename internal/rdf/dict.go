@@ -5,8 +5,8 @@ package rdf
 // ID, and the store's SPO/POS/OSP indexes are built on those IDs instead of
 // full Term structs. This is the standard layout of production RDF engines:
 // hashing a 4-byte integer is far cheaper than hashing a three-field struct
-// with two strings, index maps shrink (IDs instead of repeated term copies),
-// and bulk operations like Clone become flat map copies.
+// with two strings, and index maps shrink (IDs instead of repeated term
+// copies).
 
 // TermID is a dense identifier for an interned Term. IDs are scoped to the
 // Dict that issued them: the same term may have different IDs in different
@@ -145,29 +145,3 @@ func (d *Dict) encodePattern(p Pattern) (ids PatternIDs, ok bool) {
 
 // Len returns the number of interned terms.
 func (d *Dict) Len() int { return len(d.terms) }
-
-// Clone returns an independent copy of the dictionary. The copy preserves
-// every issued ID, so index structures keyed on those IDs remain valid
-// against the clone.
-func (d *Dict) Clone() *Dict {
-	c := &Dict{
-		iris:      make(map[string]TermID, len(d.iris)),
-		blanks:    make(map[string]TermID, len(d.blanks)),
-		plainLits: make(map[string]TermID, len(d.plainLits)),
-		typedLits: make(map[typedKey]TermID, len(d.typedLits)),
-		terms:     append([]Term(nil), d.terms...),
-	}
-	for k, id := range d.iris {
-		c.iris[k] = id
-	}
-	for k, id := range d.blanks {
-		c.blanks[k] = id
-	}
-	for k, id := range d.plainLits {
-		c.plainLits[k] = id
-	}
-	for k, id := range d.typedLits {
-		c.typedLits[k] = id
-	}
-	return c
-}

@@ -33,23 +33,6 @@ func TestDictEncodeLookup(t *testing.T) {
 	}
 }
 
-func TestDictCloneIndependent(t *testing.T) {
-	d := NewDict()
-	idA := d.Encode(iri("a"))
-	c := d.Clone()
-	if got, ok := c.Lookup(iri("a")); !ok || got != idA {
-		t.Fatalf("clone must preserve issued IDs, got (%d,%v)", got, ok)
-	}
-	c.Encode(iri("b"))
-	if _, ok := d.Lookup(iri("b")); ok {
-		t.Fatal("encoding into the clone must not touch the original")
-	}
-	d.Encode(iri("c"))
-	if _, ok := c.Lookup(iri("c")); ok {
-		t.Fatal("encoding into the original must not touch the clone")
-	}
-}
-
 // Count must answer every shape from index sizes; this cross-checks it
 // against ForEach enumeration on a store with mixed term kinds, including
 // after removals (which must decrement the sub-index counters).

@@ -59,24 +59,6 @@ func (idx index) del(a, b, c TermID) {
 	}
 }
 
-// clone deep-copies the index structure. The copied maps are keyed on the
-// same IDs, so the copy must be paired with a Dict.Clone of the source.
-func (idx index) clone() index {
-	c := make(index, len(idx))
-	for a, s1 := range idx {
-		m := make(map[TermID]idSet, len(s1.m))
-		for b, s2 := range s1.m {
-			set := make(idSet, len(s2))
-			for k := range s2 {
-				set[k] = struct{}{}
-			}
-			m[b] = set
-		}
-		c[a] = &subIndex{m: m, n: s1.n}
-	}
-	return c
-}
-
 // encStore is the dictionary-free encoded core of a triple store: the flat
 // TripleKey membership set plus the three permutation indexes. Store pairs
 // one with a private Dict; SharedStore pairs one with the platform-wide
@@ -241,20 +223,6 @@ func (c *encStore) matchIDs(p PatternIDs, fn func(si, pi, oi TermID) bool) {
 				}
 			}
 		}
-	}
-}
-
-// clone deep-copies the encoded core.
-func (c *encStore) clone() encStore {
-	triples := make(map[TripleKey]struct{}, len(c.triples))
-	for k := range c.triples {
-		triples[k] = struct{}{}
-	}
-	return encStore{
-		triples: triples,
-		spo:     c.spo.clone(),
-		pos:     c.pos.clone(),
-		osp:     c.osp.clone(),
 	}
 }
 
@@ -546,22 +514,6 @@ func (s *Store) Predicates() []Term {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Value < out[j].Value })
 	return out
-}
-
-// Clone returns a deep snapshot of the store, built by bulk-copying the
-// encoded indexes and the dictionary under a single shared lock — no
-// per-triple re-encoding or re-locking — so cloning costs one flat pass over
-// the index maps. It is the snapshot API for callers that need a
-// point-in-time copy to read or mutate without blocking the original
-// (offline analysis, export); the KB layer's views are overlays over a
-// SharedStore and update incrementally.
-func (s *Store) Clone() *Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return &Store{
-		dict:     s.dict.Clone(),
-		encStore: s.encStore.clone(),
-	}
 }
 
 // Clear removes every triple and resets the dictionary.

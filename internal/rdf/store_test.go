@@ -127,20 +127,6 @@ func TestPredicates(t *testing.T) {
 	}
 }
 
-func TestCloneIsDeep(t *testing.T) {
-	st := NewStore()
-	st.Add(tr("a", "p", "b"))
-	c := st.Clone()
-	st.Add(tr("c", "p", "d"))
-	if c.Len() != 1 {
-		t.Errorf("clone mutated by original: Len=%d", c.Len())
-	}
-	c.Add(tr("e", "p", "f"))
-	if st.Len() != 2 {
-		t.Errorf("original mutated by clone: Len=%d", st.Len())
-	}
-}
-
 func TestClear(t *testing.T) {
 	st := NewStore()
 	st.AddAll([]Triple{tr("a", "p", "b"), tr("c", "p", "d")})

@@ -275,55 +275,33 @@ func TestV1PaginationContract(t *testing.T) {
 	page("/api/v1/users?limit=bogus&offset=-3", "users", 5, 5, defaultPageLimit, 0)
 }
 
-func TestLegacyAliasDeprecation(t *testing.T) {
+func TestLegacyAliasesRemoved(t *testing.T) {
 	ts, _ := newV1Server(t, 0, 0)
 	resp, err := http.Get(ts.URL + "/api/users")
 	if err != nil {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy alias: %d", resp.StatusCode)
-	}
-	if resp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy alias missing Deprecation header")
-	}
-	if link := resp.Header.Get("Link"); !strings.Contains(link, "/api/v1/users") {
-		t.Errorf("legacy alias Link = %q, want successor /api/v1/users", link)
-	}
-
-	resp, err = http.Get(ts.URL + "/api/v1/users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.Header.Get("Deprecation") != "" {
-		t.Error("v1 path must not carry a Deprecation header")
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("unversioned /api/users: status %d, want 404", resp.StatusCode)
 	}
 }
 
 func TestMetricsEndpoint(t *testing.T) {
 	ts, _ := newV1Server(t, 4, 2)
-	// Generate traffic on both the v1 path and the legacy alias: both must
-	// be attributed to the one v1 endpoint label.
-	for i := 0; i < 2; i++ {
+	for i := 0; i < 3; i++ {
 		resp, err := http.Get(ts.URL + "/api/v1/users")
 		if err != nil {
 			t.Fatal(err)
 		}
 		resp.Body.Close()
 	}
-	resp, err := http.Get(ts.URL + "/api/users")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`)
+	resp := postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`)
 	resp.Body.Close()
 	resp = postJSON(t, ts.URL+"/api/v1/query", `{"user":"alice","sesql":"SELECT 1"}`)
 	resp.Body.Close()
 
-	resp, err = http.Get(ts.URL + "/api/v1/metrics")
+	resp, err := http.Get(ts.URL + "/api/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,13 +330,10 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	list := out.Endpoints["GET /api/v1/users"]
 	if list.Requests != 3 {
-		t.Errorf("GET /api/v1/users requests = %d, want 3 (v1 + legacy alias)", list.Requests)
+		t.Errorf("GET /api/v1/users requests = %d, want 3", list.Requests)
 	}
 	if list.Status["2xx"] != 3 || list.Latency.Count != 3 {
 		t.Errorf("endpoint stats = %+v", list)
-	}
-	if _, ok := out.Endpoints["GET /api/users"]; ok {
-		t.Error("legacy alias must not appear as its own endpoint label")
 	}
 	q := out.Endpoints["POST /api/v1/query"]
 	if q.Requests != 1 || q.Latency.P50US <= 0 {

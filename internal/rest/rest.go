@@ -7,19 +7,16 @@
 // The public surface is versioned under /api/v1/... and wrapped by the
 // serving tier (internal/serve): per-endpoint request metrics, an
 // epoch-keyed enriched-result cache, and admission control on the query
-// endpoints. Legacy unversioned /api/... paths remain as deprecated thin
-// aliases for one release; see docs/API.md for the contract.
+// endpoints; see docs/API.md for the contract.
 package rest
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"log"
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"crosse/internal/core"
@@ -29,7 +26,6 @@ import (
 	"crosse/internal/rdf"
 	"crosse/internal/recommend"
 	"crosse/internal/serve"
-	"crosse/internal/sparql"
 	"crosse/internal/sqlexec"
 )
 
@@ -59,18 +55,13 @@ type Server struct {
 	// limiter, when set, admission-controls the query-execution endpoints.
 	// Nil admits everything.
 	limiter *serve.Limiter
-
-	// deprecatedOnce dedups the once-per-path deprecation log line.
-	deprecatedOnce sync.Map
-	// logf receives operational notices; log.Printf unless SetLogf.
-	logf func(format string, args ...any)
 }
 
 // NewServer wraps an Enricher (which carries the databank, the semantic
 // platform and the resource mapping). Mutations apply directly to the
 // platform until SetJournal routes them through a write-ahead log.
 func NewServer(e *core.Enricher) *Server {
-	return &Server{enricher: e, mutator: e.Platform, metrics: serve.NewMetrics(), logf: log.Printf}
+	return &Server{enricher: e, mutator: e.Platform, metrics: serve.NewMetrics()}
 }
 
 // SetJournal routes every platform mutation through the journal's logged
@@ -98,27 +89,18 @@ func (s *Server) SetResultCache(c *serve.Cache) { s.cache = c }
 // query-execution endpoints. Nil (the default) admits everything.
 func (s *Server) SetAdmission(l *serve.Limiter) { s.limiter = l }
 
-// SetLogf redirects the server's operational notices (deprecation
-// warnings). nil silences them.
-func (s *Server) SetLogf(f func(format string, args ...any)) {
-	if f == nil {
-		f = func(string, ...any) {}
-	}
-	s.logf = f
-}
+// SetLogf is a no-op: the server's only operational notice was the
+// legacy-alias deprecation warning, which went with the aliases. The
+// method stays because benchmark/fixture.go, which a PR may not edit
+// together with other code, still calls it.
+func (s *Server) SetLogf(func(format string, args ...any)) {}
 
-// Handler returns the API routes: the v1 surface plus legacy /api/...
-// aliases (deprecated, kept for one release).
+// Handler returns the API routes.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	// route mounts a handler at its v1 path and at the legacy unversioned
-	// alias. Both share one metrics label (the v1 pattern) so traffic is
-	// attributed to the endpoint, not to which alias the client used.
-	route := func(method, v1Path string, h http.HandlerFunc) {
-		name := method + " " + v1Path
-		mux.HandleFunc(name, s.instrument(name, "", h))
-		legacy := "/api/" + strings.TrimPrefix(v1Path, "/api/v1/")
-		mux.HandleFunc(method+" "+legacy, s.instrument(name, v1Path, h))
+	route := func(method, path string, h http.HandlerFunc) {
+		name := method + " " + path
+		mux.HandleFunc(name, s.instrument(name, h))
 	}
 
 	route("GET", "/api/v1/users", s.listUsers)
@@ -144,26 +126,16 @@ func (s *Server) Handler() http.Handler {
 	route("POST", "/api/v1/admin/compact", s.compact)
 	route("GET", "/api/v1/admin/sources", s.listSources)
 
-	// v1-only: the serving-tier metrics snapshot.
-	mux.HandleFunc("GET /api/v1/metrics", s.instrument("GET /api/v1/metrics", "", s.metricsSnapshot))
+	route("GET", "/api/v1/metrics", s.metricsSnapshot)
 	// The liveness probe predates the versioned surface and stays put.
-	mux.HandleFunc("GET /healthz", s.instrument("GET /healthz", "", s.healthz))
+	route("GET", "/healthz", s.healthz)
 	return mux
 }
 
-// instrument wraps a handler with request metrics. successor, when
-// non-empty, marks the mount as a deprecated legacy alias of that v1
-// path: responses carry a Deprecation header and the first hit per path
-// logs a migration notice.
-func (s *Server) instrument(name, successor string, h http.HandlerFunc) http.HandlerFunc {
+// instrument wraps a handler with request metrics under the endpoint's
+// method + pattern label.
+func (s *Server) instrument(name string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		if successor != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=%q", successor, "successor-version"))
-			if _, logged := s.deprecatedOnce.LoadOrStore(r.URL.Path, true); !logged {
-				s.logf("rest: deprecated path %s served (migrate to %s)", r.URL.Path, successor)
-			}
-		}
 		done := s.metrics.Begin(name)
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() { done(sw.status) }()
@@ -590,12 +562,7 @@ func (s *Server) sparqlQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	view, err := s.enricher.Platform.View(req.User)
-	if err != nil {
-		writeError(w, err)
-		return
-	}
-	res, err := sparql.Eval(view, req.Query)
+	res, err := s.enricher.SPARQL(req.User, req.Query)
 	if err != nil {
 		writeError(w, err)
 		return
@@ -610,12 +577,17 @@ func (s *Server) sparqlQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		out.Bindings[i] = row
 	}
+	st := statsJSON{}
+	if res.ParallelFallback != "" {
+		st.ParallelFallback = "sparql: " + res.ParallelFallback
+	}
 	if s.cache != nil {
-		ent := out
-		ent.Stats = &statsJSON{}
+		ent, cached := out, st // the entry keeps its own copy: st still changes below
+		ent.Stats = &cached
 		s.cache.Put(key, ent, size)
 	}
-	out.Stats = &statsJSON{ElapsedMicros: time.Since(start).Microseconds()}
+	st.ElapsedMicros = time.Since(start).Microseconds()
+	out.Stats = &st
 	writeJSON(w, http.StatusOK, out)
 }
 

@@ -63,15 +63,15 @@ func doJSON(t *testing.T, method, url string, body any) (int, map[string]any) {
 
 func TestUserLifecycle(t *testing.T) {
 	ts := newTestServer(t)
-	code, _ := doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "alice"})
+	code, _ := doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "alice"})
 	if code != http.StatusCreated {
 		t.Fatalf("create user: %d", code)
 	}
-	code, _ = doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "alice"})
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "alice"})
 	if code != http.StatusConflict {
 		t.Errorf("duplicate user: %d", code)
 	}
-	code, out := doJSON(t, "GET", ts.URL+"/api/users", nil)
+	code, out := doJSON(t, "GET", ts.URL+"/api/v1/users", nil)
 	if code != http.StatusOK {
 		t.Fatalf("list users: %d", code)
 	}
@@ -83,10 +83,10 @@ func TestUserLifecycle(t *testing.T) {
 
 func TestAnnotationAndQueryFlow(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "alice"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "alice"})
 
 	// Independent annotation with a reference.
-	code, out := doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	code, out := doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "alice", "subject": "Mercury", "property": "dangerLevel",
 		"object": "high", "object_literal": true,
 		"ref": map[string]string{"title": "WHO report"},
@@ -96,7 +96,7 @@ func TestAnnotationAndQueryFlow(t *testing.T) {
 	}
 
 	// SESQL query through the API, with stats.
-	code, out = doJSON(t, "POST", ts.URL+"/api/query", map[string]any{
+	code, out = doJSON(t, "POST", ts.URL+"/api/v1/query", map[string]any{
 		"user": "alice",
 		"sesql": `SELECT elem_name FROM elem_contained WHERE landfill_name = 'a'
 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`,
@@ -130,9 +130,9 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`,
 
 func TestIntegratedAnnotationOverREST(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "u"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
 	// Mercury exists in the databank → integrated OK.
-	code, _ := doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	code, _ := doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "u", "subject": "Mercury", "property": "note",
 		"object": "x", "object_literal": true, "integrated": true,
 	})
@@ -140,7 +140,7 @@ func TestIntegratedAnnotationOverREST(t *testing.T) {
 		t.Errorf("integrated annotation of db concept: %d", code)
 	}
 	// Unknown concept → rejected.
-	code, _ = doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "u", "subject": "Unobtainium", "property": "note",
 		"object": "x", "object_literal": true, "integrated": true,
 	})
@@ -151,32 +151,32 @@ func TestIntegratedAnnotationOverREST(t *testing.T) {
 
 func TestCrowdsourcedImportOverREST(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "alice"})
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "bob"})
-	_, out := doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "alice"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "bob"})
+	_, out := doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "alice", "subject": "Mercury", "property": "isA", "object": "HazardousWaste",
 	})
 	id := out["id"].(string)
 
 	// Bob explores alice's public statements…
-	_, out = doJSON(t, "GET", ts.URL+"/api/statements?owner=alice", nil)
+	_, out = doJSON(t, "GET", ts.URL+"/api/v1/statements?owner=alice", nil)
 	sts := out["statements"].([]any)
 	if len(sts) != 1 {
 		t.Fatalf("explore: %v", out)
 	}
 	// …and imports one.
-	code, _ := doJSON(t, "POST", ts.URL+"/api/statements/"+id+"/import", map[string]string{"user": "bob"})
+	code, _ := doJSON(t, "POST", ts.URL+"/api/v1/statements/"+id+"/import", map[string]string{"user": "bob"})
 	if code != http.StatusOK {
 		t.Fatalf("import: %d", code)
 	}
-	_, out = doJSON(t, "GET", ts.URL+"/api/statements", nil)
+	_, out = doJSON(t, "GET", ts.URL+"/api/v1/statements", nil)
 	st := out["statements"].([]any)[0].(map[string]any)
 	believers := st["believers"].([]any)
 	if len(believers) != 2 {
 		t.Errorf("believers = %v", believers)
 	}
 	// Retract bob's belief.
-	code, _ = doJSON(t, "DELETE", ts.URL+"/api/statements/"+id+"?user=bob", nil)
+	code, _ = doJSON(t, "DELETE", ts.URL+"/api/v1/statements/"+id+"?user=bob", nil)
 	if code != http.StatusOK {
 		t.Errorf("retract: %d", code)
 	}
@@ -184,11 +184,11 @@ func TestCrowdsourcedImportOverREST(t *testing.T) {
 
 func TestSPARQLEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "u"})
-	doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
+	doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "u", "subject": "Mercury", "property": "isA", "object": "HazardousWaste",
 	})
-	code, out := doJSON(t, "POST", ts.URL+"/api/sparql", map[string]string{
+	code, out := doJSON(t, "POST", ts.URL+"/api/v1/sparql", map[string]string{
 		"user":  "u",
 		"query": `SELECT ?x WHERE { ?x <` + core.DefaultIRIPrefix + `isA> <` + core.DefaultIRIPrefix + `HazardousWaste> }`,
 	})
@@ -205,23 +205,53 @@ func TestSPARQLEndpoint(t *testing.T) {
 	}
 }
 
+// The endpoint evaluates through the enricher: a repeated text reuses the
+// cached plan, the serial-fallback reason is reported as for /query, and
+// ASK answers under "bool".
+func TestSPARQLEndpointUsesEnricherPlans(t *testing.T) {
+	ts := newTestServer(t)
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
+	doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
+		"user": "u", "subject": "Mercury", "property": "isA", "object": "HazardousWaste",
+	})
+	pattern := `{ ?x <` + core.DefaultIRIPrefix + `isA> <` + core.DefaultIRIPrefix + `HazardousWaste> }`
+	for i := 0; i < 2; i++ {
+		code, out := doJSON(t, "POST", ts.URL+"/api/v1/sparql", map[string]string{"user": "u", "query": `SELECT ?x WHERE ` + pattern})
+		if code != http.StatusOK {
+			t.Fatalf("sparql: %d %v", code, out)
+		}
+		if fb, _ := out["stats"].(map[string]any)["parallel_fallback"].(string); !strings.HasPrefix(fb, "sparql: ") {
+			t.Errorf("stats.parallel_fallback = %q, want a sparql: reason", fb)
+		}
+	}
+	_, metrics := doJSON(t, "GET", ts.URL+"/api/v1/metrics", nil)
+	if hits := metrics["plan_cache"].(map[string]any)["hits"].(float64); hits < 1 {
+		t.Errorf("plan_cache.hits = %v after a repeated SPARQL text, want >= 1", hits)
+	}
+
+	code, out := doJSON(t, "POST", ts.URL+"/api/v1/sparql", map[string]string{"user": "u", "query": `ASK ` + pattern})
+	if code != http.StatusOK || out["bool"] != true {
+		t.Errorf("ask: %d %v", code, out)
+	}
+}
+
 func TestStoredQueryEndpoints(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "u"})
-	code, _ := doJSON(t, "POST", ts.URL+"/api/queries", map[string]string{
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
+	code, _ := doJSON(t, "POST", ts.URL+"/api/v1/queries", map[string]string{
 		"name": "dangerQuery",
 		"text": `SELECT ?x WHERE { ?x <` + core.DefaultIRIPrefix + `isA> <` + core.DefaultIRIPrefix + `HazardousWaste> }`,
 	})
 	if code != http.StatusCreated {
 		t.Fatalf("register query: %d", code)
 	}
-	_, out := doJSON(t, "GET", ts.URL+"/api/queries?user=u", nil)
+	_, out := doJSON(t, "GET", ts.URL+"/api/v1/queries?user=u", nil)
 	qs := out["queries"].([]any)
 	if len(qs) != 1 {
 		t.Errorf("queries = %v", qs)
 	}
 	// Bad SPARQL rejected.
-	code, _ = doJSON(t, "POST", ts.URL+"/api/queries", map[string]string{"name": "bad", "text": "SELECT"})
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/queries", map[string]string{"name": "bad", "text": "SELECT"})
 	if code != http.StatusBadRequest {
 		t.Errorf("bad query registration: %d", code)
 	}
@@ -229,7 +259,7 @@ func TestStoredQueryEndpoints(t *testing.T) {
 
 func TestTablesEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	code, out := doJSON(t, "GET", ts.URL+"/api/tables", nil)
+	code, out := doJSON(t, "GET", ts.URL+"/api/v1/tables", nil)
 	if code != http.StatusOK {
 		t.Fatalf("tables: %d", code)
 	}
@@ -246,12 +276,12 @@ func TestTablesEndpoint(t *testing.T) {
 func TestErrorPaths(t *testing.T) {
 	ts := newTestServer(t)
 	// Unknown user query: typed kb.ErrUnknownUser → 404.
-	code, _ := doJSON(t, "POST", ts.URL+"/api/query", map[string]string{"user": "ghost", "sesql": "SELECT 1"})
+	code, _ := doJSON(t, "POST", ts.URL+"/api/v1/query", map[string]string{"user": "ghost", "sesql": "SELECT 1"})
 	if code != http.StatusNotFound {
 		t.Errorf("ghost query: %d", code)
 	}
 	// Malformed JSON body.
-	resp, err := http.Post(ts.URL+"/api/users", "application/json", strings.NewReader("{"))
+	resp, err := http.Post(ts.URL+"/api/v1/users", "application/json", strings.NewReader("{"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,23 +290,23 @@ func TestErrorPaths(t *testing.T) {
 		t.Errorf("malformed body: %d", resp.StatusCode)
 	}
 	// Unknown fields rejected (catches client typos).
-	code, _ = doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"nmae": "x"})
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"nmae": "x"})
 	if code != http.StatusBadRequest {
 		t.Errorf("unknown field: %d", code)
 	}
 	// Missing statement fields.
-	code, _ = doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{"user": "u"})
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{"user": "u"})
 	if code != http.StatusBadRequest {
 		t.Errorf("incomplete statement: %d", code)
 	}
 	// Import into missing statement: typed kb.ErrNoStatement → 404.
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "u"})
-	code, _ = doJSON(t, "POST", ts.URL+"/api/statements/stmt-99/import", map[string]string{"user": "u"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/statements/stmt-99/import", map[string]string{"user": "u"})
 	if code != http.StatusNotFound {
 		t.Errorf("import missing: %d", code)
 	}
 	// Retract without user.
-	req, _ := http.NewRequest("DELETE", ts.URL+"/api/statements/stmt-1", nil)
+	req, _ := http.NewRequest("DELETE", ts.URL+"/api/v1/statements/stmt-1", nil)
 	resp2, err := http.DefaultClient.Do(req)
 	if err != nil {
 		t.Fatal(err)
@@ -290,19 +320,19 @@ func TestErrorPaths(t *testing.T) {
 func TestContextualAnswersDifferPerUser(t *testing.T) {
 	ts := newTestServer(t)
 	for _, u := range []string{"researcher", "planner"} {
-		doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": u})
+		doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": u})
 	}
 	// The researcher tags Mercury as hazardous; the planner tags Zinc.
-	doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "researcher", "subject": "Mercury", "property": "isA", "object": "HazardousWaste"})
-	doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "planner", "subject": "Zinc", "property": "isA", "object": "HazardousWaste"})
 
 	q := `SELECT elem_name FROM elem_contained WHERE landfill_name = 'a'
 ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`
 	results := map[string]string{}
 	for _, u := range []string{"researcher", "planner"} {
-		_, out := doJSON(t, "POST", ts.URL+"/api/query", map[string]any{"user": u, "sesql": q})
+		_, out := doJSON(t, "POST", ts.URL+"/api/v1/query", map[string]any{"user": u, "sesql": q})
 		raw, _ := json.Marshal(out["rows"])
 		results[u] = string(raw)
 	}
@@ -318,17 +348,17 @@ ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`
 
 func TestStatementListingFilters(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "a"})
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "b"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "a"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "b"})
 	for i, u := range []string{"a", "b", "a"} {
-		doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+		doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 			"user": u, "subject": fmt.Sprintf("S%d", i), "property": "p", "object": "O"})
 	}
-	_, out := doJSON(t, "GET", ts.URL+"/api/statements?owner=a", nil)
+	_, out := doJSON(t, "GET", ts.URL+"/api/v1/statements?owner=a", nil)
 	if n := len(out["statements"].([]any)); n != 2 {
 		t.Errorf("owner filter: %d", n)
 	}
-	_, out = doJSON(t, "GET", ts.URL+"/api/statements?property=p", nil)
+	_, out = doJSON(t, "GET", ts.URL+"/api/v1/statements?property=p", nil)
 	if n := len(out["statements"].([]any)); n != 3 {
 		t.Errorf("property filter: %d", n)
 	}

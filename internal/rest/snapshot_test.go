@@ -47,13 +47,13 @@ func snapshotTestServer(t *testing.T, snapshotPath string) (*httptest.Server, *c
 func TestAdminSnapshotDownload(t *testing.T) {
 	ts, e := snapshotTestServer(t, "")
 
-	resp, err := http.Get(ts.URL + "/api/admin/snapshot")
+	resp, err := http.Get(ts.URL + "/api/v1/admin/snapshot")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("GET /api/admin/snapshot: status %d", resp.StatusCode)
+		t.Fatalf("GET /api/v1/admin/snapshot: status %d", resp.StatusCode)
 	}
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type %q", ct)
@@ -84,9 +84,9 @@ func TestAdminSnapshotSave(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "platform.img")
 	ts, e := snapshotTestServer(t, path)
 
-	status, body := doJSON(t, http.MethodPost, ts.URL+"/api/admin/snapshot", nil)
+	status, body := doJSON(t, http.MethodPost, ts.URL+"/api/v1/admin/snapshot", nil)
 	if status != http.StatusOK {
-		t.Fatalf("POST /api/admin/snapshot: status %d body %v", status, body)
+		t.Fatalf("POST /api/v1/admin/snapshot: status %d body %v", status, body)
 	}
 	if body["path"] != path || body["bytes"].(float64) <= 0 {
 		t.Fatalf("unexpected response %v", body)
@@ -102,7 +102,7 @@ func TestAdminSnapshotSave(t *testing.T) {
 
 func TestAdminSnapshotSaveUnconfigured(t *testing.T) {
 	ts, _ := snapshotTestServer(t, "")
-	status, _ := doJSON(t, http.MethodPost, ts.URL+"/api/admin/snapshot", nil)
+	status, _ := doJSON(t, http.MethodPost, ts.URL+"/api/v1/admin/snapshot", nil)
 	if status != http.StatusConflict {
 		t.Fatalf("POST without configured path: status %d, want %d", status, http.StatusConflict)
 	}

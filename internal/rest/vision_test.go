@@ -10,21 +10,21 @@ import (
 func seedCommunity(t *testing.T, url string) {
 	t.Helper()
 	for _, u := range []string{"alice", "bob", "carol"} {
-		doJSON(t, "POST", url+"/api/users", map[string]string{"name": u})
+		doJSON(t, "POST", url+"/api/v1/users", map[string]string{"name": u})
 	}
 	// Alice publishes three statements.
 	var ids []string
 	for _, s := range []string{"Mercury", "Zinc", "Gold"} {
-		_, out := doJSON(t, "POST", url+"/api/statements", map[string]any{
+		_, out := doJSON(t, "POST", url+"/api/v1/statements", map[string]any{
 			"user": "alice", "subject": s, "property": "isA", "object": "HazardousWaste"})
 		ids = append(ids, out["id"].(string))
 	}
 	// Bob imports two of them, so alice↔bob are belief-similar.
 	for _, id := range ids[:2] {
-		doJSON(t, "POST", url+"/api/statements/"+id+"/import", map[string]string{"user": "bob"})
+		doJSON(t, "POST", url+"/api/v1/statements/"+id+"/import", map[string]string{"user": "bob"})
 	}
 	// Bob adds one of his own: recommendation material for alice.
-	doJSON(t, "POST", url+"/api/statements", map[string]any{
+	doJSON(t, "POST", url+"/api/v1/statements", map[string]any{
 		"user": "bob", "subject": "Asbestos", "property": "isA", "object": "HazardousWaste"})
 }
 
@@ -32,7 +32,7 @@ func TestPeersEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	seedCommunity(t, ts.URL)
 
-	code, out := doJSON(t, "GET", ts.URL+"/api/peers?user=alice", nil)
+	code, out := doJSON(t, "GET", ts.URL+"/api/v1/peers?user=alice", nil)
 	if code != http.StatusOK {
 		t.Fatalf("peers: %d %v", code, out)
 	}
@@ -46,12 +46,12 @@ func TestPeersEndpoint(t *testing.T) {
 	}
 
 	// Interests mode also works.
-	code, out = doJSON(t, "GET", ts.URL+"/api/peers?user=carol&by=interests", nil)
+	code, out = doJSON(t, "GET", ts.URL+"/api/v1/peers?user=carol&by=interests", nil)
 	if code != http.StatusOK {
 		t.Fatalf("interest peers: %d", code)
 	}
 	// Missing user rejected.
-	code, _ = doJSON(t, "GET", ts.URL+"/api/peers", nil)
+	code, _ = doJSON(t, "GET", ts.URL+"/api/v1/peers", nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("missing user: %d", code)
 	}
@@ -61,7 +61,7 @@ func TestRecommendationsEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	seedCommunity(t, ts.URL)
 
-	code, out := doJSON(t, "GET", ts.URL+"/api/recommendations?user=alice&k=5", nil)
+	code, out := doJSON(t, "GET", ts.URL+"/api/v1/recommendations?user=alice&k=5", nil)
 	if code != http.StatusOK {
 		t.Fatalf("recommendations: %d %v", code, out)
 	}
@@ -84,7 +84,7 @@ func TestSnippetEndpoint(t *testing.T) {
 	ts := newTestServer(t)
 	seedCommunity(t, ts.URL)
 
-	code, out := doJSON(t, "GET", ts.URL+"/api/snippet?user=alice&concept=Mercury", nil)
+	code, out := doJSON(t, "GET", ts.URL+"/api/v1/snippet?user=alice&concept=Mercury", nil)
 	if code != http.StatusOK {
 		t.Fatalf("snippet: %d %v", code, out)
 	}
@@ -96,7 +96,7 @@ func TestSnippetEndpoint(t *testing.T) {
 	if f["property"] != "isA" || f["value"] != "HazardousWaste" || f["outgoing"] != true {
 		t.Errorf("fact = %v", f)
 	}
-	code, _ = doJSON(t, "GET", ts.URL+"/api/snippet?user=alice", nil)
+	code, _ = doJSON(t, "GET", ts.URL+"/api/v1/snippet?user=alice", nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("missing concept: %d", code)
 	}
@@ -106,7 +106,7 @@ func TestRankedQuery(t *testing.T) {
 	ts := newTestServer(t)
 	seedCommunity(t, ts.URL)
 
-	code, out := doJSON(t, "POST", ts.URL+"/api/query", map[string]any{
+	code, out := doJSON(t, "POST", ts.URL+"/api/v1/query", map[string]any{
 		"user":  "alice",
 		"sesql": `SELECT elem_name FROM elem_contained WHERE landfill_name = 'a'`,
 		"rank":  true,

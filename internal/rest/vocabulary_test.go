@@ -9,10 +9,10 @@ import (
 
 func TestVocabularyEndpoints(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "u"})
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
 
 	// Declare a resource (short name minted under the default prefix).
-	code, out := doJSON(t, "POST", ts.URL+"/api/vocabulary", map[string]string{
+	code, out := doJSON(t, "POST", ts.URL+"/api/v1/vocabulary", map[string]string{
 		"user": "u", "name": "SecondaryRawMaterial", "kind": "resource"})
 	if code != http.StatusCreated {
 		t.Fatalf("declare resource: %d %v", code, out)
@@ -21,16 +21,16 @@ func TestVocabularyEndpoints(t *testing.T) {
 		t.Errorf("minted name = %v", out["name"])
 	}
 	// Declare a property and use another in a statement.
-	code, _ = doJSON(t, "POST", ts.URL+"/api/vocabulary", map[string]string{
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/vocabulary", map[string]string{
 		"user": "u", "name": "recoverableFrom", "kind": "property"})
 	if code != http.StatusCreated {
 		t.Fatalf("declare property: %d", code)
 	}
-	doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "u", "subject": "Mercury", "property": "dangerLevel",
 		"object": "high", "object_literal": true})
 
-	code, out = doJSON(t, "GET", ts.URL+"/api/vocabulary", nil)
+	code, out = doJSON(t, "GET", ts.URL+"/api/v1/vocabulary", nil)
 	if code != http.StatusOK {
 		t.Fatalf("vocabulary: %d", code)
 	}
@@ -48,13 +48,13 @@ func TestVocabularyEndpoints(t *testing.T) {
 	}
 
 	// Bad kind rejected.
-	code, _ = doJSON(t, "POST", ts.URL+"/api/vocabulary", map[string]string{
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/vocabulary", map[string]string{
 		"user": "u", "name": "x", "kind": "frob"})
 	if code != http.StatusBadRequest {
 		t.Errorf("bad kind: %d", code)
 	}
 	// Unknown user: typed kb.ErrUnknownUser → 404.
-	code, _ = doJSON(t, "POST", ts.URL+"/api/vocabulary", map[string]string{
+	code, _ = doJSON(t, "POST", ts.URL+"/api/v1/vocabulary", map[string]string{
 		"user": "ghost", "name": "x", "kind": "resource"})
 	if code != http.StatusNotFound {
 		t.Errorf("ghost declare: %d", code)
@@ -63,11 +63,11 @@ func TestVocabularyEndpoints(t *testing.T) {
 
 func TestKBDOTEndpoint(t *testing.T) {
 	ts := newTestServer(t)
-	doJSON(t, "POST", ts.URL+"/api/users", map[string]string{"name": "u"})
-	doJSON(t, "POST", ts.URL+"/api/statements", map[string]any{
+	doJSON(t, "POST", ts.URL+"/api/v1/users", map[string]string{"name": "u"})
+	doJSON(t, "POST", ts.URL+"/api/v1/statements", map[string]any{
 		"user": "u", "subject": "Mercury", "property": "isA", "object": "HazardousWaste"})
 
-	resp, err := http.Get(ts.URL + "/api/kb.dot?user=u")
+	resp, err := http.Get(ts.URL + "/api/v1/kb.dot?user=u")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestKBDOTEndpoint(t *testing.T) {
 		t.Errorf("dot body:\n%s", out)
 	}
 	// Unknown user → 404 JSON error.
-	resp2, err := http.Get(ts.URL + "/api/kb.dot?user=ghost")
+	resp2, err := http.Get(ts.URL + "/api/v1/kb.dot?user=ghost")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestKBDOTEndpoint(t *testing.T) {
 		t.Errorf("ghost dot: %d", resp2.StatusCode)
 	}
 	// Missing user → 400.
-	resp3, err := http.Get(ts.URL + "/api/kb.dot")
+	resp3, err := http.Get(ts.URL + "/api/v1/kb.dot")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,6 +26,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 
 	"crosse/internal/sqldb"
@@ -305,28 +306,34 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 		}
 	}
 
-	// LIMIT/OFFSET are constant expressions: evaluate once.
-	if sel.Offset != nil {
-		n, err := constInt(sel.Offset)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("sqlexec: negative OFFSET")
-		}
-		p.offset = n
-	}
-	if sel.Limit != nil {
-		n, err := constInt(sel.Limit)
-		if err != nil {
-			return nil, err
-		}
-		if n < 0 {
-			return nil, fmt.Errorf("sqlexec: negative LIMIT")
-		}
-		p.limit = n
+	p.limit, p.offset, err = limitOffset(sel)
+	if err != nil {
+		return nil, err
 	}
 	return p, nil
+}
+
+// limitOffset evaluates a SELECT's LIMIT and OFFSET, which are constant
+// expressions; -1 stands for an absent clause.
+func limitOffset(sel *sqlparser.Select) (limit, offset int, err error) {
+	limit, offset = -1, -1
+	if sel.Offset != nil {
+		if offset, err = constInt(sel.Offset); err != nil {
+			return 0, 0, err
+		}
+		if offset < 0 {
+			return 0, 0, fmt.Errorf("sqlexec: negative OFFSET")
+		}
+	}
+	if sel.Limit != nil {
+		if limit, err = constInt(sel.Limit); err != nil {
+			return 0, 0, err
+		}
+		if limit < 0 {
+			return 0, 0, fmt.Errorf("sqlexec: negative LIMIT")
+		}
+	}
+	return limit, offset, nil
 }
 
 func constInt(e sqlparser.Expr) (int, error) {
@@ -1304,4 +1311,44 @@ func CompileExpr(cols []ScopeCol, e sqlparser.Expr) (*CompiledExpr, error) {
 // Eval evaluates the expression over a row parallel to the layout.
 func (x *CompiledExpr) Eval(row []sqlval.Value) (sqlval.Value, error) {
 	return x.e.eval(row)
+}
+
+// SortLimit applies sel's ORDER BY / LIMIT / OFFSET to rows that are
+// already materialised under the column layout cols — the tail the
+// enrichment pipeline defers past its joins. Keys compile once against the
+// layout; rows are reordered in place by the executor's own comparison
+// (orderLess, ties in arrival order) and the returned window is a subslice
+// of rows.
+func SortLimit(cols []ScopeCol, sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
+	limit, offset, err := limitOffset(sel)
+	if err != nil {
+		return nil, err
+	}
+	if len(sel.OrderBy) > 0 {
+		env := &compileEnv{cols: cols}
+		order := make([]orderPlan, len(sel.OrderBy))
+		for k, ob := range sel.OrderBy {
+			ce, err := compileExpr(ob.Expr, env)
+			if err != nil {
+				return nil, fmt.Errorf("sqlexec: ORDER BY: %w", err)
+			}
+			order[k] = orderPlan{outKey: ce, desc: ob.Desc}
+		}
+		keyA := sqlval.NewRowArena(len(order))
+		sorted := make([]sortedRow, len(rows))
+		for i, row := range rows {
+			keys := keyA.Next()
+			for k, op := range order {
+				if keys[k], err = op.outKey.eval(row); err != nil {
+					return nil, err
+				}
+			}
+			sorted[i] = sortedRow{keys: keys, row: row, seq: int64(i)}
+		}
+		sort.Slice(sorted, func(i, j int) bool { return orderLess(order, &sorted[i], &sorted[j]) })
+		for i := range sorted {
+			rows[i] = sorted[i].row
+		}
+	}
+	return window(rows, offset, limit), nil
 }

@@ -774,9 +774,14 @@ func newTopKSorter(p *SelectPlan, width int) *topKSorter {
 	return s
 }
 
-// less orders a before b in the final output (keys, then arrival).
-func (s *topKSorter) less(a, b *sortedRow) bool {
-	for k, op := range s.p.order {
+func (s *topKSorter) less(a, b *sortedRow) bool { return orderLess(s.p.order, a, b) }
+
+// orderLess orders a before b in the final output: key by key under
+// CompareForSort (NULLs first, reversed for DESC), then by arrival stamp.
+// Every ORDER BY — serial top-K, parallel sorted runs, SortLimit — compares
+// through here.
+func orderLess(order []orderPlan, a, b *sortedRow) bool {
+	for k, op := range order {
 		c := sqlval.CompareForSort(a.keys[k], b.keys[k])
 		if c != 0 {
 			if op.desc {
@@ -862,21 +867,23 @@ func (s *topKSorter) flush(yield func([]sqlval.Value) bool) error {
 	// interpreter's stable sort; for the bounded case the heap retained
 	// exactly the first cap rows of that order.
 	sort.Slice(s.rows, func(i, j int) bool { return s.less(&s.rows[i], &s.rows[j]) })
-	rows := s.rows
-	if s.p.offset > 0 {
-		if s.p.offset >= len(rows) {
-			rows = nil
-		} else {
-			rows = rows[s.p.offset:]
-		}
-	}
-	if s.p.limit >= 0 && s.p.limit < len(rows) {
-		rows = rows[:s.p.limit]
-	}
+	rows := window(s.rows, s.p.offset, s.p.limit)
 	for i := range rows {
 		if !yield(rows[i].row) {
 			return nil
 		}
 	}
 	return nil
+}
+
+// window slices the OFFSET / LIMIT range out of fully ordered rows; a
+// negative offset or limit means the clause is absent.
+func window[T any](rows []T, offset, limit int) []T {
+	if offset > 0 {
+		rows = rows[min(offset, len(rows)):]
+	}
+	if limit >= 0 && limit < len(rows) {
+		rows = rows[:limit]
+	}
+	return rows
 }
