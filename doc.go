@@ -59,8 +59,9 @@
 // execute at the first join step where their variables are bound, DISTINCT
 // deduplicates on projected ID tuples, ASK and LIMIT-without-ORDER-BY
 // terminate the pipeline early, and terms are decoded only at projection.
-// Plan.Stream exposes the zero-materialisation path (no Binding maps);
-// Eval/EvalQuery keep the map-based Result for compatibility.
+// Plan.Stream is the one result path (no Binding maps); Eval/EvalQuery
+// are thin wrappers that collect the stream into map-based Bindings for
+// tools and tests.
 //
 // SQL evaluation (internal/sqlexec) mirrors the same design on the
 // relational side. sqlexec.Compile lowers a parsed SELECT once into an
@@ -110,14 +111,19 @@
 // float SUM/AVG as per-morsel compensated partials, DISTINCT aggregates
 // as first-occurrence maps keeping the earliest stamp); hash-join builds
 // partition the build side and merge per-worker bucket maps in morsel
-// order on a two-phase barrier pool (exec.PhasedPool); ORDER BY with
-// LIMIT unions per-worker bounded top-K heaps, and ORDER BY without
-// LIMIT sorts per-worker runs concurrently and merges them with a loser
-// tree (exec.LoserTree, ties to the earlier morsel — exactly the serial
-// stable sort); SPARQL property-path heads materialise the path frontier
-// once and fan the pairs out like any posting list; a contiguous
-// completed-morsel prefix can prove a LIMIT satisfied and cancel the
-// remaining morsels. Shapes that still cannot merge exactly fall back to
+// order, a scatter and an assemble stage separated by a barrier — which
+// is nothing more than two consecutive exec.Pool.Run calls, since Run
+// returns only when every claimed morsel has finished (with one worker it
+// is an inline loop on the calling goroutine); every ORDER BY merge — SQL
+// per-worker top-K heaps or full-sort runs, SPARQL per-morsel buffers, and
+// the serial SPARQL sort as one run — goes through exec.MergeSorted, which
+// sorts the runs concurrently and streams a loser-tree merge (ties to the
+// lower run, the earlier morsel — exactly the serial stable sort) into a
+// yield that stops at LIMIT; SPARQL property-path heads materialise the
+// path frontier once and fan the pairs out like any posting list; and a
+// pool built with a LIMIT target cuts the remaining morsels once
+// Pool.Done sees a contiguous completed-morsel prefix holding enough
+// rows. Shapes that still cannot merge exactly fall back to
 // serial — ASK (first match wins), non-mergeable aggregate functions,
 // foreign-table scans, graph readers without rdf.ConcurrentReader, and
 // inputs below the morsel threshold where fan-out costs more than it

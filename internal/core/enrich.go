@@ -244,7 +244,7 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	// rows afterwards, and a key naming an enriched column has nothing to
 	// sort by until the column exists. Then they wait for the final stage.
 	deferTail := (len(q.Select.OrderBy) > 0 || q.Select.Limit != nil || q.Select.Offset != nil) &&
-		(len(whereEnr) > 0 || ordersByEnriched(q.Select, schemaEnr))
+		(len(whereEnr) > 0 || e.ordersByEnriched(q, base, len(hidden.order), schemaEnr))
 	if deferTail {
 		base.OrderBy, base.Limit, base.Offset = nil, nil, nil
 	}
@@ -325,16 +325,49 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 }
 
 // ordersByEnriched reports whether an ORDER BY key names a column a schema
-// enrichment adds or substitutes (the property's short name) — a column
-// the base query cannot sort by.
-func ordersByEnriched(sel *sqlparser.Select, schemaEnr []sesql.Enrichment) bool {
-	var refs []*sqlparser.ColRef
-	for _, ob := range sel.OrderBy {
+// enrichment adds or substitutes — a column the base query cannot sort by.
+// Those columns are named by enrichHeader, which suffixes a property whose
+// short name the base headers already hold (dangerLevel_2). So when a key
+// could be such a name, the base query is planned without its tail to
+// learn its headers (deferral then plans that same text, a cache hit) and
+// the enrichment steps' naming is replayed over them.
+func (e *Enricher) ordersByEnriched(q *sesql.Query, base *sqlparser.Select, hidden int, schemaEnr []sesql.Enrichment) bool {
+	var refs, keys []*sqlparser.ColRef
+	for _, ob := range q.Select.OrderBy {
 		collectColRefs(ob.Expr, &refs)
 	}
 	for _, cr := range refs {
 		for _, en := range schemaEnr {
-			if cr.Qualifier == "" && strings.EqualFold(cr.Name, shortName(en.Property)) {
+			short := shortName(en.Property)
+			if cr.Qualifier == "" && len(cr.Name) >= len(short) && strings.EqualFold(cr.Name[:len(short)], short) {
+				keys = append(keys, cr)
+				break
+			}
+		}
+	}
+	if len(keys) == 0 {
+		return false
+	}
+	stripped := *base
+	stripped.OrderBy, stripped.Limit, stripped.Offset = nil, nil, nil
+	plan, err := e.planSQL(sqlparser.SelectSQL(&stripped), &stripped)
+	if err != nil {
+		return false // the base query reports it
+	}
+	headers := plan.Columns()
+	visible := len(headers) - hidden
+	for _, en := range schemaEnr {
+		attrIdx, err := resolveAttr(q.Select, headers[:visible], en.Attr)
+		if err != nil {
+			return true // the enrichment step reports it
+		}
+		var name string
+		headers, name = enrichHeader(headers, visible, attrIdx, en)
+		if !replaces(en) {
+			visible++
+		}
+		for _, cr := range keys {
+			if strings.EqualFold(cr.Name, name) {
 				return true
 			}
 		}
@@ -603,8 +636,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 			return err
 		}
 		t0 := time.Now()
-		newCol := uniqueName(shortName(en.Property), work.headers)
-		replace := en.Kind == sesql.SchemaReplacement
+		replace := replaces(en)
 		rows := make([][]sqlval.Value, 0, len(work.rows))
 		arena := extendArena(work.rows, replace)
 		// Column values repeat across rows; memoise the value→term→key
@@ -626,11 +658,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 			}
 		}
 		work.rows = rows
-		if replace {
-			work.headers[attrIdx] = newCol
-		} else {
-			work.headers = insertHeader(work.headers, visible, newCol)
-		}
+		work.headers, _ = enrichHeader(work.headers, visible, attrIdx, en)
 		st.Join += time.Since(t0)
 		return nil
 
@@ -640,8 +668,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 			return err
 		}
 		t0 := time.Now()
-		newCol := uniqueName(shortName(en.Property), work.headers)
-		replace := en.Kind == sesql.BoolSchemaReplacement
+		replace := replaces(en)
 		rows := make([][]sqlval.Value, 0, len(work.rows))
 		arena := extendArena(work.rows, replace)
 		memo := make(map[sqlval.Value]bool)
@@ -654,11 +681,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 			rows = append(rows, extendRow(arena, row, attrIdx, sqlval.NewBool(isMember), replace, visible))
 		}
 		work.rows = rows
-		if replace {
-			work.headers[attrIdx] = newCol
-		} else {
-			work.headers = insertHeader(work.headers, visible, newCol)
-		}
+		work.headers, _ = enrichHeader(work.headers, visible, attrIdx, en)
 		st.Join += time.Since(t0)
 		return nil
 	}
@@ -693,6 +716,23 @@ func extendRow(a *sqlval.RowArena, row []sqlval.Value, attrIdx int, v sqlval.Val
 	out[visible] = v
 	copy(out[visible+1:], row[visible:])
 	return out
+}
+
+// enrichHeader names the column a schema enrichment adds at visible (or
+// substitutes at attrIdx, in place) and returns the headers after it.
+func enrichHeader(headers []string, visible, attrIdx int, en sesql.Enrichment) ([]string, string) {
+	name := uniqueName(shortName(en.Property), headers)
+	if replaces(en) {
+		headers[attrIdx] = name
+		return headers, name
+	}
+	return insertHeader(headers, visible, name), name
+}
+
+// replaces reports whether a schema enrichment substitutes the attribute's
+// column rather than adding one.
+func replaces(en sesql.Enrichment) bool {
+	return en.Kind == sesql.SchemaReplacement || en.Kind == sesql.BoolSchemaReplacement
 }
 
 func insertHeader(headers []string, visible int, name string) []string {

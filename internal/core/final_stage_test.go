@@ -163,3 +163,40 @@ ORDER BY elem_name LIMIT 3 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 		t.Errorf("base-column ORDER BY must stay in the base query: base %q, final %q", st.BaseSQLText, st.FinalSQLText)
 	}
 }
+
+// TestOrderByClashSuffixedEnrichedColumn: when the base result already has
+// a column named after the property, the enrichment adds dangerLevel_2.
+// ORDER BY on that name must defer the tail like any enriched column, while
+// ORDER BY dangerLevel names the base column and stays in the base query.
+func TestOrderByClashSuffixedEnrichedColumn(t *testing.T) {
+	e := fixture(t)
+	for _, par := range []int{1, 2, 4} {
+		e.SetExecOptions(ExecOptions{Parallelism: par})
+		r, st, err := e.QueryStats("alice", `SELECT elem_name, landfill_name AS dangerLevel FROM elem_contained
+ORDER BY dangerLevel_2 LIMIT 3 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
+		if err != nil {
+			t.Fatalf("parallelism=%d: %v", par, err)
+		}
+		if got, want := strings.Join(r.Columns, ","), "elem_name,dangerLevel,dangerLevel_2"; got != want {
+			t.Errorf("parallelism=%d: columns = %s, want %s", par, got, want)
+		}
+		if got, want := orderedRows(r), "Gold|b|NULL Mercury|a|high Lead|a|high"; got != want {
+			t.Errorf("parallelism=%d: rows = %s, want %s", par, got, want)
+		}
+		if strings.Contains(st.BaseSQLText, "ORDER BY") {
+			t.Errorf("parallelism=%d: tail not deferred: base %q", par, st.BaseSQLText)
+		}
+	}
+
+	r, st, err := e.QueryStats("alice", `SELECT elem_name, landfill_name AS dangerLevel FROM elem_contained
+ORDER BY dangerLevel DESC LIMIT 2 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(st.BaseSQLText, "ORDER BY dangerLevel DESC LIMIT 2") || st.FinalSQLText != "" {
+		t.Errorf("base-column ORDER BY must stay in the base query: base %q, final %q", st.BaseSQLText, st.FinalSQLText)
+	}
+	if got, want := orderedRows(r), "Lead|c|high Gold|b|NULL"; got != want {
+		t.Errorf("rows = %s, want %s", got, want)
+	}
+}

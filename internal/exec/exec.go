@@ -1,23 +1,32 @@
 // Package exec is the shared morsel-driven scheduler behind the SQL and
 // SPARQL executors' intra-query parallelism. A query's driving input is
 // partitioned into fixed-size contiguous morsels in serial enumeration
-// order; a bounded worker pool claims morsel indexes from an atomic
+// order; a Pool of bounded workers claims morsel indexes from an atomic
 // counter, so each worker processes a strictly increasing sequence of
 // morsels and every morsel is processed by exactly one worker. Executors
 // keep all mutable scratch state per worker and buffer output per morsel,
 // then merge the buffers in morsel-index order — which makes the parallel
 // output identical to the serial executor's, byte for byte, without any
-// cross-worker synchronisation on the hot path.
+// cross-worker synchronisation on the hot path. That merge rule lives here
+// once:
 //
-// Cancellation is a monotonically decreasing cut index: Cut(m) declares
-// every morsel with index >= m unneeded (LIMIT satisfied by a completed
-// prefix, ASK answered, error observed). Workers poll Cancelled cheaply
-// and stop claiming or abort in-flight morsels past the cut.
+//   - a barrier between two stages (hash-join scatter → assemble, run sort
+//     → merge) is two consecutive Pool.Run calls, since Run returns only
+//     when every claimed morsel has finished; with one worker Run is an
+//     inline loop on the calling goroutine;
+//   - cancellation is a monotonically decreasing cut index: Cut(m) declares
+//     every morsel with index >= m unneeded (ASK answered, error observed),
+//     and workers poll Cancelled cheaply to stop claiming or abort
+//     in-flight morsels past the cut;
+//   - a LIMIT is a Pool target: Done cuts the pool once a completed prefix
+//     of morsels has buffered enough rows;
+//   - ORDER BY merges sorted runs through MergeSorted — runs sorted
+//     concurrently, then a LoserTree k-way merge with ties to the lower run.
 package exec
 
 import (
-	"errors"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -60,24 +69,36 @@ func At(morsel int, seq int64) int64 {
 }
 
 // Pool schedules morsel indexes [0, morsels) over a bounded set of worker
-// goroutines.
+// goroutines. A barrier between two stages is two consecutive Run calls:
+// Run returns only once every claimed morsel has finished.
 type Pool struct {
 	workers int
 	morsels int
 	next    atomic.Int64
 	cut     atomic.Int64 // first morsel index that is no longer needed
+
+	// LIMIT prefix tracking (need >= 0): rows[m] is morsel m's buffered row
+	// count, -1 until it completes; frontier is the first incomplete morsel
+	// and have the rows buffered below it.
+	need     int
+	mu       sync.Mutex
+	rows     []int
+	frontier int
+	have     int
 }
 
 // NewPool sizes a pool; the worker count is capped at the morsel count.
-func NewPool(workers, morsels int) *Pool {
-	if workers > morsels {
-		workers = morsels
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	p := &Pool{workers: workers, morsels: morsels}
+// need >= 0 is a LIMIT target for Done; need < 0 means no LIMIT.
+func NewPool(workers, morsels, need int) *Pool {
+	workers = max(1, min(workers, morsels))
+	p := &Pool{workers: workers, morsels: morsels, need: need}
 	p.cut.Store(int64(morsels))
+	if need >= 0 {
+		p.rows = make([]int, morsels)
+		for m := range p.rows {
+			p.rows[m] = -1
+		}
+	}
 	return p
 }
 
@@ -102,211 +123,101 @@ func (p *Pool) Cut(m int) {
 // per row (one atomic load) to abort in-flight morsels early.
 func (p *Pool) Cancelled(m int) bool { return int64(m) >= p.cut.Load() }
 
+// Done records that morsel m completed with rows buffered output rows. Output
+// is merged in morsel order, so once morsels 0..j-1 have all completed and
+// together buffered the pool's LIMIT target, morsels j and later are unneeded
+// and Done cuts them. Without a target it does nothing. Callers pass a
+// target only when buffered rows map 1:1 to merged output — not under
+// DISTINCT, sorting or grouping, where the merge collapses or reorders rows.
+func (p *Pool) Done(m, rows int) {
+	if p.need < 0 {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.rows[m] = rows
+	for p.frontier < p.morsels && p.rows[p.frontier] >= 0 {
+		p.have += p.rows[p.frontier]
+		p.frontier++
+		if p.have >= p.need {
+			p.Cut(p.frontier)
+			return
+		}
+	}
+}
+
 // Run calls fn(worker, morsel) for every morsel index below the cut,
 // spreading the calls over the pool's workers, and blocks until all
 // claimed morsels have finished. Each worker's morsel sequence is strictly
-// increasing; every morsel is handed to exactly one worker.
+// increasing; every morsel is handed to exactly one worker. With one
+// worker the morsels run inline on the calling goroutine, in order, so
+// Parallelism 1 spawns nothing.
 func (p *Pool) Run(fn func(worker, morsel int)) {
+	work := func(w int) {
+		for {
+			m := int(p.next.Add(1) - 1)
+			if m >= p.morsels || p.Cancelled(m) {
+				return
+			}
+			fn(w, m)
+		}
+	}
+	if p.workers == 1 {
+		work(0)
+		return
+	}
 	var wg sync.WaitGroup
 	for w := 0; w < p.workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			for {
-				m := int(p.next.Add(1) - 1)
-				if m >= p.morsels || p.Cancelled(m) {
-					return
-				}
-				fn(w, m)
-			}
-		}(w)
+			work(w)
+		}()
 	}
 	wg.Wait()
 }
 
-// Limiter decides when a LIMIT is provably satisfied by a completed prefix
-// of morsels. Output is merged in morsel order, so morsels past index j
-// are unneeded exactly when morsels 0..j-1 have all completed and together
-// buffered at least the target number of output rows. (Callers must not
-// use a Limiter when buffered counts can overcount merged output — e.g.
-// under DISTINCT, where cross-worker duplicates merge away.)
-type Limiter struct {
-	mu       sync.Mutex
-	need     int
-	counts   []int
-	done     []bool
-	frontier int // first morsel not yet completed
-	have     int // rows buffered by the completed prefix
-}
-
-// NewLimiter tracks `morsels` morsels against a target of need rows.
-func NewLimiter(morsels, need int) *Limiter {
-	return &Limiter{need: need, counts: make([]int, morsels), done: make([]bool, morsels)}
-}
-
-// Done records that morsel m completed with rows buffered output rows. It
-// reports ok=true with the first unneeded morsel index once the completed
-// prefix covers the target.
-func (l *Limiter) Done(m, rows int) (cut int, ok bool) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.counts[m] = rows
-	l.done[m] = true
-	for l.frontier < len(l.done) && l.done[l.frontier] {
-		l.have += l.counts[l.frontier]
-		l.frontier++
-		if l.have >= l.need {
-			return l.frontier, true
+// MergeSorted sorts each run concurrently on a pool of workers, then
+// streams the k-way merge of the sorted runs to yield until the runs are
+// exhausted or yield returns false. cmp must be a strict total order up to
+// identical items, so an unstable sort cannot reorder anything observable;
+// items that compare equal across runs come from the lower run index
+// first. Runs are sorted in place.
+func MergeSorted[T any](workers int, runs [][]T, cmp func(a, b T) int, yield func(T) bool) {
+	NewPool(workers, len(runs), -1).Run(func(_, r int) { slices.SortFunc(runs[r], cmp) })
+	lens := make([]int, len(runs))
+	for r := range runs {
+		lens[r] = len(runs[r])
+	}
+	lt := NewLoserTree(lens, func(ra, ia, rb, ib int) int { return cmp(runs[ra][ia], runs[rb][ib]) })
+	for {
+		r, i := lt.Next()
+		if r < 0 || !yield(runs[r][i]) {
+			return
 		}
 	}
-	return 0, false
-}
-
-// --- phased (barrier) execution ---
-
-// ErrCancelled is returned by PhasedPool.Run when the pool was cancelled
-// before the phases completed.
-var ErrCancelled = errors.New("exec: phased run cancelled")
-
-// Phase is one stage of a phased parallel computation: Morsels work items
-// executed by Fn. Consecutive phases of a PhasedPool run are separated by a
-// full barrier, which is what the executors' two-phase stages (hash-join
-// build→probe, sort run→merge) need: the later phase reads state the
-// earlier phase froze.
-type Phase struct {
-	Morsels int
-	Fn      func(worker, morsel int) error
-}
-
-// PhasedPool runs a sequence of phases over a bounded worker set with a
-// barrier between consecutive phases.
-type PhasedPool struct {
-	workers   int
-	cancelled atomic.Bool
-}
-
-// NewPhasedPool sizes a phased pool; workers < 1 is clamped to 1.
-func NewPhasedPool(workers int) *PhasedPool {
-	if workers < 1 {
-		workers = 1
-	}
-	return &PhasedPool{workers: workers}
-}
-
-// Cancel asks the pool to stop: no new morsel starts after the flag is
-// observed, in-flight morsels finish, and Run returns ErrCancelled (unless
-// a morsel error takes precedence).
-func (p *PhasedPool) Cancel() { p.cancelled.Store(true) }
-
-// Cancelled reports whether Cancel was called.
-func (p *PhasedPool) Cancelled() bool { return p.cancelled.Load() }
-
-// Run executes the phases in order: no morsel of phase i+1 starts until
-// every morsel of phase i has finished. The error returned is the one the
-// equivalent serial nested loop would hit first — the smallest (phase,
-// morsel) that failed — and once a phase fails, later phases never start.
-// With one worker (or a single-morsel phase) the morsels run inline on the
-// calling goroutine: no goroutines are spawned, so Parallelism=1 truly
-// degenerates to the serial path.
-func (p *PhasedPool) Run(phases ...Phase) error {
-	for _, ph := range phases {
-		if p.cancelled.Load() {
-			return ErrCancelled
-		}
-		if err := p.runPhase(ph); err != nil {
-			return err
-		}
-	}
-	if p.cancelled.Load() {
-		return ErrCancelled
-	}
-	return nil
-}
-
-func (p *PhasedPool) runPhase(ph Phase) error {
-	if ph.Morsels <= 0 {
-		return nil
-	}
-	workers := p.workers
-	if workers > ph.Morsels {
-		workers = ph.Morsels
-	}
-	if workers <= 1 {
-		for m := 0; m < ph.Morsels; m++ {
-			if p.cancelled.Load() {
-				return ErrCancelled
-			}
-			if err := ph.Fn(0, m); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	var (
-		next atomic.Int64
-		cut  atomic.Int64
-		wg   sync.WaitGroup
-		mu   sync.Mutex
-		errM = -1
-		err  error
-	)
-	cut.Store(int64(ph.Morsels))
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				m := int(next.Add(1) - 1)
-				if m >= ph.Morsels || int64(m) >= cut.Load() || p.cancelled.Load() {
-					return
-				}
-				if e := ph.Fn(w, m); e != nil {
-					mu.Lock()
-					if errM < 0 || m < errM {
-						errM, err = m, e
-					}
-					mu.Unlock()
-					// Morsels past the error are unneeded; earlier in-flight
-					// morsels still finish and may claim first-error status.
-					for {
-						c := cut.Load()
-						if int64(m) >= c || cut.CompareAndSwap(c, int64(m)) {
-							break
-						}
-					}
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	if errM >= 0 {
-		return err
-	}
-	if p.cancelled.Load() {
-		return ErrCancelled
-	}
-	return nil
 }
 
 // --- loser-tree k-way merge ---
 
 // LoserTree merges k sorted runs into one globally sorted stream without
 // re-sorting: each Next is O(log k) comparisons. Runs are addressed by
-// index; items within a run by position. The comparator must be a strict
-// ordering of items; when neither item orders before the other, the run
-// with the smaller index wins, so the merge is stable across runs.
+// index; items within a run by position. The comparator is three-way
+// (negative, zero, positive) over a strict weak ordering of items; when it
+// reports a tie, the run with the smaller index wins, so the merge is
+// stable across runs.
 type LoserTree struct {
 	k    int
 	node []int32 // node[0] overall winner; node[1..k-1] losers
 	pos  []int   // next unconsumed position per run
 	lens []int
-	less func(runA, idxA, runB, idxB int) bool
+	cmp  func(runA, idxA, runB, idxB int) int
 }
 
 // NewLoserTree builds a merger over runs with the given lengths. Empty runs
 // are allowed; an empty lens slice yields an immediately exhausted tree.
-func NewLoserTree(lens []int, less func(runA, idxA, runB, idxB int) bool) *LoserTree {
-	t := &LoserTree{k: len(lens), pos: make([]int, len(lens)), lens: lens, less: less}
+func NewLoserTree(lens []int, cmp func(runA, idxA, runB, idxB int) int) *LoserTree {
+	t := &LoserTree{k: len(lens), pos: make([]int, len(lens)), lens: lens, cmp: cmp}
 	if t.k > 1 {
 		t.node = make([]int32, t.k)
 		t.node[0] = t.build(1)
@@ -340,11 +251,8 @@ func (t *LoserTree) beats(a, b int32) bool {
 	if t.pos[b] >= t.lens[b] {
 		return true
 	}
-	if t.less(int(a), t.pos[a], int(b), t.pos[b]) {
-		return true
-	}
-	if t.less(int(b), t.pos[b], int(a), t.pos[a]) {
-		return false
+	if c := t.cmp(int(a), t.pos[a], int(b), t.pos[b]); c != 0 {
+		return c < 0
 	}
 	return a < b
 }

@@ -2,7 +2,7 @@ package exec
 
 import (
 	"bytes"
-	"errors"
+	"cmp"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -47,7 +47,7 @@ func TestWorkers(t *testing.T) {
 // claimed sequence is strictly increasing.
 func TestPoolCoverage(t *testing.T) {
 	const morsels = 257
-	p := NewPool(8, morsels)
+	p := NewPool(8, morsels, -1)
 	var mu sync.Mutex
 	ran := make([]int, morsels)
 	last := map[int]int{}
@@ -71,7 +71,7 @@ func TestPoolCoverage(t *testing.T) {
 // cut still runs.
 func TestPoolCut(t *testing.T) {
 	const morsels = 100
-	p := NewPool(4, morsels)
+	p := NewPool(4, morsels, -1)
 	var ran [morsels]atomic.Bool
 	p.Run(func(w, m int) {
 		if m == 10 {
@@ -89,119 +89,101 @@ func TestPoolCut(t *testing.T) {
 	}
 }
 
+// TestLimiterPrefix proves a LIMIT target is met only by a contiguous
+// completed prefix, and that meeting it cuts the pool past that prefix.
 func TestLimiterPrefix(t *testing.T) {
-	l := NewLimiter(5, 10)
+	p := NewPool(1, 5, 10)
 	// Out-of-order completion: the target is only met once the prefix is
 	// contiguous.
-	if _, ok := l.Done(2, 100); ok {
+	p.Done(2, 100)
+	if p.Cancelled(4) {
 		t.Fatal("morsel 2 alone cannot satisfy the prefix")
 	}
-	if _, ok := l.Done(0, 4); ok {
+	p.Done(0, 4)
+	if p.Cancelled(4) {
 		t.Fatal("4 rows < 10")
 	}
-	cut, ok := l.Done(1, 6)
-	if !ok || cut != 2 {
-		t.Fatalf("Done(1) = (%d,%v), want (2,true): 0..1 hold 10 rows", cut, ok)
+	p.Done(1, 6)
+	if !p.Cancelled(2) || p.Cancelled(1) {
+		t.Fatal("Done(1): morsels 0..1 hold 10 rows, want the cut at 2")
 	}
 }
 
 func TestLimiterNeverMet(t *testing.T) {
-	l := NewLimiter(3, 100)
+	p := NewPool(1, 3, 100)
 	for m := 0; m < 3; m++ {
-		if _, ok := l.Done(m, 1); ok {
-			t.Fatalf("limiter met at morsel %d with 3 total rows", m)
+		p.Done(m, 1)
+		if p.Cancelled(2) {
+			t.Fatalf("target met at morsel %d with 3 total rows", m)
+		}
+	}
+	// Without a target Done never cuts.
+	p = NewPool(1, 3, -1)
+	p.Done(0, 1000)
+	if p.Cancelled(1) {
+		t.Fatal("Done cut a pool without a LIMIT target")
+	}
+}
+
+// TestLimiterCutsRun proves Done stops a running pool once the prefix
+// holds the target: every morsel of the prefix runs, the rest are cut, and
+// a single inline worker never claims past the prefix at all.
+func TestLimiterCutsRun(t *testing.T) {
+	for _, workers := range []int{1, 8} {
+		p := NewPool(workers, 500, 7)
+		var ran [500]atomic.Bool
+		var n atomic.Int64
+		p.Run(func(_, m int) {
+			ran[m].Store(true)
+			n.Add(1)
+			p.Done(m, 1)
+		})
+		for m := 0; m < 7; m++ {
+			if !ran[m].Load() {
+				t.Fatalf("workers=%d: prefix morsel %d did not run", workers, m)
+			}
+		}
+		if !p.Cancelled(7) {
+			t.Fatalf("workers=%d: pool not cut after a 7-row prefix", workers)
+		}
+		if workers == 1 && n.Load() != 7 {
+			t.Fatalf("inline worker ran %d morsels, want 7", n.Load())
 		}
 	}
 }
 
-// --- PhasedPool ---
-
-// TestPhasedBarrier proves the barrier: every morsel of phase 1 finishes
-// before any morsel of phase 2 starts.
-func TestPhasedBarrier(t *testing.T) {
-	const morsels = 64
-	var phase1 atomic.Int64
-	var violations atomic.Int64
-	p := NewPhasedPool(8)
-	err := p.Run(
-		Phase{Morsels: morsels, Fn: func(_, m int) error {
-			phase1.Add(1)
-			return nil
-		}},
-		Phase{Morsels: morsels, Fn: func(_, m int) error {
-			if phase1.Load() != morsels {
-				violations.Add(1)
-			}
-			return nil
-		}},
-	)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
+// TestBarrier proves two consecutive Runs are a barrier: every morsel of
+// the first finishes before any morsel of the second starts, and every
+// morsel of each runs exactly once.
+func TestBarrier(t *testing.T) {
+	const morsels = 131
+	var counts [2][morsels]atomic.Int32
+	var first, violations atomic.Int64
+	NewPool(8, morsels, -1).Run(func(_, m int) {
+		counts[0][m].Add(1)
+		first.Add(1)
+	})
+	NewPool(8, morsels, -1).Run(func(_, m int) {
+		counts[1][m].Add(1)
+		if first.Load() != morsels {
+			violations.Add(1)
+		}
+	})
 	if v := violations.Load(); v != 0 {
-		t.Fatalf("%d phase-2 morsels started before phase 1 completed", v)
+		t.Fatalf("%d second-stage morsels started before the first completed", v)
 	}
-}
-
-// TestPhasedFirstErrorWins proves build-phase error propagation: the error
-// reported is the smallest failing morsel's (what the serial loop would hit
-// first), and the probe phase never starts.
-func TestPhasedFirstErrorWins(t *testing.T) {
-	const morsels = 200
-	var probeRan atomic.Int64
-	errAt := func(m int) error { return fmt.Errorf("morsel %d failed", m) }
-	p := NewPhasedPool(8)
-	err := p.Run(
-		Phase{Morsels: morsels, Fn: func(_, m int) error {
-			if m%3 == 1 { // morsels 1, 4, 7, … fail
-				return errAt(m)
+	for st := range counts {
+		for m := range counts[st] {
+			if c := counts[st][m].Load(); c != 1 {
+				t.Fatalf("stage %d morsel %d ran %d times", st, m, c)
 			}
-			return nil
-		}},
-		Phase{Morsels: morsels, Fn: func(_, m int) error {
-			probeRan.Add(1)
-			return nil
-		}},
-	)
-	if err == nil || err.Error() != "morsel 1 failed" {
-		t.Fatalf("err = %v, want the smallest failing morsel (1)", err)
-	}
-	if n := probeRan.Load(); n != 0 {
-		t.Fatalf("probe phase ran %d morsels after a build-phase error", n)
+		}
 	}
 }
 
-// TestPhasedCancelMidMerge proves cancellation during a later phase: once
-// Cancel is observed no new morsel starts, Run reports ErrCancelled, and
-// the phases after the cancelled one never run.
-func TestPhasedCancelMidMerge(t *testing.T) {
-	p := NewPhasedPool(1) // inline: deterministic morsel order
-	var ran []int
-	err := p.Run(
-		Phase{Morsels: 2, Fn: func(_, m int) error { return nil }},
-		Phase{Morsels: 10, Fn: func(_, m int) error {
-			ran = append(ran, m)
-			if m == 3 {
-				p.Cancel()
-			}
-			return nil
-		}},
-		Phase{Morsels: 5, Fn: func(_, m int) error {
-			t.Errorf("phase after cancellation ran morsel %d", m)
-			return nil
-		}},
-	)
-	if !errors.Is(err, ErrCancelled) {
-		t.Fatalf("err = %v, want ErrCancelled", err)
-	}
-	if len(ran) != 4 {
-		t.Fatalf("merge phase ran morsels %v after Cancel at morsel 3", ran)
-	}
-}
-
-// TestPhasedSerialInline proves one worker degenerates to the serial path:
+// TestRunSerialInline proves one worker degenerates to the serial path:
 // every morsel runs on the calling goroutine (zero spawns) in order.
-func TestPhasedSerialInline(t *testing.T) {
+func TestRunSerialInline(t *testing.T) {
 	gid := func() string {
 		buf := make([]byte, 64)
 		buf = buf[:runtime.Stack(buf, false)]
@@ -212,44 +194,95 @@ func TestPhasedSerialInline(t *testing.T) {
 		return string(buf)
 	}
 	caller := gid()
-	var order []int
-	p := NewPhasedPool(1)
-	err := p.Run(Phase{Morsels: 20, Fn: func(w, m int) error {
-		if g := gid(); g != caller {
-			t.Errorf("morsel %d ran on %q, want calling goroutine %q", m, g, caller)
-		}
-		if w != 0 {
-			t.Errorf("morsel %d ran on worker %d", m, w)
-		}
-		order = append(order, m)
-		return nil
-	}})
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for m := range order {
-		if order[m] != m {
-			t.Fatalf("inline morsel order %v not serial", order)
+	for _, p := range []*Pool{NewPool(1, 20, -1), NewPool(8, 1, -1)} {
+		var order []int
+		p.Run(func(w, m int) {
+			if g := gid(); g != caller {
+				t.Errorf("morsel %d ran on %q, want calling goroutine %q", m, g, caller)
+			}
+			if w != 0 {
+				t.Errorf("morsel %d ran on worker %d", m, w)
+			}
+			order = append(order, m)
+		})
+		for m := range order {
+			if order[m] != m {
+				t.Fatalf("inline morsel order %v not serial", order)
+			}
 		}
 	}
 }
 
-// TestPhasedCoverage proves every morsel of every phase runs exactly once
-// on the error-free path.
-func TestPhasedCoverage(t *testing.T) {
-	counts := [2][131]atomic.Int32{}
-	p := NewPhasedPool(4)
-	err := p.Run(
-		Phase{Morsels: 131, Fn: func(_, m int) error { counts[0][m].Add(1); return nil }},
-		Phase{Morsels: 131, Fn: func(_, m int) error { counts[1][m].Add(1); return nil }},
-	)
-	if err != nil {
-		t.Fatalf("Run: %v", err)
+// --- MergeSorted ---
+
+// TestMergeSortedProperty merges random runs (empty runs, a single run,
+// dense duplicate keys) at 1..8 workers and checks the output against a
+// stable sort of the run-order concatenation, ties broken by (run,
+// position). The full comparator encodes that tiebreak itself, keeping it
+// a strict total order as MergeSorted requires; the (key, position)
+// comparator leaves ties only across runs, which the merge must resolve
+// to the lower run.
+func TestMergeSortedProperty(t *testing.T) {
+	type item struct{ key, run, pos int }
+	byKeyPos := func(a, b item) int {
+		if c := cmp.Compare(a.key, b.key); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.pos, b.pos)
 	}
-	for ph := range counts {
-		for m := range counts[ph] {
-			if c := counts[ph][m].Load(); c != 1 {
-				t.Fatalf("phase %d morsel %d ran %d times", ph, m, c)
+	full := func(a, b item) int {
+		if c := byKeyPos(a, b); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.run, b.run)
+	}
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 200; trial++ {
+		k := rng.Intn(7) // 0 runs, a single run, several
+		runs := make([][]item, k)
+		var want []item
+		for r := range runs {
+			n := rng.Intn(30)
+			if rng.Intn(4) == 0 {
+				n = 0 // empty runs
+			}
+			// Positions repeat every 5 items so that (key, pos) collides
+			// across runs; within a run each (key, pos) pair stays unique.
+			seen := map[item]bool{}
+			for i := 0; i < n; i++ {
+				it := item{key: rng.Intn(8), pos: i % 5}
+				if !seen[it] {
+					seen[it] = true
+					it.run = r
+					runs[r] = append(runs[r], it)
+				}
+			}
+			want = append(want, runs[r]...)
+		}
+		sort.SliceStable(want, func(i, j int) bool { return byKeyPos(want[i], want[j]) < 0 })
+		for _, c := range []func(a, b item) int{full, byKeyPos} {
+			for _, run := range runs {
+				rng.Shuffle(len(run), func(i, j int) { run[i], run[j] = run[j], run[i] })
+			}
+			var got []item
+			MergeSorted(1+trial%8, runs, c, func(it item) bool {
+				got = append(got, it)
+				return true
+			})
+			if fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Fatalf("trial %d (%d runs): merged %v, want %v", trial, k, got, want)
+			}
+		}
+		// A yield returning false stops the merge.
+		if len(want) > 0 {
+			stop := rng.Intn(len(want))
+			var n int
+			MergeSorted(1+trial%8, runs, full, func(item) bool {
+				n++
+				return n <= stop
+			})
+			if n != stop+1 {
+				t.Fatalf("trial %d: yield saw %d items after stopping at %d", trial, n, stop+1)
 			}
 		}
 	}
@@ -289,8 +322,8 @@ func TestLoserTreeMerge(t *testing.T) {
 		for r := range runs {
 			lens[r] = len(runs[r])
 		}
-		lt := NewLoserTree(lens, func(ra, ia, rb, ib int) bool {
-			return runs[ra][ia] < runs[rb][ib]
+		lt := NewLoserTree(lens, func(ra, ia, rb, ib int) int {
+			return cmp.Compare(runs[ra][ia], runs[rb][ib])
 		})
 		for n := 0; ; n++ {
 			r, i := lt.Next()
@@ -314,11 +347,11 @@ func TestLoserTreeMerge(t *testing.T) {
 
 // TestLoserTreeEmpty covers zero runs and all-empty runs.
 func TestLoserTreeEmpty(t *testing.T) {
-	lt := NewLoserTree(nil, func(_, _, _, _ int) bool { return false })
+	lt := NewLoserTree(nil, func(_, _, _, _ int) int { return 0 })
 	if r, _ := lt.Next(); r != -1 {
 		t.Fatalf("empty tree yielded run %d", r)
 	}
-	lt = NewLoserTree([]int{0, 0, 0}, func(_, _, _, _ int) bool { return false })
+	lt = NewLoserTree([]int{0, 0, 0}, func(_, _, _, _ int) int { return 0 })
 	if r, _ := lt.Next(); r != -1 {
 		t.Fatalf("all-empty tree yielded run %d", r)
 	}

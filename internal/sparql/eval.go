@@ -4,7 +4,7 @@ package sparql
 // the compiled executor (exec.go). Evaluation itself is ID-native: Eval and
 // EvalQuery compile the query into a Plan (plan.go) and run it as a
 // streaming pipeline over dictionary-ID rows; the map-based Binding form
-// below is materialised only at projection, for API compatibility.
+// below is collected from that stream, for tools and tests.
 
 import (
 	"fmt"
@@ -16,14 +16,6 @@ import (
 // Binding maps variable names to the RDF terms they are bound to in one
 // solution.
 type Binding map[string]rdf.Term
-
-func (b Binding) clone() Binding {
-	c := make(Binding, len(b)+1)
-	for k, v := range b {
-		c[k] = v
-	}
-	return c
-}
 
 // Result is the outcome of query evaluation.
 type Result struct {

@@ -221,3 +221,11 @@ SELECT ?p WHERE { s:Mercury ?p s:Lead . s:Lead ?p s:Zinc }`)
 		t.Errorf("shared variable predicate: %v", got)
 	}
 }
+
+func (b Binding) clone() Binding {
+	c := make(Binding, len(b)+1)
+	for k, v := range b {
+		c[k] = v
+	}
+	return c
+}

@@ -18,9 +18,10 @@ package sparql
 import (
 	"fmt"
 	"regexp"
-	"sort"
+	"slices"
 	"strings"
 
+	sched "crosse/internal/exec"
 	"crosse/internal/rdf"
 )
 
@@ -58,15 +59,28 @@ func (p *Plan) Eval(g rdf.Graph) (*Result, error) {
 	return p.EvalOpts(g, Options{})
 }
 
-// EvalOpts evaluates the compiled plan against g with options.
+// EvalOpts evaluates the compiled plan against g with options, collecting
+// the stream into map-based Bindings.
 func (p *Plan) EvalOpts(g rdf.Graph, o Options) (*Result, error) {
+	var out []Binding
+	res := p.eval(g, o, func(s Solution) bool {
+		out = append(out, s.e.projectBinding(s.row))
+		return true
+	})
+	res.Bindings = out
+	return res, nil
+}
+
+// eval runs the plan against g, inside one read transaction when the graph
+// is ID-native, pushing each solution to fn.
+func (p *Plan) eval(g rdf.Graph, o Options, fn func(Solution) bool) *Result {
 	var res *Result
 	if ig, ok := g.(rdf.IDGraph); ok {
-		ig.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, nil) })
+		ig.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, fn) })
 	} else {
-		res = p.run(newGraphAdapter(g), o, nil)
+		res = p.run(newGraphAdapter(g), o, fn)
 	}
-	return res, nil
+	return res
 }
 
 // Solution is one projected solution surfaced by Plan.Stream. It is valid
@@ -129,13 +143,7 @@ func (p *Plan) StreamInfoOpts(g rdf.Graph, o Options, fn func(Solution) bool) (S
 	if p.q.Form == Ask {
 		return StreamInfo{}, fmt.Errorf("sparql: Stream requires a SELECT query")
 	}
-	var res *Result
-	if ig, ok := g.(rdf.IDGraph); ok {
-		ig.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, fn) })
-	} else {
-		res = p.run(newGraphAdapter(g), o, fn)
-	}
-	return StreamInfo{ParallelFallback: res.ParallelFallback}, nil
+	return StreamInfo{ParallelFallback: p.eval(g, o, fn).ParallelFallback}, nil
 }
 
 // --- executor state ---
@@ -162,7 +170,6 @@ type exec struct {
 	epoch   uint32
 
 	// result collection
-	sinkFn   func() bool
 	streamFn func(Solution) bool
 	distinct bool
 	seen     map[string]struct{}
@@ -170,7 +177,6 @@ type exec struct {
 	skip     int
 	limit    int
 	count    int
-	out      []Binding
 	found    bool
 	arena    []rdf.TermID // materialised rows for the ORDER BY path
 	fallback string       // why the parallel path declined (see tryParallel)
@@ -228,8 +234,7 @@ func (p *Plan) run(r rdf.IDReader, o Options, streamFn func(Solution) bool) *Res
 	e.initGroup(p.root)
 
 	if p.q.Form == Ask {
-		e.sinkFn = e.collectAsk
-		e.runGroup(p.root, e.sinkFn)
+		e.runGroup(p.root, e.collectAsk)
 		// ASK stays serial by design: the first match wins, so there is
 		// nothing to fan out.
 		return &Result{Bool: e.found, ParallelFallback: "ask query"}
@@ -242,25 +247,19 @@ func (p *Plan) run(r rdf.IDReader, o Options, streamFn func(Solution) bool) *Res
 	e.skip = p.q.Offset
 	e.limit = p.q.Limit
 	e.streamFn = streamFn
-	if p.q.Limit == 0 {
-		return &Result{Vars: p.vars, ParallelFallback: "limit 0"}
-	}
-
-	// Large head-pattern posting lists take the morsel-driven parallel
-	// path (see parallel.go); everything below is the serial pipeline.
-	if res, done := e.tryParallel(); done {
-		return res
-	}
-
-	if len(p.order) == 0 {
-		e.sinkFn = e.collect
-		e.runGroup(p.root, e.sinkFn)
-	} else {
-		e.sinkFn = e.collectRow
-		e.runGroup(p.root, e.sinkFn)
+	switch {
+	case p.q.Limit == 0:
+		e.fallback = "limit 0"
+	case e.tryParallel():
+		// Large head-pattern posting lists take the morsel-driven parallel
+		// path (see parallel.go); the cases below are the serial pipeline.
+	case len(p.order) == 0:
+		e.runGroup(p.root, e.collect)
+	default:
+		e.runGroup(p.root, e.collectRow)
 		e.emitSorted()
 	}
-	return &Result{Vars: p.vars, Bindings: e.out, ParallelFallback: e.fallback}
+	return &Result{Vars: p.vars, ParallelFallback: e.fallback}
 }
 
 // resolveConsts translates the plan's constant table to the target graph's
@@ -652,8 +651,8 @@ func (e *exec) collectRow() bool {
 }
 
 // emitFinal applies DISTINCT / OFFSET / LIMIT to one solution row and hands
-// it to the stream callback or materialises a Binding. It reports false
-// when evaluation should stop (LIMIT reached or the stream consumer quit).
+// it to the stream callback. It reports false when evaluation should stop
+// (LIMIT reached or the stream consumer quit).
 func (e *exec) emitFinal(row []rdf.TermID) bool {
 	if e.distinct {
 		key := e.projKey(row)
@@ -666,63 +665,49 @@ func (e *exec) emitFinal(row []rdf.TermID) bool {
 		e.skip--
 		return true
 	}
-	if e.streamFn != nil {
-		if !e.streamFn(Solution{e: e, row: row}) {
-			return false
-		}
-		e.count++
-		return e.limit < 0 || e.count < e.limit
+	if !e.streamFn(Solution{e: e, row: row}) {
+		return false
 	}
-	e.out = append(e.out, e.projectBinding(row))
-	return e.limit < 0 || len(e.out) < e.limit
+	e.count++
+	return e.limit < 0 || e.count < e.limit
 }
 
 // emitSorted orders the materialised rows by the plan's ORDER BY keys
-// (stable, unbound-first, numeric-aware) and replays them through emitFinal.
+// (unbound-first, numeric-aware) and replays them through emitFinal.
 func (e *exec) emitSorted() {
-	ns := len(e.row)
-	if ns == 0 {
-		return
-	}
-	n := len(e.arena) / ns
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return e.rowLess(e.arena[idx[a]*ns:(idx[a]+1)*ns], e.arena[idx[b]*ns:(idx[b]+1)*ns])
-	})
-	for _, i := range idx {
-		if !e.emitFinal(e.arena[i*ns : (i+1)*ns]) {
-			return
-		}
-	}
+	sched.MergeSorted(1, [][][]rdf.TermID{splitRows(e.arena, len(e.row))}, e.rowCmp, e.emitFinal)
 }
 
-// rowLess is the ORDER BY comparator shared by the serial sort and the
+// splitRows views a flat buffer of ns-slot rows as one slice per row.
+func splitRows(buf []rdf.TermID, ns int) [][]rdf.TermID {
+	if ns == 0 {
+		return nil
+	}
+	rows := make([][]rdf.TermID, 0, len(buf)/ns)
+	for off := 0; off+ns <= len(buf); off += ns {
+		rows = append(rows, buf[off:off+ns:off+ns])
+	}
+	return rows
+}
+
+// rowCmp is the ORDER BY comparator shared by the serial sort and the
 // parallel run merge: the plan's order keys (unbound-first, numeric-aware)
 // followed by a full-row ID comparison as the final tiebreak. The tiebreak
 // makes the sort a total order, so ORDER BY output — and any OFFSET/LIMIT
 // window over it — is deterministic, independent of index map iteration
 // order and identical between the serial and parallel paths.
-func (e *exec) rowLess(ra, rb []rdf.TermID) bool {
+func (e *exec) rowCmp(ra, rb []rdf.TermID) int {
 	for _, k := range e.p.order {
 		ta, _ := e.termOfZero(ra[k.slot])
 		tb, _ := e.termOfZero(rb[k.slot])
-		c := compareTerms(ta, tb)
-		if c != 0 {
+		if c := compareTerms(ta, tb); c != 0 {
 			if k.desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
 	}
-	for i := range ra {
-		if ra[i] != rb[i] {
-			return ra[i] < rb[i]
-		}
-	}
-	return false
+	return slices.Compare(ra, rb)
 }
 
 // termOfZero decodes an ID, mapping the unbound marker to the zero term

@@ -18,8 +18,8 @@ package sparql
 // the serial step would walk — and the pairs are distributed as (s, 0, o)
 // matches through the same worker pipeline. Under ORDER BY the per-morsel
 // buffers become sorted runs (sorted in parallel with the serial
-// comparator) merged by a loser tree, with ties resolving to the earlier
-// morsel, so the merged sequence is exactly the serial stable sort.
+// comparator) merged by exec.MergeSorted, with ties resolving to the
+// earlier morsel, so the merged sequence is exactly the serial sort.
 //
 // The path requires an rdf.ConcurrentReader — a reader whose methods are
 // pure reads under the transaction lock. Graphs that fall back to the
@@ -28,8 +28,6 @@ package sparql
 // exec.fallback, surfaced as Result.ParallelFallback / StreamInfo.
 
 import (
-	"sort"
-
 	sched "crosse/internal/exec"
 	"crosse/internal/rdf"
 )
@@ -47,24 +45,24 @@ var (
 // tryParallel evaluates the plan on the parallel path when it is
 // eligible, reporting done=false to let the serial pipeline take over.
 // The caller has already dispatched ASK and LIMIT-0 queries.
-func (e *exec) tryParallel() (*Result, bool) {
+func (e *exec) tryParallel() bool {
 	p := e.p
 	workers := sched.Workers(e.opts.Parallelism)
 	if workers <= 1 {
 		e.fallback = "parallelism=1"
-		return nil, false
+		return false
 	}
 	if len(e.row) == 0 {
 		e.fallback = "query binds no variables"
-		return nil, false
+		return false
 	}
 	if len(p.root.patterns) == 0 {
 		e.fallback = "no triple patterns"
-		return nil, false
+		return false
 	}
 	if _, ok := e.r.(rdf.ConcurrentReader); !ok {
 		e.fallback = "graph reader is not concurrency-safe"
-		return nil, false
+		return false
 	}
 
 	// Activate the root group on the coordinator to learn the join order's
@@ -76,13 +74,13 @@ func (e *exec) tryParallel() (*Result, bool) {
 	for _, f := range gs.preFilters {
 		if !e.filterPasses(f) {
 			// A failed constant filter: the group emits nothing.
-			return &Result{Vars: p.vars}, true
+			return true
 		}
 	}
 	head := gs.head
 	if head == nil {
 		e.fallback = "no driving pattern"
-		return nil, false
+		return false
 	}
 
 	// Materialise the head step's matches. This fixes the enumeration
@@ -97,7 +95,7 @@ func (e *exec) tryParallel() (*Result, bool) {
 		pairs := e.pathPairs(pp.path, pat.S, pat.S != 0, pat.O, pat.O != 0)
 		if len(pairs) < parMinMatches {
 			e.fallback = "driving path frontier below parallel threshold"
-			return nil, false
+			return false
 		}
 		matches = make([]rdf.TermID, 0, 3*len(pairs))
 		for _, pr := range pairs {
@@ -107,49 +105,54 @@ func (e *exec) tryParallel() (*Result, bool) {
 		pat := headPattern(e, pp)
 		if e.r.CountIDs(pat) < parMinMatches {
 			e.fallback = "driving pattern below parallel threshold"
-			return nil, false
+			return false
 		}
 		e.r.ForEachIDs(pat, func(s, pr, o rdf.TermID) bool {
 			matches = append(matches, s, pr, o)
 			return true
 		})
 	}
-	n := len(matches) / 3
 
-	nm := sched.Morsels(n, parMorselMatches)
-	pool := sched.NewPool(workers, nm)
+	// A completed prefix of morsels can prove a LIMIT satisfied — but only
+	// when buffered rows map 1:1 to emitted solutions (no cross-worker
+	// DISTINCT collapsing, no sort reordering).
+	need := -1
+	if !e.distinct && len(p.order) == 0 && e.limit >= 0 {
+		need = e.limit + e.skip
+	}
+	nm := sched.Morsels(len(matches)/3, parMorselMatches)
+	pool := sched.NewPool(workers, nm, need)
 	res := make([][]rdf.TermID, nm)
 	wks := make([]*parExec, pool.Workers())
 	for i := range wks {
 		wks[i] = newParExec(e, pool)
 	}
-
-	// A completed prefix of morsels can prove a LIMIT satisfied — but only
-	// when buffered rows map 1:1 to emitted solutions (no cross-worker
-	// DISTINCT collapsing, no sort reordering).
-	var limiter *sched.Limiter
-	if !e.distinct && len(p.order) == 0 && e.limit >= 0 {
-		limiter = sched.NewLimiter(nm, e.limit+e.skip)
-	}
-
 	pool.Run(func(w, m int) {
-		wks[w].runMorsel(m, matches, res, limiter)
+		wks[w].runMorsel(m, matches, res)
 	})
 
-	// Merge in morsel order through the serial tail.
-	if len(p.order) > 0 {
-		e.mergeSortedRuns(res, workers)
-		return &Result{Vars: p.vars, Bindings: e.out}, true
-	}
+	// Merge in morsel order through the serial tail. Under ORDER BY each
+	// morsel buffer is one sorted run; rowCmp is a total order up to
+	// identical rows and merge ties resolve to the earlier morsel, so the
+	// merged sequence is exactly emitSorted's over the morsel-order
+	// concatenation.
 	ns := len(e.row)
+	if len(p.order) > 0 {
+		runs := make([][][]rdf.TermID, len(res))
+		for m, rows := range res {
+			runs[m] = splitRows(rows, ns)
+		}
+		sched.MergeSorted(workers, runs, e.rowCmp, e.emitFinal)
+		return true
+	}
 	for _, rows := range res {
 		for off := 0; off+ns <= len(rows); off += ns {
 			if !e.emitFinal(rows[off : off+ns]) {
-				return &Result{Vars: p.vars, Bindings: e.out}, true
+				return true
 			}
 		}
 	}
-	return &Result{Vars: p.vars, Bindings: e.out}, true
+	return true
 }
 
 // headPattern builds the head step's probe pattern against the empty row,
@@ -225,7 +228,7 @@ func (w *parExec) collect() bool {
 
 // runMorsel feeds one morsel of head matches through the worker's
 // pipeline, exactly as the head step's index enumeration would have.
-func (w *parExec) runMorsel(m int, matches []rdf.TermID, res [][]rdf.TermID, limiter *sched.Limiter) {
+func (w *parExec) runMorsel(m int, matches []rdf.TermID, res [][]rdf.TermID) {
 	w.morsel = m
 	w.buf = nil
 	lo, hi := sched.Bounds(m, parMorselMatches, len(matches)/3)
@@ -238,60 +241,5 @@ func (w *parExec) runMorsel(m int, matches []rdf.TermID, res [][]rdf.TermID, lim
 		}
 	}
 	res[m] = w.buf
-	if limiter != nil {
-		if cut, ok := limiter.Done(m, len(w.buf)/len(w.e.row)); ok {
-			w.pool.Cut(cut)
-		}
-	}
-}
-
-// mergeSortedRuns is the parallel ORDER BY tail: each non-empty morsel
-// buffer becomes a run, the runs are index-sorted concurrently with the
-// serial comparator (rowLess), and a loser-tree k-way merge replays the
-// globally ordered sequence through the unchanged DISTINCT / OFFSET /
-// LIMIT tail. rowLess is a total order up to byte-identical rows, each
-// run's sort is stable, and merge ties resolve to the lower run index
-// (= earlier morsel), so the merged sequence is exactly the stable sort
-// over the morsel-order concatenation that emitSorted would produce.
-func (e *exec) mergeSortedRuns(res [][]rdf.TermID, workers int) {
-	ns := len(e.row)
-	var runs [][]rdf.TermID
-	for _, rows := range res {
-		if len(rows) > 0 {
-			runs = append(runs, rows)
-		}
-	}
-	idx := make([][]int, len(runs))
-	lens := make([]int, len(runs))
-	for r, rows := range runs {
-		n := len(rows) / ns
-		ix := make([]int, n)
-		for i := range ix {
-			ix[i] = i
-		}
-		idx[r], lens[r] = ix, n
-	}
-	rowAt := func(r, i int) []rdf.TermID {
-		off := idx[r][i] * ns
-		return runs[r][off : off+ns]
-	}
-	pp := sched.NewPhasedPool(workers)
-	// Sorting cannot fail and the comparator only reads frozen state, so
-	// the single phase always completes.
-	_ = pp.Run(sched.Phase{Morsels: len(runs), Fn: func(_, r int) error {
-		ix, rows := idx[r], runs[r]
-		sort.SliceStable(ix, func(a, b int) bool {
-			return e.rowLess(rows[ix[a]*ns:(ix[a]+1)*ns], rows[ix[b]*ns:(ix[b]+1)*ns])
-		})
-		return nil
-	}})
-	lt := sched.NewLoserTree(lens, func(ra, ia, rb, ib int) bool {
-		return e.rowLess(rowAt(ra, ia), rowAt(rb, ib))
-	})
-	for {
-		r, i := lt.Next()
-		if r < 0 || !e.emitFinal(rowAt(r, i)) {
-			return
-		}
-	}
+	w.pool.Done(m, len(w.buf)/len(w.e.row))
 }

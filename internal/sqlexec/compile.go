@@ -26,7 +26,7 @@ package sqlexec
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"crosse/internal/sqldb"
@@ -1317,7 +1317,7 @@ func (x *CompiledExpr) Eval(row []sqlval.Value) (sqlval.Value, error) {
 // already materialised under the column layout cols — the tail the
 // enrichment pipeline defers past its joins. Keys compile once against the
 // layout; rows are reordered in place by the executor's own comparison
-// (orderLess, ties in arrival order) and the returned window is a subslice
+// (orderCmp, ties in arrival order) and the returned window is a subslice
 // of rows.
 func SortLimit(cols []ScopeCol, sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 	limit, offset, err := limitOffset(sel)
@@ -1345,7 +1345,7 @@ func SortLimit(cols []ScopeCol, sel *sqlparser.Select, rows [][]sqlval.Value) ([
 			}
 			sorted[i] = sortedRow{keys: keys, row: row, seq: int64(i)}
 		}
-		sort.Slice(sorted, func(i, j int) bool { return orderLess(order, &sorted[i], &sorted[j]) })
+		slices.SortFunc(sorted, func(a, b sortedRow) int { return orderCmp(order, &a, &b) })
 		for i := range sorted {
 			rows[i] = sorted[i].row
 		}

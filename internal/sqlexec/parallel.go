@@ -16,13 +16,15 @@ package sqlexec
 // builds (parallelBuildHash); float SUM/AVG folds per-morsel compensated
 // partials in morsel order (see aggState); DISTINCT aggregates collect
 // stamped first occurrences and replay them after the merge; and ORDER BY
-// without LIMIT merges per-worker sorted runs through a loser tree. The
+// merges the per-worker heaps as sorted runs (exec.MergeSorted). The
 // shapes that still fall back to serial — driving relations without an
 // O(1) cardinality (foreign tables), pushed-down equality seeks (tiny by
 // construction), inputs below parallelMinRows, LIMIT 0 — record why in
 // runShared.fallback, surfaced as StreamInfo.ParallelFallback.
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -145,29 +147,22 @@ func (r *runner) runParallel(workers int, driving scanPlan) error {
 		return driveErr
 	}
 
-	n := len(drive)
-	nm := sched.Morsels(n, parallelMorsel)
-	pool := sched.NewPool(workers, nm)
+	// A completed prefix of morsels can prove a LIMIT satisfied — but
+	// only when buffered rows map 1:1 to merged output rows (no global
+	// DISTINCT collapsing, no sort reordering, no group aggregation).
+	need := -1
+	if !p.grouped && len(p.order) == 0 && !p.distinct && p.limit >= 0 {
+		need = p.limit + max(p.offset, 0)
+	}
+	nm := sched.Morsels(len(drive), parallelMorsel)
+	pool := sched.NewPool(workers, nm, need)
 	res := make([]parMorsel, nm)
 	ws := make([]*parWorker, pool.Workers())
 	for i := range ws {
 		ws[i] = newParWorker(r, pool, res)
 	}
-
-	// A completed prefix of morsels can prove a LIMIT satisfied — but
-	// only when buffered rows map 1:1 to merged output rows (no global
-	// DISTINCT collapsing, no sort reordering, no group aggregation).
-	var limiter *sched.Limiter
-	if !p.grouped && len(p.order) == 0 && !p.distinct && p.limit >= 0 {
-		need := p.limit
-		if p.offset > 0 {
-			need += p.offset
-		}
-		limiter = sched.NewLimiter(nm, need)
-	}
-
 	pool.Run(func(worker, m int) {
-		ws[worker].runMorsel(m, drive, limiter)
+		ws[worker].runMorsel(m, drive)
 	})
 
 	switch {
@@ -182,7 +177,7 @@ func (r *runner) runParallel(workers int, driving scanPlan) error {
 
 // parallelBuildHash builds the hash index over materialised build rows.
 // Small sides build serially; past the threshold the build runs in two
-// barrier-separated phases over a phased pool: a scatter phase walks the
+// barrier-separated pool runs: a scatter phase walks the
 // row morsels and partitions each row index by the FNV-1a hash of its
 // encoded join key, then an assemble phase builds each partition's bucket
 // map by visiting the scatter lists in morsel order — so every bucket
@@ -201,39 +196,34 @@ func parallelBuildHash(workers int, rows [][]sqlval.Value, keyCol int) *joinTabl
 	mask := uint32(nparts - 1)
 	nm := sched.Morsels(len(rows), parallelMorsel)
 	scatter := make([][][]int32, nm) // [morsel][partition] → row indexes
-	pp := sched.NewPhasedPool(workers)
+	sched.NewPool(workers, nm, -1).Run(func(_, m int) {
+		lo, hi := sched.Bounds(m, parallelMorsel, len(rows))
+		lists := make([][]int32, nparts)
+		var scratch []byte
+		for i := lo; i < hi; i++ {
+			v := rows[i][keyCol]
+			if v.IsNull() {
+				continue // NULL keys never equi-join
+			}
+			scratch = sqlval.AppendJoinKey(scratch[:0], v)
+			pt := hashJoinKey(scratch) & mask
+			lists[pt] = append(lists[pt], int32(i))
+		}
+		scatter[m] = lists
+	})
 	parts := make([]map[string][]int32, nparts)
-	_ = pp.Run(
-		sched.Phase{Morsels: nm, Fn: func(_, m int) error {
-			lo, hi := sched.Bounds(m, parallelMorsel, len(rows))
-			lists := make([][]int32, nparts)
-			var scratch []byte
-			for i := lo; i < hi; i++ {
-				v := rows[i][keyCol]
-				if v.IsNull() {
-					continue // NULL keys never equi-join
-				}
-				scratch = sqlval.AppendJoinKey(scratch[:0], v)
-				pt := hashJoinKey(scratch) & mask
-				lists[pt] = append(lists[pt], int32(i))
+	sched.NewPool(workers, nparts, -1).Run(func(_, pt int) {
+		buckets := make(map[string][]int32)
+		var scratch []byte
+		for m := 0; m < nm; m++ {
+			for _, i := range scatter[m][pt] {
+				scratch = sqlval.AppendJoinKey(scratch[:0], rows[i][keyCol])
+				k := string(scratch)
+				buckets[k] = append(buckets[k], i)
 			}
-			scatter[m] = lists
-			return nil
-		}},
-		sched.Phase{Morsels: nparts, Fn: func(_, pt int) error {
-			buckets := make(map[string][]int32)
-			var scratch []byte
-			for m := 0; m < nm; m++ {
-				for _, i := range scatter[m][pt] {
-					scratch = sqlval.AppendJoinKey(scratch[:0], rows[i][keyCol])
-					k := string(scratch)
-					buckets[k] = append(buckets[k], i)
-				}
-			}
-			parts[pt] = buckets
-			return nil
-		}},
-	)
+		}
+		parts[pt] = buckets
+	})
 	return &joinTable{parts: parts, mask: mask}
 }
 
@@ -352,7 +342,7 @@ func newParWorker(r *runner, pool *sched.Pool, res []parMorsel) *parWorker {
 // runMorsel drives the pipeline over one morsel of the driving rows,
 // mirroring the serial scan loop (including the swapped-orientation
 // probe), and records the morsel's buffered output and first error.
-func (w *parWorker) runMorsel(m int, drive [][]sqlval.Value, limiter *sched.Limiter) {
+func (w *parWorker) runMorsel(m int, drive [][]sqlval.Value) {
 	w.morsel = m
 	w.seq = 0
 	w.buf = nil
@@ -433,11 +423,7 @@ func (w *parWorker) runMorsel(m int, drive [][]sqlval.Value, limiter *sched.Limi
 		w.pool.Cut(m + 1)
 	}
 	w.res[m].rows = w.buf
-	if limiter != nil {
-		if cut, ok := limiter.Done(m, len(w.buf)); ok {
-			w.pool.Cut(cut)
-		}
-	}
+	w.pool.Done(m, len(w.buf))
 }
 
 // add is the worker's rowSink: it consumes one completed joined row.
@@ -546,27 +532,25 @@ func (r *runner) mergePlain(res []parMorsel) error {
 
 // mergeSorted combines the per-worker heaps. Every globally retained row
 // is in some worker's heap (a worker's heap is at least as selective as
-// the global one), so sorting the union by (keys, stamp) and slicing
-// OFFSET/LIMIT reproduces the serial stable sort, ties included. Under
-// DISTINCT the candidates are first deduplicated in arrival-stamp order —
-// the order the serial sink deduplicates in, before it sorts. A full sort
-// (ORDER BY without LIMIT, no DISTINCT) takes the parallel run-merge path
-// instead: see mergeSortedRuns.
+// the global one), and (keys, stamp) is a strict total order, so merging
+// the heaps as sorted runs and slicing OFFSET/LIMIT off the merged stream
+// reproduces the serial stable sort, ties included. Under DISTINCT the
+// candidates are first deduplicated in arrival-stamp order — the order the
+// serial sink deduplicates in, before it sorts.
 func (r *runner) mergeSorted(ws []*parWorker, res []parMorsel) error {
 	for m := range res {
 		if res[m].err != nil {
 			return res[m].err
 		}
 	}
-	if !r.p.distinct && ws[0].sorter.cap < 0 {
-		return r.mergeSortedRuns(ws)
+	p := r.p
+	runs := make([][]sortedRow, len(ws))
+	for i, w := range ws {
+		runs[i] = w.sorter.rows
 	}
-	var all []sortedRow
-	for _, w := range ws {
-		all = append(all, w.sorter.rows...)
-	}
-	if r.p.distinct {
-		sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
+	if p.distinct {
+		all := slices.Concat(runs...)
+		slices.SortFunc(all, func(a, b sortedRow) int { return cmp.Compare(a.seq, b.seq) })
 		seen := make(map[string]struct{}, len(all))
 		var key []byte
 		kept := all[:0]
@@ -581,59 +565,22 @@ func (r *runner) mergeSorted(ws []*parWorker, res []parMorsel) error {
 			seen[string(key)] = struct{}{}
 			kept = append(kept, sr)
 		}
-		all = kept
+		runs = [][]sortedRow{kept}
 	}
-	merged := &topKSorter{p: r.p, rows: all, cap: -1}
-	return merged.flush(r.yield)
-}
-
-// mergeSortedRuns is the parallel final sort for ORDER BY without LIMIT:
-// each worker's buffered rows become one run, the runs are sorted
-// concurrently (one phase of a phased pool), and a loser-tree k-way merge
-// streams the globally sorted output — no single-threaded full sort over
-// the union, and no unbounded re-buffering. (keys, stamp) is a strict
-// total order, so run boundaries cannot affect the output: it is the
-// serial stable sort's, byte for byte.
-func (r *runner) mergeSortedRuns(ws []*parWorker) error {
-	p := r.p
-	sorter := ws[0].sorter // any worker's sorter: less only reads the plan
-	runs := make([][]sortedRow, 0, len(ws))
-	for _, w := range ws {
-		if len(w.sorter.rows) > 0 {
-			runs = append(runs, w.sorter.rows)
-		}
-	}
-	pp := sched.NewPhasedPool(len(ws))
-	_ = pp.Run(sched.Phase{Morsels: len(runs), Fn: func(_, m int) error {
-		run := runs[m]
-		sort.Slice(run, func(i, j int) bool { return sorter.less(&run[i], &run[j]) })
-		return nil
-	}})
-	lens := make([]int, len(runs))
-	for i := range runs {
-		lens[i] = len(runs[i])
-	}
-	lt := sched.NewLoserTree(lens, func(ra, ia, rb, ib int) bool {
-		return sorter.less(&runs[ra][ia], &runs[rb][ib])
-	})
 	skip, count := p.offset, 0
-	for {
-		rn, i := lt.Next()
-		if rn < 0 {
-			return nil
-		}
-		if skip > 0 {
-			skip--
-			continue
-		}
-		if p.limit >= 0 && count >= p.limit {
-			return nil
-		}
-		if !r.yield(runs[rn][i].row) {
-			return nil
-		}
-		count++
-	}
+	sched.MergeSorted(len(ws), runs, func(a, b sortedRow) int { return orderCmp(p.order, &a, &b) },
+		func(sr sortedRow) bool {
+			if skip > 0 {
+				skip--
+				return true
+			}
+			if !r.yield(sr.row) {
+				return false
+			}
+			count++
+			return p.limit < 0 || count < p.limit
+		})
+	return nil
 }
 
 // mergeGroups folds the per-worker aggregation maps into one group set.

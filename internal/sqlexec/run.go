@@ -11,10 +11,11 @@ package sqlexec
 // sorting everything.
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	sched "crosse/internal/exec"
@@ -774,23 +775,23 @@ func newTopKSorter(p *SelectPlan, width int) *topKSorter {
 	return s
 }
 
-func (s *topKSorter) less(a, b *sortedRow) bool { return orderLess(s.p.order, a, b) }
+func (s *topKSorter) less(a, b *sortedRow) bool { return orderCmp(s.p.order, a, b) < 0 }
 
-// orderLess orders a before b in the final output: key by key under
+// orderCmp orders a against b in the final output: key by key under
 // CompareForSort (NULLs first, reversed for DESC), then by arrival stamp.
 // Every ORDER BY — serial top-K, parallel sorted runs, SortLimit — compares
 // through here.
-func orderLess(order []orderPlan, a, b *sortedRow) bool {
+func orderCmp(order []orderPlan, a, b *sortedRow) int {
 	for k, op := range order {
 		c := sqlval.CompareForSort(a.keys[k], b.keys[k])
 		if c != 0 {
 			if op.desc {
-				return c > 0
+				return -c
 			}
-			return c < 0
+			return c
 		}
 	}
-	return a.seq < b.seq
+	return cmp.Compare(a.seq, b.seq)
 }
 
 func (s *topKSorter) add(out, under []sqlval.Value) error {
@@ -866,7 +867,7 @@ func (s *topKSorter) flush(yield func([]sqlval.Value) bool) error {
 	// (keys, seq) is a strict total order, so a plain sort equals the
 	// interpreter's stable sort; for the bounded case the heap retained
 	// exactly the first cap rows of that order.
-	sort.Slice(s.rows, func(i, j int) bool { return s.less(&s.rows[i], &s.rows[j]) })
+	slices.SortFunc(s.rows, func(a, b sortedRow) int { return orderCmp(s.p.order, &a, &b) })
 	rows := window(s.rows, s.p.offset, s.p.limit)
 	for i := range rows {
 		if !yield(rows[i].row) {
