@@ -152,25 +152,29 @@ func TestLimiterCutsRun(t *testing.T) {
 	}
 }
 
-// TestBarrier proves two consecutive Runs are a barrier: every morsel of
-// the first finishes before any morsel of the second starts, and every
-// morsel of each runs exactly once.
-func TestBarrier(t *testing.T) {
-	const morsels = 131
-	var counts [2][morsels]atomic.Int32
+// TestPhasedBarrier proves two consecutive Runs are a barrier: every
+// morsel of the first finishes before any morsel of the second starts.
+func TestPhasedBarrier(t *testing.T) {
+	const morsels = 64
 	var first, violations atomic.Int64
+	NewPool(8, morsels, -1).Run(func(_, m int) { first.Add(1) })
 	NewPool(8, morsels, -1).Run(func(_, m int) {
-		counts[0][m].Add(1)
-		first.Add(1)
-	})
-	NewPool(8, morsels, -1).Run(func(_, m int) {
-		counts[1][m].Add(1)
 		if first.Load() != morsels {
 			violations.Add(1)
 		}
 	})
 	if v := violations.Load(); v != 0 {
 		t.Fatalf("%d second-stage morsels started before the first completed", v)
+	}
+}
+
+// TestPhasedCoverage proves every morsel of each of two consecutive Runs
+// runs exactly once.
+func TestPhasedCoverage(t *testing.T) {
+	const morsels = 131
+	var counts [2][morsels]atomic.Int32
+	for st := range counts {
+		NewPool(4, morsels, -1).Run(func(_, m int) { counts[st][m].Add(1) })
 	}
 	for st := range counts {
 		for m := range counts[st] {
