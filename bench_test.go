@@ -1,9 +1,10 @@
-// Repository-level benchmarks: one family per experiment of
-// internal/experiments (and hence per reproduced figure/artifact of the paper). Run with
+// Repository-level benchmarks: the per-layer families (SESQL parser,
+// triple store, relational and SPARQL engines, durability, serving) and
+// one family per pipeline-level experiment of internal/experiments. Run with
 //
 //	go test -bench=. -benchmem .
 //
-// The experiment harness (cmd/crosse-experiments) prints the same
+// The experiment harness (cmd/crosse-experiments) prints the pipeline-level
 // measurements as formatted tables with parameter sweeps; these benchmarks
 // are the testing.B counterparts for regression tracking.
 package crosse
@@ -55,7 +56,7 @@ func benchFixture(b *testing.B, landfills, extraKB int) *core.Enricher {
 	return core.New(db, p, nil)
 }
 
-// --- E2 / Fig. 5: SESQL parser ---
+// --- Fig. 5: SESQL parser ---
 
 func BenchmarkSESQLParse(b *testing.B) {
 	queries := map[string]string{
@@ -77,7 +78,7 @@ func BenchmarkSESQLParse(b *testing.B) {
 	}
 }
 
-// --- E3 / Fig. 4: triple store ---
+// --- Fig. 4: triple store ---
 
 func BenchmarkTripleStoreInsert(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
@@ -198,6 +199,7 @@ func BenchmarkKBScaling(b *testing.B) {
 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
 	for _, extra := range []int{0, 10000, 100000} {
 		enr := benchFixture(b, 100, extra)
+		enr.SetQueryCache(nil) // measure the extraction, not memo hits
 		b.Run(fmt.Sprintf("extraKB%d", extra), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, err := enr.Query("alice", q); err != nil {
@@ -413,7 +415,7 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
 	})
 }
 
-// --- E9: relational engine ---
+// --- relational engine ---
 
 func BenchmarkSQL(b *testing.B) {
 	db := engine.Open()
@@ -706,7 +708,7 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 	})
 }
 
-// --- E10: SPARQL engine ---
+// --- SPARQL engine ---
 
 // sparqlBenchStore builds the 20k-triple store the SPARQL benchmark
 // families share: 10% hazard facts, a level per element, a subclass chain.
@@ -935,9 +937,10 @@ func BenchmarkStoreCount(b *testing.B) {
 	}
 }
 
-// BenchmarkPipelineCache compares a full SESQL evaluation with the
-// compiled-query cache enabled (the default) versus disabled: the delta is
-// the lexing/parsing work repeated enrichment queries now skip.
+// BenchmarkPipelineCache compares a full SESQL evaluation with the query
+// cache enabled (the default) versus disabled. "Cached" skips lexing,
+// parsing and planning and also serves the context extract from the
+// per-view-epoch memo, so no SPARQL query runs; "Uncached" pays both.
 func BenchmarkPipelineCache(b *testing.B) {
 	const query = `SELECT elem_name, landfill_name FROM elem_contained
 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`

@@ -1,6 +1,7 @@
 // Command crosse-experiments runs the measurement study
 // (internal/experiments): the functional reproduction of the paper's
-// worked examples plus the performance experiments E2-E10.
+// worked examples (E1) plus the pipeline-level performance experiments
+// E4-E8 and E11. Per-layer measurements are the go test -bench families.
 //
 // Usage:
 //

@@ -123,6 +123,9 @@ func runQuery(enr *core.Enricher, user, q string, withStats bool) error {
 		for _, sq := range stats.SPARQLQueries {
 			fmt.Println("  sparql:", sq)
 		}
+		if stats.ContextHits > 0 {
+			fmt.Printf("  memo  : %d context extract(s) reused\n", stats.ContextHits)
+		}
 		if stats.FinalSQLText != "" {
 			fmt.Println("  final :", stats.FinalSQLText)
 		}

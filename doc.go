@@ -158,6 +158,22 @@
 // every enriched request) and plain SQL fast-path queries stream their
 // rows directly into the JoinManager's workset through cached plans.
 //
+// The ontology side of an enrichment depends on the user's knowledge base,
+// the property (or stored query) and the resource mapping — never on the
+// SQL literals. So the same cache also memoises each context extract (the
+// subject→objects pairs, concept members or replacement values a SPARQL
+// query yields), keyed on the user's view handle, the extract kind, the
+// SPARQL text and the mapping, and valid at one kb.Platform.ViewEpoch. The
+// epoch is read once per evaluation before the first extract, as the REST
+// result cache reads it: every mutation of the user's context moves it,
+// so a stale entry never answers, and an extract racing a mutation is
+// stranded under the old epoch. Keying on the view handle rather than the
+// user name means a platform swapped under the enricher shares nothing
+// with the old one. The memo has its own lock, holds at most the cache's
+// entry bound and a fixed number of values, and is dropped wholesale when
+// either trips. A hit runs no SPARQL query: core.Stats.SPARQLQueries lists
+// only the queries that ran and core.Stats.ContextHits counts the reuses.
+//
 // The pipeline ends in place. The paper's Fig. 6 hands the joined rows to
 // a temporary support database and runs a "final query" there; here the
 // workset already sits in the same process as the SQL executor's compiled

@@ -28,8 +28,9 @@ type Enricher struct {
 	// enriched queries engage (feeds the peer-discovery services).
 	Activity *Activity
 
-	// cache memoises compiled SESQL and SPARQL queries by text. Nil
-	// disables caching (every call re-parses); New installs one by default.
+	// cache memoises compiled SESQL and SPARQL queries by text, and context
+	// extracts per view epoch. Nil disables caching (every call re-parses
+	// and re-extracts); New installs one by default.
 	cache *QueryCache
 
 	// opts configures both executors for every evaluation; see
@@ -48,7 +49,8 @@ func New(db *engine.DB, platform *kb.Platform, mapping *Mapping) *Enricher {
 }
 
 // SetQueryCache replaces the enricher's compiled-query cache. A nil cache
-// disables compiled-query reuse (useful for benchmarking the parse path).
+// disables compiled-query and context-extract reuse (useful for
+// benchmarking the parse and extraction paths).
 func (e *Enricher) SetQueryCache(c *QueryCache) { e.cache = c }
 
 // SetExecOptions replaces the enricher's execution options wholesale. Not
@@ -65,6 +67,15 @@ func (e *Enricher) QueryCacheStats() (hits, misses int) {
 		return 0, 0
 	}
 	return e.cache.Stats()
+}
+
+// ContextCacheStats reports the context-extract memo's cumulative hits and
+// misses; zeros when caching is disabled.
+func (e *Enricher) ContextCacheStats() (hits, misses int) {
+	if e.cache == nil {
+		return 0, 0
+	}
+	return e.cache.ContextStats()
 }
 
 // parseSESQL compiles a SESQL text, consulting the cache when enabled.
@@ -116,8 +127,11 @@ type Stats struct {
 	BaseRows  int
 	FinalRows int
 
-	BaseSQLText   string
+	BaseSQLText string
+	// SPARQLQueries lists the ontology queries that ran; an extract served
+	// from the memo ran none and is counted in ContextHits instead.
 	SPARQLQueries []string
+	ContextHits   int
 	// FinalSQLText describes the final stage as Fig. 6's "final query" over
 	// a notional sesql_result table. No SQL runs: the stage sorts and slices
 	// the workset in place. Empty when nothing was deferred.
@@ -187,6 +201,13 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	view, err := e.Platform.View(user)
 	if err != nil {
 		return nil, st, err
+	}
+	uc := userCtx{name: user, view: view}
+	if e.cache != nil && len(q.Enrichments) > 0 {
+		// Read before the first extract, as rest.cacheKey does: a mutation
+		// landing mid-query strands this query's memo entries under the
+		// old epoch instead of leaving them stale under the new one.
+		uc.epoch = e.Platform.ViewEpoch(user)
 	}
 
 	if e.Activity != nil && len(q.Enrichments) > 0 {
@@ -278,14 +299,14 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 
 	// --- WHERE enrichments (JoinManager filtering) ---
 	for _, en := range whereEnr {
-		if err := e.applyWhereEnrichment(q, en, hidden, work, view, user, st); err != nil {
+		if err := e.applyWhereEnrichment(q, en, hidden, work, uc, st); err != nil {
 			return nil, st, err
 		}
 	}
 
 	// --- Schema enrichments ---
 	for _, en := range schemaEnr {
-		if err := e.applySchemaEnrichment(q, en, work, view, user, visible, st); err != nil {
+		if err := e.applySchemaEnrichment(q, en, work, uc, visible, st); err != nil {
 			return nil, st, err
 		}
 		visible = len(work.headers) - len(hidden.order) // new columns are visible
@@ -373,6 +394,14 @@ func (e *Enricher) ordersByEnriched(q *sesql.Query, base *sqlparser.Select, hidd
 		}
 	}
 	return false
+}
+
+// userCtx is one evaluation's handle on the user's context: the KB view
+// every extract reads and the view epoch that keys the extract memo.
+type userCtx struct {
+	name  string
+	view  rdf.Graph
+	epoch uint64
 }
 
 // workset is the JoinManager's in-flight partial result.
@@ -500,7 +529,7 @@ func collectColRefs(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
 // (ReplaceVariable) replaced by the values the ontology yields; a row
 // survives when some replacement satisfies the condition (the paper's
 // "treat the list as if it was a relational attribute").
-func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hidden *hiddenCols, work *workset, view rdf.Graph, user string, st *Stats) error {
+func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hidden *hiddenCols, work *workset, uc userCtx, st *Stats) error {
 	tag := q.Conds[en.CondID]
 
 	// Rewrite the condition: every referenced column → its hidden alias;
@@ -543,7 +572,7 @@ func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hid
 
 	switch en.Kind {
 	case sesql.ReplaceConstant:
-		values, err := e.replacementValues(en, user, view, st)
+		values, err := e.replacementValues(en, uc, st)
 		if err != nil {
 			return err
 		}
@@ -558,16 +587,18 @@ func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hid
 		}, st)
 
 	case sesql.ReplaceVariable:
-		pairs, err := e.propertyPairs(en, user, view, st)
+		pairs, err := e.propertyPairs(en, uc, st)
 		if err != nil {
 			return err
 		}
-		attrIdx := work.colIndex(hidden.alias[parseAttrRef(en.Attr).SQL()])
+		attr := parseAttrRef(en.Attr)
+		attrIdx := work.colIndex(hidden.alias[attr.SQL()])
 		if attrIdx < 0 {
 			return fmt.Errorf("core: internal: hidden column for %s missing", en.Attr)
 		}
+		table := attrTable(q.Select, en.Attr)
 		return existsFilter(work, scopeCols, cond, func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error) {
-			for _, v := range pairs[valueKey(row[attrIdx])] {
+			for _, v := range pairs[valueKeyMapped(e.Mapping, table, attr.Name, row[attrIdx])] {
 				ok, err := try(v)
 				if err != nil || ok {
 					return ok, err
@@ -620,7 +651,7 @@ func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Ex
 
 // --- schema enrichments ---
 
-func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, work *workset, view rdf.Graph, user string, visible int, st *Stats) error {
+func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, work *workset, uc userCtx, visible int, st *Stats) error {
 	attrIdx, err := resolveAttr(q.Select, work.headers[:visible], en.Attr)
 	if err != nil {
 		return err
@@ -631,7 +662,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 
 	switch en.Kind {
 	case sesql.SchemaExtension, sesql.SchemaReplacement:
-		pairs, err := e.propertyPairs(en, user, view, st)
+		pairs, err := e.propertyPairs(en, uc, st)
 		if err != nil {
 			return err
 		}
@@ -663,7 +694,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 		return nil
 
 	case sesql.BoolSchemaExtension, sesql.BoolSchemaReplacement:
-		members, err := e.conceptMembers(en, user, view, st)
+		members, err := e.conceptMembers(en, uc, st)
 		if err != nil {
 			return err
 		}
@@ -749,36 +780,31 @@ func insertHeader(headers []string, visible int, name string) []string {
 // constructed SPARQL query or a stored one (Sec. IV-A.5: "prop refers to
 // either a property from the contextual ontology, or the identifier of a
 // previously stored SPARQL query").
-func (e *Enricher) propertyPairs(en sesql.Enrichment, user string, view rdf.Graph, st *Stats) (map[string][]sqlval.Value, error) {
+func (e *Enricher) propertyPairs(en sesql.Enrichment, uc userCtx, st *Stats) (map[string][]sqlval.Value, error) {
 	text := ""
 	minVarsErr := ""
-	if sq, ok := e.Platform.LookupQuery(user, en.Property); ok {
+	if sq, ok := e.Platform.LookupQuery(uc.name, en.Property); ok {
 		text = sq.Text
 		minVarsErr = fmt.Sprintf("stored query %q must project (subject, object) for %s", en.Property, en.Kind)
 	} else {
 		prop := e.Mapping.PropertyIRI(en.Property)
 		text = fmt.Sprintf("SELECT ?s ?o WHERE { ?s <%s> ?o }", prop.Value)
 	}
-	pairs := map[string][]sqlval.Value{}
-	err := e.streamSPARQL(view, text, st, 2, minVarsErr, func(sol sparql.Solution) bool {
-		s, okS := sol.Term(0)
-		o, okO := sol.Term(1)
-		if !okS || !okO {
-			return true
-		}
-		key := valueKey(e.Mapping.FromTerm(s))
-		pairs[key] = append(pairs[key], e.Mapping.FromTerm(o))
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return pairs, nil
+	return extract(e, uc, extractPairs, text, st, 2, minVarsErr, map[string][]sqlval.Value{},
+		func(pairs map[string][]sqlval.Value, sol sparql.Solution) map[string][]sqlval.Value {
+			s, okS := sol.Term(0)
+			o, okO := sol.Term(1)
+			if okS && okO {
+				key := valueKey(e.Mapping.FromTerm(s))
+				pairs[key] = append(pairs[key], e.Mapping.FromTerm(o))
+			}
+			return pairs
+		})
 }
 
 // conceptMembers returns the set of values related to the concept through
 // the property (for the boolean enrichments).
-func (e *Enricher) conceptMembers(en sesql.Enrichment, user string, view rdf.Graph, st *Stats) (map[string]struct{}, error) {
+func (e *Enricher) conceptMembers(en sesql.Enrichment, uc userCtx, st *Stats) (map[string]struct{}, error) {
 	prop := e.Mapping.PropertyIRI(en.Property)
 	concepts := e.Mapping.ConceptTerms(en.Concept)
 	var parts []string
@@ -786,26 +812,22 @@ func (e *Enricher) conceptMembers(en sesql.Enrichment, user string, view rdf.Gra
 		parts = append(parts, fmt.Sprintf("{ ?s <%s> %s }", prop.Value, c.String()))
 	}
 	text := "SELECT DISTINCT ?s WHERE { " + strings.Join(parts, " UNION ") + " }"
-	members := map[string]struct{}{}
-	err := e.streamSPARQL(view, text, st, 1, "", func(sol sparql.Solution) bool {
-		if s, ok := sol.Term(0); ok {
-			members[valueKey(e.Mapping.FromTerm(s))] = struct{}{}
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return members, nil
+	return extract(e, uc, extractMembers, text, st, 1, "", map[string]struct{}{},
+		func(members map[string]struct{}, sol sparql.Solution) map[string]struct{} {
+			if s, ok := sol.Term(0); ok {
+				members[valueKey(e.Mapping.FromTerm(s))] = struct{}{}
+			}
+			return members
+		})
 }
 
 // replacementValues returns the candidate values for a ReplaceConstant
 // enrichment: the results of a stored query, or the objects of triples
 // whose subject is the constant.
-func (e *Enricher) replacementValues(en sesql.Enrichment, user string, view rdf.Graph, st *Stats) ([]sqlval.Value, error) {
+func (e *Enricher) replacementValues(en sesql.Enrichment, uc userCtx, st *Stats) ([]sqlval.Value, error) {
 	text := ""
 	minVarsErr := ""
-	if sq, ok := e.Platform.LookupQuery(user, en.Property); ok {
+	if sq, ok := e.Platform.LookupQuery(uc.name, en.Property); ok {
 		text = sq.Text
 		minVarsErr = fmt.Sprintf("stored query %q projects no variables", en.Property)
 	} else {
@@ -816,41 +838,61 @@ func (e *Enricher) replacementValues(en sesql.Enrichment, user string, view rdf.
 		}
 		text = "SELECT ?o WHERE { " + strings.Join(parts, " UNION ") + " }"
 	}
-	var out []sqlval.Value
-	err := e.streamSPARQL(view, text, st, 1, minVarsErr, func(sol sparql.Solution) bool {
-		if t, ok := sol.Term(0); ok {
-			out = append(out, e.Mapping.FromTerm(t))
-		}
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return extract(e, uc, extractValues, text, st, 1, minVarsErr, nil,
+		func(out []sqlval.Value, sol sparql.Solution) []sqlval.Value {
+			if t, ok := sol.Term(0); ok {
+				out = append(out, e.Mapping.FromTerm(t))
+			}
+			return out
+		})
 }
 
-// streamSPARQL compiles (through the plan cache) and streams a SPARQL query
-// over the user's KB view: solutions reach fn as ID rows decoded on access,
-// with no per-solution Binding map materialised. minVars guards stored
-// queries that must project a minimum number of variables; minVarsErr is
-// the error reported when they don't.
-func (e *Enricher) streamSPARQL(view rdf.Graph, text string, st *Stats, minVars int, minVarsErr string, fn func(sparql.Solution) bool) error {
+// extract produces one ontology-side extract: the value add folds every
+// solution of the SPARQL text into, starting from v. When the cache's memo
+// holds the extract (view, kind, text, mapping) built at the user's
+// current view epoch, that value is returned and no query runs. Otherwise
+// the text is compiled (through the plan cache) and streamed over the
+// user's view — solutions reach add as ID rows decoded on access, with no
+// per-solution Binding map materialised — and the value is published,
+// replacing any older entry. Published values are shared by every later
+// hit and are never modified. minVars guards stored queries that must
+// project a minimum number of variables; minVarsErr is the error reported
+// when they don't.
+func extract[T any](e *Enricher, uc userCtx, kind extractKind, text string, st *Stats,
+	minVars int, minVarsErr string, v T, add func(T, sparql.Solution) T) (T, error) {
+	var key extractKey
+	if e.cache != nil {
+		key = extractKey{view: uc.view, kind: kind, text: text, mapping: e.Mapping}
+		if hit, ok := e.cache.getExtract(key, uc.epoch); ok {
+			st.ContextHits++
+			return hit.(T), nil
+		}
+	}
 	st.SPARQLQueries = append(st.SPARQLQueries, text)
 	t0 := time.Now()
 	defer func() { st.SPARQL += time.Since(t0) }()
+	var zero T
 	p, err := e.planSPARQL(text)
 	if err != nil {
-		return fmt.Errorf("core: SPARQL: %w", err)
+		return zero, fmt.Errorf("core: SPARQL: %w", err)
 	}
 	if p.NumVars() < minVars {
-		return fmt.Errorf("core: %s", minVarsErr)
+		return zero, fmt.Errorf("core: %s", minVarsErr)
 	}
-	info, err := p.StreamInfoOpts(view, e.opts.SPARQL(), fn)
+	n := 0
+	info, err := p.StreamInfoOpts(uc.view, e.opts.SPARQL(), func(sol sparql.Solution) bool {
+		v = add(v, sol)
+		n++
+		return true
+	})
 	if err != nil {
-		return fmt.Errorf("core: SPARQL: %w", err)
+		return zero, fmt.Errorf("core: SPARQL: %w", err)
 	}
 	st.addParallelFallback("sparql", info.ParallelFallback)
-	return nil
+	if e.cache != nil {
+		e.cache.putExtract(key, uc.epoch, v, n)
+	}
+	return v, nil
 }
 
 // SPARQL evaluates a SPARQL query (SELECT or ASK) directly over the user's

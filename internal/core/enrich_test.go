@@ -247,6 +247,42 @@ REPLACEVARIABLE(c1, elem_name, oreAssemblage)`)
 	}
 }
 
+// REPLACEVARIABLE joins a column's values with the ontology through the
+// resource mapping, as the schema enrichments do: an INT column's 5 is the
+// subject onto#5, whatever type the value had in the databank.
+func TestReplaceVariableNonStringColumn(t *testing.T) {
+	db := engine.Open()
+	if _, err := db.ExecScript(`
+		CREATE TABLE lot (id INT);
+		INSERT INTO lot VALUES (5), (7), (9);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	p := kb.NewPlatform()
+	if err := p.RegisterUser("alice"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Insert("alice", rdf.Triple{S: smg("5"), P: smg("sameBatch"), O: rdf.NewTypedLiteral("7", rdf.XSDInteger)}); err != nil {
+		t.Fatal(err)
+	}
+	e := New(db, p, nil)
+
+	r, err := e.Query("alice", `SELECT id FROM lot ENRICH SCHEMAEXTENSION(id, sameBatch)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(resultRows(r), " "), "5|7 7|NULL 9|NULL"; got != want {
+		t.Fatalf("schema extension: got %q, want %q", got, want)
+	}
+	r, err = e.Query("alice", `SELECT id FROM lot WHERE ${id = 7:c1} ENRICH REPLACEVARIABLE(c1, id, sameBatch)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := resultRows(r); strings.Join(got, " ") != "5" {
+		t.Errorf("replace variable: got %v, want [5]", got)
+	}
+}
+
 func TestPlainSQLFastPath(t *testing.T) {
 	e := fixture(t)
 	r, stats, err := e.QueryStats("alice", `SELECT name FROM landfill ORDER BY name`)

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"crosse/internal/rdf"
 	"crosse/internal/sesql"
 	"crosse/internal/sparql"
 	"crosse/internal/sqldb"
@@ -29,11 +30,20 @@ import (
 // plan is valid against every user's view simultaneously. Only successful
 // compilations are cached; failing texts are re-parsed on each attempt.
 //
+// That rule covers the three plan maps only. The cache also holds the
+// enrichment pipeline's context extracts — the ontology side of a join,
+// which is data, not structure. An extract is keyed on the user's view
+// handle, the extract kind, the SPARQL text and the resource mapping, and
+// is valid only at the view epoch (kb.Platform.ViewEpoch) it was built at:
+// any mutation of that user's context moves the epoch, so the entry stops
+// answering and the next miss replaces it.
+//
 // The cache is safe for concurrent use. Cached objects are shared across
 // callers: parsed SESQL ASTs are treated as immutable (the enricher
-// shallow-copies the SELECT before rewriting it), and sparql.Plan is
+// shallow-copies the SELECT before rewriting it), sparql.Plan is
 // immutable by construction — all per-evaluation state lives in the
-// executor — which makes sharing sound.
+// executor — and extract values are never modified once published, which
+// makes sharing sound.
 type QueryCache struct {
 	mu     sync.RWMutex
 	sesql  map[string]*sesql.Query
@@ -44,7 +54,45 @@ type QueryCache struct {
 	// Counters are atomic so the hit path stays contention-free: hits
 	// happen on every request under load and must not take the write lock.
 	hits, misses atomic.Int64
+
+	// The extract memo has its own lock, so a read never waits behind the
+	// SQL plan-map sweep. xvalues counts the values its entries retain.
+	xmu            sync.RWMutex
+	extracts       map[extractKey]extractEntry
+	xvalues        int
+	xhits, xmisses atomic.Int64
 }
+
+// extractKind names the builder that produced an extract: one stored-query
+// text feeds both the subject→objects pairs and the replacement values.
+type extractKind uint8
+
+const (
+	extractPairs extractKind = iota
+	extractMembers
+	extractValues
+)
+
+// extractKey identifies one memoised context extract. The view handle, not
+// the user name, keys it: a platform swapped under the enricher has new
+// views, so its users can never hit the old platform's entries.
+type extractKey struct {
+	view    rdf.Graph
+	kind    extractKind
+	text    string
+	mapping *Mapping
+}
+
+// extractEntry is one memoised extract and the view epoch it was built at.
+type extractEntry struct {
+	epoch uint64
+	value any
+	size  int
+}
+
+// maxExtractValues bounds the values retained across all memoised extracts;
+// an extract larger than this on its own is never memoised.
+const maxExtractValues = 1 << 20
 
 // sqlKey identifies one cached SQL physical plan: the text alone is not
 // enough, because plans bind to a specific catalog — two databases
@@ -66,25 +114,63 @@ type sqlPlanEntry struct {
 	opts  sqlexec.Options
 }
 
-// DefaultQueryCacheSize bounds each of the three cache maps (SESQL,
-// SPARQL, SQL plans). Real workloads use a small set of distinct query
-// texts; the bound only guards against adversarial streams of unique
+// DefaultQueryCacheSize bounds each of the cache maps (SESQL, SPARQL and
+// SQL plans, context extracts). Real workloads use a small set of distinct
+// query texts; the bound only guards against adversarial streams of unique
 // queries.
 const DefaultQueryCacheSize = 4096
 
 // NewQueryCache returns an empty cache holding at most max entries per
-// language (SESQL, SPARQL and SQL plans are bounded independently);
-// max <= 0 uses DefaultQueryCacheSize.
+// map (SESQL, SPARQL and SQL plans and context extracts are bounded
+// independently); max <= 0 uses DefaultQueryCacheSize.
 func NewQueryCache(max int) *QueryCache {
 	if max <= 0 {
 		max = DefaultQueryCacheSize
 	}
 	return &QueryCache{
-		sesql:  make(map[string]*sesql.Query),
-		sparql: make(map[string]*sparql.Plan),
-		sql:    make(map[sqlKey]*sqlPlanEntry),
-		max:    max,
+		sesql:    make(map[string]*sesql.Query),
+		sparql:   make(map[string]*sparql.Plan),
+		sql:      make(map[sqlKey]*sqlPlanEntry),
+		max:      max,
+		extracts: make(map[extractKey]extractEntry),
 	}
+}
+
+// getExtract returns the memoised extract for k when it was built at epoch.
+func (c *QueryCache) getExtract(k extractKey, epoch uint64) (any, bool) {
+	c.xmu.RLock()
+	e, ok := c.extracts[k]
+	c.xmu.RUnlock()
+	if ok && e.epoch == epoch {
+		c.xhits.Add(1)
+		return e.value, true
+	}
+	c.xmisses.Add(1)
+	return nil, false
+}
+
+// putExtract publishes an extract built at epoch, replacing any entry for k
+// built at an older one. When the entry count or the retained values would
+// pass their bounds, the whole memo is dropped first.
+func (c *QueryCache) putExtract(k extractKey, epoch uint64, value any, size int) {
+	if size > maxExtractValues {
+		return
+	}
+	c.xmu.Lock()
+	defer c.xmu.Unlock()
+	old, ok := c.extracts[k]
+	if ok {
+		if old.epoch > epoch {
+			return // a concurrent query already published a newer extract
+		}
+		c.xvalues -= old.size
+	}
+	if (!ok && len(c.extracts) >= c.max) || c.xvalues+size > maxExtractValues {
+		c.extracts = make(map[extractKey]extractEntry)
+		c.xvalues = 0
+	}
+	c.extracts[k] = extractEntry{epoch: epoch, value: value, size: size}
+	c.xvalues += size
 }
 
 // SQLSelect returns the compiled physical plan of a SELECT against db,
@@ -193,4 +279,9 @@ func (c *QueryCache) sqlLen() int {
 // Stats reports cumulative cache hits and misses (compiles).
 func (c *QueryCache) Stats() (hits, misses int) {
 	return int(c.hits.Load()), int(c.misses.Load())
+}
+
+// ContextStats reports cumulative context-extract memo hits and misses.
+func (c *QueryCache) ContextStats() (hits, misses int) {
+	return int(c.xhits.Load()), int(c.xmisses.Load())
 }

@@ -23,6 +23,9 @@ func RunE4(w io.Writer, quick bool) error {
 	if err != nil {
 		return err
 	}
+	// Uncached, so every repetition runs each stage, the SPARQL one included
+	// (the cache would serve the extract from its per-view-epoch memo).
+	enr.SetQueryCache(nil)
 
 	tab := newTable("strategy", "parse", "base SQL", "SPARQL", "join", "final SQL", "total", "rows")
 	for _, q := range scaledEnrichmentQueries() {

@@ -37,6 +37,7 @@ BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`
 		if err != nil {
 			return err
 		}
+		enr.SetQueryCache(nil) // measure the extraction, not memo hits
 		var stats *core.Stats
 		med, err := medianOf(reps, func() error {
 			_, s, err := enr.QueryStats("alice", query)

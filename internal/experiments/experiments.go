@@ -27,15 +27,11 @@ type Experiment struct {
 func All() []Experiment {
 	return []Experiment{
 		{ID: "E1", Title: "Functional reproduction of paper examples 4.1-4.6", Run: RunE1},
-		{ID: "E2", Title: "SESQL parser throughput (Fig. 5 grammar)", Run: RunE2},
-		{ID: "E3", Title: "Triple store scaling (Fig. 4 substrate)", Run: RunE3},
 		{ID: "E4", Title: "Pipeline stage breakdown (Fig. 6)", Run: RunE4},
 		{ID: "E5", Title: "Enrichment overhead vs hand-written SQL baseline", Run: RunE5},
 		{ID: "E6", Title: "Scaling with knowledge-base size", Run: RunE6},
 		{ID: "E7", Title: "FDW federation: local vs remote, pushdown", Run: RunE7},
 		{ID: "E8", Title: "Crowdsourced belief import fan-out", Run: RunE8},
-		{ID: "E9", Title: "Relational engine micro-benchmarks", Run: RunE9},
-		{ID: "E10", Title: "SPARQL engine micro-benchmarks", Run: RunE10},
 		{ID: "E11", Title: "Peer discovery and recommendation scaling", Run: RunE11},
 	}
 }

@@ -2,7 +2,8 @@ package rest
 
 // Contract tests for the v1 surface: the uniform error envelope, typed
 // status mapping, pagination fields, legacy-alias deprecation headers,
-// and the serving-tier metrics endpoint. These are the assertions the CI
+// the serving-tier metrics endpoint and the context memo's stats with
+// read-your-writes. These are the assertions the CI
 // api-contract job re-checks against a real server binary.
 
 import (
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"sort"
 	"strings"
 	"testing"
 
@@ -345,7 +347,81 @@ func TestMetricsEndpoint(t *testing.T) {
 	if out.Admission == nil || out.Admission.MaxInflight != 4 || out.Admission.Admitted == 0 {
 		t.Errorf("admission = %+v", out.Admission)
 	}
-	if out.PlanCache == nil {
-		t.Error("plan_cache missing")
+	for _, k := range []string{"hits", "misses", "context_hits", "context_misses"} {
+		if _, ok := out.PlanCache[k]; !ok {
+			t.Errorf("plan_cache.%s missing: %v", k, out.PlanCache)
+		}
+	}
+}
+
+// Enriched queries differing only in their SQL literals share the user's
+// context extract: the second reports stats.context_hits, and a belief
+// inserted afterwards shows in the next fresh-literal query.
+func TestV1ContextMemoContract(t *testing.T) {
+	ts, _ := newV1Server(t, 0, 0)
+	postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`).Body.Close()
+	insert := func(level string) {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/api/v1/statements",
+			`{"user":"alice","subject":"Mercury","property":"dangerLevel","object":"`+level+`","object_literal":true}`)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusCreated {
+			t.Fatalf("insert %s: %d", level, resp.StatusCode)
+		}
+	}
+	type queryResp struct {
+		Rows  [][]string `json:"rows"`
+		Stats struct {
+			ContextHits   int      `json:"context_hits"`
+			SPARQLQueries []string `json:"sparql_queries"`
+		} `json:"stats"`
+	}
+	query := func(lit int) queryResp {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/api/v1/query", fmt.Sprintf(
+			`{"user":"alice","stats":true,"sesql":"SELECT elem_name FROM elem_contained WHERE landfill_name <> 'x%d' ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)"}`, lit))
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("query x%d: %d", lit, resp.StatusCode)
+		}
+		var out queryResp
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	levels := func(r queryResp) string {
+		var got []string
+		for _, row := range r.Rows {
+			if row[0] == "Mercury" {
+				got = append(got, row[1])
+			}
+		}
+		sort.Strings(got)
+		return strings.Join(got, ",")
+	}
+
+	insert("high")
+	first := query(1)
+	if first.Stats.ContextHits != 0 || len(first.Stats.SPARQLQueries) != 1 {
+		t.Errorf("first query: context_hits %d, sparql_queries %v; want a miss that runs one query",
+			first.Stats.ContextHits, first.Stats.SPARQLQueries)
+	}
+	second := query(2)
+	if second.Stats.ContextHits < 1 || len(second.Stats.SPARQLQueries) != 0 {
+		t.Errorf("second query: context_hits %d, sparql_queries %v; want a memo hit and no query",
+			second.Stats.ContextHits, second.Stats.SPARQLQueries)
+	}
+	if got := levels(second); got != "high" {
+		t.Errorf("Mercury levels %q, want high", got)
+	}
+
+	insert("severe")
+	third := query(3)
+	if got := levels(third); got != "high,severe" {
+		t.Errorf("after insert: Mercury levels %q, want high,severe", got)
+	}
+	if third.Stats.ContextHits != 0 {
+		t.Errorf("after insert: context_hits %d, want a miss", third.Stats.ContextHits)
 	}
 }

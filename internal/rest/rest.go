@@ -390,6 +390,7 @@ type statsJSON struct {
 	BaseRows       int      `json:"base_rows"`
 	FinalRows      int      `json:"final_rows"`
 	SPARQLQueries  []string `json:"sparql_queries,omitempty"`
+	ContextHits    int      `json:"context_hits,omitempty"`
 	FinalSQL       string   `json:"final_sql,omitempty"`
 	SkippedSources []string `json:"skipped_sources,omitempty"`
 	// ParallelFallback names why query stages ran serial instead of on the
@@ -418,6 +419,7 @@ func toResultJSON(res *sqlexec.Result, stats *core.Stats) resultJSON {
 			BaseRows:         stats.BaseRows,
 			FinalRows:        stats.FinalRows,
 			SPARQLQueries:    stats.SPARQLQueries,
+			ContextHits:      stats.ContextHits,
 			FinalSQL:         stats.FinalSQLText,
 			SkippedSources:   stats.SkippedSources,
 			ParallelFallback: stats.ParallelFallback,
@@ -754,13 +756,15 @@ func (s *Server) kbDOT(w http.ResponseWriter, r *http.Request) {
 
 // metricsSnapshot reports the serving tier's observable state: per-endpoint
 // request counts and latency quantiles, result-cache and plan-cache
-// counters, admission-control state, remote-source circuits, and the WAL
-// position.
+// counters (compiled plans, plus the context-extract memo), admission-control
+// state, remote-source circuits, and the WAL position.
 func (s *Server) metricsSnapshot(w http.ResponseWriter, r *http.Request) {
 	hits, misses := s.enricher.QueryCacheStats()
+	ctxHits, ctxMisses := s.enricher.ContextCacheStats()
 	out := map[string]any{
-		"endpoints":  s.metrics.Snapshot(),
-		"plan_cache": map[string]int{"hits": hits, "misses": misses},
+		"endpoints": s.metrics.Snapshot(),
+		"plan_cache": map[string]int{"hits": hits, "misses": misses,
+			"context_hits": ctxHits, "context_misses": ctxMisses},
 	}
 	if s.cache != nil {
 		out["result_cache"] = s.cache.Stats()
