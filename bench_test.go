@@ -636,11 +636,11 @@ func BenchmarkSQLOrderFullSort(b *testing.B) {
 	})
 }
 
-// BenchmarkSQLCompiledPlan isolates what the plan cache buys: a cache hit
-// (epoch check + map lookup + streaming execution) vs parse+compile+run
-// per call, plus the bare parse+compile cost of a multi-join query. The
-// measured query is an indexed point seek — the shape where planning would
-// otherwise dominate.
+// BenchmarkSQLCompiledPlan isolates what the plan cache buys: a cached
+// shape (lex the text, bind its literals into the compiled template, run)
+// vs parse+compile+run per call, plus the bare parse+compile cost of a
+// multi-join query. The measured query is an indexed point seek — the
+// shape where planning would otherwise dominate.
 func BenchmarkSQLCompiledPlan(b *testing.B) {
 	db := sqlBenchDB(b, 5000)
 	const q = `SELECT v, k FROM points WHERE id = 3000`
@@ -653,17 +653,19 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 	}
 
 	b.Run("CachedRun", func(b *testing.B) {
-		cache := core.NewQueryCache(0)
-		if _, err := cache.SQLSelect(db.Catalog(), q, sqlexec.Options{}, parse); err != nil {
+		key, _, _ := sesql.Shape(q)
+		sel, err := sqlparser.ParseSelectTemplate(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmpl, err := sqlexec.Compile(db.Catalog(), sel)
+		if err != nil {
 			b.Fatal(err)
 		}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			p, err := cache.SQLSelect(db.Catalog(), q, sqlexec.Options{}, parse)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := p.Run(); err != nil {
+			_, lits, _ := sesql.Shape(q)
+			if _, err := tmpl.Bind(lits.Vals).Run(); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -963,6 +965,38 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
 			}
 		}
 	})
+}
+
+// BenchmarkEnrichDistinctLiterals runs the six Sec. IV strategies with a
+// fresh threshold literal every iteration — the request stream of a
+// service whose texts never repeat. Every text is new to a cache keyed on
+// text; its shape is not.
+func BenchmarkEnrichDistinctLiterals(b *testing.B) {
+	enr := benchFixture(b, 200, 0)
+	text := func(i int) string {
+		lf, ct, el := dataset.LandfillName(i%200), dataset.CityName(i%40), dataset.ElementName(i%50)
+		switch i % 6 {
+		case 0:
+			return fmt.Sprintf("SELECT elem_name, landfill_name FROM elem_contained WHERE landfill_name = '%s' AND amount >= %d ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)", lf, i)
+		case 1:
+			return fmt.Sprintf("SELECT name, city FROM landfill WHERE city = '%s' AND area >= %d ENRICH SCHEMAREPLACEMENT(city, inCountry)", ct, i)
+		case 2:
+			return fmt.Sprintf("SELECT elem_name, landfill_name FROM elem_contained WHERE landfill_name = '%s' AND amount >= %d ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)", lf, i)
+		case 3:
+			return fmt.Sprintf("SELECT name, city FROM landfill WHERE city = '%s' AND area >= %d ENRICH BOOLSCHEMAREPLACEMENT(city, inCountry, Italy)", ct, i)
+		case 4:
+			return fmt.Sprintf("SELECT landfill_name, amount FROM elem_contained WHERE landfill_name = '%s' AND amount >= %d AND ${elem_name = HazardousWaste:c1} ENRICH REPLACECONSTANT(c1, HazardousWaste, dangerQuery)", lf, i)
+		default:
+			return fmt.Sprintf("SELECT landfill_name, elem_name FROM elem_contained WHERE landfill_name = '%s' AND amount >= %d AND ${elem_name = '%s':c1} ENRICH REPLACEVARIABLE(c1, elem_name, oreAssemblage)", lf, i, el)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := enr.Query("alice", text(i)); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // --- durability: platform snapshots (cold-start recovery) ---

@@ -141,22 +141,40 @@
 // requires ORDER BY (+ OFFSET/LIMIT) output to be byte-identical across
 // parallelism levels on tie-heavy keys.
 //
-// The enrichment pipeline (internal/core) keeps a compiled-query cache for
-// SESQL, SPARQL and SQL, keyed on the exact query text. For SPARQL the
-// cache stores the compiled physical Plan — slot table, join-ready
-// patterns, precompiled regexes — so a cache hit goes straight to ID-native
-// execution with no lexing, parsing or planning. Plans hold structure only,
-// never data or dictionary IDs (constants re-resolve against the target
-// graph's dictionary per evaluation), so knowledge-base mutations never
-// invalidate cache entries and one cached plan serves every user's view
-// concurrently (see QueryCache in internal/core). SQL physical plans do
-// bind to the catalog (relation handles, index choices), so their cache
-// entries carry sqldb.Database.SchemaEpoch: any DDL — CREATE/DROP TABLE,
-// CREATE INDEX, foreign registration — bumps the epoch and stale plans
-// recompile on next lookup, while data mutations never invalidate. Both
-// SESQL's cleaned base query (Fig. 6's relational step, on the hot path of
-// every enriched request) and plain SQL fast-path queries stream their
-// rows directly into the JoinManager's workset through cached plans.
+// The enrichment pipeline (internal/core) compiles each SESQL *shape*
+// once. sesql.Shape lexes a text in one pass into a shape key — the text
+// with every literal of WHERE, ON and HAVING (tagged conditions included)
+// replaced by a typed slot, ?1:str, ?2:int, ?3:float — and the vector of
+// those literals. Select-list literals (they name headers), ORDER BY,
+// LIMIT/OFFSET (they size the top-K), LIKE patterns (pre-compiled), IN-list
+// lengths and the whole ENRICH clause stay in the key. A shape compiles
+// once per (shape, sqlexec.Options, schema epoch) into a plan holding the
+// parsed template, the base SELECT after the enrichment rewrite, its
+// sqlexec SelectPlan with slot nodes, the WHERE-enrichment predicates and
+// the constructed SPARQL texts; a request binds its literal vector into it
+// (SelectPlan.Bind copies only the nodes on a path to a slot, so the
+// template stays shared and immutable) and splices the literals into the
+// pre-rendered base SELECT for core.Stats.BaseSQLText. Compile decisions
+// that depend on a constant's value are made from the slot's type: a slot
+// seeks an index only when it has the column's type. Texts Shape declines
+// (comments, odd quoting) and shapes whose template cannot compile are
+// their own shapes, keyed on the whole text. SPARQL plans are keyed on
+// their exact text and hold structure only — slot table, join-ready
+// patterns, precompiled regexes, never data or dictionary IDs — so
+// knowledge-base mutations never invalidate them and one plan serves
+// every user's view concurrently. A shape plan binds the catalog (relation
+// handles, index choices), so it records sqldb.Database.SchemaEpoch and is
+// checked against it at hit time: after any DDL — CREATE/DROP TABLE,
+// CREATE INDEX, foreign registration — the stale plan stops answering and
+// the next miss replaces it, while data mutations never invalidate.
+//
+// Every cache in the system is one lru.Cache: an LRU bounded by entries
+// and, optionally, by a size function with a budget, with atomic
+// hit/miss/eviction counters and validity checked by the caller at hit
+// time. Nothing sweeps a map and nothing is dropped wholesale; a stale
+// entry is replaced on its next miss or ages out. serve.Cache (the
+// enriched-result cache), the shape and SPARQL plan caches and the
+// context-extract memo below are its instances (see QueryCache).
 //
 // The ontology side of an enrichment depends on the user's knowledge base,
 // the property (or stored query) and the resource mapping — never on the
@@ -169,10 +187,11 @@
 // so a stale entry never answers, and an extract racing a mutation is
 // stranded under the old epoch. Keying on the view handle rather than the
 // user name means a platform swapped under the enricher shares nothing
-// with the old one. The memo has its own lock, holds at most the cache's
-// entry bound and a fixed number of values, and is dropped wholesale when
-// either trips. A hit runs no SPARQL query: core.Stats.SPARQLQueries lists
-// only the queries that ran and core.Stats.ContextHits counts the reuses.
+// with the old one. The memo holds at most the cache's entry bound and a
+// fixed number of retained values, evicting the coldest extracts. A hit
+// runs no SPARQL query and renders no SPARQL text (the constructed texts
+// live in the compiled shape): core.Stats.SPARQLQueries lists only the
+// queries that ran and core.Stats.ContextHits counts the reuses.
 //
 // The pipeline ends in place. The paper's Fig. 6 hands the joined rows to
 // a temporary support database and runs a "final query" there; here the

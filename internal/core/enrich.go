@@ -28,8 +28,8 @@ type Enricher struct {
 	// enriched queries engage (feeds the peer-discovery services).
 	Activity *Activity
 
-	// cache memoises compiled SESQL and SPARQL queries by text, and context
-	// extracts per view epoch. Nil disables caching (every call re-parses
+	// cache memoises compiled SESQL shapes and SPARQL plans, and context
+	// extracts per view epoch. Nil disables caching (every call compiles
 	// and re-extracts); New installs one by default.
 	cache *QueryCache
 
@@ -78,38 +78,12 @@ func (e *Enricher) ContextCacheStats() (hits, misses int) {
 	return e.cache.ContextStats()
 }
 
-// parseSESQL compiles a SESQL text, consulting the cache when enabled.
-func (e *Enricher) parseSESQL(text string) (*sesql.Query, error) {
-	if e.cache == nil {
-		return sesql.Parse(text)
-	}
-	return e.cache.SESQL(text)
-}
-
-// planSQL compiles a SELECT into a physical plan against the main
-// platform's catalog, consulting the cache when enabled. Cached plans are
-// keyed on the SQL text and the catalog's schema epoch (DDL invalidates,
-// data mutations don't), so the enrichment hot path skips column-slot
-// resolution and join planning on every repeat query.
-func (e *Enricher) planSQL(text string, sel *sqlparser.Select) (*sqlexec.SelectPlan, error) {
-	db := e.DB.Catalog()
-	opts := e.opts.SQL()
-	if e.cache == nil {
-		return sqlexec.CompileOpts(db, sel, opts)
-	}
-	return e.cache.SQLSelect(db, text, opts, func() (*sqlparser.Select, error) { return sel, nil })
-}
-
 // planSPARQL compiles a SPARQL text into a physical plan, consulting the
 // cache when enabled. A cache hit skips lexing, parsing and planning: the
 // returned plan is ready for ID-native execution against any KB view.
 func (e *Enricher) planSPARQL(text string) (*sparql.Plan, error) {
 	if e.cache == nil {
-		q, err := sparql.Parse(text)
-		if err != nil {
-			return nil, err
-		}
-		return sparql.Compile(q)
+		return compileSPARQL(text)
 	}
 	return e.cache.SPARQLPlan(text)
 }
@@ -118,7 +92,7 @@ func (e *Enricher) planSPARQL(text string) (*sparql.Plan, error) {
 // the observable counterpart of the Fig. 6 architecture, used by experiment
 // E4 (stage breakdown).
 type Stats struct {
-	Parse    time.Duration // SQP: tag scanning + parsing
+	Parse    time.Duration // SQP: shape lexing and plan lookup (a miss also parses and compiles)
 	BaseSQL  time.Duration // relational query on the main platform
 	SPARQL   time.Duration // ontology queries on the user's KB
 	Join     time.Duration // JoinManager: combine partial results
@@ -192,16 +166,20 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	st := &Stats{}
 
 	t0 := time.Now()
-	q, err := e.parseSESQL(text)
+	sp, lits, late, err := e.shape(text)
 	st.Parse = time.Since(t0)
-	if err != nil {
+	if err != nil && !late {
 		return nil, st, err
 	}
 
-	view, err := e.Platform.View(user)
+	view, verr := e.Platform.View(user)
+	if verr != nil {
+		return nil, st, verr
+	}
 	if err != nil {
 		return nil, st, err
 	}
+	q := sp.q
 	uc := userCtx{name: user, view: view}
 	if e.cache != nil && len(q.Enrichments) > 0 {
 		// Read before the first extract, as rest.cacheKey does: a mutation
@@ -218,29 +196,16 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		e.Activity.Record(user, props)
 	}
 
-	// Split enrichments into WHERE-affecting and schema-affecting.
-	var whereEnr, schemaEnr []sesql.Enrichment
-	for _, en := range q.Enrichments {
-		switch en.Kind {
-		case sesql.ReplaceConstant, sesql.ReplaceVariable:
-			whereEnr = append(whereEnr, en)
-		default:
-			schemaEnr = append(schemaEnr, en)
-		}
-	}
+	// The shape's plan with this text's literals bound, and the concrete
+	// SELECT it runs (the literals spliced back in their source spelling).
+	plan := sp.plan.Bind(lits.Vals)
+	st.BaseSQLText = sp.baseSQL.Splice(lits.Texts)
 
-	// Fast path: plain SQL through the compiled-plan cache.
+	// Fast path: plain SQL.
 	if len(q.Enrichments) == 0 {
 		t0 = time.Now()
-		plan, err := e.planSQL(q.SQL, q.Select)
-		if err != nil {
-			st.BaseSQL = time.Since(t0)
-			st.BaseSQLText = q.SQL
-			return nil, st, err
-		}
 		res, err := plan.RunContext(ctx)
 		st.BaseSQL = time.Since(t0)
-		st.BaseSQLText = q.SQL
 		if res != nil {
 			st.BaseRows, st.FinalRows = len(res.Rows), len(res.Rows)
 			st.SkippedSources = res.SkippedSources
@@ -249,38 +214,10 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		return res, st, err
 	}
 
-	if len(whereEnr) > 0 {
-		if q.Select.Distinct || len(q.Select.GroupBy) > 0 || q.Select.Having != nil {
-			return nil, st, fmt.Errorf("core: WHERE enrichment requires a plain SELECT (no DISTINCT/GROUP BY)")
-		}
-	}
-
-	// --- Build and run the base SQL query on the main platform ---
-	base, hidden, err := e.buildBaseQuery(q, whereEnr)
-	if err != nil {
-		return nil, st, err
-	}
-	// ORDER BY / LIMIT / OFFSET stay in the base query (top-K pushdown)
-	// unless enrichment changes what they see: a WHERE enrichment filters
-	// rows afterwards, and a key naming an enriched column has nothing to
-	// sort by until the column exists. Then they wait for the final stage.
-	deferTail := (len(q.Select.OrderBy) > 0 || q.Select.Limit != nil || q.Select.Offset != nil) &&
-		(len(whereEnr) > 0 || e.ordersByEnriched(q, base, len(hidden.order), schemaEnr))
-	if deferTail {
-		base.OrderBy, base.Limit, base.Offset = nil, nil, nil
-	}
-	st.BaseSQLText = sqlparser.SelectSQL(base)
-
-	// The base query streams straight into the JoinManager's workset: no
-	// intermediate Result, rows land once in a workset-owned arena. The
-	// rendered base SQL keys the plan cache (the rewrite is deterministic
-	// per SESQL text, so repeats hit).
+	// --- Run the base SQL query on the main platform ---
+	// It streams straight into the JoinManager's workset: no intermediate
+	// Result, rows land once in a workset-owned arena.
 	t0 = time.Now()
-	plan, err := e.planSQL(st.BaseSQLText, base)
-	if err != nil {
-		st.BaseSQL = time.Since(t0)
-		return nil, st, fmt.Errorf("core: base query: %w", err)
-	}
 	work := &workset{headers: plan.Columns()}
 	arena := sqlval.NewRowArena(len(work.headers))
 	info, err := plan.StreamInfoContext(ctx, func(row []sqlval.Value) bool {
@@ -295,21 +232,22 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	st.SkippedSources = skipped
 	st.addParallelFallback("base-sql", info.ParallelFallback)
 	st.BaseRows = len(work.rows)
-	visible := len(work.headers) - len(hidden.order)
+	visible := sp.visible
+	hidden := len(work.headers) - visible
 
 	// --- WHERE enrichments (JoinManager filtering) ---
-	for _, en := range whereEnr {
-		if err := e.applyWhereEnrichment(q, en, hidden, work, uc, st); err != nil {
+	for i := range sp.where {
+		if err := e.applyWhereEnrichment(&sp.where[i], lits, work, uc, st); err != nil {
 			return nil, st, err
 		}
 	}
 
 	// --- Schema enrichments ---
-	for _, en := range schemaEnr {
-		if err := e.applySchemaEnrichment(q, en, work, uc, visible, st); err != nil {
+	for i := range sp.schema {
+		if err := e.applySchemaEnrichment(q, &sp.schema[i], work, uc, visible, st); err != nil {
 			return nil, st, err
 		}
-		visible = len(work.headers) - len(hidden.order) // new columns are visible
+		visible = len(work.headers) - hidden // new columns are visible
 	}
 
 	// --- Final stage (Fig. 6's last step) ---
@@ -323,7 +261,7 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	}
 	st.Join += time.Since(t0)
 
-	if deferTail {
+	if sp.deferTail {
 		t0 = time.Now()
 		final := &sqlparser.Select{
 			From:    []sqlparser.TableRef{{Table: "sesql_result"}},
@@ -345,57 +283,6 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	return res, st, nil
 }
 
-// ordersByEnriched reports whether an ORDER BY key names a column a schema
-// enrichment adds or substitutes — a column the base query cannot sort by.
-// Those columns are named by enrichHeader, which suffixes a property whose
-// short name the base headers already hold (dangerLevel_2). So when a key
-// could be such a name, the base query is planned without its tail to
-// learn its headers (deferral then plans that same text, a cache hit) and
-// the enrichment steps' naming is replayed over them.
-func (e *Enricher) ordersByEnriched(q *sesql.Query, base *sqlparser.Select, hidden int, schemaEnr []sesql.Enrichment) bool {
-	var refs, keys []*sqlparser.ColRef
-	for _, ob := range q.Select.OrderBy {
-		collectColRefs(ob.Expr, &refs)
-	}
-	for _, cr := range refs {
-		for _, en := range schemaEnr {
-			short := shortName(en.Property)
-			if cr.Qualifier == "" && len(cr.Name) >= len(short) && strings.EqualFold(cr.Name[:len(short)], short) {
-				keys = append(keys, cr)
-				break
-			}
-		}
-	}
-	if len(keys) == 0 {
-		return false
-	}
-	stripped := *base
-	stripped.OrderBy, stripped.Limit, stripped.Offset = nil, nil, nil
-	plan, err := e.planSQL(sqlparser.SelectSQL(&stripped), &stripped)
-	if err != nil {
-		return false // the base query reports it
-	}
-	headers := plan.Columns()
-	visible := len(headers) - hidden
-	for _, en := range schemaEnr {
-		attrIdx, err := resolveAttr(q.Select, headers[:visible], en.Attr)
-		if err != nil {
-			return true // the enrichment step reports it
-		}
-		var name string
-		headers, name = enrichHeader(headers, visible, attrIdx, en)
-		if !replaces(en) {
-			visible++
-		}
-		for _, cr := range keys {
-			if strings.EqualFold(cr.Name, name) {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // userCtx is one evaluation's handle on the user's context: the KB view
 // every extract reads and the view epoch that keys the extract memo.
 type userCtx struct {
@@ -410,15 +297,6 @@ type workset struct {
 	rows    [][]sqlval.Value
 }
 
-func (w *workset) colIndex(name string) int {
-	for i, h := range w.headers {
-		if h == name {
-			return i
-		}
-	}
-	return -1
-}
-
 // hiddenCols tracks the extra projections added to the base query so that
 // tagged WHERE conditions can be re-evaluated over materialised rows.
 type hiddenCols struct {
@@ -430,7 +308,7 @@ type hiddenCols struct {
 // targeted by WHERE enrichments (they become TRUE — the enrichment applies
 // them later against the ontology), and appends hidden projections for the
 // columns those conditions reference.
-func (e *Enricher) buildBaseQuery(q *sesql.Query, whereEnr []sesql.Enrichment) (*sqlparser.Select, *hiddenCols, error) {
+func buildBaseQuery(q *sesql.Query, whereEnr []sesql.Enrichment) (*sqlparser.Select, *hiddenCols, error) {
 	sel := *q.Select // shallow copy; Items/Where replaced below
 	sel.Items = append([]sqlparser.SelectItem(nil), q.Select.Items...)
 
@@ -529,129 +407,71 @@ func collectColRefs(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
 // (ReplaceVariable) replaced by the values the ontology yields; a row
 // survives when some replacement satisfies the condition (the paper's
 // "treat the list as if it was a relational attribute").
-func (e *Enricher) applyWhereEnrichment(q *sesql.Query, en sesql.Enrichment, hidden *hiddenCols, work *workset, uc userCtx, st *Stats) error {
-	tag := q.Conds[en.CondID]
-
-	// Rewrite the condition: every referenced column → its hidden alias;
-	// for ReplaceConstant the constant → pseudo-variable __v; for
-	// ReplaceVariable the attribute → __v.
-	cond := tag.Expr
-	var refs []*sqlparser.ColRef
-	collectColRefs(tag.Expr, &refs)
-	pseudo := &sqlparser.ColRef{Name: "__v"}
-
-	switch en.Kind {
+func (e *Enricher) applyWhereEnrichment(step *enrichStep, lits sesql.Literals, work *workset, uc userCtx, st *Stats) error {
+	pred := step.pred.Bind(lits.Vals)
+	switch step.en.Kind {
 	case sesql.ReplaceConstant:
-		constRef := parseAttrRef(en.Attr)
-		rewritten, n := sesql.ReplaceSubtree(cond, constRef, pseudo)
-		if n == 0 {
-			return fmt.Errorf("core: constant %s does not appear in condition %s", en.Attr, en.CondID)
-		}
-		cond = rewritten
-	case sesql.ReplaceVariable:
-		attrRef := parseAttrRef(en.Attr)
-		rewritten, n := sesql.ReplaceSubtree(cond, attrRef, pseudo)
-		if n == 0 {
-			return fmt.Errorf("core: attribute %s does not appear in condition %s", en.Attr, en.CondID)
-		}
-		cond = rewritten
-	}
-	for _, cr := range refs {
-		alias, ok := hidden.alias[cr.SQL()]
-		if !ok {
-			continue // already rewritten to __v
-		}
-		cond, _ = sesql.ReplaceSubtree(cond, cr, &sqlparser.ColRef{Name: alias})
-	}
-
-	scopeCols := make([]sqlexec.ScopeCol, len(work.headers)+1)
-	for i, h := range work.headers {
-		scopeCols[i] = sqlexec.ScopeCol{Name: h}
-	}
-	scopeCols[len(work.headers)] = sqlexec.ScopeCol{Name: "__v"}
-
-	switch en.Kind {
-	case sesql.ReplaceConstant:
-		values, err := e.replacementValues(en, uc, st)
+		values, err := e.replacementValues(step, uc, st)
 		if err != nil {
 			return err
 		}
-		return existsFilter(work, scopeCols, cond, func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error) {
+		existsFilter(work, pred, func(row []sqlval.Value, try func(sqlval.Value) bool) bool {
 			for _, v := range values {
-				ok, err := try(v)
-				if err != nil || ok {
-					return ok, err
+				if try(v) {
+					return true
 				}
 			}
-			return false, nil
+			return false
 		}, st)
 
 	case sesql.ReplaceVariable:
-		pairs, err := e.propertyPairs(en, uc, st)
+		pairs, err := e.propertyPairs(step, uc, st)
 		if err != nil {
 			return err
 		}
-		attr := parseAttrRef(en.Attr)
-		attrIdx := work.colIndex(hidden.alias[attr.SQL()])
-		if attrIdx < 0 {
-			return fmt.Errorf("core: internal: hidden column for %s missing", en.Attr)
-		}
-		table := attrTable(q.Select, en.Attr)
-		return existsFilter(work, scopeCols, cond, func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error) {
-			for _, v := range pairs[valueKeyMapped(e.Mapping, table, attr.Name, row[attrIdx])] {
-				ok, err := try(v)
-				if err != nil || ok {
-					return ok, err
+		column := parseAttrRef(step.en.Attr).Name
+		existsFilter(work, pred, func(row []sqlval.Value, try func(sqlval.Value) bool) bool {
+			for _, v := range pairs[valueKeyMapped(e.Mapping, step.table, column, row[step.attrIdx])] {
+				if try(v) {
+					return true
 				}
 			}
-			return false, nil
+			return false
 		}, st)
 	}
 	return nil
 }
 
 // existsFilter keeps rows for which the candidate generator finds a value
-// satisfying the rewritten condition. The condition compiles once to a
-// slot-resolved predicate; per candidate value the cost is one evaluation
-// over the scratch row, not an AST walk with per-row name resolution.
-func existsFilter(work *workset, scopeCols []sqlexec.ScopeCol, cond sqlparser.Expr,
-	gen func(row []sqlval.Value, try func(sqlval.Value) (bool, error)) (bool, error), st *Stats) error {
+// satisfying the compiled condition; per candidate value the cost is one
+// evaluation over the scratch row.
+func existsFilter(work *workset, pred *sqlexec.Predicate,
+	gen func(row []sqlval.Value, try func(sqlval.Value) bool) bool, st *Stats) {
 	t0 := time.Now()
 	defer func() { st.Join += time.Since(t0) }()
 
-	pred, err := sqlexec.CompilePredicate(scopeCols, cond)
-	if err != nil {
-		return fmt.Errorf("core: WHERE enrichment condition: %w", err)
-	}
 	scratch := make([]sqlval.Value, len(work.headers)+1)
 	var kept [][]sqlval.Value
 	for _, row := range work.rows {
 		copy(scratch, row)
-		try := func(v sqlval.Value) (bool, error) {
+		try := func(v sqlval.Value) bool {
 			scratch[len(work.headers)] = v
+			// Type mismatches against heterogeneous ontology values behave
+			// like SQL UNKNOWN rather than aborting the query.
 			tri, err := pred.EvalBool(scratch)
-			if err != nil {
-				// Type mismatches against heterogeneous ontology values
-				// behave like SQL UNKNOWN rather than aborting the query.
-				return false, nil
-			}
-			return tri == sqlval.True, nil
+			return err == nil && tri == sqlval.True
 		}
-		ok, err := gen(row, try)
-		if err != nil {
-			return err
-		}
-		if ok {
+		if gen(row, try) {
 			kept = append(kept, row)
 		}
 	}
 	work.rows = kept
-	return nil
 }
 
 // --- schema enrichments ---
 
-func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, work *workset, uc userCtx, visible int, st *Stats) error {
+func (e *Enricher) applySchemaEnrichment(q *sesql.Query, step *enrichStep, work *workset, uc userCtx, visible int, st *Stats) error {
+	en := step.en
 	attrIdx, err := resolveAttr(q.Select, work.headers[:visible], en.Attr)
 	if err != nil {
 		return err
@@ -662,7 +482,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 
 	switch en.Kind {
 	case sesql.SchemaExtension, sesql.SchemaReplacement:
-		pairs, err := e.propertyPairs(en, uc, st)
+		pairs, err := e.propertyPairs(step, uc, st)
 		if err != nil {
 			return err
 		}
@@ -694,7 +514,7 @@ func (e *Enricher) applySchemaEnrichment(q *sesql.Query, en sesql.Enrichment, wo
 		return nil
 
 	case sesql.BoolSchemaExtension, sesql.BoolSchemaReplacement:
-		members, err := e.conceptMembers(en, uc, st)
+		members, err := e.conceptMembers(step, uc, st)
 		if err != nil {
 			return err
 		}
@@ -776,19 +596,16 @@ func insertHeader(headers []string, visible int, name string) []string {
 
 // --- ontology access (the SQM's constructed SPARQL queries) ---
 
-// propertyPairs returns subject→objects for the enrichment property, via a
+// propertyPairs returns subject→objects for the enrichment property, via its
 // constructed SPARQL query or a stored one (Sec. IV-A.5: "prop refers to
 // either a property from the contextual ontology, or the identifier of a
 // previously stored SPARQL query").
-func (e *Enricher) propertyPairs(en sesql.Enrichment, uc userCtx, st *Stats) (map[string][]sqlval.Value, error) {
-	text := ""
+func (e *Enricher) propertyPairs(step *enrichStep, uc userCtx, st *Stats) (map[string][]sqlval.Value, error) {
+	text := step.text
 	minVarsErr := ""
-	if sq, ok := e.Platform.LookupQuery(uc.name, en.Property); ok {
+	if sq, ok := e.Platform.LookupQuery(uc.name, step.en.Property); ok {
 		text = sq.Text
-		minVarsErr = fmt.Sprintf("stored query %q must project (subject, object) for %s", en.Property, en.Kind)
-	} else {
-		prop := e.Mapping.PropertyIRI(en.Property)
-		text = fmt.Sprintf("SELECT ?s ?o WHERE { ?s <%s> ?o }", prop.Value)
+		minVarsErr = fmt.Sprintf("stored query %q must project (subject, object) for %s", step.en.Property, step.en.Kind)
 	}
 	return extract(e, uc, extractPairs, text, st, 2, minVarsErr, map[string][]sqlval.Value{},
 		func(pairs map[string][]sqlval.Value, sol sparql.Solution) map[string][]sqlval.Value {
@@ -804,15 +621,8 @@ func (e *Enricher) propertyPairs(en sesql.Enrichment, uc userCtx, st *Stats) (ma
 
 // conceptMembers returns the set of values related to the concept through
 // the property (for the boolean enrichments).
-func (e *Enricher) conceptMembers(en sesql.Enrichment, uc userCtx, st *Stats) (map[string]struct{}, error) {
-	prop := e.Mapping.PropertyIRI(en.Property)
-	concepts := e.Mapping.ConceptTerms(en.Concept)
-	var parts []string
-	for _, c := range concepts {
-		parts = append(parts, fmt.Sprintf("{ ?s <%s> %s }", prop.Value, c.String()))
-	}
-	text := "SELECT DISTINCT ?s WHERE { " + strings.Join(parts, " UNION ") + " }"
-	return extract(e, uc, extractMembers, text, st, 1, "", map[string]struct{}{},
+func (e *Enricher) conceptMembers(step *enrichStep, uc userCtx, st *Stats) (map[string]struct{}, error) {
+	return extract(e, uc, extractMembers, step.text, st, 1, "", map[string]struct{}{},
 		func(members map[string]struct{}, sol sparql.Solution) map[string]struct{} {
 			if s, ok := sol.Term(0); ok {
 				members[valueKey(e.Mapping.FromTerm(s))] = struct{}{}
@@ -824,19 +634,12 @@ func (e *Enricher) conceptMembers(en sesql.Enrichment, uc userCtx, st *Stats) (m
 // replacementValues returns the candidate values for a ReplaceConstant
 // enrichment: the results of a stored query, or the objects of triples
 // whose subject is the constant.
-func (e *Enricher) replacementValues(en sesql.Enrichment, uc userCtx, st *Stats) ([]sqlval.Value, error) {
-	text := ""
+func (e *Enricher) replacementValues(step *enrichStep, uc userCtx, st *Stats) ([]sqlval.Value, error) {
+	text := step.text
 	minVarsErr := ""
-	if sq, ok := e.Platform.LookupQuery(uc.name, en.Property); ok {
+	if sq, ok := e.Platform.LookupQuery(uc.name, step.en.Property); ok {
 		text = sq.Text
-		minVarsErr = fmt.Sprintf("stored query %q projects no variables", en.Property)
-	} else {
-		prop := e.Mapping.PropertyIRI(en.Property)
-		var parts []string
-		for _, c := range e.Mapping.ConceptTerms(en.Attr) {
-			parts = append(parts, fmt.Sprintf("{ %s <%s> ?o }", c.String(), prop.Value))
-		}
-		text = "SELECT ?o WHERE { " + strings.Join(parts, " UNION ") + " }"
+		minVarsErr = fmt.Sprintf("stored query %q projects no variables", step.en.Property)
 	}
 	return extract(e, uc, extractValues, text, st, 1, minVarsErr, nil,
 		func(out []sqlval.Value, sol sparql.Solution) []sqlval.Value {
@@ -913,15 +716,24 @@ func (e *Enricher) SPARQL(user, text string) (*sparql.Result, error) {
 // --- helpers ---
 
 // valueKey encodes a SQL value for hash joining ontology results with
-// relational values (numeric types fold together). It runs once per base
-// row per enrichment, so it builds the key directly instead of going
-// through fmt.
+// relational values. Numeric types fold together: both render canonically
+// as the float64 they widen to, as sqlval.AppendJoinKey renders them, so
+// Compare-equal values (INTEGER 2500000, DOUBLE 2.5e6) share a key. It runs
+// once per base row per enrichment, so it builds the key directly instead
+// of going through fmt.
 func valueKey(v sqlval.Value) string {
 	t := v.Type()
-	if t == sqlval.TypeFloat {
+	var s string
+	if t == sqlval.TypeInt || t == sqlval.TypeFloat {
 		t = sqlval.TypeInt
+		f := v.Float()
+		if f == 0 {
+			f = 0 // fold -0.0 into +0.0
+		}
+		s = strconv.FormatFloat(f, 'g', -1, 64)
+	} else {
+		s = v.String()
 	}
-	s := v.String()
 	var b strings.Builder
 	b.Grow(len(s) + 4)
 	b.WriteString(strconv.Itoa(int(t)))

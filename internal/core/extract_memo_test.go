@@ -196,8 +196,8 @@ func TestContextMemoPlatformSwap(t *testing.T) {
 	}
 }
 
-// The memo is bounded by the cache's entry max, dropped wholesale when it
-// trips, and absent when the cache is disabled.
+// The memo is an LRU bounded by the cache's entry max, and absent when the
+// cache is disabled.
 func TestContextMemoBound(t *testing.T) {
 	e := fixture(t)
 	e.SetQueryCache(NewQueryCache(2))
@@ -216,12 +216,15 @@ func TestContextMemoBound(t *testing.T) {
 	if st := query(props[0]); st.ContextHits != 1 {
 		t.Errorf("within the bound: context hits %d, want 1", st.ContextHits)
 	}
-	query(props[2]) // a third extract trips the bound of two
-	if n := len(e.cache.extracts); n != 1 {
-		t.Errorf("after the bound tripped: %d entries, want 1", n)
+	query(props[2]) // a third extract evicts the coldest, props[1]
+	if n := e.cache.extracts.Len(); n != 2 {
+		t.Errorf("after the bound tripped: %d entries, want 2", n)
 	}
-	if st := query(props[0]); st.ContextHits != 0 {
-		t.Error("an entry dropped with the memo must not answer")
+	if st := query(props[1]); st.ContextHits != 0 {
+		t.Error("an evicted entry must not answer")
+	}
+	if st := query(props[2]); st.ContextHits != 1 {
+		t.Error("the entry kept by the bound must answer")
 	}
 
 	e.SetQueryCache(nil)

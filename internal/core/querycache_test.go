@@ -5,33 +5,32 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"crosse/internal/engine"
-	"crosse/internal/sqlexec"
-	"crosse/internal/sqlparser"
 )
 
 func TestQueryCacheReusesCompiledQueries(t *testing.T) {
-	c := NewQueryCache(0)
-	const sesqlText = `SELECT a FROM t ENRICH SCHEMAEXTENSION(a, p)`
-	q1, err := c.SESQL(sesqlText)
+	e := fixture(t)
+	// Two texts differing only in a WHERE literal share one compiled shape.
+	sp1, _, _, err := e.shape(`SELECT elem_name FROM elem_contained WHERE landfill_name = 'a' ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	q2, err := c.SESQL(sesqlText)
+	sp2, lits, _, err := e.shape(`SELECT elem_name FROM elem_contained WHERE landfill_name = 'b' ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if q1 != q2 {
-		t.Error("second SESQL compile must return the cached object")
+	if sp1 != sp2 {
+		t.Error("second text of the shape must return the cached plan")
+	}
+	if len(lits.Vals) != 1 || lits.Vals[0].Str() != "b" {
+		t.Errorf("literal vector = %v, want [b]", lits.Vals)
 	}
 
 	const sparqlText = `SELECT ?s ?o WHERE { ?s <http://x/p> ?o }`
-	s1, err := c.SPARQLPlan(sparqlText)
+	s1, err := e.cache.SPARQLPlan(sparqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := c.SPARQLPlan(sparqlText)
+	s2, err := e.cache.SPARQLPlan(sparqlText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,207 +38,218 @@ func TestQueryCacheReusesCompiledQueries(t *testing.T) {
 		t.Error("second SPARQL compile must return the cached object")
 	}
 
-	hits, misses := c.Stats()
+	hits, misses := e.cache.Stats()
 	if hits != 2 || misses != 2 {
 		t.Errorf("stats = (%d hits, %d misses), want (2, 2)", hits, misses)
 	}
 }
 
 func TestQueryCacheDoesNotCacheErrors(t *testing.T) {
-	c := NewQueryCache(0)
+	e := fixture(t)
 	for i := 0; i < 2; i++ {
-		if _, err := c.SESQL("SELEKT nope"); err == nil {
-			t.Fatal("bad SESQL must fail")
+		for _, text := range []string{"SELEKT nope", "SELECT nope FROM elem_contained WHERE nope = 1"} {
+			if _, _, _, err := e.shape(text); err == nil {
+				t.Fatalf("%q must fail", text)
+			}
 		}
-		if _, err := c.SPARQLPlan("SELEKT nope"); err == nil {
+		if _, err := e.cache.SPARQLPlan("SELEKT nope"); err == nil {
 			t.Fatal("bad SPARQL must fail")
 		}
 	}
-	if hits, misses := c.Stats(); hits != 0 || misses != 0 {
-		t.Errorf("parse failures must not populate the cache, stats = (%d, %d)", hits, misses)
+	if n, m := e.cache.shapes.Len(), e.cache.sparql.Len(); n != 0 || m != 0 {
+		t.Errorf("failures must not populate the cache: %d shapes, %d SPARQL plans", n, m)
+	}
+	if hits, _ := e.cache.Stats(); hits != 0 {
+		t.Errorf("failures must never hit, got %d hits", hits)
 	}
 }
 
 func TestQueryCacheBound(t *testing.T) {
-	c := NewQueryCache(2)
+	e := fixture(t)
+	e.SetQueryCache(NewQueryCache(2))
 	texts := []string{
-		`SELECT a FROM t`,
-		`SELECT b FROM t`,
-		`SELECT c FROM t`,
+		`SELECT name FROM landfill`,
+		`SELECT city FROM landfill`,
+		`SELECT name, city FROM landfill`,
 	}
 	for _, q := range texts {
-		if _, err := c.SESQL(q); err != nil {
+		if _, err := e.Query("alice", q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	// Overflow flushed the map; re-compiling the survivor is a miss, not a
-	// crash — the bound only limits memory, never correctness.
-	if _, err := c.SESQL(texts[2]); err != nil {
-		t.Fatal(err)
+	if n := e.cache.shapes.Len(); n != 2 {
+		t.Errorf("shapes = %d, want the bound 2", n)
+	}
+	// The evicted shape recompiles on its next use: the bound only limits
+	// memory, never correctness.
+	if r, err := e.Query("alice", texts[0]); err != nil || len(r.Rows) != 3 {
+		t.Fatalf("evicted shape: %v rows, err %v", r, err)
 	}
 }
 
 func TestQueryCacheConcurrent(t *testing.T) {
-	c := NewQueryCache(0)
+	e := fixture(t)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if _, err := c.SESQL(`SELECT a FROM t ENRICH SCHEMAEXTENSION(a, p)`); err != nil {
+			for i := 0; i < 100; i++ {
+				q := fmt.Sprintf(`SELECT elem_name FROM elem_contained WHERE landfill_name <> 'x%d' ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`, g*1000+i)
+				r, err := e.Query("alice", q)
+				if err != nil {
 					t.Error(err)
 					return
 				}
-				if _, err := c.SPARQLPlan(`SELECT ?s WHERE { ?s <http://x/p> ?o }`); err != nil {
+				if len(r.Rows) != 6 {
+					t.Errorf("%d rows, want 6", len(r.Rows))
+					return
+				}
+				if _, err := e.cache.SPARQLPlan(`SELECT ?s WHERE { ?s <http://x/p> ?o }`); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait()
+	if n := e.cache.shapes.Len(); n != 1 {
+		t.Errorf("800 texts of one shape left %d shape entries, want 1", n)
+	}
 }
 
-// parseSelect parses a SELECT text for SQLSelect's miss path.
-func parseSelect(t *testing.T, text string) func() (*sqlparser.Select, error) {
+// ddlFixture is the sample enricher plus a table q the tests alter.
+func ddlFixture(t *testing.T) *Enricher {
 	t.Helper()
-	return func() (*sqlparser.Select, error) {
-		st, err := sqlparser.Parse(text)
-		if err != nil {
-			return nil, err
-		}
-		return st.(*sqlparser.Select), nil
+	e := fixture(t)
+	if _, err := e.DB.ExecScript(`
+		CREATE TABLE q (id INT PRIMARY KEY, s TEXT);
+		INSERT INTO q VALUES (1, 'a'), (2, 'b');
+	`); err != nil {
+		t.Fatal(err)
 	}
+	return e
 }
 
-// A cached SQL physical plan is reused verbatim while the schema stands
-// still, and recompiled — never served stale — after any DDL.
+// A compiled shape is reused verbatim while the schema stands still, and
+// recompiled — never served stale — after any DDL.
 func TestSQLPlanCacheEpochInvalidation(t *testing.T) {
-	db := engine.Open()
-	if _, err := db.Exec(`CREATE TABLE q (id INT PRIMARY KEY, s TEXT)`); err != nil {
-		t.Fatal(err)
+	e := ddlFixture(t)
+	const text = `SELECT s FROM q WHERE id > 0 ORDER BY id`
+	sp := func() *shapePlan {
+		t.Helper()
+		sp, _, _, err := e.shape(text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sp
 	}
-	if _, err := db.Exec(`INSERT INTO q VALUES (1, 'a'), (2, 'b')`); err != nil {
-		t.Fatal(err)
+	rows := func() string {
+		t.Helper()
+		r, err := e.Query("alice", text)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return strings.Join(resultRows(r), " ")
 	}
-	c := NewQueryCache(0)
-	const text = `SELECT s FROM q ORDER BY id`
-
-	p1, err := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	p2, err := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p1 != p2 {
+	p1 := sp()
+	if p2 := sp(); p1 != p2 {
 		t.Error("same epoch: second lookup must return the cached plan")
 	}
 
 	// Data mutations never invalidate.
-	if _, err := db.Exec(`INSERT INTO q VALUES (3, 'c')`); err != nil {
+	if _, err := e.DB.Exec(`INSERT INTO q VALUES (3, 'c')`); err != nil {
 		t.Fatal(err)
 	}
-	if p3, _ := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text)); p3 != p1 {
+	if sp() != p1 {
 		t.Error("data mutation must not invalidate the cached plan")
 	}
-	res, err := p1.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 3 {
-		t.Errorf("cached plan sees %d rows, want 3", len(res.Rows))
+	if got := rows(); got != "a b c" {
+		t.Errorf("cached plan sees %q, want a b c", got)
 	}
 
 	// DDL does: drop and recreate the table with different content — the
 	// stale plan (bound to the old table) must not serve.
-	if _, err := db.Exec(`DROP TABLE q`); err != nil {
+	if _, err := e.DB.ExecScript(`
+		DROP TABLE q;
+		CREATE TABLE q (id INT PRIMARY KEY, s TEXT);
+		INSERT INTO q VALUES (9, 'z');
+	`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(`CREATE TABLE q (id INT PRIMARY KEY, s TEXT)`); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Exec(`INSERT INTO q VALUES (9, 'z')`); err != nil {
-		t.Fatal(err)
-	}
-	p4, err := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text))
-	if err != nil {
-		t.Fatal(err)
-	}
+	p4 := sp()
 	if p4 == p1 {
 		t.Fatal("DDL must invalidate the cached plan")
 	}
-	res, err = p4.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0].Str() != "z" {
-		t.Errorf("recompiled plan returned %v", res.Rows)
+	if got := rows(); got != "z" {
+		t.Errorf("recompiled plan returned %q", got)
 	}
 
 	// CREATE INDEX is DDL too (it changes seek choices).
-	before := db.Catalog().SchemaEpoch()
-	if _, err := db.Exec(`CREATE INDEX idx_s ON q (s)`); err != nil {
+	before := e.DB.Catalog().SchemaEpoch()
+	if _, err := e.DB.Exec(`CREATE INDEX idx_s ON q (s)`); err != nil {
 		t.Fatal(err)
 	}
-	if db.Catalog().SchemaEpoch() == before {
+	if e.DB.Catalog().SchemaEpoch() == before {
 		t.Error("CREATE INDEX must bump the schema epoch")
 	}
-	if p5, _ := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text)); p5 == p4 {
+	if sp() == p4 {
 		t.Error("CREATE INDEX must invalidate cached plans")
 	}
 }
 
-// A schema change must not leave plans for the old epoch pinning dropped
-// tables: the next miss for that database sweeps its stale entries.
-func TestSQLPlanCacheSweepsStaleEpochs(t *testing.T) {
-	db := engine.Open()
-	if _, err := db.Exec(`CREATE TABLE a (x INT)`); err != nil {
+// TestShapeCacheStaleEpochAgesOut: nothing sweeps the shape cache. After
+// DDL a stale entry stops answering, the next miss for its shape replaces
+// it in place, and a stale entry nobody asks for again ages out of the LRU
+// bound, releasing the dropped table it pins.
+func TestShapeCacheStaleEpochAgesOut(t *testing.T) {
+	e := ddlFixture(t)
+	e.SetQueryCache(NewQueryCache(2))
+	if _, err := e.DB.Exec(`CREATE TABLE a (x INT)`); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.Exec(`CREATE TABLE b (y INT)`); err != nil {
-		t.Fatal(err)
-	}
-	c := NewQueryCache(0)
-	for _, q := range []string{`SELECT x FROM a`, `SELECT y FROM b`} {
-		if _, err := c.SQLSelect(db.Catalog(), q, sqlexec.Options{}, parseSelect(t, q)); err != nil {
+	for _, q := range []string{`SELECT x FROM a`, `SELECT s FROM q`} {
+		if _, err := e.Query("alice", q); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := c.sqlLen(); n != 2 {
+	if _, err := e.DB.Exec(`DROP TABLE a`); err != nil {
+		t.Fatal(err)
+	}
+	// The stale q plan is replaced in place: still two entries.
+	if _, err := e.Query("alice", `SELECT s FROM q`); err != nil {
+		t.Fatal(err)
+	}
+	if n := e.cache.shapes.Len(); n != 2 {
 		t.Fatalf("entries = %d, want 2", n)
 	}
-	if _, err := db.Exec(`DROP TABLE a`); err != nil {
+	// A third shape evicts the coldest entry: the stale plan over a.
+	if _, err := e.Query("alice", `SELECT id FROM q`); err != nil {
 		t.Fatal(err)
 	}
-	// Next miss (any text, same db) sweeps every stale-epoch entry —
-	// including the plan still holding the dropped table a.
-	if _, err := c.SQLSelect(db.Catalog(), `SELECT y FROM b`, sqlexec.Options{}, parseSelect(t, `SELECT y FROM b`)); err != nil {
-		t.Fatal(err)
+	k := e.shapeKey(e.DB.Catalog(), `SELECT x FROM a`)
+	if _, ok := e.cache.shapes.Get(k, nil); ok {
+		t.Error("the stale plan over the dropped table must have aged out")
 	}
-	if n := c.sqlLen(); n != 1 {
-		t.Fatalf("entries after sweep = %d, want 1", n)
+	if _, err := e.Query("alice", `SELECT x FROM a`); err == nil {
+		t.Error("a dropped table must not answer")
 	}
 }
 
-// Races DDL (epoch bumps) against cached-plan execution. Run under -race:
+// Races DDL (epoch bumps) against shape-plan execution. Run under -race:
 // the property is freedom from data races plus never observing a
 // half-applied catalog — every execution sees either the old or the new
 // world, and post-DDL lookups recompile.
 func TestSQLPlanCacheDDLRace(t *testing.T) {
-	db := engine.Open()
-	if _, err := db.Exec(`CREATE TABLE q (id INT PRIMARY KEY, s TEXT)`); err != nil {
+	e := fixture(t)
+	if _, err := e.DB.Exec(`CREATE TABLE q (id INT PRIMARY KEY, s TEXT)`); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 50; i++ {
-		if _, err := db.Exec(fmt.Sprintf(`INSERT INTO q VALUES (%d, 's%d')`, i, i%7)); err != nil {
+		if _, err := e.DB.Exec(fmt.Sprintf(`INSERT INTO q VALUES (%d, 's%d')`, i, i%7)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	c := NewQueryCache(0)
-	const text = `SELECT COUNT(*) FROM q WHERE s = 's3'`
 
 	var wg, ddlWG sync.WaitGroup
 	stop := make(chan struct{})
@@ -252,17 +262,17 @@ func TestSQLPlanCacheDDLRace(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := db.Exec(fmt.Sprintf(`CREATE TABLE tmp_%d (x INT)`, i)); err != nil {
+			if _, err := e.DB.Exec(fmt.Sprintf(`CREATE TABLE tmp_%d (x INT)`, i)); err != nil {
 				t.Error(err)
 				return
 			}
 			if i == 3 {
-				if _, err := db.Exec(`CREATE INDEX idx_qs ON q (s)`); err != nil {
+				if _, err := e.DB.Exec(`CREATE INDEX idx_qs ON q (s)`); err != nil {
 					t.Error(err)
 					return
 				}
 			}
-			if _, err := db.Exec(fmt.Sprintf(`DROP TABLE tmp_%d`, i)); err != nil {
+			if _, err := e.DB.Exec(fmt.Sprintf(`DROP TABLE tmp_%d`, i)); err != nil {
 				t.Error(err)
 				return
 			}
@@ -270,25 +280,26 @@ func TestSQLPlanCacheDDLRace(t *testing.T) {
 	}()
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func() {
+		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 300; i++ {
-				p, err := c.SQLSelect(db.Catalog(), text, sqlexec.Options{}, parseSelect(t, text))
+				// One shape, seven literals: s = 's<k>' holds for ids ≡ k (mod 7).
+				k := (g + i) % 7
+				r, err := e.Query("alice", fmt.Sprintf(`SELECT COUNT(*) FROM q WHERE s = 's%d'`, k))
 				if err != nil {
 					t.Error(err)
 					return
 				}
-				res, err := p.Run()
-				if err != nil {
-					t.Error(err)
-					return
+				want := int64(7)
+				if k == 0 {
+					want = 8
 				}
-				if got := res.Rows[0][0].Int(); got != 7 {
-					t.Errorf("count = %d, want 7", got)
+				if got := r.Rows[0][0].Int(); got != want {
+					t.Errorf("count for s%d = %d, want %d", k, got, want)
 					return
 				}
 			}
-		}()
+		}(g)
 	}
 	wg.Wait() // readers first; then stop the DDL goroutine
 	close(stop)

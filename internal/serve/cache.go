@@ -6,11 +6,7 @@
 // surface).
 package serve
 
-import (
-	"container/list"
-	"sync"
-	"sync/atomic"
-)
+import "crosse/internal/lru"
 
 // Key identifies one cached enriched result. Epochs make invalidation
 // free: a mutation bumps the owning epoch, so stale entries become
@@ -41,26 +37,18 @@ type CacheStats struct {
 	MaxEntrs  int    `json:"max_entries"`
 }
 
-// Cache is a bounded LRU over enriched results, keyed by Key. It bounds
-// both entry count and total byte budget (callers report each entry's
-// size); inserting past either bound evicts from the cold end. All methods
-// are safe for concurrent use.
+// Cache is a bounded LRU over enriched results, keyed by Key: an lru.Cache
+// bounding both entry count and total byte budget (callers report each
+// entry's size); inserting past either bound evicts from the cold end. All
+// methods are safe for concurrent use.
 type Cache struct {
+	lru        *lru.Cache[Key, sized]
 	maxEntries int
 	maxBytes   int64
-
-	mu    sync.Mutex
-	ll    *list.List // front = hottest
-	items map[Key]*list.Element
-	bytes int64
-
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
 }
 
-type cacheEntry struct {
-	key   Key
+// sized is one cached result and the bytes its caller charged for it.
+type sized struct {
 	value any
 	size  int64
 }
@@ -77,86 +65,37 @@ func NewCache(maxEntries int, maxBytes int64) *Cache {
 		maxBytes = 64 << 20
 	}
 	return &Cache{
+		lru:        lru.New[Key](maxEntries, maxBytes, func(s sized) int64 { return s.size }),
 		maxEntries: maxEntries,
 		maxBytes:   maxBytes,
-		ll:         list.New(),
-		items:      make(map[Key]*list.Element),
 	}
 }
 
 // Get returns the cached value for key, promoting it to hottest.
 func (c *Cache) Get(key Key) (any, bool) {
-	c.mu.Lock()
-	el, ok := c.items[key]
-	if !ok {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.ll.MoveToFront(el)
-	v := el.Value.(*cacheEntry).value
-	c.mu.Unlock()
-	c.hits.Add(1)
-	return v, true
+	s, ok := c.lru.Get(key, nil)
+	return s.value, ok
 }
 
 // Put inserts value under key, charging size bytes against the budget. An
 // entry larger than the whole byte budget is refused (caching it would
 // empty the cache for no reuse benefit).
 func (c *Cache) Put(key Key, value any, size int64) {
-	if size < 0 {
-		size = 0
-	}
-	if size > c.maxBytes {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.items[key]; ok {
-		ent := el.Value.(*cacheEntry)
-		c.bytes += size - ent.size
-		ent.value, ent.size = value, size
-		c.ll.MoveToFront(el)
-	} else {
-		c.items[key] = c.ll.PushFront(&cacheEntry{key: key, value: value, size: size})
-		c.bytes += size
-	}
-	for c.ll.Len() > c.maxEntries || c.bytes > c.maxBytes {
-		c.evictOldest()
-	}
-}
-
-// evictOldest removes the cold end. Caller holds c.mu.
-func (c *Cache) evictOldest() {
-	el := c.ll.Back()
-	if el == nil {
-		return
-	}
-	ent := el.Value.(*cacheEntry)
-	c.ll.Remove(el)
-	delete(c.items, ent.key)
-	c.bytes -= ent.size
-	c.evictions.Add(1)
+	c.lru.Put(key, sized{value: value, size: size})
 }
 
 // Len returns the live entry count.
-func (c *Cache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ll.Len()
-}
+func (c *Cache) Len() int { return c.lru.Len() }
 
 // Stats snapshots the cache counters.
 func (c *Cache) Stats() CacheStats {
-	c.mu.Lock()
-	entries, bytes := c.ll.Len(), c.bytes
-	c.mu.Unlock()
+	st := c.lru.Stats()
 	return CacheStats{
-		Hits:      c.hits.Load(),
-		Misses:    c.misses.Load(),
-		Evictions: c.evictions.Load(),
-		Entries:   entries,
-		Bytes:     bytes,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Evictions: st.Evictions,
+		Entries:   st.Entries,
+		Bytes:     st.Size,
 		MaxBytes:  c.maxBytes,
 		MaxEntrs:  c.maxEntries,
 	}

@@ -106,17 +106,31 @@ type Query struct {
 // Parse parses a SESQL query. Plain SQL (no ENRICH clause) parses to a
 // Query with no enrichments, so SESQL is a strict superset of the engine's
 // SQL dialect.
-func Parse(src string) (*Query, error) {
-	cleaned, tags, err := ScanTags(src)
+func Parse(src string) (*Query, error) { return parse(src, false) }
+
+// ParseTemplate parses a shape key (see Shape) the way Parse parses the
+// texts it stands for: every ?N:type marker becomes a *sqlparser.Param in
+// the Select and the tagged conditions, and SQL and CondTag.Text keep the
+// markers. It accepts exactly the keys whose texts Parse accepts, except
+// for a tagged condition that only a duplicate elsewhere in WHERE matched
+// by value — the markers of two occurrences differ — which it rejects.
+func ParseTemplate(key string) (*Query, error) { return parse(key, true) }
+
+func parse(src string, params bool) (*Query, error) {
+	cleaned, tags, err := scanTags(src, params)
 	if err != nil {
 		return nil, err
 	}
-	sqlPart, enrichPart, err := splitEnrich(cleaned)
+	sqlPart, enrichPart, err := splitEnrich(cleaned, params)
 	if err != nil {
 		return nil, err
 	}
 
-	sel, err := sqlparser.ParseSelect(sqlPart)
+	parseSelect := sqlparser.ParseSelect
+	if params {
+		parseSelect = sqlparser.ParseSelectTemplate
+	}
+	sel, err := parseSelect(sqlPart)
 	if err != nil {
 		return nil, fmt.Errorf("sesql: in SQL part: %w", err)
 	}
@@ -161,7 +175,13 @@ func Parse(src string) (*Query, error) {
 // `${ cond : id }` constructs (characters standard SQL would reject at that
 // point), records each condition's text and syntax tree, and returns the
 // cleaned text with each tag replaced by its bare condition.
-func ScanTags(src string) (string, []*CondTag, error) {
+func ScanTags(src string) (string, []*CondTag, error) { return scanTags(src, false) }
+
+func scanTags(src string, params bool) (string, []*CondTag, error) {
+	parseExpr := sqlparser.ParseExpr
+	if params {
+		parseExpr = sqlparser.ParseExprTemplate
+	}
 	var out strings.Builder
 	var tags []*CondTag
 	i := 0
@@ -170,17 +190,7 @@ func ScanTags(src string) (string, []*CondTag, error) {
 		switch {
 		case c == '\'':
 			// Copy string literals verbatim; tags inside strings are text.
-			j := i + 1
-			for j < len(src) {
-				if src[j] == '\'' {
-					if j+1 < len(src) && src[j+1] == '\'' {
-						j += 2
-						continue
-					}
-					break
-				}
-				j++
-			}
+			j := stringEnd(src, i)
 			if j >= len(src) {
 				return "", nil, fmt.Errorf("sesql: unterminated string literal")
 			}
@@ -195,7 +205,7 @@ func ScanTags(src string) (string, []*CondTag, error) {
 			if err != nil {
 				return "", nil, err
 			}
-			expr, err := sqlparser.ParseExpr(condText)
+			expr, err := parseExpr(condText)
 			if err != nil {
 				return "", nil, fmt.Errorf("sesql: condition %q: %w", id, err)
 			}
@@ -210,6 +220,22 @@ func ScanTags(src string) (string, []*CondTag, error) {
 	return out.String(), tags, nil
 }
 
+// stringEnd returns the index of the quote closing the string literal that
+// opens at s[i] (a doubled quote escapes one), or len(s) when it is
+// unterminated.
+func stringEnd(s string, i int) int {
+	for j := i + 1; j < len(s); j++ {
+		if s[j] == '\'' {
+			if j+1 < len(s) && s[j+1] == '\'' {
+				j++
+				continue
+			}
+			return j
+		}
+	}
+	return len(s)
+}
+
 // scanTagBody consumes from just after "${" to the matching "}", honouring
 // string literals. It returns the body and the index after the "}".
 func scanTagBody(src string, start int) (string, int, error) {
@@ -217,17 +243,7 @@ func scanTagBody(src string, start int) (string, int, error) {
 	for j := start; j < len(src); j++ {
 		switch src[j] {
 		case '\'':
-			k := j + 1
-			for k < len(src) {
-				if src[k] == '\'' {
-					if k+1 < len(src) && src[k+1] == '\'' {
-						k += 2
-						continue
-					}
-					break
-				}
-				k++
-			}
+			k := stringEnd(src, j)
 			if k >= len(src) {
 				return "", 0, fmt.Errorf("sesql: unterminated string inside condition tag")
 			}
@@ -244,24 +260,23 @@ func scanTagBody(src string, start int) (string, int, error) {
 	return "", 0, fmt.Errorf("sesql: unterminated condition tag ${...}")
 }
 
-// splitTag splits "cond : id" at the last top-level colon.
+// splitTag splits "cond : id" at the last top-level colon. The colon of a
+// shape's ?N:type marker is not one: a '?' never lexes in SQL text, so in a
+// text rather than a shape the condition fails to parse either way.
 func splitTag(body string) (string, string, error) {
 	colon := -1
 	for j := 0; j < len(body); j++ {
 		switch body[j] {
-		case '\'':
+		case '?':
 			k := j + 1
-			for k < len(body) {
-				if body[k] == '\'' {
-					if k+1 < len(body) && body[k+1] == '\'' {
-						k += 2
-						continue
-					}
-					break
-				}
+			for k < len(body) && body[k] >= '0' && body[k] <= '9' {
 				k++
 			}
-			j = k
+			if k > j+1 && k < len(body) && body[k] == ':' {
+				j = k
+			}
+		case '\'':
+			j = stringEnd(body, j)
 		case ':':
 			colon = j
 		}
@@ -283,8 +298,11 @@ func splitTag(body string) (string, string, error) {
 }
 
 // splitEnrich splits cleaned SESQL text at the top-level ENRICH keyword.
-func splitEnrich(src string) (string, string, error) {
+func splitEnrich(src string, params bool) (string, string, error) {
 	lex := sqlparser.NewLexer(src)
+	if params {
+		lex = sqlparser.NewShapeLexer(src)
+	}
 	for {
 		tok, err := lex.Next()
 		if err != nil {

@@ -1,0 +1,93 @@
+package sqlexec
+
+import (
+	"math/rand"
+	"strings"
+	"testing"
+
+	"crosse/internal/sesql"
+	"crosse/internal/sqlparser"
+)
+
+// TestTemplateBindMatchesInlined is the binding property over the parity
+// corpus: the template of a query's shape, compiled without its literals
+// and bound with them, returns the rows the query compiled with its
+// literals inlined returns — the same sequence where ORDER BY is a total
+// order — under the parallel and seek option combinations.
+func TestTemplateBindMatchesInlined(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(43))
+	options := []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}, {DisableIndexSeek: true}, {DisableHashJoin: true}}
+	slots := 0
+	for trial := 0; trial < 6; trial++ {
+		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
+		for q := 0; q < 40; q++ {
+			text := genSelect(rng)
+			key, lits, ok := sesql.Shape(text)
+			if !ok {
+				t.Fatalf("no shape for %q", text)
+			}
+			slots += len(lits.Vals)
+			tsel, err := sqlparser.ParseSelectTemplate(key)
+			if err != nil {
+				t.Fatalf("template %q: %v", key, err)
+			}
+			sel, err := sqlparser.ParseSelect(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, opts := range options {
+				want, werr := EvalSelectOpts(db, sel, opts)
+				tmpl, gerr := CompileOpts(db, tsel, opts)
+				var got *Result
+				if gerr == nil {
+					got, gerr = tmpl.Bind(lits.Vals).Run()
+				}
+				if (werr == nil) != (gerr == nil) {
+					t.Fatalf("%q opts=%+v: inlined err=%v template err=%v", text, opts, werr, gerr)
+				}
+				if werr != nil {
+					continue
+				}
+				if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
+					t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
+				}
+				wr, gr := renderRows(want), renderRows(got)
+				switch {
+				case len(sel.OrderBy) > 0:
+					// genSelect ends every ORDER BY in a unique-key chain.
+				case sel.Limit != nil || sel.Offset != nil:
+					// Any |limit| rows are a right answer: compare counts.
+					if len(wr) != len(gr) {
+						t.Fatalf("%q opts=%+v: LIMIT row count %d != %d", text, opts, len(gr), len(wr))
+					}
+					continue
+				default:
+					wr, gr = sortedCopy(wr), sortedCopy(gr)
+				}
+				if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
+					t.Fatalf("%q opts=%+v:\ninlined:\n%s\ntemplate:\n%s", text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
+				}
+			}
+		}
+	}
+	if slots == 0 {
+		t.Fatal("the corpus bound no slot")
+	}
+}
+
+// A template run without binding fails instead of guessing a value.
+func TestUnboundTemplateFails(t *testing.T) {
+	db := parityDB(t, rand.New(rand.NewSource(1)), 5, 5)
+	sel, err := sqlparser.ParseSelectTemplate(`SELECT x.id FROM t1 x WHERE x.a > ?1:int`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := Compile(db, sel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.Run(); err == nil || !strings.Contains(err.Error(), "not bound") {
+		t.Errorf("unbound run: err = %v", err)
+	}
+}

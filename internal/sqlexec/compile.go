@@ -20,9 +20,10 @@ package sqlexec
 // A SelectPlan holds structure only — relation handles, slots, compiled
 // expressions — never row data, so one plan is safe for concurrent
 // execution. Plans bind to the catalog's schema at compile time;
-// internal/core's QueryCache keys cached plans on the query text plus
-// sqldb.Database.SchemaEpoch, so any DDL invalidates them while data
-// mutations never do.
+// internal/core's QueryCache keys cached plans on the query's shape and
+// checks sqldb.Database.SchemaEpoch at hit time, so any DDL invalidates
+// them while data mutations never do. A plan compiled from a shape holds
+// slots for its literals; Bind (bind.go) fills them per execution.
 
 import (
 	"fmt"
@@ -104,6 +105,9 @@ type scanPlan struct {
 	// pushdown over FDW).
 	eqCol string
 	eqVal sqlval.Value
+	// eqParam is the slot whose bound value becomes eqVal (Bind), or -1
+	// when eqVal is the query's own literal.
+	eqParam int
 
 	// filters are WHERE/ON conjuncts referencing only this source's
 	// slots, evaluated inside the scan before the row enters the
@@ -358,7 +362,7 @@ func (c *selCompiler) resolveSources() error {
 			alias = table
 		}
 		schema := rel.Schema()
-		sp := scanPlan{rel: rel, offset: len(c.layout), width: len(schema)}
+		sp := scanPlan{rel: rel, offset: len(c.layout), width: len(schema), eqParam: -1}
 		for _, col := range schema {
 			c.layout = append(c.layout, ScopeCol{Qualifier: alias, Name: col.Name})
 		}
@@ -483,7 +487,10 @@ func (c *selCompiler) placeSourceConjuncts(conjs []*conjInfo, s int, sp *scanPla
 // tryPushEq pushes a `col = constant` conjunct into the source's scan as
 // a ScanEq seek. The constant is pre-coerced to the column type and must
 // survive the round trip unchanged (Compare-equal), so the encoded-key
-// seek selects exactly the rows the predicate would.
+// seek selects exactly the rows the predicate would. A slot (Param) is
+// decided by its type alone, before any value is bound: it seeks only when
+// it has the column's type, where the round trip is the identity for every
+// value; otherwise it stays a filter, which selects the same rows.
 func (c *selCompiler) tryPushEq(cj *conjInfo, s int, sp *scanPlan) bool {
 	if c.opts.DisableIndexSeek || sp.eqCol != "" {
 		return false
@@ -492,28 +499,40 @@ func (c *selCompiler) tryPushEq(cj *conjInfo, s int, sp *scanPlan) bool {
 	if !ok || be.Op != sqlparser.OpEq {
 		return false
 	}
-	var cr *sqlparser.ColRef
-	var lit *sqlparser.Literal
-	if l, ok1 := be.L.(*sqlparser.ColRef); ok1 {
-		cr = l
-		lit, _ = be.R.(*sqlparser.Literal)
-	} else if r, ok2 := be.R.(*sqlparser.ColRef); ok2 {
-		cr = r
-		lit, _ = be.L.(*sqlparser.Literal)
+	cr, other := be.L, be.R
+	if _, ok := cr.(*sqlparser.ColRef); !ok {
+		cr, other = be.R, be.L
 	}
-	if cr == nil || lit == nil || lit.Val.IsNull() {
+	ref, ok := cr.(*sqlparser.ColRef)
+	if !ok {
 		return false
 	}
-	slot, ok := c.lookupIn(cr, sp.offset, sp.offset+sp.width)
+	slot, ok := c.lookupIn(ref, sp.offset, sp.offset+sp.width)
 	if !ok {
 		return false
 	}
 	col := sp.rel.Schema()[slot-sp.offset]
-	cv, err := sqlval.Coerce(lit.Val, col.Type)
-	if err != nil || cv.IsNull() {
-		return false
-	}
-	if cmp, err := sqlval.Compare(cv, lit.Val); err != nil || cmp != 0 {
+	var cv sqlval.Value
+	param := -1
+	switch o := other.(type) {
+	case *sqlparser.Literal:
+		if o.Val.IsNull() {
+			return false
+		}
+		var err error
+		cv, err = sqlval.Coerce(o.Val, col.Type)
+		if err != nil || cv.IsNull() {
+			return false
+		}
+		if cmp, err := sqlval.Compare(cv, o.Val); err != nil || cmp != 0 {
+			return false
+		}
+	case *sqlparser.Param:
+		if o.Type != col.Type {
+			return false
+		}
+		param = o.Index
+	default:
 		return false
 	}
 	fr, ok := sp.rel.(sqldb.FilteredRelation)
@@ -526,8 +545,7 @@ func (c *selCompiler) tryPushEq(cj *conjInfo, s int, sp *scanPlan) bool {
 	if t, local := fr.(*sqldb.Table); local && !t.HasIndex(col.Name) {
 		return false
 	}
-	sp.eqCol = col.Name
-	sp.eqVal = cv
+	sp.eqCol, sp.eqVal, sp.eqParam = col.Name, cv, param
 	return true
 }
 
@@ -793,6 +811,8 @@ func compileExpr(e sqlparser.Expr, env *compileEnv) (cexpr, error) {
 	switch ex := e.(type) {
 	case *sqlparser.Literal:
 		return cConst{v: ex.Val}, nil
+	case *sqlparser.Param:
+		return cParam{index: ex.Index}, nil
 	case *sqlparser.ColRef:
 		slot, err := env.lookup(ex.Qualifier, ex.Name)
 		if err != nil {
@@ -956,6 +976,14 @@ func cEvalBool(e cexpr, row []sqlval.Value) (sqlval.Tri, error) {
 type cConst struct{ v sqlval.Value }
 
 func (c cConst) eval([]sqlval.Value) (sqlval.Value, error) { return c.v, nil }
+
+// cParam is a literal slot of a template plan; Bind replaces it by the
+// bound value, so it only evaluates in a plan nobody bound.
+type cParam struct{ index int }
+
+func (c cParam) eval([]sqlval.Value) (sqlval.Value, error) {
+	return sqlval.Null, fmt.Errorf("sqlexec: parameter ?%d is not bound", c.index+1)
+}
 
 type cSlot struct{ slot int }
 
@@ -1294,6 +1322,15 @@ func CompilePredicate(cols []ScopeCol, e sqlparser.Expr) (*Predicate, error) {
 // was compiled against) with SQL three-valued logic.
 func (p *Predicate) EvalBool(row []sqlval.Value) (sqlval.Tri, error) {
 	return cEvalBool(p.e, row)
+}
+
+// Bind returns the predicate with its slots bound to params (see
+// SelectPlan.Bind); p itself is left as it is.
+func (p *Predicate) Bind(params []sqlval.Value) *Predicate {
+	if e, ok := bindExpr(p.e, params); ok {
+		return &Predicate{e: e}
+	}
+	return p
 }
 
 // CompiledExpr is a compiled scalar expression over a fixed column layout.

@@ -23,6 +23,7 @@ const (
 	TNumber
 	TString
 	TPunct // single/multi char operators and punctuation
+	TParam // a typed literal slot (?N:type), lexed only from query shapes
 )
 
 // Token is one lexical token with its source position.
@@ -47,10 +48,20 @@ func (t Token) String() string {
 type Lexer struct {
 	in  string
 	pos int
+	// params makes ?N:type markers lex as TParam tokens; SQL text proper
+	// never contains them (a '?' outside a string is a lexical error).
+	params bool
 }
 
 // NewLexer returns a lexer over src.
 func NewLexer(src string) *Lexer { return &Lexer{in: src} }
+
+// NewShapeLexer returns a lexer over a query shape: ?N:type markers lex as
+// TParam tokens.
+func NewShapeLexer(src string) *Lexer { return &Lexer{in: src, params: true} }
+
+// Offset returns the input offset just past the last token returned.
+func (l *Lexer) Offset() int { return l.pos }
 
 // Next returns the next token.
 func (l *Lexer) Next() (Token, error) {
@@ -140,6 +151,13 @@ func (l *Lexer) Next() (Token, error) {
 		tok := Token{Kind: TIdent, Text: l.in[l.pos:i], Pos: start}
 		l.pos = i
 		return tok, nil
+	}
+
+	if c == '?' && l.params {
+		if n, _, _, ok := scanParam(l.in[l.pos:]); ok {
+			l.pos += n
+			return Token{Kind: TParam, Text: l.in[start:l.pos], Pos: start}, nil
+		}
 	}
 
 	// Operators / punctuation, longest match first.

@@ -9,8 +9,10 @@ import (
 )
 
 // Parse parses a single SQL statement (a trailing semicolon is allowed).
-func Parse(src string) (Statement, error) {
-	p, err := newParser(src)
+func Parse(src string) (Statement, error) { return parse(src, false) }
+
+func parse(src string, params bool) (Statement, error) {
+	p, err := newParser(src, params)
 	if err != nil {
 		return nil, err
 	}
@@ -26,8 +28,15 @@ func Parse(src string) (Statement, error) {
 }
 
 // ParseSelect parses a statement and requires it to be a SELECT.
-func ParseSelect(src string) (*Select, error) {
-	st, err := Parse(src)
+func ParseSelect(src string) (*Select, error) { return parseSelect(src, false) }
+
+// ParseSelectTemplate is ParseSelect over a query shape: every ?N:type
+// marker parses as a *Param where ParseSelect would have parsed the literal
+// it stands for.
+func ParseSelectTemplate(src string) (*Select, error) { return parseSelect(src, true) }
+
+func parseSelect(src string, params bool) (*Select, error) {
+	st, err := parse(src, params)
 	if err != nil {
 		return nil, err
 	}
@@ -40,8 +49,14 @@ func ParseSelect(src string) (*Select, error) {
 
 // ParseExpr parses a standalone expression (used by the SESQL condition
 // scanner to validate tagged conditions).
-func ParseExpr(src string) (Expr, error) {
-	p, err := newParser(src)
+func ParseExpr(src string) (Expr, error) { return parseExpr(src, false) }
+
+// ParseExprTemplate is ParseExpr over a query shape (see
+// ParseSelectTemplate).
+func ParseExprTemplate(src string) (Expr, error) { return parseExpr(src, true) }
+
+func parseExpr(src string, params bool) (Expr, error) {
+	p, err := newParser(src, params)
 	if err != nil {
 		return nil, err
 	}
@@ -61,8 +76,8 @@ type parser struct {
 	peek *Token
 }
 
-func newParser(src string) (*parser, error) {
-	p := &parser{lex: NewLexer(src)}
+func newParser(src string, params bool) (*parser, error) {
+	p := &parser{lex: &Lexer{in: src, params: params}}
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
@@ -1022,18 +1037,17 @@ func (p *parser) exprPrimary() (Expr, error) {
 		if err := p.advance(); err != nil {
 			return nil, err
 		}
-		if strings.ContainsAny(text, ".eE") {
-			f, err := strconv.ParseFloat(text, 64)
-			if err != nil {
-				return nil, fmt.Errorf("sql: bad number %q", text)
-			}
-			return &Literal{Val: sqlval.NewFloat(f)}, nil
-		}
-		i, err := strconv.ParseInt(text, 10, 64)
+		v, err := NumberValue(text)
 		if err != nil {
-			return nil, fmt.Errorf("sql: bad number %q", text)
+			return nil, err
 		}
-		return &Literal{Val: sqlval.NewInt(i)}, nil
+		return &Literal{Val: v}, nil
+	case p.tok.Kind == TParam:
+		_, idx, typ, _ := scanParam(p.tok.Text)
+		if err := p.advance(); err != nil {
+			return nil, err
+		}
+		return &Param{Index: idx, Type: typ}, nil
 	case p.tok.Kind == TString:
 		s := p.tok.Text
 		if err := p.advance(); err != nil {
@@ -1137,6 +1151,23 @@ func (p *parser) exprPrimary() (Expr, error) {
 	default:
 		return nil, fmt.Errorf("sql: expected expression, got %s", p.tok)
 	}
+}
+
+// NumberValue converts a number token's text to its literal value: a float
+// when it has a fraction or an exponent, an integer otherwise.
+func NumberValue(text string) (sqlval.Value, error) {
+	if strings.ContainsAny(text, ".eE") {
+		f, err := strconv.ParseFloat(text, 64)
+		if err != nil {
+			return sqlval.Null, fmt.Errorf("sql: bad number %q", text)
+		}
+		return sqlval.NewFloat(f), nil
+	}
+	i, err := strconv.ParseInt(text, 10, 64)
+	if err != nil {
+		return sqlval.Null, fmt.Errorf("sql: bad number %q", text)
+	}
+	return sqlval.NewInt(i), nil
 }
 
 func (p *parser) caseExpr() (Expr, error) {
