@@ -278,8 +278,14 @@
 //
 // Remote databanks attach over the FDW protocol (internal/fdw, the
 // postgres_fdw role) as foreign tables the SQL executor scans like local
-// ones, with equality predicates pushed to the remote node. The client is
-// resilient by default. Every round trip — send, stream, drain — runs
+// ones, with equality predicates pushed to the remote node. Every message
+// is a length-prefixed frame over buffered I/O: requests and terminal
+// answers are small JSON control frames, and rows travel as binary
+// batches (tagged values, lossless for NaN, ±Inf and non-UTF-8 text) that
+// grow 1, 2, 4, … rows up to 32 KiB, each flushed as it fills, so the
+// first row arrives after one row of remote work. The client decodes
+// every row into one reused slice, which is why foreign tables are not
+// sqldb.StableRowScanners. The client is resilient by default. Every round trip — send, stream, drain — runs
 // under a deadline (Config.RequestTimeout, default 30s, tightened per call
 // by the caller's context and enforced through net.Conn.SetDeadline, so a
 // stalled peer costs one deadline, never a hung query; context
@@ -315,8 +321,11 @@
 // guarantees are enforced twice: a randomized fault-injection property
 // suite (internal/fdw/fault_test.go over fdw.FaultConn — latency, wrong
 // errors, short writes, hangups and blackholes injected at arbitrary
-// protocol operations) asserts every trial ends within its deadline with
-// either the complete correct result or a typed error, and the CI
+// connection operations, which count whole frames: one write per request,
+// one read per flushed batch) asserts every trial ends within its
+// deadline with either the complete correct result or a typed error, and
+// that each trial's fault fired during its first scan; FuzzFDWFrame
+// holds the frame reader and batch decoder to typed errors. The CI
 // fdw-fault-injection job kill -9s a real fdw-server mid-scan, watches
 // the circuit open over the REST API, verifies the degraded partial
 // response, and verifies the half-open probe readmits the restarted node.

@@ -81,8 +81,7 @@ type Client struct {
 	// health registry never wait behind an in-flight round trip.
 	connMu sync.Mutex
 	conn   net.Conn
-	dec    *json.Decoder
-	enc    *json.Encoder
+	br     *bufio.Reader
 	closed bool
 
 	// stats for the experiment harness and the health registry (atomic:
@@ -94,6 +93,14 @@ type Client struct {
 	// terminal payloads of the most recent round trip (guarded by mu)
 	lastTables []string
 	lastSchema []wireCol
+
+	// Reused by every round trip (guarded by mu): the frame buffer
+	// requests are encoded into and responses read into, and the row
+	// every batch decodes into — the sqldb.Relation contract forbids
+	// consumers to retain it, which is why ForeignTable is not a
+	// sqldb.StableRowScanner.
+	frame []byte
+	row   []sqlval.Value
 }
 
 // Dial connects to a server address with default resilience settings.
@@ -153,23 +160,22 @@ func (c *Client) Name() string { return c.name }
 // Breaker exposes the client's circuit breaker (health registry, tests).
 func (c *Client) Breaker() *Breaker { return c.breaker }
 
-// setConn installs a fresh connection and its codec pair.
+// setConn installs a fresh connection and its buffered reader.
 func (c *Client) setConn(conn net.Conn) {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
 	c.conn = conn
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	c.enc = json.NewEncoder(conn)
+	c.br = bufio.NewReader(conn)
 }
 
 // Close closes the connection and marks the client closed. An in-flight
 // round trip fails promptly with ErrClientClosed — Close never waits for
-// it and never leaves the decoder reading a yanked connection.
+// it and never leaves the reader on a yanked connection.
 func (c *Client) Close() error {
 	c.connMu.Lock()
 	c.closed = true
 	conn := c.conn
-	c.conn, c.dec, c.enc = nil, nil, nil
+	c.conn, c.br = nil, nil
 	c.connMu.Unlock()
 	if conn != nil {
 		return conn.Close()
@@ -189,7 +195,7 @@ func (c *Client) isClosed() bool {
 func (c *Client) dropConn(conn net.Conn) {
 	c.connMu.Lock()
 	if c.conn == conn {
-		c.conn, c.dec, c.enc = nil, nil, nil
+		c.conn, c.br = nil, nil
 	}
 	c.connMu.Unlock()
 	conn.Close()
@@ -197,21 +203,21 @@ func (c *Client) dropConn(conn net.Conn) {
 
 // ensureConn returns the live connection, re-dialling if the previous one
 // was dropped. remain bounds the dial when a request deadline is pending.
-func (c *Client) ensureConn(remain time.Duration) (net.Conn, *json.Decoder, *json.Encoder, error) {
+func (c *Client) ensureConn(remain time.Duration) (net.Conn, *bufio.Reader, error) {
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
-		return nil, nil, nil, ErrClientClosed
+		return nil, nil, ErrClientClosed
 	}
 	if c.conn != nil {
-		conn, dec, enc := c.conn, c.dec, c.enc
+		conn, br := c.conn, c.br
 		c.connMu.Unlock()
-		return conn, dec, enc, nil
+		return conn, br, nil
 	}
 	dial := c.dial
 	c.connMu.Unlock()
 	if dial == nil {
-		return nil, nil, nil, errNoRedial
+		return nil, nil, errNoRedial
 	}
 	timeout := c.cfg.DialTimeout
 	if remain > 0 && remain < timeout {
@@ -219,20 +225,19 @@ func (c *Client) ensureConn(remain time.Duration) (net.Conn, *json.Decoder, *jso
 	}
 	conn, err := dial(timeout)
 	if err != nil {
-		return nil, nil, nil, fmt.Errorf("fdw: dial: %w", err)
+		return nil, nil, fmt.Errorf("fdw: dial: %w", err)
 	}
 	c.connMu.Lock()
 	if c.closed {
 		c.connMu.Unlock()
 		conn.Close()
-		return nil, nil, nil, ErrClientClosed
+		return nil, nil, ErrClientClosed
 	}
 	c.conn = conn
-	c.dec = json.NewDecoder(bufio.NewReader(conn))
-	c.enc = json.NewEncoder(conn)
-	dec, enc := c.dec, c.enc
+	c.br = bufio.NewReader(conn)
+	br := c.br
 	c.connMu.Unlock()
-	return conn, dec, enc, nil
+	return conn, br, nil
 }
 
 // Stats reports how many requests were issued and rows received — used by
@@ -245,18 +250,26 @@ func (c *Client) Stats() (requests, rows int) {
 // Retries reports how many transparent retry attempts the client has made.
 func (c *Client) Retries() int { return int(c.retries.Load()) }
 
-// roundTrip sends a request and consumes responses, invoking onRow per
-// row, until the Done message. It enforces the request deadline, consults
-// the circuit breaker, and retries transient transport failures on a
-// fresh connection as long as no row has been delivered to onRow (the
-// operations are idempotent reads, but a mid-stream retry would duplicate
-// rows — those surface as ErrInterrupted instead).
+// roundTrip sends a request frame and consumes the answer, invoking onRow
+// per row of each batch frame, until the terminal control frame. It
+// enforces the request deadline, consults the circuit breaker, and retries
+// transient transport failures on a fresh connection as long as no row
+// has been delivered to onRow (the operations are idempotent reads, but a
+// mid-stream retry would duplicate rows — those surface as ErrInterrupted
+// instead).
 func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlval.Value) bool) error {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer func() {
+		// A rare oversized frame must not pin its buffer for the client's
+		// lifetime.
+		if cap(c.frame) > 4*maxBatchBytes {
+			c.frame = nil
+		}
+	}()
 	c.requests.Add(1)
 
 	var deadline time.Time
@@ -334,7 +347,7 @@ func (c *Client) attempt(ctx context.Context, deadline time.Time, req *request, 
 			return 0, fmt.Errorf("fdw: request deadline expired: %w", context.DeadlineExceeded)
 		}
 	}
-	conn, dec, enc, err := c.ensureConn(remain)
+	conn, br, err := c.ensureConn(remain)
 	if err != nil {
 		return 0, err
 	}
@@ -348,62 +361,94 @@ func (c *Client) attempt(ctx context.Context, deadline time.Time, req *request, 
 	})
 	defer stopWatch()
 
-	if err := enc.Encode(req); err != nil {
+	if c.frame, err = marshalControl(c.frame[:0], req); err != nil {
+		return 0, err
+	}
+	if _, err := conn.Write(c.frame); err != nil {
 		c.dropConn(conn)
 		return 0, c.transportErr(err)
 	}
 	stopped := false
 	for {
-		var resp response
-		if err := dec.Decode(&resp); err != nil {
+		kind, body, err := readFrame(br, c.frame)
+		c.frame = body
+		if err != nil {
 			c.dropConn(conn)
-			if stopped {
+			switch {
+			case stopped:
 				// The consumer already stopped; it received everything it
 				// asked for. The torn drain only costs the connection.
 				return delivered, nil
+			case errors.Is(err, ErrProtocol):
+				return delivered, err
 			}
 			return delivered, c.transportErr(err)
 		}
-		if resp.Err != "" {
-			// Drain until Done if not already.
-			if !resp.Done {
-				continue
+		if kind == frameBatch {
+			if onRow == nil || stopped {
+				continue // drain to the terminal frame
 			}
-			if stopped {
-				// The consumer stopped before the remote failed; it received
-				// everything it asked for and the stream is at the protocol
-				// boundary, so the late error is as free as a drain tear.
-				return delivered, nil
+			n, stop, err := c.deliver(body, onRow)
+			delivered += n
+			if err != nil {
+				c.dropConn(conn)
+				return delivered, err
 			}
-			return delivered, &remoteError{resp.Err}
-		}
-		if resp.Row != nil && onRow != nil && !stopped {
-			row := make([]sqlval.Value, len(resp.Row))
-			for i, wv := range resp.Row {
-				v, err := decodeVal(wv)
-				if err != nil {
-					c.dropConn(conn)
-					return delivered, err
-				}
-				row[i] = v
-			}
-			c.rowsIn.Add(1)
-			delivered++
-			if !onRow(row) {
-				// Consumer is done; keep draining to protocol boundary.
-				stopped = true
-			}
+			stopped = stop
 			continue
 		}
-		if resp.Done {
-			c.lastTables = resp.Tables
-			c.lastSchema = resp.Columns
-			if !deadline.IsZero() {
-				_ = conn.SetDeadline(time.Time{})
+		var resp response
+		if err := json.Unmarshal(body, &resp); err != nil {
+			c.dropConn(conn)
+			if stopped {
+				return delivered, nil
 			}
-			return delivered, nil
+			return delivered, fmt.Errorf("%w: bad control frame: %v", ErrProtocol, err)
+		}
+		// The terminal frame: the stream is at the protocol boundary.
+		if !deadline.IsZero() {
+			_ = conn.SetDeadline(time.Time{})
+		}
+		if resp.Err != "" && !stopped {
+			return delivered, &remoteError{resp.Err}
+		}
+		// A remote error after the consumer stopped is as free as a torn
+		// drain: the consumer received everything it asked for.
+		c.lastTables = resp.Tables
+		c.lastSchema = resp.Columns
+		return delivered, nil
+	}
+}
+
+// deliver decodes one batch body — a uvarint width, then rows of that
+// many values — into the reused row and hands each row to onRow,
+// reporting how many rows it handed over and whether onRow asked to stop.
+func (c *Client) deliver(body []byte, onRow func([]sqlval.Value) bool) (n int, stopped bool, err error) {
+	width, k, err := uvarint(body)
+	if err != nil {
+		return 0, false, err
+	}
+	rest := body[k:]
+	if width > maxWidth || (width == 0 && len(rest) > 0) {
+		return 0, false, fmt.Errorf("%w: bad batch width %d", ErrProtocol, width)
+	}
+	if cap(c.row) < int(width) {
+		c.row = make([]sqlval.Value, width)
+	}
+	row := c.row[:width]
+	for len(rest) > 0 {
+		for i := range row {
+			if row[i], rest, err = decodeValue(rest); err != nil {
+				return n, false, err
+			}
+		}
+		n++
+		c.rowsIn.Add(1)
+		if !onRow(row) {
+			return n, true, nil
 		}
 	}
+	return n, false, nil
 }
 
 // transportErr maps low-level failures: errors caused by Close surface as
@@ -512,11 +557,7 @@ func (f *ForeignTable) ScanEq(col string, v sqlval.Value, fn func([]sqlval.Value
 
 // ScanEqContext is ScanEq under a caller deadline.
 func (f *ForeignTable) ScanEqContext(ctx context.Context, col string, v sqlval.Value, fn func([]sqlval.Value) bool) error {
-	wv, err := encodeVal(v)
-	if err != nil {
-		return err
-	}
-	return f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote, EqCol: col, EqVal: &wv}, fn)
+	return f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote, EqCol: col, EqVal: appendValue(nil, v)}, fn)
 }
 
 var (

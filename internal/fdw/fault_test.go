@@ -35,14 +35,17 @@ type faultDialer struct {
 	latency  time.Duration
 	nFaulted int32
 
-	dials atomic.Int32
+	dials   atomic.Int32
+	faulted []*FaultConn // the wrapped conns, in dial order (dials are serialised by the client)
 }
 
 func (d *faultDialer) dial() (net.Conn, error) {
 	a, b := net.Pipe()
 	go d.srv.ServeConn(a)
 	if d.dials.Add(1) <= d.nFaulted {
-		return NewFaultConn(b, d.mode, d.at, d.latency), nil
+		fc := NewFaultConn(b, d.mode, d.at, d.latency)
+		d.faulted = append(d.faulted, fc)
+		return fc, nil
 	}
 	return b, nil
 }
@@ -60,9 +63,15 @@ func scanAll(c *Client, ctx context.Context) ([]string, error) {
 
 // TestFaultProperty is the randomized property suite: 48 trials, each with
 // a random fault mode injected at a random operation of the first
-// connection. Invariant per trial: the scan returns within a bounded time,
-// and a nil error implies the complete, correct result. Afterwards the
-// client must recover: a follow-up scan over a clean connection succeeds.
+// connection's first scan. Invariant per trial: the scan returns within a
+// bounded time, and a nil error implies the complete, correct result.
+// Afterwards the client must recover: a follow-up scan over a clean
+// connection succeeds.
+//
+// The trigger is drawn as at ∈ [0,16), a position in sixteenths of the
+// operations one clean scan takes (measured below, so the suite follows
+// the wire's frame count), and every trial checks that its fault really
+// fired during the first scan rather than in the recovery scan.
 func TestFaultProperty(t *testing.T) {
 	remote := newRemote(t, 20)
 	var want []string
@@ -71,6 +80,17 @@ func TestFaultProperty(t *testing.T) {
 		want = append(want, row[0].Str()+"|"+row[1].Str()+"|"+row[2].String())
 		return true
 	})
+
+	// One clean scan through a pass-through FaultConn counts the reads and
+	// writes a scan takes on the wire.
+	clean := &faultDialer{srv: NewServer(remote), mode: FaultNone, nFaulted: 1}
+	cc := NewClientDialer(Config{}, clean.dial)
+	if got, err := scanAll(cc, context.Background()); err != nil || len(got) != len(want) {
+		t.Fatalf("clean scan = %d rows, %v", len(got), err)
+	}
+	scanOps := clean.faulted[0].Ops()
+	cc.Close()
+	t.Logf("one clean scan = %d operations", scanOps)
 
 	modes := []FaultMode{FaultNone, FaultLatency, FaultError, FaultShortWrite, FaultHangup, FaultBlackhole}
 	rng := rand.New(rand.NewSource(7))
@@ -83,7 +103,14 @@ func TestFaultProperty(t *testing.T) {
 		latency := time.Duration(rng.Intn(400)) * time.Millisecond
 		t.Run(fmt.Sprintf("trial%02d_mode%d_at%d", trial, mode, at), func(t *testing.T) {
 			t.Parallel()
-			d := &faultDialer{srv: NewServer(remote), mode: mode, at: at, latency: latency, nFaulted: 1}
+			span := scanOps
+			if mode == FaultShortWrite {
+				// A scan writes once, its request at op 0; a later trigger
+				// would wait for the recovery scan's write.
+				span = 1
+			}
+			op := at * span / 16
+			d := &faultDialer{srv: NewServer(remote), mode: mode, at: op, latency: latency, nFaulted: 1}
 			c := NewClientDialer(Config{
 				RequestTimeout: reqTimeout,
 				Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
@@ -94,6 +121,9 @@ func TestFaultProperty(t *testing.T) {
 			start := time.Now()
 			got, err := scanAll(c, context.Background())
 			elapsed := time.Since(start)
+			if mode != FaultNone && !d.faulted[0].Fired() {
+				t.Fatalf("fault at op %d of %d never fired during the first scan", op, scanOps)
+			}
 
 			// Bounded: one deadline plus retries' backoff plus slack. A
 			// hang fails here (and -timeout catches a total wedge).
@@ -226,8 +256,9 @@ func TestRetryRedialsTransparently(t *testing.T) {
 // duplicate rows.
 func TestNoRetryAfterRowsDelivered(t *testing.T) {
 	remote := newRemote(t, 10)
-	// Op 0 is the request write; ops 1.. are reads. Kill the conn at the
-	// 4th read, after some rows were decoded and delivered.
+	// Op 0 is the request write; ops 1.. are reads, one per frame the
+	// server flushes (batches of 1, 2, 4, … rows). Kill the conn at the
+	// 4th read, after the first three batches were decoded and delivered.
 	d := &faultDialer{srv: NewServer(remote), mode: FaultHangup, at: 4, nFaulted: 1}
 	c := NewClientDialer(Config{
 		RequestTimeout: time.Second,
@@ -347,11 +378,13 @@ func TestCloseDuringScan(t *testing.T) {
 }
 
 // slowRel is a relation whose scan sleeps between rows — enough time for a
-// concurrent Close to land mid-stream.
+// concurrent Close to land mid-stream. produced counts the rows it has
+// emitted so far.
 type slowRel struct {
-	name  string
-	rows  int
-	delay time.Duration
+	name     string
+	rows     int
+	delay    time.Duration
+	produced atomic.Int64
 }
 
 func (s *slowRel) Name() string { return s.name }
@@ -361,6 +394,7 @@ func (s *slowRel) Schema() sqldb.Schema {
 func (s *slowRel) Scan(fn func([]sqlval.Value) bool) error {
 	for i := 0; i < s.rows; i++ {
 		time.Sleep(s.delay)
+		s.produced.Add(1)
 		if !fn([]sqlval.Value{sqlval.NewInt(int64(i))}) {
 			return nil
 		}

@@ -135,6 +135,20 @@ func (c *FaultConn) step(isWrite bool) faultAction {
 	return actPass
 }
 
+// Ops reports how many reads and writes the conn has counted so far.
+func (c *FaultConn) Ops() int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.ops
+}
+
+// Fired reports whether the scripted fault has been injected.
+func (c *FaultConn) Fired() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.fired
+}
+
 // wait blocks until the relevant deadline passes, the conn is closed, or
 // (bounded wait) d elapses. d <= 0 means wait indefinitely. It returns the
 // error to surface, or nil when the bounded wait simply completed.

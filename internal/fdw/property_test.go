@@ -2,6 +2,7 @@ package fdw
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"net"
 	"reflect"
@@ -39,6 +40,18 @@ func TestRemoteEqualsLocalOnRandomTables(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
+		// Values a text codec bends: non-finite floats, -0, the int64
+		// extremes, empty and invalid-UTF-8 strings, NUL bytes.
+		for _, row := range [][]sqlval.Value{
+			{sqlval.NewString(""), sqlval.NewInt(math.MinInt64), sqlval.NewFloat(math.NaN()), sqlval.NewBool(true)},
+			{sqlval.NewString("a\xffb"), sqlval.NewInt(math.MaxInt64), sqlval.NewFloat(math.Inf(1)), sqlval.NewBool(false)},
+			{sqlval.NewString("nul\x00byte"), sqlval.NewInt(0), sqlval.NewFloat(math.Inf(-1)), sqlval.Null},
+			{sqlval.NewString("a\xffb"), sqlval.NewInt(-1), sqlval.NewFloat(math.Copysign(0, -1)), sqlval.NewBool(false)},
+		} {
+			if err := tab.Insert(row); err != nil {
+				t.Fatal(err)
+			}
+		}
 
 		srv := NewServer(remote)
 		a, b := net.Pipe()
@@ -69,7 +82,8 @@ func TestRemoteEqualsLocalOnRandomTables(t *testing.T) {
 			return true
 		})
 		if err := ft.Scan(func(r []sqlval.Value) bool {
-			remoteRows = append(remoteRows, r)
+			// The row slice is the client's decode buffer: copy it.
+			remoteRows = append(remoteRows, append([]sqlval.Value(nil), r...))
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -86,6 +100,8 @@ func TestRemoteEqualsLocalOnRandomTables(t *testing.T) {
 			{"k", sqlval.NewString(fmt.Sprintf("k%d", rng.Intn(7)))},
 			{"n", sqlval.NewInt(int64(rng.Intn(100)))},
 			{"b", sqlval.NewBool(true)},
+			{"k", sqlval.NewString("a\xffb")},
+			{"n", sqlval.NewInt(math.MinInt64)},
 		}
 		for _, p := range probes {
 			var localHit, remoteHit [][]sqlval.Value
@@ -96,7 +112,7 @@ func TestRemoteEqualsLocalOnRandomTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			if err := ft.ScanEq(p.col, p.v, func(r []sqlval.Value) bool {
-				remoteHit = append(remoteHit, r)
+				remoteHit = append(remoteHit, append([]sqlval.Value(nil), r...))
 				return true
 			}); err != nil {
 				t.Fatal(err)

@@ -105,7 +105,8 @@ func (p RetryPolicy) delay(n int) time.Duration {
 // fresh connection: dial refused/reset, deadline expiry, and any torn or
 // desynchronised stream (the client drops the connection on every
 // transport error, so a retry always starts clean). Remote application
-// errors, breaker rejections and client-lifecycle errors are permanent.
+// errors, protocol violations, breaker rejections and client-lifecycle
+// errors are permanent.
 func isTransient(err error) bool {
 	var re *remoteError
 	switch {
@@ -114,6 +115,7 @@ func isTransient(err error) bool {
 		errors.Is(err, ErrSourceDown),
 		errors.Is(err, ErrInterrupted),
 		errors.Is(err, errNoRedial),
+		errors.Is(err, ErrProtocol),
 		errors.As(err, &re):
 		return false
 	}

@@ -2,10 +2,10 @@ package fdw
 
 import (
 	"bufio"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 
@@ -77,92 +77,162 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	dec := json.NewDecoder(bufio.NewReader(conn))
-	enc := json.NewEncoder(conn)
+	br := bufio.NewReader(conn)
+	fw := &frameWriter{w: bufio.NewWriter(conn)}
+	var buf []byte
 	for {
-		var req request
-		if err := dec.Decode(&req); err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
-				// Protocol error: try to report it, then drop the conn.
-				_ = enc.Encode(response{Err: fmt.Sprintf("fdw: bad request: %v", err), Done: true})
+		kind, body, err := readFrame(br, buf)
+		buf = body
+		if err != nil {
+			switch {
+			case errors.Is(err, errV1Peer):
+				// Answer in the peer's own dialect, so an old client
+				// reports a remote error rather than a torn stream.
+				line, _ := json.Marshal(map[string]any{"err": err.Error(), "done": true})
+				_, _ = fw.w.Write(append(line, '\n'))
+				_ = fw.w.Flush()
+			case errors.Is(err, ErrProtocol):
+				_ = fw.fail(err)
 			}
 			return
 		}
-		if err := s.handle(enc, &req); err != nil {
+		var req request
+		if kind != frameControl {
+			err = fmt.Errorf("%w: request in a batch frame", ErrProtocol)
+		} else if err = json.Unmarshal(body, &req); err != nil {
+			err = fmt.Errorf("fdw: bad request: %w", err)
+		}
+		if err != nil {
+			// Protocol error: report it, then drop the conn.
+			_ = fw.fail(err)
+			return
+		}
+		if err := s.handle(fw, &req); err != nil {
 			return // write error: connection is gone
 		}
 	}
 }
 
-func (s *Server) handle(enc *json.Encoder, req *request) error {
+func (s *Server) handle(fw *frameWriter, req *request) error {
 	switch req.Op {
 	case "ping":
-		return enc.Encode(response{Done: true})
+		return fw.done(response{})
 	case "tables":
-		return enc.Encode(response{Tables: s.db.Names(), Done: true})
+		return fw.done(response{Tables: s.db.Names()})
 	case "schema":
 		rel, err := s.db.Resolve(req.Table)
 		if err != nil {
-			return enc.Encode(response{Err: err.Error(), Done: true})
+			return fw.fail(err)
 		}
-		return enc.Encode(response{Columns: encodeSchema(rel.Schema()), Done: true})
+		return fw.done(response{Columns: encodeSchema(rel.Schema())})
 	case "scan":
-		return s.handleScan(enc, req)
+		return s.handleScan(fw, req)
 	default:
-		return enc.Encode(response{Err: fmt.Sprintf("fdw: unknown op %q", req.Op), Done: true})
+		return fw.fail(fmt.Errorf("fdw: unknown op %q", req.Op))
 	}
 }
 
-func (s *Server) handleScan(enc *json.Encoder, req *request) error {
+func (s *Server) handleScan(fw *frameWriter, req *request) error {
 	rel, err := s.db.Resolve(req.Table)
 	if err != nil {
-		return enc.Encode(response{Err: err.Error(), Done: true})
+		return fw.fail(err)
 	}
-	var writeErr error
-	sent := 0
+	var rowErr error
 	emit := func(row []sqlval.Value) bool {
-		if req.Limit > 0 && sent >= req.Limit {
-			return false
-		}
-		wire := make([]wireVal, len(row))
-		for i, v := range row {
-			wv, err := encodeVal(v)
-			if err != nil {
-				writeErr = err
-				return false
-			}
-			wire[i] = wv
-		}
-		if err := enc.Encode(response{Row: wire}); err != nil {
-			writeErr = err
-			return false
-		}
-		sent++
-		return true
+		rowErr = fw.row(row)
+		return rowErr == nil
 	}
-
+	fw.target = 1
 	var scanErr error
-	if req.EqCol != "" && req.EqVal != nil {
-		v, derr := decodeVal(*req.EqVal)
+	if req.EqCol != "" {
+		v, derr := decodeSingle(req.EqVal)
 		if derr != nil {
-			return enc.Encode(response{Err: derr.Error(), Done: true})
+			return fw.fail(fmt.Errorf("fdw: bad eq_val: %w", derr))
 		}
 		fr, ok := rel.(sqldb.FilteredRelation)
 		if !ok {
-			return enc.Encode(response{Err: "fdw: relation does not support filtered scans", Done: true})
+			return fw.fail(errors.New("fdw: relation does not support filtered scans"))
 		}
 		scanErr = fr.ScanEq(req.EqCol, v, emit)
 	} else {
 		scanErr = rel.Scan(emit)
 	}
-	if writeErr != nil {
-		return writeErr
+	if rowErr != nil {
+		// A row too wide for the wire is reported to the client; a dead
+		// connection fails fw.fail as well, with the writer's sticky error.
+		scanErr = rowErr
 	}
 	if scanErr != nil {
-		return enc.Encode(response{Err: scanErr.Error(), Done: true})
+		return fw.fail(scanErr)
 	}
-	return enc.Encode(response{Done: true})
+	return fw.done(response{})
 }
+
+// frameWriter writes one connection's frames through a buffered writer.
+// A scan appends rows into batch — a reusable frame: header room, width,
+// rows — that closes after target rows (doubling per batch from 1) or at
+// maxBatchBytes, and is flushed as it closes. The terminal control frame
+// carries any still-open batch with it.
+type frameWriter struct {
+	w      *bufio.Writer
+	batch  []byte
+	rows   int // rows in the open batch; 0 = no batch open
+	target int
+}
+
+// row appends one row to the open batch, opening one if needed, and
+// flushes the batch once it is full. All rows of a scan share the
+// relation's width, which the batch states once.
+func (fw *frameWriter) row(row []sqlval.Value) error {
+	if fw.rows == 0 {
+		if len(row) > maxWidth {
+			return fmt.Errorf("fdw: row of %d columns exceeds the %d-column wire limit", len(row), maxWidth)
+		}
+		fw.batch = binary.AppendUvarint(appendFrameHeader(fw.batch[:0]), uint64(len(row)))
+	}
+	for _, v := range row {
+		fw.batch = appendValue(fw.batch, v)
+	}
+	fw.rows++
+	if fw.rows < fw.target && len(fw.batch)-frameHeader < maxBatchBytes {
+		return nil
+	}
+	fw.target = min(2*fw.target, maxBatchBytes)
+	if err := fw.writeBatch(); err != nil {
+		return err
+	}
+	return fw.w.Flush()
+}
+
+// writeBatch writes the open batch, if any, into the buffered writer.
+func (fw *frameWriter) writeBatch() error {
+	if fw.rows == 0 {
+		return nil
+	}
+	fw.rows = 0
+	finishFrame(fw.batch, frameBatch)
+	_, err := fw.w.Write(fw.batch)
+	return err
+}
+
+// done ends a request: the open batch, then resp, flushed together.
+func (fw *frameWriter) done(resp response) error {
+	if err := fw.writeBatch(); err != nil {
+		return err
+	}
+	frame, err := marshalControl(fw.batch[:0], resp)
+	if err != nil {
+		return err
+	}
+	fw.batch = frame
+	if _, err := fw.w.Write(frame); err != nil {
+		return err
+	}
+	return fw.w.Flush()
+}
+
+// fail ends a request with an err control frame.
+func (fw *frameWriter) fail(err error) error { return fw.done(response{Err: err.Error()}) }
 
 // Close stops the listener and drops open connections.
 func (s *Server) Close() {
