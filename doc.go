@@ -41,8 +41,8 @@
 // re-hashed), N users sharing a corpus cost O(corpus) string memory plus
 // compact per-view overlays, and view iteration picks the cheaper side per
 // pattern: the shared posting list filtered by membership, or the
-// membership set filtered by the pattern. Views implement rdf.Graph and
-// rdf.IDGraph, so everything below this paragraph applies to them
+// membership set filtered by the pattern. Views implement rdf.Graph
+// (ReadIDs included), so everything below this paragraph applies to them
 // unchanged; mutations take the arena or view write lock briefly and never
 // invalidate an in-flight read transaction, which lets queries over
 // distinct users' views run concurrently.
@@ -93,11 +93,14 @@
 // projection) with private execution state, against shared state frozen
 // before the first worker starts (hash tables and materialised join
 // sides in SQL, the resolved constant table and one read transaction in
-// SPARQL — which requires an rdf.ConcurrentReader, a reader whose probes
-// are pure reads under the transaction lock). SQL heap tables implement
-// sqldb.StableRowScanner — scanned rows are immutable in place, updates
-// replace rows wholesale — so materialisation retains the stored rows
-// zero-copy. Output is buffered per morsel (or stamped with its
+// SPARQL, whose rdf.IDReader probes are pure reads under the transaction
+// lock). In SQL the pipeline body is one function per driving row with
+// two drivers: the serial driver streams the driving scan into it, the
+// parallel driver feeds it materialised morsels; below it both use the
+// same plain sink, grouped sink and side-build routine. SQL heap tables
+// implement sqldb.StableRowScanner — scanned rows are immutable in place,
+// updates replace rows wholesale — so join-side materialisation retains
+// the stored rows zero-copy on both drivers. Output is buffered per morsel (or stamped with its
 // (morsel, sequence) arrival position) and merged in morsel order, which
 // makes the parallel result byte-identical to the serial one: same rows,
 // same order, same ties, same first error.
@@ -125,8 +128,7 @@
 // Pool.Done sees a contiguous completed-morsel prefix holding enough
 // rows. Shapes that still cannot merge exactly fall back to
 // serial — ASK (first match wins), non-mergeable aggregate functions,
-// foreign-table scans, graph readers without rdf.ConcurrentReader, and
-// inputs below the morsel threshold where fan-out costs more than it
+// foreign-table scans, and inputs below the morsel threshold where fan-out costs more than it
 // wins — and every fallback names its reason:
 // sqlexec/sparql Result.ParallelFallback (and the streaming StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages

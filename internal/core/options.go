@@ -49,24 +49,3 @@ func (o ExecOptions) SPARQL() sparql.Options {
 		Parallelism:    o.Parallelism,
 	}
 }
-
-// FromSQLOptions lifts legacy sqlexec options into the unified set —
-// compatibility constructor for callers still configured in executor
-// terms.
-func FromSQLOptions(s sqlexec.Options) ExecOptions {
-	return ExecOptions{
-		DisableHashJoin:  s.DisableHashJoin,
-		DisableIndexSeek: s.DisableIndexSeek,
-		DisableTopK:      s.DisableTopK,
-		Parallelism:      s.Parallelism,
-		PartialResults:   s.PartialResults,
-	}
-}
-
-// FromSPARQLOptions lifts legacy sparql options into the unified set.
-func FromSPARQLOptions(s sparql.Options) ExecOptions {
-	return ExecOptions{
-		DisableReorder: s.DisableReorder,
-		Parallelism:    s.Parallelism,
-	}
-}

@@ -30,15 +30,6 @@ func TestExecOptionsRoundTrip(t *testing.T) {
 	if got := o.SPARQL(); got != wantSPARQL {
 		t.Errorf("SPARQL() = %+v, want %+v", got, wantSPARQL)
 	}
-
-	// The compatibility constructors must survive a round trip for every
-	// field the target executor understands.
-	if got := FromSQLOptions(o.SQL()).SQL(); got != wantSQL {
-		t.Errorf("FromSQLOptions round trip = %+v, want %+v", got, wantSQL)
-	}
-	if got := FromSPARQLOptions(o.SPARQL()).SPARQL(); got != wantSPARQL {
-		t.Errorf("FromSPARQLOptions round trip = %+v, want %+v", got, wantSPARQL)
-	}
 }
 
 func TestEnricherSetExecOptions(t *testing.T) {

@@ -12,10 +12,10 @@
 // triple keys plus O(1) per-view pattern counters, sharing the arena's
 // dictionary and union indexes. A crowdsourced corpus believed by N users
 // is interned and indexed once; importing a belief is a few ID-keyed map
-// updates, never a re-hash of term strings. Views implement rdf.Graph and
-// rdf.IDGraph, so SESQL enrichment and the streaming SPARQL executor
-// evaluate against them unchanged, and queries over distinct users' views
-// run concurrently under shared read locks.
+// updates, never a re-hash of term strings. Views implement rdf.Graph, so
+// SESQL enrichment and the streaming SPARQL executor evaluate against them
+// ID-natively, and queries over distinct users' views run concurrently
+// under shared read locks.
 //
 // The package supports the paper's three annotation scenarios:
 //
@@ -562,9 +562,8 @@ func (p *Platform) Explore(filter func(*Statement) bool) []*Statement {
 
 // View returns the user's personal knowledge base: the graph of triples
 // she owns or has imported, as an overlay over the platform's shared
-// arena. This is the context SESQL queries run in; it implements both
-// rdf.Graph and rdf.IDGraph, so the streaming SPARQL executor evaluates
-// it ID-natively.
+// arena. This is the context SESQL queries run in; the streaming SPARQL
+// executor evaluates it ID-natively through rdf.Graph's ReadIDs.
 func (p *Platform) View(user string) (rdf.Graph, error) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()

@@ -443,8 +443,8 @@ func TestSharedArenaNoReInterning(t *testing.T) {
 	}
 }
 
-// TestViewIsIDGraph pins that per-user views expose the encoded layer, so
-// the streaming SPARQL executor takes the ID-native path (no adapter).
+// TestViewIsIDGraph pins that per-user views expose the encoded layer the
+// streaming SPARQL executor reads through.
 func TestViewIsIDGraph(t *testing.T) {
 	p := newPlatformWithUsers(t, "alice")
 	p.Insert("alice", tr("Mercury", "isA", "HazardousWaste"))
@@ -452,11 +452,7 @@ func TestViewIsIDGraph(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ig, ok := g.(rdf.IDGraph)
-	if !ok {
-		t.Fatal("view does not implement rdf.IDGraph")
-	}
-	ig.ReadIDs(func(r rdf.IDReader) {
+	g.ReadIDs(func(r rdf.IDReader) {
 		pid, ok := r.IDOf(iri("isA"))
 		if !ok {
 			t.Fatal("isA not interned")

@@ -6,7 +6,7 @@ package rdf
 // overlay holding only compact ID-level state (a TripleKey membership set
 // plus O(1) per-view pattern counters). A corpus believed by N users is
 // interned and indexed once; each extra believer costs only ID-keyed map
-// entries, never term strings. Views implement Graph and IDGraph, so the
+// entries, never term strings. Views implement Graph, so the
 // streaming SPARQL executor and the enrichment pipeline evaluate against
 // them exactly as against a private Store.
 //
@@ -23,7 +23,7 @@ import "sync"
 // SharedStore is the platform-wide encoded triple arena: one dictionary and
 // one set of SPO/POS/OSP union indexes over every triple asserted by any
 // statement, with a per-triple assertion refcount. It is safe for
-// concurrent use and itself implements Graph and IDGraph (the union graph).
+// concurrent use and itself implements Graph (the union graph).
 type SharedStore struct {
 	mu   sync.RWMutex
 	dict *Dict
@@ -178,8 +178,6 @@ func (s *SharedStore) IDOf(t Term) (TermID, bool) {
 // sharedReader implements IDReader over the union graph without per-call
 // locking; the enclosing ReadIDs holds the arena read lock.
 type sharedReader struct{ s *SharedStore }
-
-func (sharedReader) ConcurrentIDReads() {}
 
 func (r sharedReader) ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool) {
 	r.s.matchIDs(p, fn)
@@ -455,8 +453,6 @@ func (v *View) IDOf(t Term) (TermID, bool) { return v.shared.IDOf(t) }
 // the enclosing ReadIDs holds the view and arena read locks.
 type viewReader struct{ v *View }
 
-func (viewReader) ConcurrentIDReads() {}
-
 func (r viewReader) ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool) {
 	r.v.matchIDsLocked(p, fn)
 }
@@ -478,6 +474,4 @@ func (v *View) ReadIDs(fn func(IDReader)) {
 }
 
 var _ Graph = (*SharedStore)(nil)
-var _ IDGraph = (*SharedStore)(nil)
 var _ Graph = (*View)(nil)
-var _ IDGraph = (*View)(nil)

@@ -401,8 +401,11 @@ func (s *Store) IDOf(t Term) (TermID, bool) {
 // IDReader is the ID-native read surface handed out by ReadIDs: pattern
 // matching, O(1) pattern counting and term↔ID translation over the store's
 // dictionary-encoded indexes, valid for the duration of one read
-// transaction. Implementations are NOT safe to retain after the ReadIDs
-// callback returns.
+// transaction. Every method is a pure read — the transaction's read lock
+// blocks all writers for the reader's whole lifetime — so one reader is
+// safe for concurrent use by the SPARQL executor's parallel workers.
+// Implementations are NOT safe to retain after the ReadIDs callback
+// returns.
 type IDReader interface {
 	// ForEachIDs streams encoded triples matching the pattern; fn returning
 	// false stops early.
@@ -415,24 +418,9 @@ type IDReader interface {
 	IDOf(t Term) (TermID, bool)
 }
 
-// ConcurrentReader marks IDReader implementations that are safe for
-// concurrent use from multiple goroutines within one ReadIDs transaction:
-// every method is a pure read, and the transaction's read lock blocks all
-// writers for the reader's whole lifetime. The store-backed readers
-// (private store, shared arena, overlay view) all qualify; adapters that
-// intern terms on the fly do not. The SPARQL executor's parallel path
-// requires this capability.
-type ConcurrentReader interface {
-	IDReader
-	// ConcurrentIDReads is a marker; it does nothing.
-	ConcurrentIDReads()
-}
-
 // storeReader implements IDReader without per-call locking; the enclosing
 // ReadIDs holds the store's read lock for the reader's whole lifetime.
 type storeReader struct{ s *Store }
-
-func (storeReader) ConcurrentIDReads() {}
 
 func (r storeReader) ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool) {
 	r.s.matchIDs(p, fn)
@@ -524,8 +512,10 @@ func (s *Store) Clear() {
 	s.encStore = newEncStore()
 }
 
-// Graph is the read-only view the SPARQL engine evaluates against. Both
-// *Store and the KB layer's overlay per-user views implement it.
+// Graph is the read-only view the SPARQL engine evaluates against:
+// *Store, *SharedStore (the union graph) and the KB layer's overlay
+// per-user views implement it. The executor runs a whole query
+// ID-natively under a single ReadIDs transaction.
 type Graph interface {
 	// ForEach streams triples matching the pattern; fn returning false
 	// stops the enumeration early.
@@ -533,20 +523,13 @@ type Graph interface {
 	// Count returns the number of triples matching the pattern (used for
 	// join ordering).
 	Count(p Pattern) int
-}
-
-// IDGraph is a Graph whose storage exposes the dictionary-encoded layer.
-// The SPARQL executor type-asserts its input Graph to IDGraph and, when the
-// assertion holds (it does for *Store, *SharedStore and every KB overlay
-// View), runs the whole query ID-natively under a single ReadIDs
-// transaction; other Graph implementations fall back to an adapter that
-// interns terms on the fly.
-type IDGraph interface {
-	Graph
 	// ReadIDs runs fn as one lock-free-inside read transaction over the
 	// encoded layer.
 	ReadIDs(fn func(IDReader))
 }
 
+// IDGraph is Graph under its former name, for callers that still assert
+// to it.
+type IDGraph = Graph
+
 var _ Graph = (*Store)(nil)
-var _ IDGraph = (*Store)(nil)

@@ -13,8 +13,8 @@
 // multi-user overlay layer — one arena interning and indexing every
 // asserted triple once, with per-user Views holding only TripleKey
 // membership and O(1) pattern counters (see shared.go). Both shapes
-// implement Graph and IDGraph, so the SPARQL executor is agnostic to which
-// one it evaluates.
+// implement Graph, so the SPARQL executor is agnostic to which one it
+// evaluates.
 package rdf
 
 import (

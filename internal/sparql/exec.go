@@ -9,11 +9,8 @@ package sparql
 // only at projection. Early termination (ASK, LIMIT without ORDER BY)
 // propagates as a stop signal back up the pipeline.
 //
-// Against *rdf.Store (and every KB view) the whole query runs under a
-// single Store.ReadIDs read transaction, so no per-probe locking happens on
-// the join path. Other rdf.Graph implementations fall back to an adapter
-// that interns terms into a private dictionary on the fly; such graphs must
-// tolerate nested ForEach calls.
+// The whole query runs under a single rdf.Graph ReadIDs read transaction,
+// so no per-probe locking happens on the join path.
 
 import (
 	"fmt"
@@ -71,15 +68,11 @@ func (p *Plan) EvalOpts(g rdf.Graph, o Options) (*Result, error) {
 	return res, nil
 }
 
-// eval runs the plan against g, inside one read transaction when the graph
-// is ID-native, pushing each solution to fn.
+// eval runs the plan against g inside one read transaction, pushing each
+// solution to fn.
 func (p *Plan) eval(g rdf.Graph, o Options, fn func(Solution) bool) *Result {
 	var res *Result
-	if ig, ok := g.(rdf.IDGraph); ok {
-		ig.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, fn) })
-	} else {
-		res = p.run(newGraphAdapter(g), o, fn)
-	}
+	g.ReadIDs(func(r rdf.IDReader) { res = p.run(r, o, fn) })
 	return res
 }
 
@@ -1032,67 +1025,3 @@ func (e *exec) closurePairs(pc pClosure, s rdf.TermID, sBound bool, o rdf.TermID
 		return out
 	}
 }
-
-// --- fallback adapter for plain rdf.Graph implementations ---
-
-// graphAdapter lets the ID-native executor run against any rdf.Graph by
-// interning the terms it streams into a private dictionary. It exists for
-// API completeness — every graph the system evaluates against (*rdf.Store
-// and the KB views) implements rdf.IDGraph and takes the native path. The
-// underlying graph must tolerate nested ForEach calls.
-type graphAdapter struct {
-	g    rdf.Graph
-	dict *rdf.Dict
-}
-
-func newGraphAdapter(g rdf.Graph) *graphAdapter {
-	return &graphAdapter{g: g, dict: rdf.NewDict()}
-}
-
-func (a *graphAdapter) decode(p rdf.PatternIDs) (rdf.Pattern, bool) {
-	var pat rdf.Pattern
-	if p.S != 0 {
-		t, ok := a.dict.TermOf(p.S)
-		if !ok {
-			return pat, false
-		}
-		pat.S = t
-	}
-	if p.P != 0 {
-		t, ok := a.dict.TermOf(p.P)
-		if !ok {
-			return pat, false
-		}
-		pat.P = t
-	}
-	if p.O != 0 {
-		t, ok := a.dict.TermOf(p.O)
-		if !ok {
-			return pat, false
-		}
-		pat.O = t
-	}
-	return pat, true
-}
-
-func (a *graphAdapter) ForEachIDs(p rdf.PatternIDs, fn func(s, pr, o rdf.TermID) bool) {
-	pat, ok := a.decode(p)
-	if !ok {
-		return
-	}
-	a.g.ForEach(pat, func(t rdf.Triple) bool {
-		return fn(a.dict.Encode(t.S), a.dict.Encode(t.P), a.dict.Encode(t.O))
-	})
-}
-
-func (a *graphAdapter) CountIDs(p rdf.PatternIDs) int {
-	pat, ok := a.decode(p)
-	if !ok {
-		return 0
-	}
-	return a.g.Count(pat)
-}
-
-func (a *graphAdapter) TermOf(id rdf.TermID) (rdf.Term, bool) { return a.dict.TermOf(id) }
-
-func (a *graphAdapter) IDOf(t rdf.Term) (rdf.TermID, bool) { return a.dict.Encode(t), true }

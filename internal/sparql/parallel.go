@@ -21,11 +21,11 @@ package sparql
 // comparator) merged by exec.MergeSorted, with ties resolving to the
 // earlier morsel, so the merged sequence is exactly the serial sort.
 //
-// The path requires an rdf.ConcurrentReader — a reader whose methods are
-// pure reads under the transaction lock. Graphs that fall back to the
-// interning adapter, ASK queries (first match wins; nothing to fan out),
-// and small posting lists stay serial; every decline records its reason in
-// exec.fallback, surfaced as Result.ParallelFallback / StreamInfo.
+// Workers share the transaction's rdf.IDReader, whose methods are pure
+// reads under the transaction lock. ASK queries (first match wins; nothing
+// to fan out) and small posting lists stay serial; every decline records
+// its reason in exec.fallback, surfaced as Result.ParallelFallback /
+// StreamInfo.
 
 import (
 	sched "crosse/internal/exec"
@@ -58,10 +58,6 @@ func (e *exec) tryParallel() bool {
 	}
 	if len(p.root.patterns) == 0 {
 		e.fallback = "no triple patterns"
-		return false
-	}
-	if _, ok := e.r.(rdf.ConcurrentReader); !ok {
-		e.fallback = "graph reader is not concurrency-safe"
 		return false
 	}
 

@@ -33,9 +33,8 @@ type Options struct {
 	// Parallelism caps the worker count of the morsel-driven parallel
 	// evaluation path: 0 (the default) means GOMAXPROCS, 1 forces the
 	// serial path, larger values bound the fan-out. Evaluation falls back
-	// to serial when the graph's reader is not concurrency-safe, the head
-	// pattern's posting list is small, or the query shape cannot be
-	// partitioned (see parallel.go).
+	// to serial when the head pattern's posting list is small or the query
+	// shape cannot be partitioned (see parallel.go).
 	Parallelism int
 }
 

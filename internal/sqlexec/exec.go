@@ -37,11 +37,6 @@ func ExecOpts(db *sqldb.Database, src string, opts Options) (*Result, error) {
 	return ExecStatementOpts(db, st, opts)
 }
 
-// ExecStatement executes a parsed statement against db.
-func ExecStatement(db *sqldb.Database, st sqlparser.Statement) (*Result, error) {
-	return ExecStatementOpts(db, st, Options{})
-}
-
 // ExecStatementOpts executes a parsed statement with execution options.
 func ExecStatementOpts(db *sqldb.Database, st sqlparser.Statement, opts Options) (*Result, error) {
 	switch s := st.(type) {
@@ -74,15 +69,11 @@ func ExecStatementOpts(db *sqldb.Database, st sqlparser.Statement, opts Options)
 	}
 }
 
-// EvalSelect runs a SELECT against the database and returns the result.
-// It compiles the statement into a physical plan and executes it; callers
-// evaluating the same SELECT repeatedly should Compile once (or use
-// internal/core's plan cache) and Run the plan per evaluation.
-func EvalSelect(db *sqldb.Database, sel *sqlparser.Select) (*Result, error) {
-	return EvalSelectOpts(db, sel, Options{})
-}
-
-// EvalSelectOpts runs a SELECT with execution options.
+// EvalSelectOpts runs a SELECT against the database with execution
+// options and returns the result. It compiles the statement into a
+// physical plan and executes it; callers evaluating the same SELECT
+// repeatedly should Compile once (or use internal/core's plan cache) and
+// Run the plan per evaluation.
 func EvalSelectOpts(db *sqldb.Database, sel *sqlparser.Select, opts Options) (*Result, error) {
 	p, err := CompileOpts(db, sel, opts)
 	if err != nil {

@@ -9,7 +9,7 @@
 // sqldb.FilteredRelation index seeks, equi-joins planned as hash joins
 // and ORDER BY+LIMIT as a bounded top-K heap — and the plan executes as
 // a push-based streaming pipeline over reused rows (run.go). Options
-// carries the planner ablation knobs. EvalSelect/Exec wrap
+// carries the planner ablation knobs. EvalSelectOpts/Exec wrap
 // compile-then-run; plans are cacheable across executions (see
 // internal/core.QueryCache.SQLSelect).
 //
@@ -724,24 +724,17 @@ type aggState struct {
 	stamp, minAt, maxAt int64
 }
 
-func newAggState(call *sqlparser.FuncCall) *aggState {
-	st := &aggState{call: call, isInt: true, first: true, pmorsel: -1}
-	if call.Distinct {
-		st.seen = map[string]struct{}{}
-	}
-	return st
-}
-
-// newCollectAggState is newAggState for parallel workers: DISTINCT
-// aggregates go into collect mode (per-worker seen-sets cannot be merged
+// newAggState starts an aggregate. collect puts a DISTINCT aggregate into
+// the parallel workers' collect mode: per-worker seen-sets cannot be merged
 // into an exact global accumulation; first-occurrence values with stamps
-// can).
-func newCollectAggState(call *sqlparser.FuncCall) *aggState {
-	st := newAggState(call)
-	if call.Distinct {
-		st.collect = true
-		st.seen = nil
-		st.dvals = map[string]distinctVal{}
+// can.
+func newAggState(call *sqlparser.FuncCall, collect bool) *aggState {
+	st := &aggState{call: call, isInt: true, first: true, pmorsel: -1}
+	switch {
+	case call.Distinct && collect:
+		st.collect, st.dvals = true, map[string]distinctVal{}
+	case call.Distinct:
+		st.seen = map[string]struct{}{}
 	}
 	return st
 }

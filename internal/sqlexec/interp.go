@@ -509,7 +509,7 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*S
 		if !ok {
 			grp = &group{firstRow: r}
 			for _, c := range aggCalls {
-				grp.aggs = append(grp.aggs, newAggState(c))
+				grp.aggs = append(grp.aggs, newAggState(c, false))
 			}
 			groups[key] = grp
 			order = append(order, key)
@@ -525,7 +525,7 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*S
 	if len(groups) == 0 && len(sel.GroupBy) == 0 {
 		grp := &group{firstRow: make([]sqlval.Value, len(base.cols))}
 		for _, c := range aggCalls {
-			grp.aggs = append(grp.aggs, newAggState(c))
+			grp.aggs = append(grp.aggs, newAggState(c, false))
 		}
 		groups[""] = grp
 		order = append(order, "")

@@ -3,12 +3,14 @@ package sqlexec
 // parallel.go — morsel-driven parallel execution of compiled SelectPlans.
 // The driving scan is materialised once in serial enumeration order and
 // partitioned into fixed-size morsels; a bounded worker pool (see
-// internal/exec) claims morsels from an atomic counter and runs the full
-// join/filter/projection pipeline per worker against the shared, frozen
-// right-side rows and hash tables. All mutable execution state — the
-// joined-row buffer, projection buffer, DISTINCT sets, aggregation maps,
-// top-K heaps — is per worker; output is buffered per morsel (or stamped
-// with its (morsel, seq) arrival position) and merged in morsel order, so
+// internal/exec) claims morsels from an atomic counter. This is the second
+// driver of the one pipeline in run.go: each worker is a runner that feeds
+// its morsels' rows through runner.feed — the body the serial driver
+// streams its scan into — over its own joined-row buffer and its own plain
+// or grouped sink, against the coordinator's frozen join sides (built by
+// the same buildSide, zero-copy for heap tables). Output is buffered per
+// morsel (or stamped with its (morsel, seq) arrival position, derived from
+// drivePos exactly as on the serial path) and merged in morsel order, so
 // the parallel output is byte-identical to the serial pipeline's: same
 // rows, same order, same ties, same first error.
 //
@@ -29,7 +31,6 @@ import (
 	"sync"
 
 	sched "crosse/internal/exec"
-	"crosse/internal/sqldb"
 	"crosse/internal/sqlval"
 )
 
@@ -65,11 +66,7 @@ func (r *runner) tryParallel() (done bool, err error) {
 			}
 		}
 	}
-	driving := p.scan0
-	if r.swapped {
-		driving = p.joins[0].src
-	}
-	est, ok := scanEstimate(driving)
+	est, ok := scanEstimate(r.driving)
 	if !ok {
 		r.shared.fallback = "driving scan has no O(1) cardinality"
 		return false, nil
@@ -78,7 +75,7 @@ func (r *runner) tryParallel() (done bool, err error) {
 		r.shared.fallback = "driving scan below parallel threshold"
 		return false, nil
 	}
-	return true, r.runParallel(workers, driving)
+	return true, r.runParallel(workers)
 }
 
 // parMorsel is one morsel's buffered output: projected rows (plain
@@ -89,62 +86,35 @@ type parMorsel struct {
 	err  error
 }
 
-func (r *runner) runParallel(workers int, driving scanPlan) error {
+func (r *runner) runParallel(workers int) error {
 	p := r.p
 
 	// Build every non-streamed side and materialise the driving scan
-	// concurrently, each with its own scratch row; everything is frozen
-	// before the first worker starts. The driving side is materialised
-	// raw — its source-local filters run on the workers.
+	// concurrently; everything is frozen before the first worker starts.
+	// The driving scan is materialised raw — its source-local filters run
+	// in feed.
 	var (
 		wg        sync.WaitGroup
 		drive     [][]sqlval.Value
 		driveErr  error
 		buildErrs = make([]error, len(p.joins))
 	)
-	r.rights = make([][][]sqlval.Value, len(p.joins))
-	r.hashes = make([]*joinTable, len(p.joins))
-	wg.Add(1)
+	wg.Add(1 + len(p.joins))
 	go func() {
 		defer wg.Done()
-		drive, driveErr = p.materializeSide(r.shared, driving, true)
+		drive, driveErr = p.materializeSide(r.shared, r.driving, true)
 	}()
 	for i := range p.joins {
-		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if r.swapped && i == 0 {
-				rows, err := p.materializeSide(r.shared, p.scan0, false)
-				if err != nil {
-					buildErrs[0] = err
-					return
-				}
-				r.leftRows = rows
-				r.leftHash = parallelBuildHash(workers, rows, p.joins[0].leftSlot-p.scan0.offset)
-				return
-			}
-			rows, err := p.materializeSide(r.shared, p.joins[i].src, false)
-			if err != nil {
-				buildErrs[i] = err
-				return
-			}
-			r.rights[i] = rows
-			switch p.joins[i].kind {
-			case joinHash, joinHashLeft:
-				r.hashes[i] = parallelBuildHash(workers, rows, p.joins[i].rightSlot-p.joins[i].src.offset)
-			}
+			buildErrs[i] = r.buildSide(i, workers)
 		}(i)
 	}
 	wg.Wait()
 	// Report the error the serial pipeline would have hit first: builds
 	// happen in join order, the driving scan after them.
-	for _, err := range buildErrs {
-		if err != nil {
-			return err
-		}
-	}
-	if driveErr != nil {
-		return driveErr
+	if err := cmp.Or(append(buildErrs, driveErr)...); err != nil {
+		return err
 	}
 
 	// A completed prefix of morsels can prove a LIMIT satisfied — but
@@ -157,12 +127,12 @@ func (r *runner) runParallel(workers int, driving scanPlan) error {
 	nm := sched.Morsels(len(drive), parallelMorsel)
 	pool := sched.NewPool(workers, nm, need)
 	res := make([]parMorsel, nm)
-	ws := make([]*parWorker, pool.Workers())
+	ws := make([]*runner, pool.Workers())
 	for i := range ws {
-		ws[i] = newParWorker(r, pool, res)
+		ws[i] = r.newWorker(pool, res)
 	}
 	pool.Run(func(worker, m int) {
-		ws[worker].runMorsel(m, drive)
+		ws[worker].runMorsel(pool, res, drive, m)
 	})
 
 	switch {
@@ -227,288 +197,51 @@ func parallelBuildHash(workers int, rows [][]sqlval.Value, keyCol int) *joinTabl
 	return &joinTable{parts: parts, mask: mask}
 }
 
-// materializeSide scans one source into retained rows of the source's
-// width, using its own full-width scratch row (so concurrent builds never
-// share state). The pushed-down equality seek always applies; the
-// source-local filters apply unless raw is set. Sources whose scans hand
-// out immutable retained rows (sqldb.StableRowScanner — the in-memory
-// heap tables) are kept by reference; anything else is deep-copied into
-// an arena, since the callback rows may be reused buffers.
-func (p *SelectPlan) materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, error) {
-	tmp := &runner{p: p, row: make([]sqlval.Value, p.width), shared: sh}
-	_, stable := sp.rel.(sqldb.StableRowScanner)
-	var arena *sqlval.RowArena
-	if !stable {
-		arena = sqlval.NewRowArena(sp.width)
-	}
-	var rows [][]sqlval.Value
-	if n, ok := sp.rel.(interface{ Len() int }); ok && raw {
-		rows = make([][]sqlval.Value, 0, n.Len())
-	}
-	seg := tmp.row[sp.offset : sp.offset+sp.width]
-	h := func(in []sqlval.Value) bool {
-		if !raw {
-			copy(seg, in)
-			if ok, done := tmp.applyConjuncts(sp.filters); !ok {
-				return !done
-			}
-		}
-		if stable {
-			rows = append(rows, in)
-		} else {
-			rows = append(rows, arena.Copy(in))
-		}
-		return true
-	}
-	err := sh.scanRelation(sp, h)
-	if err == nil {
-		err = tmp.err
-	}
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
-// parWorker is one worker's private execution state: a runner over its
-// own joined-row buffer (sharing the frozen sides through the coordinator
-// runner's fields) plus the mode-specific output buffers it sinks into.
-type parWorker struct {
-	r    *runner
-	p    *SelectPlan
-	pool *sched.Pool
-	res  []parMorsel
-
-	morsel int   // morsel being processed
-	seq    int64 // arrival sequence within the morsel
-
-	out []sqlval.Value // reused projection buffer
-
-	// plain unsorted mode: locally deduplicated projected rows, buffered
-	// per morsel.
-	seen       map[string]struct{}
-	keyScratch []byte
-	arena      *sqlval.RowArena
-	buf        [][]sqlval.Value
-
-	// ORDER BY mode: a per-worker heap (bounded exactly like the serial
-	// one, or unbounded under DISTINCT) of (keys, row, stamp) entries.
-	sorter *topKSorter
-
-	// grouped mode: per-worker aggregation map with arrival stamps.
-	groups map[string]*groupState
-	gorder []*groupState
-	garena *sqlval.RowArena
-	gkey   []byte
-}
-
-func newParWorker(r *runner, pool *sched.Pool, res []parMorsel) *parWorker {
+// newWorker returns the runner one pool worker drives morsels through: its
+// own joined-row buffer over the coordinator's frozen sides, sinking into
+// the serial path's sink types. The plain sink yields into the current
+// morsel's buffer, without OFFSET/LIMIT (the merge windows the output),
+// and stops once the pool cancels the morsel; under ORDER BY + DISTINCT
+// its heap is unbounded, since bounding it before the cross-worker
+// DISTINCT merge could evict rows that global deduplication would promote
+// into the top K. The grouped sink collects DISTINCT aggregates.
+func (r *runner) newWorker(pool *sched.Pool, res []parMorsel) *runner {
 	p := r.p
-	wr := &runner{
-		p:        p,
-		row:      make([]sqlval.Value, p.width),
-		shared:   r.shared,
-		rights:   r.rights,
-		hashes:   r.hashes,
-		swapped:  r.swapped,
-		leftRows: r.leftRows,
-		leftHash: r.leftHash,
-	}
-	w := &parWorker{r: wr, p: p, pool: pool, res: res}
-	wr.sink = w
+	w := &runner{p: p, row: make([]sqlval.Value, p.width), shared: r.shared, sides: r.sides}
 	if p.grouped {
-		w.groups = make(map[string]*groupState)
-		w.garena = sqlval.NewRowArena(p.width)
+		w.sink = newGroupedSink(w, true)
 		return w
 	}
-	w.out = make([]sqlval.Value, len(p.items))
-	if p.distinct {
-		w.seen = map[string]struct{}{}
+	arena := sqlval.NewRowArena(len(p.items))
+	w.yield = func(out []sqlval.Value) bool {
+		m := int((w.drivePos - 1) / int64(parallelMorsel))
+		res[m].rows = append(res[m].rows, arena.Copy(out))
+		return !pool.Cancelled(m)
 	}
-	if len(p.order) > 0 {
-		w.sorter = newTopKSorter(p, len(p.headers))
-		if p.distinct {
-			// Bounding the heap before the cross-worker DISTINCT merge
-			// could evict rows that global deduplication would promote
-			// into the top K; keep everything and bound at the merge.
-			w.sorter.cap = -1
-		}
-	} else {
-		w.arena = sqlval.NewRowArena(len(p.items))
+	s := newPlainSink(w)
+	s.offset, s.limit = 0, -1
+	if s.sorter != nil && p.distinct {
+		s.sorter.cap = -1
 	}
+	w.sink = s
 	return w
 }
 
-// runMorsel drives the pipeline over one morsel of the driving rows,
-// mirroring the serial scan loop (including the swapped-orientation
-// probe), and records the morsel's buffered output and first error.
-func (w *parWorker) runMorsel(m int, drive [][]sqlval.Value) {
-	w.morsel = m
-	w.seq = 0
-	w.buf = nil
-	if w.sorter != nil {
-		w.sorter.seq = sched.At(m, 0)
-	}
-	r := w.r
-	r.stopped = false
-	p := w.p
+// runMorsel is the parallel driver: it feeds one morsel of materialised
+// driving rows through feed, then records the morsel's first error.
+func (r *runner) runMorsel(pool *sched.Pool, res []parMorsel, drive [][]sqlval.Value, m int) {
 	lo, hi := sched.Bounds(m, parallelMorsel, len(drive))
-
-	if r.swapped {
-		j := &p.joins[0]
-		seg := r.row[j.src.offset : j.src.offset+j.src.width]
-		var scratch []byte
-	swp:
-		for i := lo; i < hi; i++ {
-			if w.pool.Cancelled(m) {
-				break
-			}
-			copy(seg, drive[i])
-			if ok, done := r.applyConjuncts(j.src.filters); !ok {
-				if done {
-					break
-				}
-				continue
-			}
-			v := r.row[j.rightSlot]
-			if v.IsNull() {
-				continue
-			}
-			scratch = sqlval.AppendJoinKey(scratch[:0], v)
-			for _, li := range r.leftHash.lookup(scratch) {
-				if cmp, err := sqlval.Compare(v, r.leftRows[li][j.leftSlot]); err != nil || cmp != 0 {
-					continue
-				}
-				copy(r.row[:p.scan0.width], r.leftRows[li])
-				if ok, done := r.applyConjuncts(j.residual); !ok {
-					if done {
-						break swp
-					}
-					continue
-				}
-				if ok, done := r.applyConjuncts(j.post); !ok {
-					if done {
-						break swp
-					}
-					continue
-				}
-				if !r.step(2) {
-					break swp
-				}
-			}
-		}
-	} else {
-		seg := r.row[p.scan0.offset : p.scan0.offset+p.scan0.width]
-		for i := lo; i < hi; i++ {
-			if w.pool.Cancelled(m) {
-				break
-			}
-			copy(seg, drive[i])
-			if ok, done := r.applyConjuncts(p.scan0.filters); !ok {
-				if done {
-					break
-				}
-				continue
-			}
-			if !r.step(1) {
-				break
-			}
-		}
+	r.drivePos = int64(lo)
+	for i := lo; i < hi && !pool.Cancelled(m) && r.feed(drive[i]); i++ {
 	}
-
 	if r.err != nil {
-		w.res[m].err = r.err
+		res[m].err = r.err
 		r.err = nil
 		// Output past an error is discarded; stop fanning out beyond it.
-		w.pool.Cut(m + 1)
+		pool.Cut(m + 1)
 	}
-	w.res[m].rows = w.buf
-	w.pool.Done(m, len(w.buf))
+	pool.Done(m, len(res[m].rows))
 }
-
-// add is the worker's rowSink: it consumes one completed joined row.
-func (w *parWorker) add(row []sqlval.Value) bool {
-	if w.groups != nil {
-		return w.addGroup(row)
-	}
-	for i, it := range w.p.items {
-		v, err := it.eval(row)
-		if err != nil {
-			w.r.err = err
-			return false
-		}
-		w.out[i] = v
-	}
-	if w.seen != nil {
-		// Worker-local DISTINCT pre-filter. A worker's morsel sequence is
-		// strictly increasing, so a locally seen key was seen at an
-		// earlier global position too — dropping here can only drop rows
-		// the global merge would drop. The merge re-deduplicates across
-		// workers.
-		w.keyScratch = w.keyScratch[:0]
-		for _, v := range w.out {
-			w.keyScratch = sqlval.AppendKey(w.keyScratch, v)
-		}
-		if _, dup := w.seen[string(w.keyScratch)]; dup {
-			return true
-		}
-		w.seen[string(w.keyScratch)] = struct{}{}
-	}
-	if w.sorter != nil {
-		if err := w.sorter.add(w.out, row); err != nil {
-			w.r.err = err
-			return false
-		}
-		return !w.pool.Cancelled(w.morsel)
-	}
-	w.buf = append(w.buf, w.arena.Copy(w.out))
-	w.seq++
-	return !w.pool.Cancelled(w.morsel)
-}
-
-func (w *parWorker) addGroup(row []sqlval.Value) bool {
-	g := w.p.group
-	w.gkey = w.gkey[:0]
-	for _, ke := range g.keys {
-		v, err := ke.eval(row)
-		if err != nil {
-			w.r.err = err
-			return false
-		}
-		w.gkey = sqlval.AppendKey(w.gkey, v)
-	}
-	at := sched.At(w.morsel, w.seq)
-	w.seq++
-	grp, ok := w.groups[string(w.gkey)]
-	if !ok {
-		grp = &groupState{first: w.garena.Copy(row), firstAt: at}
-		grp.aggs = make([]*aggState, len(g.aggs))
-		for i, a := range g.aggs {
-			grp.aggs[i] = newCollectAggState(a.fc)
-		}
-		w.groups[string(w.gkey)] = grp
-		w.gorder = append(w.gorder, grp)
-	}
-	for i, a := range g.aggs {
-		if a.arg == nil { // COUNT(*)
-			grp.aggs[i].count++
-			continue
-		}
-		v, err := a.arg.eval(row)
-		if err != nil {
-			w.r.err = err
-			return false
-		}
-		grp.aggs[i].stamp = at
-		if err := grp.aggs[i].addValue(v); err != nil {
-			w.r.err = err
-			return false
-		}
-	}
-	return !w.pool.Cancelled(w.morsel)
-}
-
-func (w *parWorker) finish() error { return nil }
 
 // mergePlain replays the per-morsel buffers in morsel order through a
 // fresh plain sink — global DISTINCT, OFFSET, LIMIT and the caller's
@@ -519,7 +252,7 @@ func (r *runner) mergePlain(res []parMorsel) error {
 	for m := range res {
 		for _, row := range res[m].rows {
 			copy(tail.out, row)
-			if !tail.deliver(nil) {
+			if !tail.deliver(nil, 0) {
 				return r.err
 			}
 		}
@@ -537,7 +270,7 @@ func (r *runner) mergePlain(res []parMorsel) error {
 // reproduces the serial stable sort, ties included. Under DISTINCT the
 // candidates are first deduplicated in arrival-stamp order — the order the
 // serial sink deduplicates in, before it sorts.
-func (r *runner) mergeSorted(ws []*parWorker, res []parMorsel) error {
+func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
 	for m := range res {
 		if res[m].err != nil {
 			return res[m].err
@@ -546,7 +279,7 @@ func (r *runner) mergeSorted(ws []*parWorker, res []parMorsel) error {
 	p := r.p
 	runs := make([][]sortedRow, len(ws))
 	for i, w := range ws {
-		runs[i] = w.sorter.rows
+		runs[i] = w.sink.(*plainSink).sorter.rows
 	}
 	if p.distinct {
 		all := slices.Concat(runs...)
@@ -590,7 +323,7 @@ func (r *runner) mergeSorted(ws []*parWorker, res []parMorsel) error {
 // stamp, and the merged groups are ordered by that stamp — first-seen
 // order, exactly as the serial grouped sink built it. The shared
 // HAVING/projection/ORDER tail then runs unchanged.
-func (r *runner) mergeGroups(ws []*parWorker, res []parMorsel) error {
+func (r *runner) mergeGroups(ws []*runner, res []parMorsel) error {
 	for m := range res {
 		if res[m].err != nil {
 			return res[m].err
@@ -598,7 +331,7 @@ func (r *runner) mergeGroups(ws []*parWorker, res []parMorsel) error {
 	}
 	combined := make(map[string]*groupState)
 	for _, w := range ws {
-		for key, grp := range w.groups {
+		for key, grp := range w.sink.(*groupedSink).groups {
 			have, ok := combined[key]
 			if !ok {
 				combined[key] = grp

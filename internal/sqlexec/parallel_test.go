@@ -12,7 +12,9 @@ import (
 	"strings"
 	"testing"
 
+	"crosse/internal/sqldb"
 	"crosse/internal/sqlparser"
+	"crosse/internal/sqlval"
 )
 
 // genOrderedSelect produces ORDER BY queries over deliberately low-
@@ -180,6 +182,95 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 			_, parErr := EvalSelectOpts(db, sel, Options{Parallelism: par})
 			if parErr == nil || parErr.Error() != serialErr.Error() {
 				t.Fatalf("%q parallelism %d: error %v, serial %v", text, par, parErr, serialErr)
+			}
+		}
+	}
+}
+
+// TestOnePipelineBothDrivers pins that the serial driver and the morsel
+// workers share one pipeline: for a heap-table hash join in each
+// orientation (the runner swaps build and probe when the left input is
+// the smaller one), every sink mode — plain, DISTINCT, ORDER BY + LIMIT,
+// and GROUP BY with COUNT(DISTINCT), float SUM and MIN — gives the same
+// bytes at Parallelism 1, 2 and 4, and the serial run keeps the build
+// side's rows by reference instead of copying them.
+func TestOnePipelineBothDrivers(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(71))
+	db := sqldb.NewDatabase()
+	mustExec(t, db, `CREATE TABLE small (k INT, name TEXT)`)
+	mustExec(t, db, `CREATE TABLE big (id INT, k INT, x DOUBLE)`)
+	small, _ := db.Table("small")
+	big, _ := db.Table("big")
+	for i := 0; i < 24; i++ {
+		small.Insert([]sqlval.Value{sqlval.NewInt(int64(rng.Intn(16))), sqlval.NewString(fmt.Sprintf("n%d", rng.Intn(5)))})
+	}
+	for i := 0; i < 300; i++ {
+		big.Insert([]sqlval.Value{sqlval.NewInt(int64(i)), sqlval.NewInt(int64(rng.Intn(20))), sqlval.NewFloat(float64(rng.Intn(1000)) / 10)})
+	}
+	stored := map[*sqlval.Value]bool{}
+	small.Scan(func(row []sqlval.Value) bool {
+		stored[&row[0]] = true
+		return true
+	})
+
+	joins := []struct {
+		from    string
+		swapped bool
+	}{
+		{"small s JOIN big b ON s.k = b.k", true},
+		{"big b JOIN small s ON b.k = s.k", false},
+	}
+	modes := []string{
+		`SELECT b.id, s.name, b.x FROM %s`,
+		`SELECT DISTINCT s.name, b.k FROM %s`,
+		`SELECT b.id, s.name FROM %s ORDER BY s.name DESC, b.k LIMIT 25`,
+		`SELECT s.name, COUNT(DISTINCT b.k), SUM(b.x), MIN(b.x) FROM %s GROUP BY s.name`,
+	}
+	for _, j := range joins {
+		for _, mode := range modes {
+			text := fmt.Sprintf(mode, j.from)
+			st, err := sqlparser.Parse(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sel := st.(*sqlparser.Select)
+			plan, err := CompileOpts(db, sel, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := &runner{p: plan, yield: func([]sqlval.Value) bool { return true }, shared: &runShared{}}
+			if err := r.run(); err != nil {
+				t.Fatalf("%q: %v", text, err)
+			}
+			if r.swapped != j.swapped {
+				t.Fatalf("%q: swapped = %v, want %v", text, r.swapped, j.swapped)
+			}
+			if len(r.rights[0]) == 0 {
+				t.Fatalf("%q: empty build side", text)
+			}
+			for _, row := range r.rights[0] {
+				if !stored[&row[0]] {
+					t.Fatalf("%q: serial build side copied a stored row", text)
+				}
+			}
+
+			base, err := EvalSelectOpts(db, sel, Options{Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := strings.Join(renderRows(base), "\n")
+			for _, par := range []int{2, 4} {
+				got, err := EvalSelectOpts(db, sel, Options{Parallelism: par})
+				if err != nil {
+					t.Fatalf("%q parallelism %d: %v", text, par, err)
+				}
+				if got.ParallelFallback != "" {
+					t.Fatalf("%q parallelism %d: fell back (%q)", text, par, got.ParallelFallback)
+				}
+				if g := strings.Join(renderRows(got), "\n"); g != want {
+					t.Fatalf("%q: parallelism %d diverges from serial\nserial:\n%s\nparallel:\n%s", text, par, want, g)
+				}
 			}
 		}
 	}

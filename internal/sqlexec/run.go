@@ -8,7 +8,9 @@ package sqlexec
 // allocates retained rows — via sqlval.RowArena, so materialising n rows
 // costs O(n/block) allocations. LIMIT without ORDER BY stops the pipeline
 // early; ORDER BY + LIMIT keeps a bounded stable top-K heap instead of
-// sorting everything.
+// sorting everything. The pipeline body for one driving row is feed, and
+// it has two drivers: the serial one in run streams the driving scan into
+// it, the morsel workers of parallel.go feed it materialised morsels.
 
 import (
 	"cmp"
@@ -141,7 +143,8 @@ func (sh *runShared) scanRelation(sp scanPlan, h func([]sqlval.Value) bool) erro
 	return fmt.Errorf("scan %s: %w", sp.rel.Name(), err)
 }
 
-// runner holds all per-execution state of one plan run.
+// runner holds all per-execution state of one plan run. A parallel run
+// gives each pool worker its own runner over the coordinator's frozen sides.
 type runner struct {
 	p      *SelectPlan
 	yield  func([]sqlval.Value) bool
@@ -149,27 +152,34 @@ type runner struct {
 
 	row []sqlval.Value // the joined-row buffer, width p.width
 
-	// Per-join materialised right sides (index parallel to p.joins).
-	// swapped marks the first join running in build-left/stream-right
-	// orientation (chosen from live cardinalities).
-	rights  [][][]sqlval.Value
-	hashes  []*joinTable
-	swapped bool
-	// In swapped mode the materialised LEFT rows and their hash by key.
-	leftRows [][]sqlval.Value
-	leftHash *joinTable
+	sides
 
-	// driving marks the pipeline-driving scan (as opposed to side builds);
-	// drivePos counts its rows pre-filter, so sinks can derive the morsel
-	// index a row would land in on the parallel path — the unit of the
-	// deterministic float-aggregation reduction (see aggState).
-	driving  bool
+	// drivePos counts the driving rows fed so far, pre-filter: the serial
+	// driver advances it from 0, a morsel worker from the morsel's first
+	// row index, so (drivePos-1)/parallelMorsel is the current driving
+	// row's morsel on both paths. seq numbers the rows sunk within that
+	// morsel (atMorsel); see at.
 	drivePos int64
+	atMorsel int64
+	seq      int64
 
 	err     error
 	stopped bool // fn asked to stop (not an error)
 
 	sink rowSink
+}
+
+// sides is the join state both drivers share, frozen before driving
+// starts: the driving scan and, per join (index parallel to p.joins), the
+// materialised non-streamed side and its hash index. swapped marks the
+// first join running in build-left/stream-right orientation (chosen from
+// live cardinalities): its right source drives, and rights[0]/hashes[0]
+// hold the scan0 build.
+type sides struct {
+	driving scanPlan
+	swapped bool
+	rights  [][][]sqlval.Value
+	hashes  []*joinTable
 }
 
 // rowSink consumes completed joined rows and produces output rows.
@@ -197,6 +207,9 @@ func (r *runner) run() error {
 	}
 
 	r.row = make([]sqlval.Value, p.width)
+	r.driving = p.scan0
+	r.rights = make([][][]sqlval.Value, len(p.joins))
+	r.hashes = make([]*joinTable, len(p.joins))
 
 	// Decide the orientation of the first join: when both base relations
 	// expose O(1) cardinalities and the left side is the smaller input,
@@ -205,85 +218,30 @@ func (r *runner) run() error {
 	if len(p.joins) > 0 && p.joins[0].kind == joinHash {
 		le, lok := scanEstimate(p.scan0)
 		re, rok := scanEstimate(p.joins[0].src)
-		r.swapped = lok && rok && le < re
+		if r.swapped = lok && rok && le < re; r.swapped {
+			r.driving = p.joins[0].src
+		}
 	}
 
 	// Large driving inputs take the morsel-driven parallel path (see
-	// parallel.go); everything below is the serial pipeline.
+	// parallel.go). The serial driver builds the sides in join order
+	// (sequentially, so no table locks nest), then streams the driving
+	// scan through feed.
 	if done, err := r.tryParallel(); done {
 		return err
 	}
-
+	for i := range p.joins {
+		if err := r.buildSide(i, 1); err != nil {
+			return err
+		}
+	}
 	if p.grouped {
-		r.sink = newGroupedSink(r)
+		r.sink = newGroupedSink(r, false)
 	} else {
 		r.sink = newPlainSink(r)
 	}
-
-	// Materialise the non-streamed sides up front (sequentially, so no
-	// table locks nest).
-	for i := range p.joins {
-		if r.swapped && i == 0 {
-			if err := r.buildSwappedLeft(); err != nil {
-				return err
-			}
-			r.rights = append(r.rights, nil)
-			r.hashes = append(r.hashes, nil)
-			continue
-		}
-		rows, err := r.materialize(p.joins[i].src)
-		if err != nil {
-			return err
-		}
-		r.rights = append(r.rights, rows)
-		switch p.joins[i].kind {
-		case joinHash, joinHashLeft:
-			r.hashes = append(r.hashes, buildHash(rows, p.joins[i].rightSlot-p.joins[i].src.offset))
-		default:
-			r.hashes = append(r.hashes, nil)
-		}
-	}
-
-	// Drive the pipeline.
-	r.driving = true
-	if r.swapped {
-		j := p.joins[0]
-		src := j.src
-		keyOff := j.rightSlot
-		var scratch []byte
-		r.scan(src, func() bool {
-			v := r.row[keyOff]
-			if v.IsNull() {
-				return true
-			}
-			scratch = sqlval.AppendJoinKey(scratch[:0], v)
-			for _, li := range r.leftHash.lookup(scratch) {
-				if cmp, err := sqlval.Compare(v, r.leftRows[li][j.leftSlot]); err != nil || cmp != 0 {
-					continue
-				}
-				copy(r.row[:p.scan0.width], r.leftRows[li])
-				if ok, done := r.applyConjuncts(j.residual); !ok {
-					if done {
-						return false
-					}
-					continue
-				}
-				if ok, done := r.applyConjuncts(j.post); !ok {
-					if done {
-						return false
-					}
-					continue
-				}
-				if !r.step(2) {
-					return false
-				}
-			}
-			return true
-		})
-	} else {
-		r.scan(p.scan0, func() bool {
-			return r.step(1)
-		})
+	if err := r.shared.scanRelation(r.driving, r.feed); err != nil && r.err == nil {
+		r.err = err
 	}
 	if r.err != nil {
 		return r.err
@@ -307,24 +265,30 @@ func scanEstimate(sp scanPlan) (int, bool) {
 	return 0, false
 }
 
-// scan streams the source's rows into its slot segment of the joined-row
-// buffer, applying the pushed-down seek and the source-local filters, then
-// calls next. next returning false stops the scan.
-func (r *runner) scan(sp scanPlan, next func() bool) {
-	seg := r.row[sp.offset : sp.offset+sp.width]
-	h := func(in []sqlval.Value) bool {
-		if r.driving {
-			r.drivePos++
-		}
-		copy(seg, in)
-		if ok, done := r.applyConjuncts(sp.filters); !ok {
-			return !done
-		}
-		return next()
+// feed is the pipeline body for one driving row, shared by both drivers:
+// copy the row into its slot segment, advance drivePos, apply the
+// source-local filters, then run the joins. It returns false to stop
+// driving.
+func (r *runner) feed(in []sqlval.Value) bool {
+	sp := &r.driving
+	copy(r.row[sp.offset:sp.offset+sp.width], in)
+	r.drivePos++
+	if ok, done := r.applyConjuncts(sp.filters); !ok {
+		return !done
 	}
-	if err := r.shared.scanRelation(sp, h); err != nil && r.err == nil {
-		r.err = err
+	return r.step(1)
+}
+
+// at returns the arrival stamp of the joined row being sunk — its driving
+// row's morsel and its sequence within that morsel (exec.At) — and
+// advances the sequence. Both drivers derive the same stamp for the same
+// row, which is what lets the parallel merges reproduce serial order.
+func (r *runner) at() int64 {
+	if m := (r.drivePos - 1) / int64(parallelMorsel); m != r.atMorsel {
+		r.atMorsel, r.seq = m, 0
 	}
+	r.seq++
+	return sched.At(int(r.atMorsel), r.seq-1)
 }
 
 // applyConjuncts evaluates the conjuncts over the row buffer. ok reports
@@ -344,44 +308,75 @@ func (r *runner) applyConjuncts(conj []cexpr) (ok, done bool) {
 	return true, false
 }
 
-// materialize scans a right-side source into retained rows of the
-// source's width (seek and source-local filters applied).
-func (r *runner) materialize(sp scanPlan) ([][]sqlval.Value, error) {
-	arena := sqlval.NewRowArena(sp.width)
-	var rows [][]sqlval.Value
-	seg := r.row[sp.offset : sp.offset+sp.width]
-	r.scan(sp, func() bool {
-		rows = append(rows, arena.Copy(seg))
-		return true
-	})
-	if r.err != nil {
-		return nil, r.err
+// orient returns join k's build source — the source whose rows it
+// materialises — with the slot the probing row's key sits in and the slot
+// of the build's key: the right source probed by the left key, or, for a
+// swapped first join, scan0 probed by the right key.
+func (r *runner) orient(k int) (build *scanPlan, probe, key int) {
+	j := &r.p.joins[k]
+	if k == 0 && r.swapped {
+		return &r.p.scan0, j.rightSlot, j.leftSlot
 	}
-	return rows, nil
+	return &j.src, j.leftSlot, j.rightSlot
 }
 
-// buildSwappedLeft materialises the driving scan and hashes it on the
-// first join's left key (swapped orientation).
-func (r *runner) buildSwappedLeft() error {
-	p := r.p
-	arena := sqlval.NewRowArena(p.scan0.width)
-	keySlot := p.joins[0].leftSlot
-	buckets := make(map[string][]int32)
-	var scratch []byte
-	seg := r.row[:p.scan0.width]
-	r.scan(p.scan0, func() bool {
-		v := r.row[keySlot]
-		if v.IsNull() {
-			return true // NULL keys never equi-join
+// buildSide materialises join k's build source and, for hash joins,
+// indexes it. Both drivers build through here; workers > 1 lets a large
+// hash build fan out (parallelBuildHash).
+func (r *runner) buildSide(k, workers int) error {
+	src, _, key := r.orient(k)
+	rows, err := r.p.materializeSide(r.shared, *src, false)
+	if err != nil {
+		return err
+	}
+	r.rights[k] = rows
+	if kind := r.p.joins[k].kind; kind == joinHash || kind == joinHashLeft {
+		r.hashes[k] = parallelBuildHash(workers, rows, key-src.offset)
+	}
+	return nil
+}
+
+// materializeSide scans one source into retained rows of the source's
+// width, using its own full-width scratch row (so concurrent builds never
+// share state). The pushed-down equality seek always applies; the
+// source-local filters apply unless raw is set. Sources whose scans hand
+// out immutable retained rows (sqldb.StableRowScanner — the in-memory
+// heap tables) are kept by reference; anything else is deep-copied into
+// an arena, since the callback rows may be reused buffers.
+func (p *SelectPlan) materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, error) {
+	tmp := &runner{p: p, row: make([]sqlval.Value, p.width), shared: sh}
+	_, stable := sp.rel.(sqldb.StableRowScanner)
+	var arena *sqlval.RowArena
+	if !stable {
+		arena = sqlval.NewRowArena(sp.width)
+	}
+	var rows [][]sqlval.Value
+	if n, ok := sp.rel.(interface{ Len() int }); ok && raw {
+		rows = make([][]sqlval.Value, 0, n.Len())
+	}
+	seg := tmp.row[sp.offset : sp.offset+sp.width]
+	h := func(in []sqlval.Value) bool {
+		if !raw {
+			copy(seg, in)
+			if ok, done := tmp.applyConjuncts(sp.filters); !ok {
+				return !done
+			}
 		}
-		r.leftRows = append(r.leftRows, arena.Copy(seg))
-		scratch = sqlval.AppendJoinKey(scratch[:0], v)
-		k := string(scratch)
-		buckets[k] = append(buckets[k], int32(len(r.leftRows)-1))
+		if stable {
+			rows = append(rows, in)
+		} else {
+			rows = append(rows, arena.Copy(in))
+		}
 		return true
-	})
-	r.leftHash = &joinTable{parts: []map[string][]int32{buckets}}
-	return r.err
+	}
+	err := sh.scanRelation(sp, h)
+	if err == nil {
+		err = tmp.err
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rows, nil
 }
 
 // joinTable is a frozen hash index over materialised build rows: buckets of
@@ -446,7 +441,8 @@ func (r *runner) step(i int) bool {
 		return true
 	}
 	j := &p.joins[i-1]
-	seg := r.row[j.src.offset : j.src.offset+j.src.width]
+	src, probe, key := r.orient(i - 1)
+	seg := r.row[src.offset : src.offset+src.width]
 	rows := r.rights[i-1]
 
 	emit := func() (cont bool, passed bool) {
@@ -464,10 +460,10 @@ func (r *runner) step(i int) bool {
 	switch j.kind {
 	case joinHash, joinHashLeft:
 		matched := false
-		v := r.row[j.leftSlot]
+		v := r.row[probe]
 		if !v.IsNull() {
 			var scratch [48]byte
-			keyRel := j.rightSlot - j.src.offset
+			keyRel := key - src.offset
 			for _, ri := range r.hashes[i-1].lookup(sqlval.AppendJoinKey(scratch[:0], v)) {
 				// The bucket may hold Compare-unequal values (the numeric
 				// fold is lossy past 2^53): re-verify the actual equality.
@@ -533,11 +529,14 @@ type plainSink struct {
 
 	sorter *topKSorter
 
+	// offset and limit are the plan's, except on a morsel worker, whose
+	// buffered output the merge windows.
+	offset, limit  int
 	count, skipped int
 }
 
 func newPlainSink(r *runner) *plainSink {
-	s := &plainSink{r: r, p: r.p, out: make([]sqlval.Value, len(r.p.items))}
+	s := &plainSink{r: r, p: r.p, out: make([]sqlval.Value, len(r.p.items)), offset: r.p.offset, limit: r.p.limit}
 	if s.p.distinct {
 		s.seen = make(map[string]struct{})
 	}
@@ -556,13 +555,17 @@ func (s *plainSink) add(row []sqlval.Value) bool {
 		}
 		s.out[i] = v
 	}
-	return s.deliver(row)
+	var at int64
+	if s.sorter != nil {
+		at = s.r.at()
+	}
+	return s.deliver(row, at)
 }
 
 // deliver runs the DISTINCT / ORDER BY / LIMIT tail over the projected
 // row; under is the row order keys fall back to when they reference
-// non-projected columns.
-func (s *plainSink) deliver(under []sqlval.Value) bool {
+// non-projected columns, at the row's arrival stamp (the sort tiebreak).
+func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 	if s.seen != nil {
 		s.keyScratch = s.keyScratch[:0]
 		for _, v := range s.out {
@@ -574,24 +577,24 @@ func (s *plainSink) deliver(under []sqlval.Value) bool {
 		s.seen[string(s.keyScratch)] = struct{}{}
 	}
 	if s.sorter != nil {
-		if err := s.sorter.add(s.out, under); err != nil {
+		if err := s.sorter.add(s.out, under, at); err != nil {
 			s.r.err = err
 			return false
 		}
 		return true
 	}
-	if s.p.offset > 0 && s.skipped < s.p.offset {
+	if s.offset > 0 && s.skipped < s.offset {
 		s.skipped++
 		return true
 	}
-	if s.p.limit == 0 {
+	if s.limit == 0 {
 		return false
 	}
 	if !s.r.yield(s.out) {
 		return false
 	}
 	s.count++
-	return s.p.limit < 0 || s.count < s.p.limit
+	return s.limit < 0 || s.count < s.limit
 }
 
 func (s *plainSink) finish() error {
@@ -607,8 +610,7 @@ type groupState struct {
 	first []sqlval.Value // retained copy of the group's first joined row
 	aggs  []*aggState
 
-	// firstAt is the arrival stamp of the group's first row — zero on the
-	// serial path, (morsel, seq) composite on the parallel one, where the
+	// firstAt is the arrival stamp of the group's first row; the parallel
 	// merge orders groups by it to reproduce first-seen output order.
 	firstAt int64
 }
@@ -617,19 +619,21 @@ type groupedSink struct {
 	r *runner
 	p *SelectPlan
 
-	groups map[string]*groupState
-	order  []*groupState
-	arena  *sqlval.RowArena
+	groups  map[string]*groupState
+	order   []*groupState
+	arena   *sqlval.RowArena
+	collect bool // DISTINCT aggregates collect for the parallel merge
 
 	keyScratch []byte
 }
 
-func newGroupedSink(r *runner) *groupedSink {
+func newGroupedSink(r *runner, collect bool) *groupedSink {
 	return &groupedSink{
-		r:      r,
-		p:      r.p,
-		groups: make(map[string]*groupState),
-		arena:  sqlval.NewRowArena(r.p.width),
+		r:       r,
+		p:       r.p,
+		groups:  make(map[string]*groupState),
+		arena:   sqlval.NewRowArena(r.p.width),
+		collect: collect,
 	}
 }
 
@@ -644,20 +648,21 @@ func (s *groupedSink) add(row []sqlval.Value) bool {
 		}
 		s.keyScratch = sqlval.AppendKey(s.keyScratch, v)
 	}
+	// The stamp's morsel makes float SUM/AVG fold per morsel — the
+	// reduction tree the parallel merge uses, which is what makes the two
+	// paths bit-identical; the whole stamp orders first rows and MIN/MAX
+	// ties across workers.
+	at := s.r.at()
 	grp, ok := s.groups[string(s.keyScratch)]
 	if !ok {
-		grp = &groupState{first: s.arena.Copy(row)}
+		grp = &groupState{first: s.arena.Copy(row), firstAt: at}
 		grp.aggs = make([]*aggState, len(g.aggs))
 		for i, a := range g.aggs {
-			grp.aggs[i] = newAggState(a.fc)
+			grp.aggs[i] = newAggState(a.fc, s.collect)
 		}
 		s.groups[string(s.keyScratch)] = grp
 		s.order = append(s.order, grp)
 	}
-	// Stamp values with the driving row's would-be parallel morsel so float
-	// SUM/AVG folds per morsel — the same reduction tree the parallel merge
-	// uses, which is what makes the two paths bit-identical.
-	at := sched.At(int((s.r.drivePos-1)/int64(parallelMorsel)), 0)
 	for i, a := range g.aggs {
 		if a.arg == nil { // COUNT(*)
 			grp.aggs[i].count++
@@ -692,7 +697,7 @@ func emitGroups(r *runner, order []*groupState) error {
 		grp := &groupState{first: make([]sqlval.Value, p.width)}
 		grp.aggs = make([]*aggState, len(g.aggs))
 		for i, a := range g.aggs {
-			grp.aggs[i] = newAggState(a.fc)
+			grp.aggs[i] = newAggState(a.fc, false)
 		}
 		order = append(order, grp)
 	}
@@ -700,7 +705,7 @@ func emitGroups(r *runner, order []*groupState) error {
 	// The emit tail shares the plain sink's DISTINCT/ORDER/LIMIT logic.
 	tail := newPlainSink(r)
 	ext := make([]sqlval.Value, p.width+len(g.aggs))
-	for _, grp := range order {
+	for gi, grp := range order {
 		copy(ext, grp.first)
 		for i, a := range grp.aggs {
 			ext[p.width+i] = a.result()
@@ -721,7 +726,7 @@ func emitGroups(r *runner, order []*groupState) error {
 			}
 			tail.out[i] = v
 		}
-		if !tail.deliver(ext) {
+		if !tail.deliver(ext, int64(gi)) {
 			if r.err != nil {
 				return r.err
 			}
@@ -734,10 +739,10 @@ func emitGroups(r *runner, order []*groupState) error {
 // --- stable top-K / full sort ---
 
 // sortedRow is one buffered output row with its evaluated order keys and
-// arrival stamp (the tiebreak that makes the sort stable). On the serial
-// path the stamp is a plain sequence number; on the parallel path it is
-// the (morsel, within-morsel sequence) composite of exec.At, which orders
-// rows exactly as the serial pipeline would have produced them.
+// arrival stamp (the tiebreak that makes the sort stable): the (morsel,
+// within-morsel sequence) composite of runner.at for pipeline rows, which
+// orders rows identically on both drivers, and the position for rows
+// sorted after the pipeline (groups, SortLimit).
 type sortedRow struct {
 	keys []sqlval.Value
 	row  []sqlval.Value
@@ -755,7 +760,6 @@ type topKSorter struct {
 	keyA       *sqlval.RowArena
 	keyScratch []sqlval.Value // reused for rows the bounded heap rejects
 	cap        int            // -1 = unbounded (full sort)
-	seq        int64
 }
 
 func newTopKSorter(p *SelectPlan, width int) *topKSorter {
@@ -794,7 +798,7 @@ func orderCmp(order []orderPlan, a, b *sortedRow) int {
 	return cmp.Compare(a.seq, b.seq)
 }
 
-func (s *topKSorter) add(out, under []sqlval.Value) error {
+func (s *topKSorter) add(out, under []sqlval.Value, seq int64) error {
 	keys := s.keyScratch
 	for k, op := range s.p.order {
 		var v sqlval.Value
@@ -814,8 +818,7 @@ func (s *topKSorter) add(out, under []sqlval.Value) error {
 		}
 		keys[k] = v
 	}
-	nr := sortedRow{keys: keys, seq: s.seq}
-	s.seq++
+	nr := sortedRow{keys: keys, seq: seq}
 
 	if s.cap == 0 {
 		return nil
