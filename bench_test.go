@@ -199,9 +199,9 @@ func BenchmarkKBScaling(b *testing.B) {
 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
 	for _, extra := range []int{0, 10000, 100000} {
 		enr := benchFixture(b, 100, extra)
-		enr.SetQueryCache(nil) // measure the extraction, not memo hits
 		b.Run(fmt.Sprintf("extraKB%d", extra), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
+				enr.SetQueryCache(core.NewQueryCache(0)) // measure the extraction, not memo hits
 				if _, err := enr.Query("alice", q); err != nil {
 					b.Fatal(err)
 				}
@@ -957,9 +957,9 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
 	})
 	b.Run("Uncached", func(b *testing.B) {
 		enr := benchFixture(b, 200, 0)
-		enr.SetQueryCache(nil)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
+			enr.SetQueryCache(core.NewQueryCache(0))
 			if _, err := enr.Query("alice", query); err != nil {
 				b.Fatal(err)
 			}

@@ -77,10 +77,16 @@
 // Execution is a push-based pipeline over one reused row buffer with
 // arena-backed materialisation only at the sink; LIMIT without ORDER BY
 // stops the pipeline early. Plan ablation knobs (hash joins, index seeks,
-// top-K) live in sqlexec.Options — per call, not a package global. The
-// seed's interpreter survives as the reference oracle the randomised
-// parity suite (internal/sqlexec/parity_test.go) pins the compiled
-// semantics to.
+// top-K) live in sqlexec.Options — per call, not a package global. Every
+// production expression evaluation is compiled, INSERT … VALUES and
+// UPDATE … SET included, and LIKE always runs the linear segment
+// matcher, whether the pattern is a constant or computed per row. The
+// seed's tree-walking interpreter stays in the package only as the
+// reference oracle the randomised parity suite
+// (internal/sqlexec/parity_test.go) pins the compiled semantics to; no
+// production path calls it. internal/sqlparser holds the one traversal
+// of an expression's children (Walk, Rewrite), which the SESQL rewrite,
+// the enricher and the compiler share.
 //
 // # Intra-query parallel execution
 //

@@ -29,8 +29,7 @@ type Enricher struct {
 	Activity *Activity
 
 	// cache memoises compiled SESQL shapes and SPARQL plans, and context
-	// extracts per view epoch. Nil disables caching (every call compiles
-	// and re-extracts); New installs one by default.
+	// extracts per view epoch. Never nil.
 	cache *QueryCache
 
 	// opts configures both executors for every evaluation; see
@@ -39,8 +38,7 @@ type Enricher struct {
 }
 
 // New wires an Enricher. A nil mapping gets the default SmartGround one.
-// The enricher starts with a default compiled-query cache; use
-// SetQueryCache(nil) to disable it.
+// The enricher starts with a default compiled-query cache.
 func New(db *engine.DB, platform *kb.Platform, mapping *Mapping) *Enricher {
 	if mapping == nil {
 		mapping = NewMapping("")
@@ -48,9 +46,10 @@ func New(db *engine.DB, platform *kb.Platform, mapping *Mapping) *Enricher {
 	return &Enricher{DB: db, Platform: platform, Mapping: mapping, cache: NewQueryCache(0)}
 }
 
-// SetQueryCache replaces the enricher's compiled-query cache. A nil cache
-// disables compiled-query and context-extract reuse (useful for
-// benchmarking the parse and extraction paths).
+// SetQueryCache replaces the enricher's compiled-query cache with c, which
+// must not be nil. A fresh NewQueryCache(0) before each query makes every
+// query cold: it parses, compiles and extracts from scratch. Not safe to
+// call concurrently with Query.
 func (e *Enricher) SetQueryCache(c *QueryCache) { e.cache = c }
 
 // SetExecOptions replaces the enricher's execution options wholesale. Not
@@ -60,33 +59,12 @@ func (e *Enricher) SetExecOptions(o ExecOptions) { e.opts = o }
 // ExecOptions returns the enricher's current execution options.
 func (e *Enricher) ExecOptions() ExecOptions { return e.opts }
 
-// QueryCacheStats reports the cache's cumulative hits and misses; zeros when
-// caching is disabled.
-func (e *Enricher) QueryCacheStats() (hits, misses int) {
-	if e.cache == nil {
-		return 0, 0
-	}
-	return e.cache.Stats()
-}
+// QueryCacheStats reports the cache's cumulative hits and misses.
+func (e *Enricher) QueryCacheStats() (hits, misses int) { return e.cache.Stats() }
 
 // ContextCacheStats reports the context-extract memo's cumulative hits and
-// misses; zeros when caching is disabled.
-func (e *Enricher) ContextCacheStats() (hits, misses int) {
-	if e.cache == nil {
-		return 0, 0
-	}
-	return e.cache.ContextStats()
-}
-
-// planSPARQL compiles a SPARQL text into a physical plan, consulting the
-// cache when enabled. A cache hit skips lexing, parsing and planning: the
-// returned plan is ready for ID-native execution against any KB view.
-func (e *Enricher) planSPARQL(text string) (*sparql.Plan, error) {
-	if e.cache == nil {
-		return compileSPARQL(text)
-	}
-	return e.cache.SPARQLPlan(text)
-}
+// misses.
+func (e *Enricher) ContextCacheStats() (hits, misses int) { return e.cache.ContextStats() }
 
 // Stats reports per-stage timings and artifacts of one SESQL evaluation —
 // the observable counterpart of the Fig. 6 architecture, used by experiment
@@ -181,7 +159,7 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	}
 	q := sp.q
 	uc := userCtx{name: user, view: view}
-	if e.cache != nil && len(q.Enrichments) > 0 {
+	if len(q.Enrichments) > 0 {
 		// Read before the first extract, as rest.cacheKey does: a mutation
 		// landing mid-query strands this query's memo entries under the
 		// old epoch instead of leaving them stale under the new one.
@@ -323,8 +301,7 @@ func buildBaseQuery(q *sesql.Query, whereEnr []sesql.Enrichment) (*sqlparser.Sel
 		}
 		sel.Where = where
 
-		var refs []*sqlparser.ColRef
-		collectColRefs(tag.Expr, &refs)
+		refs := sqlparser.ColRefs(tag.Expr)
 		if en.Kind == sesql.ReplaceVariable {
 			attr := parseAttrRef(en.Attr)
 			refs = append(refs, attr)
@@ -334,7 +311,7 @@ func buildBaseQuery(q *sesql.Query, whereEnr []sesql.Enrichment) (*sqlparser.Sel
 		// it must not become a hidden projection.
 		constSQL := ""
 		if en.Kind == sesql.ReplaceConstant {
-			constSQL = parseAttrRef(en.Attr).SQL()
+			constSQL = parseConstant(en.Attr).SQL()
 		}
 		for _, cr := range refs {
 			key := cr.SQL()
@@ -362,42 +339,15 @@ func parseAttrRef(attr string) *sqlparser.ColRef {
 	return &sqlparser.ColRef{Name: attr}
 }
 
-func collectColRefs(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
-	switch ex := e.(type) {
-	case *sqlparser.ColRef:
-		*out = append(*out, ex)
-	case *sqlparser.BinExpr:
-		collectColRefs(ex.L, out)
-		collectColRefs(ex.R, out)
-	case *sqlparser.UnaryExpr:
-		collectColRefs(ex.E, out)
-	case *sqlparser.IsNull:
-		collectColRefs(ex.E, out)
-	case *sqlparser.InList:
-		collectColRefs(ex.E, out)
-		for _, le := range ex.List {
-			collectColRefs(le, out)
-		}
-	case *sqlparser.Between:
-		collectColRefs(ex.E, out)
-		collectColRefs(ex.Lo, out)
-		collectColRefs(ex.Hi, out)
-	case *sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			collectColRefs(a, out)
-		}
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil {
-			collectColRefs(ex.Operand, out)
-		}
-		for _, w := range ex.Whens {
-			collectColRefs(w.Cond, out)
-			collectColRefs(w.Then, out)
-		}
-		if ex.Else != nil {
-			collectColRefs(ex.Else, out)
-		}
+// parseConstant parses a REPLACECONSTANT constant argument as its tagged
+// condition spells it: a bare name (HazardousWaste) or a literal
+// ('HazardousWaste', 5). Any other text falls back to parseAttrRef.
+func parseConstant(text string) sqlparser.Expr {
+	switch e, _ := sqlparser.ParseExpr(text); e.(type) {
+	case *sqlparser.ColRef, *sqlparser.Literal:
+		return e
 	}
+	return parseAttrRef(text)
 }
 
 // --- WHERE enrichments ---
@@ -663,19 +613,16 @@ func (e *Enricher) replacementValues(step *enrichStep, uc userCtx, st *Stats) ([
 // when they don't.
 func extract[T any](e *Enricher, uc userCtx, kind extractKind, text string, st *Stats,
 	minVars int, minVarsErr string, v T, add func(T, sparql.Solution) T) (T, error) {
-	var key extractKey
-	if e.cache != nil {
-		key = extractKey{view: uc.view, kind: kind, text: text, mapping: e.Mapping}
-		if hit, ok := e.cache.getExtract(key, uc.epoch); ok {
-			st.ContextHits++
-			return hit.(T), nil
-		}
+	key := extractKey{view: uc.view, kind: kind, text: text, mapping: e.Mapping}
+	if hit, ok := e.cache.getExtract(key, uc.epoch); ok {
+		st.ContextHits++
+		return hit.(T), nil
 	}
 	st.SPARQLQueries = append(st.SPARQLQueries, text)
 	t0 := time.Now()
 	defer func() { st.SPARQL += time.Since(t0) }()
 	var zero T
-	p, err := e.planSPARQL(text)
+	p, err := e.cache.SPARQLPlan(text)
 	if err != nil {
 		return zero, fmt.Errorf("core: SPARQL: %w", err)
 	}
@@ -692,9 +639,7 @@ func extract[T any](e *Enricher, uc userCtx, kind extractKind, text string, st *
 		return zero, fmt.Errorf("core: SPARQL: %w", err)
 	}
 	st.addParallelFallback("sparql", info.ParallelFallback)
-	if e.cache != nil {
-		e.cache.putExtract(key, uc.epoch, v, n)
-	}
+	e.cache.putExtract(key, uc.epoch, v, n)
 	return v, nil
 }
 
@@ -706,7 +651,7 @@ func (e *Enricher) SPARQL(user, text string) (*sparql.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	p, err := e.planSPARQL(text)
+	p, err := e.cache.SPARQLPlan(text)
 	if err != nil {
 		return nil, err
 	}

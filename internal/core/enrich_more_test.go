@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"crosse/internal/kb"
 	"crosse/internal/rdf"
@@ -204,5 +205,32 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 	got := resultRows(r)
 	if !strings.Contains(strings.Join(got, " "), "Mercury|extreme") {
 		t.Errorf("custom-prefix join: %v", got)
+	}
+}
+
+// A LIKE pattern computed per row, here (%a)×12%b over a 40-byte name that
+// holds no b, must match in linear time, not by backtracking over every
+// placement of the a's.
+func TestDynamicLikePatternLinear(t *testing.T) {
+	e := fixture(t)
+	if _, err := e.DB.Exec(`INSERT INTO landfill VALUES ('` + strings.Repeat("a", 40) + `', 'Graz')`); err != nil {
+		t.Fatal(err)
+	}
+	query := `SELECT name FROM landfill WHERE name LIKE '` + strings.Repeat("%a", 12) + `%' || 'b'`
+	done := make(chan error, 1)
+	go func() {
+		r, err := e.Query("alice", query)
+		if err == nil && len(r.Rows) != 0 {
+			t.Errorf("rows %v, want none", r.Rows)
+		}
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("a 12-run dynamic LIKE pattern over 40 bytes took over 2 s")
 	}
 }

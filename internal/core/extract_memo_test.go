@@ -35,7 +35,8 @@ const memoMarker = "only-" // dangerLevel literals that must stay with their own
 // context mutation over three users — insert, retract, owner-retract of a
 // statement others believe, import, owned and shared stored-query
 // registration — and after every step compares each user's answers to the
-// six strategies through the memo with those of an uncached enricher.
+// six strategies through the memo with those of a cold enricher, which
+// gets a fresh cache before each query.
 func TestContextMemoInvalidationProperty(t *testing.T) {
 	users := []string{"u0", "u1", "u2"}
 	elems := []string{"Mercury", "Lead", "Zinc", "Gold", "Asbestos"}
@@ -57,7 +58,6 @@ func TestContextMemoInvalidationProperty(t *testing.T) {
 		}
 		memo := New(base.DB, p, nil)
 		cold := New(base.DB, p, nil)
-		cold.SetQueryCache(nil)
 
 		pick := func(xs []string) string { return xs[rng.Intn(len(xs))] }
 		believedBy := func(u string) []*kb.Statement {
@@ -138,6 +138,7 @@ func TestContextMemoInvalidationProperty(t *testing.T) {
 						t.Fatalf("seed %d step %d (%s): %s query %d: %v", seed, i, what, u, qi, err)
 					}
 					hits += st.ContextHits
+					cold.SetQueryCache(NewQueryCache(0))
 					want, err := cold.Query(u, text)
 					if err != nil {
 						t.Fatal(err)
@@ -196,8 +197,7 @@ func TestContextMemoPlatformSwap(t *testing.T) {
 	}
 }
 
-// The memo is an LRU bounded by the cache's entry max, and absent when the
-// cache is disabled.
+// The memo is an LRU bounded by the cache's entry max.
 func TestContextMemoBound(t *testing.T) {
 	e := fixture(t)
 	e.SetQueryCache(NewQueryCache(2))
@@ -225,16 +225,6 @@ func TestContextMemoBound(t *testing.T) {
 	}
 	if st := query(props[2]); st.ContextHits != 1 {
 		t.Error("the entry kept by the bound must answer")
-	}
-
-	e.SetQueryCache(nil)
-	for i := 0; i < 2; i++ {
-		if st := query(props[0]); st.ContextHits != 0 || len(st.SPARQLQueries) != 1 {
-			t.Errorf("cache disabled: context hits %d, queries %v", st.ContextHits, st.SPARQLQueries)
-		}
-	}
-	if h, m := e.ContextCacheStats(); h != 0 || m != 0 {
-		t.Errorf("cache disabled: stats %d/%d, want zeros", h, m)
 	}
 }
 

@@ -3,8 +3,9 @@ package core
 // This file implements the platform journal: the logged-mutation path that
 // makes the platform durable between images. Every public mutator applies
 // the change to the in-memory platform, appends exactly one record to the
-// write-ahead log, and only acknowledges once the record is durable under
-// the log's sync policy. The journal's lock serializes {apply + append}
+// write-ahead log (Exec one per statement), and only acknowledges once the
+// record is durable under the log's sync policy. The journal's lock
+// serializes {apply + append}
 // so the log's record order IS the application order — the property that
 // makes replay deterministic (statement ids come from a platform counter,
 // so records replayed in order reproduce the ids they were acknowledged
@@ -284,36 +285,53 @@ func (j *Journal) DeclareProperty(user, iri string) error {
 	)
 }
 
-// Exec runs SQL against the databank. Statements that can change state
-// (DDL and DML — anything but a bare SELECT) are logged; SELECTs read
-// without touching the journal.
+// Exec runs SQL against the databank one statement at a time. A SELECT
+// reads without touching the journal; every other statement is logged once
+// it succeeds. A statement that fails after changing rows (a multi-row
+// INSERT reaching a duplicate key) is logged too, marked as failed, so
+// that replay reproduces its partial effect; a failure that changed
+// nothing logs nothing. A failure ends the script.
 func (j *Journal) Exec(sql string) (*sqlexec.Result, error) {
-	if isReadOnlySQL(sql) {
-		return j.db.ExecScript(sql)
+	last := &sqlexec.Result{}
+	for _, stmt := range engine.SplitStatements(sql) {
+		var res *sqlexec.Result
+		var err error
+		if strings.EqualFold(strings.Fields(stmt)[0], "SELECT") {
+			res, err = j.db.ExecStatement(stmt)
+		} else {
+			res, err = j.execLogged(stmt)
+		}
+		if err != nil {
+			return nil, err
+		}
+		last = res
 	}
-	var res *sqlexec.Result
-	err := j.logged(
-		func() (err error) {
-			res, err = j.db.ExecScript(sql)
-			return err
-		},
-		func() []byte { return encSQL(sql) },
-	)
-	return res, err
+	return last, nil
 }
 
-// isReadOnlySQL reports whether every statement in the script is a SELECT.
-func isReadOnlySQL(script string) bool {
-	for _, stmt := range engine.SplitStatements(script) {
-		fields := strings.Fields(stmt)
-		if len(fields) == 0 {
-			continue
-		}
-		if !strings.EqualFold(fields[0], "SELECT") {
-			return false
-		}
+// execLogged runs one state-changing statement under the journal.
+func (j *Journal) execLogged(stmt string) (*sqlexec.Result, error) {
+	var res *sqlexec.Result
+	var failed error
+	err := j.logged(
+		func() error {
+			res, failed = j.db.ExecStatement(stmt)
+			if failed != nil && (res == nil || res.Affected == 0) {
+				return failed
+			}
+			return nil
+		},
+		func() []byte {
+			if failed != nil {
+				return encSQLFailed(stmt)
+			}
+			return encSQL(stmt)
+		},
+	)
+	if err == nil {
+		err = failed
 	}
-	return true
+	return res, err
 }
 
 // Compact re-anchors the journal: under the mutation lock (so the platform

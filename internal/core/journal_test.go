@@ -289,3 +289,61 @@ func TestJournalAppendsVsStreamedReads(t *testing.T) {
 		t.Fatalf("recovered LSN %d (restored=%v), want %d", j2.Status().LSN, restored, lsn)
 	}
 }
+
+// A failed Exec must leave the live databank where the log puts it after a
+// reopen: a statement that changed rows before failing is logged and
+// replayed, and a script stops at its failing statement with the
+// statements before it logged.
+func TestJournalExecFailureMatchesReplay(t *testing.T) {
+	cases := []struct {
+		name, sql     string
+		rows, records int
+	}{
+		{"duplicate key", `INSERT INTO landfill VALUES ('c', 'x'), ('a', 'dup')`, 3, 1},
+		{"division by zero", `INSERT INTO landfill VALUES ('d', 'x'), ('e', 1/0)`, 3, 1},
+		{"script", `INSERT INTO landfill VALUES ('f', 'x'); INSERT INTO nosuch VALUES (1)`, 3, 1},
+		{"nothing changed", `INSERT INTO landfill VALUES ('a', 'dup')`, 2, 0},
+		{"failing update", `UPDATE landfill SET city = CASE WHEN name = 'b' THEN 1/0 ELSE 'y' END`, 2, 1},
+	}
+	count := func(j *Journal) int {
+		t.Helper()
+		r, err := j.Exec("SELECT name, city FROM landfill")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(r.Rows)
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			j, _ := journalFixture(t, dir)
+			base := j.Status().LSN
+			if _, err := j.Exec(c.sql); err == nil {
+				t.Fatalf("%s: want an error", c.sql)
+			}
+			if got := int(j.Status().LSN - base); got != c.records {
+				t.Errorf("%d records logged, want %d", got, c.records)
+			}
+			live, _ := j.Exec("SELECT name, city FROM landfill ORDER BY name")
+			n := count(j)
+			if n != c.rows {
+				t.Errorf("%d rows live, want %d", n, c.rows)
+			}
+			if err := j.Close(); err != nil {
+				t.Fatal(err)
+			}
+			j2, restored := journalFixture(t, dir)
+			defer j2.Close()
+			if !restored {
+				t.Fatal("reopen did not restore")
+			}
+			if got := count(j2); got != n {
+				t.Errorf("%d rows live, %d after reopen", n, got)
+			}
+			again, _ := j2.Exec("SELECT name, city FROM landfill ORDER BY name")
+			if !reflect.DeepEqual(live.Rows, again.Rows) {
+				t.Errorf("live rows %v, after reopen %v", live.Rows, again.Rows)
+			}
+		})
+	}
+}

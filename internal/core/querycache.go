@@ -133,20 +133,16 @@ func (c *QueryCache) SPARQLPlan(text string) (*sparql.Plan, error) {
 	if p, ok := c.sparql.Get(text, nil); ok {
 		return p, nil
 	}
-	p, err := compileSPARQL(text)
+	q, err := sparql.Parse(text)
+	if err != nil {
+		return nil, err
+	}
+	p, err := sparql.Compile(q)
 	if err != nil {
 		return nil, err
 	}
 	c.sparql.Put(text, p)
 	return p, nil
-}
-
-func compileSPARQL(text string) (*sparql.Plan, error) {
-	q, err := sparql.Parse(text)
-	if err != nil {
-		return nil, err
-	}
-	return sparql.Compile(q)
 }
 
 // Stats reports cumulative plan lookups: a hit is a SESQL shape compiled

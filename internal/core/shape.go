@@ -65,7 +65,7 @@ func (e *Enricher) shape(text string) (*shapePlan, sesql.Literals, bool, error) 
 		}
 		if err != nil {
 			tsp, late, terr := e.lookupShape(db, textKey(text), func() (*sesql.Query, error) { return sesql.Parse(text) })
-			if terr == nil && e.cache != nil {
+			if terr == nil {
 				// The text compiles where its template does not: the
 				// shape's texts skip the template from now on.
 				e.cache.shapes.Put(e.shapeKey(db, key), &shapePlan{epoch: tsp.epoch, textOnly: true})
@@ -86,10 +86,8 @@ func (e *Enricher) shapeKey(db *sqldb.Database, shape string) shapeKey {
 func (e *Enricher) lookupShape(db *sqldb.Database, shape string, parse func() (*sesql.Query, error)) (*shapePlan, bool, error) {
 	epoch := db.SchemaEpoch()
 	k := e.shapeKey(db, shape)
-	if e.cache != nil {
-		if sp, ok := e.cache.shapes.Get(k, func(p *shapePlan) bool { return p.epoch == epoch }); ok {
-			return sp, false, nil
-		}
+	if sp, ok := e.cache.shapes.Get(k, func(p *shapePlan) bool { return p.epoch == epoch }); ok {
+		return sp, false, nil
 	}
 	q, err := parse()
 	if err != nil {
@@ -102,9 +100,7 @@ func (e *Enricher) lookupShape(db *sqldb.Database, shape string, parse func() (*
 		return nil, true, err
 	}
 	sp.epoch = epoch
-	if e.cache != nil {
-		e.cache.shapes.Put(k, sp)
-	}
+	e.cache.shapes.Put(k, sp)
 	return sp, false, nil
 }
 
@@ -194,13 +190,12 @@ func (e *Enricher) compileWhereStep(q *sesql.Query, en sesql.Enrichment, hidden 
 	step := enrichStep{en: en}
 	tag := q.Conds[en.CondID]
 	cond := tag.Expr
-	var refs []*sqlparser.ColRef
-	collectColRefs(tag.Expr, &refs)
+	refs := sqlparser.ColRefs(tag.Expr)
 	pseudo := &sqlparser.ColRef{Name: "__v"}
 
 	switch en.Kind {
 	case sesql.ReplaceConstant:
-		rewritten, n := sesql.ReplaceSubtree(cond, parseAttrRef(en.Attr), pseudo)
+		rewritten, n := sesql.ReplaceSubtree(cond, parseConstant(en.Attr), pseudo)
 		if n == 0 {
 			return step, fmt.Errorf("core: constant %s does not appear in condition %s", en.Attr, en.CondID)
 		}
@@ -250,7 +245,7 @@ func (e *Enricher) compileWhereStep(q *sesql.Query, en sesql.Enrichment, hidden 
 func ordersByEnriched(db *sqldb.Database, opts sqlexec.Options, q *sesql.Query, base *sqlparser.Select, hidden int, schemaEnr []sesql.Enrichment) bool {
 	var refs, keys []*sqlparser.ColRef
 	for _, ob := range q.Select.OrderBy {
-		collectColRefs(ob.Expr, &refs)
+		refs = append(refs, sqlparser.ColRefs(ob.Expr)...)
 	}
 	for _, cr := range refs {
 		for _, en := range schemaEnr {

@@ -30,6 +30,9 @@ const (
 	opRegisterQuery = 6
 	opDeclare       = 7
 	opSQL           = 8
+	// opSQLFailed is a statement that failed after changing rows: replay
+	// runs it for its partial effect and requires it to fail again.
+	opSQLFailed = 9
 )
 
 // opEncoder accumulates one record payload.
@@ -123,6 +126,12 @@ func encDeclare(kind kb.DeclKind, user, iri string) []byte {
 
 func encSQL(text string) []byte {
 	e := newOpEncoder(opSQL)
+	e.enc.String(text)
+	return e.bytes()
+}
+
+func encSQLFailed(text string) []byte {
+	e := newOpEncoder(opSQLFailed)
 	e.enc.String(text)
 	return e.bytes()
 }
@@ -275,13 +284,17 @@ func applyOp(db *engine.DB, p *kb.Platform, payload []byte) error {
 			return fmt.Errorf("core: wal declare record with unknown kind %d", k)
 		}
 
-	case opSQL:
+	case opSQL, opSQLFailed:
 		text, err := dec.String()
 		if err != nil {
 			return err
 		}
-		if _, err := db.ExecScript(text); err != nil {
+		_, err = db.ExecScript(text)
+		switch {
+		case kind == opSQL && err != nil:
 			return fmt.Errorf("core: wal replay SQL: %w", err)
+		case kind == opSQLFailed && err == nil:
+			return fmt.Errorf("core: wal replay diverged: %q succeeded, log recorded its failure", text)
 		}
 		return nil
 

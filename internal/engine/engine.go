@@ -54,18 +54,26 @@ func (d *DB) QueryOpts(sql string, opts sqlexec.Options) (*sqlexec.Result, error
 // returning the result of the last one. Statements inside string literals
 // are split correctly.
 func (d *DB) ExecScript(script string) (*sqlexec.Result, error) {
-	var last *sqlexec.Result
+	last := &sqlexec.Result{}
 	for _, stmt := range SplitStatements(script) {
-		r, err := d.Exec(stmt)
+		r, err := d.ExecStatement(stmt)
 		if err != nil {
-			return nil, fmt.Errorf("engine: in %q: %w", abbreviate(stmt), err)
+			return nil, err
 		}
 		last = r
 	}
-	if last == nil {
-		last = &sqlexec.Result{}
-	}
 	return last, nil
+}
+
+// ExecStatement executes one statement of a script (see SplitStatements);
+// its error names the statement. A failed INSERT, UPDATE or DELETE still
+// returns a result counting the rows it changed before the error.
+func (d *DB) ExecStatement(stmt string) (*sqlexec.Result, error) {
+	r, err := d.Exec(stmt)
+	if err != nil {
+		return r, fmt.Errorf("engine: in %q: %w", abbreviate(stmt), err)
+	}
+	return r, nil
 }
 
 func abbreviate(s string) string {

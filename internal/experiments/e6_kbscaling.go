@@ -37,9 +37,9 @@ BOOLSCHEMAEXTENSION(elem_name, isA, HazardousWaste)`
 		if err != nil {
 			return err
 		}
-		enr.SetQueryCache(nil) // measure the extraction, not memo hits
 		var stats *core.Stats
 		med, err := medianOf(reps, func() error {
+			enr.SetQueryCache(core.NewQueryCache(0)) // measure the extraction, not memo hits
 			_, s, err := enr.QueryStats("alice", query)
 			stats = s
 			return err

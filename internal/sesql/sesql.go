@@ -417,104 +417,25 @@ func abbrev(s string) string {
 func ContainsSubtree(hay, needle sqlparser.Expr) bool {
 	found := false
 	target := needle.SQL()
-	walkExpr(hay, func(e sqlparser.Expr) {
-		if e.SQL() == target {
-			found = true
-		}
+	sqlparser.Walk(hay, func(e sqlparser.Expr) bool {
+		found = found || e.SQL() == target
+		return !found
 	})
 	return found
 }
 
 // ReplaceSubtree returns a copy of hay with every subtree structurally equal
-// to needle replaced by repl, plus the replacement count.
+// to needle replaced by repl, plus the replacement count. hay is never
+// modified.
 func ReplaceSubtree(hay, needle, repl sqlparser.Expr) (sqlparser.Expr, int) {
 	target := needle.SQL()
 	n := 0
-	var rewrite func(e sqlparser.Expr) sqlparser.Expr
-	rewrite = func(e sqlparser.Expr) sqlparser.Expr {
-		if e == nil {
-			return nil
+	out := sqlparser.Rewrite(hay, func(e sqlparser.Expr) (sqlparser.Expr, bool) {
+		if e.SQL() != target {
+			return nil, false
 		}
-		if e.SQL() == target {
-			n++
-			return repl
-		}
-		switch ex := e.(type) {
-		case *sqlparser.BinExpr:
-			return &sqlparser.BinExpr{Op: ex.Op, L: rewrite(ex.L), R: rewrite(ex.R)}
-		case *sqlparser.UnaryExpr:
-			return &sqlparser.UnaryExpr{Op: ex.Op, E: rewrite(ex.E)}
-		case *sqlparser.IsNull:
-			return &sqlparser.IsNull{E: rewrite(ex.E), Not: ex.Not}
-		case *sqlparser.InList:
-			list := make([]sqlparser.Expr, len(ex.List))
-			for i, le := range ex.List {
-				list[i] = rewrite(le)
-			}
-			return &sqlparser.InList{E: rewrite(ex.E), Not: ex.Not, List: list}
-		case *sqlparser.Between:
-			return &sqlparser.Between{E: rewrite(ex.E), Not: ex.Not, Lo: rewrite(ex.Lo), Hi: rewrite(ex.Hi)}
-		case *sqlparser.FuncCall:
-			args := make([]sqlparser.Expr, len(ex.Args))
-			for i, a := range ex.Args {
-				args[i] = rewrite(a)
-			}
-			return &sqlparser.FuncCall{Name: ex.Name, Star: ex.Star, Distinct: ex.Distinct, Args: args}
-		case *sqlparser.CaseExpr:
-			ce := &sqlparser.CaseExpr{}
-			if ex.Operand != nil {
-				ce.Operand = rewrite(ex.Operand)
-			}
-			for _, w := range ex.Whens {
-				ce.Whens = append(ce.Whens, sqlparser.WhenClause{Cond: rewrite(w.Cond), Then: rewrite(w.Then)})
-			}
-			if ex.Else != nil {
-				ce.Else = rewrite(ex.Else)
-			}
-			return ce
-		default:
-			return e
-		}
-	}
-	return rewrite(hay), n
-}
-
-func walkExpr(e sqlparser.Expr, fn func(sqlparser.Expr)) {
-	if e == nil {
-		return
-	}
-	fn(e)
-	switch ex := e.(type) {
-	case *sqlparser.BinExpr:
-		walkExpr(ex.L, fn)
-		walkExpr(ex.R, fn)
-	case *sqlparser.UnaryExpr:
-		walkExpr(ex.E, fn)
-	case *sqlparser.IsNull:
-		walkExpr(ex.E, fn)
-	case *sqlparser.InList:
-		walkExpr(ex.E, fn)
-		for _, le := range ex.List {
-			walkExpr(le, fn)
-		}
-	case *sqlparser.Between:
-		walkExpr(ex.E, fn)
-		walkExpr(ex.Lo, fn)
-		walkExpr(ex.Hi, fn)
-	case *sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			walkExpr(a, fn)
-		}
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil {
-			walkExpr(ex.Operand, fn)
-		}
-		for _, w := range ex.Whens {
-			walkExpr(w.Cond, fn)
-			walkExpr(w.Then, fn)
-		}
-		if ex.Else != nil {
-			walkExpr(ex.Else, fn)
-		}
-	}
+		n++
+		return repl, true
+	})
+	return out, n
 }

@@ -434,8 +434,7 @@ func (c *selCompiler) analyzeConjuncts(list []sqlparser.Expr) ([]*conjInfo, erro
 			}
 			ci.step, ci.ce = s, ce
 			// srcOnly: the single source region holding every reference.
-			var refs []*sqlparser.ColRef
-			exprCols(e, &refs)
+			refs := sqlparser.ColRefs(e)
 			ci.srcOnly = s
 			if len(refs) == 0 {
 				ci.srcOnly = 0
@@ -671,8 +670,7 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 // onRightOnly reports whether every column reference in e resolves within
 // the right region.
 func (c *selCompiler) onRightOnly(e sqlparser.Expr, rightLo, rightHi int) bool {
-	var refs []*sqlparser.ColRef
-	exprCols(e, &refs)
+	refs := sqlparser.ColRefs(e)
 	if len(refs) == 0 {
 		return false // constant ON conjuncts keep interpreter placement
 	}
@@ -718,11 +716,9 @@ func (c *selCompiler) compileGrouped(p *SelectPlan) (*compileEnv, error) {
 	// one ext-row slot past the joined-row width.
 	var aggCalls []*sqlparser.FuncCall
 	for _, it := range items {
-		collectAggregates(it.Expr, &aggCalls)
+		aggCalls = aggregateCalls(aggCalls, it.Expr)
 	}
-	if sel.Having != nil {
-		collectAggregates(sel.Having, &aggCalls)
-	}
+	aggCalls = aggregateCalls(aggCalls, sel.Having)
 
 	g := &groupSink{}
 	baseEnv := &compileEnv{cols: c.layout}
@@ -867,7 +863,7 @@ func compileExpr(e sqlparser.Expr, env *compileEnv) (cexpr, error) {
 		}
 		return cBetween{e: sub, lo: lo, hi: hi, not: ex.Not}, nil
 	case *sqlparser.FuncCall:
-		if IsAggregate(ex.Name) {
+		if isAggregate(ex.Name) {
 			if env.aggs == nil {
 				return nil, fmt.Errorf("sqlexec: aggregate %s outside grouping context", ex.Name)
 			}
@@ -956,8 +952,8 @@ type cexpr interface {
 	eval(row []sqlval.Value) (sqlval.Value, error)
 }
 
-// cEvalBool evaluates a compiled predicate with SQL 3VL, mirroring
-// EvalBool.
+// cEvalBool evaluates a compiled predicate with SQL 3VL, mirroring the
+// reference evalBool.
 func cEvalBool(e cexpr, row []sqlval.Value) (sqlval.Tri, error) {
 	v, err := e.eval(row)
 	if err != nil {
@@ -1124,7 +1120,7 @@ func (c cLikeDyn) eval(row []sqlval.Value) (sqlval.Value, error) {
 	if l.Type() != sqlval.TypeString || r.Type() != sqlval.TypeString {
 		return sqlval.Null, fmt.Errorf("sqlexec: LIKE requires text operands")
 	}
-	return sqlval.NewBool(likeMatch(l.Str(), r.Str())), nil
+	return sqlval.NewBool(compileLike(r.Str()).match(l.Str())), nil
 }
 
 type cNot struct{ e cexpr }

@@ -38,6 +38,8 @@ func ExecOpts(db *sqldb.Database, src string, opts Options) (*Result, error) {
 }
 
 // ExecStatementOpts executes a parsed statement with execution options.
+// A failed INSERT, UPDATE or DELETE still returns a result, whose Affected
+// counts the rows it changed before the error.
 func ExecStatementOpts(db *sqldb.Database, st sqlparser.Statement, opts Options) (*Result, error) {
 	switch s := st.(type) {
 	case *sqlparser.Select:
@@ -132,33 +134,49 @@ func execInsert(db *sqldb.Database, s *sqlparser.Insert, opts Options) (*Result,
 				row[positions[i]] = v
 			}
 			if err := t.Insert(row); err != nil {
-				return nil, err
+				return &Result{Affected: n}, err
 			}
 			n++
 		}
 		return &Result{Affected: n}, nil
 	}
 
-	empty := &Scope{}
+	// Row k evaluates, then inserts, before row k+1 evaluates: an error
+	// leaves the rows before it inserted.
 	n := 0
 	for _, exprRow := range s.Rows {
 		if len(exprRow) != len(positions) {
-			return nil, fmt.Errorf("sqlexec: INSERT row has %d values, want %d", len(exprRow), len(positions))
+			return &Result{Affected: n}, fmt.Errorf("sqlexec: INSERT row has %d values, want %d", len(exprRow), len(positions))
 		}
 		row := make([]sqlval.Value, len(schema))
 		for i, e := range exprRow {
-			v, err := Eval(e, empty)
+			v, err := constValue(e)
 			if err != nil {
-				return nil, err
+				return &Result{Affected: n}, err
 			}
 			row[positions[i]] = v
 		}
 		if err := t.Insert(row); err != nil {
-			return nil, err
+			return &Result{Affected: n}, err
 		}
 		n++
 	}
 	return &Result{Affected: n}, nil
+}
+
+// constValue evaluates an expression that references no column. A literal,
+// the whole of an engine dump's INSERTs, is taken as is; anything else
+// compiles against an empty layout, as UPDATE … SET compiles against the
+// table's.
+func constValue(e sqlparser.Expr) (sqlval.Value, error) {
+	if lit, ok := e.(*sqlparser.Literal); ok {
+		return lit.Val, nil
+	}
+	ce, err := CompileExpr(nil, e)
+	if err != nil {
+		return sqlval.Null, err
+	}
+	return ce.Eval(nil)
 }
 
 // tableLayout is the column layout UPDATE/DELETE predicates compile
@@ -227,7 +245,7 @@ func execUpdate(db *sqldb.Database, s *sqlparser.Update) (*Result, error) {
 		return out, nil
 	})
 	if err != nil {
-		return nil, err
+		return &Result{Affected: n}, err
 	}
 	return &Result{Affected: n}, nil
 }
@@ -242,8 +260,5 @@ func execDelete(db *sqldb.Database, s *sqlparser.Delete) (*Result, error) {
 		return nil, err
 	}
 	n, err := t.DeleteWhere(pred)
-	if err != nil {
-		return nil, err
-	}
-	return &Result{Affected: n}, nil
+	return &Result{Affected: n}, err
 }

@@ -400,3 +400,30 @@ func TestLikeMatcher(t *testing.T) {
 		}
 	}
 }
+
+// TestInsertValuesErrors pins what a failing INSERT … VALUES reports and
+// leaves behind: rows evaluate and insert one at a time, so the rows before
+// the failing one stay inserted and the error text is the expression's own.
+func TestInsertValuesErrors(t *testing.T) {
+	cases := []struct {
+		sql, err string
+		kept     []string
+	}{
+		{`INSERT INTO t VALUES (1, 'x'), (nosuch, 'y')`, `sqlexec: unknown column "nosuch"`, []string{"1|x"}},
+		{`INSERT INTO t VALUES (1, 'x'), (2, COUNT(*))`, `sqlexec: aggregate COUNT outside grouping context`, []string{"1|x"}},
+		{`INSERT INTO t VALUES (1, 'x'), (2 / 0, 'y'), (3, 'z')`, `sqlexec: division by zero`, []string{"1|x"}},
+		{`INSERT INTO t VALUES (-1, 'a' || 'b'), (1 + 1, UPPER('c')), (CASE WHEN 1 < 2 THEN 3 END, NULL)`, "", []string{"-1|ab", "2|C", "3|NULL"}},
+	}
+	for _, c := range cases {
+		db := sqldb.NewDatabase()
+		mustExec(t, db, `CREATE TABLE t (k INT PRIMARY KEY, v TEXT)`)
+		_, err := Exec(db, c.sql)
+		if got := fmt.Sprint(err); (c.err == "" && err != nil) || (c.err != "" && got != c.err) {
+			t.Errorf("%s: error %v, want %q", c.sql, err, c.err)
+		}
+		got := rowsAsStrings(mustExec(t, db, `SELECT k, v FROM t ORDER BY k`))
+		if strings.Join(got, " ") != strings.Join(c.kept, " ") {
+			t.Errorf("%s: table holds %v, want %v", c.sql, got, c.kept)
+		}
+	}
+}

@@ -1,17 +1,19 @@
 // Package sqlexec evaluates parsed SQL statements against a sqldb.Database.
 //
-// SELECT evaluation is compiled: CompileOpts lowers a parsed statement
-// once into an immutable physical SelectPlan (compile.go) — column
-// references resolved to dense row-slot offsets, expressions lowered to
-// slot-resolved evaluator trees with constant LIKE patterns
-// pre-compiled, WHERE conjuncts bound to the earliest pipeline step that
-// covers them, equality-against-constant conjuncts pushed into
+// Every expression a statement evaluates is compiled: CompileOpts lowers a
+// parsed SELECT once into an immutable physical SelectPlan (compile.go) —
+// column references resolved to dense row-slot offsets, expressions
+// lowered to slot-resolved evaluator trees (cexpr) with constant LIKE
+// patterns pre-compiled, WHERE conjuncts bound to the earliest pipeline
+// step that covers them, equality-against-constant conjuncts pushed into
 // sqldb.FilteredRelation index seeks, equi-joins planned as hash joins
-// and ORDER BY+LIMIT as a bounded top-K heap — and the plan executes as
-// a push-based streaming pipeline over reused rows (run.go). Options
+// and ORDER BY+LIMIT as a bounded top-K heap — and the plan executes as a
+// push-based streaming pipeline over reused rows (run.go). Options
 // carries the planner ablation knobs. EvalSelectOpts/Exec wrap
-// compile-then-run; plans are cacheable across executions (see
-// internal/core.QueryCache.SQLSelect).
+// compile-then-run; internal/core caches compiled plans per SESQL shape
+// and binds each request's literals into them (bind.go). INSERT … VALUES,
+// UPDATE … SET and UPDATE/DELETE predicates compile through CompileExpr
+// and CompilePredicate (exec.go).
 //
 // Compilation makes column-reference errors data-independent: a SELECT,
 // UPDATE or DELETE naming an unknown or ambiguous column fails up front,
@@ -20,11 +22,11 @@
 // names, arities and value-type errors stay evaluation-time in both
 // paths.
 //
-// This file holds the value-level machinery both executors share —
-// expression evaluation with SQL three-valued logic, scalar and
-// aggregate functions — and interp.go keeps the seed's materialising
-// interpreter as the reference oracle for the parity suite. DDL/DML
-// statements execute in exec.go.
+// This file holds the value-level functions the compiled nodes call —
+// arithmetic, scalar functions, aggregate accumulation and its parallel
+// merge — and the tree-walking evaluator (eval, evalBool, scope) that,
+// with the materialising interpreter in interp.go and likeMatch, is the
+// parity suite's reference oracle. No production path calls the oracle.
 package sqlexec
 
 import (
@@ -44,17 +46,17 @@ type ScopeCol struct {
 	Name      string
 }
 
-// Scope resolves column references during expression evaluation. Cols and
-// Row are parallel. Aggs carries pre-computed aggregate results in grouped
+// scope resolves column references for the reference evaluator eval, the
+// parity suite's oracle. Cols and Row are parallel. Aggs carries pre-computed aggregate results in grouped
 // evaluation (keyed by the rendered SQL of the call).
-type Scope struct {
+type scope struct {
 	Cols []ScopeCol
 	Row  []sqlval.Value
 	Aggs map[string]sqlval.Value
 }
 
-// Lookup finds the value of a (possibly qualified) column reference.
-func (s *Scope) Lookup(qual, name string) (sqlval.Value, error) {
+// lookup finds the value of a (possibly qualified) column reference.
+func (s *scope) lookup(qual, name string) (sqlval.Value, error) {
 	found := -1
 	for i, c := range s.Cols {
 		if !strings.EqualFold(c.Name, name) {
@@ -81,20 +83,22 @@ func refName(qual, name string) string {
 	return name
 }
 
-// Eval evaluates an expression in the scope, producing a value (NULL encodes
-// SQL UNKNOWN for boolean expressions).
-func Eval(e sqlparser.Expr, s *Scope) (sqlval.Value, error) {
+// eval is the reference tree-walking evaluator, the parity suite's oracle
+// (production evaluates compiled cexpr trees). It evaluates an expression
+// in the scope, producing a value (NULL encodes SQL UNKNOWN for boolean
+// expressions).
+func eval(e sqlparser.Expr, s *scope) (sqlval.Value, error) {
 	switch ex := e.(type) {
 	case *sqlparser.Literal:
 		return ex.Val, nil
 	case *sqlparser.ColRef:
-		return s.Lookup(ex.Qualifier, ex.Name)
+		return s.lookup(ex.Qualifier, ex.Name)
 	case *sqlparser.BinExpr:
 		return evalBin(ex, s)
 	case *sqlparser.UnaryExpr:
 		return evalUnary(ex, s)
 	case *sqlparser.IsNull:
-		v, err := Eval(ex.E, s)
+		v, err := eval(ex.E, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -107,7 +111,7 @@ func Eval(e sqlparser.Expr, s *Scope) (sqlval.Value, error) {
 	case *sqlparser.Between:
 		return evalBetween(ex, s)
 	case *sqlparser.FuncCall:
-		if IsAggregate(ex.Name) {
+		if isAggregate(ex.Name) {
 			if s.Aggs == nil {
 				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s outside grouping context", ex.Name)
 			}
@@ -125,9 +129,10 @@ func Eval(e sqlparser.Expr, s *Scope) (sqlval.Value, error) {
 	}
 }
 
-// EvalBool evaluates e as a predicate with 3VL: NULL ⇒ Unknown.
-func EvalBool(e sqlparser.Expr, s *Scope) (sqlval.Tri, error) {
-	v, err := Eval(e, s)
+// evalBool evaluates e as a predicate with 3VL: NULL ⇒ Unknown. Like eval,
+// it serves only the parity suite's oracle.
+func evalBool(e sqlparser.Expr, s *scope) (sqlval.Tri, error) {
+	v, err := eval(e, s)
 	if err != nil {
 		return sqlval.Unknown, err
 	}
@@ -141,14 +146,14 @@ func EvalBool(e sqlparser.Expr, s *Scope) (sqlval.Tri, error) {
 	return sqlval.TriOf(b.Bool()), nil
 }
 
-func evalBin(ex *sqlparser.BinExpr, s *Scope) (sqlval.Value, error) {
+func evalBin(ex *sqlparser.BinExpr, s *scope) (sqlval.Value, error) {
 	switch ex.Op {
 	case sqlparser.OpAnd, sqlparser.OpOr:
-		l, err := EvalBool(ex.L, s)
+		l, err := evalBool(ex.L, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
-		r, err := EvalBool(ex.R, s)
+		r, err := evalBool(ex.R, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -158,11 +163,11 @@ func evalBin(ex *sqlparser.BinExpr, s *Scope) (sqlval.Value, error) {
 		return l.Or(r).Value(), nil
 	}
 
-	l, err := Eval(ex.L, s)
+	l, err := eval(ex.L, s)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	r, err := Eval(ex.R, s)
+	r, err := eval(ex.R, s)
 	if err != nil {
 		return sqlval.Null, err
 	}
@@ -262,16 +267,16 @@ func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) 
 	}
 }
 
-func evalUnary(ex *sqlparser.UnaryExpr, s *Scope) (sqlval.Value, error) {
+func evalUnary(ex *sqlparser.UnaryExpr, s *scope) (sqlval.Value, error) {
 	switch ex.Op {
 	case "NOT":
-		t, err := EvalBool(ex.E, s)
+		t, err := evalBool(ex.E, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
 		return t.Not().Value(), nil
 	case "-":
-		v, err := Eval(ex.E, s)
+		v, err := eval(ex.E, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -290,8 +295,8 @@ func evalUnary(ex *sqlparser.UnaryExpr, s *Scope) (sqlval.Value, error) {
 	}
 }
 
-func evalIn(ex *sqlparser.InList, s *Scope) (sqlval.Value, error) {
-	v, err := Eval(ex.E, s)
+func evalIn(ex *sqlparser.InList, s *scope) (sqlval.Value, error) {
+	v, err := eval(ex.E, s)
 	if err != nil {
 		return sqlval.Null, err
 	}
@@ -300,7 +305,7 @@ func evalIn(ex *sqlparser.InList, s *Scope) (sqlval.Value, error) {
 	}
 	sawNull := false
 	for _, le := range ex.List {
-		lv, err := Eval(le, s)
+		lv, err := eval(le, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -318,16 +323,16 @@ func evalIn(ex *sqlparser.InList, s *Scope) (sqlval.Value, error) {
 	return sqlval.NewBool(ex.Not), nil
 }
 
-func evalBetween(ex *sqlparser.Between, s *Scope) (sqlval.Value, error) {
-	v, err := Eval(ex.E, s)
+func evalBetween(ex *sqlparser.Between, s *scope) (sqlval.Value, error) {
+	v, err := eval(ex.E, s)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	lo, err := Eval(ex.Lo, s)
+	lo, err := eval(ex.Lo, s)
 	if err != nil {
 		return sqlval.Null, err
 	}
-	hi, err := Eval(ex.Hi, s)
+	hi, err := eval(ex.Hi, s)
 	if err != nil {
 		return sqlval.Null, err
 	}
@@ -349,44 +354,45 @@ func evalBetween(ex *sqlparser.Between, s *Scope) (sqlval.Value, error) {
 	return sqlval.NewBool(in), nil
 }
 
-func evalCase(ex *sqlparser.CaseExpr, s *Scope) (sqlval.Value, error) {
+func evalCase(ex *sqlparser.CaseExpr, s *scope) (sqlval.Value, error) {
 	if ex.Operand != nil {
-		op, err := Eval(ex.Operand, s)
+		op, err := eval(ex.Operand, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
 		for _, w := range ex.Whens {
-			wv, err := Eval(w.Cond, s)
+			wv, err := eval(w.Cond, s)
 			if err != nil {
 				return sqlval.Null, err
 			}
 			if !op.IsNull() && !wv.IsNull() {
 				if c, err := sqlval.Compare(op, wv); err == nil && c == 0 {
-					return Eval(w.Then, s)
+					return eval(w.Then, s)
 				}
 			}
 		}
 	} else {
 		for _, w := range ex.Whens {
-			t, err := EvalBool(w.Cond, s)
+			t, err := evalBool(w.Cond, s)
 			if err != nil {
 				return sqlval.Null, err
 			}
 			if t == sqlval.True {
-				return Eval(w.Then, s)
+				return eval(w.Then, s)
 			}
 		}
 	}
 	if ex.Else != nil {
-		return Eval(ex.Else, s)
+		return eval(ex.Else, s)
 	}
 	return sqlval.Null, nil
 }
 
 // likeMatch implements SQL LIKE: '%' matches any run, '_' one character.
+// It is the parity suite's oracle for the compiled matcher (like.go): its
+// backtracking takes time exponential in the number of '%' runs, so no
+// production path calls it.
 func likeMatch(s, pattern string) bool {
-	// Dynamic-programming-free recursive matcher with memo-less greedy
-	// backtracking (patterns are short).
 	return likeRec(s, pattern)
 }
 
@@ -415,9 +421,9 @@ func likeRec(s, p string) bool {
 	}
 }
 
-// IsAggregate reports whether the (upper-cased) function name is an
+// isAggregate reports whether the (upper-cased) function name is an
 // aggregate.
-func IsAggregate(name string) bool {
+func isAggregate(name string) bool {
 	switch name {
 	case "COUNT", "SUM", "AVG", "MIN", "MAX":
 		return true
@@ -425,97 +431,24 @@ func IsAggregate(name string) bool {
 	return false
 }
 
-// HasAggregate reports whether the expression tree contains an aggregate
-// function call.
-func HasAggregate(e sqlparser.Expr) bool {
-	switch ex := e.(type) {
-	case *sqlparser.FuncCall:
-		if IsAggregate(ex.Name) {
-			return true
+// aggregateCalls appends the aggregate calls in e to out, in pre-order.
+// An aggregate's own arguments are not searched; scalar function
+// arguments are.
+func aggregateCalls(out []*sqlparser.FuncCall, e sqlparser.Expr) []*sqlparser.FuncCall {
+	sqlparser.Walk(e, func(x sqlparser.Expr) bool {
+		if fc, ok := x.(*sqlparser.FuncCall); ok && isAggregate(fc.Name) {
+			out = append(out, fc)
+			return false
 		}
-		for _, a := range ex.Args {
-			if HasAggregate(a) {
-				return true
-			}
-		}
-	case *sqlparser.BinExpr:
-		return HasAggregate(ex.L) || HasAggregate(ex.R)
-	case *sqlparser.UnaryExpr:
-		return HasAggregate(ex.E)
-	case *sqlparser.IsNull:
-		return HasAggregate(ex.E)
-	case *sqlparser.InList:
-		if HasAggregate(ex.E) {
-			return true
-		}
-		for _, le := range ex.List {
-			if HasAggregate(le) {
-				return true
-			}
-		}
-	case *sqlparser.Between:
-		return HasAggregate(ex.E) || HasAggregate(ex.Lo) || HasAggregate(ex.Hi)
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil && HasAggregate(ex.Operand) {
-			return true
-		}
-		for _, w := range ex.Whens {
-			if HasAggregate(w.Cond) || HasAggregate(w.Then) {
-				return true
-			}
-		}
-		if ex.Else != nil {
-			return HasAggregate(ex.Else)
-		}
-	}
-	return false
+		return true
+	})
+	return out
 }
 
-// collectAggregates gathers every aggregate FuncCall in the expression.
-func collectAggregates(e sqlparser.Expr, out *[]*sqlparser.FuncCall) {
-	switch ex := e.(type) {
-	case *sqlparser.FuncCall:
-		if IsAggregate(ex.Name) {
-			*out = append(*out, ex)
-			return
-		}
-		for _, a := range ex.Args {
-			collectAggregates(a, out)
-		}
-	case *sqlparser.BinExpr:
-		collectAggregates(ex.L, out)
-		collectAggregates(ex.R, out)
-	case *sqlparser.UnaryExpr:
-		collectAggregates(ex.E, out)
-	case *sqlparser.IsNull:
-		collectAggregates(ex.E, out)
-	case *sqlparser.InList:
-		collectAggregates(ex.E, out)
-		for _, le := range ex.List {
-			collectAggregates(le, out)
-		}
-	case *sqlparser.Between:
-		collectAggregates(ex.E, out)
-		collectAggregates(ex.Lo, out)
-		collectAggregates(ex.Hi, out)
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil {
-			collectAggregates(ex.Operand, out)
-		}
-		for _, w := range ex.Whens {
-			collectAggregates(w.Cond, out)
-			collectAggregates(w.Then, out)
-		}
-		if ex.Else != nil {
-			collectAggregates(ex.Else, out)
-		}
-	}
-}
-
-func evalScalarFunc(ex *sqlparser.FuncCall, s *Scope) (sqlval.Value, error) {
+func evalScalarFunc(ex *sqlparser.FuncCall, s *scope) (sqlval.Value, error) {
 	args := make([]sqlval.Value, len(ex.Args))
 	for i, a := range ex.Args {
-		v, err := Eval(a, s)
+		v, err := eval(a, s)
 		if err != nil {
 			return sqlval.Null, err
 		}
@@ -739,7 +672,9 @@ func newAggState(call *sqlparser.FuncCall, collect bool) *aggState {
 	return st
 }
 
-func (a *aggState) add(s *Scope) error {
+// add evaluates the aggregate's argument with the reference evaluator; it
+// serves only the parity suite's oracle (compiled paths call addValue).
+func (a *aggState) add(s *scope) error {
 	if a.call.Star { // COUNT(*)
 		a.count++
 		return nil
@@ -747,15 +682,14 @@ func (a *aggState) add(s *Scope) error {
 	if len(a.call.Args) != 1 {
 		return fmt.Errorf("sqlexec: %s expects one argument", a.call.Name)
 	}
-	v, err := Eval(a.call.Args[0], s)
+	v, err := eval(a.call.Args[0], s)
 	if err != nil {
 		return err
 	}
 	return a.addValue(v)
 }
 
-// addValue accumulates one already-evaluated argument value (the compiled
-// executor's entry point; add wraps it for the interpreter).
+// addValue accumulates one already-evaluated argument value.
 func (a *aggState) addValue(v sqlval.Value) error {
 	if v.IsNull() {
 		return nil // aggregates skip NULLs

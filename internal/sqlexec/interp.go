@@ -24,8 +24,8 @@ type rowset struct {
 	rows [][]sqlval.Value
 }
 
-func (rs *rowset) scope(row []sqlval.Value) *Scope {
-	return &Scope{Cols: rs.cols, Row: row}
+func (rs *rowset) scope(row []sqlval.Value) *scope {
+	return &scope{Cols: rs.cols, Row: row}
 }
 
 // colIndexes returns positions of a (qual, name) reference; used for
@@ -58,7 +58,7 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 	grouped := len(sel.GroupBy) > 0 || sel.Having != nil || anyItemAggregate(sel)
 	var out *rowset
 	var headers []string
-	var underlying []*Scope // per-output-row scope for ORDER BY fallback
+	var underlying []*scope // per-output-row scope for ORDER BY fallback
 	if grouped {
 		out, headers, underlying, err = selectGrouped(sel, base)
 	} else {
@@ -76,9 +76,9 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 			ks := make([]sqlval.Value, len(sel.OrderBy))
 			for k, ob := range sel.OrderBy {
 				// Projected aliases first, then underlying columns.
-				v, err := Eval(ob.Expr, out.scope(r))
+				v, err := eval(ob.Expr, out.scope(r))
 				if err != nil {
-					v, err = Eval(ob.Expr, underlying[i])
+					v, err = eval(ob.Expr, underlying[i])
 					if err != nil {
 						return nil, fmt.Errorf("sqlexec: ORDER BY: %w", err)
 					}
@@ -109,12 +109,12 @@ func evalSelectInterp(db *sqldb.Database, sel *sqlparser.Select) (*Result, error
 func selectNoFrom(sel *sqlparser.Select) (*Result, error) {
 	var headers []string
 	var row []sqlval.Value
-	empty := &Scope{}
+	empty := &scope{}
 	for i, it := range sel.Items {
 		if it.Star {
 			return nil, fmt.Errorf("sqlexec: SELECT * requires a FROM clause")
 		}
-		v, err := Eval(it.Expr, empty)
+		v, err := eval(it.Expr, empty)
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func selectNoFrom(sel *sqlparser.Select) (*Result, error) {
 
 func anyItemAggregate(sel *sqlparser.Select) bool {
 	for _, it := range sel.Items {
-		if !it.Star && HasAggregate(it.Expr) {
+		if !it.Star && len(aggregateCalls(nil, it.Expr)) > 0 {
 			return true
 		}
 	}
@@ -206,7 +206,7 @@ func buildFrom(db *sqldb.Database, sel *sqlparser.Select) (*rowset, error) {
 	for _, c := range conjuncts {
 		filtered := cur.rows[:0:0]
 		for _, r := range cur.rows {
-			t, err := EvalBool(c, cur.scope(r))
+			t, err := evalBool(c, cur.scope(r))
 			if err != nil {
 				return nil, err
 			}
@@ -245,51 +245,10 @@ func splitAnd(e sqlparser.Expr) []sqlparser.Expr {
 	return []sqlparser.Expr{e}
 }
 
-// exprCols lists the column references in an expression.
-func exprCols(e sqlparser.Expr, out *[]*sqlparser.ColRef) {
-	switch ex := e.(type) {
-	case *sqlparser.ColRef:
-		*out = append(*out, ex)
-	case *sqlparser.BinExpr:
-		exprCols(ex.L, out)
-		exprCols(ex.R, out)
-	case *sqlparser.UnaryExpr:
-		exprCols(ex.E, out)
-	case *sqlparser.IsNull:
-		exprCols(ex.E, out)
-	case *sqlparser.InList:
-		exprCols(ex.E, out)
-		for _, le := range ex.List {
-			exprCols(le, out)
-		}
-	case *sqlparser.Between:
-		exprCols(ex.E, out)
-		exprCols(ex.Lo, out)
-		exprCols(ex.Hi, out)
-	case *sqlparser.FuncCall:
-		for _, a := range ex.Args {
-			exprCols(a, out)
-		}
-	case *sqlparser.CaseExpr:
-		if ex.Operand != nil {
-			exprCols(ex.Operand, out)
-		}
-		for _, w := range ex.Whens {
-			exprCols(w.Cond, out)
-			exprCols(w.Then, out)
-		}
-		if ex.Else != nil {
-			exprCols(ex.Else, out)
-		}
-	}
-}
-
 // resolvable reports whether every column the expression references is
 // present (unambiguously) in the rowset.
 func resolvable(e sqlparser.Expr, rs *rowset) bool {
-	var refs []*sqlparser.ColRef
-	exprCols(e, &refs)
-	for _, r := range refs {
+	for _, r := range sqlparser.ColRefs(e) {
 		if len(rs.find(r.Qualifier, r.Name)) != 1 {
 			return false
 		}
@@ -308,7 +267,7 @@ func applyReadyFilters(rs *rowset, conjuncts []sqlparser.Expr) (*rowset, []sqlpa
 		}
 		var filtered [][]sqlval.Value
 		for _, r := range rs.rows {
-			t, err := EvalBool(c, rs.scope(r))
+			t, err := evalBool(c, rs.scope(r))
 			if err != nil {
 				return nil, nil, err
 			}
@@ -349,7 +308,7 @@ func joinInner(l, r *rowset, on sqlparser.Expr) (*rowset, error) {
 		for _, lr := range l.rows {
 			for _, rr := range r.rows {
 				row := concatRows(lr, rr)
-				t, err := EvalBool(on, merged.scope(row))
+				t, err := evalBool(on, merged.scope(row))
 				if err != nil {
 					return nil, err
 				}
@@ -373,7 +332,7 @@ func joinLeft(l, r *rowset, on sqlparser.Expr) (*rowset, error) {
 		matched := false
 		for _, rr := range r.rows {
 			row := concatRows(lr, rr)
-			t, err := EvalBool(on, out.scope(row))
+			t, err := evalBool(on, out.scope(row))
 			if err != nil {
 				return nil, err
 			}
@@ -431,7 +390,7 @@ func expandItems(sel *sqlparser.Select, cols []ScopeCol) ([]sqlparser.SelectItem
 	return out, nil
 }
 
-func selectPlain(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*Scope, error) {
+func selectPlain(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*scope, error) {
 	items, err := expandItems(sel, base.cols)
 	if err != nil {
 		return nil, nil, nil, err
@@ -443,17 +402,17 @@ func selectPlain(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*Sco
 		cols[i] = ScopeCol{Name: headers[i]}
 	}
 	out := &rowset{cols: cols, rows: make([][]sqlval.Value, 0, len(base.rows))}
-	scopes := make([]*Scope, 0, len(base.rows))
+	scopes := make([]*scope, 0, len(base.rows))
 	// Scopes and rows are block-allocated: one backing array each instead
 	// of a per-row allocation (this loop dominates SELECT materialisation).
-	scopeBuf := make([]Scope, len(base.rows))
+	scopeBuf := make([]scope, len(base.rows))
 	arena := sqlval.NewRowArena(len(items))
 	for bi, r := range base.rows {
-		scopeBuf[bi] = Scope{Cols: base.cols, Row: r}
+		scopeBuf[bi] = scope{Cols: base.cols, Row: r}
 		s := &scopeBuf[bi]
 		row := arena.Next()
 		for i, it := range items {
-			v, err := Eval(it.Expr, s)
+			v, err := eval(it.Expr, s)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -465,7 +424,7 @@ func selectPlain(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*Sco
 	return out, headers, scopes, nil
 }
 
-func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*Scope, error) {
+func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*scope, error) {
 	items, err := expandItems(sel, base.cols)
 	if err != nil {
 		return nil, nil, nil, err
@@ -474,11 +433,9 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*S
 	// Gather all aggregate calls from items and HAVING.
 	var aggCalls []*sqlparser.FuncCall
 	for _, it := range items {
-		collectAggregates(it.Expr, &aggCalls)
+		aggCalls = aggregateCalls(aggCalls, it.Expr)
 	}
-	if sel.Having != nil {
-		collectAggregates(sel.Having, &aggCalls)
-	}
+	aggCalls = aggregateCalls(aggCalls, sel.Having)
 
 	type group struct {
 		firstRow []sqlval.Value
@@ -487,10 +444,10 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*S
 	groups := map[string]*group{}
 	var order []string
 
-	keyOf := func(s *Scope) (string, error) {
+	keyOf := func(s *scope) (string, error) {
 		var b strings.Builder
 		for _, g := range sel.GroupBy {
-			v, err := Eval(g, s)
+			v, err := eval(g, s)
 			if err != nil {
 				return "", err
 			}
@@ -539,16 +496,16 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*S
 	}
 
 	out := &rowset{cols: cols}
-	var scopes []*Scope
+	var scopes []*scope
 	for _, key := range order {
 		grp := groups[key]
 		aggVals := map[string]sqlval.Value{}
 		for _, a := range grp.aggs {
 			aggVals[a.call.SQL()] = a.result()
 		}
-		s := &Scope{Cols: base.cols, Row: grp.firstRow, Aggs: aggVals}
+		s := &scope{Cols: base.cols, Row: grp.firstRow, Aggs: aggVals}
 		if sel.Having != nil {
-			t, err := EvalBool(sel.Having, s)
+			t, err := evalBool(sel.Having, s)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -558,7 +515,7 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*S
 		}
 		row := make([]sqlval.Value, len(items))
 		for i, it := range items {
-			v, err := Eval(it.Expr, s)
+			v, err := eval(it.Expr, s)
 			if err != nil {
 				return nil, nil, nil, err
 			}
@@ -622,9 +579,9 @@ func orderRows(sel *sqlparser.Select, out *rowset, keys [][]sqlval.Value) {
 }
 
 func applyLimitOffset(sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
-	empty := &Scope{}
+	empty := &scope{}
 	if sel.Offset != nil {
-		v, err := Eval(sel.Offset, empty)
+		v, err := eval(sel.Offset, empty)
 		if err != nil {
 			return nil, err
 		}
@@ -639,7 +596,7 @@ func applyLimitOffset(sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.
 		}
 	}
 	if sel.Limit != nil {
-		v, err := Eval(sel.Limit, empty)
+		v, err := eval(sel.Limit, empty)
 		if err != nil {
 			return nil, err
 		}

@@ -2,14 +2,16 @@ package sqlexec
 
 import "strings"
 
-// like.go — compiled LIKE patterns. The interpreter's likeMatch walks the
-// pattern recursively per row; the compiled path lowers a constant pattern
-// once into '%'-separated segments (each a run of literal bytes and '_'
-// single-byte wildcards) and matches with the classic greedy leftmost
-// algorithm: anchor the first segment, find each middle segment left to
-// right, anchor the last segment at the end. Segments without '_' search
-// with strings.Index. Semantics are byte-oriented, matching the
-// interpreter.
+// like.go — compiled LIKE patterns, the only LIKE matcher production
+// runs. A pattern lowers into '%'-separated segments (each a run of
+// literal bytes and '_' single-byte wildcards) and matches with the
+// classic greedy leftmost algorithm: anchor the first segment, find each
+// middle segment left to right, anchor the last segment at the end, in
+// time linear in the input per segment. Segments without '_' search with
+// strings.Index. A constant pattern lowers once per plan (cLikeConst); a
+// pattern computed per row lowers per row (cLikeDyn). Semantics are
+// byte-oriented and agree with the reference likeMatch, the parity
+// suite's backtracking oracle.
 
 // likeMatcher is an immutable compiled LIKE pattern.
 type likeMatcher struct {

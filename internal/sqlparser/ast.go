@@ -2,6 +2,7 @@ package sqlparser
 
 import (
 	"strings"
+	"unicode"
 
 	"crosse/internal/sqlval"
 )
@@ -284,9 +285,25 @@ func (e *Literal) SQL() string { return e.Val.SQLLiteral() }
 // SQL renders the column reference.
 func (e *ColRef) SQL() string {
 	if e.Qualifier != "" {
-		return e.Qualifier + "." + e.Name
+		return quoteIdent(e.Qualifier) + "." + quoteIdent(e.Name)
 	}
-	return e.Name
+	return quoteIdent(e.Name)
+}
+
+// quoteIdent renders a name as the lexer reads it back: bare when it lexes
+// as a plain identifier that is not a keyword, else in double quotes.
+func quoteIdent(name string) string {
+	plain := name != "" && !reserved[strings.ToUpper(name)]
+	for i, r := range name {
+		if !unicode.IsLetter(r) && r != '_' && (i == 0 || !unicode.IsDigit(r)) {
+			plain = false
+			break
+		}
+	}
+	if plain {
+		return name
+	}
+	return `"` + name + `"`
 }
 
 // SQL renders the binary expression fully parenthesised.
@@ -335,7 +352,7 @@ func (e *Between) SQL() string {
 // SQL renders the function call.
 func (e *FuncCall) SQL() string {
 	if e.Star {
-		return e.Name + "(*)"
+		return quoteIdent(e.Name) + "(*)"
 	}
 	parts := make([]string, len(e.Args))
 	for i, a := range e.Args {
@@ -345,7 +362,7 @@ func (e *FuncCall) SQL() string {
 	if e.Distinct {
 		d = "DISTINCT "
 	}
-	return e.Name + "(" + d + strings.Join(parts, ", ") + ")"
+	return quoteIdent(e.Name) + "(" + d + strings.Join(parts, ", ") + ")"
 }
 
 // SQL renders the CASE expression.

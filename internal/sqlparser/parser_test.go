@@ -235,26 +235,29 @@ func TestParseSelectStarForms(t *testing.T) {
 	}
 }
 
+// exprCorpus is the expression parser's test corpus; FuzzSQLExpr seeds
+// from it.
+var exprCorpus = []string{
+	`a + b * c - d / e % f`,
+	`a || 'suffix'`,
+	`x IN (1, 2, 3)`,
+	`x NOT IN ('a')`,
+	`x BETWEEN 1 AND 10`,
+	`x NOT BETWEEN 1 AND 10`,
+	`name LIKE 'Mer%'`,
+	`name NOT LIKE '%x%'`,
+	`a IS NULL OR b IS NOT NULL`,
+	`NOT (a = 1 AND b = 2)`,
+	`CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END`,
+	`CASE a WHEN 1 THEN 'one' ELSE 'many' END`,
+	`COALESCE(a, b, 'dflt')`,
+	`COUNT(DISTINCT x)`,
+	`UPPER(LOWER(name))`,
+	`-x + 3`,
+}
+
 func TestParseExpressions(t *testing.T) {
-	cases := []string{
-		`a + b * c - d / e % f`,
-		`a || 'suffix'`,
-		`x IN (1, 2, 3)`,
-		`x NOT IN ('a')`,
-		`x BETWEEN 1 AND 10`,
-		`x NOT BETWEEN 1 AND 10`,
-		`name LIKE 'Mer%'`,
-		`name NOT LIKE '%x%'`,
-		`a IS NULL OR b IS NOT NULL`,
-		`NOT (a = 1 AND b = 2)`,
-		`CASE WHEN a > 0 THEN 'pos' WHEN a < 0 THEN 'neg' ELSE 'zero' END`,
-		`CASE a WHEN 1 THEN 'one' ELSE 'many' END`,
-		`COALESCE(a, b, 'dflt')`,
-		`COUNT(DISTINCT x)`,
-		`UPPER(LOWER(name))`,
-		`-x + 3`,
-	}
-	for _, src := range cases {
+	for _, src := range exprCorpus {
 		if _, err := ParseExpr(src); err != nil {
 			t.Errorf("ParseExpr(%q): %v", src, err)
 		}
