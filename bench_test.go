@@ -710,6 +710,81 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 	})
 }
 
+// BenchmarkSQLScanFilter is the executor's per-row cost on the request
+// harness's databank (2 000 landfills, 4 000 analyses). The base SQL of
+// the enrich_uncached city shapes scans every landfill through two
+// source-local conjuncts, beside a hand loop over the same Table.Scan —
+// the floor the compiled plan is measured against. The base SQL of
+// federated_scan's join_replace_constant shape, here over all-local
+// tables, drives 4 000 analyses through a.purity into a build of the
+// dozen elem_contained rows the landfill seek returns. Each plan is compiled once from its
+// query shape and bound per operation, as the request path does; rows/op
+// makes a change in what is returned show.
+func BenchmarkSQLScanFilter(b *testing.B) {
+	db := engine.Open()
+	cfg := dataset.DefaultConfig()
+	cfg.Landfills, cfg.Analyses = 2000, 4000
+	if err := dataset.Populate(db, cfg); err != nil {
+		b.Fatal(err)
+	}
+	city := dataset.CityName(7)
+	cityQ := fmt.Sprintf("SELECT name, city FROM landfill WHERE city = '%s' AND area >= 250", city)
+	joinQ := fmt.Sprintf("SELECT e.landfill_name, e.elem_name, a.lab_name FROM elem_contained e, analysis a WHERE e.landfill_name = '%s' AND a.landfill_name = e.landfill_name AND a.purity >= 0.6", dataset.LandfillName(14))
+	plan := func(b *testing.B, q string, opts sqlexec.Options) func() int {
+		key, lits, _ := sesql.Shape(q)
+		sel, err := sqlparser.ParseSelectTemplate(key)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tmpl, err := sqlexec.CompileOpts(db.Catalog(), sel, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		return func() int {
+			n := 0
+			if err := tmpl.Bind(lits.Vals).Stream(func([]sqlval.Value) bool { n++; return true }); err != nil {
+				b.Fatal(err)
+			}
+			return n
+		}
+	}
+	run := func(b *testing.B, op func() int) {
+		rows := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rows = op()
+		}
+		b.ReportMetric(float64(rows), "rows/op")
+	}
+	for _, par := range []int{0, 1} {
+		b.Run(fmt.Sprintf("City/Parallelism=%d", par), func(b *testing.B) {
+			run(b, plan(b, cityQ, sqlexec.Options{Parallelism: par}))
+		})
+	}
+	b.Run("City/HandLoop", func(b *testing.B) {
+		t, err := db.Catalog().Table("landfill")
+		if err != nil {
+			b.Fatal(err)
+		}
+		run(b, func() int {
+			n := 0
+			_ = t.Scan(func(row []sqlval.Value) bool {
+				if row[1].Str() == city && row[2].Float() >= 250 {
+					n++
+				}
+				return true
+			})
+			return n
+		})
+	})
+	for _, par := range []int{0, 1} {
+		b.Run(fmt.Sprintf("JoinReplaceConstant/Parallelism=%d", par), func(b *testing.B) {
+			run(b, plan(b, joinQ, sqlexec.Options{Parallelism: par}))
+		})
+	}
+}
+
 // --- SPARQL engine ---
 
 // sparqlBenchStore builds the 20k-triple store the SPARQL benchmark

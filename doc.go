@@ -74,9 +74,21 @@
 // ship to the remote node over the FDW protocol — equi-joins run as hash
 // joins whose build side is chosen from live cardinalities, and ORDER BY
 // + LIMIT keeps a bounded stable top-K heap instead of sorting the world.
-// Execution is a push-based pipeline over one reused row buffer with
-// arena-backed materialisation only at the sink; LIMIT without ORDER BY
-// stops the pipeline early. Plan ablation knobs (hash joins, index seeks,
+// A WHERE/ON conjunct over row slots and constants (comparisons, BETWEEN,
+// IN over constants, IS [NOT] NULL, AND/OR/NOT of those) also lowers to a
+// typed kernel that evaluates it straight to a three-valued result,
+// checking each operand's type at run time and handing every row it does
+// not answer exactly — a NULL, an INTEGER against a DOUBLE, a class
+// mismatch — to the generic tree, the only source of errors. Execution is
+// a push-based pipeline over one reused row buffer with arena-backed
+// materialisation only at the sink: a source's own conjuncts run on the
+// scanned row before it is copied into that buffer, so a rejected row is
+// never copied; LIMIT without ORDER BY stops the pipeline early. Values
+// are 32 bytes (sqlval.Value: a type, one 8-byte payload for the
+// integer, the float bits or the bool, and a string), and the numbers
+// follow PostgreSQL's total order, NaN equal to itself and above every
+// other number. INTEGER arithmetic fails with "integer out of range"
+// instead of wrapping. Plan ablation knobs (hash joins, index seeks,
 // top-K) live in sqlexec.Options — per call, not a package global. Every
 // production expression evaluation is compiled, INSERT … VALUES and
 // UPDATE … SET included, and LIKE always runs the linear segment

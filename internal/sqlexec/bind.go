@@ -24,8 +24,8 @@ func (p *SelectPlan) Bind(params []sqlval.Value) *SelectPlan {
 		j := p.joins[i]
 		var c1, c2, c3 bool
 		j.src, c1 = bindScan(j.src, params)
-		j.residual, c2 = bindList(j.residual, params)
-		j.post, c3 = bindList(j.post, params)
+		j.residual, c2 = bindPreds(j.residual, params)
+		j.post, c3 = bindPreds(j.post, params)
 		if c1 || c2 || c3 {
 			if !joinsCopied {
 				b.joins = append([]joinPlan(nil), p.joins...)
@@ -70,7 +70,7 @@ func bindScan(sp scanPlan, params []sqlval.Value) (scanPlan, bool) {
 		changed = true
 	}
 	var ok bool
-	sp.filters, ok = bindList(sp.filters, params)
+	sp.filters, ok = bindPreds(sp.filters, params)
 	return sp, changed || ok
 }
 
@@ -88,6 +88,25 @@ func bindList(es []cexpr, params []sqlval.Value) ([]cexpr, bool) {
 	}
 	if out == nil {
 		return es, false
+	}
+	return out, true
+}
+
+// bindPreds binds every predicate of ps, lowering each one that changed
+// anew (a bound slot is a constant a kernel can type), and copies the
+// slice only when one of them changed.
+func bindPreds(ps []pred, params []sqlval.Value) ([]pred, bool) {
+	var out []pred
+	for i := range ps {
+		if e, ok := bindExpr(ps[i].e, params); ok {
+			if out == nil {
+				out = append([]pred(nil), ps...)
+			}
+			out[i] = newPred(e)
+		}
+	}
+	if out == nil {
+		return ps, false
 	}
 	return out, true
 }

@@ -110,11 +110,12 @@ type scanPlan struct {
 	eqParam int
 
 	// filters are WHERE/ON conjuncts referencing only this source's
-	// slots, evaluated inside the scan before the row enters the
-	// pipeline. Never populated for the right side of a LEFT JOIN from
-	// WHERE conjuncts (those stay post-join to preserve padding
-	// semantics); ON conjuncts are safe there.
-	filters []cexpr
+	// slots, compiled against the source's own row (slot 0 is the
+	// source's first column) so they run on the scanned row before it is
+	// copied into the joined-row buffer. Never populated for the right
+	// side of a LEFT JOIN from WHERE conjuncts (those stay post-join to
+	// preserve padding semantics); ON conjuncts are safe there.
+	filters []pred
 }
 
 type joinKind int
@@ -136,10 +137,10 @@ type joinPlan struct {
 
 	// residual: remaining ON conjuncts, evaluated per candidate pair
 	// before the pair counts as matched (LEFT padding decided after).
-	residual []cexpr
+	residual []pred
 	// post: WHERE conjuncts that first become evaluable after this join,
 	// applied to joined (and padded) rows.
-	post []cexpr
+	post []pred
 }
 
 // orderPlan is one compiled ORDER BY key. The interpreter evaluates each
@@ -349,7 +350,8 @@ func constInt(e sqlparser.Expr) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	return int(v.Int()), nil
+	n, err := intArg(v)
+	return int(n), err
 }
 
 func (c *selCompiler) resolveSources() error {
@@ -461,14 +463,14 @@ func (c *selCompiler) analyzeConjuncts(list []sqlparser.Expr) ([]*conjInfo, erro
 // relation supports it, the rest become in-scan filters. For the right
 // side of a LEFT JOIN (isOuter) WHERE conjuncts must stay post-join, so
 // they are appended to post instead.
-func (c *selCompiler) placeSourceConjuncts(conjs []*conjInfo, s int, sp *scanPlan, post *[]cexpr) error {
+func (c *selCompiler) placeSourceConjuncts(conjs []*conjInfo, s int, sp *scanPlan, post *[]pred) error {
 	for _, cj := range conjs {
 		if cj.consumed || cj.srcOnly != s {
 			continue
 		}
 		if c.isOuter[s] {
 			if post != nil {
-				*post = append(*post, cj.ce)
+				*post = append(*post, newPred(cj.ce))
 				cj.consumed = true
 			}
 			continue
@@ -477,9 +479,24 @@ func (c *selCompiler) placeSourceConjuncts(conjs []*conjInfo, s int, sp *scanPla
 			cj.consumed = true
 			continue
 		}
-		sp.filters = append(sp.filters, cj.ce)
+		if err := c.addFilter(sp, cj.e); err != nil {
+			return err
+		}
 		cj.consumed = true
 	}
+	return nil
+}
+
+// addFilter compiles a conjunct over sp's columns alone against the
+// source's own row. Every reference it makes resolves uniquely in a layout
+// prefix and lands in sp's region, so it resolves to the same column
+// there.
+func (c *selCompiler) addFilter(sp *scanPlan, e sqlparser.Expr) error {
+	ce, err := compileExpr(e, &compileEnv{cols: c.layout[sp.offset : sp.offset+sp.width]})
+	if err != nil {
+		return err
+	}
+	sp.filters = append(sp.filters, newPred(ce))
 	return nil
 }
 
@@ -606,18 +623,16 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 			// safe for LEFT JOIN too: ON conditions only shape the match
 			// set, padding happens after.
 			if c.onRightOnly(oc, rightLo, rightHi) {
-				ce, err := compileExpr(oc, prefixEnv)
-				if err != nil {
+				if err := c.addFilter(&jp.src, oc); err != nil {
 					return nil, err
 				}
-				jp.src.filters = append(jp.src.filters, ce)
 				continue
 			}
 			ce, err := compileExpr(oc, prefixEnv)
 			if err != nil {
 				return nil, err
 			}
-			jp.residual = append(jp.residual, ce)
+			jp.residual = append(jp.residual, newPred(ce))
 		}
 		switch {
 		case haveKey && left:
@@ -661,7 +676,7 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 		if cj.consumed || cj.step != i {
 			continue
 		}
-		jp.post = append(jp.post, cj.ce)
+		jp.post = append(jp.post, newPred(cj.ce))
 		cj.consumed = true
 	}
 	return jp, nil
@@ -1034,20 +1049,7 @@ func (c cCmp) eval(row []sqlval.Value) (sqlval.Value, error) {
 	if err != nil {
 		return sqlval.Null, err
 	}
-	switch c.op {
-	case sqlparser.OpEq:
-		return sqlval.NewBool(cmp == 0), nil
-	case sqlparser.OpNe:
-		return sqlval.NewBool(cmp != 0), nil
-	case sqlparser.OpLt:
-		return sqlval.NewBool(cmp < 0), nil
-	case sqlparser.OpLe:
-		return sqlval.NewBool(cmp <= 0), nil
-	case sqlparser.OpGt:
-		return sqlval.NewBool(cmp > 0), nil
-	default:
-		return sqlval.NewBool(cmp >= 0), nil
-	}
+	return sqlval.NewBool(holds(c.op, cmp)), nil
 }
 
 type cArith struct {
@@ -1140,16 +1142,7 @@ func (c cNeg) eval(row []sqlval.Value) (sqlval.Value, error) {
 	if err != nil {
 		return sqlval.Null, err
 	}
-	switch v.Type() {
-	case sqlval.TypeNull:
-		return sqlval.Null, nil
-	case sqlval.TypeInt:
-		return sqlval.NewInt(-v.Int()), nil
-	case sqlval.TypeFloat:
-		return sqlval.NewFloat(-v.Float()), nil
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Type())
-	}
+	return negate(v)
 }
 
 type cIsNull struct {
@@ -1302,7 +1295,7 @@ func (c cCase) eval(row []sqlval.Value) (sqlval.Value, error) {
 // Predicate is a compiled boolean expression over a fixed column layout.
 // The enrichment pipeline and the UPDATE/DELETE paths use it to evaluate
 // one parsed predicate against many rows without walking the AST per row.
-type Predicate struct{ e cexpr }
+type Predicate struct{ p pred }
 
 // CompilePredicate lowers e against the column layout. Column references
 // resolve to row offsets once, at compile time.
@@ -1311,20 +1304,20 @@ func CompilePredicate(cols []ScopeCol, e sqlparser.Expr) (*Predicate, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Predicate{e: ce}, nil
+	return &Predicate{p: newPred(ce)}, nil
 }
 
 // EvalBool evaluates the predicate over a row (parallel to the layout it
 // was compiled against) with SQL three-valued logic.
 func (p *Predicate) EvalBool(row []sqlval.Value) (sqlval.Tri, error) {
-	return cEvalBool(p.e, row)
+	return p.p.eval(row)
 }
 
 // Bind returns the predicate with its slots bound to params (see
 // SelectPlan.Bind); p itself is left as it is.
 func (p *Predicate) Bind(params []sqlval.Value) *Predicate {
-	if e, ok := bindExpr(p.e, params); ok {
-		return &Predicate{e: e}
+	if e, ok := bindExpr(p.p.e, params); ok {
+		return &Predicate{p: newPred(e)}
 	}
 	return p
 }

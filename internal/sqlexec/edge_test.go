@@ -169,3 +169,60 @@ func TestLeftJoinLeftOnlyOnConjunct(t *testing.T) {
 		}
 	}
 }
+
+// NaN follows PostgreSQL: NaN equals NaN and sorts above every other
+// number. Filters, IN, BETWEEN, ORDER BY both ways, MIN/MAX, index seeks
+// and hash joins all see that one order, serially and in parallel.
+func TestNaNOrdersAboveNumbers(t *testing.T) {
+	forceParallel(t)
+	db := sqldb.NewDatabase()
+	mustExec(t, db, `CREATE TABLE f (id INT, x DOUBLE)`)
+	mustExec(t, db, `INSERT INTO f VALUES (1, 1.0), (2, 2.0), (3, 'NaN'), (4, 3.0), (5, NULL)`)
+	mustExec(t, db, `INSERT INTO f VALUES (6, 1e308*10 - 1e308*10)`)
+	mustExec(t, db, `CREATE TABLE fi (id INT, x DOUBLE)`)
+	mustExec(t, db, `CREATE INDEX idx_fi ON fi (x)`)
+	mustExec(t, db, `INSERT INTO fi SELECT * FROM f`)
+	cases := []struct{ where, want string }{
+		{`x = 1.0`, "1"},
+		{`x = 2.0`, "2"},
+		{`x <> 1.0`, "2,3,4,6"},
+		{`x >= 1.5`, "2,3,4,6"},
+		{`x < 3.0`, "1,2"},
+		{`x IN (1.0)`, "1"},
+		{`x IN (1.0, 1e308*10 - 1e308*10)`, "1,3,6"},
+		{`x BETWEEN 1.5 AND 3`, "2,4"},
+		{`x NOT BETWEEN 1.5 AND 3`, "1,3,6"},
+		{`x = 1e308*10 - 1e308*10`, "3,6"},
+		{`x > 1e308`, "3,6"},
+	}
+	options := []Options{{Parallelism: 1}, {Parallelism: 4}, {DisableIndexSeek: true}}
+	ids := func(r *Result) string {
+		return strings.Join(rowsAsStrings(r), ",")
+	}
+	for _, table := range []string{"f", "fi"} {
+		for _, c := range cases {
+			q := `SELECT id FROM ` + table + ` WHERE ` + c.where + ` ORDER BY id`
+			for _, opts := range options {
+				if got := ids(mustExecOpts(t, db, q, opts)); got != c.want {
+					t.Errorf("%s opts=%+v: %s, want %s", q, opts, got, c.want)
+				}
+			}
+			if ref, err := evalSelectInterp(db, mustParseSelect(t, q)); err != nil || ids(ref) != c.want {
+				t.Errorf("%s: interpreter %v (err %v), want %s", q, ref, err, c.want)
+			}
+		}
+		for _, c := range []struct{ q, want string }{
+			{`SELECT id FROM ` + table + ` ORDER BY x, id`, "5,1,2,4,3,6"},
+			{`SELECT id FROM ` + table + ` ORDER BY x DESC, id`, "3,6,4,2,1,5"},
+			{`SELECT MIN(x), MAX(x) FROM ` + table, "1|NaN"},
+			{`SELECT COUNT(*) FROM ` + table + ` a JOIN ` + table + ` b ON a.x = b.x`, "7"},
+			{`SELECT COUNT(DISTINCT x) FROM ` + table, "4"},
+		} {
+			for _, opts := range append(options, Options{DisableHashJoin: true}) {
+				if got := ids(mustExecOpts(t, db, c.q, opts)); got != c.want {
+					t.Errorf("%s opts=%+v: %s, want %s", c.q, opts, got, c.want)
+				}
+			}
+		}
+	}
+}

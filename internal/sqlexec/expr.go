@@ -8,7 +8,11 @@
 // step that covers them, equality-against-constant conjuncts pushed into
 // sqldb.FilteredRelation index seeks, equi-joins planned as hash joins
 // and ORDER BY+LIMIT as a bounded top-K heap — and the plan executes as a
-// push-based streaming pipeline over reused rows (run.go). Options
+// push-based streaming pipeline over reused rows (run.go). A predicate
+// over slots and constants also gets a typed kernel (kernel.go) that
+// answers most rows without building a Value, and declines the rest to
+// the generic tree; a source's own conjuncts run on the row as scanned,
+// before it is copied into the joined-row buffer. Options
 // carries the planner ablation knobs. EvalSelectOpts/Exec wrap
 // compile-then-run; internal/core caches compiled plans per SESQL shape
 // and binds each request's literals into them (bind.go). INSERT … VALUES,
@@ -30,6 +34,7 @@
 package sqlexec
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -215,6 +220,35 @@ func evalBin(ex *sqlparser.BinExpr, s *scope) (sqlval.Value, error) {
 	}
 }
 
+// errIntRange is the error of INTEGER arithmetic whose exact result does
+// not fit in an int64: + - * /, unary minus and ABS never wrap.
+var errIntRange = errors.New("sqlexec: integer out of range")
+
+// negate is unary minus over a numeric value; NULL stays NULL.
+func negate(v sqlval.Value) (sqlval.Value, error) {
+	switch v.Type() {
+	case sqlval.TypeNull:
+		return sqlval.Null, nil
+	case sqlval.TypeInt:
+		if v.Int() == math.MinInt64 {
+			return sqlval.Null, errIntRange
+		}
+		return sqlval.NewInt(-v.Int()), nil
+	case sqlval.TypeFloat:
+		return sqlval.NewFloat(-v.Float()), nil
+	default:
+		return sqlval.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Type())
+	}
+}
+
+// intArg reads an integer argument (LIMIT, OFFSET, ROUND's scale,
+// SUBSTR's start and length) through the INTEGER coercion, so an
+// integral DOUBLE or a numeric string counts and anything else fails.
+func intArg(v sqlval.Value) (int64, error) {
+	i, err := sqlval.Coerce(v, sqlval.TypeInt)
+	return i.Int(), err
+}
+
 func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqlval.Null, nil
@@ -229,14 +263,27 @@ func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) 
 		a, b := l.Int(), r.Int()
 		switch op {
 		case sqlparser.OpAdd:
-			return sqlval.NewInt(a + b), nil
+			if s := a + b; (a^s)&(b^s) >= 0 {
+				return sqlval.NewInt(s), nil
+			}
+			return sqlval.Null, errIntRange
 		case sqlparser.OpSub:
-			return sqlval.NewInt(a - b), nil
+			if d := a - b; (a^b)&(a^d) >= 0 {
+				return sqlval.NewInt(d), nil
+			}
+			return sqlval.Null, errIntRange
 		case sqlparser.OpMul:
-			return sqlval.NewInt(a * b), nil
+			p := a * b
+			if a != 0 && (p/a != b || a == -1 && b == math.MinInt64) {
+				return sqlval.Null, errIntRange
+			}
+			return sqlval.NewInt(p), nil
 		case sqlparser.OpDiv:
 			if b == 0 {
 				return sqlval.Null, fmt.Errorf("sqlexec: division by zero")
+			}
+			if a == math.MinInt64 && b == -1 {
+				return sqlval.Null, errIntRange
 			}
 			return sqlval.NewInt(a / b), nil
 		default:
@@ -280,16 +327,7 @@ func evalUnary(ex *sqlparser.UnaryExpr, s *scope) (sqlval.Value, error) {
 		if err != nil {
 			return sqlval.Null, err
 		}
-		switch v.Type() {
-		case sqlval.TypeNull:
-			return sqlval.Null, nil
-		case sqlval.TypeInt:
-			return sqlval.NewInt(-v.Int()), nil
-		case sqlval.TypeFloat:
-			return sqlval.NewFloat(-v.Float()), nil
-		default:
-			return sqlval.Null, fmt.Errorf("sqlexec: cannot negate %s", v.Type())
-		}
+		return negate(v)
 	default:
 		return sqlval.Null, fmt.Errorf("sqlexec: unknown unary operator %q", ex.Op)
 	}
@@ -508,30 +546,39 @@ func applyScalarFunc(name string, args []sqlval.Value) (sqlval.Value, error) {
 		case sqlval.TypeNull:
 			return sqlval.Null, nil
 		case sqlval.TypeInt:
-			v := args[0].Int()
-			if v < 0 {
-				v = -v
+			if args[0].Int() < 0 {
+				return negate(args[0])
 			}
-			return sqlval.NewInt(v), nil
+			return args[0], nil
 		case sqlval.TypeFloat:
 			return sqlval.NewFloat(math.Abs(args[0].Float())), nil
 		default:
 			return sqlval.Null, fmt.Errorf("sqlexec: ABS on %s", args[0].Type())
 		}
 	case "ROUND":
-		if len(args) == 1 {
-			if args[0].IsNull() {
-				return sqlval.Null, nil
+		if len(args) != 1 {
+			if err := need(2); err != nil {
+				return sqlval.Null, err
 			}
+		}
+		switch args[0].Type() {
+		case sqlval.TypeNull:
+			return sqlval.Null, nil
+		case sqlval.TypeInt, sqlval.TypeFloat:
+		default:
+			return sqlval.Null, fmt.Errorf("sqlexec: ROUND on %s", args[0].Type())
+		}
+		if len(args) == 1 {
 			return sqlval.NewFloat(math.Round(args[0].Float())), nil
 		}
-		if err := need(2); err != nil {
-			return sqlval.Null, err
-		}
-		if args[0].IsNull() || args[1].IsNull() {
+		if args[1].IsNull() {
 			return sqlval.Null, nil
 		}
-		scale := math.Pow(10, float64(args[1].Int()))
+		digits, err := intArg(args[1])
+		if err != nil {
+			return sqlval.Null, err
+		}
+		scale := math.Pow(10, float64(digits))
 		return sqlval.NewFloat(math.Round(args[0].Float()*scale) / scale), nil
 	case "COALESCE":
 		for _, a := range args {
@@ -558,25 +605,21 @@ func applyScalarFunc(name string, args []sqlval.Value) (sqlval.Value, error) {
 			return sqlval.Null, nil
 		}
 		str := args[0].String()
-		start := int(args[1].Int()) - 1 // SQL is 1-based
-		if start < 0 {
-			start = 0
+		from, err := intArg(args[1])
+		if err != nil {
+			return sqlval.Null, err
 		}
-		if start > len(str) {
-			start = len(str)
-		}
+		start := int(min(max(from, 1)-1, int64(len(str)))) // SQL is 1-based
 		end := len(str)
 		if len(args) == 3 {
 			if args[2].IsNull() {
 				return sqlval.Null, nil
 			}
-			end = start + int(args[2].Int())
-			if end > len(str) {
-				end = len(str)
+			n, err := intArg(args[2])
+			if err != nil {
+				return sqlval.Null, err
 			}
-			if end < start {
-				end = start
-			}
+			end = start + int(min(max(n, 0), int64(len(str)-start)))
 		}
 		return sqlval.NewString(str[start:end]), nil
 	case "CONCAT":

@@ -102,6 +102,104 @@ func TestArithmeticEdgeCases(t *testing.T) {
 			t.Errorf("%s should fail", expr)
 		}
 	}
+	// INTEGER arithmetic never wraps: every result outside int64 is an
+	// error, in the compiled path and in the reference interpreter alike.
+	db := sqldb.NewDatabase()
+	for _, expr := range []string{
+		`9223372036854775807 + 1`,
+		`-9223372036854775807 - 2`,
+		`4611686018427387904 * 2`,
+		`-1 * (-9223372036854775807 - 1)`,
+		`-(-9223372036854775807 - 1)`,
+		`(-9223372036854775807 - 1) / -1`,
+		`ABS(-9223372036854775807 - 1)`,
+	} {
+		const want = "sqlexec: integer out of range"
+		if err := evalConstErr(t, expr); err == nil || err.Error() != want {
+			t.Errorf("%s: err = %v, want %q", expr, err, want)
+		}
+		if _, err := evalSelectInterp(db, mustParseSelect(t, "SELECT "+expr)); err == nil || err.Error() != want {
+			t.Errorf("%s: interpreter err = %v, want %q", expr, err, want)
+		}
+	}
+	// The edges themselves are representable.
+	for _, c := range []struct{ expr, want string }{
+		{`9223372036854775806 + 1`, "9223372036854775807"},
+		{`-9223372036854775807 - 1`, "-9223372036854775808"},
+		{`(-9223372036854775807 - 1) % -1`, "0"},
+		{`ABS(-9223372036854775807)`, "9223372036854775807"},
+		{`3037000499 * 3037000499`, "9223372030926249001"},
+	} {
+		if got := evalConst(t, c.expr).String(); got != c.want {
+			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
+		}
+	}
+}
+
+// Integer arguments — LIMIT, OFFSET, ROUND's scale, SUBSTR's start and
+// length — take their value through the INTEGER coercion: an integral
+// DOUBLE or a numeric string works, anything else is an error, never a
+// zero read from the wrong payload. The interpreter agrees on LIMIT and
+// OFFSET.
+func TestIntegerArgumentsCoerce(t *testing.T) {
+	for _, c := range []struct{ expr, want string }{
+		{`ROUND(2.567, '1')`, "2.6"},
+		{`ROUND(2.567, 1.0)`, "2.6"},
+		{`SUBSTR('abcdef', '3')`, "cdef"},
+		{`SUBSTR('abcdef', 2.0)`, "bcdef"},
+		{`SUBSTR('abcdef', 2, '2')`, "bc"},
+		{`SUBSTR('abcdef', 2, 2.0)`, "bc"},
+	} {
+		if got := evalConst(t, c.expr).String(); got != c.want {
+			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
+		}
+	}
+	for _, expr := range []string{
+		`ROUND('abc')`,
+		`ROUND(TRUE)`,
+		`ROUND('abc', 1)`,
+		`ROUND(2.567, 1.5)`,
+		`ROUND(2.567, 'a')`,
+		`SUBSTR('abcdef', 2.9)`,
+		`SUBSTR('abcdef', 'x')`,
+		`SUBSTR('abcdef', 2, 1.9)`,
+	} {
+		if err := evalConstErr(t, expr); err == nil {
+			t.Errorf("%s should fail", expr)
+		}
+	}
+
+	db := sampleDB(t)
+	for _, c := range []struct {
+		q    string
+		rows int
+	}{
+		{`SELECT name FROM landfill ORDER BY name LIMIT 2.0`, 2},
+		{`SELECT name FROM landfill ORDER BY name LIMIT '2'`, 2},
+		{`SELECT name FROM landfill LIMIT 3.0 OFFSET '2'`, 2},
+		{`SELECT name FROM landfill OFFSET 1.0`, 3},
+	} {
+		if n := len(mustExec(t, db, c.q).Rows); n != c.rows {
+			t.Errorf("%s: %d rows, want %d", c.q, n, c.rows)
+		}
+		ref, err := evalSelectInterp(db, mustParseSelect(t, c.q))
+		if err != nil || len(ref.Rows) != c.rows {
+			t.Errorf("%s: interpreter rows=%v err=%v, want %d", c.q, ref, err, c.rows)
+		}
+	}
+	for _, q := range []string{
+		`SELECT name FROM landfill LIMIT 1.7`,
+		`SELECT name FROM landfill LIMIT 'a'`,
+		`SELECT name FROM landfill OFFSET 1.5`,
+		`SELECT name FROM landfill LIMIT 2 OFFSET 'x'`,
+	} {
+		if _, err := Exec(db, q); err == nil {
+			t.Errorf("%s should fail", q)
+		}
+		if _, err := evalSelectInterp(db, mustParseSelect(t, q)); err == nil {
+			t.Errorf("%s: interpreter should fail", q)
+		}
+	}
 }
 
 func TestCaseOperandForm(t *testing.T) {

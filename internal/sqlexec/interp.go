@@ -585,11 +585,14 @@ func applyLimitOffset(sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.
 		if err != nil {
 			return nil, err
 		}
-		n := int(v.Int())
+		n, err := intArg(v)
+		if err != nil {
+			return nil, err
+		}
 		if n < 0 {
 			return nil, fmt.Errorf("sqlexec: negative OFFSET")
 		}
-		if n >= len(rows) {
+		if n >= int64(len(rows)) {
 			rows = nil
 		} else {
 			rows = rows[n:]
@@ -600,11 +603,14 @@ func applyLimitOffset(sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.
 		if err != nil {
 			return nil, err
 		}
-		n := int(v.Int())
+		n, err := intArg(v)
+		if err != nil {
+			return nil, err
+		}
 		if n < 0 {
 			return nil, fmt.Errorf("sqlexec: negative LIMIT")
 		}
-		if n < len(rows) {
+		if n < int64(len(rows)) {
 			rows = rows[:n]
 		}
 	}

@@ -102,7 +102,7 @@ func (r *runner) runParallel(workers int) error {
 	wg.Add(1 + len(p.joins))
 	go func() {
 		defer wg.Done()
-		drive, driveErr = p.materializeSide(r.shared, r.driving, true)
+		drive, driveErr = materializeSide(r.shared, r.driving, true)
 	}()
 	for i := range p.joins {
 		go func(i int) {

@@ -1,16 +1,20 @@
 package sqlexec
 
 // run.go — the streaming executor for compiled SelectPlans. Execution is a
-// push-based pipeline over ONE reused joined-row buffer: the driving scan
-// fills its slot segment, each join step fills the right source's segment
-// per candidate, filters run at the step their slots first become bound,
-// and only the sink (projection / DISTINCT / ORDER BY / grouping)
-// allocates retained rows — via sqlval.RowArena, so materialising n rows
-// costs O(n/block) allocations. LIMIT without ORDER BY stops the pipeline
-// early; ORDER BY + LIMIT keeps a bounded stable top-K heap instead of
-// sorting everything. The pipeline body for one driving row is feed, and
-// it has two drivers: the serial one in run streams the driving scan into
-// it, the morsel workers of parallel.go feed it materialised morsels.
+// push-based pipeline over ONE reused joined-row buffer. Each source's own
+// filters run on the row as scanned, so only a row that passes them is
+// copied into the driving scan's slot segment or retained by a join's
+// build side; each join step fills the right source's segment per
+// candidate; the other conjuncts run at the step their slots first become
+// bound. Every conjunct runs through its typed kernel when it has one
+// (kernel.go). Only the sink (projection / DISTINCT / ORDER BY /
+// grouping) allocates retained rows — via sqlval.RowArena, so
+// materialising n rows costs O(n/block) allocations. LIMIT without ORDER
+// BY stops the pipeline early; ORDER BY + LIMIT keeps a bounded stable
+// top-K heap instead of sorting everything. The pipeline body for one
+// driving row is feed, and it has two drivers: the serial one in run
+// streams the driving scan into it, the morsel workers of parallel.go
+// feed it materialised morsels.
 
 import (
 	"cmp"
@@ -266,16 +270,16 @@ func scanEstimate(sp scanPlan) (int, bool) {
 }
 
 // feed is the pipeline body for one driving row, shared by both drivers:
-// copy the row into its slot segment, advance drivePos, apply the
-// source-local filters, then run the joins. It returns false to stop
-// driving.
+// advance drivePos, apply the source-local filters to the row as scanned,
+// copy a row that passes into its slot segment, then run the joins. It
+// returns false to stop driving.
 func (r *runner) feed(in []sqlval.Value) bool {
 	sp := &r.driving
-	copy(r.row[sp.offset:sp.offset+sp.width], in)
 	r.drivePos++
-	if ok, done := r.applyConjuncts(sp.filters); !ok {
+	if ok, done := r.applyConjuncts(sp.filters, in); !ok {
 		return !done
 	}
+	copy(r.row[sp.offset:sp.offset+sp.width], in)
 	return r.step(1)
 }
 
@@ -291,21 +295,15 @@ func (r *runner) at() int64 {
 	return sched.At(int(r.atMorsel), r.seq-1)
 }
 
-// applyConjuncts evaluates the conjuncts over the row buffer. ok reports
-// whether every conjunct is True; done reports a hard stop (evaluation
-// error, recorded in r.err).
-func (r *runner) applyConjuncts(conj []cexpr) (ok, done bool) {
-	for _, c := range conj {
-		t, err := cEvalBool(c, r.row)
-		if err != nil {
-			r.err = err
-			return false, true
-		}
-		if t != sqlval.True {
-			return false, false
-		}
+// applyConjuncts evaluates the conjuncts over row. ok reports whether
+// every conjunct is True; done reports a hard stop (evaluation error,
+// recorded in r.err).
+func (r *runner) applyConjuncts(conj []pred, row []sqlval.Value) (ok, done bool) {
+	ok, err := allTrue(conj, row)
+	if err != nil {
+		r.err = err
 	}
-	return true, false
+	return ok, err != nil
 }
 
 // orient returns join k's build source — the source whose rows it
@@ -325,7 +323,7 @@ func (r *runner) orient(k int) (build *scanPlan, probe, key int) {
 // hash build fan out (parallelBuildHash).
 func (r *runner) buildSide(k, workers int) error {
 	src, _, key := r.orient(k)
-	rows, err := r.p.materializeSide(r.shared, *src, false)
+	rows, err := materializeSide(r.shared, *src, false)
 	if err != nil {
 		return err
 	}
@@ -337,14 +335,13 @@ func (r *runner) buildSide(k, workers int) error {
 }
 
 // materializeSide scans one source into retained rows of the source's
-// width, using its own full-width scratch row (so concurrent builds never
-// share state). The pushed-down equality seek always applies; the
-// source-local filters apply unless raw is set. Sources whose scans hand
-// out immutable retained rows (sqldb.StableRowScanner — the in-memory
-// heap tables) are kept by reference; anything else is deep-copied into
-// an arena, since the callback rows may be reused buffers.
-func (p *SelectPlan) materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, error) {
-	tmp := &runner{p: p, row: make([]sqlval.Value, p.width), shared: sh}
+// width. The pushed-down equality seek always applies; the source-local
+// filters apply, to the row as scanned, unless raw is set. Sources whose
+// scans hand out immutable retained rows (sqldb.StableRowScanner — the
+// in-memory heap tables) are kept by reference; anything else is
+// deep-copied into an arena, since the callback rows may be reused
+// buffers.
+func materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, error) {
 	_, stable := sp.rel.(sqldb.StableRowScanner)
 	var arena *sqlval.RowArena
 	if !stable {
@@ -354,12 +351,12 @@ func (p *SelectPlan) materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]
 	if n, ok := sp.rel.(interface{ Len() int }); ok && raw {
 		rows = make([][]sqlval.Value, 0, n.Len())
 	}
-	seg := tmp.row[sp.offset : sp.offset+sp.width]
+	var ferr error
 	h := func(in []sqlval.Value) bool {
 		if !raw {
-			copy(seg, in)
-			if ok, done := tmp.applyConjuncts(sp.filters); !ok {
-				return !done
+			var ok bool
+			if ok, ferr = allTrue(sp.filters, in); !ok {
+				return ferr == nil
 			}
 		}
 		if stable {
@@ -371,7 +368,7 @@ func (p *SelectPlan) materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]
 	}
 	err := sh.scanRelation(sp, h)
 	if err == nil {
-		err = tmp.err
+		err = ferr
 	}
 	if err != nil {
 		return nil, err
@@ -448,10 +445,10 @@ func (r *runner) step(i int) bool {
 	emit := func() (cont bool, passed bool) {
 		// Residual ON conjuncts decide whether the pair counts as
 		// matched; post WHERE conjuncts only gate descent.
-		if ok, done := r.applyConjuncts(j.residual); !ok {
+		if ok, done := r.applyConjuncts(j.residual, r.row); !ok {
 			return !done, false
 		}
-		if ok, done := r.applyConjuncts(j.post); !ok {
+		if ok, done := r.applyConjuncts(j.post, r.row); !ok {
 			return !done, true
 		}
 		return r.step(i + 1), true
@@ -511,7 +508,7 @@ func (r *runner) padAndDescend(i int, j *joinPlan, seg []sqlval.Value) bool {
 	for k := range seg {
 		seg[k] = sqlval.Null
 	}
-	if ok, done := r.applyConjuncts(j.post); !ok {
+	if ok, done := r.applyConjuncts(j.post, r.row); !ok {
 		return !done
 	}
 	return r.step(i + 1)

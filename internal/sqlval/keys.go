@@ -23,10 +23,10 @@ func AppendKey(dst []byte, v Value) []byte {
 		return append(dst, 'n')
 	case TypeInt:
 		dst = append(dst, 'i')
-		return strconv.AppendInt(dst, v.i, 10)
+		return strconv.AppendInt(dst, v.Int(), 10)
 	case TypeFloat:
 		dst = append(dst, 'd')
-		f := v.f
+		f := v.Float()
 		if f == 0 {
 			f = 0 // fold -0.0 into +0.0: Compare treats them as equal
 		}
@@ -37,7 +37,7 @@ func AppendKey(dst []byte, v Value) []byte {
 		dst = append(dst, ':')
 		return append(dst, v.s...)
 	case TypeBool:
-		if v.b {
+		if v.Bool() {
 			return append(dst, 'b', '1')
 		}
 		return append(dst, 'b', '0')

@@ -5,6 +5,7 @@
 package sqlval
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -63,28 +64,37 @@ func ParseType(name string) (Type, error) {
 }
 
 // Value is a single scalar cell. The zero Value is NULL.
+//
+// A Value is 32 bytes: the type, one 8-byte payload that holds the
+// int64, the float64 bits or the bool (as 0 or 1), and the string. The
+// accessors read the payload only for their own type: Int and Bool return
+// zero for any other type, Float widens an INTEGER and returns zero for
+// any other type, and Str returns "" for anything but TEXT.
 type Value struct {
 	typ Type
-	i   int64
-	f   float64
+	n   uint64
 	s   string
-	b   bool
 }
 
 // Null is the NULL value.
 var Null = Value{}
 
 // NewInt returns an integer value.
-func NewInt(v int64) Value { return Value{typ: TypeInt, i: v} }
+func NewInt(v int64) Value { return Value{typ: TypeInt, n: uint64(v)} }
 
 // NewFloat returns a float value.
-func NewFloat(v float64) Value { return Value{typ: TypeFloat, f: v} }
+func NewFloat(v float64) Value { return Value{typ: TypeFloat, n: math.Float64bits(v)} }
 
 // NewString returns a string value.
 func NewString(v string) Value { return Value{typ: TypeString, s: v} }
 
 // NewBool returns a boolean value.
-func NewBool(v bool) Value { return Value{typ: TypeBool, b: v} }
+func NewBool(v bool) Value {
+	if v {
+		return Value{typ: TypeBool, n: 1}
+	}
+	return Value{typ: TypeBool}
+}
 
 // Type reports the type of the value.
 func (v Value) Type() Type { return v.typ }
@@ -92,22 +102,31 @@ func (v Value) Type() Type { return v.typ }
 // IsNull reports whether the value is NULL.
 func (v Value) IsNull() bool { return v.typ == TypeNull }
 
-// Int returns the integer payload; valid only when Type()==TypeInt.
-func (v Value) Int() int64 { return v.i }
-
-// Float returns the float payload; for TypeInt it widens to float64.
-func (v Value) Float() float64 {
-	if v.typ == TypeInt {
-		return float64(v.i)
+// Int returns the integer payload of an INTEGER, and 0 for any other type.
+func (v Value) Int() int64 {
+	if v.typ != TypeInt {
+		return 0
 	}
-	return v.f
+	return int64(v.n)
 }
 
-// Str returns the string payload; valid only when Type()==TypeString.
+// Float returns the payload of a DOUBLE, an INTEGER widened to float64,
+// and 0 for any other type.
+func (v Value) Float() float64 {
+	switch v.typ {
+	case TypeFloat:
+		return math.Float64frombits(v.n)
+	case TypeInt:
+		return float64(int64(v.n))
+	}
+	return 0
+}
+
+// Str returns the payload of a TEXT, and "" for any other type.
 func (v Value) Str() string { return v.s }
 
-// Bool returns the boolean payload; valid only when Type()==TypeBool.
-func (v Value) Bool() bool { return v.b }
+// Bool returns the payload of a BOOLEAN, and false for any other type.
+func (v Value) Bool() bool { return v.typ == TypeBool && v.n != 0 }
 
 // String renders the value the way result tables print it.
 func (v Value) String() string {
@@ -115,13 +134,13 @@ func (v Value) String() string {
 	case TypeNull:
 		return "NULL"
 	case TypeInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.Int(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeBool:
-		if v.b {
+		if v.Bool() {
 			return "true"
 		}
 		return "false"
@@ -140,7 +159,7 @@ func (v Value) SQLLiteral() string {
 	case TypeString:
 		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
 	case TypeBool:
-		if v.b {
+		if v.Bool() {
 			return "TRUE"
 		}
 		return "FALSE"
@@ -172,43 +191,58 @@ func (e *ErrIncomparable) Error() string {
 // Compare orders two non-NULL values of the same type class.
 // It returns -1, 0, +1. Comparing NULL or values of different classes
 // (e.g. TEXT vs INTEGER) is an error; the expression layer turns that into
-// a typed query error rather than a silent false.
+// a typed query error rather than a silent false. Numbers follow
+// PostgreSQL's order: NaN equals NaN and sorts above every other number,
+// so the order is total.
 func Compare(a, b Value) (int, error) {
-	if a.IsNull() || b.IsNull() {
-		return 0, &ErrIncomparable{a.typ, b.typ}
+	if c, ok := CompareSame(a, b); ok {
+		return c, nil
 	}
-	switch {
-	case a.numeric() && b.numeric():
-		af, bf := a.Float(), b.Float()
-		// Compare in int64 space when both are ints to avoid float rounding.
-		if a.typ == TypeInt && b.typ == TypeInt {
-			switch {
-			case a.i < b.i:
-				return -1, nil
-			case a.i > b.i:
-				return 1, nil
-			}
-			return 0, nil
-		}
-		switch {
-		case af < bf:
-			return -1, nil
-		case af > bf:
-			return 1, nil
-		}
-		return 0, nil
-	case a.typ == TypeString && b.typ == TypeString:
-		return strings.Compare(a.s, b.s), nil
-	case a.typ == TypeBool && b.typ == TypeBool:
-		switch {
-		case !a.b && b.b:
-			return -1, nil
-		case a.b && !b.b:
-			return 1, nil
-		}
-		return 0, nil
+	if a.numeric() && b.numeric() {
+		return compareFloat(a.Float(), b.Float()), nil
 	}
 	return 0, &ErrIncomparable{a.typ, b.typ}
+}
+
+// CompareSame is Compare for two values of the same non-NULL type, which
+// need no conversion. It reports false for every other pair — NULL, an
+// INTEGER against a DOUBLE, different classes — and then the caller
+// decides through Compare.
+func CompareSame(a, b Value) (int, bool) {
+	if a.typ != b.typ {
+		return 0, false
+	}
+	switch a.typ {
+	case TypeInt:
+		return cmp.Compare(int64(a.n), int64(b.n)), true
+	case TypeFloat:
+		return compareFloat(math.Float64frombits(a.n), math.Float64frombits(b.n)), true
+	case TypeString:
+		return strings.Compare(a.s, b.s), true
+	case TypeBool:
+		return cmp.Compare(a.n, b.n), true
+	}
+	return 0, false
+}
+
+// compareFloat orders two floats with NaN equal to NaN and above every
+// other value; -0 equals +0.
+func compareFloat(a, b float64) int {
+	switch {
+	case a < b:
+		return -1
+	case a > b:
+		return 1
+	case a == b:
+		return 0
+	}
+	switch an, bn := math.IsNaN(a), math.IsNaN(b); {
+	case an && bn:
+		return 0
+	case an:
+		return 1
+	}
+	return -1
 }
 
 // CompareForSort is a total order used by ORDER BY and DISTINCT: NULLs sort
@@ -265,10 +299,11 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeInt:
 		switch v.typ {
 		case TypeFloat:
-			if v.f == math.Trunc(v.f) && !math.IsInf(v.f, 0) {
-				return NewInt(int64(v.f)), nil
+			f := v.Float()
+			if f == math.Trunc(f) && !math.IsInf(f, 0) {
+				return NewInt(int64(f)), nil
 			}
-			return Null, fmt.Errorf("sqlval: cannot coerce non-integral %v to INTEGER", v.f)
+			return Null, fmt.Errorf("sqlval: cannot coerce non-integral %v to INTEGER", f)
 		case TypeString:
 			i, err := strconv.ParseInt(strings.TrimSpace(v.s), 10, 64)
 			if err != nil {
@@ -276,15 +311,12 @@ func Coerce(v Value, t Type) (Value, error) {
 			}
 			return NewInt(i), nil
 		case TypeBool:
-			if v.b {
-				return NewInt(1), nil
-			}
-			return NewInt(0), nil
+			return NewInt(int64(v.n)), nil
 		}
 	case TypeFloat:
 		switch v.typ {
 		case TypeInt:
-			return NewFloat(float64(v.i)), nil
+			return NewFloat(v.Float()), nil
 		case TypeString:
 			f, err := strconv.ParseFloat(strings.TrimSpace(v.s), 64)
 			if err != nil {
@@ -297,7 +329,7 @@ func Coerce(v Value, t Type) (Value, error) {
 	case TypeBool:
 		switch v.typ {
 		case TypeInt:
-			return NewBool(v.i != 0), nil
+			return NewBool(v.n != 0), nil
 		case TypeString:
 			switch strings.ToLower(strings.TrimSpace(v.s)) {
 			case "true", "t", "1":

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestTypeString(t *testing.T) {
@@ -64,6 +65,83 @@ func TestAccessors(t *testing.T) {
 	}
 	if !NewBool(true).Bool() {
 		t.Error("Bool accessor")
+	}
+}
+
+// The payload is shared by INTEGER, DOUBLE and BOOLEAN, so every accessor
+// must check the type: a wrong type reads zero, as it did when each type
+// had its own field.
+func TestAccessorsOnWrongType(t *testing.T) {
+	for _, v := range []Value{Null, NewFloat(2.5), NewFloat(math.NaN()), NewString("7"), NewBool(true)} {
+		if v.Int() != 0 {
+			t.Errorf("%v.Int() = %d, want 0", v, v.Int())
+		}
+	}
+	for _, v := range []Value{Null, NewString("2.5"), NewBool(true)} {
+		if v.Float() != 0 {
+			t.Errorf("%v.Float() = %v, want 0", v, v.Float())
+		}
+	}
+	for _, v := range []Value{Null, NewInt(1), NewFloat(1), NewString("true")} {
+		if v.Bool() {
+			t.Errorf("%v.Bool() = true, want false", v)
+		}
+	}
+	for _, v := range []Value{Null, NewInt(1), NewFloat(1), NewBool(true)} {
+		if v.Str() != "" {
+			t.Errorf("%v.Str() = %q, want \"\"", v, v.Str())
+		}
+	}
+	if got := NewInt(math.MinInt64).Int(); got != math.MinInt64 {
+		t.Errorf("MinInt64 round trip = %d", got)
+	}
+	if got := NewFloat(math.Copysign(0, -1)).Float(); got != 0 || !math.Signbit(got) {
+		t.Errorf("-0 round trip = %v", got)
+	}
+	if !math.IsNaN(NewFloat(math.NaN()).Float()) {
+		t.Error("NaN round trip")
+	}
+}
+
+// A Value is 32 bytes: row buffers, arenas and join sides are arrays of
+// them, so the size is part of the executor's per-row cost.
+func TestValueIs32Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(Value{}); got != 32 {
+		t.Fatalf("unsafe.Sizeof(Value{}) = %d, want 32", got)
+	}
+}
+
+// NaN follows PostgreSQL: equal to itself, above every other number
+// (+Inf and integers included), so Compare and CompareForSort stay total
+// orders; CompareSame agrees with Compare wherever it answers.
+func TestCompareNaN(t *testing.T) {
+	nan := NewFloat(math.NaN())
+	for _, o := range []Value{NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(0), NewInt(math.MaxInt64), NewInt(math.MinInt64)} {
+		if c, err := Compare(nan, o); err != nil || c != 1 {
+			t.Errorf("Compare(NaN, %v) = %d, %v; want 1", o, c, err)
+		}
+		if c, err := Compare(o, nan); err != nil || c != -1 {
+			t.Errorf("Compare(%v, NaN) = %d, %v; want -1", o, c, err)
+		}
+		if CompareForSort(nan, o) != 1 || CompareForSort(o, nan) != -1 {
+			t.Errorf("CompareForSort NaN vs %v not above", o)
+		}
+	}
+	if c, err := Compare(nan, NewFloat(-math.NaN())); err != nil || c != 0 {
+		t.Errorf("Compare(NaN, NaN) = %d, %v; want 0", c, err)
+	}
+	if nan.Equal(NewFloat(1)) || !nan.Equal(nan) {
+		t.Error("Equal must follow Compare on NaN")
+	}
+	vals := []Value{Null, nan, NewFloat(math.Inf(1)), NewFloat(math.Copysign(0, -1)), NewFloat(0), NewInt(0), NewInt(-3),
+		NewString("a"), NewString(""), NewBool(false), NewBool(true)}
+	for _, a := range vals {
+		for _, b := range vals {
+			want, werr := Compare(a, b)
+			if got, ok := CompareSame(a, b); ok && (werr != nil || got != want) {
+				t.Errorf("CompareSame(%v, %v) = %d, Compare = %d, %v", a, b, got, want, werr)
+			}
+		}
 	}
 }
 
