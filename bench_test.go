@@ -254,6 +254,53 @@ func BenchmarkFDW(b *testing.B) {
 			}
 		}
 	})
+
+	// RemoteRange is federated_scan's fullscan shape over a loopback TCP
+	// connection: a compiled range query on the foreign landfill table.
+	// wire-rows/op counts the rows that crossed the connection, rows/op
+	// the rows returned.
+	b.Run("RemoteRange", func(b *testing.B) {
+		tcpSrv := fdw.NewServer(remote.Catalog())
+		addr, err := tcpSrv.Listen("127.0.0.1:0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tcpSrv.Close()
+		tcp, err := fdw.Dial(addr)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer tcp.Close()
+		lf, err := tcp.ForeignTable("landfill", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		fed := engine.Open()
+		if err := fed.RegisterForeign(lf); err != nil {
+			b.Fatal(err)
+		}
+		st, err := sqlparser.Parse("SELECT name, city FROM landfill WHERE area >= 530.0")
+		if err != nil {
+			b.Fatal(err)
+		}
+		plan, err := sqlexec.Compile(fed.Catalog(), st.(*sqlparser.Select))
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, wire0 := tcp.Stats()
+		rows := 0
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			rows = 0
+			if err := plan.Stream(func([]sqlval.Value) bool { rows++; return true }); err != nil {
+				b.Fatal(err)
+			}
+		}
+		_, wire1 := tcp.Stats()
+		b.ReportMetric(float64(rows), "rows/op")
+		b.ReportMetric(float64(wire1-wire0)/float64(b.N), "wire-rows/op")
+	})
 }
 
 // BenchmarkFDWRetryOverhead measures what the resilience envelope
@@ -782,6 +829,20 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 		b.Run(fmt.Sprintf("JoinReplaceConstant/Parallelism=%d", par), func(b *testing.B) {
 			run(b, plan(b, joinQ, sqlexec.Options{Parallelism: par}))
 		})
+	}
+	// ProbeShare sweeps the driving side of a swapped join — the
+	// landfills above an area cutoff — against the 4 000 analyses, under
+	// the default plan and the hash path (DisableIndexSeek). Up to one
+	// driving row per sqlexec's probeRatio (4) analyses the default plan
+	// probes idx_analysis_landfill per landfill; past it both run the same
+	// hash join.
+	for _, drive := range []int{62, 125, 250, 500, 1000, 2000} {
+		q := fmt.Sprintf("SELECT l.name, a.lab_name FROM landfill l, analysis a WHERE a.landfill_name = l.name AND l.area >= %.2f", 550-float64(drive)/4)
+		for _, hash := range []bool{false, true} {
+			b.Run(fmt.Sprintf("ProbeShare/drive=%d/hash=%v", drive, hash), func(b *testing.B) {
+				run(b, plan(b, q, sqlexec.Options{DisableIndexSeek: hash}))
+			})
+		}
 	}
 }
 

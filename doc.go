@@ -71,9 +71,14 @@
 // matchers), WHERE splits into conjuncts bound to the earliest pipeline
 // step whose sources cover them, equality-against-constant conjuncts push
 // into sqldb hash-index seeks (Table.ScanEq) — or, for foreign tables,
-// ship to the remote node over the FDW protocol — equi-joins run as hash
-// joins whose build side is chosen from live cardinalities, and ORDER BY
-// + LIMIT keeps a bounded stable top-K heap instead of sorting the world.
+// ship to the remote node over the FDW protocol, together with the
+// scan's leading `col op constant` comparisons as a pre-filter the
+// executor still applies itself — and equi-joins run as hash joins whose
+// build side is chosen from live cardinalities, or as index-probe joins:
+// when the first join's smaller side turns out few next to an inner local
+// table with a hash index on its join column, each of its rows seeks that
+// index instead of the inner table being scanned. ORDER BY + LIMIT keeps
+// a bounded stable top-K heap instead of sorting the world.
 // A WHERE/ON conjunct over row slots and constants (comparisons, BETWEEN,
 // IN over constants, IS [NOT] NULL, AND/OR/NOT of those) also lowers to a
 // typed kernel that evaluates it straight to a three-valued result,
@@ -87,8 +92,9 @@
 // are 32 bytes (sqlval.Value: a type, one 8-byte payload for the
 // integer, the float bits or the bool, and a string), and the numbers
 // follow PostgreSQL's total order, NaN equal to itself and above every
-// other number. INTEGER arithmetic fails with "integer out of range"
-// instead of wrapping. Plan ablation knobs (hash joins, index seeks,
+// other number. INTEGER arithmetic and SUM fail with "integer out of
+// range" instead of wrapping; SUM adds exactly in 128 bits, so only a
+// final sum outside int64 fails, whatever the order of its additions. Plan ablation knobs (hash joins, index seeks,
 // top-K) live in sqlexec.Options — per call, not a package global. Every
 // production expression evaluation is compiled, INSERT … VALUES and
 // UPDATE … SET included, and LIKE always runs the linear segment
@@ -298,7 +304,11 @@
 //
 // Remote databanks attach over the FDW protocol (internal/fdw, the
 // postgres_fdw role) as foreign tables the SQL executor scans like local
-// ones, with equality predicates pushed to the remote node. Every message
+// ones, with an equality predicate and the scan's comparisons pushed to
+// the remote node: the server drops a row only where the comparisons,
+// evaluated in order, reject it without an error, and the executor
+// evaluates every pushed comparison again, so an older server that
+// ignores them still yields exact answers. Every message
 // is a length-prefixed frame over buffered I/O: requests and terminal
 // answers are small JSON control frames, and rows travel as binary
 // batches (tagged values, lossless for NaN, ±Inf and non-UTF-8 text) that

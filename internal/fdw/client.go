@@ -560,8 +560,25 @@ func (f *ForeignTable) ScanEqContext(ctx context.Context, col string, v sqlval.V
 	return f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote, EqCol: col, EqVal: appendValue(nil, v)}, fn)
 }
 
+// ScanWhere streams the remote rows where eqCol = eqVal (every row when
+// eqCol is empty) and lets the server drop the rows a comparison in where
+// rejects. A server that predates the where list ignores it and sends
+// those rows as well; the executor keeps every pushed comparison as its
+// own filter, so the answer is exact either way.
+func (f *ForeignTable) ScanWhere(ctx context.Context, eqCol string, eqVal sqlval.Value, where []sqldb.Comparison, fn func([]sqlval.Value) bool) error {
+	req := &request{Op: "scan", Table: f.remote, Where: make([]wireCond, len(where))}
+	if eqCol != "" {
+		req.EqCol, req.EqVal = eqCol, appendValue(nil, eqVal)
+	}
+	for i, c := range where {
+		req.Where[i] = wireCond{Col: c.Col, Op: c.Op, Val: appendValue(nil, c.Val)}
+	}
+	return f.client.roundTrip(ctx, req, fn)
+}
+
 var (
 	_ sqldb.Relation                = (*ForeignTable)(nil)
+	_ sqldb.PrefilterRelation       = (*ForeignTable)(nil)
 	_ sqldb.FilteredRelation        = (*ForeignTable)(nil)
 	_ sqldb.ContextRelation         = (*ForeignTable)(nil)
 	_ sqldb.ContextFilteredRelation = (*ForeignTable)(nil)

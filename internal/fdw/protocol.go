@@ -3,7 +3,7 @@
 // between data sources relies on the postgres_fdw extension", Sec. I-A).
 // A Server exposes the tables of a sqldb.Database over a length-framed
 // binary protocol; a Client registers them as foreign tables in another
-// engine, with equality-predicate pushdown so filters run remotely.
+// engine, with predicate pushdown so filters run remotely.
 //
 // # Wire protocol (v2)
 //
@@ -25,6 +25,21 @@
 // flushes each batch as it closes, so the first row reaches the client
 // after one row of remote work while long scans still travel in few
 // frames. The last batch and the terminal frame are flushed together.
+//
+// # Pushdown
+//
+// A scan request may carry eq_col/eq_val, an equality the server answers
+// with ScanEq, and where, a list of {col, op, val} comparisons (op one of
+// = <> < <= > >=, val one value in the batch codec) the server applies as
+// a pre-filter. It evaluates the list in order and drops a row at the
+// first comparison whose column is NULL or whose sqlval.Compare succeeds
+// with the comparison False; a Compare that errors keeps the row, so the
+// client's executor, which evaluates every pushed comparison again,
+// reports the error exactly as it would unpushed. An unknown column or
+// operator fails the request. The list only narrows what travels, so
+// peers of either age interoperate without a version bump: a server that
+// predates it drops the unknown JSON field and sends every row, and the
+// answer stays exact, only slower.
 package fdw
 
 import (
@@ -77,10 +92,18 @@ var errV1Peer = fmt.Errorf("%w: peer speaks the v1 JSON-lines wire, not frame pr
 
 // request is one client→server message.
 type request struct {
-	Op    string `json:"op"`              // "ping" | "tables" | "schema" | "scan"
-	Table string `json:"table,omitempty"` // for schema/scan
-	EqCol string `json:"eq_col,omitempty"`
-	EqVal []byte `json:"eq_val,omitempty"` // one value in the batch codec
+	Op    string     `json:"op"`              // "ping" | "tables" | "schema" | "scan"
+	Table string     `json:"table,omitempty"` // for schema/scan
+	EqCol string     `json:"eq_col,omitempty"`
+	EqVal []byte     `json:"eq_val,omitempty"` // one value in the batch codec
+	Where []wireCond `json:"where,omitempty"`  // scan pre-filter
+}
+
+// wireCond is one comparison of a scan's pre-filter: col op val.
+type wireCond struct {
+	Col string `json:"col"`
+	Op  string `json:"op"`  // = <> < <= > >=
+	Val []byte `json:"val"` // one value in the batch codec
 }
 
 // response is the terminal server→client message of every request.

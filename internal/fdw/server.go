@@ -137,8 +137,15 @@ func (s *Server) handleScan(fw *frameWriter, req *request) error {
 	if err != nil {
 		return fw.fail(err)
 	}
+	filter, err := compileWhere(rel.Schema(), req.Where)
+	if err != nil {
+		return fw.fail(err)
+	}
 	var rowErr error
 	emit := func(row []sqlval.Value) bool {
+		if !filter.keep(row) {
+			return true
+		}
 		rowErr = fw.row(row)
 		return rowErr == nil
 	}
@@ -166,6 +173,68 @@ func (s *Server) handleScan(fw *frameWriter, req *request) error {
 		return fw.fail(scanErr)
 	}
 	return fw.done(response{})
+}
+
+// cmpOps maps each comparison operator a where list may use to the
+// Compare results it holds for.
+var cmpOps = map[string]func(c int) bool{
+	"=":  func(c int) bool { return c == 0 },
+	"<>": func(c int) bool { return c != 0 },
+	"<":  func(c int) bool { return c < 0 },
+	"<=": func(c int) bool { return c <= 0 },
+	">":  func(c int) bool { return c > 0 },
+	">=": func(c int) bool { return c >= 0 },
+}
+
+// preFilter is a scan's where list resolved against the relation's
+// schema.
+type preFilter []struct {
+	col   int
+	holds func(c int) bool
+	val   sqlval.Value
+}
+
+// compileWhere resolves a where list. An unknown column or operator, or a
+// value that does not decode, fails the request.
+func compileWhere(schema sqldb.Schema, where []wireCond) (preFilter, error) {
+	f := make(preFilter, len(where))
+	for i, w := range where {
+		if f[i].col = schema.ColIndex(w.Col); f[i].col < 0 {
+			return nil, fmt.Errorf("fdw: bad where: unknown column %q", w.Col)
+		}
+		var ok bool
+		if f[i].holds, ok = cmpOps[w.Op]; !ok {
+			return nil, fmt.Errorf("fdw: bad where: unknown operator %q", w.Op)
+		}
+		var err error
+		if f[i].val, err = decodeSingle(w.Val); err != nil {
+			return nil, fmt.Errorf("fdw: bad where value: %w", err)
+		}
+	}
+	return f, nil
+}
+
+// keep reports whether a row may pass the conditions. It evaluates them in
+// order, as the client evaluates its filters, and drops the row at the
+// first condition whose column is NULL or whose Compare succeeds with the
+// comparison False: there the client's filters reject the row too, without
+// an error. A Compare that errors keeps the row, so the client reports the
+// error exactly as it would without the pre-filter.
+func (f preFilter) keep(row []sqlval.Value) bool {
+	for i := range f {
+		v := row[f[i].col]
+		if v.IsNull() {
+			return false
+		}
+		c, err := sqlval.Compare(v, f[i].val)
+		if err != nil {
+			return true
+		}
+		if !f[i].holds(c) {
+			return false
+		}
+	}
+	return true
 }
 
 // frameWriter writes one connection's frames through a buffered writer.

@@ -54,3 +54,24 @@ type ContextFilteredRelation interface {
 	FilteredRelation
 	ScanEqContext(ctx context.Context, col string, v sqlval.Value, fn func(row []sqlval.Value) bool) error
 }
+
+// Comparison is one `Col Op Val` condition of a pre-filtered scan. Op is
+// one of = <> < <= > >=, and Val is never NULL.
+type Comparison struct {
+	Col string
+	Op  string
+	Val sqlval.Value
+}
+
+// PrefilterRelation is an optional Relation extension for sources that can
+// drop rows before they travel (FDW foreign tables). ScanWhere scans the
+// rows where eqCol = eqVal (every row when eqCol is empty) and may skip a
+// row only when the comparisons in where, evaluated in order under SQL's
+// three-valued logic, reach one that is not True before any whose Compare
+// fails. It is only a pre-filter: a source may return rows that fail it,
+// so the caller keeps evaluating every condition itself. A nil ctx adds
+// no caller deadline.
+type PrefilterRelation interface {
+	Relation
+	ScanWhere(ctx context.Context, eqCol string, eqVal sqlval.Value, where []Comparison, fn func(row []sqlval.Value) bool) error
+}

@@ -8,7 +8,12 @@ package sqlexec
 // shared, and binding costs a walk of the plan's compiled expressions —
 // no parsing, name resolution or join planning.
 
-import "crosse/internal/sqlval"
+import (
+	"slices"
+
+	"crosse/internal/sqldb"
+	"crosse/internal/sqlval"
+)
 
 // Bind returns the plan with slot i bound to params[i]: the constants the
 // query text that shares this plan's shape would have compiled to. A plan
@@ -62,17 +67,34 @@ func (p *SelectPlan) Bind(params []sqlval.Value) *SelectPlan {
 	return &b
 }
 
-// bindScan binds a scan's seek value and filters.
+// bindScan binds a scan's seek value, pushed comparisons and filters.
 func bindScan(sp scanPlan, params []sqlval.Value) (scanPlan, bool) {
 	changed := false
 	if sp.eqParam >= 0 && sp.eqParam < len(params) {
 		sp.eqVal, sp.eqParam = params[sp.eqParam], -1
 		changed = true
 	}
+	if slices.ContainsFunc(sp.whereParam, isSlot) {
+		where := make([]sqldb.Comparison, 0, len(sp.where))
+		for i, c := range sp.where {
+			if pi := sp.whereParam[i]; pi >= 0 {
+				if pi >= len(params) {
+					break // unbound: the filter reports it
+				}
+				c.Val = params[pi]
+			}
+			where = append(where, c)
+		}
+		sp.where, sp.whereParam = where, nil
+		changed = true
+	}
 	var ok bool
 	sp.filters, ok = bindPreds(sp.filters, params)
 	return sp, changed || ok
 }
+
+// isSlot reports whether a scanPlan.whereParam entry names a slot.
+func isSlot(param int) bool { return param >= 0 }
 
 // bindList binds every expression of es, copying the slice only when one
 // of them changed.

@@ -11,10 +11,13 @@ package sqlexec
 //   - WHERE splits into conjuncts, each bound to the earliest pipeline step
 //     whose sources cover its slots (source-local conjuncts run inside the
 //     scan, equality-against-constant conjuncts on indexed or foreign
-//     columns push into sqldb ScanEq index seeks);
+//     columns push into sqldb ScanEq index seeks, and a foreign scan's
+//     leading `col op constant` filters also travel to its source as a
+//     pre-filter, sqldb.PrefilterRelation);
 //   - equi-joins become hash joins (the executor picks the build side from
-//     live cardinalities), other joins nested loops over a materialised
-//     right side;
+//     live cardinalities, and may run the first join as an index probe of
+//     its inner side instead, see run.go), other joins nested loops over a
+//     materialised right side;
 //   - ORDER BY + LIMIT lowers to a bounded stable top-K heap.
 //
 // A SelectPlan holds structure only — relation handles, slots, compiled
@@ -45,7 +48,8 @@ type Options struct {
 	DisableHashJoin bool
 	// DisableIndexSeek keeps equality-against-constant conjuncts as
 	// pipeline filters instead of pushing them into sqldb ScanEq index
-	// seeks (and FDW remote-predicate pushdown).
+	// seeks (and FDW remote-predicate pushdown), sends no comparison
+	// pre-filter to FDW sources, and turns off index-probe joins.
 	DisableIndexSeek bool
 	// DisableTopK makes ORDER BY + LIMIT fully sort instead of keeping a
 	// bounded top-K heap.
@@ -116,6 +120,14 @@ type scanPlan struct {
 	// side of a LEFT JOIN from WHERE conjuncts (those stay post-join to
 	// preserve padding semantics); ON conjuncts are safe there.
 	filters []pred
+
+	// where repeats the leading filters of the form `col op constant` for
+	// a sqldb.PrefilterRelation, which drops rows they reject before the
+	// rows travel (tryPushCmp); the filters still run on every row that
+	// arrives. whereParam[i] is the slot whose bound value becomes
+	// where[i].Val (Bind), or -1.
+	where      []sqldb.Comparison
+	whereParam []int
 }
 
 type joinKind int
@@ -497,7 +509,68 @@ func (c *selCompiler) addFilter(sp *scanPlan, e sqlparser.Expr) error {
 		return err
 	}
 	sp.filters = append(sp.filters, newPred(ce))
+	c.tryPushCmp(sp, e)
 	return nil
+}
+
+// flipped maps a comparison operator to the one that holds with its
+// operands swapped.
+var flipped = map[sqlparser.BinOpKind]sqlparser.BinOpKind{
+	sqlparser.OpEq: sqlparser.OpEq, sqlparser.OpNe: sqlparser.OpNe,
+	sqlparser.OpLt: sqlparser.OpGt, sqlparser.OpLe: sqlparser.OpGe,
+	sqlparser.OpGt: sqlparser.OpLt, sqlparser.OpGe: sqlparser.OpLe,
+}
+
+// tryPushCmp sends sp's newest filter e to a source that can pre-filter
+// (sqldb.PrefilterRelation) when it has the form `col op c`, op a
+// comparison and c a non-NULL literal or a slot of the column's type. The
+// filter itself stays: the source only narrows what travels. Only an
+// unbroken prefix of the filters is sent, because the source evaluates
+// its list in order and stops where a filter would: a row it drops is one
+// the same prefix rejects here before any later filter could raise an
+// error.
+func (c *selCompiler) tryPushCmp(sp *scanPlan, e sqlparser.Expr) {
+	if _, ok := sp.rel.(sqldb.PrefilterRelation); !ok || c.opts.DisableIndexSeek || len(sp.where) != len(sp.filters)-1 {
+		return
+	}
+	be, ok := e.(*sqlparser.BinExpr)
+	if !ok {
+		return
+	}
+	mirror, ok := flipped[be.Op]
+	if !ok {
+		return
+	}
+	op, other := be.Op, be.R
+	ref, ok := be.L.(*sqlparser.ColRef)
+	if !ok {
+		op, other = mirror, be.L
+		if ref, ok = be.R.(*sqlparser.ColRef); !ok {
+			return
+		}
+	}
+	slot, ok := c.lookupIn(ref, sp.offset, sp.offset+sp.width)
+	if !ok {
+		return
+	}
+	col := sp.rel.Schema()[slot-sp.offset]
+	cond, param := sqldb.Comparison{Col: col.Name, Op: op.String()}, -1
+	switch o := other.(type) {
+	case *sqlparser.Literal:
+		if o.Val.IsNull() {
+			return
+		}
+		cond.Val = o.Val
+	case *sqlparser.Param:
+		if o.Type != col.Type {
+			return
+		}
+		param = o.Index
+	default:
+		return
+	}
+	sp.where = append(sp.where, cond)
+	sp.whereParam = append(sp.whereParam, param)
 }
 
 // tryPushEq pushes a `col = constant` conjunct into the source's scan as

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -221,7 +222,7 @@ func evalBin(ex *sqlparser.BinExpr, s *scope) (sqlval.Value, error) {
 }
 
 // errIntRange is the error of INTEGER arithmetic whose exact result does
-// not fit in an int64: + - * /, unary minus and ABS never wrap.
+// not fit in an int64: + - * /, unary minus, ABS and SUM never wrap.
 var errIntRange = errors.New("sqlexec: integer out of range")
 
 // negate is unary minus over a numeric value; NULL stays NULL.
@@ -668,9 +669,14 @@ type distinctVal struct {
 
 // aggState accumulates one aggregate over a group.
 type aggState struct {
-	call   *sqlparser.FuncCall
-	count  int64
-	sumI   int64
+	call  *sqlparser.FuncCall
+	count int64
+	// (sumHi, sumLo) is the exact INTEGER sum as a two's-complement
+	// 128-bit pair: additions commute exactly, so every accumulation
+	// order — serial, morsel-parallel, the interpreter — ends at the same
+	// sum, and only a final sum outside int64 is an error.
+	sumHi  int64
+	sumLo  uint64
 	isInt  bool
 	first  bool
 	min    sqlval.Value
@@ -762,7 +768,7 @@ func (a *aggState) addValue(v sqlval.Value) error {
 		var x float64
 		switch v.Type() {
 		case sqlval.TypeInt:
-			a.sumI += v.Int()
+			a.addInt(v.Int(), v.Int()>>63)
 			x = float64(v.Int())
 		case sqlval.TypeFloat:
 			a.isInt = false
@@ -788,6 +794,14 @@ func (a *aggState) addValue(v sqlval.Value) error {
 	}
 	a.first = false
 	return nil
+}
+
+// addInt adds the 128-bit pair (hi, lo) into the exact INTEGER sum; an
+// int64 x is the pair (x>>63, x).
+func (a *aggState) addInt(lo, hi int64) {
+	var carry uint64
+	a.sumLo, carry = bits.Add64(a.sumLo, uint64(lo), 0)
+	a.sumHi += hi + int64(carry)
 }
 
 // closePart freezes the open morsel partial into parts.
@@ -844,7 +858,7 @@ func (a *aggState) merge(b *aggState) {
 		return
 	}
 	a.count += b.count
-	a.sumI += b.sumI
+	a.addInt(int64(b.sumLo), b.sumHi)
 	a.isInt = a.isInt && b.isInt
 	a.closePart()
 	b.closePart()
@@ -893,34 +907,30 @@ func (a *aggState) resolveDistinct() error {
 	return nil
 }
 
-func (a *aggState) result() sqlval.Value {
+// result is the aggregate's final value. An INTEGER SUM outside int64
+// fails with errIntRange.
+func (a *aggState) result() (sqlval.Value, error) {
+	if a.count == 0 && a.call.Name != "COUNT" {
+		return sqlval.Null, nil
+	}
 	switch a.call.Name {
 	case "COUNT":
-		return sqlval.NewInt(a.count)
+		return sqlval.NewInt(a.count), nil
 	case "SUM":
-		if a.count == 0 {
-			return sqlval.Null
+		if !a.isInt {
+			return sqlval.NewFloat(a.sumFloat()), nil
 		}
-		if a.isInt {
-			return sqlval.NewInt(a.sumI)
+		if a.sumHi != int64(a.sumLo)>>63 {
+			return sqlval.Null, errIntRange
 		}
-		return sqlval.NewFloat(a.sumFloat())
+		return sqlval.NewInt(int64(a.sumLo)), nil
 	case "AVG":
-		if a.count == 0 {
-			return sqlval.Null
-		}
-		return sqlval.NewFloat(a.sumFloat() / float64(a.count))
+		return sqlval.NewFloat(a.sumFloat() / float64(a.count)), nil
 	case "MIN":
-		if a.count == 0 {
-			return sqlval.Null
-		}
-		return a.min
+		return a.min, nil
 	case "MAX":
-		if a.count == 0 {
-			return sqlval.Null
-		}
-		return a.max
+		return a.max, nil
 	default:
-		return sqlval.Null
+		return sqlval.Null, nil
 	}
 }

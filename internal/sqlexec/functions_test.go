@@ -1,6 +1,8 @@
 package sqlexec
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -276,6 +278,55 @@ func TestSumDistinct(t *testing.T) {
 	r := mustExec(t, db, `SELECT SUM(DISTINCT n), SUM(n) FROM t`)
 	if r.Rows[0][0].Int() != 6 || r.Rows[0][1].Int() != 10 {
 		t.Errorf("SUM DISTINCT: %v", rowsAsStrings(r))
+	}
+}
+
+// TestIntegerSumExact pins INTEGER SUM: it accumulates exactly, whatever
+// the order of its additions, and fails only when the final sum leaves
+// int64 — on the serial and the morsel-parallel paths and in the
+// interpreter alike. Zero rows between the extremes put them in different
+// morsels, so the parallel path merges partial sums.
+func TestIntegerSumExact(t *testing.T) {
+	forceParallel(t)
+	db := sqldb.NewDatabase()
+	mustExec(t, db, `CREATE TABLE t (x INT)`)
+	tab, _ := db.Table("t")
+	for _, x := range []int64{math.MaxInt64, math.MaxInt64, -math.MaxInt64, math.MinInt64} {
+		for _, v := range []int64{x, 0, 0, 0, 0, 0, 0, 0} {
+			if err := tab.Insert([]sqlval.Value{sqlval.NewInt(v)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	cases := []struct {
+		q    string
+		want string // the sum, or the error
+	}{
+		{`SELECT SUM(x) FROM t WHERE x > 0`, "sqlexec: integer out of range"},
+		{`SELECT SUM(x) FROM t WHERE x < 0`, "sqlexec: integer out of range"},
+		{`SELECT SUM(x) FROM t WHERE x >= -9223372036854775807`, fmt.Sprint(int64(math.MaxInt64))},
+		{`SELECT SUM(x) FROM t`, "-1"},
+	}
+	for _, tc := range cases {
+		sel := mustParseSelect(t, tc.q)
+		res, err := evalSelectInterp(db, sel)
+		results := map[string]*Result{"interpreter": res}
+		errs := map[string]error{"interpreter": err}
+		for _, par := range []int{1, 4} {
+			name := fmt.Sprintf("parallelism=%d", par)
+			results[name], errs[name] = EvalSelectOpts(db, sel, Options{Parallelism: par})
+		}
+		for name, res := range results {
+			got := ""
+			if err := errs[name]; err != nil {
+				got = err.Error()
+			} else {
+				got = res.Rows[0][0].String()
+			}
+			if got != tc.want {
+				t.Errorf("%s, %s: got %s, want %s", tc.q, name, got, tc.want)
+			}
+		}
 	}
 }
 

@@ -501,7 +501,11 @@ func selectGrouped(sel *sqlparser.Select, base *rowset) (*rowset, []string, []*s
 		grp := groups[key]
 		aggVals := map[string]sqlval.Value{}
 		for _, a := range grp.aggs {
-			aggVals[a.call.SQL()] = a.result()
+			v, err := a.result()
+			if err != nil {
+				return nil, nil, nil, err
+			}
+			aggVals[a.call.SQL()] = v
 		}
 		s := &scope{Cols: base.cols, Row: grp.firstRow, Aggs: aggVals}
 		if sel.Having != nil {
