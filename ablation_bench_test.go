@@ -46,12 +46,12 @@ WHERE e1.elem_name = e2.elem_name`
 // the reordering and pathological without it.
 func BenchmarkAblationBGPOrder(b *testing.B) {
 	const ns = "http://smartground.eu/onto#"
-	st := rdf.NewStore()
+	st := rdf.NewSharedStore()
 	for i := 0; i < 20000; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("%se%d", ns, i))
-		st.Add(rdf.Triple{S: s, P: rdf.NewIRI(ns + "common"), O: rdf.NewIRI(ns + "thing")})
+		st.AcquireTriple(rdf.Triple{S: s, P: rdf.NewIRI(ns + "common"), O: rdf.NewIRI(ns + "thing")})
 		if i == 7 {
-			st.Add(rdf.Triple{S: s, P: rdf.NewIRI(ns + "rare"), O: rdf.NewIRI(ns + "needle")})
+			st.AcquireTriple(rdf.Triple{S: s, P: rdf.NewIRI(ns + "rare"), O: rdf.NewIRI(ns + "needle")})
 		}
 	}
 	// Written worst-first: the unselective pattern appears first.

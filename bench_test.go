@@ -91,18 +91,18 @@ func BenchmarkTripleStoreInsert(b *testing.B) {
 		}
 	}
 	b.ResetTimer()
-	st := rdf.NewStore()
+	st := rdf.NewSharedStore()
 	for i := 0; i < b.N; i++ {
-		st.Add(triples[i%len(triples)])
+		st.AcquireTriple(triples[i%len(triples)])
 	}
 }
 
 func BenchmarkTripleStoreLookup(b *testing.B) {
 	for _, size := range []int{1000, 10000, 100000} {
-		st := rdf.NewStore()
+		st := rdf.NewSharedStore()
 		rng := rand.New(rand.NewSource(2))
 		for i := 0; i < size; i++ {
-			st.Add(rdf.Triple{
+			st.AcquireTriple(rdf.Triple{
 				S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", rng.Intn(size/10+1))),
 				P: rdf.NewIRI(fmt.Sprintf("http://x/p%d", rng.Intn(20))),
 				O: rdf.NewIRI(fmt.Sprintf("http://x/o%d", i)),
@@ -111,7 +111,11 @@ func BenchmarkTripleStoreLookup(b *testing.B) {
 		probe := rdf.Pattern{S: rdf.NewIRI("http://x/s1")}
 		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st.Match(probe)
+				var out []rdf.Triple
+				rdf.ForEach(st, probe, func(t rdf.Triple) bool {
+					out = append(out, t)
+					return true
+				})
 			}
 		})
 	}
@@ -177,7 +181,7 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`); err != nil {
 		b.Fatal(err)
 	}
 	tab, _ := enr.DB.Catalog().Table("danger")
-	view.ForEach(rdf.Pattern{P: dataset.IRI("dangerLevel")}, func(t rdf.Triple) bool {
+	rdf.ForEach(view, rdf.Pattern{P: dataset.IRI("dangerLevel")}, func(t rdf.Triple) bool {
 		name := t.S.Value[len(core.DefaultIRIPrefix):]
 		_ = tab.Insert([]sqlval.Value{sqlval.NewString(name), sqlval.NewString(t.O.Value)})
 		return true
@@ -371,7 +375,8 @@ func BenchmarkBeliefImport(b *testing.B) {
 
 // BenchmarkManyUserMemory proves the overlay-view memory story: N users
 // sharing one corpus. isolatedStores is the pre-overlay architecture (every
-// user re-interns and re-indexes the corpus into a private store);
+// user re-interns and re-indexes the corpus into an arena of their own,
+// which also carries that arena's refcount map);
 // sharedOverlays is the platform layout (one SharedStore arena holding the
 // dictionary and union indexes once, each user a View of encoded TripleKeys
 // plus per-view counters). Compare B/op: overlay per-user cost is ID-keyed
@@ -393,12 +398,14 @@ func BenchmarkManyUserMemory(b *testing.B) {
 
 	b.Run("isolatedStores", func(b *testing.B) {
 		b.ReportAllocs()
-		var sink []*rdf.Store
+		var sink []*rdf.SharedStore
 		for i := 0; i < b.N; i++ {
-			stores := make([]*rdf.Store, users)
+			stores := make([]*rdf.SharedStore, users)
 			for u := range stores {
-				stores[u] = rdf.NewStore()
-				stores[u].AddAll(corpus)
+				stores[u] = rdf.NewSharedStore()
+				for _, t := range corpus {
+					stores[u].AcquireTriple(t)
+				}
 			}
 			sink = stores
 		}
@@ -422,7 +429,7 @@ func BenchmarkManyUserMemory(b *testing.B) {
 			}
 			sink = views
 		}
-		if len(sink) != users || sink[0].Len() != sink[0].Count(rdf.Pattern{}) {
+		if len(sink) != users || sink[0].Len() != rdf.Count(sink[0], rdf.Pattern{}) {
 			b.Fatal("broken views")
 		}
 	})
@@ -850,22 +857,22 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 
 // sparqlBenchStore builds the 20k-triple store the SPARQL benchmark
 // families share: 10% hazard facts, a level per element, a subclass chain.
-func sparqlBenchStore() *rdf.Store { return sparqlBenchStoreN(20000) }
+func sparqlBenchStore() *rdf.SharedStore { return sparqlBenchStoreN(20000) }
 
-func sparqlBenchStoreN(elems int) *rdf.Store {
+func sparqlBenchStoreN(elems int) *rdf.SharedStore {
 	const ns = core.DefaultIRIPrefix
-	st := rdf.NewStore()
+	st := rdf.NewSharedStore()
 	rng := rand.New(rand.NewSource(3))
 	for i := 0; i < elems; i++ {
 		s := rdf.NewIRI(fmt.Sprintf("%selem%d", ns, i))
 		if i%10 == 0 {
-			st.Add(rdf.Triple{S: s, P: rdf.NewIRI(ns + "isA"), O: rdf.NewIRI(ns + "Hazard")})
+			st.AcquireTriple(rdf.Triple{S: s, P: rdf.NewIRI(ns + "isA"), O: rdf.NewIRI(ns + "Hazard")})
 		}
-		st.Add(rdf.Triple{S: s, P: rdf.NewIRI(ns + "level"),
+		st.AcquireTriple(rdf.Triple{S: s, P: rdf.NewIRI(ns + "level"),
 			O: rdf.NewTypedLiteral(fmt.Sprint(rng.Intn(10)), rdf.XSDInteger)})
 	}
 	for i := 0; i < 60; i++ {
-		st.Add(rdf.Triple{
+		st.AcquireTriple(rdf.Triple{
 			S: rdf.NewIRI(fmt.Sprintf("%sclass%d", ns, i)),
 			P: rdf.NewIRI(ns + "sub"),
 			O: rdf.NewIRI(fmt.Sprintf("%sclass%d", ns, i+1)),
@@ -1038,17 +1045,20 @@ func BenchmarkSPARQLBGPJoinAllocs(b *testing.B) {
 	})
 }
 
-// BenchmarkStoreCount measures pattern-cardinality probes across store
-// sizes. With the dictionary-encoded store, Count reads index sizes instead
-// of enumerating matches, so ns/op must stay flat (O(1)) as the store grows —
-// this is the probe the SPARQL join orderer issues once per candidate
-// pattern per BGP.
+// BenchmarkStoreCount measures term-level pattern-cardinality probes
+// (rdf.Count) across arena sizes. Count reads index sizes instead of
+// enumerating matches, so the probe is O(1) in the arena size; rdf.Count's
+// callback escapes through the Graph interface, though, and the GC those
+// two small allocations per call trigger grows with the live heap. The
+// SPARQL join orderer issues the same probe ID-natively
+// (IDReader.CountIDs), once per candidate pattern per BGP, inside its
+// query's one read transaction.
 func BenchmarkStoreCount(b *testing.B) {
 	for _, size := range []int{1000, 100000} {
-		st := rdf.NewStore()
+		st := rdf.NewSharedStore()
 		rng := rand.New(rand.NewSource(3))
 		for i := 0; i < size; i++ {
-			st.Add(rdf.Triple{
+			st.AcquireTriple(rdf.Triple{
 				S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", rng.Intn(size/10+1))),
 				P: rdf.NewIRI(fmt.Sprintf("http://x/p%d", rng.Intn(20))),
 				O: rdf.NewIRI(fmt.Sprintf("http://x/o%d", rng.Intn(size/2+1))),
@@ -1069,7 +1079,7 @@ func BenchmarkStoreCount(b *testing.B) {
 		}
 		b.Run(fmt.Sprintf("size%d", size), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				st.Count(pats[i%len(pats)])
+				rdf.Count(st, pats[i%len(pats)])
 			}
 		})
 	}

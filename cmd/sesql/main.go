@@ -211,7 +211,7 @@ func metaCommand(enr *core.Enricher, user *string, showStats *bool, cmd string) 
 			break
 		}
 		n := 0
-		view.ForEach(rdf.Pattern{}, func(t rdf.Triple) bool {
+		rdf.ForEach(view, rdf.Pattern{}, func(t rdf.Triple) bool {
 			fmt.Println(" ", t)
 			n++
 			return n < 50

@@ -151,7 +151,7 @@ func probe(e *core.Enricher) (*probeResults, error) {
 			{S: dataset.IRI("element_001")},
 			{O: rdf.NewLiteral("high")},
 		} {
-			res.Counts[u] = append(res.Counts[u], view.Count(pat))
+			res.Counts[u] = append(res.Counts[u], rdf.Count(view, pat))
 		}
 	}
 	return res, nil

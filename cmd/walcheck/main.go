@@ -206,7 +206,7 @@ func probe(db *engine.DB, p *kb.Platform) (*probeResults, error) {
 			{S: iri("thing-8")},
 			{O: rdf.NewLiteral("v15")},
 		} {
-			res.Counts[u] = append(res.Counts[u], view.Count(pat))
+			res.Counts[u] = append(res.Counts[u], rdf.Count(view, pat))
 		}
 	}
 	return res, nil

@@ -25,13 +25,16 @@
 // permutation indexes (SPO, POS, OSP) plus a flat membership set are keyed
 // on those IDs. Pattern cardinalities — the probes the SPARQL join orderer
 // issues per candidate pattern — are answered in O(1) from per-sub-index
-// counters and set lengths, never by enumeration. The encoded layer is
-// public: rdf.PatternIDs / Store.ForEachIDs / Store.CountIDs match and
-// count without decoding a single term, Dict.TermOf / Dict.IDOf translate
-// at the edges, and Store.ReadIDs opens a one-lock read transaction whose
-// rdf.IDReader serves nested probes lock-free — the access shape of a join.
+// counters and set lengths, never by enumeration. There is one store, the
+// arena (rdf.SharedStore), and rdf.Graph has one method: ReadIDs opens a
+// read transaction whose rdf.IDReader serves nested probes lock-free — the
+// access shape of a join — matching and counting over rdf.PatternIDs
+// without decoding a single term, and translating with TermOf / IDOf at
+// the edges. The term-level reads (rdf.ForEach, rdf.Count,
+// rdf.MatchSorted, rdf.Subjects, rdf.Objects) are package functions
+// written once over ReadIDs.
 //
-// Per-user knowledge bases are overlay views over one shared arena
+// Per-user knowledge bases are overlay views over that arena
 // (rdf.SharedStore + rdf.View): the platform interns and indexes every
 // asserted triple exactly once — one dictionary, one set of refcounted
 // union indexes — and each user's view holds only ID-level state, a
@@ -41,9 +44,8 @@
 // re-hashed), N users sharing a corpus cost O(corpus) string memory plus
 // compact per-view overlays, and view iteration picks the cheaper side per
 // pattern: the shared posting list filtered by membership, or the
-// membership set filtered by the pattern. Views implement rdf.Graph
-// (ReadIDs included), so everything below this paragraph applies to them
-// unchanged; mutations take the arena or view write lock briefly and never
+// membership set filtered by the pattern. Views implement rdf.Graph, so
+// everything below this paragraph applies to them unchanged; mutations take the arena or view write lock briefly and never
 // invalidate an in-flight read transaction, which lets queries over
 // distinct users' views run concurrently.
 //
@@ -55,7 +57,7 @@
 // patterns precompiled (invalid ones fail at compile time), and projection,
 // ORDER BY and DISTINCT are resolved to slot lists. A solution in flight is
 // a []rdf.TermID row, not a string-keyed map: BGP joins run as a push-based
-// backtracking pipeline under one Store.ReadIDs transaction, filters
+// backtracking pipeline under one Graph.ReadIDs transaction, filters
 // execute at the first join step where their variables are bound, DISTINCT
 // deduplicates on projected ID tuples, ASK and LIMIT-without-ORDER-BY
 // terminate the pipeline early, and terms are decoded only at projection.

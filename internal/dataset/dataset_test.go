@@ -101,15 +101,15 @@ func TestPopulateOntology(t *testing.T) {
 		t.Errorf("inserted %d but view has %d", n, p.ViewSize("u"))
 	}
 	g, _ := p.View("u")
-	hazardous := g.Count(rdf.Pattern{P: IRI("isA"), O: IRI("HazardousWaste")})
+	hazardous := rdf.Count(g, rdf.Pattern{P: IRI("isA"), O: IRI("HazardousWaste")})
 	want := int(float64(cfg.Elements) * cfg.HazardFrac)
 	if hazardous != want {
 		t.Errorf("hazardous = %d, want %d", hazardous, want)
 	}
-	if cities := g.Count(rdf.Pattern{P: IRI("inCountry")}); cities != cfg.Cities {
+	if cities := rdf.Count(g, rdf.Pattern{P: IRI("inCountry")}); cities != cfg.Cities {
 		t.Errorf("inCountry facts = %d", cities)
 	}
-	if pad := g.Count(rdf.Pattern{P: IRI("pad_p0")}); pad == 0 {
+	if pad := rdf.Count(g, rdf.Pattern{P: IRI("pad_p0")}); pad == 0 {
 		t.Error("padding triples missing")
 	}
 }

@@ -105,7 +105,7 @@ func materializeDangerTable(db *engine.DB, view rdf.Graph) error {
 	}
 	prop := rdf.NewIRI("http://smartground.eu/onto#dangerLevel")
 	var insertErr error
-	view.ForEach(rdf.Pattern{P: prop}, func(t rdf.Triple) bool {
+	rdf.ForEach(view, rdf.Pattern{P: prop}, func(t rdf.Triple) bool {
 		elem := t.S.Value
 		if i := lastSep(elem); i >= 0 {
 			elem = elem[i+1:]

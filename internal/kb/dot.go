@@ -26,7 +26,7 @@ func WriteDOT(w io.Writer, g rdf.Graph, title string) error {
 		lit             bool
 	}
 	var edges []edge
-	g.ForEach(rdf.Pattern{}, func(t rdf.Triple) bool {
+	rdf.ForEach(g, rdf.Pattern{}, func(t rdf.Triple) bool {
 		edges = append(edges, edge{
 			from:  localName(t.S),
 			label: localName(t.P),

@@ -371,12 +371,19 @@ func (p *Platform) Insert(user string, t rdf.Triple, opts ...InsertOption) (stri
 	}
 	p.nextID++
 	id := fmt.Sprintf("stmt-%d", p.nextID)
+	p.addStatement(id, user, t, o.ref)
+	return id, nil
+}
+
+// addStatement asserts t as statement id, owned and believed by user.
+// Caller holds the write lock.
+func (p *Platform) addStatement(id, user string, t rdf.Triple, ref *Reference) {
 	key := p.shared.AcquireTriple(t)
 	st := &Statement{
 		ID:        id,
 		Triple:    t,
 		Owner:     user,
-		Ref:       o.ref,
+		Ref:       ref,
 		key:       key,
 		believers: map[string]struct{}{user: {}},
 	}
@@ -390,7 +397,6 @@ func (p *Platform) Insert(user string, t rdf.Triple, opts ...InsertOption) (stri
 	ids[id] = struct{}{}
 	p.views[user].Add(key)
 	p.bumpView(user)
-	return id, nil
 }
 
 // Retract removes the user's belief in a statement; when the owner

@@ -252,26 +252,26 @@ func TestToRDFShape(t *testing.T) {
 	g := p.ToRDF()
 
 	typ := rdf.NewIRI(rdf.RDFType)
-	if n := g.Count(rdf.Pattern{P: typ, O: rdf.NewIRI(ClassUser)}); n != 2 {
+	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassUser)}); n != 2 {
 		t.Errorf("users in graph = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: typ, O: rdf.NewIRI(ClassStatement)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassStatement)}); n != 1 {
 		t.Errorf("statements in graph = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: rdf.NewIRI(PropUserBelief)}); n != 2 {
+	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserBelief)}); n != 2 {
 		t.Errorf("beliefs in graph = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: rdf.NewIRI(PropUserStatement)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserStatement)}); n != 1 {
 		t.Errorf("ownership edges = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: typ, O: rdf.NewIRI(ClassReference)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassReference)}); n != 1 {
 		t.Errorf("references = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: rdf.NewIRI(PropFileReference)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropFileReference)}); n != 1 {
 		t.Errorf("file references = %d", n)
 	}
 	// The reified triple is reachable via rdf:subject / rdf:object.
-	subs := g.Subjects(rdf.NewIRI(rdf.RDFSubject), iri("Mercury"))
+	subs := rdf.Subjects(g, rdf.NewIRI(rdf.RDFSubject), iri("Mercury"))
 	if len(subs) != 1 {
 		t.Errorf("reified subject edges = %d", len(subs))
 	}
@@ -326,7 +326,7 @@ func TestConcurrentPlatformAccess(t *testing.T) {
 		p.Insert("bob", tr("C", "p", "D"))
 		p.ViewSize("bob")
 		if g, err := p.View("alice"); err == nil {
-			g.Count(rdf.Pattern{})
+			rdf.Count(g, rdf.Pattern{})
 		}
 	}
 	<-done

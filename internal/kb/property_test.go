@@ -139,7 +139,7 @@ func TestViewMatchesBeliefs(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := map[rdf.Triple]struct{}{}
-			view.ForEach(rdf.Pattern{}, func(tr rdf.Triple) bool {
+			rdf.ForEach(view, rdf.Pattern{}, func(tr rdf.Triple) bool {
 				got[tr] = struct{}{}
 				return true
 			})

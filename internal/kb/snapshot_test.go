@@ -71,16 +71,20 @@ func comparePlatforms(t *testing.T, want, restored *Platform) {
 			t.Fatalf("SPARQL results over %q's view differ after restore", u)
 		}
 		// Pattern counts for every shape derived from each view triple.
-		wv.(*rdf.View).ForEachIDs(rdf.PatternIDs{}, func(s, p, o rdf.TermID) bool {
-			for _, pat := range []rdf.PatternIDs{
-				{}, {S: s}, {P: p}, {O: o},
-				{S: s, P: p}, {P: p, O: o}, {S: s, O: o}, {S: s, P: p, O: o},
-			} {
-				if got, exp := rv.(*rdf.View).CountIDs(pat), wv.(*rdf.View).CountIDs(pat); got != exp {
-					t.Fatalf("view %q CountIDs(%v) = %d, want %d", u, pat, got, exp)
-				}
-			}
-			return true
+		wv.ReadIDs(func(wr rdf.IDReader) {
+			rv.ReadIDs(func(rr rdf.IDReader) {
+				wr.ForEachIDs(rdf.PatternIDs{}, func(s, p, o rdf.TermID) bool {
+					for _, pat := range []rdf.PatternIDs{
+						{}, {S: s}, {P: p}, {O: o},
+						{S: s, P: p}, {P: p, O: o}, {S: s, O: o}, {S: s, P: p, O: o},
+					} {
+						if got, exp := rr.CountIDs(pat), wr.CountIDs(pat); got != exp {
+							t.Fatalf("view %q CountIDs(%v) = %d, want %d", u, pat, got, exp)
+						}
+					}
+					return true
+				})
+			})
 		})
 	}
 
@@ -183,7 +187,7 @@ func TestPlatformSnapshotRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.Count(rdf.Pattern{S: iri("lf2")}) != 1 {
+	if rdf.Count(v, rdf.Pattern{S: iri("lf2")}) != 1 {
 		t.Fatalf("carol lost a triple she still asserts")
 	}
 }

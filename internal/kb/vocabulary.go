@@ -119,28 +119,28 @@ func (p *Platform) SuggestedProperties() []string {
 
 // declsToRDF renders declarations into the reified graph (called by ToRDF
 // with the platform lock held).
-func (p *Platform) declsToRDF(g *rdf.Store) {
+func (p *Platform) declsToRDF(g *rdf.SharedStore) {
 	typ := rdf.NewIRI(rdf.RDFType)
 	for _, d := range p.decls {
 		node := rdf.NewIRI(d.Name)
 		switch d.Kind {
 		case DeclProperty:
-			g.Add(rdf.Triple{S: node, P: typ, O: rdf.NewIRI(ClassProperty)})
-			g.Add(rdf.Triple{S: userIRI(d.Owner), P: rdf.NewIRI(PropUserProperty), O: node})
+			g.AcquireTriple(rdf.Triple{S: node, P: typ, O: rdf.NewIRI(ClassProperty)})
+			g.AcquireTriple(rdf.Triple{S: userIRI(d.Owner), P: rdf.NewIRI(PropUserProperty), O: node})
 		default:
-			g.Add(rdf.Triple{S: node, P: typ, O: rdf.NewIRI(ClassResource)})
-			g.Add(rdf.Triple{S: userIRI(d.Owner), P: rdf.NewIRI(PropUserResource), O: node})
+			g.AcquireTriple(rdf.Triple{S: node, P: typ, O: rdf.NewIRI(ClassResource)})
+			g.AcquireTriple(rdf.Triple{S: userIRI(d.Owner), P: rdf.NewIRI(PropUserResource), O: node})
 		}
 	}
 }
 
 // declsFromRDF rebuilds declarations from the reified graph (called by
 // FromRDF after users exist).
-func declsFromRDF(p *Platform, g *rdf.Store) error {
+func declsFromRDF(p *Platform, g rdf.Graph) error {
 	typ := rdf.NewIRI(rdf.RDFType)
 	load := func(class, edge string, kind DeclKind) error {
-		for _, t := range g.MatchSorted(rdf.Pattern{P: typ, O: rdf.NewIRI(class)}) {
-			owners := g.Subjects(rdf.NewIRI(edge), t.S)
+		for _, t := range rdf.MatchSorted(g, rdf.Pattern{P: typ, O: rdf.NewIRI(class)}) {
+			owners := rdf.Subjects(g, rdf.NewIRI(edge), t.S)
 			if len(owners) != 1 {
 				return fmt.Errorf("kb: declaration %s has %d owners", t.S, len(owners))
 			}

@@ -58,16 +58,16 @@ func TestDeclarationsInReifiedGraph(t *testing.T) {
 	p.DeclareProperty("alice", SMG+"storedAt")
 	g := p.ToRDF()
 	typ := rdf.NewIRI(rdf.RDFType)
-	if n := g.Count(rdf.Pattern{P: typ, O: rdf.NewIRI(ClassResource)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassResource)}); n != 1 {
 		t.Errorf("smg:Resource nodes = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: typ, O: rdf.NewIRI(ClassProperty)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassProperty)}); n != 1 {
 		t.Errorf("smg:Property nodes = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: rdf.NewIRI(PropUserResource)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserResource)}); n != 1 {
 		t.Errorf("userResource edges = %d", n)
 	}
-	if n := g.Count(rdf.Pattern{P: rdf.NewIRI(PropUserProperty)}); n != 1 {
+	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserProperty)}); n != 1 {
 		t.Errorf("userProperty edges = %d", n)
 	}
 }

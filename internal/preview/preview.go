@@ -59,10 +59,10 @@ func (s *scorer) facts(v sqlval.Value) int {
 	// Probe both renderings: the minted IRI and the bare literal.
 	n := 0
 	term := s.mapping.ToTerm("", "", v)
-	n += s.view.Count(rdf.Pattern{S: term})
-	n += s.view.Count(rdf.Pattern{O: term})
+	n += rdf.Count(s.view, rdf.Pattern{S: term})
+	n += rdf.Count(s.view, rdf.Pattern{O: term})
 	lit := rdf.NewLiteral(v.String())
-	n += s.view.Count(rdf.Pattern{O: lit})
+	n += rdf.Count(s.view, rdf.Pattern{O: lit})
 	s.memo[v] = n
 	return n
 }
@@ -123,7 +123,7 @@ func Snippet(view rdf.Graph, mapping *core.Mapping, concept string, maxFacts int
 	}
 	var facts []Fact
 	for _, term := range mapping.ConceptTerms(concept) {
-		view.ForEach(rdf.Pattern{S: term}, func(t rdf.Triple) bool {
+		rdf.ForEach(view, rdf.Pattern{S: term}, func(t rdf.Triple) bool {
 			facts = append(facts, Fact{
 				Property: mapping.FromTerm(t.P).String(),
 				Value:    mapping.FromTerm(t.O).String(),
@@ -133,7 +133,7 @@ func Snippet(view rdf.Graph, mapping *core.Mapping, concept string, maxFacts int
 		})
 	}
 	for _, term := range mapping.ConceptTerms(concept) {
-		view.ForEach(rdf.Pattern{O: term}, func(t rdf.Triple) bool {
+		rdf.ForEach(view, rdf.Pattern{O: term}, func(t rdf.Triple) bool {
 			facts = append(facts, Fact{
 				Property: mapping.FromTerm(t.P).String(),
 				Value:    mapping.FromTerm(t.S).String(),

@@ -14,7 +14,7 @@ package rdf
 type TermID uint32
 
 // Dict is a bidirectional Term ↔ TermID intern table. It is not safe for
-// concurrent use on its own; the owning Store guards it with its lock.
+// concurrent use on its own; the owning SharedStore guards it with its lock.
 //
 // typedKey identifies a typed literal without ambiguity: value and datatype
 // stay separate fields, so no byte sequence in either can alias another term.
@@ -60,8 +60,8 @@ func (d *Dict) kindMap(t Term) map[string]TermID {
 }
 
 // Encode interns the term, returning its ID (allocating a new one for a term
-// never seen before). Terms are never released: a store's dictionary only
-// grows, which keeps IDs stable for the life of the store.
+// never seen before). Terms are never released: an arena's dictionary only
+// grows, which keeps IDs stable for the life of the arena.
 func (d *Dict) Encode(t Term) TermID {
 	if t.Kind == Literal && t.Datatype != "" {
 		key := typedKey{t.Value, t.Datatype}
@@ -83,10 +83,10 @@ func (d *Dict) Encode(t Term) TermID {
 	return id
 }
 
-// Lookup returns the ID of an already-interned term without interning it.
+// IDOf returns the ID of an already-interned term without interning it.
 // The second result is false when the term has never been seen; callers use
 // that as an immediate "no matches" answer for bound pattern positions.
-func (d *Dict) Lookup(t Term) (TermID, bool) {
+func (d *Dict) IDOf(t Term) (TermID, bool) {
 	if t.Kind == Literal && t.Datatype != "" {
 		id, ok := d.typedLits[typedKey{t.Value, t.Datatype}]
 		return id, ok
@@ -95,16 +95,10 @@ func (d *Dict) Lookup(t Term) (TermID, bool) {
 	return id, ok
 }
 
-// Term returns the term for a previously issued ID.
-func (d *Dict) Term(id TermID) Term {
-	return d.terms[id-1]
-}
-
 // TermOf returns the term for an ID, reporting whether the ID was ever
-// issued. The zero TermID (reserved, never issued) always reports false.
-// This is the checked counterpart of Term for callers — like the SPARQL
-// executor — that decode IDs coming from computed rows rather than directly
-// from an index walk.
+// issued. The zero TermID (reserved, never issued) always reports false,
+// and so do IDs no dictionary issued, such as the SPARQL executor's
+// synthetic constants.
 func (d *Dict) TermOf(id TermID) (Term, bool) {
 	// Compare in uint64 so IDs near the top of the uint32 range (the SPARQL
 	// executor's synthetic constants) stay out of range on 32-bit platforms
@@ -113,34 +107,6 @@ func (d *Dict) TermOf(id TermID) (Term, bool) {
 		return Term{}, false
 	}
 	return d.terms[id-1], true
-}
-
-// IDOf returns the ID of an already-interned term without interning it; the
-// second result is false when the term has never been seen. It is Lookup
-// under the name the encoded-layer consumers use.
-func (d *Dict) IDOf(t Term) (TermID, bool) { return d.Lookup(t) }
-
-// encodePattern resolves the bound positions of a term-level pattern to IDs
-// without interning anything. ok is false when some bound term was never
-// interned — nothing can match then.
-func (d *Dict) encodePattern(p Pattern) (ids PatternIDs, ok bool) {
-	ok = true
-	if !p.S.IsZero() {
-		if ids.S, ok = d.Lookup(p.S); !ok {
-			return
-		}
-	}
-	if !p.P.IsZero() {
-		if ids.P, ok = d.Lookup(p.P); !ok {
-			return
-		}
-	}
-	if !p.O.IsZero() {
-		if ids.O, ok = d.Lookup(p.O); !ok {
-			return
-		}
-	}
-	return
 }
 
 // Len returns the number of interned terms.

@@ -16,10 +16,10 @@ func TestDictEncodeLookup(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", d.Len())
 	}
-	if got := d.Term(idA); got != a {
+	if got, _ := d.TermOf(idA); got != a {
 		t.Fatalf("Term(%d) = %v, want %v", idA, got, a)
 	}
-	if _, ok := d.Lookup(iri("never-seen")); ok {
+	if _, ok := d.IDOf(iri("never-seen")); ok {
 		t.Fatal("Lookup must not intern unseen terms")
 	}
 	if d.Len() != 2 {
@@ -34,10 +34,10 @@ func TestDictEncodeLookup(t *testing.T) {
 }
 
 // Count must answer every shape from index sizes; this cross-checks it
-// against ForEach enumeration on a store with mixed term kinds, including
-// after removals (which must decrement the sub-index counters).
+// against ForEach enumeration on an arena with mixed term kinds, including
+// after releases (which must decrement the sub-index counters).
 func TestCountMatchesEnumeration(t *testing.T) {
-	st := NewStore()
+	st := NewSharedStore()
 	ts := []Triple{
 		{iri("Hg"), iri("dangerLevel"), NewLiteral("high")},
 		{iri("Hg"), iri("is-a"), iri("element")},
@@ -45,8 +45,11 @@ func TestCountMatchesEnumeration(t *testing.T) {
 		{iri("Pb"), iri("is-a"), iri("element")},
 		{NewBlank("n1"), iri("note"), NewLiteral("x")},
 	}
-	st.AddAll(ts)
-	st.Remove(ts[2])
+	for _, t3 := range ts {
+		st.AcquireTriple(t3)
+	}
+	st.Release(st.AcquireTriple(ts[2]))
+	st.Release(st.AcquireTriple(ts[2]))
 
 	pats := []Pattern{
 		{},
@@ -63,8 +66,8 @@ func TestCountMatchesEnumeration(t *testing.T) {
 	}
 	for _, p := range pats {
 		want := 0
-		st.ForEach(p, func(Triple) bool { want++; return true })
-		if got := st.Count(p); got != want {
+		ForEach(st, p, func(Triple) bool { want++; return true })
+		if got := Count(st, p); got != want {
 			t.Errorf("Count(%v) = %d, enumeration gives %d", p, got, want)
 		}
 	}
@@ -80,7 +83,10 @@ func TestDictNulLiteralNoCollision(t *testing.T) {
 	if plain == typed {
 		t.Fatal("plain literal with embedded NUL must not alias a typed literal")
 	}
-	if d.Term(plain) != NewLiteral("a\x00"+XSDInteger) || d.Term(typed) != NewTypedLiteral("a", XSDInteger) {
+	if p, _ := d.TermOf(plain); p != NewLiteral("a\x00"+XSDInteger) {
+		t.Fatal("decode must round-trip both literals")
+	}
+	if ty, _ := d.TermOf(typed); ty != NewTypedLiteral("a", XSDInteger) {
 		t.Fatal("decode must round-trip both literals")
 	}
 	// Typed vs typed: value "a\x00b" ^^ "c" is not value "a" ^^ "b\x00c".
@@ -90,10 +96,10 @@ func TestDictNulLiteralNoCollision(t *testing.T) {
 		t.Fatal("typed literals must intern on (value, datatype), not a joined byte string")
 	}
 
-	st := NewStore()
+	st := NewSharedStore()
 	s, p := iri("s"), iri("p")
-	st.Add(Triple{s, p, NewTypedLiteral("a\x00b", "c")})
-	if st.Has(Triple{s, p, NewTypedLiteral("a", "b\x00c")}) {
+	st.AcquireTriple(Triple{s, p, NewTypedLiteral("a\x00b", "c")})
+	if Count(st, Pattern{s, p, NewTypedLiteral("a", "b\x00c")}) != 0 {
 		t.Fatal("store must not report a triple that was never added")
 	}
 }

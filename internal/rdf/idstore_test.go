@@ -6,31 +6,31 @@ import (
 	"testing"
 )
 
-func idFixtureStore(t *testing.T) *Store {
+func idFixtureStore(t *testing.T) *SharedStore {
 	t.Helper()
-	st := NewStore()
+	st := NewSharedStore()
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 500; i++ {
-		st.Add(Triple{
+		st.AcquireTriple(Triple{
 			S: NewIRI(fmt.Sprintf("http://x/s%d", rng.Intn(20))),
 			P: NewIRI(fmt.Sprintf("http://x/p%d", rng.Intn(5))),
 			O: NewIRI(fmt.Sprintf("http://x/o%d", rng.Intn(40))),
 		})
 	}
-	st.Add(Triple{S: NewIRI("http://x/s0"), P: NewIRI("http://x/p0"),
+	st.AcquireTriple(Triple{S: NewIRI("http://x/s0"), P: NewIRI("http://x/p0"),
 		O: NewTypedLiteral("7", XSDInteger)})
 	return st
 }
 
 // encodeTestPattern resolves a term-level pattern through the public ID API.
-func encodeTestPattern(t *testing.T, st *Store, p Pattern) (PatternIDs, bool) {
+func encodeTestPattern(t *testing.T, st Graph, p Pattern) (PatternIDs, bool) {
 	t.Helper()
 	var ids PatternIDs
 	resolve := func(term Term) (TermID, bool) {
 		if term.IsZero() {
 			return 0, true
 		}
-		return st.IDOf(term)
+		return idOf(st, term)
 	}
 	var ok bool
 	if ids.S, ok = resolve(p.S); !ok {
@@ -46,9 +46,16 @@ func encodeTestPattern(t *testing.T, st *Store, p Pattern) (PatternIDs, bool) {
 }
 
 // Every pattern shape must stream the same triples through ForEachIDs (after
-// decoding) as the term-level ForEach, and CountIDs must agree with Count.
+// decoding) as the term-level ForEach, and CountIDs must agree with Count,
+// on the arena and on a view.
 func TestForEachIDsMatchesTermLevelAcrossShapes(t *testing.T) {
-	st := idFixtureStore(t)
+	arena := idFixtureStore(t)
+	view := arena.NewView()
+	for i, tr := range MatchSorted(arena, Pattern{}) {
+		if i%2 == 0 {
+			view.Add(arena.AcquireTriple(tr))
+		}
+	}
 	s0 := NewIRI("http://x/s0")
 	p0 := NewIRI("http://x/p0")
 	o0 := NewIRI("http://x/o1")
@@ -62,40 +69,44 @@ func TestForEachIDsMatchesTermLevelAcrossShapes(t *testing.T) {
 		{S: s0, O: o0},
 		{S: s0, P: p0, O: o0},
 	}
-	for _, pat := range shapes {
-		ids, ok := encodeTestPattern(t, st, pat)
-		if !ok {
-			t.Fatalf("pattern %v references un-interned terms", pat)
-		}
-		want := map[string]int{}
-		st.ForEach(pat, func(tr Triple) bool {
-			want[tr.String()]++
-			return true
-		})
-		got := map[string]int{}
-		n := 0
-		st.ForEachIDs(ids, func(si, pi, oi TermID) bool {
-			s, okS := st.TermOf(si)
-			p, okP := st.TermOf(pi)
-			o, okO := st.TermOf(oi)
-			if !okS || !okP || !okO {
-				t.Fatalf("pattern %v: undecodable ids (%d,%d,%d)", pat, si, pi, oi)
+	for _, st := range []Graph{arena, view} {
+		for _, pat := range shapes {
+			ids, ok := encodeTestPattern(t, st, pat)
+			if !ok {
+				t.Fatalf("pattern %v references un-interned terms", pat)
 			}
-			got[Triple{s, p, o}.String()]++
-			n++
-			return true
-		})
-		if len(got) != len(want) || n != st.Count(pat) {
-			t.Fatalf("pattern %v: ID stream %d distinct (%d total), term stream %d, Count %d",
-				pat, len(got), n, len(want), st.Count(pat))
-		}
-		for k, c := range want {
-			if got[k] != c {
-				t.Fatalf("pattern %v: triple %s seen %d times via IDs, %d via terms", pat, k, got[k], c)
+			want := map[string]int{}
+			ForEach(st, pat, func(tr Triple) bool {
+				want[tr.String()]++
+				return true
+			})
+			got := map[string]int{}
+			n := 0
+			st.ReadIDs(func(r IDReader) {
+				r.ForEachIDs(ids, func(si, pi, oi TermID) bool {
+					s, okS := r.TermOf(si)
+					p, okP := r.TermOf(pi)
+					o, okO := r.TermOf(oi)
+					if !okS || !okP || !okO {
+						t.Fatalf("pattern %v: undecodable ids (%d,%d,%d)", pat, si, pi, oi)
+					}
+					got[Triple{s, p, o}.String()]++
+					n++
+					return true
+				})
+			})
+			if len(got) != len(want) || n != Count(st, pat) {
+				t.Fatalf("pattern %v: ID stream %d distinct (%d total), term stream %d, Count %d",
+					pat, len(got), n, len(want), Count(st, pat))
 			}
-		}
-		if st.CountIDs(ids) != st.Count(pat) {
-			t.Fatalf("pattern %v: CountIDs %d != Count %d", pat, st.CountIDs(ids), st.Count(pat))
+			for k, c := range want {
+				if got[k] != c {
+					t.Fatalf("pattern %v: triple %s seen %d times via IDs, %d via terms", pat, k, got[k], c)
+				}
+			}
+			if countIDs(st, ids) != Count(st, pat) {
+				t.Fatalf("pattern %v: CountIDs %d != Count %d", pat, countIDs(st, ids), Count(st, pat))
+			}
 		}
 	}
 }
@@ -103,9 +114,11 @@ func TestForEachIDsMatchesTermLevelAcrossShapes(t *testing.T) {
 func TestForEachIDsEarlyStop(t *testing.T) {
 	st := idFixtureStore(t)
 	n := 0
-	st.ForEachIDs(PatternIDs{}, func(_, _, _ TermID) bool {
-		n++
-		return n < 3
+	st.ReadIDs(func(r IDReader) {
+		r.ForEachIDs(PatternIDs{}, func(_, _, _ TermID) bool {
+			n++
+			return n < 3
+		})
 	})
 	if n != 3 {
 		t.Fatalf("early stop after 3, saw %d", n)
@@ -113,7 +126,7 @@ func TestForEachIDsEarlyStop(t *testing.T) {
 }
 
 func TestTermOfIDOfRoundTrip(t *testing.T) {
-	st := NewStore()
+	st := NewSharedStore()
 	terms := []Term{
 		NewIRI("http://x/a"),
 		NewBlank("b1"),
@@ -122,32 +135,34 @@ func TestTermOfIDOfRoundTrip(t *testing.T) {
 		NewTypedLiteral("5", XSDDouble), // same lexical form, distinct datatype
 	}
 	for _, tm := range terms {
-		st.Add(Triple{S: NewIRI("http://x/s"), P: NewIRI("http://x/p"), O: tm})
+		st.AcquireTriple(Triple{S: NewIRI("http://x/s"), P: NewIRI("http://x/p"), O: tm})
 	}
-	seen := map[TermID]struct{}{}
-	for _, tm := range terms {
-		id, ok := st.IDOf(tm)
-		if !ok || id == 0 {
-			t.Fatalf("IDOf(%v) = (%d, %v)", tm, id, ok)
+	st.ReadIDs(func(st IDReader) {
+		seen := map[TermID]struct{}{}
+		for _, tm := range terms {
+			id, ok := st.IDOf(tm)
+			if !ok || id == 0 {
+				t.Fatalf("IDOf(%v) = (%d, %v)", tm, id, ok)
+			}
+			if _, dup := seen[id]; dup {
+				t.Fatalf("id %d issued twice", id)
+			}
+			seen[id] = struct{}{}
+			back, ok := st.TermOf(id)
+			if !ok || back != tm {
+				t.Fatalf("TermOf(IDOf(%v)) = (%v, %v)", tm, back, ok)
+			}
 		}
-		if _, dup := seen[id]; dup {
-			t.Fatalf("id %d issued twice", id)
+		if _, ok := st.IDOf(NewIRI("http://x/never")); ok {
+			t.Error("IDOf must report false for never-interned terms")
 		}
-		seen[id] = struct{}{}
-		back, ok := st.TermOf(id)
-		if !ok || back != tm {
-			t.Fatalf("TermOf(IDOf(%v)) = (%v, %v)", tm, back, ok)
+		if _, ok := st.TermOf(0); ok {
+			t.Error("TermOf(0) must report false (reserved wildcard)")
 		}
-	}
-	if _, ok := st.IDOf(NewIRI("http://x/never")); ok {
-		t.Error("IDOf must report false for never-interned terms")
-	}
-	if _, ok := st.TermOf(0); ok {
-		t.Error("TermOf(0) must report false (reserved wildcard)")
-	}
-	if _, ok := st.TermOf(TermID(1 << 30)); ok {
-		t.Error("TermOf of a never-issued id must report false")
-	}
+		if _, ok := st.TermOf(TermID(1 << 30)); ok {
+			t.Error("TermOf of a never-issued id must report false")
+		}
+	})
 }
 
 // ReadIDs must expose a consistent snapshot usable for nested probes — the
@@ -156,15 +171,14 @@ func TestTermOfIDOfRoundTrip(t *testing.T) {
 func TestReadIDsNestedProbes(t *testing.T) {
 	st := idFixtureStore(t)
 	p0 := NewIRI("http://x/p0")
-	pid, ok := st.IDOf(p0)
+	pid, ok := idOf(st, p0)
 	if !ok {
 		t.Fatal("p0 not interned")
 	}
 	wantJoin := 0
-	st.ForEach(Pattern{P: p0}, func(tr Triple) bool {
-		wantJoin += st.Count(Pattern{S: tr.O})
-		return true
-	})
+	for _, tr := range MatchSorted(st, Pattern{P: p0}) {
+		wantJoin += Count(st, Pattern{S: tr.O})
+	}
 	gotJoin := 0
 	st.ReadIDs(func(r IDReader) {
 		r.ForEachIDs(PatternIDs{P: pid}, func(_, _, oi TermID) bool {

@@ -4,28 +4,40 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // This file implements an N-Triples-style codec so knowledge bases can be
 // exported, versioned, and re-imported (the paper's platform persists user
-// annotations; we persist them as line-oriented triples).
+// annotations; we persist them as line-oriented triples). Whatever the
+// writer emits, the parser reads back as the same triple.
 
-// WriteNTriples serialises every triple in the store (sorted, deterministic)
-// to w, one statement per line terminated by " .".
-func WriteNTriples(w io.Writer, g *Store) error {
-	for _, t := range g.MatchSorted(Pattern{}) {
-		if _, err := fmt.Fprintf(w, "%s .\n", t.String()); err != nil {
+// WriteNTriples serialises every triple of g (sorted, deterministic) to w,
+// one statement per line terminated by " .". It fails on a blank node
+// whose label N-Triples cannot spell.
+func WriteNTriples(w io.Writer, g Graph) error {
+	bw := bufio.NewWriter(w)
+	var line []byte
+	for _, t := range MatchSorted(g, Pattern{}) {
+		var err error
+		if line, err = appendTriple(line[:0], t); err != nil {
+			return err
+		}
+		if _, err := bw.Write(line); err != nil {
 			return err
 		}
 	}
-	return nil
+	return bw.Flush()
 }
 
 // ReadNTriples parses triples from r (N-Triples subset: IRIs, quoted
-// literals with optional ^^<datatype>, blank nodes, # comments) and adds
-// them to the store. It returns the number of triples added.
-func ReadNTriples(r io.Reader, g *Store) (int, error) {
+// literals with optional ^^<datatype>, blank nodes, # comments) and
+// acquires each in the arena. It returns the number of distinct triples it
+// made visible: a repeated line, or a triple the arena already held,
+// counts nothing.
+func ReadNTriples(r io.Reader, g *SharedStore) (int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 4*1024*1024)
 	added, lineno := 0, 0
@@ -39,11 +51,85 @@ func ReadNTriples(r io.Reader, g *Store) (int, error) {
 		if err != nil {
 			return added, fmt.Errorf("rdf: line %d: %w", lineno, err)
 		}
-		if g.Add(t) {
+		if g.RefCount(g.AcquireTriple(t)) == 1 {
 			added++
 		}
 	}
 	return added, sc.Err()
+}
+
+// appendTriple appends the N-Triples line for t, newline included.
+func appendTriple(b []byte, t Triple) ([]byte, error) {
+	for _, term := range [3]Term{t.S, t.P, t.O} {
+		var err error
+		if b, err = appendTerm(b, term); err != nil {
+			return b, err
+		}
+		b = append(b, ' ')
+	}
+	return append(b, ".\n"...), nil
+}
+
+// appendTerm appends t in N-Triples syntax. Unlike Term.String, which
+// SPARQL texts and trace names use, it escapes IRIs so that any value
+// reads back unchanged.
+func appendTerm(b []byte, t Term) ([]byte, error) {
+	switch t.Kind {
+	case IRI:
+		return appendIRI(b, t.Value), nil
+	case Blank:
+		if !validBlankLabel(t.Value) {
+			return b, fmt.Errorf("rdf: blank node label %q cannot be written as N-Triples", t.Value)
+		}
+		return append(append(b, "_:"...), t.Value...), nil
+	case Literal:
+		b = append(b, '"')
+		b = append(b, literalEscaper.Replace(t.Value)...)
+		b = append(b, '"')
+		if t.Datatype != "" && t.Datatype != XSDString {
+			b = append(b, "^^"...)
+			b = appendIRI(b, t.Datatype)
+		}
+		return b, nil
+	default:
+		return b, fmt.Errorf("rdf: cannot write term of kind %d", int(t.Kind))
+	}
+}
+
+// appendIRI appends <iri>, escaping as \u00XX every byte an IRIREF
+// forbids: controls, space and <>"{}|^`\.
+func appendIRI(b []byte, iri string) []byte {
+	b = append(b, '<')
+	for i := 0; i < len(iri); i++ {
+		c := iri[i]
+		if c <= ' ' || strings.IndexByte("<>\"{}|^`\\", c) >= 0 {
+			b = append(b, `\u00`...)
+			b = append(b, "0123456789ABCDEF"[c>>4], "0123456789ABCDEF"[c&0xF])
+			continue
+		}
+		b = append(b, c)
+	}
+	return append(b, '>')
+}
+
+// validBlankLabel reports whether label spells an N-Triples blank node:
+// non-empty, made of letters, digits and _-. (any byte ≥ 0x80 counts as a
+// letter), not starting with - or . and not ending with a dot.
+func validBlankLabel(label string) bool {
+	if label == "" || label[0] == '-' || label[0] == '.' || label[len(label)-1] == '.' {
+		return false
+	}
+	for i := 0; i < len(label); i++ {
+		if !isLabelByte(label[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+func isLabelByte(c byte) bool {
+	return c >= 0x80 || c == '_' || c == '-' || c == '.' ||
+		'0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // ParseTripleLine parses a single N-Triples statement (the trailing dot is
@@ -91,12 +177,10 @@ func (p *ntParser) term() (Term, error) {
 	}
 	switch p.in[p.pos] {
 	case '<':
-		end := strings.IndexByte(p.in[p.pos:], '>')
-		if end < 0 {
-			return Term{}, fmt.Errorf("unterminated IRI")
+		iri, err := p.iri()
+		if err != nil {
+			return Term{}, err
 		}
-		iri := p.in[p.pos+1 : p.pos+end]
-		p.pos += end + 1
 		return NewIRI(iri), nil
 	case '_':
 		if p.pos+1 >= len(p.in) || p.in[p.pos+1] != ':' {
@@ -104,13 +188,17 @@ func (p *ntParser) term() (Term, error) {
 		}
 		start := p.pos + 2
 		end := start
-		for end < len(p.in) && p.in[end] != ' ' && p.in[end] != '\t' {
+		for end < len(p.in) && isLabelByte(p.in[end]) {
 			end++
+		}
+		// A trailing dot ends the statement, not the label.
+		for end > start && p.in[end-1] == '.' {
+			end--
 		}
 		label := p.in[start:end]
 		p.pos = end
-		if label == "" {
-			return Term{}, fmt.Errorf("empty blank node label")
+		if !validBlankLabel(label) {
+			return Term{}, fmt.Errorf("malformed blank node label %q", label)
 		}
 		return NewBlank(label), nil
 	case '"':
@@ -121,12 +209,11 @@ func (p *ntParser) term() (Term, error) {
 		p.pos = len(p.in) - len(rest)
 		// Optional ^^<datatype>.
 		if strings.HasPrefix(p.in[p.pos:], "^^<") {
-			end := strings.IndexByte(p.in[p.pos+3:], '>')
-			if end < 0 {
-				return Term{}, fmt.Errorf("unterminated datatype IRI")
+			p.pos += 2
+			dt, err := p.iri()
+			if err != nil {
+				return Term{}, fmt.Errorf("datatype: %w", err)
 			}
-			dt := p.in[p.pos+3 : p.pos+3+end]
-			p.pos += 3 + end + 1
 			return NewTypedLiteral(lex, dt), nil
 		}
 		return NewLiteral(lex), nil
@@ -135,6 +222,56 @@ func (p *ntParser) term() (Term, error) {
 	}
 }
 
+// iri consumes <…> at the cursor and returns its value with \u and \U
+// escapes decoded.
+func (p *ntParser) iri() (string, error) {
+	end := strings.IndexByte(p.in[p.pos:], '>')
+	if end < 0 {
+		return "", fmt.Errorf("unterminated IRI")
+	}
+	raw := p.in[p.pos+1 : p.pos+end]
+	p.pos += end + 1
+	var b strings.Builder
+	for i := 0; i < len(raw); {
+		if raw[i] != '\\' {
+			b.WriteByte(raw[i])
+			i++
+			continue
+		}
+		n, err := unescapeUnicode(&b, raw[i:])
+		if err != nil {
+			return "", fmt.Errorf("IRI: %w", err)
+		}
+		i += n
+	}
+	return b.String(), nil
+}
+
+// unescapeUnicode decodes the \uXXXX or \UXXXXXXXX escape at the start of
+// s into b and returns its length.
+func unescapeUnicode(b *strings.Builder, s string) (int, error) {
+	if len(s) < 2 || s[1] != 'u' && s[1] != 'U' {
+		return 0, fmt.Errorf("invalid escape %q", s[:min(len(s), 2)])
+	}
+	n := 4
+	if s[1] == 'U' {
+		n = 8
+	}
+	if len(s) < 2+n {
+		return 0, fmt.Errorf("short escape %q", s)
+	}
+	v, err := strconv.ParseUint(s[2:2+n], 16, 32)
+	if err != nil || !utf8.ValidRune(rune(v)) {
+		return 0, fmt.Errorf("invalid escape %q", s[:2+n])
+	}
+	b.WriteRune(rune(v))
+	return 2 + n, nil
+}
+
+// echars maps the character after a backslash in a literal to what the
+// escape stands for; \u and \U are decoded separately.
+var echars = map[byte]byte{'\\': '\\', '"': '"', '\'': '\'', 'n': '\n', 'r': '\r', 't': '\t', 'b': '\b', 'f': '\f'}
+
 // unquoteLiteral consumes a leading quoted literal from s and returns the
 // unescaped lexical form plus the remainder of s.
 func unquoteLiteral(s string) (string, string, error) {
@@ -142,36 +279,28 @@ func unquoteLiteral(s string) (string, string, error) {
 		return "", "", fmt.Errorf("expected quoted literal")
 	}
 	var b strings.Builder
-	i := 1
-	for i < len(s) {
-		c := s[i]
-		switch c {
+	for i := 1; i < len(s); {
+		switch s[i] {
 		case '"':
 			return b.String(), s[i+1:], nil
 		case '\\':
 			if i+1 >= len(s) {
 				return "", "", fmt.Errorf("dangling escape")
 			}
-			switch s[i+1] {
-			case '\\':
-				b.WriteByte('\\')
-			case '"':
-				b.WriteByte('"')
-			case 'n':
-				b.WriteByte('\n')
-			case 'r':
-				b.WriteByte('\r')
-			case 't':
-				b.WriteByte('\t')
-			default:
-				return "", "", fmt.Errorf("unknown escape \\%c", s[i+1])
+			if c, ok := echars[s[i+1]]; ok {
+				b.WriteByte(c)
+				i += 2
+				continue
 			}
-			i += 2
-			continue
+			n, err := unescapeUnicode(&b, s[i:])
+			if err != nil {
+				return "", "", err
+			}
+			i += n
 		default:
-			b.WriteByte(c)
+			b.WriteByte(s[i])
+			i++
 		}
-		i++
 	}
 	return "", "", fmt.Errorf("unterminated literal")
 }

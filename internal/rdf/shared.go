@@ -6,15 +6,16 @@ package rdf
 // overlay holding only compact ID-level state (a TripleKey membership set
 // plus O(1) per-view pattern counters). A corpus believed by N users is
 // interned and indexed once; each extra believer costs only ID-keyed map
-// entries, never term strings. Views implement Graph, so the
-// streaming SPARQL executor and the enrichment pipeline evaluate against
-// them exactly as against a private Store.
+// entries, never term strings. The arena and each view implement Graph,
+// so the streaming SPARQL executor, the enrichment pipeline and the
+// term-level package functions (ForEach, Count, …) read both the same way.
 //
 // Concurrency discipline: the arena and each view carry their own RWMutex.
-// Readers (View.ReadIDs and the term-level Graph methods) acquire the view
-// lock then the arena lock, once per transaction, and run lock-free inside.
+// Readers (View.ReadIDs, and through it every term-level read of a view)
+// acquire the view lock then the arena lock, once per transaction, and run
+// lock-free inside.
 // Mutators never hold both locks at the same time — the KB layer acquires
-// the arena (Acquire/Release) and the view (Add/Remove) in separate
+// the arena (AcquireTriple/Release) and the view (Add/Remove) in separate
 // critical sections — so an in-flight read transaction is never invalidated
 // and there is no lock-order cycle.
 
@@ -23,7 +24,9 @@ import "sync"
 // SharedStore is the platform-wide encoded triple arena: one dictionary and
 // one set of SPO/POS/OSP union indexes over every triple asserted by any
 // statement, with a per-triple assertion refcount. It is safe for
-// concurrent use and itself implements Graph (the union graph).
+// concurrent use and itself implements Graph (the union graph). It is the
+// only triple store: a graph that no user owns — a Save export, an
+// N-Triples import — is an arena that nothing ever releases from.
 type SharedStore struct {
 	mu   sync.RWMutex
 	dict *Dict
@@ -40,15 +43,6 @@ func NewSharedStore() *SharedStore {
 	}
 }
 
-// EncodeTriple interns the triple's terms into the shared dictionary and
-// returns its encoded key. It does not assert the triple — pair with
-// Acquire to make it visible in the union indexes.
-func (s *SharedStore) EncodeTriple(t Triple) TripleKey {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return TripleKey{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
-}
-
 // AcquireTriple interns and asserts the triple in one step, returning its
 // key. Each call adds one assertion reference; the triple enters the union
 // indexes on its first reference.
@@ -56,21 +50,10 @@ func (s *SharedStore) AcquireTriple(t Triple) TripleKey {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := TripleKey{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
-	s.acquireLocked(k)
-	return k
-}
-
-// Acquire adds one assertion reference to an already-encoded triple.
-func (s *SharedStore) Acquire(k TripleKey) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.acquireLocked(k)
-}
-
-func (s *SharedStore) acquireLocked(k TripleKey) {
 	if s.refs[k]++; s.refs[k] == 1 {
 		s.addKey(k)
 	}
+	return k
 }
 
 // Release drops one assertion reference; on the last release the triple
@@ -120,59 +103,6 @@ func (s *SharedStore) DictLen() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	return s.dict.Len()
-}
-
-// ForEach streams union triples matching the term-level pattern.
-func (s *SharedStore) ForEach(p Pattern, fn func(Triple) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids, ok := s.dict.encodePattern(p)
-	if !ok {
-		return
-	}
-	d := s.dict
-	s.matchIDs(ids, func(a, b, c TermID) bool {
-		return fn(Triple{d.Term(a), d.Term(b), d.Term(c)})
-	})
-}
-
-// Count returns the union cardinality of the term-level pattern in O(1).
-func (s *SharedStore) Count(p Pattern) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ids, ok := s.dict.encodePattern(p)
-	if !ok {
-		return 0
-	}
-	return s.countIDs(ids)
-}
-
-// ForEachIDs streams encoded union triples matching the ID pattern.
-func (s *SharedStore) ForEachIDs(p PatternIDs, fn func(si, pi, oi TermID) bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	s.matchIDs(p, fn)
-}
-
-// CountIDs answers an encoded union pattern cardinality in O(1).
-func (s *SharedStore) CountIDs(p PatternIDs) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.countIDs(p)
-}
-
-// TermOf decodes an ID issued by the shared dictionary.
-func (s *SharedStore) TermOf(id TermID) (Term, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dict.TermOf(id)
-}
-
-// IDOf resolves an interned term to its shared-dictionary ID.
-func (s *SharedStore) IDOf(t Term) (TermID, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.dict.IDOf(t)
 }
 
 // sharedReader implements IDReader over the union graph without per-call
@@ -360,7 +290,7 @@ func (v *View) countIDsLocked(p PatternIDs) int {
 // design. Join probes bind positions from the outer row, so their shared
 // posting lists are small; the worst case (a pattern unselective in both
 // the arena and the view) degrades to one membership/pattern test per
-// candidate, a small constant over a private store's native scan.
+// candidate, a small constant over the arena's native scan.
 func (v *View) matchIDsLocked(p PatternIDs, fn func(si, pi, oi TermID) bool) {
 	sb, pb, ob := p.S != 0, p.P != 0, p.O != 0
 	switch {
@@ -394,60 +324,6 @@ func (v *View) matchIDsLocked(p PatternIDs, fn func(si, pi, oi TermID) bool) {
 		}
 	}
 }
-
-// read runs fn under the view's read transaction lock order (view, then
-// arena). Mutators never hold both locks, so this cannot deadlock.
-func (v *View) read(fn func()) {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	v.shared.mu.RLock()
-	defer v.shared.mu.RUnlock()
-	fn()
-}
-
-// ForEach streams the view's triples matching the term-level pattern.
-func (v *View) ForEach(p Pattern, fn func(Triple) bool) {
-	v.read(func() {
-		ids, ok := v.shared.dict.encodePattern(p)
-		if !ok {
-			return
-		}
-		d := v.shared.dict
-		v.matchIDsLocked(ids, func(a, b, c TermID) bool {
-			return fn(Triple{d.Term(a), d.Term(b), d.Term(c)})
-		})
-	})
-}
-
-// Count returns the number of view triples matching the pattern in O(1).
-func (v *View) Count(p Pattern) int {
-	n := 0
-	v.read(func() {
-		if ids, ok := v.shared.dict.encodePattern(p); ok {
-			n = v.countIDsLocked(ids)
-		}
-	})
-	return n
-}
-
-// ForEachIDs streams encoded view triples matching the ID pattern.
-func (v *View) ForEachIDs(p PatternIDs, fn func(si, pi, oi TermID) bool) {
-	v.read(func() { v.matchIDsLocked(p, fn) })
-}
-
-// CountIDs answers an encoded pattern cardinality from per-view counters in
-// O(1).
-func (v *View) CountIDs(p PatternIDs) int {
-	v.mu.RLock()
-	defer v.mu.RUnlock()
-	return v.countIDsLocked(p)
-}
-
-// TermOf decodes an ID issued by the shared dictionary.
-func (v *View) TermOf(id TermID) (Term, bool) { return v.shared.TermOf(id) }
-
-// IDOf resolves an interned term to its shared-dictionary ID.
-func (v *View) IDOf(t Term) (TermID, bool) { return v.shared.IDOf(t) }
 
 // viewReader implements IDReader over the overlay without per-call locking;
 // the enclosing ReadIDs holds the view and arena read locks.

@@ -35,7 +35,7 @@ func buildArena(t testing.TB, n int) (*SharedStore, []Triple, []TripleKey) {
 		}
 		k := s.AcquireTriple(tr)
 		if rng.Intn(3) == 0 {
-			s.Acquire(k) // some triples asserted more than once
+			s.AcquireTriple(tr) // some triples asserted more than once
 		}
 		triples = append(triples, tr)
 		keys = append(keys, k)
@@ -79,8 +79,8 @@ func TestSharedSnapshotRoundTrip(t *testing.T) {
 		{S: probe.S, P: probe.P}, {P: probe.P, O: probe.O},
 		{S: probe.S, O: probe.O}, {S: probe.S, P: probe.P, O: probe.O},
 	} {
-		if got.Count(p) != s.Count(p) {
-			t.Fatalf("Count(%v) = %d, want %d", p, got.Count(p), s.Count(p))
+		if Count(got, p) != Count(s, p) {
+			t.Fatalf("Count(%v) = %d, want %d", p, Count(got, p), Count(s, p))
 		}
 	}
 	// Release semantics survive: dropping all references removes the triple.
@@ -88,7 +88,7 @@ func TestSharedSnapshotRoundTrip(t *testing.T) {
 	for got.RefCount(k) > 0 {
 		got.Release(k)
 	}
-	if got.CountIDs(PatternIDs{S: k[0], P: k[1], O: k[2]}) != 0 {
+	if countIDs(got, PatternIDs{S: k[0], P: k[1], O: k[2]}) != 0 {
 		t.Fatalf("released triple still asserted")
 	}
 }
@@ -135,8 +135,8 @@ func TestViewSnapshotRoundTrip(t *testing.T) {
 			{S: k[0], P: k[1]}, {P: k[1], O: k[2]},
 			{S: k[0], O: k[2]}, {S: k[0], P: k[1], O: k[2]},
 		} {
-			if got.CountIDs(p) != v.CountIDs(p) {
-				t.Fatalf("CountIDs(%v) = %d, want %d", p, got.CountIDs(p), v.CountIDs(p))
+			if countIDs(got, p) != countIDs(v, p) {
+				t.Fatalf("CountIDs(%v) = %d, want %d", p, countIDs(got, p), countIDs(v, p))
 			}
 		}
 	}
@@ -145,7 +145,7 @@ func TestViewSnapshotRoundTrip(t *testing.T) {
 	if got.Has(k) {
 		t.Fatalf("key %v unexpectedly in view", k)
 	}
-	if !got.Add(k) || got.CountIDs(PatternIDs{S: k[0]}) != v.CountIDs(PatternIDs{S: k[0]})+1 {
+	if !got.Add(k) || countIDs(got, PatternIDs{S: k[0]}) != countIDs(v, PatternIDs{S: k[0]})+1 {
 		t.Fatalf("restored view does not accept mutations")
 	}
 }

@@ -16,34 +16,58 @@ func iri(s string) Term { return NewIRI("http://smartground.eu/" + s) }
 
 func tr(s, p, o string) Triple { return Triple{iri(s), iri(p), iri(o)} }
 
-func TestAddHasRemove(t *testing.T) {
-	st := NewStore()
-	x := tr("Mercury", "is-a", "element")
-	if !st.Add(x) {
-		t.Fatal("first Add must report new")
-	}
-	if st.Add(x) {
-		t.Fatal("duplicate Add must report not-new")
-	}
-	if st.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", st.Len())
-	}
-	if !st.Has(x) {
-		t.Fatal("Has must find the triple")
-	}
-	if !st.Remove(x) {
-		t.Fatal("Remove must report present")
-	}
-	if st.Remove(x) {
-		t.Fatal("second Remove must report absent")
-	}
-	if st.Len() != 0 || st.Has(x) {
-		t.Fatal("store must be empty after removal")
-	}
+// namedGraph is one Graph implementation under test.
+type namedGraph struct {
+	name string
+	g    Graph
 }
 
+// graphsOf returns both Graph implementations holding exactly ts: an arena
+// holding only ts, and a view over an arena that also holds triples only a
+// neighbour view believes (same subject and predicate as each of ts, and a
+// fresh object), so a read that leaked past the view would see them.
+func graphsOf(ts []Triple) []namedGraph {
+	arena := NewSharedStore()
+	for _, t := range ts {
+		arena.AcquireTriple(t)
+	}
+	shared := NewSharedStore()
+	v, neighbour := shared.NewView(), shared.NewView()
+	for i, t := range ts {
+		v.Add(shared.AcquireTriple(t))
+		neighbour.Add(shared.AcquireTriple(Triple{t.S, t.P, NewIRI(fmt.Sprintf("http://x/decoy%d", i))}))
+	}
+	return []namedGraph{{"arena", arena}, {"view", v}}
+}
+
+// countIDs is CountIDs in a read transaction of its own.
+func countIDs(g Graph, p PatternIDs) (n int) {
+	g.ReadIDs(func(r IDReader) { n = r.CountIDs(p) })
+	return n
+}
+
+// idOf is IDOf in a read transaction of its own.
+func idOf(g Graph, t Term) (id TermID, ok bool) {
+	g.ReadIDs(func(r IDReader) { id, ok = r.IDOf(t) })
+	return id, ok
+}
+
+// naive filters ts through Pattern.Matches, sorted.
+func naive(ts []Triple, p Pattern) []Triple {
+	var out []Triple
+	for _, t := range ts {
+		if p.Matches(t) {
+			out = append(out, t)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Compare(out[j]) < 0 })
+	return out
+}
+
+// TestMatchAllShapes checks the term-level package functions shape by
+// shape on the arena and on a view: all eight pattern shapes, a never
+// interned term in each position, and a stop after the first triple.
 func TestMatchAllShapes(t *testing.T) {
-	st := NewStore()
 	triples := []Triple{
 		tr("Hg", "is-a", "element"),
 		tr("Hg", "dangerLevel", "high"),
@@ -52,8 +76,6 @@ func TestMatchAllShapes(t *testing.T) {
 		tr("Au", "is-a", "element"),
 		tr("Au", "dangerLevel", "low"),
 	}
-	st.AddAll(triples)
-
 	cases := []struct {
 		name string
 		p    Pattern
@@ -68,83 +90,79 @@ func TestMatchAllShapes(t *testing.T) {
 		{"S?O", Pattern{S: iri("Au"), O: iri("low")}, 1},
 		{"SPO hit", Pattern{S: iri("Au"), P: iri("is-a"), O: iri("element")}, 1},
 		{"SPO miss", Pattern{S: iri("Au"), P: iri("is-a"), O: iri("mineral")}, 0},
+		{"unknown S", Pattern{S: iri("never")}, 0},
+		{"unknown P", Pattern{S: iri("Hg"), P: iri("never")}, 0},
+		{"unknown O", Pattern{P: iri("is-a"), O: NewLiteral("never")}, 0},
 	}
-	for _, c := range cases {
-		got := st.Match(c.p)
-		if len(got) != c.want {
-			t.Errorf("%s: got %d matches, want %d", c.name, len(got), c.want)
-		}
-		for _, m := range got {
-			if !c.p.Matches(m) {
-				t.Errorf("%s: returned non-matching triple %v", c.name, m)
+	for _, ng := range graphsOf(triples) {
+		for _, c := range cases {
+			got := MatchSorted(ng.g, c.p)
+			if len(got) != c.want || !reflect.DeepEqual(got, naive(triples, c.p)) {
+				t.Errorf("%s %s: MatchSorted = %v, want %d matches", ng.name, c.name, got, c.want)
 			}
-		}
-		if n := st.Count(c.p); n != c.want {
-			t.Errorf("%s: Count = %d, want %d", c.name, n, c.want)
+			if n := Count(ng.g, c.p); n != c.want {
+				t.Errorf("%s %s: Count = %d, want %d", ng.name, c.name, n, c.want)
+			}
+			visited := 0
+			ForEach(ng.g, c.p, func(Triple) bool {
+				visited++
+				return false
+			})
+			if want := min(c.want, 1); visited != want {
+				t.Errorf("%s %s: ForEach stopping at once visited %d, want %d", ng.name, c.name, visited, want)
+			}
 		}
 	}
 }
 
 func TestForEachEarlyStop(t *testing.T) {
-	st := NewStore()
+	var ts []Triple
 	for i := 0; i < 100; i++ {
-		st.Add(tr(fmt.Sprintf("s%d", i), "p", "o"))
+		ts = append(ts, tr(fmt.Sprintf("s%d", i), "p", "o"))
 	}
-	n := 0
-	st.ForEach(Pattern{P: iri("p")}, func(Triple) bool {
-		n++
-		return n < 10
-	})
-	if n != 10 {
-		t.Errorf("early stop visited %d, want 10", n)
+	for _, ng := range graphsOf(ts) {
+		n := 0
+		ForEach(ng.g, Pattern{P: iri("p")}, func(Triple) bool {
+			n++
+			return n < 10
+		})
+		if n != 10 {
+			t.Errorf("%s: early stop visited %d, want 10", ng.name, n)
+		}
 	}
 }
 
 func TestSubjectsObjects(t *testing.T) {
-	st := NewStore()
-	st.AddAll([]Triple{
+	ts := []Triple{
 		tr("Hg", "is-a", "HazardousWaste"),
 		tr("Pb", "is-a", "HazardousWaste"),
 		tr("Hg", "foundWith", "Pb"),
 		tr("Hg", "foundWith", "Zn"),
-	})
-	subs := st.Subjects(iri("is-a"), iri("HazardousWaste"))
-	if len(subs) != 2 {
-		t.Errorf("Subjects: got %d, want 2", len(subs))
 	}
-	objs := st.Objects(iri("Hg"), iri("foundWith"))
-	if len(objs) != 2 {
-		t.Errorf("Objects: got %d, want 2", len(objs))
-	}
-}
-
-func TestPredicates(t *testing.T) {
-	st := NewStore()
-	st.AddAll([]Triple{tr("a", "p2", "b"), tr("a", "p1", "b")})
-	ps := st.Predicates()
-	if len(ps) != 2 || ps[0].Value >= ps[1].Value {
-		t.Errorf("Predicates not sorted distinct: %v", ps)
-	}
-}
-
-func TestClear(t *testing.T) {
-	st := NewStore()
-	st.AddAll([]Triple{tr("a", "p", "b"), tr("c", "p", "d")})
-	st.Clear()
-	if st.Len() != 0 || len(st.Match(Pattern{})) != 0 {
-		t.Error("Clear must empty the store")
+	for _, ng := range graphsOf(ts) {
+		subs := Subjects(ng.g, iri("is-a"), iri("HazardousWaste"))
+		if len(subs) != 2 {
+			t.Errorf("%s: Subjects: got %d, want 2", ng.name, len(subs))
+		}
+		objs := Objects(ng.g, iri("Hg"), iri("foundWith"))
+		if len(objs) != 2 {
+			t.Errorf("%s: Objects: got %d, want 2", ng.name, len(objs))
+		}
+		if got := Objects(ng.g, iri("never"), iri("foundWith")); len(got) != 0 {
+			t.Errorf("%s: Objects of an unknown subject = %v", ng.name, got)
+		}
 	}
 }
 
 func TestMatchSortedDeterministic(t *testing.T) {
-	st := NewStore()
+	st := NewSharedStore()
 	for i := 0; i < 50; i++ {
-		st.Add(tr(fmt.Sprintf("s%02d", i), "p", "o"))
+		st.AcquireTriple(tr(fmt.Sprintf("s%02d", i), "p", "o"))
 	}
 	// Mixed kinds exercise the kind-major ordering of Triple.Compare.
-	st.Add(Triple{NewBlank("b"), iri("p"), NewLiteral("lit")})
-	a := st.MatchSorted(Pattern{})
-	b := st.MatchSorted(Pattern{})
+	st.AcquireTriple(Triple{NewBlank("b"), iri("p"), NewLiteral("lit")})
+	a := MatchSorted(st, Pattern{})
+	b := MatchSorted(st, Pattern{})
 	if !reflect.DeepEqual(a, b) {
 		t.Error("MatchSorted must be deterministic")
 	}
@@ -176,18 +194,19 @@ func TestTermCompare(t *testing.T) {
 	}
 }
 
-// Property: for random stores and random patterns, index-driven Match equals
-// a naive scan filter.
+// Property: for random graphs and random patterns, index-driven matching
+// on the arena and on a view equals a naive scan filter.
 func TestMatchEqualsNaiveScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	names := []string{"a", "b", "c", "d"}
 	randTerm := func() Term { return iri(names[rng.Intn(len(names))]) }
 	for iter := 0; iter < 200; iter++ {
-		st := NewStore()
+		seen := map[Triple]bool{}
 		var all []Triple
 		for i := 0; i < 30; i++ {
 			t3 := Triple{randTerm(), randTerm(), randTerm()}
-			if st.Add(t3) {
+			if !seen[t3] {
+				seen[t3] = true
 				all = append(all, t3)
 			}
 		}
@@ -201,75 +220,65 @@ func TestMatchEqualsNaiveScan(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			p.O = randTerm()
 		}
-		var naive []string
-		for _, t3 := range all {
-			if p.Matches(t3) {
-				naive = append(naive, t3.String())
+		want := naive(all, p)
+		for _, ng := range graphsOf(all) {
+			if got := MatchSorted(ng.g, p); !reflect.DeepEqual(got, want) {
+				t.Fatalf("iter %d %s: pattern %v: naive %v != indexed %v", iter, ng.name, p, want, got)
 			}
-		}
-		var indexed []string
-		for _, t3 := range st.Match(p) {
-			indexed = append(indexed, t3.String())
-		}
-		sort.Strings(naive)
-		sort.Strings(indexed)
-		if !reflect.DeepEqual(naive, indexed) {
-			t.Fatalf("iter %d: pattern %v: naive %v != indexed %v", iter, p, naive, indexed)
 		}
 	}
 }
 
-// Property: add then remove of random triple sets leaves the store empty, and
-// all three indexes agree at each step (observed via the three match shapes).
+// Property: acquiring then releasing random triple sets leaves the arena
+// empty, and all three indexes agree at each step (observed via the three
+// match shapes).
 func TestAddRemoveRoundTrip(t *testing.T) {
 	f := func(seeds []uint8) bool {
-		st := NewStore()
+		st := NewSharedStore()
+		var keys []TripleKey
 		var ts []Triple
 		for _, s := range seeds {
 			t3 := tr(fmt.Sprintf("s%d", s%5), fmt.Sprintf("p%d", (s/5)%3), fmt.Sprintf("o%d", (s/15)%4))
-			st.Add(t3)
+			keys = append(keys, st.AcquireTriple(t3))
 			ts = append(ts, t3)
+		}
+		has := func(p Pattern, t3 Triple) bool {
+			found := false
+			ForEach(st, p, func(m Triple) bool {
+				found = m == t3
+				return !found
+			})
+			return found
 		}
 		for _, t3 := range ts {
 			// Each index route must agree on membership.
-			bySPO := len(st.Match(Pattern{S: t3.S, P: t3.P, O: t3.O})) == 1
-			byPOS := false
-			for _, m := range st.Match(Pattern{P: t3.P, O: t3.O}) {
-				if m == t3 {
-					byPOS = true
-				}
-			}
-			byOSP := false
-			for _, m := range st.Match(Pattern{S: t3.S, O: t3.O}) {
-				if m == t3 {
-					byOSP = true
-				}
-			}
-			if !bySPO || !byPOS || !byOSP {
+			if !has(t3.pattern(), t3) || !has(Pattern{P: t3.P, O: t3.O}, t3) || !has(Pattern{S: t3.S, O: t3.O}, t3) {
 				return false
 			}
 		}
-		for _, t3 := range ts {
-			st.Remove(t3)
+		for _, k := range keys {
+			st.Release(k)
 		}
-		return st.Len() == 0
+		return st.Len() == 0 && Count(st, Pattern{}) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestConcurrentAccess races arena writers against the term-level reads.
+// Run with -race.
 func TestConcurrentAccess(t *testing.T) {
-	st := NewStore()
+	st := NewSharedStore()
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				st.Add(tr(fmt.Sprintf("s%d-%d", g, i), "p", "o"))
-				st.Match(Pattern{P: iri("p")})
-				st.Count(Pattern{S: iri(fmt.Sprintf("s%d-%d", g, i))})
+				st.AcquireTriple(tr(fmt.Sprintf("s%d-%d", g, i), "p", "o"))
+				ForEach(st, Pattern{P: iri("p")}, func(Triple) bool { return true })
+				Count(st, Pattern{S: iri(fmt.Sprintf("s%d-%d", g, i))})
 			}
 		}(g)
 	}
@@ -305,19 +314,30 @@ func TestPatternString(t *testing.T) {
 	}
 }
 
+// TestNTriplesRoundTrip includes terms N-Triples can only spell with
+// escapes, and a blank label it cannot spell at all.
 func TestNTriplesRoundTrip(t *testing.T) {
-	st := NewStore()
-	st.AddAll([]Triple{
+	st := NewSharedStore()
+	for _, t3 := range []Triple{
 		{iri("Hg"), iri("dangerLevel"), NewLiteral("high")},
 		{iri("Hg"), iri("weight"), NewTypedLiteral("200.59", XSDDouble)},
 		{NewBlank("n1"), iri("note"), NewLiteral("line1\nline2 \"q\"")},
 		tr("Pb", "is-a", "element"),
-	})
+		{NewIRI("http://x/a>b"), iri("p"), iri("o")},
+		{NewIRI("http://smartground.eu/onto#user/eve>x"), iri("p"), iri("o")},
+		{iri("s"), NewIRI("http://x/<>\"{}|^`\\ \t\x00\x1f/é"), iri("o")},
+		{NewIRI(`http://x/\u0041`), iri("p"), iri("o")},
+		{iri("s"), iri("p"), NewTypedLiteral("1", "http://x/dt>")},
+		{iri("s"), iri("p"), NewTypedLiteral("v", XSDString)},
+		{iri("s"), iri("p"), NewLiteral("q\"\\\r\n\t\x00é")},
+	} {
+		st.AcquireTriple(t3)
+	}
 	var buf bytes.Buffer
 	if err := WriteNTriples(&buf, st); err != nil {
 		t.Fatal(err)
 	}
-	back := NewStore()
+	back := NewSharedStore()
 	n, err := ReadNTriples(&buf, back)
 	if err != nil {
 		t.Fatal(err)
@@ -325,16 +345,22 @@ func TestNTriplesRoundTrip(t *testing.T) {
 	if n != st.Len() {
 		t.Fatalf("read %d triples, want %d", n, st.Len())
 	}
-	for _, t3 := range st.Match(Pattern{}) {
-		if !back.Has(t3) {
+	for _, t3 := range MatchSorted(st, Pattern{}) {
+		if Count(back, t3.pattern()) != 1 {
 			t.Errorf("round trip lost %v", t3)
 		}
+	}
+
+	st.AcquireTriple(Triple{NewBlank("b 1"), iri("p"), iri("o")})
+	err = WriteNTriples(&bytes.Buffer{}, st)
+	if err == nil || !strings.Contains(err.Error(), `"b 1"`) {
+		t.Errorf("writing blank label %q: err = %v, want one naming the label", "b 1", err)
 	}
 }
 
 func TestReadNTriplesCommentsAndErrors(t *testing.T) {
-	st := NewStore()
-	in := "# comment\n\n<http://a> <http://p> \"x\" .\n"
+	st := NewSharedStore()
+	in := "# comment\n\n<http://a> <http://p> \"x\" .\n<http://a> <http://p> \"x\" .\n"
 	n, err := ReadNTriples(strings.NewReader(in), st)
 	if err != nil || n != 1 {
 		t.Fatalf("got n=%d err=%v", n, err)
@@ -348,6 +374,11 @@ func TestReadNTriplesCommentsAndErrors(t *testing.T) {
 		`<http://a> <http://p> "bad\q" .`,
 		"_: <http://p> <http://o> .",
 		`<http://a> <http://p> <http://o> . extra`,
+		`<http://a\q> <http://p> <http://o> .`,
+		`<http://a\u00> <http://p> <http://o> .`,
+		`<http://a> <http://p> "\UFFFFFFFF" .`,
+		"_:b~1 <http://p> <http://o> .",
+		"_:.b <http://p> <http://o> .",
 	}
 	for _, line := range bad {
 		if _, err := ParseTripleLine(line); err == nil {
@@ -364,8 +395,22 @@ func TestParseTripleLineForms(t *testing.T) {
 	if !got.S.IsBlank() || got.O.Value != "v\twith\ttabs" {
 		t.Errorf("parsed %v", got)
 	}
-	// Datatype xsd:string normalises away on print but parses fine.
-	if got.O.Datatype != XSDString {
+	// An xsd:string literal is the plain literal (RDF 1.1).
+	if got.O.Datatype != "" {
 		t.Errorf("datatype = %q", got.O.Datatype)
+	}
+	got, err = ParseTripleLine(`<http://x/a\u003Eb> <http://p> "é\U0001F600\b\f\'" .`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.S.Value != "http://x/a>b" || got.O.Value != "é😀\b\f'" {
+		t.Errorf("escapes decoded to %q and %q", got.S.Value, got.O.Value)
+	}
+	got, err = ParseTripleLine(`_:b.1 <http://p> _:c.`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.S.Value != "b.1" || got.O.Value != "c" {
+		t.Errorf("blank labels %q and %q, want b.1 and c", got.S.Value, got.O.Value)
 	}
 }

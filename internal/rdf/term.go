@@ -8,13 +8,15 @@
 // layer underneath the SPARQL engine (internal/sparql) and the knowledge-base
 // management layer (internal/kb).
 //
-// Two storage shapes share the encoded core: Store is a self-contained
-// graph with a private dictionary, and SharedStore + View form the
-// multi-user overlay layer — one arena interning and indexing every
-// asserted triple once, with per-user Views holding only TripleKey
-// membership and O(1) pattern counters (see shared.go). Both shapes
-// implement Graph, so the SPARQL executor is agnostic to which one it
-// evaluates.
+// There is one triple store, the SharedStore arena: it interns and
+// indexes every asserted triple once, and each user's knowledge base is a
+// View over it holding only TripleKey membership and O(1) pattern
+// counters (see shared.go, and Fig. 4's per-user slices of one reified
+// store). Both implement Graph, whose one method, ReadIDs, opens a read
+// transaction over the encoded layer. The term-level reads — ForEach,
+// Count, MatchSorted, Subjects, Objects — are package functions written
+// once over ReadIDs, so the SPARQL executor and every other reader are
+// agnostic to which of the two they read.
 package rdf
 
 import (
@@ -53,8 +55,13 @@ func NewIRI(iri string) Term { return Term{Kind: IRI, Value: iri} }
 // NewLiteral returns a plain (string) literal term.
 func NewLiteral(lex string) Term { return Term{Kind: Literal, Value: lex} }
 
-// NewTypedLiteral returns a literal with an explicit datatype IRI.
+// NewTypedLiteral returns a literal with an explicit datatype IRI. An
+// xsd:string literal is the plain literal (RDF 1.1), so it gets no
+// datatype and equals NewLiteral(lex).
 func NewTypedLiteral(lex, datatype string) Term {
+	if datatype == XSDString {
+		datatype = ""
+	}
 	return Term{Kind: Literal, Value: lex, Datatype: datatype}
 }
 
@@ -75,7 +82,6 @@ const (
 	RDFSubject   = "http://www.w3.org/1999/02/22-rdf-syntax-ns#subject"
 	RDFPredicate = "http://www.w3.org/1999/02/22-rdf-syntax-ns#predicate"
 	RDFObject    = "http://www.w3.org/1999/02/22-rdf-syntax-ns#object"
-	RDFSClass    = "http://www.w3.org/2000/01/rdf-schema#Class"
 )
 
 // IsZero reports whether the term is the zero Term (used as "unbound" in
@@ -115,7 +121,7 @@ func (t Term) String() string {
 	case Blank:
 		return "_:" + t.Value
 	case Literal:
-		q := "\"" + escapeLiteral(t.Value) + "\""
+		q := "\"" + literalEscaper.Replace(t.Value) + "\""
 		if t.Datatype != "" && t.Datatype != XSDString {
 			return q + "^^<" + t.Datatype + ">"
 		}
@@ -125,18 +131,13 @@ func (t Term) String() string {
 	}
 }
 
-func escapeLiteral(s string) string {
-	r := strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
-	return r.Replace(s)
-}
+// literalEscaper escapes a lexical form for the inside of "…".
+var literalEscaper = strings.NewReplacer(`\`, `\\`, `"`, `\"`, "\n", `\n`, "\r", `\r`, "\t", `\t`)
 
 // Triple is an RDF statement <subject, property, object>.
 type Triple struct {
 	S, P, O Term
 }
-
-// NewTriple builds a triple.
-func NewTriple(s, p, o Term) Triple { return Triple{S: s, P: p, O: o} }
 
 // String renders the triple in N-Triples syntax (without the final dot).
 func (t Triple) String() string {
@@ -156,7 +157,7 @@ func (t Triple) Compare(u Triple) int {
 }
 
 // Pattern is a triple pattern: zero-value terms act as wildcards.
-// It is the unit of the store's Match API.
+// It is the unit of the term-level reads (ForEach, Count, …).
 type Pattern struct {
 	S, P, O Term
 }

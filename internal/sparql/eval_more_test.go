@@ -39,7 +39,7 @@ SELECT ?c WHERE { s:Mercury s:isA/s:subClassOf* ?c }`)
 }
 
 func TestClosureBothSidesUnbound(t *testing.T) {
-	st := rdf.NewStore()
+	st := newFixture()
 	a, b, c := iri("a"), iri("b"), iri("c")
 	next := iri("next")
 	st.Add(rdf.Triple{S: a, P: next, O: b})
@@ -152,7 +152,7 @@ SELECT ?x WHERE { ?x s:dangerLevel "high" . { ?x s:isA s:HazardousWaste } UNION 
 }
 
 func TestNumericComparisonAcrossIntAndDouble(t *testing.T) {
-	st := rdf.NewStore()
+	st := newFixture()
 	st.Add(rdf.Triple{S: iri("x"), P: iri("v"), O: rdf.NewTypedLiteral("5", rdf.XSDInteger)})
 	st.Add(rdf.Triple{S: iri("y"), P: iri("v"), O: rdf.NewTypedLiteral("5.5", rdf.XSDDouble)})
 	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?a WHERE { ?a s:v ?n . FILTER (?n > 5.2) }`)

@@ -25,7 +25,7 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 	forceParallel(t)
 	const ns = "http://x/"
 	p := func(name string) rdf.Term { return rdf.NewIRI(ns + name) }
-	st := rdf.NewStore()
+	st := newFixture()
 	// Seven rank values and five zones over 300 subjects: every sort key
 	// ties heavily, so any order instability between the serial and
 	// parallel paths shows up immediately.
@@ -105,7 +105,7 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 	forceParallel(t)
 	const ns = "http://x/"
 	p := func(name string) rdf.Term { return rdf.NewIRI(ns + name) }
-	st := rdf.NewStore()
+	st := newFixture()
 	// A category tree (cat0..cat9, subClassOf chains of length i%4) under
 	// 240 members: the memberOf/subClassOf* frontier is large and
 	// duplicate-heavy, so morsel boundaries cut through repeated pairs.
@@ -182,7 +182,7 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 // report an empty reason — on both the Eval and the streaming APIs.
 func TestParallelFallbackReasons(t *testing.T) {
 	const ns = "http://x/"
-	st := rdf.NewStore()
+	st := newFixture()
 	for i := 0; i < 100; i++ {
 		st.Add(rdf.Triple{
 			S: rdf.NewIRI(fmt.Sprintf("%se%03d", ns, i)),
@@ -254,7 +254,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 func TestParallelStreamLimit(t *testing.T) {
 	forceParallel(t)
 	const ns = "http://x/"
-	st := rdf.NewStore()
+	st := newFixture()
 	for i := 0; i < 200; i++ {
 		st.Add(rdf.Triple{
 			S: rdf.NewIRI(fmt.Sprintf("%se%03d", ns, i)),

@@ -7,7 +7,8 @@ package sparql
 // returns identical solution sets across OPTIONAL / UNION / FILTER /
 // ORDER BY / DISTINCT / OFFSET+LIMIT and property paths, and a property
 // test round-trips random BGPs through both the slot path and plain
-// rdf.Graph term-level matching.
+// term-level matching. The executor reads a fixture's view; the reference
+// reads the fixture's triples through Pattern.Matches.
 
 import (
 	"fmt"
@@ -23,7 +24,7 @@ import (
 
 // --- reference evaluator (port of the seed engine) ---
 
-func refEvalQuery(g rdf.Graph, q *Query) (*Result, error) {
+func refEvalQuery(g []rdf.Triple, q *Query) (*Result, error) {
 	sols, err := refEvalGroup(g, q.Where, []Binding{{}})
 	if err != nil {
 		return nil, err
@@ -99,7 +100,7 @@ func refBindingKey(b Binding, vars []string) string {
 	return sb.String()
 }
 
-func refEvalGroup(g rdf.Graph, grp *Group, input []Binding) ([]Binding, error) {
+func refEvalGroup(g []rdf.Triple, grp *Group, input []Binding) ([]Binding, error) {
 	var triples []TriplePattern
 	var others []Element
 	var filters []Filter
@@ -173,7 +174,7 @@ func refEvalGroup(g rdf.Graph, grp *Group, input []Binding) ([]Binding, error) {
 	return sols, nil
 }
 
-func refJoinPattern(g rdf.Graph, tp TriplePattern, input []Binding) ([]Binding, error) {
+func refJoinPattern(g []rdf.Triple, tp TriplePattern, input []Binding) ([]Binding, error) {
 	var out []Binding
 	for _, b := range input {
 		sTerm, sBound := refResolveNode(tp.S, b)
@@ -195,7 +196,7 @@ func refJoinPattern(g rdf.Graph, tp TriplePattern, input []Binding) ([]Binding, 
 			if oBound {
 				pat.O = oTerm
 			}
-			g.ForEach(pat, func(t rdf.Triple) bool {
+			scan(g, pat, func(t rdf.Triple) bool {
 				nb, ok := refExtend(b, tp.S, t.S)
 				if !ok {
 					return true
@@ -256,7 +257,7 @@ func refExtend(b Binding, n NodePattern, t rdf.Term) (Binding, bool) {
 	return nb, true
 }
 
-func refEvalPath(g rdf.Graph, p Path, s rdf.Term, sBound bool, o rdf.Term, oBound bool) [][2]rdf.Term {
+func refEvalPath(g []rdf.Triple, p Path, s rdf.Term, sBound bool, o rdf.Term, oBound bool) [][2]rdf.Term {
 	switch pp := p.(type) {
 	case PathIRI:
 		var out [][2]rdf.Term
@@ -267,7 +268,7 @@ func refEvalPath(g rdf.Graph, p Path, s rdf.Term, sBound bool, o rdf.Term, oBoun
 		if oBound {
 			pat.O = o
 		}
-		g.ForEach(pat, func(t rdf.Triple) bool {
+		scan(g, pat, func(t rdf.Triple) bool {
 			out = append(out, [2]rdf.Term{t.S, t.O})
 			return true
 		})
@@ -315,7 +316,7 @@ func refEvalPath(g rdf.Graph, p Path, s rdf.Term, sBound bool, o rdf.Term, oBoun
 		if oBound {
 			pat.O = o
 		}
-		g.ForEach(pat, func(t rdf.Triple) bool {
+		scan(g, pat, func(t rdf.Triple) bool {
 			out = append(out, [2]rdf.Term{t.S, t.O})
 			return true
 		})
@@ -325,7 +326,7 @@ func refEvalPath(g rdf.Graph, p Path, s rdf.Term, sBound bool, o rdf.Term, oBoun
 	}
 }
 
-func refEvalClosure(g rdf.Graph, pc PathClosure, s rdf.Term, sBound bool, o rdf.Term, oBound bool) [][2]rdf.Term {
+func refEvalClosure(g []rdf.Triple, pc PathClosure, s rdf.Term, sBound bool, o rdf.Term, oBound bool) [][2]rdf.Term {
 	reach := func(start rdf.Term) []rdf.Term {
 		visited := map[rdf.Term]int{start: 0}
 		frontier := []rdf.Term{start}
@@ -374,7 +375,7 @@ func refEvalClosure(g rdf.Graph, pc PathClosure, s rdf.Term, sBound bool, o rdf.
 		return out
 	default:
 		subjects := map[rdf.Term]struct{}{}
-		g.ForEach(rdf.Pattern{}, func(t rdf.Triple) bool {
+		scan(g, rdf.Pattern{}, func(t rdf.Triple) bool {
 			subjects[t.S] = struct{}{}
 			return true
 		})
@@ -531,7 +532,7 @@ func refEvalCall(ex Call, b Binding) (rdf.Term, error) {
 // parityStore extends sampleStore with numeric data, multi-valued
 // properties and deeper structure so every solution-modifier path has work
 // to do.
-func parityStore() *rdf.Store {
+func parityStore() *fixture {
 	st := sampleStore()
 	for i := 0; i < 12; i++ {
 		s := iri(fmt.Sprintf("site%d", i))
@@ -632,7 +633,7 @@ func TestExecutorParityWithSeedSemantics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, err := refEvalQuery(st, q)
+			want, err := refEvalQuery(st.triples, q)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -665,7 +666,7 @@ func TestExecutorParityWithSeedSemantics(t *testing.T) {
 					// unmodified query.
 					full := *q
 					full.Offset, full.Limit = 0, -1
-					all, err := refEvalQuery(st, &full)
+					all, err := refEvalQuery(st.triples, &full)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -705,7 +706,7 @@ func TestExecutorParityUnknownConstants(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := refEvalQuery(st, q)
+		want, err := refEvalQuery(st.triples, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -729,15 +730,15 @@ func TestExecutorParityUnknownConstants(t *testing.T) {
 
 // --- property test: random BGPs, slot path vs term-level matching ---
 
-// naiveBGPJoin evaluates a BGP by brute-force term-level matching over
-// rdf.Graph: enumerate all triples per pattern with Pattern.Matches-style
+// naiveBGPJoin evaluates a BGP by brute-force term-level matching over a
+// triple list: enumerate all triples per pattern with Pattern.Matches-style
 // consistency checks on string-keyed bindings.
-func naiveBGPJoin(g rdf.Graph, patterns []TriplePattern) []Binding {
+func naiveBGPJoin(g []rdf.Triple, patterns []TriplePattern) []Binding {
 	sols := []Binding{{}}
 	for _, tp := range patterns {
 		var next []Binding
 		for _, b := range sols {
-			g.ForEach(rdf.Pattern{}, func(t rdf.Triple) bool {
+			scan(g, rdf.Pattern{}, func(t rdf.Triple) bool {
 				nb := b.clone()
 				bind := func(n NodePattern, term rdf.Term) bool {
 					if !n.IsVar() {
@@ -784,7 +785,7 @@ func TestRandomBGPsSlotPathVsTermLevel(t *testing.T) {
 	const ns = "http://x/"
 	varNames := []string{"x", "y", "z", "w"}
 	for trial := 0; trial < 80; trial++ {
-		st := rdf.NewStore()
+		st := newFixture()
 		var triples []rdf.Triple
 		for i := 0; i < 50; i++ {
 			tr := rdf.Triple{
@@ -831,7 +832,7 @@ func TestRandomBGPsSlotPathVsTermLevel(t *testing.T) {
 		collectVars(grp, &vars, seen)
 		q := &Query{Limit: -1, Vars: vars, Where: grp}
 
-		want := renderBindings(naiveBGPJoin(st, patterns), vars)
+		want := renderBindings(naiveBGPJoin(st.triples, patterns), vars)
 		for _, opts := range []Options{{}, {DisableReorder: true}, {Parallelism: 2}, {Parallelism: 4}} {
 			res, err := EvalQueryOpts(st, q, opts)
 			if err != nil {

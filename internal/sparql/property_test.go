@@ -11,12 +11,8 @@ import (
 )
 
 // naiveBGP evaluates a two-pattern BGP by brute force over all triples.
-func naiveBGP(st *rdf.Store, p1, p2 TriplePattern) []Binding {
-	var all []rdf.Triple
-	st.ForEach(rdf.Pattern{}, func(t rdf.Triple) bool {
-		all = append(all, t)
-		return true
-	})
+func naiveBGP(st *fixture, p1, p2 TriplePattern) []Binding {
+	all := st.triples
 	match := func(tp TriplePattern, t rdf.Triple, b Binding) (Binding, bool) {
 		nb := b.clone()
 		bind := func(n NodePattern, term rdf.Term) bool {
@@ -73,7 +69,7 @@ func TestBGPJoinEqualsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const ns = "http://x/"
 	for trial := 0; trial < 60; trial++ {
-		st := rdf.NewStore()
+		st := newFixture()
 		for i := 0; i < 40; i++ {
 			st.Add(rdf.Triple{
 				S: rdf.NewIRI(fmt.Sprintf("%ss%d", ns, rng.Intn(6))),
@@ -117,7 +113,7 @@ func TestSolutionModifierProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	const ns = "http://x/"
 	for trial := 0; trial < 30; trial++ {
-		st := rdf.NewStore()
+		st := newFixture()
 		for i := 0; i < 50; i++ {
 			st.Add(rdf.Triple{
 				S: rdf.NewIRI(fmt.Sprintf("%ss%d", ns, rng.Intn(8))),
@@ -155,7 +151,7 @@ func TestSolutionModifierProperties(t *testing.T) {
 func TestInversePathConverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	const ns = "http://x/"
-	st := rdf.NewStore()
+	st := newFixture()
 	for i := 0; i < 40; i++ {
 		st.Add(rdf.Triple{
 			S: rdf.NewIRI(fmt.Sprintf("%ss%d", ns, rng.Intn(6))),

@@ -14,8 +14,8 @@ const onto = "http://smartground.eu/onto#"
 
 func iri(local string) rdf.Term { return rdf.NewIRI(onto + local) }
 
-func sampleStore() *rdf.Store {
-	st := rdf.NewStore()
+func sampleStore() *fixture {
+	st := newFixture()
 	add := func(s, p, o string) { st.Add(rdf.Triple{S: iri(s), P: iri(p), O: iri(o)}) }
 	add("Mercury", "isA", "HazardousWaste")
 	add("Lead", "isA", "HazardousWaste")
@@ -75,7 +75,7 @@ func TestPrefixedNames(t *testing.T) {
 }
 
 func TestBuiltinSmgPrefix(t *testing.T) {
-	st := rdf.NewStore()
+	st := newFixture()
 	st.Add(rdf.Triple{S: rdf.NewIRI(onto + "a"), P: rdf.NewIRI(onto + "p"), O: rdf.NewIRI(onto + "b")})
 	r, err := Eval(st, `SELECT ?x WHERE { smg:a smg:p ?x }`)
 	if err != nil {
@@ -402,7 +402,7 @@ SELECT ?o WHERE { s:Mercury ?p ?o . FILTER (ISLITERAL(?o)) }`
 }
 
 func TestRdfTypeKeywordA(t *testing.T) {
-	st := rdf.NewStore()
+	st := newFixture()
 	st.Add(rdf.Triple{S: iri("Mercury"), P: rdf.NewIRI(rdf.RDFType), O: iri("Element")})
 	r, err := Eval(st, `PREFIX s: <`+onto+`> SELECT ?x WHERE { ?x a s:Element }`)
 	if err != nil {
@@ -460,7 +460,7 @@ func TestParsePrintParseFixpoint(t *testing.T) {
 
 func TestEvalAgainstLargerGraphChain(t *testing.T) {
 	// A chain a0→a1→…→a50; transitive closure from a0 must find all.
-	st := rdf.NewStore()
+	st := newFixture()
 	for i := 0; i < 50; i++ {
 		st.Add(rdf.Triple{
 			S: iri(fmt.Sprintf("a%d", i)),
