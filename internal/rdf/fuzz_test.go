@@ -67,6 +67,7 @@ func FuzzNTriples(f *testing.F) {
 		`_:b 1 <http://p> <http://o> .`,
 		`<http://x/a>b> <http://p> <http://o> .`,
 		`<> <> <> .`,
+		`_:a:b/c <http://x/a\q\> _:d. .`,
 	} {
 		f.Add(line)
 	}

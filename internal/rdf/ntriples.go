@@ -112,24 +112,19 @@ func appendIRI(b []byte, iri string) []byte {
 	return append(b, '>')
 }
 
-// validBlankLabel reports whether label spells an N-Triples blank node:
-// non-empty, made of letters, digits and _-. (any byte ≥ 0x80 counts as a
-// letter), not starting with - or . and not ending with a dot.
+// validBlankLabel reports whether the writer can spell label as a blank
+// node the parser reads back: non-empty, with no space and no byte below
+// it (the ASCII controls).
 func validBlankLabel(label string) bool {
-	if label == "" || label[0] == '-' || label[0] == '.' || label[len(label)-1] == '.' {
+	if label == "" {
 		return false
 	}
 	for i := 0; i < len(label); i++ {
-		if !isLabelByte(label[i]) {
+		if label[i] <= ' ' {
 			return false
 		}
 	}
 	return true
-}
-
-func isLabelByte(c byte) bool {
-	return c >= 0x80 || c == '_' || c == '-' || c == '.' ||
-		'0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // ParseTripleLine parses a single N-Triples statement (the trailing dot is
@@ -186,17 +181,19 @@ func (p *ntParser) term() (Term, error) {
 		if p.pos+1 >= len(p.in) || p.in[p.pos+1] != ':' {
 			return Term{}, fmt.Errorf("malformed blank node")
 		}
+		// A label runs to the next space or tab, so labels that earlier
+		// versions of this codec wrote, such as _:a:b, still read back.
 		start := p.pos + 2
 		end := start
-		for end < len(p.in) && isLabelByte(p.in[end]) {
+		for end < len(p.in) && p.in[end] != ' ' && p.in[end] != '\t' {
 			end++
 		}
-		// A trailing dot ends the statement, not the label.
-		for end > start && p.in[end-1] == '.' {
+		p.pos = end
+		// A dot that ends the line ends the statement, not the label.
+		if p.ws(); p.pos == len(p.in) && end > start && p.in[end-1] == '.' {
 			end--
 		}
 		label := p.in[start:end]
-		p.pos = end
 		if !validBlankLabel(label) {
 			return Term{}, fmt.Errorf("malformed blank node label %q", label)
 		}
@@ -233,7 +230,10 @@ func (p *ntParser) iri() (string, error) {
 	p.pos += end + 1
 	var b strings.Builder
 	for i := 0; i < len(raw); {
-		if raw[i] != '\\' {
+		// A backslash that starts no \u or \U escape is kept as it is:
+		// earlier versions wrote IRIs unescaped, and the writer now always
+		// escapes a backslash, so such a byte can only come from those files.
+		if raw[i] != '\\' || i+1 == len(raw) || raw[i+1] != 'u' && raw[i+1] != 'U' {
 			b.WriteByte(raw[i])
 			i++
 			continue

@@ -250,7 +250,9 @@ func (d *SnapshotDecoder) Term() (Term, error) {
 		if err != nil {
 			return Term{}, err
 		}
-		return Term{Kind: Literal, Value: value, Datatype: dt}, nil
+		// Records written before xsd:string literals were made plain may
+		// still carry the datatype; NewTypedLiteral folds them back.
+		return NewTypedLiteral(value, dt), nil
 	default:
 		return Term{}, corruptf("unknown term tag %d", tag)
 	}

@@ -374,11 +374,10 @@ func TestReadNTriplesCommentsAndErrors(t *testing.T) {
 		`<http://a> <http://p> "bad\q" .`,
 		"_: <http://p> <http://o> .",
 		`<http://a> <http://p> <http://o> . extra`,
-		`<http://a\q> <http://p> <http://o> .`,
 		`<http://a\u00> <http://p> <http://o> .`,
 		`<http://a> <http://p> "\UFFFFFFFF" .`,
-		"_:b~1 <http://p> <http://o> .",
-		"_:.b <http://p> <http://o> .",
+		"_:b\x01 <http://p> <http://o> .",
+		"<http://s> <http://p> _:. ",
 	}
 	for _, line := range bad {
 		if _, err := ParseTripleLine(line); err == nil {
@@ -412,5 +411,22 @@ func TestParseTripleLineForms(t *testing.T) {
 	}
 	if got.S.Value != "b.1" || got.O.Value != "c" {
 		t.Errorf("blank labels %q and %q, want b.1 and c", got.S.Value, got.O.Value)
+	}
+	// Lines that earlier versions of the writer produced: IRIs unescaped,
+	// so a backslash starting no \u or \U escape is kept, and blank labels
+	// running to the next space.
+	got, err = ParseTripleLine(`_:a:b/c <http://x/a\q\> _:.d .`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.S.Value != "a:b/c" || got.P.Value != `http://x/a\q\` || got.O.Value != ".d" {
+		t.Errorf("parsed %q, %q and %q", got.S.Value, got.P.Value, got.O.Value)
+	}
+	line, err := appendTriple(nil, got)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if back, err := ParseTripleLine(strings.TrimSuffix(string(line), "\n")); err != nil || back != got {
+		t.Errorf("%q read back as %v, %v", line, back, err)
 	}
 }
