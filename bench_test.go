@@ -1211,19 +1211,13 @@ func BenchmarkSnapshotSave(b *testing.B) {
 
 // BenchmarkSnapshotLoad is the cold-start experiment: restoring a
 // 100k-triple, multi-user platform from the binary snapshot (bulk ID-level
-// load) vs rebuilding it from the reified N-Triples export (parse + Insert
-// + Import — the platform's only durability before the snapshot codec).
-// The snapshot path must stay ≥ 5× faster; see ROADMAP "Durability".
+// load).
 func BenchmarkSnapshotLoad(b *testing.B) {
 	const triples, users = 100000, 4
 	p := snapshotPlatform(b, triples, users)
 
 	var snap bytes.Buffer
 	if err := p.Snapshot(&snap); err != nil {
-		b.Fatal(err)
-	}
-	var ntriples bytes.Buffer
-	if err := p.Save(&ntriples); err != nil {
 		b.Fatal(err)
 	}
 
@@ -1237,19 +1231,6 @@ func BenchmarkSnapshotLoad(b *testing.B) {
 			}
 			if restored.Shared().Len() != p.Shared().Len() {
 				b.Fatalf("restored %d triples, want %d", restored.Shared().Len(), p.Shared().Len())
-			}
-		}
-	})
-	b.Run("rebuild", func(b *testing.B) {
-		b.SetBytes(int64(ntriples.Len()))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			rebuilt, err := kb.Load(bytes.NewReader(ntriples.Bytes()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if rebuilt.Shared().Len() != p.Shared().Len() {
-				b.Fatalf("rebuilt %d triples, want %d", rebuilt.Shared().Len(), p.Shared().Len())
 			}
 		}
 	})

@@ -263,17 +263,17 @@ func metaCommand(enr *core.Enricher, user *string, showStats *bool, cmd string) 
 		fmt.Println("wrote", fields[1])
 	case "\\savekb":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\savekb FILE — persist the semantic platform (reified RDF)")
+			fmt.Println("usage: \\savekb FILE — persist the semantic platform (binary snapshot)")
 			break
 		}
-		if err := writeFile(fields[1], enr.Platform.Save); err != nil {
+		if err := writeFile(fields[1], enr.Platform.Snapshot); err != nil {
 			fmt.Println("error:", err)
 			break
 		}
 		fmt.Println("wrote", fields[1])
 	case "\\loadkb":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\loadkb FILE — replace the semantic platform from a save file")
+			fmt.Println("usage: \\loadkb FILE — replace the semantic platform from a \\savekb file")
 			break
 		}
 		f, err := os.Open(fields[1])
@@ -281,7 +281,7 @@ func metaCommand(enr *core.Enricher, user *string, showStats *bool, cmd string) 
 			fmt.Println("error:", err)
 			break
 		}
-		p, err := kb.Load(f)
+		p, err := kb.Restore(f)
 		f.Close()
 		if err != nil {
 			fmt.Println("error:", err)

@@ -9,7 +9,7 @@
 //
 //	internal/core     the Fig. 6 enrichment pipeline (the paper's contribution)
 //	internal/sesql    the SESQL language front-end (Fig. 5 grammar)
-//	internal/kb       crowdsourced knowledge bases (Fig. 4 schema)
+//	internal/kb       crowdsourced knowledge bases (Fig. 4 platform state)
 //	internal/sparql   SPARQL subset engine
 //	internal/rdf      indexed triple store
 //	internal/engine   embedded relational database (SQL parser + executor)
@@ -253,11 +253,15 @@
 // triples and view members come back as integer keys inserted into presized
 // maps, per-view counters are rebuilt in the same pass, statement triples
 // decode from the restored dictionary, and only the dictionary's intern
-// maps hash strings — once per distinct term, not per triple. Cold-starting
-// a 100k-triple multi-user platform from a snapshot is roughly an order of
-// magnitude faster than rebuilding it from the reified N-Triples export
-// (BenchmarkSnapshotLoad), and equal believer sets are shared across
-// restored statements under the copy-on-write discipline.
+// maps hash strings — once per distinct term, not per triple.
+// BenchmarkSnapshotLoad times a cold start of a 100k-triple multi-user
+// platform, and equal believer sets are shared across restored statements
+// under the copy-on-write discipline. The kb snapshot is the only format
+// that holds the whole semantic platform: the sesql shell's \savekb and
+// \loadkb write and read it too. Restore rejects a stream whose state no
+// sequence of platform calls can reach (refcounts or views disagreeing
+// with the statements, a statement counter below an issued id, queries or
+// declarations of unknown users) with a "kb: corrupt snapshot" error.
 //
 // Between images, a write-ahead log (internal/wal + core.Journal) bounds
 // data loss to the acknowledged operation. The log is an append-only

@@ -2,8 +2,8 @@
 // (Sec. I-B, III-A): two users with different professional contexts get
 // different answers from the same SESQL query; then one explores the
 // other's public statements, imports part of them, and her answers change.
-// Finally the whole platform state round-trips through the Fig. 4 reified
-// RDF persistence format.
+// Finally the whole platform state round-trips through the binary platform
+// snapshot.
 package main
 
 import (
@@ -87,15 +87,15 @@ ENRICH BOOLSCHEMAEXTENSION(elem_name, isA, Pollutant)`
 	show("city_planner")
 
 	// Persistence: the whole platform state (users, statements, beliefs,
-	// references) round-trips through the Fig. 4 reified RDF schema.
+	// references) round-trips through the binary platform snapshot.
 	var buf bytes.Buffer
-	if err := platform.Save(&buf); err != nil {
+	if err := platform.Snapshot(&buf); err != nil {
 		log.Fatal(err)
 	}
-	restored, err := kb.Load(bytes.NewReader(buf.Bytes()))
+	restored, err := kb.Restore(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("Platform state: %d bytes of reified RDF; restored %d users, planner KB %d triples.\n",
+	fmt.Printf("Platform state: %d-byte snapshot; restored %d users, planner KB %d triples.\n",
 		buf.Len(), len(restored.Users()), restored.ViewSize("city_planner"))
 }

@@ -61,21 +61,6 @@ func (e *DupError) Error() string { return e.msg }
 // SMG is the base IRI of the SmartGround ontology namespace.
 const SMG = "http://smartground.eu/onto#"
 
-// Fig. 4 vocabulary.
-const (
-	ClassUser      = SMG + "User"
-	ClassStatement = SMG + "Statement"
-	ClassReference = SMG + "Reference"
-
-	PropUserStatement = SMG + "userStatement" // user → statement (owner)
-	PropUserBelief    = SMG + "userBelief"    // user → statement (accepted)
-	PropStmReference  = SMG + "stmReference"  // statement → reference
-	PropRefTitle      = SMG + "refTitle"
-	PropRefAuthor     = SMG + "refAuthor"
-	PropRefLink       = SMG + "refLink"
-	PropFileReference = SMG + "fileReference" // statement → attached file
-)
-
 // Reference is bibliographic/provenance metadata attached to a statement
 // (smg:Reference in Fig. 4).
 type Reference struct {
@@ -371,19 +356,12 @@ func (p *Platform) Insert(user string, t rdf.Triple, opts ...InsertOption) (stri
 	}
 	p.nextID++
 	id := fmt.Sprintf("stmt-%d", p.nextID)
-	p.addStatement(id, user, t, o.ref)
-	return id, nil
-}
-
-// addStatement asserts t as statement id, owned and believed by user.
-// Caller holds the write lock.
-func (p *Platform) addStatement(id, user string, t rdf.Triple, ref *Reference) {
 	key := p.shared.AcquireTriple(t)
 	st := &Statement{
 		ID:        id,
 		Triple:    t,
 		Owner:     user,
-		Ref:       ref,
+		Ref:       o.ref,
 		key:       key,
 		believers: map[string]struct{}{user: {}},
 	}
@@ -397,6 +375,7 @@ func (p *Platform) addStatement(id, user string, t rdf.Triple, ref *Reference) {
 	ids[id] = struct{}{}
 	p.views[user].Add(key)
 	p.bumpView(user)
+	return id, nil
 }
 
 // Retract removes the user's belief in a statement; when the owner

@@ -244,39 +244,8 @@ func TestStoredQueries(t *testing.T) {
 	}
 }
 
-func TestToRDFShape(t *testing.T) {
-	p := newPlatformWithUsers(t, "alice", "bob")
-	id, _ := p.Insert("alice", tr("Mercury", "dangerLevel", "high"),
-		WithReference(Reference{Title: "WHO report", Author: "WHO", Link: "http://who.int", File: "notes.txt"}))
-	p.Import("bob", id)
-	g := p.ToRDF()
-
-	typ := rdf.NewIRI(rdf.RDFType)
-	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassUser)}); n != 2 {
-		t.Errorf("users in graph = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassStatement)}); n != 1 {
-		t.Errorf("statements in graph = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserBelief)}); n != 2 {
-		t.Errorf("beliefs in graph = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserStatement)}); n != 1 {
-		t.Errorf("ownership edges = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassReference)}); n != 1 {
-		t.Errorf("references = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropFileReference)}); n != 1 {
-		t.Errorf("file references = %d", n)
-	}
-	// The reified triple is reachable via rdf:subject / rdf:object.
-	subs := rdf.Subjects(g, rdf.NewIRI(rdf.RDFSubject), iri("Mercury"))
-	if len(subs) != 1 {
-		t.Errorf("reified subject edges = %d", len(subs))
-	}
-}
-
+// TestSaveLoadRoundTrip round-trips a small platform through the image
+// \savekb writes and \loadkb reads (Snapshot → Restore).
 func TestSaveLoadRoundTrip(t *testing.T) {
 	p := newPlatformWithUsers(t, "alice", "bob")
 	id1, _ := p.Insert("alice", tr("Mercury", "isA", "HazardousWaste"),
@@ -287,10 +256,10 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	p.RegisterQuery("alice", "mine", `ASK { ?x ?p ?o }`)
 
 	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := p.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Load(&buf)
+	p2, err := Restore(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -95,16 +95,16 @@ func snapshot(p *Platform) map[string]any {
 	return out
 }
 
-// Property: Save → Load preserves every observable aspect of the platform
-// for random platforms.
+// Property: a \savekb → \loadkb round trip (Snapshot → Restore) preserves
+// every observable aspect of the platform for random platforms.
 func TestSaveLoadRoundTripRandom(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		p := randomPlatform(t, seed)
 		var buf bytes.Buffer
-		if err := p.Save(&buf); err != nil {
+		if err := p.Snapshot(&buf); err != nil {
 			t.Fatalf("seed %d: save: %v", seed, err)
 		}
-		p2, err := Load(bytes.NewReader(buf.Bytes()))
+		p2, err := Restore(bytes.NewReader(buf.Bytes()))
 		if err != nil {
 			t.Fatalf("seed %d: load: %v", seed, err)
 		}

@@ -1,9 +1,9 @@
 package kb
 
-// This file implements the platform's binary snapshot (durability for the
-// semantic side of the paper's architecture). Unlike Save/Load — which
-// round-trip through the reified N-Triples graph and replay Insert/Import,
-// re-interning every term and re-running validation — Snapshot serialises
+// This file implements the platform's binary snapshot, the one format that
+// persists the whole semantic platform (durability for the semantic side of
+// the paper's architecture: core images, write-ahead-log compaction and the
+// sesql shell's \savekb/\loadkb all go through it). Snapshot serialises
 // the encoded layer directly: the shared arena's dictionary and TripleKeys,
 // each user's view membership set, and the statement/believer metadata on
 // top. Restore is a bulk ID-level load: triples and memberships come back
@@ -20,7 +20,10 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
+	"strings"
 
 	"crosse/internal/rdf"
 	"crosse/internal/sparql"
@@ -190,9 +193,11 @@ func (p *Platform) Snapshot(w io.Writer) error {
 // Restore rebuilds a platform from a stream written by Snapshot. The
 // returned platform is fully live: views accept queries and mutations, the
 // triple→statement index, arena refcounts and every user's view membership
-// are validated against the statement/believer set, and stored queries are
-// re-compiled so the registration invariant (only compilable queries are
-// stored) survives the round trip.
+// are validated against the statement/believer set, the statement counter
+// must be at or above every issued "stmt-N" id (so Insert never reissues
+// one), stored queries and declarations must belong to registered users,
+// and stored queries are re-compiled so the registration invariant (only
+// compilable queries are stored) survives the round trip.
 //
 // Equal believer sets are shared between restored statements under the
 // copy-on-write discipline (believersShared), so a crowdsourced corpus
@@ -265,6 +270,7 @@ func Restore(r io.Reader) (*Platform, error) {
 	belPool := map[string]map[string]struct{}{} // length-prefixed-names key → shared set
 	var belNames []string
 	var belKey []byte
+	maxSeq, maxID := 0, "" // the highest issued id, which the counter must reach
 	for i := uint64(0); i < nStmts; i++ {
 		id, err := d.String()
 		if err != nil {
@@ -336,6 +342,9 @@ func Restore(r io.Reader) (*Platform, error) {
 		if _, dup := p.statements[id]; dup {
 			return nil, fmt.Errorf("kb: corrupt snapshot: duplicate statement id %q", id)
 		}
+		if seq := statementSeq(id); seq > maxSeq {
+			maxSeq, maxID = seq, id
+		}
 		st := &Statement{ID: id, Triple: triple, Owner: owner, Ref: ref, key: key, believers: believers}
 		// The set may be shared with other restored statements; the next
 		// mutation must copy it (same discipline as published snapshots).
@@ -380,6 +389,12 @@ func Restore(r io.Reader) (*Platform, error) {
 	if err != nil {
 		return nil, err
 	}
+	if next > math.MaxInt {
+		return nil, fmt.Errorf("kb: corrupt snapshot: statement counter %d overflows", next)
+	}
+	if int(next) < maxSeq {
+		return nil, fmt.Errorf("kb: corrupt snapshot: statement counter %d is below issued id %q", next, maxID)
+	}
 	p.nextID = int(next)
 
 	nQueries, err := d.Uvarint()
@@ -395,6 +410,9 @@ func Restore(r io.Reader) (*Platform, error) {
 		}
 		if name == "" {
 			return nil, fmt.Errorf("kb: corrupt snapshot: stored query with empty name")
+		}
+		if _, known := p.users[owner]; owner != "" && !known {
+			return nil, fmt.Errorf("kb: corrupt snapshot: stored query %q owned by unknown user %q", name, owner)
 		}
 		q, err := sparql.Parse(text)
 		if err != nil {
@@ -430,10 +448,30 @@ func Restore(r io.Reader) (*Platform, error) {
 		if err != nil {
 			return nil, err
 		}
+		if name == "" {
+			return nil, fmt.Errorf("kb: corrupt snapshot: empty declaration")
+		}
+		if _, known := p.users[owner]; !known {
+			return nil, fmt.Errorf("kb: corrupt snapshot: declaration %q owned by unknown user %q", name, owner)
+		}
 		if p.decls == nil {
 			p.decls = map[string]*Declaration{}
 		}
 		p.decls[DeclKind(kind).String()+"\x00"+name] = &Declaration{Name: name, Owner: owner, Kind: DeclKind(kind)}
 	}
 	return p, nil
+}
+
+// statementSeq returns N for an id "stmt-N" as Insert issues them, and 0
+// for any other id.
+func statementSeq(id string) int {
+	digits, ok := strings.CutPrefix(id, "stmt-")
+	if !ok || digits == "" || digits[0] < '1' || digits[0] > '9' {
+		return 0 // no digits, a sign or a leading zero: not an issued id
+	}
+	n, err := strconv.Atoi(digits)
+	if err != nil {
+		return 0
+	}
+	return n
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 
 	"crosse/internal/rdf"
@@ -114,58 +115,67 @@ func roundTrip(t *testing.T, p *Platform) *Platform {
 	return restored
 }
 
-func TestPlatformSnapshotRoundTrip(t *testing.T) {
-	p := NewPlatform()
+// snapshotFixture builds the platform TestPlatformSnapshotRoundTrip
+// restores: a reference, a triple asserted twice (arena refcount 2),
+// imports, a retracted belief, a shared and an owned stored query, and one
+// declaration of each kind. It returns the platform and the ids of the
+// statements bob and alice first inserted and of bob's retracted one.
+func snapshotFixture(tb testing.TB) (p *Platform, id1, id2, id3 string) {
+	tb.Helper()
+	p = NewPlatform()
 	for _, u := range []string{"alice", "bob", "carol"} {
 		if err := p.RegisterUser(u); err != nil {
-			t.Fatal(err)
+			tb.Fatal(err)
 		}
 	}
-	iri := func(s string) rdf.Term { return rdf.NewIRI(SMG + s) }
 	id1, err := p.Insert("alice", rdf.Triple{S: iri("lf1"), P: iri("dangerLevel"), O: rdf.NewLiteral("high")},
 		WithReference(Reference{Title: "survey", Author: "alice", Link: "http://x/report", File: "notes.txt"}))
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	id2, err := p.Insert("bob", rdf.Triple{S: iri("lf2"), P: iri("pollutes"), O: iri("river1")})
+	id2, err = p.Insert("bob", rdf.Triple{S: iri("lf2"), P: iri("pollutes"), O: iri("river1")})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	// Same triple asserted by a second statement: arena refcount 2.
 	if _, err := p.Insert("carol", rdf.Triple{S: iri("lf2"), P: iri("pollutes"), O: iri("river1")}); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.Import("carol", id1); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.Import("alice", id2); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	// A retracted belief must stay retracted after restore.
-	id3, err := p.Insert("bob", rdf.Triple{S: iri("lf3"), P: iri("dangerLevel"), O: rdf.NewLiteral("low")})
+	id3, err = p.Insert("bob", rdf.Triple{S: iri("lf3"), P: iri("dangerLevel"), O: rdf.NewLiteral("low")})
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.Import("alice", id3); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.Retract("alice", id3); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.RegisterQuery("", "dangerQuery",
 		"SELECT ?s WHERE { ?s <"+SMG+"dangerLevel> \"high\" }"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.RegisterQuery("alice", "mine", "SELECT ?s ?o WHERE { ?s <"+SMG+"pollutes> ?o }"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.DeclareResource("bob", SMG+"River"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	if err := p.DeclareProperty("carol", SMG+"flowsInto"); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
+	return p, id1, id2, id3
+}
 
+func TestPlatformSnapshotRoundTrip(t *testing.T) {
+	p, id1, id2, id3 := snapshotFixture(t)
 	restored := roundTrip(t, p)
 	comparePlatforms(t, p, restored)
 
@@ -192,32 +202,85 @@ func TestPlatformSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotRejectsCorruptStream(t *testing.T) {
-	p := NewPlatform()
-	if err := p.RegisterUser("alice"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.Insert("alice", rdf.Triple{
-		S: rdf.NewIRI(SMG + "a"), P: rdf.NewIRI(SMG + "b"), O: rdf.NewLiteral("c"),
-	}); err != nil {
-		t.Fatal(err)
-	}
+func mustSnapshot(tb testing.TB, p *Platform) []byte {
+	tb.Helper()
 	var buf bytes.Buffer
 	if err := p.Snapshot(&buf); err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	raw := buf.Bytes()
+	return buf.Bytes()
+}
 
-	if _, err := Restore(bytes.NewReader(raw[:len(raw)-3])); err == nil {
-		t.Fatalf("truncated snapshot restored without error")
+// corruptSnapshot is an image Restore must reject, with a text its error
+// must contain ("" accepts any error).
+type corruptSnapshot struct {
+	name, want string
+	image      []byte
+}
+
+// corruptSnapshots builds the images TestSnapshotRejectsCorruptStream
+// feeds Restore: a damaged stream, and well-formed streams of states no
+// sequence of platform calls can reach, written by corrupting one field of
+// a live platform before Snapshot.
+func corruptSnapshots(tb testing.TB) []corruptSnapshot {
+	tb.Helper()
+	// base holds alice's stmt-1 and stmt-2, the second retracted, so the
+	// counter (2) is above every remaining id.
+	base := func() *Platform {
+		p := NewPlatform()
+		if err := p.RegisterUser("alice"); err != nil {
+			tb.Fatal(err)
+		}
+		for _, o := range []string{"c", "d"} {
+			if _, err := p.Insert("alice", rdf.Triple{
+				S: rdf.NewIRI(SMG + "a"), P: rdf.NewIRI(SMG + "b"), O: rdf.NewLiteral(o),
+			}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if err := p.Retract("alice", "stmt-2"); err != nil {
+			tb.Fatal(err)
+		}
+		return p
 	}
-	if _, err := Restore(bytes.NewReader([]byte("NOTASNAP0123"))); err == nil {
-		t.Fatalf("bad magic accepted")
-	}
+	raw := mustSnapshot(tb, base())
 	bumped := append([]byte(nil), raw...)
 	bumped[len(snapshotMagic)] = 99 // unsupported version
-	if _, err := Restore(bytes.NewReader(bumped)); err == nil {
-		t.Fatalf("unknown version accepted")
+	corrupt := func(edit func(p *Platform)) []byte {
+		p := base()
+		edit(p)
+		return mustSnapshot(tb, p)
+	}
+	return []corruptSnapshot{
+		{"truncated", "", raw[:len(raw)-3]},
+		{"bad magic", "not a platform snapshot", []byte("NOTASNAP0123")},
+		{"unknown version", "unsupported snapshot version 99", bumped},
+		// The next Insert would reissue stmt-1.
+		{"counter below an issued id", `kb: corrupt snapshot: statement counter 0 is below issued id "stmt-1"`,
+			corrupt(func(p *Platform) { p.nextID = 0 })},
+		{"query of an unknown user", `kb: corrupt snapshot: stored query "q" owned by unknown user "ghost"`,
+			corrupt(func(p *Platform) {
+				p.queries[queryKey("ghost", "q")] = &StoredQuery{Name: "q", Owner: "ghost", Text: `ASK { ?s ?p ?o }`}
+			})},
+		{"declaration of an unknown user", `kb: corrupt snapshot: declaration "` + SMG + `X" owned by unknown user "ghost"`,
+			corrupt(func(p *Platform) {
+				p.decls = map[string]*Declaration{"resource\x00" + SMG + "X": {Name: SMG + "X", Owner: "ghost"}}
+			})},
+		{"empty declaration", "kb: corrupt snapshot: empty declaration",
+			corrupt(func(p *Platform) {
+				p.decls = map[string]*Declaration{"property\x00": {Owner: "alice", Kind: DeclProperty}}
+			})},
+	}
+}
+
+func TestSnapshotRejectsCorruptStream(t *testing.T) {
+	for _, c := range corruptSnapshots(t) {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := Restore(bytes.NewReader(c.image))
+			if err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Restore = %v, want an error containing %q", err, c.want)
+			}
+		})
 	}
 }
 
@@ -296,5 +359,121 @@ func TestPlatformSnapshotProperty(t *testing.T) {
 
 		restored := roundTrip(t, p)
 		comparePlatforms(t, p, restored)
+	}
+}
+
+// TestSaveLoadHostileTerms saves terms a line-based text format could only
+// spell with escapes, or not at all: Restore must read each back unchanged.
+func TestSaveLoadHostileTerms(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		user   string
+		triple rdf.Triple
+	}{
+		{name: "IRI with >", user: "alice", triple: rdf.Triple{S: iri("a>b"), P: iri("p"), O: iri("o")}},
+		{name: "user name with >", user: "eve>x", triple: tr("s", "p", "o")},
+		{name: "blank label with a space", user: "alice",
+			triple: rdf.Triple{S: rdf.NewBlank("b 1"), P: iri("p"), O: iri("o")}},
+		{name: "xsd:string literal", user: "alice",
+			triple: rdf.Triple{S: iri("s"), P: iri("p"), O: rdf.NewTypedLiteral("v", rdf.XSDString)}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			p := newPlatformWithUsers(t, c.user)
+			id, err := p.Insert(c.user, c.triple)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var buf bytes.Buffer
+			if err := p.Snapshot(&buf); err != nil {
+				t.Fatal(err)
+			}
+			back, err := Restore(&buf)
+			if err != nil {
+				t.Fatalf("Restore: %v", err)
+			}
+			if got := back.Users(); !reflect.DeepEqual(got, []string{c.user}) {
+				t.Errorf("users = %q, want [%q]", got, c.user)
+			}
+			st, err := back.Statement(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Triple != c.triple || st.Owner != c.user {
+				t.Errorf("statement reads back as %v owned by %q, want %v owned by %q", st.Triple, st.Owner, c.triple, c.user)
+			}
+		})
+	}
+}
+
+// statementState renders every statement as id → (triple, owner,
+// believers, reference), plus the id the next Insert returns. Taking that
+// id mutates p.
+func statementState(t *testing.T, p *Platform) (map[string]string, string) {
+	t.Helper()
+	out := map[string]string{}
+	for _, st := range p.Explore(nil) {
+		out[st.ID] = fmt.Sprintf("%v owner=%s believers=%v ref=%+v", st.Triple, st.Owner, st.Believers(), st.Ref)
+	}
+	next, err := p.Insert("alice", tr("next", "p", "o"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out, next
+}
+
+// TestLoadKeepsStatementIDs pins that Restore(Snapshot(p)) agrees with p on
+// every statement id and on the id the next Insert returns, after
+// retractions too.
+func TestLoadKeepsStatementIDs(t *testing.T) {
+	p := newPlatformWithUsers(t, "alice", "bob")
+	var ids []string
+	for i := 1; i <= 12; i++ {
+		var opts []InsertOption
+		if i%4 == 0 {
+			opts = append(opts, WithReference(Reference{Title: fmt.Sprintf("T%d", i)}))
+		}
+		id, err := p.Insert("alice", tr(fmt.Sprintf("s%d", i), "p", fmt.Sprintf("o%d", i)), opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	for _, id := range []string{ids[1], ids[9], ids[10]} {
+		if err := p.Import("bob", id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A retraction gap in the middle, a believer's own retraction, and
+	// the newest statement gone, so only a saved counter keeps its id
+	// from being handed out again.
+	for _, r := range []struct{ user, id string }{{"alice", ids[4]}, {"bob", ids[9]}, {"alice", ids[11]}} {
+		if err := p.Retract(r.user, r.id); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	var snap bytes.Buffer
+	if err := p.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := Restore(&snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, wantNext := statementState(t, p)
+	if len(want) != 10 || wantNext != "stmt-13" {
+		t.Fatalf("fixture: %d statements, next id %s", len(want), wantNext)
+	}
+	got, next := statementState(t, restored)
+	for id, w := range want {
+		if got[id] != w {
+			t.Errorf("%s = %q, want %q", id, got[id], w)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("%d statements, want %d", len(got), len(want))
+	}
+	if next != wantNext {
+		t.Errorf("next Insert returns %s, want %s", next, wantNext)
 	}
 }

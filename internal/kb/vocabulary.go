@@ -3,24 +3,13 @@ package kb
 import (
 	"fmt"
 	"sort"
-	"strings"
-
-	"crosse/internal/rdf"
 )
 
-// This file implements the remaining Fig. 4 vocabulary: smg:Resource and
-// smg:Property declarations. The paper lets users "defin[e] new concepts
+// This file implements user-declared vocabulary: the smg:Resource and
+// smg:Property terms of Fig. 4. The paper lets users "defin[e] new concepts
 // and new properties" (Sec. V) and relate them to known ones; the semantic
-// platform records who declared what via the userResource / userProperty
-// edges, and annotation UIs use the declared vocabulary for suggestions.
-
-// Fig. 4 vocabulary for user-declared terms.
-const (
-	ClassResource    = SMG + "Resource"
-	ClassProperty    = SMG + "Property"
-	PropUserResource = SMG + "userResource"
-	PropUserProperty = SMG + "userProperty"
-)
+// platform records which user declared each term, and annotation UIs use
+// the declared vocabulary for suggestions.
 
 // Declaration is one user-declared vocabulary term.
 type Declaration struct {
@@ -115,44 +104,4 @@ func (p *Platform) SuggestedProperties() []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// declsToRDF renders declarations into the reified graph (called by ToRDF
-// with the platform lock held).
-func (p *Platform) declsToRDF(g *rdf.SharedStore) {
-	typ := rdf.NewIRI(rdf.RDFType)
-	for _, d := range p.decls {
-		node := rdf.NewIRI(d.Name)
-		switch d.Kind {
-		case DeclProperty:
-			g.AcquireTriple(rdf.Triple{S: node, P: typ, O: rdf.NewIRI(ClassProperty)})
-			g.AcquireTriple(rdf.Triple{S: userIRI(d.Owner), P: rdf.NewIRI(PropUserProperty), O: node})
-		default:
-			g.AcquireTriple(rdf.Triple{S: node, P: typ, O: rdf.NewIRI(ClassResource)})
-			g.AcquireTriple(rdf.Triple{S: userIRI(d.Owner), P: rdf.NewIRI(PropUserResource), O: node})
-		}
-	}
-}
-
-// declsFromRDF rebuilds declarations from the reified graph (called by
-// FromRDF after users exist).
-func declsFromRDF(p *Platform, g rdf.Graph) error {
-	typ := rdf.NewIRI(rdf.RDFType)
-	load := func(class, edge string, kind DeclKind) error {
-		for _, t := range rdf.MatchSorted(g, rdf.Pattern{P: typ, O: rdf.NewIRI(class)}) {
-			owners := rdf.Subjects(g, rdf.NewIRI(edge), t.S)
-			if len(owners) != 1 {
-				return fmt.Errorf("kb: declaration %s has %d owners", t.S, len(owners))
-			}
-			owner := strings.TrimPrefix(owners[0].Value, SMG+"user/")
-			if err := p.declare(owner, t.S.Value, kind); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := load(ClassResource, PropUserResource, DeclResource); err != nil {
-		return err
-	}
-	return load(ClassProperty, PropUserProperty, DeclProperty)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
-
-	"crosse/internal/rdf"
 )
 
 func TestDeclareAndList(t *testing.T) {
@@ -52,35 +50,17 @@ func TestSuggestedProperties(t *testing.T) {
 	}
 }
 
-func TestDeclarationsInReifiedGraph(t *testing.T) {
-	p := newPlatformWithUsers(t, "alice")
-	p.DeclareResource("alice", SMG+"Tailings")
-	p.DeclareProperty("alice", SMG+"storedAt")
-	g := p.ToRDF()
-	typ := rdf.NewIRI(rdf.RDFType)
-	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassResource)}); n != 1 {
-		t.Errorf("smg:Resource nodes = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: typ, O: rdf.NewIRI(ClassProperty)}); n != 1 {
-		t.Errorf("smg:Property nodes = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserResource)}); n != 1 {
-		t.Errorf("userResource edges = %d", n)
-	}
-	if n := rdf.Count(g, rdf.Pattern{P: rdf.NewIRI(PropUserProperty)}); n != 1 {
-		t.Errorf("userProperty edges = %d", n)
-	}
-}
-
+// TestDeclarationsSurviveSaveLoad round-trips declarations and their owners
+// through Snapshot → Restore.
 func TestDeclarationsSurviveSaveLoad(t *testing.T) {
 	p := newPlatformWithUsers(t, "alice", "bob")
 	p.DeclareResource("alice", SMG+"Tailings")
 	p.DeclareProperty("bob", SMG+"storedAt")
 	var buf bytes.Buffer
-	if err := p.Save(&buf); err != nil {
+	if err := p.Snapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	p2, err := Load(&buf)
+	p2, err := Restore(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}

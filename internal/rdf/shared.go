@@ -25,8 +25,8 @@ import "sync"
 // one set of SPO/POS/OSP union indexes over every triple asserted by any
 // statement, with a per-triple assertion refcount. It is safe for
 // concurrent use and itself implements Graph (the union graph). It is the
-// only triple store: a graph that no user owns — a Save export, an
-// N-Triples import — is an arena that nothing ever releases from.
+// only triple store: a graph that no user owns is an arena that nothing
+// ever releases from.
 type SharedStore struct {
 	mu   sync.RWMutex
 	dict *Dict

@@ -5,7 +5,7 @@ package rdf
 // plus assertion refcounts), and per-view membership sets. The format
 // serialises exactly what the in-memory structures hold, so restore is a
 // bulk ID-level load: triples and view members are read back as integer
-// keys and inserted into presized maps — no N-Triples parsing and no term
+// keys and inserted into presized maps — no term parsing and no term
 // re-hashing per triple. Only the dictionary's intern maps are rebuilt, one
 // string-hash per *distinct* term, which is O(dictionary), not O(triples).
 //

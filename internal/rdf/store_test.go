@@ -1,7 +1,6 @@
 package rdf
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -311,122 +310,5 @@ func TestPatternString(t *testing.T) {
 	p := Pattern{S: iri("a")}
 	if got := p.String(); !strings.Contains(got, "?") || !strings.Contains(got, "a") {
 		t.Errorf("Pattern.String() = %q", got)
-	}
-}
-
-// TestNTriplesRoundTrip includes terms N-Triples can only spell with
-// escapes, and a blank label it cannot spell at all.
-func TestNTriplesRoundTrip(t *testing.T) {
-	st := NewSharedStore()
-	for _, t3 := range []Triple{
-		{iri("Hg"), iri("dangerLevel"), NewLiteral("high")},
-		{iri("Hg"), iri("weight"), NewTypedLiteral("200.59", XSDDouble)},
-		{NewBlank("n1"), iri("note"), NewLiteral("line1\nline2 \"q\"")},
-		tr("Pb", "is-a", "element"),
-		{NewIRI("http://x/a>b"), iri("p"), iri("o")},
-		{NewIRI("http://smartground.eu/onto#user/eve>x"), iri("p"), iri("o")},
-		{iri("s"), NewIRI("http://x/<>\"{}|^`\\ \t\x00\x1f/é"), iri("o")},
-		{NewIRI(`http://x/\u0041`), iri("p"), iri("o")},
-		{iri("s"), iri("p"), NewTypedLiteral("1", "http://x/dt>")},
-		{iri("s"), iri("p"), NewTypedLiteral("v", XSDString)},
-		{iri("s"), iri("p"), NewLiteral("q\"\\\r\n\t\x00é")},
-	} {
-		st.AcquireTriple(t3)
-	}
-	var buf bytes.Buffer
-	if err := WriteNTriples(&buf, st); err != nil {
-		t.Fatal(err)
-	}
-	back := NewSharedStore()
-	n, err := ReadNTriples(&buf, back)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != st.Len() {
-		t.Fatalf("read %d triples, want %d", n, st.Len())
-	}
-	for _, t3 := range MatchSorted(st, Pattern{}) {
-		if Count(back, t3.pattern()) != 1 {
-			t.Errorf("round trip lost %v", t3)
-		}
-	}
-
-	st.AcquireTriple(Triple{NewBlank("b 1"), iri("p"), iri("o")})
-	err = WriteNTriples(&bytes.Buffer{}, st)
-	if err == nil || !strings.Contains(err.Error(), `"b 1"`) {
-		t.Errorf("writing blank label %q: err = %v, want one naming the label", "b 1", err)
-	}
-}
-
-func TestReadNTriplesCommentsAndErrors(t *testing.T) {
-	st := NewSharedStore()
-	in := "# comment\n\n<http://a> <http://p> \"x\" .\n<http://a> <http://p> \"x\" .\n"
-	n, err := ReadNTriples(strings.NewReader(in), st)
-	if err != nil || n != 1 {
-		t.Fatalf("got n=%d err=%v", n, err)
-	}
-	bad := []string{
-		"<http://a> <http://p>",
-		"<http://a <http://p> <http://o> .",
-		`<http://a> <http://p> "unterminated .`,
-		`<http://a> <http://p> "x"^^<dangling .`,
-		"@prefix foo <http://x> .",
-		`<http://a> <http://p> "bad\q" .`,
-		"_: <http://p> <http://o> .",
-		`<http://a> <http://p> <http://o> . extra`,
-		`<http://a\u00> <http://p> <http://o> .`,
-		`<http://a> <http://p> "\UFFFFFFFF" .`,
-		"_:b\x01 <http://p> <http://o> .",
-		"<http://s> <http://p> _:. ",
-	}
-	for _, line := range bad {
-		if _, err := ParseTripleLine(line); err == nil {
-			t.Errorf("ParseTripleLine(%q) should fail", line)
-		}
-	}
-}
-
-func TestParseTripleLineForms(t *testing.T) {
-	got, err := ParseTripleLine(`_:b <http://p> "v\twith\ttabs"^^<` + XSDString + `>`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !got.S.IsBlank() || got.O.Value != "v\twith\ttabs" {
-		t.Errorf("parsed %v", got)
-	}
-	// An xsd:string literal is the plain literal (RDF 1.1).
-	if got.O.Datatype != "" {
-		t.Errorf("datatype = %q", got.O.Datatype)
-	}
-	got, err = ParseTripleLine(`<http://x/a\u003Eb> <http://p> "é\U0001F600\b\f\'" .`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.S.Value != "http://x/a>b" || got.O.Value != "é😀\b\f'" {
-		t.Errorf("escapes decoded to %q and %q", got.S.Value, got.O.Value)
-	}
-	got, err = ParseTripleLine(`_:b.1 <http://p> _:c.`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.S.Value != "b.1" || got.O.Value != "c" {
-		t.Errorf("blank labels %q and %q, want b.1 and c", got.S.Value, got.O.Value)
-	}
-	// Lines that earlier versions of the writer produced: IRIs unescaped,
-	// so a backslash starting no \u or \U escape is kept, and blank labels
-	// running to the next space.
-	got, err = ParseTripleLine(`_:a:b/c <http://x/a\q\> _:.d .`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.S.Value != "a:b/c" || got.P.Value != `http://x/a\q\` || got.O.Value != ".d" {
-		t.Errorf("parsed %q, %q and %q", got.S.Value, got.P.Value, got.O.Value)
-	}
-	line, err := appendTriple(nil, got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back, err := ParseTripleLine(strings.TrimSuffix(string(line), "\n")); err != nil || back != got {
-		t.Errorf("%q read back as %v, %v", line, back, err)
 	}
 }

@@ -76,13 +76,8 @@ const (
 	XSDBoolean = "http://www.w3.org/2001/XMLSchema#boolean"
 )
 
-// Well-known RDF/RDFS vocabulary used by the Fig. 4 schema.
-const (
-	RDFType      = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
-	RDFSubject   = "http://www.w3.org/1999/02/22-rdf-syntax-ns#subject"
-	RDFPredicate = "http://www.w3.org/1999/02/22-rdf-syntax-ns#predicate"
-	RDFObject    = "http://www.w3.org/1999/02/22-rdf-syntax-ns#object"
-)
+// RDFType is rdf:type, the predicate SPARQL's "a" keyword abbreviates.
+const RDFType = "http://www.w3.org/1999/02/22-rdf-syntax-ns#type"
 
 // IsZero reports whether the term is the zero Term (used as "unbound" in
 // match patterns).
