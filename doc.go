@@ -16,7 +16,6 @@
 //	internal/fdw      foreign-data-wrapper federation (postgres_fdw role)
 //	internal/rest     HTTP/JSON integration API
 //	internal/dataset  synthetic SmartGround databank + ontologies
-//	internal/experiments  the measurement study (run by cmd/crosse-experiments)
 //
 // # Storage and query-compilation architecture
 //
@@ -355,16 +354,17 @@
 // mark status "degraded" without failing the probe) and
 // GET /api/v1/admin/sources dumps the full per-source resilience state. The
 // guarantees are enforced twice: a randomized fault-injection property
-// suite (internal/fdw/fault_test.go over fdw.FaultConn — latency, wrong
-// errors, short writes, hangups and blackholes injected at arbitrary
-// connection operations, which count whole frames: one write per request,
-// one read per flushed batch) asserts every trial ends within its
-// deadline with either the complete correct result or a typed error, and
-// that each trial's fault fired during its first scan; FuzzFDWFrame
-// holds the frame reader and batch decoder to typed errors. The CI
-// fdw-fault-injection job kill -9s a real fdw-server mid-scan, watches
-// the circuit open over the REST API, verifies the degraded partial
-// response, and verifies the half-open probe readmits the restarted node.
+// suite (internal/fdw/fault_test.go over FaultConn, which lives with the
+// tests in faultconn_test.go — latency, wrong errors, short writes,
+// hangups and blackholes injected at arbitrary connection operations,
+// which count whole frames: one write per request, one read per flushed
+// batch) asserts every trial ends within its deadline with either the
+// complete correct result or a typed error, and that each trial's fault
+// fired during its first scan; FuzzFDWFrame holds the frame reader and
+// batch decoder to typed errors. The CI fdw-fault-injection job kill -9s
+// a real fdw-server mid-scan, watches the circuit open over the REST API,
+// verifies the degraded partial response, and verifies the half-open
+// probe readmits the restarted node.
 //
 // # Serving tier
 //

@@ -1,10 +1,11 @@
 // Package dataset generates the synthetic SmartGround databank and
-// contextual ontologies the experiments run on. The real SmartGround data
-// (EU landfill registries) is not public; the generator reproduces the
-// Fig. 3 schema — landfills, waste items / elements contained in them,
-// analyses signed by labs — with controllable cardinalities and a skewed
-// element co-occurrence structure so `oreAssemblage`-style knowledge has
-// realistic fan-out. All generation is deterministic given the seed.
+// contextual ontologies that bench_test.go and the benchmark/ harness run
+// on. The real SmartGround data (EU landfill registries) is not public;
+// the generator reproduces the Fig. 3 schema — landfills, waste items /
+// elements contained in them, analyses signed by labs — with controllable
+// cardinalities and a skewed element co-occurrence structure so
+// `oreAssemblage`-style knowledge has realistic fan-out. All generation
+// is deterministic given the seed.
 package dataset
 
 import (
@@ -177,7 +178,7 @@ type OntologyConfig struct {
 	Elements   int
 	Cities     int
 	HazardFrac float64
-	// ExtraTriples pads the KB with unrelated facts so experiments can
+	// ExtraTriples pads the KB with unrelated facts so a benchmark can
 	// scale KB size independently of useful knowledge.
 	ExtraTriples int
 	// AssemblageDegree is how many other elements each element co-occurs

@@ -126,7 +126,7 @@ func TestRegisterDangerQuery(t *testing.T) {
 
 func TestNameHelpers(t *testing.T) {
 	if ElementName(3) != "element_003" || LandfillName(12) != "landfill_0012" {
-		t.Error("name formats changed — experiments depend on them")
+		t.Error("name formats changed — benchmark/workload.go's query texts depend on them")
 	}
 	if CountryName(0) != CountryName(8) {
 		t.Error("cities 0 and 8 share a country by construction")

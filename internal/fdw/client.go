@@ -139,16 +139,6 @@ func NewClientConfig(conn net.Conn, cfg Config) *Client {
 	return c
 }
 
-// NewClientDialer builds a client around a connection factory — the
-// network seam the fault-injection suite uses to hand out FaultConn-wrapped
-// connections. The first connection is established lazily.
-func NewClientDialer(cfg Config, dial func() (net.Conn, error)) *Client {
-	if cfg.Name == "" {
-		cfg.Name = "fdw"
-	}
-	return newClient(cfg, func(time.Duration) (net.Conn, error) { return dial() })
-}
-
 func newClient(cfg Config, dial func(time.Duration) (net.Conn, error)) *Client {
 	cfg = cfg.withDefaults()
 	return &Client{name: cfg.Name, cfg: cfg, dial: dial, breaker: NewBreaker(cfg.Breaker)}

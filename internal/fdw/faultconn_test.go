@@ -1,12 +1,13 @@
 package fdw
 
-// faultconn.go — the network seam of the fault-injection suite, mirroring
-// wal.FaultFS on the durability side: a net.Conn wrapper that injects one
-// scripted fault at the Nth read-or-write. Deterministic (the trigger is
-// an operation index, not a timer race), honours deadlines while blocking
-// (so FaultBlackhole models a peer that stops responding without breaking
-// the client's deadline machinery), and sticky where the real failure
-// would be (a reset connection stays reset).
+// faultconn_test.go — the network seam of the fault-injection suite,
+// mirroring wal.FaultFS on the durability side. NewClientDialer builds a
+// client over a connection factory; FaultConn is a net.Conn wrapper that
+// injects one scripted fault at the Nth read-or-write. Deterministic (the
+// trigger is an operation index, not a timer race), honours deadlines
+// while blocking (so FaultBlackhole models a peer that stops responding
+// without breaking the client's deadline machinery), and sticky where the
+// real failure would be (a reset connection stays reset).
 
 import (
 	"net"
@@ -287,3 +288,13 @@ func (c *FaultConn) peekWriteDeadline() time.Time {
 }
 
 var _ net.Conn = (*FaultConn)(nil)
+
+// NewClientDialer builds a client around a connection factory, so a test
+// can hand out FaultConn-wrapped connections. The first connection is
+// established lazily.
+func NewClientDialer(cfg Config, dial func() (net.Conn, error)) *Client {
+	if cfg.Name == "" {
+		cfg.Name = "fdw"
+	}
+	return newClient(cfg, func(time.Duration) (net.Conn, error) { return dial() })
+}
