@@ -291,22 +291,52 @@ func BenchmarkFDW(b *testing.B) {
 		b.ReportMetric(float64(wire1-wire0)/float64(b.N), "wire-rows/op")
 	})
 
-	// RemoteRange is federated_scan's fullscan shape over a loopback TCP
-	// connection: a compiled range query on the foreign landfill table.
-	// wire-rows/op counts the rows that crossed the connection, rows/op
-	// the rows returned.
-	b.Run("RemoteRange", func(b *testing.B) {
+	// dialTCP serves the remote over loopback TCP for one sub-benchmark
+	// and dials a client to it.
+	dialTCP := func(b *testing.B) *fdw.Client {
 		tcpSrv := fdw.NewServer(remote.Catalog())
 		addr, err := tcpSrv.Listen("127.0.0.1:0")
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer tcpSrv.Close()
+		b.Cleanup(tcpSrv.Close)
 		tcp, err := fdw.Dial(addr)
 		if err != nil {
 			b.Fatal(err)
 		}
-		defer tcp.Close()
+		b.Cleanup(func() { tcp.Close() })
+		return tcp
+	}
+
+	// ConcurrentPushdown is RemotePushdown from GOMAXPROCS goroutines
+	// through one loopback TCP client: concurrent round trips each run on
+	// a connection of the client's session pool.
+	b.Run("ConcurrentPushdown", func(b *testing.B) {
+		tcp := dialTCP(b)
+		ft, err := tcp.ForeignTable("elem_contained", "")
+		if err != nil {
+			b.Fatal(err)
+		}
+		_, wire0 := tcp.Stats()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				if err := ft.ScanEq("landfill_name", probe, func([]sqlval.Value) bool { return true }); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		})
+		_, wire1 := tcp.Stats()
+		b.ReportMetric(float64(wire1-wire0)/float64(b.N), "wire-rows/op")
+	})
+
+	// RemoteRange is federated_scan's fullscan shape over a loopback TCP
+	// connection: a compiled range query on the foreign landfill table.
+	// wire-rows/op counts the rows that crossed the connection, rows/op
+	// the rows returned.
+	b.Run("RemoteRange", func(b *testing.B) {
+		tcp := dialTCP(b)
 		lf, err := tcp.ForeignTable("landfill", "")
 		if err != nil {
 			b.Fatal(err)

@@ -318,18 +318,25 @@
 // answers are small JSON control frames, and rows travel as binary
 // batches (tagged values, lossless for NaN, ±Inf and non-UTF-8 text) that
 // grow 1, 2, 4, … rows up to 32 KiB, each flushed as it fills, so the
-// first row arrives after one row of remote work. The client decodes
-// every row into one reused slice, which is why foreign tables are not
-// sqldb.StableRowScanners. The client is resilient by default. Every round trip — send, stream, drain — runs
-// under a deadline (Config.RequestTimeout, default 30s, tightened per call
+// first row arrives after one row of remote work. An fdw.Client keeps a
+// pool of sessions, one connection each: a round trip takes an idle
+// session or dials a new one, and returns it after the terminal frame, so
+// concurrent queries against one source never queue behind each other's
+// scans, and the pool holds as many connections as round trips ever
+// overlapped (the admission limiter bounds those). Close closes every
+// session, idle or in flight, so each in-flight round trip fails at once
+// with fdw.ErrClientClosed. A session decodes every row into one reused
+// slice, which is why foreign tables are not sqldb.StableRowScanners.
+// The client is resilient by default. Every round trip — send, stream,
+// drain — runs under a deadline (Config.RequestTimeout, default 30s, tightened per call
 // by the caller's context and enforced through net.Conn.SetDeadline, so a
 // stalled peer costs one deadline, never a hung query; context
 // cancellation fires the connection deadline immediately). Transient
-// transport failures (dial refused, reset, torn stream) retry with capped
-// exponential backoff plus jitter on a fresh connection (Config.Retry);
-// the protocol is stateless per request, so re-dialling re-attaches the
-// session transparently and foreign tables keep working across peer
-// restarts. Retries only happen while no row has reached the consumer —
+// transport failures (dial refused, reset, torn stream) drop the session
+// and retry with capped exponential backoff plus jitter on a freshly
+// dialled one (Config.Retry); the protocol is stateless per request, so
+// re-dialling re-attaches transparently and foreign tables keep working
+// across peer restarts. Retries only happen while no row has reached the consumer —
 // a stream that fails after delivering rows surfaces fdw.ErrInterrupted
 // rather than silently duplicating or truncating — and remote application
 // errors (the peer answered in-protocol) never retry and never poison the
@@ -340,7 +347,7 @@
 // whose success readmits the source. fdw.Health registers every attached
 // client, pings each on an interval (the probe that heals an open circuit
 // with no query traffic), and exposes per-source state, the error holding
-// the circuit open, and request/retry/trip counters.
+// the circuit open, request/retry/trip counters and the open connections.
 //
 // Degradation is a query-level choice: by default a query touching a
 // down source fails fast with a typed error (REST answers 503), while

@@ -140,8 +140,8 @@ func appendStmt(out []string, s string) []string {
 	return out
 }
 
-// FormatTable renders a result as an aligned text table (CLI and the
-// experiment harness use this).
+// FormatTable renders a result as an aligned text table (the sesql CLI
+// and the examples use this).
 func FormatTable(r *sqlexec.Result) string {
 	if len(r.Columns) == 0 {
 		return fmt.Sprintf("(%d row(s) affected)\n", r.Affected)

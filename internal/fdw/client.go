@@ -55,18 +55,27 @@ func (c Config) withDefaults() Config {
 // (NewClient): there is no address to re-dial, so the loss is permanent.
 var errNoRedial = errors.New("fdw: connection lost and client cannot redial")
 
+// errDeadlineExpired fails an attempt whose request deadline passed before
+// it reached the wire.
+var errDeadlineExpired = fmt.Errorf("fdw: request deadline expired: %w", context.DeadlineExceeded)
+
 // Client talks to one remote FDW server and manufactures foreign tables
 // that the local engine scans as if they were local (the postgres_fdw
-// client role). A Client serialises requests: one in flight at a time.
+// client role). It keeps a pool of sessions, one connection each: a round
+// trip takes an idle session or dials a new one, and gives it back after
+// the terminal frame, so concurrent round trips to one source run on
+// separate connections. The pool grows to the number of round trips that
+// overlap, which the admission limiter bounds. A client over a raw conn
+// (NewClient) has exactly one session, and concurrent callers queue for it.
 //
 // The client is resilient by default: every round trip runs under a
 // deadline, transient transport failures retry with capped exponential
-// backoff on a fresh connection (the protocol is stateless per request,
-// so re-dialling re-attaches the session transparently — foreign tables
-// keep working across peer restarts), and a per-source circuit breaker
-// fails fast with ErrSourceDown once the peer is known down. A dropped
-// connection therefore never permanently poisons the foreign tables
-// attached through it.
+// backoff on a freshly dialled session (the protocol is stateless per
+// request, so re-dialling re-attaches transparently — foreign tables keep
+// working across peer restarts), and a per-source circuit breaker fails
+// fast with ErrSourceDown once the peer is known down. A session that saw
+// a transport error is dropped, never pooled, so a broken connection never
+// poisons the foreign tables attached through it.
 type Client struct {
 	name string
 	cfg  Config
@@ -75,30 +84,30 @@ type Client struct {
 	dial    func(timeout time.Duration) (net.Conn, error)
 	breaker *Breaker
 
-	mu sync.Mutex // serialises round trips
-
-	// Connection lifecycle, guarded separately from mu so Close and the
-	// health registry never wait behind an in-flight round trip.
+	// The session pool. connMu is held only to take, return or drop a
+	// session, never across network I/O, so Close and the health registry
+	// never wait behind an in-flight round trip.
 	connMu sync.Mutex
-	conn   net.Conn
-	br     *bufio.Reader
+	idle   []*session            // ready for the next round trip
+	live   map[*session]struct{} // every open session: idle and in flight
+	freed  sync.Cond             // raw-conn callers wait here for the one session
 	closed bool
 
-	// stats for the experiment harness and the health registry (atomic:
+	// counters behind Stats, Retries and the health registry (atomic:
 	// read while requests are in flight)
 	requests atomic.Int64
 	rowsIn   atomic.Int64
 	retries  atomic.Int64
+}
 
-	// terminal payloads of the most recent round trip (guarded by mu)
-	lastTables []string
-	lastSchema []wireCol
-
-	// Reused by every round trip (guarded by mu): the frame buffer
-	// requests are encoded into and responses read into, and the row
-	// every batch decodes into — the sqldb.Relation contract forbids
-	// consumers to retain it, which is why ForeignTable is not a
-	// sqldb.StableRowScanner.
+// session is one connection with the buffers a round trip on it reuses:
+// the frame buffer requests are encoded into and responses read into, and
+// the row every batch decodes into — the sqldb.Relation contract forbids
+// consumers to retain it, which is why ForeignTable is not a
+// sqldb.StableRowScanner. One round trip at a time owns a session.
+type session struct {
+	conn  net.Conn
+	br    *bufio.Reader
 	frame []byte
 	row   []sqlval.Value
 }
@@ -106,9 +115,9 @@ type Client struct {
 // Dial connects to a server address with default resilience settings.
 func Dial(addr string) (*Client, error) { return DialConfig(addr, Config{}) }
 
-// DialConfig connects to a server address. The initial connection is
-// established eagerly (so a bad address fails at attach time); later
-// connection losses re-dial transparently under cfg.
+// DialConfig connects to a server address. The first connection is
+// established eagerly (so a bad address fails at attach time) and pooled;
+// later round trips dial more as they need them, under cfg.
 func DialConfig(addr string, cfg Config) (*Client, error) {
 	if cfg.Name == "" {
 		cfg.Name = addr
@@ -120,7 +129,8 @@ func DialConfig(addr string, cfg Config) (*Client, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.setConn(conn)
+	s, _ := c.addSession(conn) // a new client is open
+	c.putSession(s)
 	return c, nil
 }
 
@@ -135,13 +145,16 @@ func NewClientConfig(conn net.Conn, cfg Config) *Client {
 		cfg.Name = "fdw"
 	}
 	c := newClient(cfg, nil)
-	c.setConn(conn)
+	s, _ := c.addSession(conn) // a new client is open
+	c.putSession(s)
 	return c
 }
 
 func newClient(cfg Config, dial func(time.Duration) (net.Conn, error)) *Client {
 	cfg = cfg.withDefaults()
-	return &Client{name: cfg.Name, cfg: cfg, dial: dial, breaker: NewBreaker(cfg.Breaker)}
+	c := &Client{name: cfg.Name, cfg: cfg, dial: dial, breaker: NewBreaker(cfg.Breaker), live: map[*session]struct{}{}}
+	c.freed.L = &c.connMu
+	return c
 }
 
 // Name returns the source name used in errors and health reports.
@@ -150,27 +163,33 @@ func (c *Client) Name() string { return c.name }
 // Breaker exposes the client's circuit breaker (health registry, tests).
 func (c *Client) Breaker() *Breaker { return c.breaker }
 
-// setConn installs a fresh connection and its buffered reader.
-func (c *Client) setConn(conn net.Conn) {
+// Conns reports how many connections are open, idle plus in flight.
+func (c *Client) Conns() int {
 	c.connMu.Lock()
 	defer c.connMu.Unlock()
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
+	return len(c.live)
 }
 
-// Close closes the connection and marks the client closed. An in-flight
-// round trip fails promptly with ErrClientClosed — Close never waits for
-// it and never leaves the reader on a yanked connection.
+// Close closes every session, idle or in flight, and marks the client
+// closed. An in-flight round trip fails promptly with ErrClientClosed —
+// Close never waits for it — and a caller queued for a raw conn's session
+// wakes to the same error.
 func (c *Client) Close() error {
 	c.connMu.Lock()
 	c.closed = true
-	conn := c.conn
-	c.conn, c.br = nil, nil
-	c.connMu.Unlock()
-	if conn != nil {
-		return conn.Close()
+	conns := make([]net.Conn, 0, len(c.live))
+	for s := range c.live {
+		conns = append(conns, s.conn)
 	}
-	return nil
+	clear(c.live)
+	c.idle = nil
+	c.freed.Broadcast()
+	c.connMu.Unlock()
+	var errs []error
+	for _, conn := range conns {
+		errs = append(errs, conn.Close())
+	}
+	return errors.Join(errs...)
 }
 
 func (c *Client) isClosed() bool {
@@ -179,60 +198,101 @@ func (c *Client) isClosed() bool {
 	return c.closed
 }
 
-// dropConn discards conn after a transport error (the stream may be
-// desynchronised; the next attempt starts clean). Only the connection it
-// was handed is dropped — a concurrent Close/re-dial is left alone.
-func (c *Client) dropConn(conn net.Conn) {
+// addSession registers a freshly opened connection as a live session, or
+// closes it when Close ran while it was being dialled.
+func (c *Client) addSession(conn net.Conn) (*session, error) {
 	c.connMu.Lock()
-	if c.conn == conn {
-		c.conn, c.br = nil, nil
+	defer c.connMu.Unlock()
+	if c.closed {
+		conn.Close()
+		return nil, ErrClientClosed
 	}
-	c.connMu.Unlock()
-	conn.Close()
+	s := &session{conn: conn, br: bufio.NewReader(conn)}
+	c.live[s] = struct{}{}
+	return s, nil
 }
 
-// ensureConn returns the live connection, re-dialling if the previous one
-// was dropped. remain bounds the dial when a request deadline is pending.
-func (c *Client) ensureConn(remain time.Duration) (net.Conn, *bufio.Reader, error) {
+// getSession takes an idle session or dials a new one, outside the lock.
+// remain bounds the dial when a request deadline is pending. On a raw-conn
+// client the caller waits while the one session is in flight.
+func (c *Client) getSession(remain time.Duration) (*session, error) {
 	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		return nil, nil, ErrClientClosed
+	for {
+		if c.closed {
+			c.connMu.Unlock()
+			return nil, ErrClientClosed
+		}
+		if n := len(c.idle); n > 0 {
+			s := c.idle[n-1]
+			c.idle[n-1] = nil
+			c.idle = c.idle[:n-1]
+			c.connMu.Unlock()
+			return s, nil
+		}
+		if c.dial != nil {
+			break
+		}
+		if len(c.live) == 0 {
+			c.connMu.Unlock()
+			return nil, errNoRedial
+		}
+		c.freed.Wait()
 	}
-	if c.conn != nil {
-		conn, br := c.conn, c.br
-		c.connMu.Unlock()
-		return conn, br, nil
-	}
-	dial := c.dial
 	c.connMu.Unlock()
-	if dial == nil {
-		return nil, nil, errNoRedial
-	}
 	timeout := c.cfg.DialTimeout
 	if remain > 0 && remain < timeout {
 		timeout = remain
 	}
-	conn, err := dial(timeout)
+	conn, err := c.dial(timeout)
 	if err != nil {
-		return nil, nil, fmt.Errorf("fdw: dial: %w", err)
+		return nil, fmt.Errorf("fdw: dial: %w", err)
 	}
-	c.connMu.Lock()
-	if c.closed {
-		c.connMu.Unlock()
-		conn.Close()
-		return nil, nil, ErrClientClosed
-	}
-	c.conn = conn
-	c.br = bufio.NewReader(conn)
-	br := c.br
-	c.connMu.Unlock()
-	return conn, br, nil
+	return c.addSession(conn)
 }
 
-// Stats reports how many requests were issued and rows received — used by
-// experiment E7 to demonstrate pushdown savings. Safe to call while a
-// request is in flight.
+// putSession returns a session whose stream sits at a protocol boundary
+// to the idle pool. A rare oversized frame must not pin its buffer for the
+// session's lifetime.
+func (c *Client) putSession(s *session) {
+	if cap(s.frame) > 4*maxBatchBytes {
+		s.frame = nil
+	}
+	c.connMu.Lock()
+	if _, ok := c.live[s]; !ok {
+		// Close got here first and already closed the connection.
+		c.connMu.Unlock()
+		return
+	}
+	c.idle = append(c.idle, s)
+	c.freed.Signal()
+	c.connMu.Unlock()
+}
+
+// closeIdle closes every idle session and forgets it.
+func (c *Client) closeIdle() {
+	c.connMu.Lock()
+	idle := c.idle
+	c.idle = nil
+	for _, s := range idle {
+		delete(c.live, s)
+	}
+	c.connMu.Unlock()
+	for _, s := range idle {
+		s.conn.Close()
+	}
+}
+
+// dropSession closes a session and forgets it.
+func (c *Client) dropSession(s *session) {
+	c.connMu.Lock()
+	delete(c.live, s)
+	c.freed.Broadcast() // a raw-conn waiter now sees errNoRedial
+	c.connMu.Unlock()
+	s.conn.Close()
+}
+
+// Stats reports how many requests were issued and rows received. Safe to
+// call while requests are in flight.
 func (c *Client) Stats() (requests, rows int) {
 	return int(c.requests.Load()), int(c.rowsIn.Load())
 }
@@ -241,25 +301,17 @@ func (c *Client) Stats() (requests, rows int) {
 func (c *Client) Retries() int { return int(c.retries.Load()) }
 
 // roundTrip sends a request frame and consumes the answer, invoking onRow
-// per row of each batch frame, until the terminal control frame. It
-// enforces the request deadline, consults the circuit breaker, and retries
-// transient transport failures on a fresh connection as long as no row
-// has been delivered to onRow (the operations are idempotent reads, but a
-// mid-stream retry would duplicate rows — those surface as ErrInterrupted
-// instead).
-func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlval.Value) bool) error {
+// per row of each batch frame, until the terminal control frame, which it
+// returns. It enforces the request deadline, consults the circuit breaker,
+// and retries transient transport failures on a fresh session as long as
+// no row has been delivered to onRow (the operations are idempotent reads,
+// but a mid-stream retry would duplicate rows — those surface as
+// ErrInterrupted instead). The response is nil when onRow stopped early
+// and the drain after it failed.
+func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlval.Value) bool) (*response, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	defer func() {
-		// A rare oversized frame must not pin its buffer for the client's
-		// lifetime.
-		if cap(c.frame) > 4*maxBatchBytes {
-			c.frame = nil
-		}
-	}()
 	c.requests.Add(1)
 
 	var deadline time.Time
@@ -276,40 +328,40 @@ func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlva
 			if errors.As(err, &sd) {
 				sd.Source = c.name
 			}
-			return err
+			return nil, err
 		}
-		delivered, err := c.attempt(ctx, deadline, req, onRow)
+		resp, delivered, err := c.attempt(ctx, deadline, req, onRow)
 		if err == nil {
 			c.breaker.Success()
-			return nil
+			return resp, nil
 		}
 		var re *remoteError
 		if errors.As(err, &re) {
 			// The peer answered in-protocol: it is alive and the stream
 			// is in sync. Application errors never retry.
 			c.breaker.Success()
-			return err
+			return nil, err
 		}
 		if errors.Is(err, ErrClientClosed) {
 			c.breaker.Failure(err) // releases a pending half-open probe
-			return err
+			return nil, err
 		}
 		c.breaker.Failure(err)
 		if delivered > 0 {
-			return fmt.Errorf("%w (source %q, %d row(s) delivered): %v", ErrInterrupted, c.name, delivered, err)
+			return nil, fmt.Errorf("%w (source %q, %d row(s) delivered): %v", ErrInterrupted, c.name, delivered, err)
 		}
 		if !isTransient(err) {
-			return err
+			return nil, err
 		}
 		if attempt >= c.cfg.Retry.MaxAttempts {
-			return fmt.Errorf("fdw: source %q: %d attempt(s) failed: %w", c.name, attempt, err)
+			return nil, fmt.Errorf("fdw: source %q: %d attempt(s) failed: %w", c.name, attempt, err)
 		}
 		// Back off, bounded by the request deadline and the context.
 		d := c.cfg.Retry.delay(attempt)
 		if !deadline.IsZero() {
 			remain := time.Until(deadline)
 			if remain <= 0 {
-				return fmt.Errorf("fdw: source %q: deadline exhausted after %d attempt(s): %w", c.name, attempt, err)
+				return nil, fmt.Errorf("fdw: source %q: deadline exhausted after %d attempt(s): %w", c.name, attempt, err)
 			}
 			if d > remain {
 				d = remain
@@ -319,101 +371,114 @@ func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlva
 		select {
 		case <-ctx.Done():
 			t.Stop()
-			return fmt.Errorf("fdw: source %q: %w (last transport error: %v)", c.name, ctx.Err(), err)
+			return nil, fmt.Errorf("fdw: source %q: %w (last transport error: %v)", c.name, ctx.Err(), err)
 		case <-t.C:
 		}
 		c.retries.Add(1)
 	}
 }
 
-// attempt runs one try of a round trip on the current (or a fresh)
-// connection. It reports how many rows reached onRow; on any transport
-// error the connection is dropped so the next attempt starts clean.
-func (c *Client) attempt(ctx context.Context, deadline time.Time, req *request, onRow func([]sqlval.Value) bool) (delivered int, err error) {
+// attempt runs one try of a round trip on an idle or a freshly dialled
+// session and reports how many rows reached onRow. The session goes back
+// to the pool only at a protocol boundary; on any transport error it is
+// dropped (its stream may be desynchronised) so the next attempt starts
+// clean.
+func (c *Client) attempt(ctx context.Context, deadline time.Time, req *request, onRow func([]sqlval.Value) bool) (resp *response, delivered int, err error) {
 	var remain time.Duration
 	if !deadline.IsZero() {
-		remain = time.Until(deadline)
-		if remain <= 0 {
-			return 0, fmt.Errorf("fdw: request deadline expired: %w", context.DeadlineExceeded)
+		if remain = time.Until(deadline); remain <= 0 {
+			return nil, 0, errDeadlineExpired
 		}
 	}
-	conn, br, err := c.ensureConn(remain)
+	s, err := c.getSession(remain)
 	if err != nil {
-		return 0, err
+		return nil, 0, err
 	}
 	if !deadline.IsZero() {
-		_ = conn.SetDeadline(deadline)
+		if !time.Now().Before(deadline) {
+			// The deadline passed while this caller queued for a raw
+			// conn's session; arming it would only break the session.
+			c.putSession(s)
+			return nil, 0, errDeadlineExpired
+		}
+		_ = s.conn.SetDeadline(deadline)
 	}
 	// Context cancellation fires the connection deadline immediately, so a
 	// blocked read/write aborts promptly even without a timeout.
+	conn := s.conn
 	stopWatch := context.AfterFunc(ctx, func() {
 		_ = conn.SetDeadline(time.Unix(1, 0))
 	})
-	defer stopWatch()
+	keep := false // set once the stream is at a protocol boundary
+	defer func() {
+		// A watch that fired left the connection's deadline in the past:
+		// such a session is dropped even when the round trip succeeded.
+		if stopWatch() && keep {
+			c.putSession(s)
+		} else {
+			c.dropSession(s)
+		}
+	}()
 
-	if c.frame, err = marshalControl(c.frame[:0], req); err != nil {
-		return 0, err
+	if s.frame, err = marshalControl(s.frame[:0], req); err != nil {
+		keep = true
+		return nil, 0, err
 	}
-	if _, err := conn.Write(c.frame); err != nil {
-		c.dropConn(conn)
-		return 0, c.transportErr(err)
+	if _, err := conn.Write(s.frame); err != nil {
+		return nil, 0, c.transportFailed(err)
 	}
 	stopped := false
 	for {
-		kind, body, err := readFrame(br, c.frame)
-		c.frame = body
+		kind, body, err := readFrame(s.br, s.frame)
+		s.frame = body
 		if err != nil {
-			c.dropConn(conn)
 			switch {
 			case stopped:
 				// The consumer already stopped; it received everything it
 				// asked for. The torn drain only costs the connection.
-				return delivered, nil
+				return nil, delivered, nil
 			case errors.Is(err, ErrProtocol):
-				return delivered, err
+				return nil, delivered, err
 			}
-			return delivered, c.transportErr(err)
+			return nil, delivered, c.transportFailed(err)
 		}
 		if kind == frameBatch {
 			if onRow == nil || stopped {
 				continue // drain to the terminal frame
 			}
-			n, stop, err := c.deliver(body, onRow)
+			n, stop, err := c.deliver(s, body, onRow)
 			delivered += n
 			if err != nil {
-				c.dropConn(conn)
-				return delivered, err
+				return nil, delivered, err
 			}
 			stopped = stop
 			continue
 		}
-		var resp response
-		if err := json.Unmarshal(body, &resp); err != nil {
-			c.dropConn(conn)
+		var term response
+		if err := json.Unmarshal(body, &term); err != nil {
 			if stopped {
-				return delivered, nil
+				return nil, delivered, nil
 			}
-			return delivered, fmt.Errorf("%w: bad control frame: %v", ErrProtocol, err)
+			return nil, delivered, fmt.Errorf("%w: bad control frame: %v", ErrProtocol, err)
 		}
 		// The terminal frame: the stream is at the protocol boundary.
 		if !deadline.IsZero() {
 			_ = conn.SetDeadline(time.Time{})
 		}
-		if resp.Err != "" && !stopped {
-			return delivered, &remoteError{resp.Err}
+		keep = true
+		if term.Err != "" && !stopped {
+			return nil, delivered, &remoteError{term.Err}
 		}
 		// A remote error after the consumer stopped is as free as a torn
 		// drain: the consumer received everything it asked for.
-		c.lastTables = resp.Tables
-		c.lastSchema = resp.Columns
-		return delivered, nil
+		return &term, delivered, nil
 	}
 }
 
 // deliver decodes one batch body — a uvarint width, then rows of that
-// many values — into the reused row and hands each row to onRow,
+// many values — into the session's reused row and hands each row to onRow,
 // reporting how many rows it handed over and whether onRow asked to stop.
-func (c *Client) deliver(body []byte, onRow func([]sqlval.Value) bool) (n int, stopped bool, err error) {
+func (c *Client) deliver(s *session, body []byte, onRow func([]sqlval.Value) bool) (n int, stopped bool, err error) {
 	width, k, err := uvarint(body)
 	if err != nil {
 		return 0, false, err
@@ -422,10 +487,10 @@ func (c *Client) deliver(body []byte, onRow func([]sqlval.Value) bool) (n int, s
 	if width > maxWidth || (width == 0 && len(rest) > 0) {
 		return 0, false, fmt.Errorf("%w: bad batch width %d", ErrProtocol, width)
 	}
-	if cap(c.row) < int(width) {
-		c.row = make([]sqlval.Value, width)
+	if cap(s.row) < int(width) {
+		s.row = make([]sqlval.Value, width)
 	}
-	row := c.row[:width]
+	row := s.row[:width]
 	for len(rest) > 0 {
 		for i := range row {
 			if row[i], rest, err = decodeValue(rest); err != nil {
@@ -441,9 +506,12 @@ func (c *Client) deliver(body []byte, onRow func([]sqlval.Value) bool) (n int, s
 	return n, false, nil
 }
 
-// transportErr maps low-level failures: errors caused by Close surface as
-// ErrClientClosed instead of a garbage "closed pipe" read.
-func (c *Client) transportErr(err error) error {
+// transportFailed maps low-level failures: errors caused by Close surface
+// as ErrClientClosed instead of a garbage "closed pipe" read. A transport
+// failure makes every idle session suspect as well — a peer that restarted
+// has closed them all — so it closes them, and the retry dials afresh.
+func (c *Client) transportFailed(err error) error {
+	c.closeIdle()
 	if c.isClosed() {
 		return fmt.Errorf("%w: %v", ErrClientClosed, err)
 	}
@@ -454,7 +522,8 @@ func (c *Client) transportErr(err error) error {
 // goes through the same breaker/retry path as queries, so a successful
 // probe on a half-open circuit closes it.
 func (c *Client) Ping(ctx context.Context) error {
-	return c.roundTrip(ctx, &request{Op: "ping"}, nil)
+	_, err := c.roundTrip(ctx, &request{Op: "ping"}, nil)
+	return err
 }
 
 // Tables lists the relations the remote exposes.
@@ -462,24 +531,21 @@ func (c *Client) Tables() ([]string, error) { return c.TablesContext(context.Bac
 
 // TablesContext lists the remote relations under a caller deadline.
 func (c *Client) TablesContext(ctx context.Context) ([]string, error) {
-	if err := c.roundTrip(ctx, &request{Op: "tables"}, nil); err != nil {
+	resp, err := c.roundTrip(ctx, &request{Op: "tables"}, nil)
+	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return append([]string(nil), c.lastTables...), nil
+	return resp.Tables, nil
 }
 
 // ForeignTable returns a Relation backed by the remote table. The optional
 // localName renames it in the local catalog (empty keeps the remote name).
 func (c *Client) ForeignTable(remoteName, localName string) (*ForeignTable, error) {
-	if err := c.roundTrip(context.Background(), &request{Op: "schema", Table: remoteName}, nil); err != nil {
+	resp, err := c.roundTrip(context.Background(), &request{Op: "schema", Table: remoteName}, nil)
+	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	cols := c.lastSchema
-	c.mu.Unlock()
-	schema, err := decodeSchema(cols)
+	schema, err := decodeSchema(resp.Columns)
 	if err != nil {
 		return nil, err
 	}
@@ -536,7 +602,8 @@ func (f *ForeignTable) Scan(fn func([]sqlval.Value) bool) error {
 
 // ScanContext streams every remote row under a caller deadline.
 func (f *ForeignTable) ScanContext(ctx context.Context, fn func([]sqlval.Value) bool) error {
-	return f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote}, fn)
+	_, err := f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote}, fn)
+	return err
 }
 
 // ScanEq pushes the equality predicate down to the remote server, so only
@@ -547,7 +614,8 @@ func (f *ForeignTable) ScanEq(col string, v sqlval.Value, fn func([]sqlval.Value
 
 // ScanEqContext is ScanEq under a caller deadline.
 func (f *ForeignTable) ScanEqContext(ctx context.Context, col string, v sqlval.Value, fn func([]sqlval.Value) bool) error {
-	return f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote, EqCol: col, EqVal: appendValue(nil, v)}, fn)
+	_, err := f.client.roundTrip(ctx, &request{Op: "scan", Table: f.remote, EqCol: col, EqVal: appendValue(nil, v)}, fn)
+	return err
 }
 
 // ScanWhere streams the remote rows where eqCol = eqVal (every row when
@@ -563,7 +631,8 @@ func (f *ForeignTable) ScanWhere(ctx context.Context, eqCol string, eqVal sqlval
 	for i, c := range where {
 		req.Where[i] = wireCond{Col: c.Col, Op: c.Op, Val: appendValue(nil, c.Val)}
 	}
-	return f.client.roundTrip(ctx, req, fn)
+	_, err := f.client.roundTrip(ctx, req, fn)
+	return err
 }
 
 var (

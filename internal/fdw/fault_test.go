@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"net"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -36,7 +37,8 @@ type faultDialer struct {
 	nFaulted int32
 
 	dials   atomic.Int32
-	faulted []*FaultConn // the wrapped conns, in dial order (dials are serialised by the client)
+	mu      sync.Mutex
+	faulted []*FaultConn // the wrapped conns, in dial order
 }
 
 func (d *faultDialer) dial() (net.Conn, error) {
@@ -44,17 +46,26 @@ func (d *faultDialer) dial() (net.Conn, error) {
 	go d.srv.ServeConn(a)
 	if d.dials.Add(1) <= d.nFaulted {
 		fc := NewFaultConn(b, d.mode, d.at, d.latency)
+		d.mu.Lock()
 		d.faulted = append(d.faulted, fc)
+		d.mu.Unlock()
 		return fc, nil
 	}
 	return b, nil
+}
+
+// firstFaulted returns the first wrapped connection the dialer handed out.
+func (d *faultDialer) firstFaulted() *FaultConn {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.faulted[0]
 }
 
 // scanAll collects every eu_registry row as strings via a raw scan round
 // trip (no schema fetch, so the trial's op budget is spent on the scan).
 func scanAll(c *Client, ctx context.Context) ([]string, error) {
 	var got []string
-	err := c.roundTrip(ctx, &request{Op: "scan", Table: "eu_registry"}, func(row []sqlval.Value) bool {
+	_, err := c.roundTrip(ctx, &request{Op: "scan", Table: "eu_registry"}, func(row []sqlval.Value) bool {
 		got = append(got, row[0].Str()+"|"+row[1].Str()+"|"+row[2].String())
 		return true
 	})
@@ -88,7 +99,7 @@ func TestFaultProperty(t *testing.T) {
 	if got, err := scanAll(cc, context.Background()); err != nil || len(got) != len(want) {
 		t.Fatalf("clean scan = %d rows, %v", len(got), err)
 	}
-	scanOps := clean.faulted[0].Ops()
+	scanOps := clean.firstFaulted().Ops()
 	cc.Close()
 	t.Logf("one clean scan = %d operations", scanOps)
 
@@ -121,7 +132,7 @@ func TestFaultProperty(t *testing.T) {
 			start := time.Now()
 			got, err := scanAll(c, context.Background())
 			elapsed := time.Since(start)
-			if mode != FaultNone && !d.faulted[0].Fired() {
+			if mode != FaultNone && !d.firstFaulted().Fired() {
 				t.Fatalf("fault at op %d of %d never fired during the first scan", op, scanOps)
 			}
 
@@ -348,13 +359,14 @@ func TestCloseDuringScan(t *testing.T) {
 	started := make(chan struct{})
 	go func() {
 		n := 0
-		errc <- c.roundTrip(context.Background(), &request{Op: "scan", Table: "slow"}, func([]sqlval.Value) bool {
+		_, err := c.roundTrip(context.Background(), &request{Op: "scan", Table: "slow"}, func([]sqlval.Value) bool {
 			n++
 			if n == 3 {
 				close(started)
 			}
 			return true
 		})
+		errc <- err
 	}()
 	<-started
 	if err := c.Close(); err != nil {
@@ -435,7 +447,7 @@ func TestServerErrorDrain(t *testing.T) {
 			c := pipePair(t, remote)
 
 			delivered := 0
-			err := c.roundTrip(context.Background(), &request{Op: "scan", Table: "flaky"},
+			_, err := c.roundTrip(context.Background(), &request{Op: "scan", Table: "flaky"},
 				func([]sqlval.Value) bool { delivered++; return true })
 			if err == nil {
 				t.Fatal("remote scan error must propagate")
@@ -480,7 +492,7 @@ func TestEarlyStopThenError(t *testing.T) {
 	}
 	c := pipePair(t, remote)
 	n := 0
-	err := c.roundTrip(context.Background(), &request{Op: "scan", Table: "flaky"},
+	_, err := c.roundTrip(context.Background(), &request{Op: "scan", Table: "flaky"},
 		func([]sqlval.Value) bool { n++; return n < 2 })
 	if err != nil {
 		t.Fatalf("early-stopped scan = %v, want nil (consumer got all it asked for)", err)
@@ -568,9 +580,9 @@ func TestGracefulDegradationTwoSources(t *testing.T) {
 		t.Fatalf("baseline = %d rows (first grade %v)", len(res.Rows), res.Rows[0][1])
 	}
 
-	// Source B goes dark: current connection dies, re-dials blackhole.
+	// Source B goes dark: its connections die, re-dials blackhole.
 	dB.blocked.Store(true)
-	cB.dropConn(mustConn(t, cB))
+	dropIdle(t, cB)
 
 	// First query eats one deadline on B and trips its breaker.
 	if _, err := local.Query(q); err == nil {
@@ -624,15 +636,14 @@ func TestGracefulDegradationTwoSources(t *testing.T) {
 	}
 }
 
-// mustConn digs out the client's current connection (test-only).
-func mustConn(t *testing.T, c *Client) net.Conn {
+// dropIdle kills every idle session of the client, as a peer that dies
+// between round trips would (test-only).
+func dropIdle(t *testing.T, c *Client) {
 	t.Helper()
-	c.connMu.Lock()
-	defer c.connMu.Unlock()
-	if c.conn == nil {
+	if c.Conns() == 0 {
 		t.Fatal("client has no live connection")
 	}
-	return c.conn
+	c.closeIdle()
 }
 
 // TestHealthRegistry: snapshots reflect breaker state and PollOnce's pings
@@ -652,8 +663,8 @@ func TestHealthRegistry(t *testing.T) {
 	h.Register(c)
 	h.PollOnce(context.Background())
 	snap := h.Snapshot()
-	if len(snap) != 1 || snap[0].Name != "registry-x" || !snap[0].Healthy() {
-		t.Fatalf("snapshot = %+v, want healthy registry-x", snap)
+	if len(snap) != 1 || snap[0].Name != "registry-x" || !snap[0].Healthy() || snap[0].Conns != 1 {
+		t.Fatalf("snapshot = %+v, want healthy registry-x on one connection", snap)
 	}
 	if snap[0].LastProbe.IsZero() {
 		t.Error("PollOnce must record the probe time")
@@ -664,7 +675,7 @@ func TestHealthRegistry(t *testing.T) {
 
 	// Source dies: the next poll trips the breaker and reports it.
 	d.blocked.Store(true)
-	c.dropConn(mustConn(t, c))
+	dropIdle(t, c)
 	h.PollOnce(context.Background())
 	snap = h.Snapshot()
 	if snap[0].Healthy() || snap[0].State != "open" {

@@ -24,6 +24,7 @@ type SourceStatus struct {
 	Trips    int    `json:"circuit_trips"`
 	Rejected int    `json:"rejected_fast"`
 	Failed   int    `json:"failed"`
+	Conns    int    `json:"conns"` // open connections, idle plus in flight
 	// LastProbe is when the registry last pinged the source (zero before
 	// the first poll).
 	LastProbe time.Time `json:"last_probe,omitempty"`
@@ -79,6 +80,7 @@ func (h *Health) Snapshot() []SourceStatus {
 			Trips:     cnt.trips,
 			Rejected:  cnt.rejected,
 			Failed:    cnt.failed,
+			Conns:     c.Conns(),
 			LastProbe: probed[c.Name()],
 		}
 		if lastErr != nil {

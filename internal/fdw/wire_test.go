@@ -42,7 +42,7 @@ func TestFirstRowBeforeScanEnds(t *testing.T) {
 	c := pipePair(t, remote)
 	var producedAtFirst int64 = -1
 	n := 0
-	err := c.roundTrip(t.Context(), &request{Op: "scan", Table: "slow"}, func([]sqlval.Value) bool {
+	_, err := c.roundTrip(t.Context(), &request{Op: "scan", Table: "slow"}, func([]sqlval.Value) bool {
 		if n == 0 {
 			producedAtFirst = slow.produced.Load()
 		}
@@ -206,7 +206,7 @@ func FuzzFDWFrame(f *testing.F) {
 				continue
 			}
 			var re []byte
-			_, _, err = (&Client{}).deliver(body, func(row []sqlval.Value) bool {
+			_, _, err = (&Client{}).deliver(&session{}, body, func(row []sqlval.Value) bool {
 				if re == nil {
 					re = binary.AppendUvarint(nil, uint64(len(row)))
 				}

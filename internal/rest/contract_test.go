@@ -2,14 +2,15 @@ package rest
 
 // Contract tests for the v1 surface: the uniform error envelope, typed
 // status mapping, pagination fields, legacy-alias deprecation headers,
-// the serving-tier metrics endpoint and the context memo's stats with
-// read-your-writes. These are the assertions the CI
+// the serving-tier metrics endpoint, the per-source federation state and
+// the context memo's stats with read-your-writes. These are the assertions the CI
 // api-contract job re-checks against a real server binary.
 
 import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sort"
@@ -18,6 +19,7 @@ import (
 
 	"crosse/internal/core"
 	"crosse/internal/engine"
+	"crosse/internal/fdw"
 	"crosse/internal/kb"
 	"crosse/internal/serve"
 )
@@ -423,5 +425,57 @@ func TestV1ContextMemoContract(t *testing.T) {
 	}
 	if third.Stats.ContextHits != 0 {
 		t.Errorf("after insert: context_hits %d, want a miss", third.Stats.ContextHits)
+	}
+}
+
+// The per-source federation state: GET /api/v1/admin/sources and the
+// sources section of /api/v1/metrics report the same fields, conns among
+// them.
+func TestV1SourcesContract(t *testing.T) {
+	ts, s := newV1Server(t, 0, 0)
+	remote := engine.Open()
+	if _, err := remote.ExecScript(`CREATE TABLE registry (id INT); INSERT INTO registry VALUES (1);`); err != nil {
+		t.Fatal(err)
+	}
+	a, b := net.Pipe()
+	go fdw.NewServer(remote.Catalog()).ServeConn(a)
+	client := fdw.NewClientConfig(b, fdw.Config{Name: "registry"})
+	t.Cleanup(func() { client.Close() })
+	if _, err := client.Tables(); err != nil {
+		t.Fatal(err)
+	}
+	h := fdw.NewHealth()
+	h.Register(client)
+	s.SetHealth(h)
+
+	fields := []string{"name", "state", "requests", "rows", "retries", "circuit_trips", "rejected_fast", "failed", "conns"}
+	check := func(where string, sources []map[string]any) {
+		t.Helper()
+		if len(sources) != 1 {
+			t.Fatalf("%s: sources = %v, want one", where, sources)
+		}
+		for _, k := range fields {
+			if _, ok := sources[0][k]; !ok {
+				t.Errorf("%s: source field %q missing: %v", where, k, sources[0])
+			}
+		}
+		if sources[0]["name"] != "registry" || sources[0]["conns"] != 1.0 {
+			t.Errorf("%s: source = %v, want registry on one connection", where, sources[0])
+		}
+	}
+	for _, path := range []string{"/api/v1/admin/sources", "/api/v1/metrics"} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out struct {
+			Sources []map[string]any `json:"sources"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&out)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d, %v", path, resp.StatusCode, err)
+		}
+		check(path, out.Sources)
 	}
 }
