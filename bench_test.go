@@ -1056,6 +1056,48 @@ func BenchmarkSPARQLPathHead(b *testing.B) {
 			}
 		}
 	})
+	// ChainView100k is benchmark/'s sparql_closure shape: a p+ walk from
+	// the head of a 100k-edge chain, filtered down to every 1000th node.
+	// The chain sits in one user's View beside a neighbour view that gives
+	// every chain node a decoy successor, so each BFS step reads through
+	// the view's membership filter as it does in production.
+	chain := chainView(100000)
+	parsed, err = sparql.Parse(`SELECT ?y WHERE { <` + ns + `chain_0> <` + ns + `next>+ ?y . FILTER REGEX(STR(?y), "_[0-9]+000$") }`)
+	if err != nil {
+		b.Fatal(err)
+	}
+	chainPlan, err := sparql.Compile(parsed)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("ChainView100k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := chainPlan.Eval(chain)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Bindings) != 100 {
+				b.Fatalf("%d solutions, want 100", len(res.Bindings))
+			}
+		}
+	})
+}
+
+// chainView builds the view chain_0 → chain_1 → … → chain_edges over
+// <next>, in an arena where a neighbour view links each chain node to a
+// decoy of its own.
+func chainView(edges int) *rdf.View {
+	const ns = core.DefaultIRIPrefix
+	arena := rdf.NewSharedStore()
+	view, neighbour := arena.NewView(), arena.NewView()
+	next := rdf.NewIRI(ns + "next")
+	node := func(i int) rdf.Term { return rdf.NewIRI(fmt.Sprintf("%schain_%d", ns, i)) }
+	for i := 0; i < edges; i++ {
+		view.Add(arena.AcquireTriple(rdf.Triple{S: node(i), P: next, O: node(i + 1)}))
+		neighbour.Add(arena.AcquireTriple(rdf.Triple{S: node(i), P: next, O: rdf.NewIRI(fmt.Sprintf("%sdecoy_%d", ns, i))}))
+	}
+	return view
 }
 
 // BenchmarkSPARQLCompiledPlan isolates what the compiled-plan cache buys on

@@ -60,6 +60,19 @@
 // execute at the first join step where their variables are bound, DISTINCT
 // deduplicates on projected ID tuples, ASK and LIMIT-without-ORDER-BY
 // terminate the pipeline early, and terms are decoded only at projection.
+// Property-path closures (p+, p*, p?) are level-by-level breadth-first
+// walks over IDs: the visited set is a dense bitset indexed by TermID,
+// kept per executor (so each morsel worker has its own, and a closure
+// nested in another's step takes a second from a small free list) and
+// cleared through the words it touched, and a plain or inverted IRI step
+// streams each node's neighbours from one index probe through a callback
+// bound once. A walk emits nodes in discovery order, which is each node's
+// shortest depth. Following SPARQL 1.1's ALP, p+ reaches its own start
+// only through a cycle, and with both ends open the walks start from
+// every subject and object of the graph, so p* and p? pair each node with
+// itself; the start is tracked apart from the bitset, because a constant
+// the graph never interned carries a synthetic ID from the top of the ID
+// space.
 // Plan.Stream is the one result path (no Binding maps); Eval/EvalQuery
 // are thin wrappers that collect the stream into map-based Bindings for
 // tools and tests.

@@ -173,6 +173,8 @@ type exec struct {
 	found    bool
 	arena    []rdf.TermID // materialised rows for the ORDER BY path
 	fallback string       // why the parallel path declined (see tryParallel)
+
+	walks []*closureWalk // free property-path closure scratch (see walk)
 }
 
 type groupState struct {
@@ -962,66 +964,192 @@ func (e *exec) pathPairs(p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oB
 	}
 }
 
-// closurePairs evaluates p+, p*, p? by BFS over IDs.
+// closurePairs evaluates p+, p*, p? (SPARQL 1.1 §18.5, ALP) by
+// breadth-first walks over IDs. Each walk emits its start's reachable nodes
+// in discovery order; a node is first discovered at its shortest depth.
 func (e *exec) closurePairs(pc pClosure, s rdf.TermID, sBound bool, o rdf.TermID, oBound bool) [][2]rdf.TermID {
-	reach := func(start rdf.TermID) []rdf.TermID {
-		visited := map[rdf.TermID]int{start: 0}
-		frontier := []rdf.TermID{start}
-		depth := 0
-		for len(frontier) > 0 {
-			depth++
-			if pc.max >= 0 && depth > pc.max {
-				break
-			}
-			var next []rdf.TermID
-			for _, node := range frontier {
-				for _, pr := range e.pathPairs(pc.p, node, true, 0, false) {
-					if _, ok := visited[pr[1]]; !ok {
-						visited[pr[1]] = depth
-						next = append(next, pr[1])
-					}
-				}
-			}
-			frontier = next
-		}
-		var out []rdf.TermID
-		for node, d := range visited {
-			if d >= pc.min {
-				out = append(out, node)
-			}
-		}
-		return out
-	}
-
 	switch {
 	case sBound:
-		var out [][2]rdf.TermID
-		for _, t := range reach(s) {
-			if oBound && t != o {
-				continue
-			}
-			out = append(out, [2]rdf.TermID{s, t})
+		var target rdf.TermID
+		if oBound {
+			target = o
 		}
-		return out
+		return e.walk(pc, s, target, nil)
 	case oBound:
-		inv := e.closurePairs(pClosure{p: pInv{p: pc.p}, min: pc.min, max: pc.max}, o, true, 0, false)
-		out := make([][2]rdf.TermID, len(inv))
-		for i, pr := range inv {
-			out[i] = [2]rdf.TermID{pr[1], pr[0]}
+		out := e.walk(pClosure{p: pInv{p: pc.p}, min: pc.min, max: pc.max}, o, 0, nil)
+		for i := range out {
+			out[i][0], out[i][1] = out[i][1], out[i][0]
 		}
 		return out
 	default:
-		subjects := map[rdf.TermID]struct{}{}
-		e.r.ForEachIDs(rdf.PatternIDs{}, func(ms, _, _ rdf.TermID) bool {
-			subjects[ms] = struct{}{}
+		// Both ends open: walk from every node of the view, subjects and
+		// objects alike, so zero-length matches pair each with itself.
+		w := e.takeWalk()
+		var nodes []rdf.TermID
+		e.r.ForEachIDs(rdf.PatternIDs{}, func(ms, _, mo rdf.TermID) bool {
+			if w.seen.add(ms) {
+				nodes = append(nodes, ms)
+			}
+			if w.seen.add(mo) {
+				nodes = append(nodes, mo)
+			}
 			return true
 		})
+		e.putWalk(w)
 		var out [][2]rdf.TermID
-		for sub := range subjects {
-			for _, t := range reach(sub) {
-				out = append(out, [2]rdf.TermID{sub, t})
-			}
+		for _, n := range nodes {
+			out = e.walk(pc, n, 0, out)
 		}
 		return out
 	}
+}
+
+// walk appends to out the pairs (start, n) for every node n the closure
+// reaches from start, or only for n = target when target is non-zero.
+func (e *exec) walk(pc pClosure, start, target rdf.TermID, out [][2]rdf.TermID) [][2]rdf.TermID {
+	w := e.takeWalk()
+	w.start, w.target, w.out, w.depth, w.min = start, target, out, 0, pc.min
+	// The start is the one node that may carry a synthetic ID, which must
+	// never index the bitset, so startSeen tracks it instead. A p+ walk
+	// leaves it unseen: only a cycle back to it emits it.
+	w.startSeen = pc.min == 0
+	if w.startSeen {
+		w.emit(start)
+	}
+	konst, inverse, plain := plainStep(pc.p)
+	pat := rdf.PatternIDs{}
+	visit := w.viaObject
+	if plain {
+		pat.P = e.ids[konst]
+		if inverse {
+			visit = w.viaSubject
+		}
+	}
+	w.frontier = append(w.frontier[:0], start)
+	for len(w.frontier) > 0 && (pc.max < 0 || w.depth < pc.max) {
+		w.depth++
+		w.next = w.next[:0]
+		for _, n := range w.frontier {
+			if plain {
+				if inverse {
+					pat.O = n
+				} else {
+					pat.S = n
+				}
+				e.r.ForEachIDs(pat, visit)
+			} else {
+				for _, pr := range e.pathPairs(pc.p, n, true, 0, false) {
+					w.discover(pr[1])
+				}
+			}
+		}
+		w.frontier, w.next = w.next, w.frontier
+	}
+	out = w.out
+	e.putWalk(w)
+	return out
+}
+
+// plainStep reports whether a closure's step is an IRI under any number of
+// inversions, whose neighbours stream straight from one index probe.
+func plainStep(p pathPlan) (konst int, inverse, ok bool) {
+	for {
+		switch pp := p.(type) {
+		case pIRI:
+			return pp.konst, inverse, true
+		case pInv:
+			inverse, p = !inverse, pp.p
+		default:
+			return 0, false, false
+		}
+	}
+}
+
+// closureWalk is the scratch of one breadth-first closure walk. An exec
+// keeps a free list of them (takeWalk/putWalk) because a closure's step may
+// itself hold a closure, whose walk runs while the outer one is open; the
+// neighbour callbacks are bound once per scratch, so a walk allocates
+// nothing per node.
+type closureWalk struct {
+	seen           nodeSet
+	frontier, next []rdf.TermID
+	out            [][2]rdf.TermID
+	start, target  rdf.TermID
+	depth, min     int
+	startSeen      bool
+	viaObject      func(s, p, o rdf.TermID) bool
+	viaSubject     func(s, p, o rdf.TermID) bool
+}
+
+func (e *exec) takeWalk() *closureWalk {
+	if n := len(e.walks); n > 0 {
+		w := e.walks[n-1]
+		e.walks = e.walks[:n-1]
+		return w
+	}
+	w := &closureWalk{}
+	w.viaObject = func(_, _, o rdf.TermID) bool { w.discover(o); return true }
+	w.viaSubject = func(s, _, _ rdf.TermID) bool { w.discover(s); return true }
+	return w
+}
+
+func (e *exec) putWalk(w *closureWalk) {
+	w.seen.clear()
+	w.out = nil
+	e.walks = append(e.walks, w)
+}
+
+// discover records n as reached at the current depth.
+func (w *closureWalk) discover(n rdf.TermID) {
+	if n == w.start {
+		if w.startSeen {
+			return
+		}
+		w.startSeen = true
+	} else if !w.seen.add(n) {
+		return
+	}
+	w.next = append(w.next, n)
+	if w.depth >= w.min {
+		w.emit(n)
+	}
+}
+
+func (w *closureWalk) emit(n rdf.TermID) {
+	if w.target == 0 || n == w.target {
+		w.out = append(w.out, [2]rdf.TermID{w.start, n})
+	}
+}
+
+// nodeSet is a dense bitset over dictionary IDs. It grows to the largest
+// ID it holds and is cleared through the list of words it dirtied, so one
+// set serves every walk of an exec without reallocating.
+type nodeSet struct {
+	words []uint64
+	dirty []uint32
+}
+
+// add inserts id, reporting whether it was new.
+func (ns *nodeSet) add(id rdf.TermID) bool {
+	w := int(id >> 6)
+	if w >= len(ns.words) {
+		ns.words = append(ns.words, make([]uint64, w+1-len(ns.words))...)
+	}
+	bit := uint64(1) << (id & 63)
+	old := ns.words[w]
+	if old&bit != 0 {
+		return false
+	}
+	if old == 0 {
+		ns.dirty = append(ns.dirty, uint32(w))
+	}
+	ns.words[w] = old | bit
+	return true
+}
+
+func (ns *nodeSet) clear() {
+	for _, w := range ns.dirty {
+		ns.words[w] = 0
+	}
+	ns.dirty = ns.dirty[:0]
 }
