@@ -653,25 +653,19 @@ func sqlBenchDB(b *testing.B, rows int) *engine.DB {
 	return db
 }
 
-// BenchmarkSQLSelect measures the single-table planner fast paths:
-// indexed equality seeks vs full scans, and bounded top-K vs full sort.
+// BenchmarkSQLSelect measures the single-table planner fast paths: the
+// primary and secondary index seeks and the bounded top-K heap.
 func BenchmarkSQLSelect(b *testing.B) {
 	db := sqlBenchDB(b, 5000)
-	cases := []struct {
-		name string
-		q    string
-		opts sqlexec.Options
-	}{
-		{"IndexedSeek", `SELECT v FROM points WHERE id = 3000`, sqlexec.Options{}},
-		{"FullScanEq", `SELECT v FROM points WHERE id = 3000`, sqlexec.Options{DisableIndexSeek: true}},
-		{"SecondarySeek", `SELECT COUNT(*) FROM points WHERE k = 'k42'`, sqlexec.Options{}},
-		{"TopK", `SELECT id, v FROM points ORDER BY v DESC LIMIT 10`, sqlexec.Options{}},
-		{"FullSort", `SELECT id, v FROM points ORDER BY v DESC LIMIT 10`, sqlexec.Options{DisableTopK: true}},
+	cases := []struct{ name, q string }{
+		{"IndexedSeek", `SELECT v FROM points WHERE id = 3000`},
+		{"SecondarySeek", `SELECT COUNT(*) FROM points WHERE k = 'k42'`},
+		{"TopK", `SELECT id, v FROM points ORDER BY v DESC LIMIT 10`},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := db.QueryOpts(c.q, c.opts); err != nil {
+				if _, err := db.Query(c.q); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -680,8 +674,7 @@ func BenchmarkSQLSelect(b *testing.B) {
 }
 
 // BenchmarkSQLJoin measures the multi-join pipeline: a three-table
-// star-ish join, hash vs nested-loop ablation (smaller set — nested loops
-// are quadratic), the streaming aggregation over the joined rows, and the
+// star-ish join at two sizes, and the
 // 100k-row probe join the parallel-scaling sweep tracks (run with
 // -cpu 1,4,8: the morsel-driven probe should scale near-linearly).
 func BenchmarkSQLJoin(b *testing.B) {
@@ -704,21 +697,13 @@ func BenchmarkSQLJoin(b *testing.B) {
 		}
 	})
 	small := sqlBenchDB(b, 600)
-	for _, c := range []struct {
-		name string
-		opts sqlexec.Options
-	}{
-		{"Hash", sqlexec.Options{}},
-		{"NestedLoop", sqlexec.Options{DisableHashJoin: true}},
-	} {
-		b.Run(c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := small.QueryOpts(multi, c.opts); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("Hash", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, err := small.Query(multi); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkSQLGroupBy and BenchmarkSQLOrderTopK are the other two
@@ -948,18 +933,15 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 		})
 	}
 	// ProbeShare sweeps the driving side of a swapped join — the
-	// landfills above an area cutoff — against the 4 000 analyses, under
-	// the default plan and the hash path (DisableIndexSeek). Up to one
-	// driving row per sqlexec's probeRatio (4) analyses the default plan
-	// probes idx_analysis_landfill per landfill; past it both run the same
-	// hash join.
+	// landfills above an area cutoff — against the 4 000 analyses. Up to
+	// one driving row per sqlexec's probeRatio (4) analyses the plan probes
+	// idx_analysis_landfill per landfill; past it the plan builds a hash
+	// join, so the sweep measures both.
 	for _, drive := range []int{62, 125, 250, 500, 1000, 2000} {
 		q := fmt.Sprintf("SELECT l.name, a.lab_name FROM landfill l, analysis a WHERE a.landfill_name = l.name AND l.area >= %.2f", 550-float64(drive)/4)
-		for _, hash := range []bool{false, true} {
-			b.Run(fmt.Sprintf("ProbeShare/drive=%d/hash=%v", drive, hash), func(b *testing.B) {
-				run(b, plan(b, q, sqlexec.Options{DisableIndexSeek: hash}))
-			})
-		}
+		b.Run(fmt.Sprintf("ProbeShare/drive=%d", drive), func(b *testing.B) {
+			run(b, plan(b, q, sqlexec.Options{}))
+		})
 	}
 }
 
@@ -1028,9 +1010,9 @@ func BenchmarkSPARQL(b *testing.B) {
 // BenchmarkSPARQLPathHead is the property-path fan-out family: the driving
 // step is a path whose 10k-pair frontier is materialised once and split
 // into morsels, and each worker runs the downstream probe + FILTER
-// pipeline over its pairs. DisableReorder pins the path step as the head —
-// the cost model would otherwise drive from the plain pattern, and the
-// point here is the path-head fan-out. Compare -cpu 1,4,8.
+// pipeline over its pairs. The planner picks the path step as the head:
+// it prices the path by its leading isA step, far fewer rows than the
+// plain level pattern. Compare -cpu 1,4,8.
 func BenchmarkSPARQLPathHead(b *testing.B) {
 	const ns = core.DefaultIRIPrefix
 	big := sparqlBenchStoreN(100000)
@@ -1043,11 +1025,10 @@ func BenchmarkSPARQLPathHead(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := sparql.Options{DisableReorder: true}
 	b.Run("Closure100k", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			res, err := plan.EvalOpts(big, opts)
+			res, err := plan.Eval(big)
 			if err != nil {
 				b.Fatal(err)
 			}

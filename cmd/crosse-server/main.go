@@ -10,9 +10,6 @@
 //	crosse-server -attach host:port      # also attach a remote FDW node
 //	crosse-server -attach host:port -partial-results -source-timeout 5s
 //	crosse-server -mapping map.xml       # custom resource mapping
-//	crosse-server -snapshot platform.img # durable image: load on boot,
-//	                                     # save on SIGINT/SIGTERM
-//	crosse-server -snapshot platform.img -snapshot-interval 5m
 //	crosse-server -wal state/            # write-ahead-logged platform
 //	crosse-server -wal state/ -wal-sync always -compact-interval 10m
 //	crosse-server -max-inflight 32 -inflight-queue 64  # admission control
@@ -24,18 +21,15 @@
 // the query endpoints — is configured by the -cache-* and -*inflight*
 // flags above. See docs/API.md.
 //
-// With -snapshot, boot restores the platform image when the file exists
-// (bulk ID-level load — no re-import of the corpus) and falls back to
-// synthesising the sample databank when it does not. The image is written
-// atomically on shutdown signals, every -snapshot-interval when set, and on
-// demand via POST /api/v1/admin/snapshot.
-//
 // With -wal, the platform journals every mutation to an append-only log
 // before acknowledging it (group-committed under -wal-sync), recovery on
 // boot is image + log replay, and compaction (periodic via
 // -compact-interval, on demand via POST /api/v1/admin/compact, and once at
-// shutdown) re-anchors the image and empties the log. -wal and -snapshot
-// are mutually exclusive: the journal owns its own image.
+// shutdown) re-anchors the image and empties the log. Without -wal the
+// platform lives in memory only. A backup downloaded from
+// GET /api/v1/admin/snapshot is restored by placing it alone as
+// platform.img in an empty directory and starting with -wal on that
+// directory.
 package main
 
 import (
@@ -67,8 +61,6 @@ func main() {
 		scale         = flag.Int("scale", 200, "synthetic databank size (landfills)")
 		attach        = flag.String("attach", "", "FDW server address to attach as foreign tables")
 		mapping       = flag.String("mapping", "", "resource mapping XML file")
-		snapshot      = flag.String("snapshot", "", "platform image file: loaded on boot when present, saved on SIGINT/SIGTERM")
-		snapshotEvery = flag.Duration("snapshot-interval", 0, "also save the platform image periodically (0 disables; requires -snapshot)")
 		walDir        = flag.String("wal", "", "journal directory: write-ahead-log every mutation, recover via image + replay on boot")
 		walSync       = flag.String("wal-sync", "interval", "WAL durability policy: always (fsync per ack, group-committed), interval, never")
 		walSyncEvery  = flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync interval")
@@ -83,14 +75,8 @@ func main() {
 	)
 	flag.Parse()
 
-	if *walDir != "" && *snapshot != "" {
-		log.Fatalf("-wal and -snapshot are mutually exclusive (the journal keeps its own image under -wal)")
-	}
 	if *compactEvery > 0 && *walDir == "" {
 		log.Fatalf("-compact-interval requires -wal")
-	}
-	if *snapshotEvery > 0 && *snapshot == "" {
-		log.Fatalf("-snapshot-interval requires -snapshot")
 	}
 
 	bootstrap := func() (*engine.DB, *kb.Platform, error) {
@@ -113,8 +99,7 @@ func main() {
 		journal  *core.Journal
 		restored bool
 	)
-	switch {
-	case *walDir != "":
+	if *walDir != "" {
 		policy, err := wal.ParseSyncPolicy(*walSync)
 		if err != nil {
 			log.Fatal(err)
@@ -138,24 +123,7 @@ func main() {
 		} else {
 			log.Printf("initialised journal %s (sync policy %s)", *walDir, st.Policy)
 		}
-
-	case *snapshot != "":
-		if _, err := os.Stat(*snapshot); err == nil {
-			start := time.Now()
-			var err error
-			db, platform, err = core.LoadImageFile(*snapshot)
-			if err != nil {
-				log.Fatalf("restore snapshot %s: %v", *snapshot, err)
-			}
-			restored = true
-			log.Printf("restored platform image %s in %v (%d users, %d triples)",
-				*snapshot, time.Since(start).Round(time.Millisecond),
-				len(platform.Users()), platform.Shared().Len())
-		} else if !os.IsNotExist(err) {
-			log.Fatalf("stat snapshot %s: %v", *snapshot, err)
-		}
-	}
-	if db == nil {
+	} else {
 		var err error
 		db, platform, err = bootstrap()
 		if err != nil {
@@ -200,42 +168,23 @@ func main() {
 		}
 	}
 
-	// save persists the durable state for the configured mode and reports
-	// whether it succeeded: image save under -snapshot, compact + close
-	// under -wal. A failed save on a shutdown signal must surface as a
+	// save compacts the journal under -wal and reports whether it
+	// succeeded. A failed save on a shutdown signal must surface as a
 	// non-zero exit — the operator believes the state is on disk.
 	save := func(reason string) bool {
-		switch {
-		case journal != nil:
-			start := time.Now()
-			st, err := journal.Compact()
-			if err != nil {
-				log.Printf("journal compaction (%s) failed: %v", reason, err)
-				return false
-			}
-			log.Printf("compacted journal at LSN %d (%v, %s)", st.Start, time.Since(start).Round(time.Millisecond), reason)
-			return true
-		case *snapshot != "":
-			start := time.Now()
-			size, err := core.SaveImageFile(*snapshot, db, platform)
-			if err != nil {
-				log.Printf("snapshot save (%s) failed: %v", reason, err)
-				return false
-			}
-			log.Printf("saved platform image %s (%d bytes, %v, %s)",
-				*snapshot, size, time.Since(start).Round(time.Millisecond), reason)
+		if journal == nil {
 			return true
 		}
+		start := time.Now()
+		st, err := journal.Compact()
+		if err != nil {
+			log.Printf("journal compaction (%s) failed: %v", reason, err)
+			return false
+		}
+		log.Printf("compacted journal at LSN %d (%v, %s)", st.Start, time.Since(start).Round(time.Millisecond), reason)
 		return true
 	}
 
-	if *snapshotEvery > 0 {
-		go func() {
-			for range time.Tick(*snapshotEvery) {
-				save("interval")
-			}
-		}()
-	}
 	if *compactEvery > 0 {
 		go func() {
 			for range time.Tick(*compactEvery) {
@@ -252,7 +201,6 @@ func main() {
 		srv.SetAdmission(serve.NewLimiter(*maxInflight, *inflightQueue))
 		log.Printf("admission control: %d in flight, %d queued", *maxInflight, *inflightQueue)
 	}
-	srv.SetSnapshotPath(*snapshot)
 	if journal != nil {
 		srv.SetJournal(journal)
 	}

@@ -108,8 +108,9 @@
 // follow PostgreSQL's total order, NaN equal to itself and above every
 // other number. INTEGER arithmetic and SUM fail with "integer out of
 // range" instead of wrapping; SUM adds exactly in 128 bits, so only a
-// final sum outside int64 fails, whatever the order of its additions. Plan ablation knobs (hash joins, index seeks,
-// top-K) live in sqlexec.Options — per call, not a package global. Every
+// final sum outside int64 fails, whatever the order of its additions.
+// Each query has one plan: sqlexec.Options carries only the worker bound
+// and the partial-results policy, never a switch between plans. Every
 // production expression evaluation is compiled, INSERT … VALUES and
 // UPDATE … SET included, and LIKE always runs the linear segment
 // matcher, whether the pattern is a constant or computed per row. The
@@ -304,16 +305,16 @@
 // serving process mid-workload and diff recovery against exactly the
 // acknowledged operations.
 //
-// Operationally, cmd/crosse-server runs journaled with -wal DIR (with
-// -wal-sync always|interval|never and periodic -compact-interval), or
-// with image-only persistence via -snapshot: it loads the image on boot
-// when the file exists, saves atomically on SIGINT/SIGTERM and every
-// -snapshot-interval, exits non-zero when the shutdown save fails (a
-// second signal forces immediate exit), and the REST layer exposes
-// GET /api/v1/admin/snapshot (stream a backup), POST
-// /api/v1/admin/snapshot (persist to the configured path), GET
+// Operationally, cmd/crosse-server persists only through the journal:
+// -wal DIR (with -wal-sync always|interval|never and periodic
+// -compact-interval) restores DIR/platform.img and replays the log on
+// boot, compacts on SIGINT/SIGTERM, exits non-zero when that final
+// compaction fails (a second signal forces immediate exit), and the REST
+// layer exposes GET /api/v1/admin/snapshot (stream a backup), GET
 // /api/v1/admin/wal (log position and sync counters) and POST
-// /api/v1/admin/compact. cmd/snapcheck proves
+// /api/v1/admin/compact (an image at the current LSN, on demand). A
+// backup is restored by placing it alone as platform.img in an empty
+// directory and starting with -wal on that directory. cmd/snapcheck proves
 // cold-start recovery in CI: it saves an image plus recorded probe
 // results, restores in a fresh process, and diffs SESQL/SPARQL results
 // and pattern counts.

@@ -67,8 +67,7 @@ func (e *Enricher) QueryCacheStats() (hits, misses int) { return e.cache.Stats()
 func (e *Enricher) ContextCacheStats() (hits, misses int) { return e.cache.ContextStats() }
 
 // Stats reports per-stage timings and artifacts of one SESQL evaluation —
-// the observable counterpart of the Fig. 6 architecture, used by experiment
-// E4 (stage breakdown).
+// the observable counterpart of the Fig. 6 architecture.
 type Stats struct {
 	Parse    time.Duration // SQP: shape lexing and plan lookup (a miss also parses and compiles)
 	BaseSQL  time.Duration // relational query on the main platform

@@ -1,8 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"os"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
@@ -125,6 +128,85 @@ func TestJournalRestartContinuity(t *testing.T) {
 	}
 	if !reflect.DeepEqual(before, after) {
 		t.Fatalf("compaction changed state\n--- before\n%+v\n--- after\n%+v", before, after)
+	}
+}
+
+// A backup image (WriteImage, anchor LSN 0) placed alone as platform.img
+// is a journal directory: OpenJournal restores it and starts the log at
+// its anchor, and the next mutation is LSN 1 and survives a reopen.
+func TestJournalOpensBackupImage(t *testing.T) {
+	src := fixture(t)
+	var img bytes.Buffer
+	if err := WriteImage(&img, src.DB, src.Platform); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(ImagePath(dir), img.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	open := func() *Journal {
+		t.Helper()
+		j, restored, err := OpenJournal(dir, JournalOptions{Sync: wal.SyncAlways}, func() (*engine.DB, *kb.Platform, error) {
+			return nil, nil, fmt.Errorf("bootstrap called on a directory holding an image")
+		})
+		if err != nil || !restored {
+			t.Fatalf("OpenJournal: restored=%v, %v", restored, err)
+		}
+		return j
+	}
+	dump := func(db *engine.DB, p *kb.Platform) []string {
+		t.Helper()
+		r, err := db.Query("SELECT elem_name, landfill_name FROM elem_contained")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, row := range r.Rows {
+			out = append(out, row[0].String()+"|"+row[1].String())
+		}
+		g, err := p.View("alice")
+		if err != nil {
+			t.Fatal(err)
+		}
+		rdf.ForEach(g, rdf.Pattern{}, func(tr rdf.Triple) bool {
+			out = append(out, tr.String())
+			return true
+		})
+		sort.Strings(out)
+		return append(out, fmt.Sprint(p.Users()))
+	}
+
+	j := open()
+	if st := j.Status(); st.Start != 0 || st.LSN != 0 {
+		t.Fatalf("status after opening a backup: %+v, want anchor and LSN 0", st)
+	}
+	if _, err := os.Stat(LogPath(dir)); err != nil {
+		t.Fatalf("log not created: %v", err)
+	}
+	want := dump(src.DB, src.Platform)
+	if len(want) != 6+11+1 {
+		t.Fatalf("fixture dump has %d entries, want 6 rows, 11 triples and the user list", len(want))
+	}
+	if got := dump(j.DB(), j.Platform()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored state differs\n got %v\nwant %v", got, want)
+	}
+	id, err := j.Insert("alice", rdf.Triple{S: smg("Gold"), P: smg("dangerLevel"), O: lit("low")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lsn := j.Status().LSN; lsn != 1 {
+		t.Fatalf("first insert at LSN %d, want 1", lsn)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j = open()
+	defer j.Close()
+	if lsn := j.Status().LSN; lsn != 1 {
+		t.Fatalf("LSN after reopen %d, want 1", lsn)
+	}
+	if _, err := j.Platform().Statement(id); err != nil {
+		t.Fatalf("insert lost across reopen: %v", err)
 	}
 }
 

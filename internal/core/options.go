@@ -9,8 +9,8 @@ import (
 // unifies the previously parallel sqlexec.Options / sparql.Options
 // plumbing, so callers configure the pipeline once and the enricher
 // projects the relevant subset onto each executor. The zero value is the
-// production configuration (parallel GOMAXPROCS execution, all
-// optimisations on, fail fast on down sources).
+// production configuration (parallel GOMAXPROCS execution, fail fast on
+// down sources).
 type ExecOptions struct {
 	// Parallelism caps intra-query parallelism for both the SQL and the
 	// SPARQL executor: 0 (the default) means GOMAXPROCS, 1 forces the
@@ -21,31 +21,14 @@ type ExecOptions struct {
 	// down before producing any row (an open FDW circuit): the source is
 	// skipped and named in Stats.SkippedSources / Result.SkippedSources.
 	PartialResults bool
-
-	// DisableHashJoin, DisableIndexSeek and DisableTopK are the SQL
-	// executor's ablation knobs (see sqlexec.Options); DisableReorder is
-	// the SPARQL planner's. Benchmarks only; not for production use.
-	DisableHashJoin  bool
-	DisableIndexSeek bool
-	DisableTopK      bool
-	DisableReorder   bool
 }
 
 // SQL projects the options onto the relational executor.
 func (o ExecOptions) SQL() sqlexec.Options {
-	return sqlexec.Options{
-		DisableHashJoin:  o.DisableHashJoin,
-		DisableIndexSeek: o.DisableIndexSeek,
-		DisableTopK:      o.DisableTopK,
-		Parallelism:      o.Parallelism,
-		PartialResults:   o.PartialResults,
-	}
+	return sqlexec.Options{Parallelism: o.Parallelism, PartialResults: o.PartialResults}
 }
 
 // SPARQL projects the options onto the ontology executor.
 func (o ExecOptions) SPARQL() sparql.Options {
-	return sparql.Options{
-		DisableReorder: o.DisableReorder,
-		Parallelism:    o.Parallelism,
-	}
+	return sparql.Options{Parallelism: o.Parallelism}
 }

@@ -8,25 +8,12 @@ import (
 )
 
 func TestExecOptionsRoundTrip(t *testing.T) {
-	o := ExecOptions{
-		Parallelism:      3,
-		PartialResults:   true,
-		DisableHashJoin:  true,
-		DisableIndexSeek: true,
-		DisableTopK:      true,
-		DisableReorder:   true,
-	}
-	wantSQL := sqlexec.Options{
-		DisableHashJoin:  true,
-		DisableIndexSeek: true,
-		DisableTopK:      true,
-		Parallelism:      3,
-		PartialResults:   true,
-	}
+	o := ExecOptions{Parallelism: 3, PartialResults: true}
+	wantSQL := sqlexec.Options{Parallelism: 3, PartialResults: true}
 	if got := o.SQL(); got != wantSQL {
 		t.Errorf("SQL() = %+v, want %+v", got, wantSQL)
 	}
-	wantSPARQL := sparql.Options{DisableReorder: true, Parallelism: 3}
+	wantSPARQL := sparql.Options{Parallelism: 3}
 	if got := o.SPARQL(); got != wantSPARQL {
 		t.Errorf("SPARQL() = %+v, want %+v", got, wantSPARQL)
 	}
@@ -39,8 +26,8 @@ func TestEnricherSetExecOptions(t *testing.T) {
 	if got := e.ExecOptions(); got != want {
 		t.Errorf("ExecOptions() = %+v, want %+v", got, want)
 	}
-	e.SetExecOptions(ExecOptions{DisableTopK: true})
-	if got := e.ExecOptions(); got != (ExecOptions{DisableTopK: true}) {
+	e.SetExecOptions(ExecOptions{Parallelism: 1})
+	if got := e.ExecOptions(); got != (ExecOptions{Parallelism: 1}) {
 		t.Errorf("SetExecOptions not applied: %+v", got)
 	}
 }

@@ -235,16 +235,10 @@ func saveImageFS(fs wal.FS, path string, db *engine.DB, p *kb.Platform, lsn uint
 
 // LoadImageFile restores a platform image from disk.
 func LoadImageFile(path string) (*engine.DB, *kb.Platform, error) {
-	db, p, _, err := LoadImageFileLSN(path)
-	return db, p, err
-}
-
-// LoadImageFileLSN restores a platform image and its log anchor from disk.
-func LoadImageFileLSN(path string) (*engine.DB, *kb.Platform, uint64, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, nil, 0, err
+		return nil, nil, err
 	}
 	defer f.Close()
-	return ReadImageLSN(f)
+	return ReadImage(f)
 }

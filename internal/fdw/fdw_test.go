@@ -168,7 +168,7 @@ func TestQueryThroughEngine(t *testing.T) {
 
 // An equality predicate on a foreign table ships to the remote node: the
 // compiled executor pushes `col = const` into ForeignTable.ScanEq, and the
-// result must match the pushdown-disabled plan (full fetch + local filter).
+// result must match the same query run on the remote node's own catalog.
 func TestCompiledPushdownToRemote(t *testing.T) {
 	remote := newRemote(t, 40)
 	c := pipePair(t, remote)
@@ -185,7 +185,7 @@ func TestCompiledPushdownToRemote(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fetched, err := local.QueryOpts(q, sqlexec.Options{DisableIndexSeek: true})
+	fetched, err := sqlexec.Exec(remote, q)
 	if err != nil {
 		t.Fatal(err)
 	}

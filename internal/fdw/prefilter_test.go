@@ -23,7 +23,7 @@ import (
 
 // TestRangePushdownShipsOnlyMatches runs range queries over a foreign
 // table: each ships only the rows it returns, and returns what the same
-// query returns with nothing pushed.
+// query returns on the remote node's own catalog.
 func TestRangePushdownShipsOnlyMatches(t *testing.T) {
 	remote := newRemote(t, 100)
 	c := pipePair(t, remote)
@@ -47,7 +47,7 @@ func TestRangePushdownShipsOnlyMatches(t *testing.T) {
 			t.Fatal(err)
 		}
 		_, after := c.Stats()
-		fetched, err := local.QueryOpts(q, sqlexec.Options{DisableIndexSeek: true})
+		fetched, err := sqlexec.Exec(remote, q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,7 +74,8 @@ func renderSorted(rows [][]sqlval.Value) string {
 }
 
 // TestPrefilterKeepsErroringRows: a comparison that errors keeps the row,
-// so the local filter raises the error the query raises without pushdown.
+// so the local filter raises the error the query raises on the remote
+// node's own catalog.
 func TestPrefilterKeepsErroringRows(t *testing.T) {
 	remote := newRemote(t, 8)
 	c := pipePair(t, remote)
@@ -96,9 +97,9 @@ func TestPrefilterKeepsErroringRows(t *testing.T) {
 	}
 	const q = `SELECT landfill FROM eu_registry WHERE country > 3 AND tons < 0`
 	_, pushedErr := local.QueryOpts(q, sqlexec.Options{})
-	_, fetchedErr := local.QueryOpts(q, sqlexec.Options{DisableIndexSeek: true})
+	_, fetchedErr := sqlexec.Exec(remote, q)
 	if pushedErr == nil || fmt.Sprint(pushedErr) != fmt.Sprint(fetchedErr) {
-		t.Fatalf("pushed error %v, without pushdown %v", pushedErr, fetchedErr)
+		t.Fatalf("pushed error %v, on the remote catalog %v", pushedErr, fetchedErr)
 	}
 }
 

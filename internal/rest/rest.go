@@ -39,9 +39,6 @@ type Server struct {
 	mutator core.Mutator
 	// journal, when set, backs /api/v1/admin/wal and /api/v1/admin/compact.
 	journal *core.Journal
-	// snapshotPath, when set, is where POST /api/v1/admin/snapshot persists
-	// the platform image (see SetSnapshotPath).
-	snapshotPath string
 	// health, when set, backs GET /api/v1/admin/sources and the per-source
 	// circuit summary in GET /healthz and /api/v1/metrics.
 	health *fdw.Health
@@ -70,11 +67,6 @@ func (s *Server) SetJournal(j *core.Journal) {
 	s.journal = j
 	s.mutator = j
 }
-
-// SetSnapshotPath configures the file POST /api/v1/admin/snapshot saves
-// the platform image to. An empty path (the default) disables the save
-// endpoint; GET (download) always works.
-func (s *Server) SetSnapshotPath(path string) { s.snapshotPath = path }
 
 // SetHealth exposes the remote-source health registry via
 // GET /api/v1/admin/sources and folds its circuit summary into
@@ -121,7 +113,6 @@ func (s *Server) Handler() http.Handler {
 	route("POST", "/api/v1/vocabulary", s.declare)
 	route("GET", "/api/v1/kb.dot", s.kbDOT)
 	route("GET", "/api/v1/admin/snapshot", s.downloadSnapshot)
-	route("POST", "/api/v1/admin/snapshot", s.saveSnapshot)
 	route("GET", "/api/v1/admin/wal", s.walStatus)
 	route("POST", "/api/v1/admin/compact", s.compact)
 	route("GET", "/api/v1/admin/sources", s.listSources)
@@ -781,11 +772,13 @@ func (s *Server) metricsSnapshot(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, out)
 }
 
-// --- durability (platform image snapshots) ---
+// --- durability (platform image backup, write-ahead log) ---
 
 // downloadSnapshot streams the whole platform as a binary image (databank
 // SQL dump + semantic-platform snapshot): the backup/off-site-copy path.
-// core.ReadImage / crosse-server -snapshot restore it. The image is built
+// A backup is restored through a journal directory: placed alone as
+// platform.img in an empty directory, it is what crosse-server -wal on
+// that directory (core.OpenJournal) boots from. The image is built
 // in memory first so a dump/snapshot failure yields a 500, not a 200 with
 // an empty or truncated body; a network failure mid-stream is detected by
 // the client via the image's trailing checksum.
@@ -799,23 +792,6 @@ func (s *Server) downloadSnapshot(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Disposition", `attachment; filename="crosse-platform.img"`)
 	w.Header().Set("Content-Length", strconv.Itoa(img.Len()))
 	_, _ = w.Write(img.Bytes())
-}
-
-// saveSnapshot persists the platform image to the server's configured
-// snapshot path (the same file -snapshot loads on boot), so an operator can
-// force a durable point-in-time save without restarting.
-func (s *Server) saveSnapshot(w http.ResponseWriter, r *http.Request) {
-	if s.snapshotPath == "" {
-		writeErrorCode(w, http.StatusConflict, codeConflict,
-			fmt.Errorf("rest: no snapshot path configured (start the server with -snapshot)"), nil)
-		return
-	}
-	size, err := core.SaveImageFile(s.snapshotPath, s.enricher.DB, s.enricher.Platform)
-	if err != nil {
-		writeErrorCode(w, http.StatusInternalServerError, codeInternal, err, nil)
-		return
-	}
-	writeJSON(w, http.StatusOK, map[string]any{"path": s.snapshotPath, "bytes": size})
 }
 
 // walStatus reports the write-ahead log's position: the image anchor, the

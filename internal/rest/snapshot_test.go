@@ -4,7 +4,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"path/filepath"
+	"os"
 	"reflect"
 	"testing"
 
@@ -14,9 +14,9 @@ import (
 	"crosse/internal/rdf"
 )
 
-// snapshotTestServer is newTestServer plus semantic state and a configured
-// snapshot path, returning the pieces the assertions need.
-func snapshotTestServer(t *testing.T, snapshotPath string) (*httptest.Server, *core.Enricher) {
+// snapshotTestServer is newTestServer plus semantic state, returning the
+// pieces the assertions need.
+func snapshotTestServer(t *testing.T) (*httptest.Server, *core.Enricher) {
 	t.Helper()
 	db := engine.Open()
 	if _, err := db.ExecScript(`
@@ -38,14 +38,13 @@ func snapshotTestServer(t *testing.T, snapshotPath string) (*httptest.Server, *c
 	}
 	e := core.New(db, p, nil)
 	srv := NewServer(e)
-	srv.SetSnapshotPath(snapshotPath)
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
 	return ts, e
 }
 
 func TestAdminSnapshotDownload(t *testing.T) {
-	ts, e := snapshotTestServer(t, "")
+	ts, e := snapshotTestServer(t)
 
 	resp, err := http.Get(ts.URL + "/api/v1/admin/snapshot")
 	if err != nil {
@@ -80,30 +79,56 @@ func TestAdminSnapshotDownload(t *testing.T) {
 	}
 }
 
-func TestAdminSnapshotSave(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "platform.img")
-	ts, e := snapshotTestServer(t, path)
-
-	status, body := doJSON(t, http.MethodPost, ts.URL+"/api/v1/admin/snapshot", nil)
-	if status != http.StatusOK {
-		t.Fatalf("POST /api/v1/admin/snapshot: status %d body %v", status, body)
-	}
-	if body["path"] != path || body["bytes"].(float64) <= 0 {
-		t.Fatalf("unexpected response %v", body)
-	}
-	_, p, err := core.LoadImageFile(path)
+// TestAdminBackupRestoresThroughJournal follows the documented restore
+// path: a backup from GET /api/v1/admin/snapshot, placed alone as
+// platform.img in an empty directory, boots a journal-backed server whose
+// later writes survive POST /api/v1/admin/compact and a reopen.
+func TestAdminBackupRestoresThroughJournal(t *testing.T) {
+	ts, e := snapshotTestServer(t)
+	resp, err := http.Get(ts.URL + "/api/v1/admin/snapshot")
 	if err != nil {
-		t.Fatalf("saved image does not load: %v", err)
+		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(p.Users(), e.Platform.Users()) {
-		t.Fatalf("saved image users differ")
+	backup, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /api/v1/admin/snapshot: status %d, %v", resp.StatusCode, err)
 	}
-}
-
-func TestAdminSnapshotSaveUnconfigured(t *testing.T) {
-	ts, _ := snapshotTestServer(t, "")
-	status, _ := doJSON(t, http.MethodPost, ts.URL+"/api/v1/admin/snapshot", nil)
-	if status != http.StatusConflict {
-		t.Fatalf("POST without configured path: status %d, want %d", status, http.StatusConflict)
+	dir := t.TempDir()
+	if err := os.WriteFile(core.ImagePath(dir), backup, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	noBootstrap := func() (*engine.DB, *kb.Platform, error) {
+		t.Fatal("a directory holding a backup image must not bootstrap")
+		return nil, nil, nil
+	}
+	j, restored, err := core.OpenJournal(dir, core.JournalOptions{}, noBootstrap)
+	if err != nil || !restored {
+		t.Fatalf("OpenJournal on a backup: restored=%v, %v", restored, err)
+	}
+	if got, want := j.Platform().Users(), e.Platform.Users(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("restored users %v, want %v", got, want)
+	}
+	srv := NewServer(core.New(j.DB(), j.Platform(), nil))
+	srv.SetJournal(j)
+	ts2 := httptest.NewServer(srv.Handler())
+	defer ts2.Close()
+	if status, body := doJSON(t, http.MethodPost, ts2.URL+"/api/v1/users", map[string]any{"name": "bob"}); status != http.StatusCreated {
+		t.Fatalf("POST /api/v1/users: status %d body %v", status, body)
+	}
+	status, body := doJSON(t, http.MethodPost, ts2.URL+"/api/v1/admin/compact", nil)
+	if status != http.StatusOK || body["start_lsn"] != float64(1) || body["lsn"] != float64(1) {
+		t.Fatalf("POST /api/v1/admin/compact: status %d body %v", status, body)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	j, restored, err = core.OpenJournal(dir, core.JournalOptions{}, noBootstrap)
+	if err != nil || !restored {
+		t.Fatalf("reopen: restored=%v, %v", restored, err)
+	}
+	defer j.Close()
+	if got := j.Platform().Users(); !reflect.DeepEqual(got, []string{"alice", "bob"}) {
+		t.Fatalf("users after compaction and reopen %v, want [alice bob]", got)
 	}
 }

@@ -360,7 +360,7 @@ func (e *exec) activate(gs *groupState) {
 	gp := gs.gp
 	n := len(gp.patterns)
 	gs.order = gs.order[:0]
-	if e.opts.DisableReorder || n <= 1 {
+	if n <= 1 {
 		for i := 0; i < n; i++ {
 			gs.order = append(gs.order, &gs.steps[i])
 		}
@@ -445,7 +445,10 @@ func (e *exec) allBound(slots []int, ep uint32) bool {
 
 // estimate guesses a pattern's cardinality for join ordering: constants and
 // row-bound variables probe the store's O(1) counters; variables bound by
-// already-ordered patterns get the seed engine's /2+1 discount.
+// already-ordered patterns get the seed engine's /2+1 discount. A property
+// path whose every pair begins with one plain IRI step (leadIRI) is priced
+// as that step from the path's subject; the path's object is not that
+// step's object, so its binding is left out.
 func (e *exec) estimate(pp *patternPlan, ep uint32) int {
 	var pat rdf.PatternIDs
 	sVar, oVar := false, false
@@ -471,6 +474,8 @@ func (e *exec) estimate(pp *patternPlan, ep uint32) int {
 		pat.P = e.ids[pp.pred]
 	} else if pp.pvar >= 0 {
 		pat.P = e.row[pp.pvar]
+	} else if k, ok := leadIRI(pp.path); ok {
+		pat.P, pat.O, oVar = e.ids[k], 0, false
 	}
 	c := e.r.CountIDs(pat)
 	if sVar && c > 1 {
@@ -480,6 +485,23 @@ func (e *exec) estimate(pp *patternPlan, ep uint32) int {
 		c = c/2 + 1
 	}
 	return c
+}
+
+// leadIRI reports the plain IRI step every pair of path p begins with: p
+// itself when it is an IRI, the left side of a sequence, or the body of a
+// closure that takes at least one step.
+func leadIRI(p pathPlan) (int, bool) {
+	switch p := p.(type) {
+	case pIRI:
+		return p.konst, true
+	case pSeq:
+		return leadIRI(p.l)
+	case pClosure:
+		if p.min >= 1 {
+			return leadIRI(p.p)
+		}
+	}
+	return 0, false
 }
 
 func (gs *groupState) afterPatterns() bool {

@@ -588,15 +588,13 @@ func forceParallel(t *testing.T) {
 	t.Cleanup(func() { parMinMatches, parMorselMatches = minM, morsel })
 }
 
-// parityEvalOptions covers the executor's knobs: reorder ablation, the
-// forced-serial setting, and parallel evaluation at several widths.
+// parityEvalOptions covers the executor's settings: the default, the
+// forced-serial path, and parallel evaluation at several widths.
 var parityEvalOptions = []Options{
 	{},
-	{DisableReorder: true},
 	{Parallelism: 1},
 	{Parallelism: 2},
 	{Parallelism: 4},
-	{Parallelism: 4, DisableReorder: true},
 }
 
 func TestExecutorParityWithSeedSemantics(t *testing.T) {
@@ -856,7 +854,7 @@ func TestRandomBGPsSlotPathVsTermLevel(t *testing.T) {
 		q := &Query{Limit: -1, Vars: vars, Where: grp}
 
 		want := renderBindings(naiveBGPJoin(st.triples, patterns), vars)
-		for _, opts := range []Options{{}, {DisableReorder: true}, {Parallelism: 2}, {Parallelism: 4}} {
+		for _, opts := range []Options{{}, {Parallelism: 2}, {Parallelism: 4}} {
 			res, err := EvalQueryOpts(st, q, opts)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)

@@ -24,12 +24,8 @@ import (
 )
 
 // Options tunes query evaluation. The zero value is the production default.
+// The join order is always the planner's greedy, selectivity-first one.
 type Options struct {
-	// DisableReorder evaluates BGP triple patterns in source order instead
-	// of greedy selectivity-first order. Ablation knob (see the ablation
-	// benchmarks); not for production use.
-	DisableReorder bool
-
 	// Parallelism caps the worker count of the morsel-driven parallel
 	// evaluation path: 0 (the default) means GOMAXPROCS, 1 forces the
 	// serial path, larger values bound the fan-out. Evaluation falls back

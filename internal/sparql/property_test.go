@@ -64,7 +64,7 @@ func renderBindings(bs []Binding, vars []string) []string {
 }
 
 // Property: the engine's BGP join equals brute-force evaluation on random
-// stores, with and without greedy reordering.
+// stores.
 func TestBGPJoinEqualsNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	const ns = "http://x/"
@@ -94,15 +94,55 @@ func TestBGPJoinEqualsNaive(t *testing.T) {
 			Vars:  []string{"x", "y", "z"},
 			Where: &Group{Elems: []Element{p1, p2}},
 		}
-		for _, disable := range []bool{false, true} {
-			res, err := EvalQueryOpts(st, q, Options{DisableReorder: disable})
+		res, err := EvalQuery(st, q)
+		if err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got := renderBindings(res.Bindings, []string{"x", "y", "z"}); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trial %d: engine %d, naive %d bindings", trial, len(got), len(want))
+		}
+	}
+}
+
+// Property: a BGP's answer does not depend on the order its patterns are
+// written in. The planner breaks cost ties by source order, so the six
+// orders of a 3-pattern BGP start from different heads and join in
+// different orders; each must return the same multiset of solutions.
+func TestBGPPermutationsAgree(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	const ns = "http://x/"
+	vars := []string{"x", "y", "z", "w"}
+	for trial := 0; trial < 40; trial++ {
+		st := newFixture()
+		for i := 0; i < 40; i++ {
+			st.Add(rdf.Triple{
+				S: rdf.NewIRI(fmt.Sprintf("%sn%d", ns, rng.Intn(6))),
+				P: rdf.NewIRI(fmt.Sprintf("%sp%d", ns, rng.Intn(3))),
+				O: rdf.NewIRI(fmt.Sprintf("%sn%d", ns, rng.Intn(6))),
+			})
+		}
+		node := func() NodePattern {
+			if rng.Intn(5) == 0 {
+				return Node(rdf.NewIRI(fmt.Sprintf("%sn%d", ns, rng.Intn(6))))
+			}
+			return Variable(vars[rng.Intn(len(vars))])
+		}
+		var ps [3]TriplePattern
+		for i := range ps {
+			ps[i] = TriplePattern{S: node(), P: PathIRI{IRI: rdf.NewIRI(fmt.Sprintf("%sp%d", ns, rng.Intn(3)))}, O: node()}
+		}
+		var want []string
+		for i, perm := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+			q := &Query{Limit: -1, Vars: vars, Where: &Group{Elems: []Element{ps[perm[0]], ps[perm[1]], ps[perm[2]]}}}
+			res, err := EvalQuery(st, q)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
-			got := renderBindings(res.Bindings, []string{"x", "y", "z"})
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d (reorder disabled=%v): engine %d, naive %d bindings",
-					trial, disable, len(got), len(want))
+			got := renderBindings(res.Bindings, vars)
+			if i == 0 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d, order %v of %v: %d solutions, order [0 1 2] %d", trial, perm, ps, len(got), len(want))
 			}
 		}
 	}

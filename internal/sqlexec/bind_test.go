@@ -13,11 +13,11 @@ import (
 // corpus: the template of a query's shape, compiled without its literals
 // and bound with them, returns the rows the query compiled with its
 // literals inlined returns — the same sequence where ORDER BY is a total
-// order — under the parallel and seek option combinations.
+// order — serially and in parallel.
 func TestTemplateBindMatchesInlined(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(43))
-	options := []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}, {DisableIndexSeek: true}, {DisableHashJoin: true}}
+	options := []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}}
 	slots := 0
 	for trial := 0; trial < 6; trial++ {
 		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))

@@ -38,22 +38,10 @@ import (
 	"crosse/internal/sqlval"
 )
 
-// Options tunes SELECT compilation. The zero value is the production
-// default; the Disable knobs exist for the ablation benchmarks and the
-// parity suite, replacing the former racy DisableHashJoin package global.
+// Options tunes SELECT execution. The zero value is the production
+// default. No field selects a plan: each query compiles to one, and the
+// fields bound its workers and set the policy for a down source.
 type Options struct {
-	// DisableHashJoin forces nested-loop evaluation for equi-joins. The
-	// hash fast path is what keeps self-joins like paper Example 4.6
-	// linear instead of quadratic.
-	DisableHashJoin bool
-	// DisableIndexSeek keeps equality-against-constant conjuncts as
-	// pipeline filters instead of pushing them into sqldb ScanEq index
-	// seeks (and FDW remote-predicate pushdown), sends no comparison
-	// pre-filter to FDW sources, and turns off index-probe joins.
-	DisableIndexSeek bool
-	// DisableTopK makes ORDER BY + LIMIT fully sort instead of keeping a
-	// bounded top-K heap.
-	DisableTopK bool
 	// Parallelism bounds the worker count of morsel-driven parallel
 	// execution: 0 (the default) means GOMAXPROCS, 1 forces the serial
 	// path, anything higher caps the workers of one query. Output is
@@ -530,7 +518,7 @@ var flipped = map[sqlparser.BinOpKind]sqlparser.BinOpKind{
 // the same prefix rejects here before any later filter could raise an
 // error.
 func (c *selCompiler) tryPushCmp(sp *scanPlan, e sqlparser.Expr) {
-	if _, ok := sp.rel.(sqldb.PrefilterRelation); !ok || c.opts.DisableIndexSeek || len(sp.where) != len(sp.filters)-1 {
+	if _, ok := sp.rel.(sqldb.PrefilterRelation); !ok || len(sp.where) != len(sp.filters)-1 {
 		return
 	}
 	be, ok := e.(*sqlparser.BinExpr)
@@ -581,7 +569,7 @@ func (c *selCompiler) tryPushCmp(sp *scanPlan, e sqlparser.Expr) {
 // it has the column's type, where the round trip is the identity for every
 // value; otherwise it stays a filter, which selects the same rows.
 func (c *selCompiler) tryPushEq(cj *conjInfo, s int, sp *scanPlan) bool {
-	if c.opts.DisableIndexSeek || sp.eqCol != "" {
+	if sp.eqCol != "" {
 		return false
 	}
 	be, ok := cj.e.(*sqlparser.BinExpr)
@@ -685,7 +673,7 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 		haveKey := false
 		for _, oc := range onConjs {
 			// First equi conjunct becomes the hash key.
-			if !haveKey && !c.opts.DisableHashJoin {
+			if !haveKey {
 				if ls, rs, ok := c.equiSides(oc, rightLo, rightHi); ok {
 					jp.leftSlot, jp.rightSlot = ls, rs
 					haveKey = true
@@ -720,21 +708,19 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 
 	default: // comma/cross: a WHERE equi conjunct can drive a hash join
 		jp.kind = joinCross
-		if !c.opts.DisableHashJoin {
-			// Candidates are the conjuncts the interpreter would still be
-			// carrying at this join step: first evaluable here, or never
-			// resolvable as a whole yet region-resolvable (one side per
-			// rowset, the seed's equiKeys rule).
-			for _, cj := range conjs {
-				if cj.consumed || (cj.step != i && cj.badRef == nil) {
-					continue
-				}
-				if ls, rs, ok := c.equiSides(cj.e, rightLo, rightHi); ok {
-					jp.leftSlot, jp.rightSlot = ls, rs
-					jp.kind = joinHash
-					cj.consumed = true
-					break
-				}
+		// Candidates are the conjuncts the interpreter would still be
+		// carrying at this join step: first evaluable here, or never
+		// resolvable as a whole yet region-resolvable (one side per
+		// rowset, the seed's equiKeys rule).
+		for _, cj := range conjs {
+			if cj.consumed || (cj.step != i && cj.badRef == nil) {
+				continue
+			}
+			if ls, rs, ok := c.equiSides(cj.e, rightLo, rightHi); ok {
+				jp.leftSlot, jp.rightSlot = ls, rs
+				jp.kind = joinHash
+				cj.consumed = true
+				break
 			}
 		}
 	}

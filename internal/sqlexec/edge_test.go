@@ -66,18 +66,11 @@ func TestWherePrefixResolution(t *testing.T) {
 		// n resolves at prefix 0 as x.n even though the ON joined y in.
 		{`SELECT COUNT(*) FROM r x JOIN r y ON x.k = y.k WHERE n > 0`, 2},
 	} {
-		for _, opts := range []Options{{}, {DisableHashJoin: true}} {
-			got := mustExecOpts(t, db, c.q, opts).Rows[0][0].Int()
-			if got != c.want {
-				t.Errorf("%q opts=%+v: got %d, want %d", c.q, opts, got, c.want)
-			}
-			ref, err := evalSelectInterp(db, mustParseSelect(t, c.q))
-			if err != nil {
-				t.Fatalf("%q: interp: %v", c.q, err)
-			}
-			if ref.Rows[0][0].Int() != c.want {
-				t.Errorf("%q: interpreter disagrees: %d", c.q, ref.Rows[0][0].Int())
-			}
+		if got := mustExec(t, db, c.q).Rows[0][0].Int(); got != c.want {
+			t.Errorf("%q: got %d, want %d", c.q, got, c.want)
+		}
+		if ref := mustInterp(t, db, c.q).Rows[0][0].Int(); ref != c.want {
+			t.Errorf("%q: interpreter disagrees: %d", c.q, ref)
 		}
 	}
 }
@@ -109,7 +102,7 @@ func TestOrderByAliasEvalFallback(t *testing.T) {
 
 // Numeric join keys must follow Compare equality across renderings:
 // INTEGER 1000000 widens to DOUBLE 1e+06, and the hash join must match
-// them exactly like the nested-loop path does.
+// them exactly like the reference interpreter does.
 func TestHashJoinNumericFolding(t *testing.T) {
 	db := sqldb.NewDatabase()
 	mustExec(t, db, `CREATE TABLE ai (x INT)`)
@@ -117,10 +110,10 @@ func TestHashJoinNumericFolding(t *testing.T) {
 	mustExec(t, db, `INSERT INTO ai VALUES (1000000), (2), (-3)`)
 	mustExec(t, db, `INSERT INTO bf VALUES (1000000.0), (2.5), (-3.0), (0.0)`)
 	const q = `SELECT COUNT(*) FROM ai JOIN bf ON ai.x = bf.y`
-	hash := mustExecOpts(t, db, q, Options{}).Rows[0][0].Int()
-	nested := mustExecOpts(t, db, q, Options{DisableHashJoin: true}).Rows[0][0].Int()
-	if hash != 2 || nested != 2 {
-		t.Fatalf("hash=%d nested=%d, want 2 (1e6 and -3 match)", hash, nested)
+	hash := mustExec(t, db, q).Rows[0][0].Int()
+	ref := mustInterp(t, db, q).Rows[0][0].Int()
+	if hash != 2 || ref != 2 {
+		t.Fatalf("hash=%d interp=%d, want 2 (1e6 and -3 match)", hash, ref)
 	}
 }
 
@@ -132,16 +125,16 @@ func TestNegativeZeroSeekAndJoin(t *testing.T) {
 	mustExec(t, db, `CREATE INDEX idx_nz ON nz (c)`)
 	mustExec(t, db, `INSERT INTO nz VALUES (-0.0), (0.0), (1.5)`)
 	const q = `SELECT COUNT(*) FROM nz WHERE c = 0.0`
-	seek := mustExecOpts(t, db, q, Options{}).Rows[0][0].Int()
-	scan := mustExecOpts(t, db, q, Options{DisableIndexSeek: true}).Rows[0][0].Int()
+	seek := mustExec(t, db, q).Rows[0][0].Int()
+	scan := mustInterp(t, db, q).Rows[0][0].Int()
 	if seek != 2 || scan != 2 {
-		t.Fatalf("seek=%d scan=%d, want 2 (-0.0 = 0.0)", seek, scan)
+		t.Fatalf("seek=%d interp=%d, want 2 (-0.0 = 0.0)", seek, scan)
 	}
 	const jq = `SELECT COUNT(*) FROM nz a JOIN nz b ON a.c = b.c`
-	hash := mustExecOpts(t, db, jq, Options{}).Rows[0][0].Int()
-	nested := mustExecOpts(t, db, jq, Options{DisableHashJoin: true}).Rows[0][0].Int()
-	if hash != nested || hash != 5 {
-		t.Fatalf("hash=%d nested=%d, want 5 (2x2 zeros + 1)", hash, nested)
+	hash := mustExec(t, db, jq).Rows[0][0].Int()
+	ref := mustInterp(t, db, jq).Rows[0][0].Int()
+	if hash != ref || hash != 5 {
+		t.Fatalf("hash=%d interp=%d, want 5 (2x2 zeros + 1)", hash, ref)
 	}
 }
 
@@ -152,20 +145,19 @@ func TestLeftJoinLeftOnlyOnConjunct(t *testing.T) {
 	q := `SELECT l.name, e.elem_name FROM landfill l
 		LEFT JOIN elem_contained e ON l.name = e.landfill_name AND l.active
 		ORDER BY l.name`
-	for _, opts := range []Options{{}, {DisableHashJoin: true}} {
-		r := mustExecOpts(t, db, q, opts)
+	for name, r := range map[string]*Result{"compiled": mustExec(t, db, q), "interp": mustInterp(t, db, q)} {
 		// c is inactive: its 2 elements must NOT match; c appears once, padded.
 		sawC := 0
 		for _, row := range r.Rows {
 			if row[0].Str() == "c" {
 				sawC++
 				if !row[1].IsNull() {
-					t.Fatalf("opts=%+v: inactive landfill matched %v", opts, row[1])
+					t.Fatalf("%s: inactive landfill matched %v", name, row[1])
 				}
 			}
 		}
 		if sawC != 1 {
-			t.Fatalf("opts=%+v: padded row count for c = %d, want 1", opts, sawC)
+			t.Fatalf("%s: padded row count for c = %d, want 1", name, sawC)
 		}
 	}
 }
@@ -195,7 +187,7 @@ func TestNaNOrdersAboveNumbers(t *testing.T) {
 		{`x = 1e308*10 - 1e308*10`, "3,6"},
 		{`x > 1e308`, "3,6"},
 	}
-	options := []Options{{Parallelism: 1}, {Parallelism: 4}, {DisableIndexSeek: true}}
+	options := []Options{{Parallelism: 1}, {Parallelism: 4}}
 	ids := func(r *Result) string {
 		return strings.Join(rowsAsStrings(r), ",")
 	}
@@ -218,10 +210,13 @@ func TestNaNOrdersAboveNumbers(t *testing.T) {
 			{`SELECT COUNT(*) FROM ` + table + ` a JOIN ` + table + ` b ON a.x = b.x`, "7"},
 			{`SELECT COUNT(DISTINCT x) FROM ` + table, "4"},
 		} {
-			for _, opts := range append(options, Options{DisableHashJoin: true}) {
+			for _, opts := range options {
 				if got := ids(mustExecOpts(t, db, c.q, opts)); got != c.want {
 					t.Errorf("%s opts=%+v: %s, want %s", c.q, opts, got, c.want)
 				}
+			}
+			if got := ids(mustInterp(t, db, c.q)); got != c.want {
+				t.Errorf("%s: interpreter %s, want %s", c.q, got, c.want)
 			}
 		}
 	}

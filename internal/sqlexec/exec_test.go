@@ -15,6 +15,17 @@ func mustExec(t *testing.T, db *sqldb.Database, sql string) *Result {
 	return mustExecOpts(t, db, sql, Options{})
 }
 
+// mustInterp runs a SELECT through the reference interpreter (interp.go),
+// the expected answer for the compiled plans.
+func mustInterp(t *testing.T, db *sqldb.Database, sql string) *Result {
+	t.Helper()
+	r, err := evalSelectInterp(db, mustParseSelect(t, sql))
+	if err != nil {
+		t.Fatalf("interp %q: %v", sql, err)
+	}
+	return r
+}
+
 // mustExecOpts runs a statement with execution options.
 func mustExecOpts(t *testing.T, db *sqldb.Database, sql string, opts Options) *Result {
 	t.Helper()

@@ -13,7 +13,7 @@
 // answers most rows without building a Value, and declines the rest to
 // the generic tree; a source's own conjuncts run on the row as scanned,
 // before it is copied into the joined-row buffer. Options
-// carries the planner ablation knobs. EvalSelectOpts/Exec wrap
+// carries the worker bound and the partial-results policy. EvalSelectOpts/Exec wrap
 // compile-then-run; internal/core caches compiled plans per SESQL shape
 // and binds each request's literals into them (bind.go). INSERT … VALUES,
 // UPDATE … SET and UPDATE/DELETE predicates compile through CompileExpr

@@ -33,7 +33,7 @@ func TestTypeMismatchErrorsPinned(t *testing.T) {
 		{`SELECT l.name FROM landfill l, elem_contained e WHERE l.name = e.landfill_name AND l.area >= e.elem_name`, "sqlval: cannot compare DOUBLE with TEXT"},
 		{`SELECT l.name FROM landfill l, elem_contained e WHERE l.name = e.landfill_name AND e.amount >= 'x'`, "sqlval: cannot compare DOUBLE with TEXT"},
 	}
-	options := []Options{{Parallelism: 1}, {Parallelism: 4}, {DisableHashJoin: true}, {DisableIndexSeek: true}}
+	options := []Options{{Parallelism: 1}, {Parallelism: 4}}
 	for _, c := range cases {
 		key, lits, ok := sesql.Shape(c.q)
 		if !ok {
@@ -42,6 +42,9 @@ func TestTypeMismatchErrorsPinned(t *testing.T) {
 		tsel, err := sqlparser.ParseSelectTemplate(key)
 		if err != nil {
 			t.Fatalf("template %q: %v", key, err)
+		}
+		if _, err := evalSelectInterp(db, mustParseSelect(t, c.q)); err == nil || err.Error() != c.want {
+			t.Errorf("%q: interpreter err = %v, want %q", c.q, err, c.want)
 		}
 		for _, opts := range options {
 			if _, err := ExecOpts(db, c.q, opts); err == nil || err.Error() != c.want {

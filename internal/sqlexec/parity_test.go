@@ -89,7 +89,7 @@ func genSelect(rng *rand.Rand) string {
 	}
 
 	twoTables := rng.Intn(3) > 0
-	joinStyle := rng.Intn(4) // 0 inner equi, 1 left equi, 2 comma+where, 3 non-equi inner
+	joinStyle := rng.Intn(5) // 0 inner equi, 1 left equi, 2 comma+where, 3 non-equi inner, 4 non-equi left
 	grouped := rng.Intn(4) == 0
 
 	items := []string{"x.id", "x.a", "x.b", "UPPER(x.b)", "x.a + 1",
@@ -140,8 +140,13 @@ func genSelect(rng *rand.Rand) string {
 		case 2:
 			b.WriteString(", t2 y")
 			conj = append(conj, "x.b = y.k")
-		default:
+		case 3:
 			b.WriteString(" JOIN t2 y ON x.id >= y.id")
+		default: // no equi key: a nested-loop LEFT JOIN; x.id past every y.id pads
+			b.WriteString(" LEFT JOIN t2 y ON x.id < y.id")
+			if rng.Intn(3) == 0 {
+				b.WriteString(" AND y.v > 4")
+			}
 		}
 	}
 
@@ -155,7 +160,7 @@ func genSelect(rng *rand.Rand) string {
 		// exist only in t1.
 		"a > 0", fmt.Sprintf("id = %d", rng.Intn(40)), "c BETWEEN 2 AND 15", "d",
 	}
-	if twoTables && joinStyle != 1 {
+	if twoTables && joinStyle != 1 && joinStyle != 4 {
 		// WHERE predicates over the LEFT JOIN's right side stay out so
 		// padded rows remain observable.
 		preds = append(preds, "y.k = 's2'", "y.v >= 3")
@@ -225,15 +230,9 @@ func sortedCopy(rows []string) []string {
 
 var parityOptions = []Options{
 	{},
-	{DisableHashJoin: true},
-	{DisableIndexSeek: true},
-	{DisableHashJoin: true, DisableIndexSeek: true},
-	{DisableTopK: true},
 	{Parallelism: 1},
 	{Parallelism: 2},
 	{Parallelism: 4},
-	{Parallelism: 4, DisableHashJoin: true},
-	{Parallelism: 2, DisableTopK: true},
 }
 
 // forceParallel drops the parallel-path thresholds so the small parity
@@ -347,24 +346,22 @@ func TestCompiledOrderStability(t *testing.T) {
 	full := mustExec(t, db, `SELECT grp, n FROM s ORDER BY grp`)
 	for _, lim := range []int{1, 5, 13, 40} {
 		q := fmt.Sprintf(`SELECT grp, n FROM s ORDER BY grp LIMIT %d`, lim)
-		for _, opts := range []Options{{}, {DisableTopK: true}} {
-			got := mustExecOpts(t, db, q, opts)
-			if len(got.Rows) != lim {
-				t.Fatalf("LIMIT %d returned %d rows", lim, len(got.Rows))
-			}
-			for i := range got.Rows {
-				if got.Rows[i][1].Int() != full.Rows[i][1].Int() {
-					t.Fatalf("LIMIT %d opts=%+v: row %d = n%d, want n%d (stable prefix)",
-						lim, opts, i, got.Rows[i][1].Int(), full.Rows[i][1].Int())
-				}
+		got := mustExec(t, db, q)
+		if len(got.Rows) != lim {
+			t.Fatalf("LIMIT %d returned %d rows", lim, len(got.Rows))
+		}
+		for i := range got.Rows {
+			if got.Rows[i][1].Int() != full.Rows[i][1].Int() {
+				t.Fatalf("LIMIT %d: row %d = n%d, want n%d (stable prefix)",
+					lim, i, got.Rows[i][1].Int(), full.Rows[i][1].Int())
 			}
 		}
 	}
 }
 
-// TestIndexSeekMatchesScan drives the pushdown on and off across value
-// types, including coerced constants (int literal on a float-typed
-// column) and values absent from the index.
+// TestIndexSeekMatchesScan checks the pushed-down seeks against the
+// interpreter's scan across value types, including coerced constants (int
+// literal on a float-typed column) and values absent from the index.
 func TestIndexSeekMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	db := parityDB(t, rng, 60, 40)
@@ -378,8 +375,8 @@ func TestIndexSeekMatchesScan(t *testing.T) {
 		`SELECT COUNT(*) FROM t1 x, t2 y WHERE x.b = y.k AND y.k = 's2'`,
 	}
 	for _, q := range queries {
-		with := renderRows(mustExecOpts(t, db, q, Options{}))
-		without := renderRows(mustExecOpts(t, db, q, Options{DisableIndexSeek: true}))
+		with := renderRows(mustExec(t, db, q))
+		without := renderRows(mustInterp(t, db, q))
 		if strings.Join(sortedCopy(with), "\n") != strings.Join(sortedCopy(without), "\n") {
 			t.Fatalf("%q: seek=%v scan=%v", q, with, without)
 		}

@@ -101,12 +101,6 @@ func TestComparisonPushdown(t *testing.T) {
 		} else if len(sent) != 1 || sent[0] != tc.sent {
 			t.Fatalf("%s: sent %q, want %q", tc.where, sent, tc.sent)
 		}
-		if _, err := ExecOpts(db, q, Options{DisableIndexSeek: true}); fmt.Sprint(err) != fmt.Sprint(wantErr) {
-			t.Fatalf("%s, DisableIndexSeek: error %v", tc.where, err)
-		}
-		if sent := remote.take(); len(sent) != 0 {
-			t.Fatalf("%s: DisableIndexSeek sent %q", tc.where, sent)
-		}
 	}
 
 	// An ON conjunct over the inner source alone is sent with its scan.

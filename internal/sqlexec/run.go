@@ -283,9 +283,10 @@ func (r *runner) run() error {
 // number at most 1/probeRatio of the inner relation's rows. A probe costs
 // a seek (lock, key encoding, map lookup) per driving row where the hash
 // path streams every inner row. On BenchmarkSQLScanFilter/ProbeShare
-// (4 000 inner rows, 2-core box) the probe still wins at one driving row
-// per four inner rows (1.05–1.32 vs 1.61–1.64 ms) and loses at one per
-// two (2.57–3.40 vs 2.33 ms).
+// (4 000 inner rows, 2-core box), timed against a hash join forced over
+// the same rows, the probe still wins at one driving row per four inner
+// rows (1.05–1.32 vs 1.61–1.64 ms) and loses at one per two (2.57–3.40
+// vs 2.33 ms).
 const probeRatio = 4
 
 // indexedTable is a local table that seeks through hash indexes
@@ -309,7 +310,7 @@ func (r *runner) planProbe() ([][]sqlval.Value, error) {
 	p := r.p
 	j := &p.joins[0]
 	inner, ok := j.src.rel.(indexedTable)
-	if !ok || p.opts.DisableIndexSeek || j.src.eqCol != "" {
+	if !ok || j.src.eqCol != "" {
 		return nil, nil
 	}
 	col := inner.Schema()[j.rightSlot-j.src.offset]
@@ -920,7 +921,7 @@ func newTopKSorter(p *SelectPlan, width int) *topKSorter {
 		keyScratch: make([]sqlval.Value, len(p.order)),
 		cap:        -1,
 	}
-	if p.limit >= 0 && !p.opts.DisableTopK {
+	if p.limit >= 0 {
 		s.cap = p.limit
 		if p.offset > 0 {
 			s.cap += p.offset
