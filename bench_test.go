@@ -411,6 +411,53 @@ func BenchmarkFDWRetryOverhead(b *testing.B) {
 
 // --- crowdsourcing fan-out ---
 
+// BenchmarkKBRetract is an owner retraction on a platform of 50k
+// statements: the statement leaves the insertion order, the
+// triple→statement index, its believers' views and the arena. Retractions
+// pick random statements, so none is cheap by sitting at an end of the
+// order. The platform is topped up by 1 000 statements, off the clock,
+// whenever it falls to 50k.
+func BenchmarkKBRetract(b *testing.B) {
+	const base, refill = 50000, 1000
+	p := kb.NewPlatform()
+	if err := p.RegisterUser("owner"); err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(6))
+	var live []string
+	inserted := 0
+	top := func() {
+		for len(live) < base+refill {
+			id, err := p.Insert("owner", rdf.Triple{
+				S: dataset.IRI(fmt.Sprintf("e%d", inserted)),
+				P: dataset.IRI("dangerLevel"),
+				O: rdf.NewLiteral("high"),
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			live = append(live, id)
+			inserted++
+		}
+	}
+	top()
+	b.Run(fmt.Sprintf("statements%d", base), func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if len(live) == base {
+				b.StopTimer()
+				top()
+				b.StartTimer()
+			}
+			j := rng.Intn(len(live))
+			if err := p.Retract("owner", live[j]); err != nil {
+				b.Fatal(err)
+			}
+			live[j] = live[len(live)-1]
+			live = live[:len(live)-1]
+		}
+	})
+}
+
 func BenchmarkBeliefImport(b *testing.B) {
 	for _, statements := range []int{100, 1000} {
 		b.Run(fmt.Sprintf("statements%d", statements), func(b *testing.B) {
@@ -485,14 +532,13 @@ func BenchmarkRecommend(b *testing.B) {
 
 // BenchmarkManyUserMemory proves the overlay-view memory story: N users
 // sharing one corpus. isolatedStores is the pre-overlay architecture (every
-// user re-interns and re-indexes the corpus into an arena of their own,
-// which also carries that arena's refcount map);
+// user re-interns and re-indexes the corpus into an arena of their own);
 // sharedOverlays is the platform layout (one SharedStore arena holding the
-// dictionary and union indexes once, each user a View of encoded TripleKeys
-// plus per-view counters). Compare B/op: overlay per-user cost is ID-keyed
-// maps only — no term strings, no dictionary — so total bytes must not
-// scale with users × dictionary size. bytes/user reports the marginal cost
-// of one extra believer of the whole corpus.
+// dictionary and the ordinal postings once, each user a View: a paged
+// bitset of arena ordinals plus per-view counters). Compare B/op: a
+// view's own cost is one bit per triple it holds plus its ID-keyed
+// counter maps — no term strings, no dictionary, no per-triple key — so
+// total bytes must not scale with users × dictionary size.
 func BenchmarkManyUserMemory(b *testing.B) {
 	const corpusSize = 10000
 	const users = 50
@@ -1174,6 +1220,31 @@ func BenchmarkSPARQLBGPJoinAllocs(b *testing.B) {
 			if n == 0 {
 				b.Fatal("no solutions")
 			}
+		}
+	})
+}
+
+// BenchmarkStoreChurn releases a triple and asserts it again under a
+// predicate with a 100k fan-out, whose object is shared by every triple
+// too, so three of its six postings hold 100k ordinals. Each ordinal
+// records its slot in each posting, so the release is a swap-removal whose
+// cost does not grow with the fan-out.
+func BenchmarkStoreChurn(b *testing.B) {
+	const n = 100000
+	st := rdf.NewSharedStore()
+	hot, v := rdf.NewIRI("http://x/hot"), rdf.NewLiteral("v")
+	ts := make([]rdf.Triple, n)
+	keys := make([]rdf.TripleKey, n)
+	for i := range ts {
+		ts[i] = rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("http://x/s%d", i)), P: hot, O: v}
+		keys[i] = st.AcquireTriple(ts[i])
+	}
+	rng := rand.New(rand.NewSource(8))
+	b.Run("HotPredicate100k", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			j := rng.Intn(n)
+			st.Release(keys[j])
+			st.AcquireTriple(ts[j])
 		}
 	})
 }

@@ -20,33 +20,47 @@
 // # Storage and query-compilation architecture
 //
 // The triple store (internal/rdf) is dictionary-encoded: every distinct RDF
-// term is interned once into a dense uint32 ID (rdf.Dict), and the three
-// permutation indexes (SPO, POS, OSP) plus a flat membership set are keyed
-// on those IDs. Pattern cardinalities — the probes the SPARQL join orderer
-// issues per candidate pattern — are answered in O(1) from per-sub-index
-// counters and set lengths, never by enumeration. There is one store, the
-// arena (rdf.SharedStore), and rdf.Graph has one method: ReadIDs opens a
-// read transaction whose rdf.IDReader serves nested probes lock-free — the
-// access shape of a join — matching and counting over rdf.PatternIDs
-// without decoding a single term, and translating with TermOf / IDOf at
-// the edges. The term-level reads (rdf.ForEach, rdf.Count,
-// rdf.MatchSorted, rdf.Subjects, rdf.Objects) are package functions
-// written once over ReadIDs.
+// term is interned once into a dense uint32 ID (rdf.Dict), and every
+// asserted triple holds a dense uint32 ordinal. The three permutation
+// indexes (SPO, POS, OSP) are postings of ordinals, in a dense array
+// indexed by the leading term ID and in a map keyed by the packed leading
+// pair, so a pattern with one or two positions bound is one lookup and its
+// cardinality — the probe the SPARQL join orderer issues per candidate
+// pattern — is that posting's length, never an enumeration. (A pair whose
+// leading ID heads at most eight triples scans that short posting
+// instead: the dense array follows the dictionary's insertion order, a
+// hashed probe does not.) Each ordinal records its slot in its six
+// postings, so a release swap-removes it in O(1) whatever the fan-out, and
+// its ordinal is recycled. There is one store, the arena (rdf.SharedStore), and
+// rdf.Graph has one method: ReadIDs opens a read transaction whose
+// rdf.IDReader serves nested probes lock-free — the access shape of a
+// join — matching and counting over rdf.PatternIDs without decoding a
+// single term, and translating with TermOf / IDOf at the edges. The
+// term-level reads (rdf.ForEach, rdf.Count, rdf.MatchSorted,
+// rdf.Subjects, rdf.Objects) are package functions written once over
+// ReadIDs.
 //
 // Per-user knowledge bases are overlay views over that arena
 // (rdf.SharedStore + rdf.View): the platform interns and indexes every
 // asserted triple exactly once — one dictionary, one set of refcounted
-// union indexes — and each user's view holds only ID-level state, a
-// membership set of encoded rdf.TripleKeys plus per-view counters that
-// answer every pattern-cardinality shape in O(1). Importing a peer's
-// belief is therefore a handful of small-key map updates (no term is ever
+// union postings — and each user's view holds only ID-level state, a paged
+// bitset of the arena ordinals it holds plus per-view counters that
+// answer every pattern-cardinality shape in O(1). A bitset page is
+// allocated by its first member and freed by its last, so a view costs
+// O(its triples), not O(the arena). Importing a peer's belief is therefore
+// a bit set plus six small-key counter updates (no term is ever
 // re-hashed), N users sharing a corpus cost O(corpus) string memory plus
 // compact per-view overlays, and view iteration picks the cheaper side per
-// pattern: the shared posting list filtered by membership, or the
-// membership set filtered by the pattern. Views implement rdf.Graph, so
-// everything below this paragraph applies to them unchanged; mutations take the arena or view write lock briefly and never
-// invalidate an in-flight read transaction, which lets queries over
-// distinct users' views run concurrently.
+// pattern: the arena's posting filtered by one bit test per ordinal, or
+// the view's set bits filtered by the pattern. Views implement rdf.Graph,
+// so everything below this paragraph applies to them unchanged. The lock
+// order is view → arena: a read transaction holds both read locks, a view
+// mutation holds its view's write lock and the arena's read lock (to map
+// keys to ordinals), and an arena mutation holds only the arena lock.
+// Mutations are brief and never invalidate an in-flight read transaction,
+// which lets queries over distinct users' views run concurrently. A view
+// must drop a triple before the triple's last release, since its ordinal
+// is then reused; the KB layer keeps that order.
 //
 // SPARQL evaluation (internal/sparql) is a compiled, ID-native, streaming
 // executor. sparql.Compile lowers a parsed query into an immutable physical
@@ -257,16 +271,18 @@
 // the encoded layer directly (format version 1). rdf.SharedStore.WriteSnapshot
 // writes the dictionary term table and every asserted triple as its raw
 // TripleKey plus assertion refcount; rdf.View.WriteSnapshot writes a view's
-// membership set as raw keys; kb.Platform.Snapshot frames those together
+// members as raw keys; kb.Platform.Snapshot frames those together
 // with statements (provenance, believers, references), stored queries,
 // vocabulary declarations and the id counter; and core.WriteImage combines
 // the kb snapshot with the engine's SQL dump into one checksummed
 // (CRC-32) platform image — core.ReadImage / kb.Restore /
 // rdf.ReadSharedSnapshot are the inverses. Restore is a bulk ID-level load:
-// triples and view members come back as integer keys inserted into presized
-// maps, per-view counters are rebuilt in the same pass, statement triples
-// decode from the restored dictionary, and only the dictionary's intern
-// maps hash strings — once per distinct term, not per triple.
+// triples come back as integer keys and take dense ordinals in stream
+// order (ordinals are not part of the format), view members come back as
+// keys whose ordinals' bits are set, per-view counters are rebuilt in the
+// same pass, statement triples decode from the restored dictionary, and
+// only the dictionary's intern maps hash strings — once per distinct term,
+// not per triple.
 // BenchmarkSnapshotLoad times a cold start of a 100k-triple multi-user
 // platform, and equal believer sets are shared across restored statements
 // under the copy-on-write discipline. The kb snapshot is the only format

@@ -8,11 +8,13 @@
 //
 // Storage architecture: the platform keeps ONE dictionary-encoded triple
 // arena (rdf.SharedStore) holding every asserted triple, and each user's
-// KB is an overlay view (rdf.View) over it — a compact set of encoded
-// triple keys plus O(1) per-view pattern counters, sharing the arena's
-// dictionary and union indexes. A crowdsourced corpus believed by N users
-// is interned and indexed once; importing a belief is a few ID-keyed map
-// updates, never a re-hash of term strings. Views implement rdf.Graph, so
+// KB is an overlay view (rdf.View) over it — a bitset of the arena's
+// triple ordinals plus O(1) per-view pattern counters, sharing the arena's
+// dictionary and union postings. A crowdsourced corpus believed by N users
+// is interned and indexed once; importing a belief sets a bit and bumps a
+// few ID-keyed counters, never a re-hash of term strings. A statement's
+// key leaves every view before the arena releases it, because the arena
+// recycles a released triple's ordinal. Views implement rdf.Graph, so
 // SESQL enrichment and the streaming SPARQL executor evaluate against them
 // ID-natively, and queries over distinct users' views run concurrently
 // under shared read locks.
@@ -78,6 +80,7 @@ type Statement struct {
 	Ref    *Reference
 
 	key       rdf.TripleKey // Triple encoded against the platform arena
+	slot      int           // index in Platform.order
 	believers map[string]struct{}
 
 	// believersShared marks the believers map as published to a snapshot:
@@ -183,7 +186,8 @@ type Platform struct {
 	mu         sync.RWMutex
 	users      map[string]struct{}
 	statements map[string]*Statement
-	order      []*Statement // statements in insertion order
+	order      []*Statement // statements in insertion order; nil at a retracted slot
+	holes      int          // nil slots in order
 	shared     *rdf.SharedStore
 	views      map[string]*rdf.View
 	byTriple   map[rdf.TripleKey]map[string]struct{} // encoded triple → asserting statement ids
@@ -366,7 +370,7 @@ func (p *Platform) Insert(user string, t rdf.Triple, opts ...InsertOption) (stri
 		believers: map[string]struct{}{user: {}},
 	}
 	p.statements[id] = st
-	p.order = append(p.order, st)
+	p.appendOrder(st)
 	ids := p.byTriple[key]
 	if ids == nil {
 		ids = map[string]struct{}{}
@@ -400,12 +404,7 @@ func (p *Platform) Retract(user, id string) error {
 		// Unlink the statement first so believesElsewhere doesn't see it as
 		// a surviving assertion of the same triple.
 		delete(p.statements, id)
-		for i, s := range p.order {
-			if s == st {
-				p.order = append(p.order[:i], p.order[i+1:]...)
-				break
-			}
-		}
+		p.unlinkOrder(st)
 		p.unlinkTriple(id, st.key)
 		// An owner retraction changes every believer's KB, so every
 		// believer's view epoch moves (their cached enriched results may
@@ -425,6 +424,33 @@ func (p *Platform) Retract(user, id string) error {
 	}
 	p.bumpView(user)
 	return nil
+}
+
+// appendOrder records a new statement at the end of the insertion order.
+func (p *Platform) appendOrder(st *Statement) {
+	st.slot = len(p.order)
+	p.order = append(p.order, st)
+}
+
+// unlinkOrder drops a statement from the insertion order in O(1)
+// amortised: its slot becomes a hole, and once holes are the majority the
+// survivors are compacted in order and renumbered, so each compaction is
+// paid for by the retractions since the last one.
+func (p *Platform) unlinkOrder(st *Statement) {
+	p.order[st.slot] = nil
+	p.holes++
+	if p.holes*2 <= len(p.order) {
+		return
+	}
+	live := p.order[:0]
+	for _, s := range p.order {
+		if s != nil {
+			s.slot = len(live)
+			live = append(live, s)
+		}
+	}
+	clear(p.order[len(live):])
+	p.order, p.holes = live, 0
 }
 
 // unlinkTriple drops a statement id from the triple→statements index.
@@ -496,7 +522,7 @@ func (p *Platform) ImportFromIDs(user, fromUser string, filter func(*Statement) 
 	var ids []string
 	var keys []rdf.TripleKey
 	for _, st := range p.order {
-		if st.Owner != fromUser {
+		if st == nil || st.Owner != fromUser {
 			continue
 		}
 		if filter != nil && !filter(st) {
@@ -538,7 +564,7 @@ func (p *Platform) Explore(filter func(*Statement) bool) []*Statement {
 	defer p.mu.RUnlock()
 	var out []*Statement
 	for _, st := range p.order {
-		if filter == nil || filter(st) {
+		if st != nil && (filter == nil || filter(st)) {
 			out = append(out, st.snapshot())
 		}
 	}

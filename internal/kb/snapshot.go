@@ -6,9 +6,10 @@ package kb
 // sesql shell's \savekb/\loadkb all go through it). Snapshot serialises
 // the encoded layer directly: the shared arena's dictionary and TripleKeys,
 // each user's view membership set, and the statement/believer metadata on
-// top. Restore is a bulk ID-level load: triples and memberships come back
-// as integer keys into presized maps, statement triples decode from the
-// restored dictionary, and nothing is parsed or re-hashed per triple. The
+// top. Restore is a bulk ID-level load: triples and view members come
+// back as integer keys (the arena gives each triple an ordinal, a view
+// sets that ordinal's bit), statement triples decode from the restored
+// dictionary, and nothing is parsed or re-hashed per triple. The
 // wire primitives are rdf's snapshot codec (rdf.SnapshotEncoder/Decoder),
 // so the two layers cannot fork the format.
 //
@@ -102,11 +103,14 @@ func (p *Platform) Snapshot(w io.Writer) error {
 	}
 
 	// Statements in insertion order (the order Explore reports).
-	if err := enc.Uvarint(uint64(len(p.order))); err != nil {
+	if err := enc.Uvarint(uint64(len(p.statements))); err != nil {
 		return err
 	}
 	var believers []string
 	for _, st := range p.order {
+		if st == nil {
+			continue
+		}
 		if err := enc.String(st.ID); err != nil {
 			return err
 		}
@@ -350,7 +354,7 @@ func Restore(r io.Reader) (*Platform, error) {
 		// mutation must copy it (same discipline as published snapshots).
 		st.believersShared.Store(true)
 		p.statements[id] = st
-		p.order = append(p.order, st)
+		p.appendOrder(st)
 		ids := p.byTriple[key]
 		if ids == nil {
 			ids = map[string]struct{}{}

@@ -1,79 +1,71 @@
 package rdf
 
 // This file implements the shared-dictionary overlay layer: one SharedStore
-// holds the platform-wide dictionary plus refcounted union indexes over
-// every asserted triple, and each user's knowledge base is a View — an
-// overlay holding only compact ID-level state (a TripleKey membership set
-// plus O(1) per-view pattern counters). A corpus believed by N users is
-// interned and indexed once; each extra believer costs only ID-keyed map
-// entries, never term strings. The arena and each view implement Graph,
-// so the streaming SPARQL executor, the enrichment pipeline and the
-// term-level package functions (ForEach, Count, …) read both the same way.
+// holds the platform-wide dictionary plus refcounted union postings over
+// every asserted triple, each under a dense uint32 ordinal, and each user's
+// knowledge base is a View — an overlay holding only compact ID-level
+// state (a paged bitset of arena ordinals plus O(1) per-view pattern
+// counters). A corpus believed by N users is interned and indexed once;
+// each extra believer costs one bit per triple plus its counter entries,
+// never term strings. The arena and each view implement Graph, so the
+// streaming SPARQL executor, the enrichment pipeline and the term-level
+// package functions (ForEach, Count, …) read both the same way.
 //
-// Concurrency discipline: the arena and each view carry their own RWMutex.
-// Readers (View.ReadIDs, and through it every term-level read of a view)
-// acquire the view lock then the arena lock, once per transaction, and run
-// lock-free inside.
-// Mutators never hold both locks at the same time — the KB layer acquires
-// the arena (AcquireTriple/Release) and the view (Add/Remove) in separate
-// critical sections — so an in-flight read transaction is never invalidated
-// and there is no lock-order cycle.
+// Concurrency discipline: the arena and each view carry their own RWMutex,
+// and the lock order is view → arena. Readers (View.ReadIDs, and through it
+// every term-level read of a view) take the view read lock, then the arena
+// read lock, once per transaction, and run lock-free inside. View mutators
+// (Add, AddBatch, Remove) take the view write lock, then the arena read
+// lock to translate keys to ordinals. Arena mutators (AcquireTriple,
+// Release) take only the arena lock and never a view's, so there is no
+// lock-order cycle, and an in-flight read transaction holds off every
+// mutator of what it reads.
+//
+// Ordinals are recycled: a released triple's ordinal goes to the next new
+// triple. A view must therefore drop a triple before its last Release —
+// the KB layer removes a statement's key from every believer's view before
+// it releases the statement — or the view would come to hold whichever
+// triple reuses the ordinal.
 
 import "sync"
 
 // SharedStore is the platform-wide encoded triple arena: one dictionary and
-// one set of SPO/POS/OSP union indexes over every triple asserted by any
-// statement, with a per-triple assertion refcount. It is safe for
-// concurrent use and itself implements Graph (the union graph). It is the
-// only triple store: a graph that no user owns is an arena that nothing
-// ever releases from.
+// one set of SPO/POS/OSP union postings over every triple asserted by any
+// statement, with a per-triple assertion refcount kept by ordinal. It is
+// safe for concurrent use and itself implements Graph (the union graph).
+// It is the only triple store: a graph that no user owns is an arena that
+// nothing ever releases from.
 type SharedStore struct {
 	mu   sync.RWMutex
 	dict *Dict
 	encStore
-	refs map[TripleKey]int32 // assertions per triple; >0 ⇒ indexed
 }
 
 // NewSharedStore returns an empty arena.
 func NewSharedStore() *SharedStore {
-	return &SharedStore{
-		dict:     NewDict(),
-		encStore: newEncStore(),
-		refs:     make(map[TripleKey]int32),
-	}
+	return &SharedStore{dict: NewDict(), encStore: newEncStore(0)}
 }
 
 // AcquireTriple interns and asserts the triple in one step, returning its
-// key. Each call adds one assertion reference; the triple enters the union
-// indexes on its first reference.
+// key. Each call adds one assertion reference; the triple gets an ordinal
+// and enters the union postings on its first reference.
 func (s *SharedStore) AcquireTriple(t Triple) TripleKey {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	k := TripleKey{s.dict.Encode(t.S), s.dict.Encode(t.P), s.dict.Encode(t.O)}
-	if s.refs[k]++; s.refs[k] == 1 {
-		s.addKey(k)
-	}
+	s.acquire(k, 1)
 	return k
 }
 
 // Release drops one assertion reference; on the last release the triple
-// leaves the union indexes (its terms stay interned — IDs are never
-// recycled). A triple must stay acquired for as long as any View holds it:
-// views iterate the shared posting lists, so a released triple disappears
-// from every overlay.
+// leaves the union postings and its ordinal is recycled (its terms stay
+// interned — term IDs are never recycled). Every View must drop the triple
+// before its last release: a view holding a released triple's ordinal
+// would come to hold whichever triple reuses it.
 func (s *SharedStore) Release(k TripleKey) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n, ok := s.refs[k]
-	if !ok {
-		return
-	}
-	if n <= 1 {
-		delete(s.refs, k)
-		s.delKey(k)
-		return
-	}
-	s.refs[k] = n - 1
+	s.release(k)
 }
 
 // DecodeTriple resolves an encoded key back to its terms, reporting false
@@ -94,7 +86,7 @@ func (s *SharedStore) DecodeTriple(k TripleKey) (Triple, bool) {
 func (s *SharedStore) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.triples)
+	return len(s.ords)
 }
 
 // DictLen returns the number of interned terms (memory diagnostics: this
@@ -126,61 +118,66 @@ func (s *SharedStore) ReadIDs(fn func(IDReader)) {
 // NewView returns an empty overlay over the arena.
 func (s *SharedStore) NewView() *View {
 	return &View{
-		shared:  s,
-		members: make(map[TripleKey]struct{}),
-		cntS:    make(map[TermID]int32),
-		cntP:    make(map[TermID]int32),
-		cntO:    make(map[TermID]int32),
-		cntSP:   make(map[uint64]int32),
-		cntPO:   make(map[uint64]int32),
-		cntSO:   make(map[uint64]int32),
+		shared: s,
+		cntS:   make(map[TermID]int32),
+		cntP:   make(map[TermID]int32),
+		cntO:   make(map[TermID]int32),
+		cntSP:  make(map[uint64]int32),
+		cntPO:  make(map[uint64]int32),
+		cntSO:  make(map[uint64]int32),
 	}
 }
 
-// pairKey packs two 32-bit term IDs into one counter-map key.
+// pairKey packs two 32-bit term IDs into one map key.
 func pairKey(a, b TermID) uint64 { return uint64(a)<<32 | uint64(b) }
 
 // View is one user's knowledge base as an overlay over a SharedStore: a
-// membership set of encoded TripleKeys plus per-view counters that answer
-// every pattern-cardinality shape in O(1) for the SPARQL join orderer. A
-// view holds no term strings and no dictionary — adding an already-encoded
-// triple is a handful of small-key map updates, which is what makes belief
-// imports cheap and keeps N views over one corpus at O(corpus) string
-// memory.
+// paged bitset of the arena ordinals it holds plus per-view counters that
+// answer every pattern-cardinality shape in O(1) for the SPARQL join
+// orderer. A view holds no term strings and no dictionary — adding an
+// already-asserted triple sets one bit and bumps six small-key counters,
+// which is what makes belief imports cheap and keeps N views over one
+// corpus at O(corpus) string memory.
 //
-// Safe for concurrent use. Every triple added to a view must be (and stay)
-// acquired in the arena; the KB layer maintains that invariant.
+// Safe for concurrent use. A view can hold only triples the arena asserts:
+// Add and AddBatch skip a key the arena does not assert (it has no
+// ordinal), and a held triple must stay acquired until the view drops it.
+// The KB layer maintains both invariants.
 type View struct {
 	shared *SharedStore
 	mu     sync.RWMutex
 
-	members map[TripleKey]struct{}
+	members ordSet
 
 	// Exact distinct-triple counters per pattern shape: single-position
 	// (cntS/cntP/cntO) and pair-position (cntSP/cntPO/cntSO, packed keys).
-	// SPO probes members; ??? is len(members).
+	// SPO tests one bit; ??? is the bitset's population.
 	cntS, cntP, cntO    map[TermID]int32
 	cntSP, cntPO, cntSO map[uint64]int32
 }
 
-// Add inserts an encoded triple into the view, reporting whether it was new.
+// Add inserts an encoded triple into the view, reporting whether it was
+// new. A key the arena does not assert is not added, and Add reports false.
 func (v *View) Add(k TripleKey) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
+	v.shared.mu.RLock()
+	defer v.shared.mu.RUnlock()
 	return v.addLocked(k)
 }
 
 // AddBatch inserts a batch of encoded triples under one lock acquisition,
-// returning how many were new. This is the belief-import fast path: a bulk
-// import into a fresh view (the common crowdsourcing shape) presizes the
-// membership set and the pair-counter maps, so insertion never pays
-// incremental map growth.
+// returning how many were new; like Add, it skips keys the arena does not
+// assert. This is the belief-import fast path: a bulk import into a fresh
+// view (the common crowdsourcing shape) presizes the pair-counter maps, so
+// insertion never pays incremental map growth.
 func (v *View) AddBatch(ks []TripleKey) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if len(v.members) == 0 && len(ks) > 64 {
+	v.shared.mu.RLock()
+	defer v.shared.mu.RUnlock()
+	if v.members.n == 0 && len(ks) > 64 {
 		n := len(ks)
-		v.members = make(map[TripleKey]struct{}, n)
 		v.cntSP = make(map[uint64]int32, n)
 		v.cntPO = make(map[uint64]int32, n)
 		v.cntSO = make(map[uint64]int32, n)
@@ -194,11 +191,13 @@ func (v *View) AddBatch(ks []TripleKey) int {
 	return added
 }
 
+// addLocked adds an asserted key. The caller holds the view write lock and
+// the arena read lock.
 func (v *View) addLocked(k TripleKey) bool {
-	if _, dup := v.members[k]; dup {
+	o, ok := v.shared.ords[k]
+	if !ok || !v.members.add(o) {
 		return false
 	}
-	v.members[k] = struct{}{}
 	v.cntS[k[0]]++
 	v.cntP[k[1]]++
 	v.cntO[k[2]]++
@@ -213,10 +212,12 @@ func (v *View) addLocked(k TripleKey) bool {
 func (v *View) Remove(k TripleKey) bool {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	if _, ok := v.members[k]; !ok {
+	v.shared.mu.RLock()
+	defer v.shared.mu.RUnlock()
+	o, ok := v.shared.ords[k]
+	if !ok || !v.members.remove(o) {
 		return false
 	}
-	delete(v.members, k)
 	dec(v.cntS, k[0])
 	dec(v.cntP, k[1])
 	dec(v.cntO, k[2])
@@ -240,15 +241,21 @@ func dec[K comparable](m map[K]int32, k K) {
 func (v *View) Has(k TripleKey) bool {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	_, ok := v.members[k]
-	return ok
+	v.shared.mu.RLock()
+	defer v.shared.mu.RUnlock()
+	return v.hasLocked(k)
+}
+
+func (v *View) hasLocked(k TripleKey) bool {
+	o, ok := v.shared.ords[k]
+	return ok && v.members.has(o)
 }
 
 // Len returns the number of triples in the view.
 func (v *View) Len() int {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
-	return len(v.members)
+	return v.members.n
 }
 
 // countIDsLocked answers every pattern shape from the per-view counters in
@@ -257,7 +264,7 @@ func (v *View) countIDsLocked(p PatternIDs) int {
 	sb, pb, ob := p.S != 0, p.P != 0, p.O != 0
 	switch {
 	case sb && pb && ob:
-		if _, ok := v.members[TripleKey{p.S, p.P, p.O}]; ok {
+		if v.hasLocked(TripleKey{p.S, p.P, p.O}) {
 			return 1
 		}
 		return 0
@@ -274,55 +281,55 @@ func (v *View) countIDsLocked(p PatternIDs) int {
 	case ob:
 		return int(v.cntO[p.O])
 	default:
-		return len(v.members)
+		return v.members.n
 	}
 }
 
 // matchIDsLocked streams the view's triples matching the pattern. For bound
-// patterns it iterates the cheaper side: the shared posting list filtered by
-// view membership when the arena-wide cardinality is smaller than the view,
-// or the view membership set filtered by the pattern otherwise. The caller
-// holds both the view and the arena read locks.
+// patterns it walks the cheaper side: the arena's posting for the pattern,
+// keeping the ordinals whose bit is set, when the posting is shorter than
+// the view, or else the view's set bits, keeping the triples the pattern
+// matches. The caller holds both the view and the arena read locks.
 //
-// Cost is O(min(shared posting list, view size)) candidates per probe, not
+// Cost is O(min(shared posting, view size)) candidates per probe, not
 // O(results) — the deliberate trade against per-view permutation indexes,
 // which would cost O(view) extra maps per user and defeat the shared-memory
-// design. Join probes bind positions from the outer row, so their shared
-// posting lists are small; the worst case (a pattern unselective in both
-// the arena and the view) degrades to one membership/pattern test per
-// candidate, a small constant over the arena's native scan.
+// design. A posting candidate costs one bit test on the ordinal and a key
+// load only when it is a member. Join probes bind positions from the outer
+// row, so their postings are short; the worst case (a pattern unselective
+// in both the arena and the view) walks the view's bits once.
 func (v *View) matchIDsLocked(p PatternIDs, fn func(si, pi, oi TermID) bool) {
+	a := &v.shared.encStore
 	sb, pb, ob := p.S != 0, p.P != 0, p.O != 0
 	switch {
 	case sb && pb && ob:
-		if _, ok := v.members[TripleKey{p.S, p.P, p.O}]; ok {
+		if v.hasLocked(TripleKey{p.S, p.P, p.O}) {
 			fn(p.S, p.P, p.O)
 		}
 		return
 	case !sb && !pb && !ob:
-		for k := range v.members {
-			if !fn(k[0], k[1], k[2]) {
-				return
-			}
-		}
-		return
-	}
-	if v.shared.countIDs(p) < len(v.members) {
-		v.shared.matchIDs(p, func(a, b, c TermID) bool {
-			if _, ok := v.members[TripleKey{a, b, c}]; !ok {
-				return true
-			}
-			return fn(a, b, c)
+		v.members.each(func(o uint32) bool {
+			k := a.keys[o]
+			return fn(k[0], k[1], k[2])
 		})
 		return
 	}
-	for k := range v.members {
-		if (!sb || k[0] == p.S) && (!pb || k[1] == p.P) && (!ob || k[2] == p.O) {
-			if !fn(k[0], k[1], k[2]) {
-				return
+	if l, _ := a.posting(p); len(l) < v.members.n {
+		for _, o := range l {
+			if v.members.has(o) {
+				if k := a.keys[o]; p.matches(k) && !fn(k[0], k[1], k[2]) {
+					return
+				}
 			}
 		}
+		return
 	}
+	v.members.each(func(o uint32) bool {
+		if k := a.keys[o]; p.matches(k) {
+			return fn(k[0], k[1], k[2])
+		}
+		return true
+	})
 }
 
 // viewReader implements IDReader over the overlay without per-call locking;

@@ -2,12 +2,14 @@ package rdf
 
 // This file implements the binary snapshot codec for the encoded layer: the
 // dictionary term table, the shared arena's asserted triples (raw TripleKeys
-// plus assertion refcounts), and per-view membership sets. The format
-// serialises exactly what the in-memory structures hold, so restore is a
-// bulk ID-level load: triples and view members are read back as integer
-// keys and inserted into presized maps — no term parsing and no term
-// re-hashing per triple. Only the dictionary's intern maps are rebuilt, one
-// string-hash per *distinct* term, which is O(dictionary), not O(triples).
+// plus assertion refcounts), and per-view member keys. Restore is a bulk
+// ID-level load: triples and view members are read back as integer keys,
+// the arena gives each triple the next dense ordinal and its six posting
+// slots, and a view sets one bit per member — no term parsing and no term
+// re-hashing per triple. Ordinals are not part of the format, so a loaded
+// arena is compact whatever the writer's free list held. Only the
+// dictionary's intern maps are rebuilt, one string-hash per *distinct*
+// term, which is O(dictionary), not O(triples).
 //
 // All integers are unsigned varints; strings are length-prefixed. The
 // primitives (SnapshotEncoder / SnapshotDecoder) are exported so the
@@ -390,8 +392,9 @@ func readDictSnapshot(dec *SnapshotDecoder) (*Dict, error) {
 // --- shared arena ---
 
 // WriteSnapshot serialises the arena: the dictionary term table followed by
-// every asserted triple as its raw TripleKey plus its assertion refcount.
-// The stream captures a consistent point-in-time state (one read lock).
+// every asserted triple, in ordinal order, as its raw TripleKey plus its
+// assertion refcount. Ordinals themselves are not written. The stream
+// captures a consistent point-in-time state (one read lock).
 func (s *SharedStore) WriteSnapshot(w io.Writer) error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -399,14 +402,17 @@ func (s *SharedStore) WriteSnapshot(w io.Writer) error {
 	if err := s.dict.writeSnapshot(enc); err != nil {
 		return err
 	}
-	if err := enc.Uvarint(uint64(len(s.triples))); err != nil {
+	if err := enc.Uvarint(uint64(len(s.ords))); err != nil {
 		return err
 	}
-	for k := range s.triples {
+	for o, k := range s.keys {
+		if k[0] == 0 { // free ordinal
+			continue
+		}
 		if err := enc.Key(k); err != nil {
 			return err
 		}
-		if err := enc.Uvarint(uint64(s.refs[k])); err != nil {
+		if err := enc.Uvarint(uint64(s.meta[o].refs)); err != nil {
 			return err
 		}
 	}
@@ -414,8 +420,9 @@ func (s *SharedStore) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSharedSnapshot rebuilds an arena from a stream written by
-// WriteSnapshot. The load is ID-level throughout: the membership set is
-// presized to the exact triple count and index insertion hashes only small
+// WriteSnapshot. The load is ID-level throughout: triples take dense
+// ordinals in stream order, the key map and the ordinal tables are
+// presized to the triple count, and posting insertion hashes only small
 // integer keys, never term strings.
 func ReadSharedSnapshot(r SnapshotReader) (*SharedStore, error) {
 	dec := &SnapshotDecoder{R: r}
@@ -427,16 +434,7 @@ func ReadSharedSnapshot(r SnapshotReader) (*SharedStore, error) {
 	if err != nil {
 		return nil, err
 	}
-	s := &SharedStore{
-		dict: dict,
-		encStore: encStore{
-			triples: make(map[TripleKey]struct{}, PresizeHint(n)),
-			spo:     make(index),
-			pos:     make(index),
-			osp:     make(index),
-		},
-		refs: make(map[TripleKey]int32, PresizeHint(n)),
-	}
+	s := &SharedStore{dict: dict, encStore: newEncStore(PresizeHint(n))}
 	for i := uint64(0); i < n; i++ {
 		k, err := dec.KeyInRange(dict.Len())
 		if err != nil {
@@ -449,10 +447,9 @@ func ReadSharedSnapshot(r SnapshotReader) (*SharedStore, error) {
 		if refs == 0 || refs > 1<<31-1 {
 			return nil, corruptf("triple %v has invalid refcount %d", k, refs)
 		}
-		if !s.addKey(k) {
+		if _, fresh := s.acquire(k, int32(refs)); !fresh {
 			return nil, corruptf("duplicate triple %v", k)
 		}
-		s.refs[k] = int32(refs)
 	}
 	return s, nil
 }
@@ -463,33 +460,41 @@ func ReadSharedSnapshot(r SnapshotReader) (*SharedStore, error) {
 func (s *SharedStore) RefCount(k TripleKey) int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return int(s.refs[k])
+	if o, ok := s.ords[k]; ok {
+		return int(s.meta[o].refs)
+	}
+	return 0
 }
 
 // --- views ---
 
-// WriteSnapshot serialises the view's membership set as raw TripleKeys.
-// Per-view counters are not written: the decoder rebuilds them in the same
-// pass that fills the membership map.
+// WriteSnapshot serialises the view's members as raw TripleKeys, in
+// ordinal order. Per-view counters are not written: the decoder rebuilds
+// them in the same pass that sets the membership bits.
 func (v *View) WriteSnapshot(w io.Writer) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
+	v.shared.mu.RLock()
+	defer v.shared.mu.RUnlock()
 	enc, flush := asEncoder(w)
-	if err := enc.Uvarint(uint64(len(v.members))); err != nil {
+	if err := enc.Uvarint(uint64(v.members.n)); err != nil {
 		return err
 	}
-	for k := range v.members {
-		if err := enc.Key(k); err != nil {
-			return err
-		}
+	var err error
+	v.members.each(func(o uint32) bool {
+		err = enc.Key(v.shared.keys[o])
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	return flush()
 }
 
 // ReadViewSnapshot rebuilds one overlay view over this arena from a stream
-// written by View.WriteSnapshot. Membership and all six counter maps are
-// presized, and every key is validated to be asserted in the arena (the
-// invariant the KB layer maintains for live views).
+// written by View.WriteSnapshot. The counter maps are presized, and every
+// key is validated to be asserted in the arena (the invariant the KB layer
+// maintains for live views) before its ordinal's bit is set.
 func (s *SharedStore) ReadViewSnapshot(r SnapshotReader) (*View, error) {
 	dec := &SnapshotDecoder{R: r}
 	n, err := dec.Uvarint()
@@ -498,32 +503,28 @@ func (s *SharedStore) ReadViewSnapshot(r SnapshotReader) (*View, error) {
 	}
 	size := PresizeHint(n)
 	v := &View{
-		shared:  s,
-		members: make(map[TripleKey]struct{}, size),
-		cntS:    make(map[TermID]int32, size/4+1),
-		cntP:    make(map[TermID]int32, size/4+1),
-		cntO:    make(map[TermID]int32, size/4+1),
-		cntSP:   make(map[uint64]int32, size),
-		cntPO:   make(map[uint64]int32, size),
-		cntSO:   make(map[uint64]int32, size),
+		shared: s,
+		cntS:   make(map[TermID]int32, size/4+1),
+		cntP:   make(map[TermID]int32, size/4+1),
+		cntO:   make(map[TermID]int32, size/4+1),
+		cntSP:  make(map[uint64]int32, size),
+		cntPO:  make(map[uint64]int32, size),
+		cntSO:  make(map[uint64]int32, size),
 	}
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	dictLen := s.dict.Len()
 	for i := uint64(0); i < n; i++ {
 		k, err := dec.KeyInRange(dictLen)
 		if err != nil {
-			s.mu.RUnlock()
 			return nil, err
 		}
-		if _, asserted := s.triples[k]; !asserted {
-			s.mu.RUnlock()
+		if _, asserted := s.ords[k]; !asserted {
 			return nil, corruptf("view triple %v is not asserted in the arena", k)
 		}
 		if !v.addLocked(k) {
-			s.mu.RUnlock()
 			return nil, corruptf("duplicate view triple %v", k)
 		}
 	}
-	s.mu.RUnlock()
 	return v, nil
 }

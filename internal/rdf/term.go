@@ -1,16 +1,17 @@
 // Package rdf implements the contextual-knowledge substrate of CroSSE:
 // an RDF data model (IRIs, literals, blank nodes, triples) and a
 // dictionary-encoded, indexed in-memory triple store with pattern matching.
-// Terms are interned to dense uint32 IDs (Dict) and the SPO/POS/OSP
-// permutation indexes are keyed on those IDs, which makes pattern counting
-// O(1) and store snapshots flat map copies. It plays the role the paper
-// assigns to the Jena triple store (Sec. III-B, Fig. 4), and is the storage
-// layer underneath the SPARQL engine (internal/sparql) and the knowledge-base
-// management layer (internal/kb).
+// Terms are interned to dense uint32 IDs (Dict), each asserted triple holds
+// a dense uint32 ordinal, and the SPO/POS/OSP permutation indexes are
+// postings of ordinals keyed on those IDs, which makes pattern counting
+// one lookup. It plays the role the paper assigns to the Jena triple store
+// (Sec. III-B, Fig. 4), and is the storage layer underneath the SPARQL
+// engine (internal/sparql) and the knowledge-base management layer
+// (internal/kb).
 //
 // There is one triple store, the SharedStore arena: it interns and
 // indexes every asserted triple once, and each user's knowledge base is a
-// View over it holding only TripleKey membership and O(1) pattern
+// View over it holding only a bitset of arena ordinals and O(1) pattern
 // counters (see shared.go, and Fig. 4's per-user slices of one reified
 // store). Both implement Graph, whose one method, ReadIDs, opens a read
 // transaction over the encoded layer. The term-level reads — ForEach,
