@@ -817,8 +817,11 @@ func BenchmarkSQLGroupBySum(b *testing.B) {
 	})
 }
 
-// BenchmarkSQLOrderFullSort is ORDER BY without LIMIT: per-worker sorted
-// runs merged by a loser tree instead of one serial 100k-row sort.
+// BenchmarkSQLOrderFullSort covers the ORDER BYs that keep most of their
+// input: Sort100k has no LIMIT (per-worker sorted runs merged by a loser
+// tree), and JoinSortOffset is analytic_large's join_sort_offset shape
+// over the same 8 400-landfill databank (≈100k joined rows, a window of
+// 100 rows past OFFSET 50 000), which no heap-sized bound can prune.
 func BenchmarkSQLOrderFullSort(b *testing.B) {
 	db := sqlBenchDB(b, 100000)
 	const q = `SELECT id, v FROM points ORDER BY v DESC`
@@ -826,6 +829,26 @@ func BenchmarkSQLOrderFullSort(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, err := db.Query(q); err != nil {
 				b.Fatal(err)
+			}
+		}
+	})
+
+	jdb := engine.Open()
+	cfg := dataset.DefaultConfig()
+	cfg.Landfills = 8400
+	if err := dataset.Populate(jdb, cfg); err != nil {
+		b.Fatal(err)
+	}
+	const jq = `SELECT e.landfill_name, e.elem_name, e.amount, l.city FROM elem_contained e JOIN landfill l ON l.name = e.landfill_name WHERE e.amount < 100000 ORDER BY e.amount, e.landfill_name, e.elem_name LIMIT 100 OFFSET 50000`
+	b.Run("JoinSortOffset", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := jdb.Query(jq)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Rows) != 100 {
+				b.Fatalf("got %d rows, want 100", len(res.Rows))
 			}
 		}
 	})

@@ -106,7 +106,8 @@
 // when the first join's smaller side turns out few next to an inner local
 // table with a hash index on its join column, each of its rows seeks that
 // index instead of the inner table being scanned. ORDER BY + LIMIT keeps
-// a bounded stable top-K heap instead of sorting the world.
+// at most twice limit + offset rows, cut back to the best by selection,
+// and every ORDER BY sorts only the window it emits.
 // A WHERE/ON conjunct over row slots and constants (comparisons, BETWEEN,
 // IN over constants, IS [NOT] NULL, AND/OR/NOT of those) also lowers to a
 // typed kernel that evaluates it straight to a three-valued result,
@@ -170,12 +171,14 @@
 // order, a scatter and an assemble stage separated by a barrier — which
 // is nothing more than two consecutive exec.Pool.Run calls, since Run
 // returns only when every claimed morsel has finished (with one worker it
-// is an inline loop on the calling goroutine); every ORDER BY merge — SQL
-// per-worker top-K heaps or full-sort runs, SPARQL per-morsel buffers, and
-// the serial SPARQL sort as one run — goes through exec.MergeSorted, which
-// sorts the runs concurrently and streams a loser-tree merge (ties to the
-// lower run, the earlier morsel — exactly the serial stable sort) into a
-// yield that stops at LIMIT; SPARQL property-path heads materialise the
+// is an inline loop on the calling goroutine); a SQL ORDER BY with a LIMIT
+// brackets its window in the workers' buffers with a sample, one pass per
+// worker, and selects the window from the rows inside the bracket alone;
+// every other ORDER BY merge — SQL full-sort runs, SPARQL per-morsel
+// buffers, and the serial SPARQL sort as one run — goes through
+// exec.MergeSorted, which sorts the runs concurrently and streams a
+// loser-tree merge (ties to the lower run, the earlier morsel — exactly
+// the serial stable sort) into a yield that stops at LIMIT; SPARQL property-path heads materialise the
 // path frontier once and fan the pairs out like any posting list; and a
 // pool built with a LIMIT target cuts the remaining morsels once
 // Pool.Done sees a contiguous completed-morsel prefix holding enough
@@ -201,7 +204,7 @@
 // with every literal of WHERE, ON and HAVING (tagged conditions included)
 // replaced by a typed slot, ?1:str, ?2:int, ?3:float — and the vector of
 // those literals. Select-list literals (they name headers), ORDER BY,
-// LIMIT/OFFSET (they size the top-K), LIKE patterns (pre-compiled), IN-list
+// LIMIT/OFFSET (they size the ORDER BY buffer), LIKE patterns (pre-compiled), IN-list
 // lengths and the whole ENRICH clause stay in the key. A shape compiles
 // once per (shape, sqlexec.Options, schema epoch) into a plan holding the
 // parsed template, the base SELECT after the enrichment rewrite, its
@@ -253,13 +256,13 @@
 // workset already sits in the same process as the SQL executor's compiled
 // comparator, so the final stage projects the visible columns (dropping
 // the hidden ones WHERE enrichments add) and, when ORDER BY / LIMIT /
-// OFFSET had to wait for enrichment, sorts and slices the rows directly
+// OFFSET had to wait for enrichment, selects and sorts the window directly
 // (sqlexec.SortLimit: keys compiled once against the result headers,
-// stable, the same key comparison every other ORDER BY in the system
-// uses). The tail waits when a WHERE enrichment filters rows after the
-// base query or when an ORDER BY key names a column a schema enrichment
-// adds; otherwise it stays in the base query and keeps the top-K
-// pushdown. Values keep the types the ontology gave them — nothing is
+// stable, the same selection and key comparison every other ORDER BY in
+// the system uses). The tail waits when a WHERE enrichment filters rows
+// after the base query or when an ORDER BY key names a column a schema
+// enrichment adds; otherwise it stays in the base query and keeps the
+// bounded ORDER BY buffer. Values keep the types the ontology gave them — nothing is
 // coerced to a column type on the way out. core.Stats.FinalSQLText
 // ("final_sql" over REST) renders the stage as the SELECT ... FROM
 // sesql_result ORDER BY ... of Fig. 6 so the correspondence stays

@@ -35,6 +35,7 @@ package kb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -190,9 +191,9 @@ type Platform struct {
 	holes      int          // nil slots in order
 	shared     *rdf.SharedStore
 	views      map[string]*rdf.View
-	byTriple   map[rdf.TripleKey]map[string]struct{} // encoded triple → asserting statement ids
-	queries    map[string]*StoredQuery               // key: owner + "\x00" + name
-	decls      map[string]*Declaration               // key: kind + "\x00" + iri
+	byTriple   map[rdf.TripleKey][]*Statement // encoded triple → asserting statements
+	queries    map[string]*StoredQuery        // key: owner + "\x00" + name
+	decls      map[string]*Declaration        // key: kind + "\x00" + iri
 	checker    ConceptChecker
 	nextID     int
 
@@ -215,7 +216,7 @@ func NewPlatform() *Platform {
 		statements: map[string]*Statement{},
 		shared:     rdf.NewSharedStore(),
 		views:      map[string]*rdf.View{},
-		byTriple:   map[rdf.TripleKey]map[string]struct{}{},
+		byTriple:   map[rdf.TripleKey][]*Statement{},
 		queries:    map[string]*StoredQuery{},
 	}
 }
@@ -371,12 +372,7 @@ func (p *Platform) Insert(user string, t rdf.Triple, opts ...InsertOption) (stri
 	}
 	p.statements[id] = st
 	p.appendOrder(st)
-	ids := p.byTriple[key]
-	if ids == nil {
-		ids = map[string]struct{}{}
-		p.byTriple[key] = ids
-	}
-	ids[id] = struct{}{}
+	p.byTriple[key] = append(p.byTriple[key], st)
 	p.views[user].Add(key)
 	p.bumpView(user)
 	return id, nil
@@ -405,7 +401,7 @@ func (p *Platform) Retract(user, id string) error {
 		// a surviving assertion of the same triple.
 		delete(p.statements, id)
 		p.unlinkOrder(st)
-		p.unlinkTriple(id, st.key)
+		p.unlinkTriple(st)
 		// An owner retraction changes every believer's KB, so every
 		// believer's view epoch moves (their cached enriched results may
 		// now be stale), not just the retracting owner's.
@@ -453,20 +449,26 @@ func (p *Platform) unlinkOrder(st *Statement) {
 	p.order, p.holes = live, 0
 }
 
-// unlinkTriple drops a statement id from the triple→statements index.
-func (p *Platform) unlinkTriple(id string, key rdf.TripleKey) {
-	ids := p.byTriple[key]
-	delete(ids, id)
-	if len(ids) == 0 {
-		delete(p.byTriple, key)
+// unlinkTriple drops a statement from the triple→statements index by
+// swap-remove: the order of a triple's statements carries no meaning.
+func (p *Platform) unlinkTriple(st *Statement) {
+	sts := p.byTriple[st.key]
+	if len(sts) == 1 {
+		delete(p.byTriple, st.key)
+		return
 	}
+	i := slices.Index(sts, st)
+	last := len(sts) - 1
+	sts[i] = sts[last]
+	sts[last] = nil
+	p.byTriple[st.key] = sts[:last]
 }
 
 // believesElsewhere reports whether some surviving statement asserting the
 // triple is believed by the user.
 func (p *Platform) believesElsewhere(user string, key rdf.TripleKey) bool {
-	for sid := range p.byTriple[key] {
-		if _, ok := p.statements[sid].believers[user]; ok {
+	for _, st := range p.byTriple[key] {
+		if _, ok := st.believers[user]; ok {
 			return true
 		}
 	}

@@ -172,6 +172,48 @@ func TestRetractKeepsTripleAssertedTwice(t *testing.T) {
 	}
 }
 
+// TestOwnerRetractKeepsSharedTriple: two users' statements assert one
+// triple, both users believe the first, and its owner retracts it. The
+// other believer still holds the triple through their own statement —
+// before and after a snapshot round trip, whose refcount checks must
+// accept the platform at every step.
+func TestOwnerRetractKeepsSharedTriple(t *testing.T) {
+	for _, restoreFirst := range []bool{false, true} {
+		p := newPlatformWithUsers(t, "alice", "bob")
+		idA, _ := p.Insert("alice", tr("X", "p", "Y"))
+		idB, _ := p.Insert("bob", tr("X", "p", "Y"))
+		if err := p.Import("bob", idA); err != nil {
+			t.Fatal(err)
+		}
+		if restoreFirst {
+			p = roundTrip(t, p)
+		}
+		if err := p.Retract("alice", idA); err != nil {
+			t.Fatal(err)
+		}
+		p = roundTrip(t, p)
+		v, err := p.View("bob")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := rdf.Count(v, rdf.Pattern{S: iri("X")}); got != 1 {
+			t.Fatalf("restoreFirst=%v: bob sees %d triples about X, want 1", restoreFirst, got)
+		}
+		if p.ViewSize("alice") != 0 {
+			t.Fatalf("restoreFirst=%v: alice still sees her retracted triple", restoreFirst)
+		}
+		// The surviving statement is the only one left asserting the
+		// triple: retracting it empties bob's view too.
+		if err := p.Retract("bob", idB); err != nil {
+			t.Fatal(err)
+		}
+		if p.ViewSize("bob") != 0 {
+			t.Fatalf("restoreFirst=%v: bob still sees a triple no statement asserts", restoreFirst)
+		}
+		roundTrip(t, p)
+	}
+}
+
 func TestIntegratedAnnotationValidation(t *testing.T) {
 	p := newPlatformWithUsers(t, "alice")
 	if _, err := p.Insert("alice", tr("Mercury", "isA", "X"), Integrated()); err == nil {

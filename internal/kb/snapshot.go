@@ -236,7 +236,7 @@ func Restore(r io.Reader) (*Platform, error) {
 		statements: map[string]*Statement{},
 		shared:     shared,
 		views:      map[string]*rdf.View{},
-		byTriple:   map[rdf.TripleKey]map[string]struct{}{},
+		byTriple:   map[rdf.TripleKey][]*Statement{},
 		queries:    map[string]*StoredQuery{},
 	}
 
@@ -355,12 +355,7 @@ func Restore(r io.Reader) (*Platform, error) {
 		st.believersShared.Store(true)
 		p.statements[id] = st
 		p.appendOrder(st)
-		ids := p.byTriple[key]
-		if ids == nil {
-			ids = map[string]struct{}{}
-			p.byTriple[key] = ids
-		}
-		ids[id] = struct{}{}
+		p.byTriple[key] = append(p.byTriple[key], st)
 	}
 	// The arena's refcounts must agree with the statement set, or a future
 	// owner Retract would deassert a triple other statements still hold.
@@ -368,10 +363,10 @@ func Restore(r io.Reader) (*Platform, error) {
 		return nil, fmt.Errorf("kb: corrupt snapshot: arena holds %d triples, statements assert %d",
 			shared.Len(), len(p.byTriple))
 	}
-	for key, ids := range p.byTriple {
-		if shared.RefCount(key) != len(ids) {
+	for key, sts := range p.byTriple {
+		if shared.RefCount(key) != len(sts) {
 			return nil, fmt.Errorf("kb: corrupt snapshot: triple %v asserted by %d statements but refcounted %d",
-				key, len(ids), shared.RefCount(key))
+				key, len(sts), shared.RefCount(key))
 		}
 	}
 	// Each view must hold exactly the keys of the statements its user

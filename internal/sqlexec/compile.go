@@ -18,7 +18,9 @@ package sqlexec
 //     live cardinalities, and may run the first join as an index probe of
 //     its inner side instead, see run.go), other joins nested loops over a
 //     materialised right side;
-//   - ORDER BY + LIMIT lowers to a bounded stable top-K heap.
+//   - ORDER BY keys lower to slots of the buffered output row — the
+//     projected column a key is, or a hidden slot past the projection —
+//     and ORDER BY + LIMIT to a buffer bounded by selection (order.go).
 //
 // A SelectPlan holds structure only — relation handles, slots, compiled
 // expressions — never row data, so one plan is safe for concurrent
@@ -75,10 +77,11 @@ type SelectPlan struct {
 	items   []cexpr // plain/fromless: over joined row; grouped: over ext row
 	group   *groupSink
 
-	distinct bool
-	order    []orderPlan
-	limit    int // -1 = absent
-	offset   int // -1 = absent
+	distinct  bool
+	order     []orderPlan
+	sortWidth int // buffered output row: projected columns, then hidden ORDER BY keys
+	limit     int // -1 = absent
+	offset    int // -1 = absent
 }
 
 // Columns returns the output column headers.
@@ -147,11 +150,38 @@ type joinPlan struct {
 // key against the projected row first and falls back to the underlying
 // row per row on ANY evaluation error (not just unresolved names), so the
 // plan keeps both compilations when both resolve; at least one is
-// non-nil.
+// non-nil. at is the key's slot in the buffered output row (placeKeys).
 type orderPlan struct {
 	outKey   cexpr // against the projected row; nil if it doesn't resolve
 	underKey cexpr // against the underlying row; nil if it doesn't resolve
 	desc     bool
+	at       int
+}
+
+// placeKeys gives each ORDER BY key its slot in the buffered output row
+// and returns that row's width. A key that is a plain column reference —
+// outKey a slot of the n projected columns, or, when it does not resolve
+// there, underKey a slot that some item projects unchanged — reads that
+// column, since a slot cannot error and so never falls back. Every other
+// key gets a hidden slot past the projection, evaluated per row.
+func placeKeys(order []orderPlan, items []cexpr, n int) int {
+	w := n
+	for k := range order {
+		op := &order[k]
+		if s, ok := op.outKey.(cSlot); ok {
+			op.at = s.slot
+			continue
+		}
+		if s, ok := op.underKey.(cSlot); ok && op.outKey == nil {
+			if j := slices.IndexFunc(items, func(it cexpr) bool { t, ok := it.(cSlot); return ok && t == s }); j >= 0 {
+				op.at = j
+				continue
+			}
+		}
+		op.at = w
+		w++
+	}
+	return w
 }
 
 // groupSink is the compiled GROUP BY / aggregate machinery. Items and
@@ -310,6 +340,7 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 			p.order = append(p.order, op)
 		}
 	}
+	p.sortWidth = placeKeys(p.order, p.items, len(p.items))
 
 	p.limit, p.offset, err = limitOffset(sel)
 	if err != nil {
@@ -1401,39 +1432,52 @@ func (x *CompiledExpr) Eval(row []sqlval.Value) (sqlval.Value, error) {
 // SortLimit applies sel's ORDER BY / LIMIT / OFFSET to rows that are
 // already materialised under the column layout cols — the tail the
 // enrichment pipeline defers past its joins. Keys compile once against the
-// layout; rows are reordered in place by the executor's own comparison
-// (orderCmp, ties in arrival order) and the returned window is a subslice
-// of rows.
+// layout; a key that is a column reads the row itself, any other is
+// evaluated once per row into an extended copy. The window is selected
+// and sorted by the executor's own comparison (sortWindow, ties in
+// arrival order) and returned in the prefix of rows; the rest of rows is
+// left in no particular order.
 func SortLimit(cols []ScopeCol, sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 	limit, offset, err := limitOffset(sel)
 	if err != nil {
 		return nil, err
 	}
-	if len(sel.OrderBy) > 0 {
-		env := &compileEnv{cols: cols}
-		order := make([]orderPlan, len(sel.OrderBy))
-		for k, ob := range sel.OrderBy {
-			ce, err := compileExpr(ob.Expr, env)
-			if err != nil {
-				return nil, fmt.Errorf("sqlexec: ORDER BY: %w", err)
-			}
-			order[k] = orderPlan{outKey: ce, desc: ob.Desc}
+	if len(sel.OrderBy) == 0 {
+		return window(rows, offset, limit), nil
+	}
+	env := &compileEnv{cols: cols}
+	order := make([]orderPlan, len(sel.OrderBy))
+	for k, ob := range sel.OrderBy {
+		ce, err := compileExpr(ob.Expr, env)
+		if err != nil {
+			return nil, fmt.Errorf("sqlexec: ORDER BY: %w", err)
 		}
-		keyA := sqlval.NewRowArena(len(order))
-		sorted := make([]sortedRow, len(rows))
-		for i, row := range rows {
-			keys := keyA.Next()
-			for k, op := range order {
-				if keys[k], err = op.outKey.eval(row); err != nil {
-					return nil, err
+		order[k] = orderPlan{outKey: ce, desc: ob.Desc}
+	}
+	n := len(cols)
+	width := placeKeys(order, nil, n)
+	var ext *sqlval.RowArena
+	if width > n {
+		ext = sqlval.NewRowArena(width)
+	}
+	sorted := make([]sortedRow, len(rows))
+	for i, row := range rows {
+		if ext != nil {
+			x := ext.Copy(row)
+			for _, op := range order {
+				if op.at >= n {
+					if x[op.at], err = op.outKey.eval(row); err != nil {
+						return nil, err
+					}
 				}
 			}
-			sorted[i] = sortedRow{keys: keys, row: row, seq: int64(i)}
+			row = x
 		}
-		slices.SortFunc(sorted, func(a, b sortedRow) int { return orderCmp(order, &a, &b) })
-		for i := range sorted {
-			rows[i] = sorted[i].row
-		}
+		sorted[i] = sortedRow{row: row, seq: int64(i)}
 	}
-	return window(rows, offset, limit), nil
+	win := windowRuns(order, [][]sortedRow{sorted}, offset, limit, 1)
+	for i, sr := range win {
+		rows[i] = sr.row[:n:n]
+	}
+	return rows[:len(win)], nil
 }

@@ -7,7 +7,8 @@
 // patterns pre-compiled, WHERE conjuncts bound to the earliest pipeline
 // step that covers them, equality-against-constant conjuncts pushed into
 // sqldb.FilteredRelation index seeks, equi-joins planned as hash joins
-// and ORDER BY+LIMIT as a bounded top-K heap — and the plan executes as a
+// and ORDER BY keys as slots of the buffered output row, which a LIMIT
+// bounds by selection (order.go) — and the plan executes as a
 // push-based streaming pipeline over reused rows (run.go). A predicate
 // over slots and constants also gets a typed kernel (kernel.go) that
 // answers most rows without building a Value, and declines the rest to

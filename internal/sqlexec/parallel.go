@@ -18,7 +18,8 @@ package sqlexec
 // builds (parallelBuildHash); float SUM/AVG folds per-morsel compensated
 // partials in morsel order (see aggState); DISTINCT aggregates collect
 // stamped first occurrences and replay them after the merge; and ORDER BY
-// merges the per-worker heaps as sorted runs (exec.MergeSorted). The
+// selects its window from the per-worker buffers (windowRuns), or,
+// without a LIMIT, merges them as sorted runs (exec.MergeSorted). The
 // shapes that still fall back to serial — driving relations without an
 // O(1) cardinality (foreign tables), pushed-down equality seeks (tiny by
 // construction), inputs below parallelMinRows, LIMIT 0 — record why in
@@ -129,7 +130,7 @@ func (r *runner) runParallel(workers int) error {
 	res := make([]parMorsel, nm)
 	ws := make([]*runner, pool.Workers())
 	for i := range ws {
-		ws[i] = r.newWorker(pool, res)
+		ws[i] = r.newWorker(pool, res, len(drive)/len(ws)+1)
 	}
 	pool.Run(func(worker, m int) {
 		ws[worker].runMorsel(pool, res, drive, m)
@@ -201,11 +202,12 @@ func parallelBuildHash(workers int, rows [][]sqlval.Value, keyCol int) *joinTabl
 // own joined-row buffer over the coordinator's frozen sides, sinking into
 // the serial path's sink types. The plain sink yields into the current
 // morsel's buffer, without OFFSET/LIMIT (the merge windows the output),
-// and stops once the pool cancels the morsel; under ORDER BY + DISTINCT
-// its heap is unbounded, since bounding it before the cross-worker
-// DISTINCT merge could evict rows that global deduplication would promote
-// into the top K. The grouped sink collects DISTINCT aggregates.
-func (r *runner) newWorker(pool *sched.Pool, res []parMorsel) *runner {
+// and stops once the pool cancels the morsel; its sorter presizes for its
+// share of the driving rows, and under ORDER BY + DISTINCT it is
+// unbounded, since bounding it before the cross-worker DISTINCT merge
+// could evict rows that global deduplication would promote into the
+// window. The grouped sink collects DISTINCT aggregates.
+func (r *runner) newWorker(pool *sched.Pool, res []parMorsel, share int) *runner {
 	p := r.p
 	w := &runner{p: p, row: make([]sqlval.Value, p.width), shared: r.shared, sides: r.sides}
 	if p.grouped {
@@ -218,11 +220,12 @@ func (r *runner) newWorker(pool *sched.Pool, res []parMorsel) *runner {
 		res[m].rows = append(res[m].rows, arena.Copy(out))
 		return !pool.Cancelled(m)
 	}
-	s := newPlainSink(w)
-	s.offset, s.limit = 0, -1
-	if s.sorter != nil && p.distinct {
-		s.sorter.cap = -1
+	k := keep(p.limit, p.offset)
+	if p.distinct {
+		k = -1
 	}
+	s := newPlainSink(w, k, share)
+	s.offset, s.limit = 0, -1
 	w.sink = s
 	return w
 }
@@ -248,7 +251,7 @@ func (r *runner) runMorsel(pool *sched.Pool, res []parMorsel, drive [][]sqlval.V
 // yield all behave exactly as on the serial path, including rows buffered
 // before a worker's error.
 func (r *runner) mergePlain(res []parMorsel) error {
-	tail := newPlainSink(r)
+	tail := newPlainSink(r, -1, 0)
 	for m := range res {
 		for _, row := range res[m].rows {
 			copy(tail.out, row)
@@ -263,13 +266,15 @@ func (r *runner) mergePlain(res []parMorsel) error {
 	return nil
 }
 
-// mergeSorted combines the per-worker heaps. Every globally retained row
-// is in some worker's heap (a worker's heap is at least as selective as
-// the global one), and (keys, stamp) is a strict total order, so merging
-// the heaps as sorted runs and slicing OFFSET/LIMIT off the merged stream
-// reproduces the serial stable sort, ties included. Under DISTINCT the
-// candidates are first deduplicated in arrival-stamp order — the order the
-// serial sink deduplicates in, before it sorts.
+// mergeSorted combines the per-worker sorters. Every row of the global
+// window is among some worker's kept rows (a worker keeps at least as
+// many as the whole plan), and (keys, stamp) is a strict total order, so
+// selecting the window from the union of the workers' rows reproduces the
+// serial stable sort, ties included. Without a LIMIT the workers' rows are
+// sorted as runs concurrently and merged (exec.MergeSorted), skipping the
+// OFFSET. Under DISTINCT the candidates are first deduplicated in
+// arrival-stamp order — the order the serial sink deduplicates in, before
+// it sorts.
 func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
 	for m := range res {
 		if res[m].err != nil {
@@ -277,9 +282,22 @@ func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
 		}
 	}
 	p := r.p
+	n := len(p.items)
 	runs := make([][]sortedRow, len(ws))
 	for i, w := range ws {
 		runs[i] = w.sink.(*plainSink).sorter.rows
+	}
+	if p.limit < 0 && !p.distinct {
+		skip := p.offset
+		sched.MergeSorted(len(ws), runs, func(a, b sortedRow) int { return orderCmp(p.order, &a, &b) },
+			func(sr sortedRow) bool {
+				if skip > 0 {
+					skip--
+					return true
+				}
+				return r.yield(sr.row[:n])
+			})
+		return nil
 	}
 	if p.distinct {
 		all := slices.Concat(runs...)
@@ -289,7 +307,7 @@ func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
 		kept := all[:0]
 		for _, sr := range all {
 			key = key[:0]
-			for _, v := range sr.row {
+			for _, v := range sr.row[:n] {
 				key = sqlval.AppendKey(key, v)
 			}
 			if _, dup := seen[string(key)]; dup {
@@ -300,19 +318,11 @@ func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
 		}
 		runs = [][]sortedRow{kept}
 	}
-	skip, count := p.offset, 0
-	sched.MergeSorted(len(ws), runs, func(a, b sortedRow) int { return orderCmp(p.order, &a, &b) },
-		func(sr sortedRow) bool {
-			if skip > 0 {
-				skip--
-				return true
-			}
-			if !r.yield(sr.row) {
-				return false
-			}
-			count++
-			return p.limit < 0 || count < p.limit
-		})
+	for _, sr := range windowRuns(p.order, runs, p.offset, p.limit, len(ws)) {
+		if !r.yield(sr.row[:n]) {
+			break
+		}
+	}
 	return nil
 }
 

@@ -9,6 +9,7 @@ package sqlexec
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"strings"
@@ -322,6 +323,64 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 						t.Fatalf("%q opts=%+v: limited row %q not in full result", text, opts, r)
 					}
 					pool[r]--
+				}
+			}
+		}
+	}
+}
+
+// TestOrderWindowParity pins the ORDER BY window against the interpreter
+// on keys with many ties, so the arrival order decides most positions and
+// the sequences must match exactly, at every Parallelism. The LIMIT /
+// OFFSET pairs are sized against the table so that a bounded buffer
+// (twice limit + offset rows) both does and does not fill and cut. The
+// keys cover DESC, a computed key and a key on an unprojected column
+// (each held in a hidden slot), a projected alias, and a key mixing
+// INTEGER, DOUBLE, NULL and NaN.
+func TestOrderWindowParity(t *testing.T) {
+	forceParallel(t)
+	rng := rand.New(rand.NewSource(47))
+	const n1 = 400
+	db := parityDB(t, rng, n1, 0)
+	t1, _ := db.Table("t1")
+	for i := n1; i < n1+20; i++ { // NaN in x.c, which CASE mixes with x.a
+		if err := t1.Insert([]sqlval.Value{
+			sqlval.NewInt(int64(i)), sqlval.NewInt(int64(i % 3)), sqlval.NewString("s1"),
+			sqlval.NewFloat(math.NaN()), sqlval.NewBool(i%2 == 0),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const n = n1 + 20
+	shapes := []string{
+		`SELECT x.id, x.a, x.b FROM t1 x ORDER BY x.a`,
+		`SELECT x.id, x.b FROM t1 x ORDER BY x.b DESC, x.a`,
+		`SELECT x.id, x.a AS k FROM t1 x WHERE x.a > -4 ORDER BY k DESC`,
+		`SELECT x.id, x.b FROM t1 x ORDER BY x.a + x.c`,
+		`SELECT x.id FROM t1 x ORDER BY x.c DESC`,
+		`SELECT x.id, x.c FROM t1 x ORDER BY CASE WHEN x.d THEN x.a ELSE x.c END, x.b`,
+		`SELECT DISTINCT x.b, x.a FROM t1 x ORDER BY x.a DESC`,
+	}
+	windows := []string{
+		"",
+		fmt.Sprintf(" OFFSET %d", n/3),
+		" LIMIT 0",
+		" LIMIT 3",
+		fmt.Sprintf(" LIMIT 3 OFFSET %d", n/5), // k ≪ n: many cuts
+		fmt.Sprintf(" LIMIT %d OFFSET %d", n/8, n/4),     // 2k < n: cuts
+		fmt.Sprintf(" LIMIT %d OFFSET %d", n/4, n/2),     // 2k > n: never cuts
+		fmt.Sprintf(" LIMIT %d", n),                      // k = n
+		fmt.Sprintf(" LIMIT 5 OFFSET %d", n+10),          // offset past every row
+		fmt.Sprintf(" LIMIT %d OFFSET %d", n/2, n/2-n/8), // window runs off the end
+	}
+	for _, shape := range shapes {
+		for _, w := range windows {
+			text := shape + w
+			want := strings.Join(renderRows(mustInterp(t, db, text)), "\n")
+			for _, opts := range parityOptions {
+				got := strings.Join(renderRows(mustExecOpts(t, db, text, opts)), "\n")
+				if got != want {
+					t.Fatalf("%q opts=%+v: sequences differ\ninterp:\n%s\ncompiled:\n%s", text, opts, want, got)
 				}
 			}
 		}

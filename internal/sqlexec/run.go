@@ -10,14 +10,14 @@ package sqlexec
 // (kernel.go). Only the sink (projection / DISTINCT / ORDER BY /
 // grouping) allocates retained rows — via sqlval.RowArena, so
 // materialising n rows costs O(n/block) allocations. LIMIT without ORDER
-// BY stops the pipeline early; ORDER BY + LIMIT keeps a bounded stable
-// top-K heap instead of sorting everything. The pipeline body for one
+// BY stops the pipeline early; ORDER BY + LIMIT keeps a buffer of at most
+// twice limit + offset rows, cut back by selection (order.go), instead of
+// sorting everything. The pipeline body for one
 // driving row is feed, and it has two drivers: the serial one in run
 // streams the driving scan into it, the morsel workers of parallel.go
 // feed it materialised morsels.
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -258,7 +258,8 @@ func (r *runner) run() error {
 	if p.grouped {
 		r.sink = newGroupedSink(r, false)
 	} else {
-		r.sink = newPlainSink(r)
+		est, _ := scanEstimate(r.driving)
+		r.sink = newPlainSink(r, keep(p.limit, p.offset), est)
 	}
 	if r.probing {
 		for _, in := range probeRows {
@@ -669,12 +670,12 @@ func (r *runner) padAndDescend(i int, j *joinPlan, seg []sqlval.Value) bool {
 type plainSink struct {
 	r   *runner
 	p   *SelectPlan
-	out []sqlval.Value // reused projection buffer
+	out []sqlval.Value // reused projection buffer, then the hidden ORDER BY keys
 
 	seen       map[string]struct{} // DISTINCT keys
 	keyScratch []byte
 
-	sorter *topKSorter
+	sorter *rowSorter
 
 	// offset and limit are the plan's, except on a morsel worker, whose
 	// buffered output the merge windows.
@@ -682,13 +683,17 @@ type plainSink struct {
 	count, skipped int
 }
 
-func newPlainSink(r *runner) *plainSink {
-	s := &plainSink{r: r, p: r.p, out: make([]sqlval.Value, len(r.p.items)), offset: r.p.offset, limit: r.p.limit}
-	if s.p.distinct {
+// newPlainSink returns the plan's plain sink. Under ORDER BY its sorter
+// keeps k rows (-1: all) and presizes for the hint rows the caller
+// expects to reach it.
+func newPlainSink(r *runner, k, hint int) *plainSink {
+	p := r.p
+	s := &plainSink{r: r, p: p, out: make([]sqlval.Value, p.sortWidth), offset: p.offset, limit: p.limit}
+	if p.distinct {
 		s.seen = make(map[string]struct{})
 	}
-	if len(s.p.order) > 0 {
-		s.sorter = newTopKSorter(s.p, len(s.p.headers))
+	if len(p.order) > 0 {
+		s.sorter = newRowSorter(p.order, p.sortWidth, k, hint)
 	}
 	return s
 }
@@ -715,7 +720,7 @@ func (s *plainSink) add(row []sqlval.Value) bool {
 func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 	if s.seen != nil {
 		s.keyScratch = s.keyScratch[:0]
-		for _, v := range s.out {
+		for _, v := range s.out[:len(s.p.items)] {
 			s.keyScratch = sqlval.AppendKey(s.keyScratch, v)
 		}
 		if _, dup := s.seen[string(s.keyScratch)]; dup {
@@ -724,10 +729,11 @@ func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 		s.seen[string(s.keyScratch)] = struct{}{}
 	}
 	if s.sorter != nil {
-		if err := s.sorter.add(s.out, under, at); err != nil {
+		if err := s.evalKeys(under); err != nil {
 			s.r.err = err
 			return false
 		}
+		s.sorter.add(s.out, at)
 		return true
 	}
 	if s.offset > 0 && s.skipped < s.offset {
@@ -744,9 +750,36 @@ func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 	return s.limit < 0 || s.count < s.limit
 }
 
+// evalKeys evaluates the ORDER BY keys that no projected column holds
+// into their hidden slots of out. A key resolving against the projected
+// row falls back to the underlying row per row when it errors there, like
+// the interpreter.
+func (s *plainSink) evalKeys(under []sqlval.Value) error {
+	for _, op := range s.p.order {
+		if op.at < len(s.p.items) {
+			continue
+		}
+		var v sqlval.Value
+		var err error
+		if op.outKey != nil {
+			v, err = op.outKey.eval(s.out)
+			if err != nil && op.underKey != nil {
+				v, err = op.underKey.eval(under)
+			}
+		} else {
+			v, err = op.underKey.eval(under)
+		}
+		if err != nil {
+			return err
+		}
+		s.out[op.at] = v
+	}
+	return nil
+}
+
 func (s *plainSink) finish() error {
 	if s.sorter != nil {
-		return s.sorter.flush(s.r.yield)
+		s.sorter.emit(s.p.offset, s.p.limit, len(s.p.items), s.r.yield)
 	}
 	return nil
 }
@@ -850,7 +883,7 @@ func emitGroups(r *runner, order []*groupState) error {
 	}
 
 	// The emit tail shares the plain sink's DISTINCT/ORDER/LIMIT logic.
-	tail := newPlainSink(r)
+	tail := newPlainSink(r, keep(p.limit, p.offset), len(order))
 	ext := make([]sqlval.Value, p.width+len(g.aggs))
 	for gi, grp := range order {
 		copy(ext, grp.first)
@@ -885,160 +918,4 @@ func emitGroups(r *runner, order []*groupState) error {
 		}
 	}
 	return tail.finish()
-}
-
-// --- stable top-K / full sort ---
-
-// sortedRow is one buffered output row with its evaluated order keys and
-// arrival stamp (the tiebreak that makes the sort stable): the (morsel,
-// within-morsel sequence) composite of runner.at for pipeline rows, which
-// orders rows identically on both drivers, and the position for rows
-// sorted after the pipeline (groups, SortLimit).
-type sortedRow struct {
-	keys []sqlval.Value
-	row  []sqlval.Value
-	seq  int64
-}
-
-// topKSorter buffers output rows for ORDER BY. With a LIMIT (and top-K
-// enabled) it keeps only the limit+offset best rows in a max-heap —
-// the heap order includes the arrival sequence, so the retained set is
-// exactly the stable-sort prefix, ties included.
-type topKSorter struct {
-	p          *SelectPlan
-	rows       []sortedRow
-	rowA       *sqlval.RowArena
-	keyA       *sqlval.RowArena
-	keyScratch []sqlval.Value // reused for rows the bounded heap rejects
-	cap        int            // -1 = unbounded (full sort)
-}
-
-func newTopKSorter(p *SelectPlan, width int) *topKSorter {
-	s := &topKSorter{
-		p:          p,
-		rowA:       sqlval.NewRowArena(width),
-		keyA:       sqlval.NewRowArena(len(p.order)),
-		keyScratch: make([]sqlval.Value, len(p.order)),
-		cap:        -1,
-	}
-	if p.limit >= 0 {
-		s.cap = p.limit
-		if p.offset > 0 {
-			s.cap += p.offset
-		}
-	}
-	return s
-}
-
-func (s *topKSorter) less(a, b *sortedRow) bool { return orderCmp(s.p.order, a, b) < 0 }
-
-// orderCmp orders a against b in the final output: key by key under
-// CompareForSort (NULLs first, reversed for DESC), then by arrival stamp.
-// Every ORDER BY — serial top-K, parallel sorted runs, SortLimit — compares
-// through here.
-func orderCmp(order []orderPlan, a, b *sortedRow) int {
-	for k, op := range order {
-		c := sqlval.CompareForSort(a.keys[k], b.keys[k])
-		if c != 0 {
-			if op.desc {
-				return -c
-			}
-			return c
-		}
-	}
-	return cmp.Compare(a.seq, b.seq)
-}
-
-func (s *topKSorter) add(out, under []sqlval.Value, seq int64) error {
-	keys := s.keyScratch
-	for k, op := range s.p.order {
-		var v sqlval.Value
-		var err error
-		if op.outKey != nil {
-			v, err = op.outKey.eval(out)
-			if err != nil && op.underKey != nil {
-				// Per-row fallback to the underlying columns, like the
-				// interpreter.
-				v, err = op.underKey.eval(under)
-			}
-		} else {
-			v, err = op.underKey.eval(under)
-		}
-		if err != nil {
-			return err
-		}
-		keys[k] = v
-	}
-	nr := sortedRow{keys: keys, seq: seq}
-
-	if s.cap == 0 {
-		return nil
-	}
-	if s.cap > 0 && len(s.rows) == s.cap && !s.less(&nr, &s.rows[0]) {
-		return nil // loses to the current worst: drop without copying
-	}
-	// Retained: copy the keys and the projected row out of the scratch
-	// buffers.
-	nr.keys = s.keyA.Copy(keys)
-	nr.row = s.rowA.Copy(out)
-
-	if s.cap < 0 || len(s.rows) < s.cap {
-		s.rows = append(s.rows, nr)
-		if len(s.rows) == s.cap {
-			// Heapify: max-heap on final order (root = worst retained).
-			for i := len(s.rows)/2 - 1; i >= 0; i-- {
-				s.siftDown(i)
-			}
-		}
-		return nil
-	}
-	// Replace the current worst.
-	s.rows[0] = nr
-	s.siftDown(0)
-	return nil
-}
-
-func (s *topKSorter) siftDown(i int) {
-	n := len(s.rows)
-	for {
-		l, r := 2*i+1, 2*i+2
-		worst := i
-		if l < n && s.less(&s.rows[worst], &s.rows[l]) {
-			worst = l
-		}
-		if r < n && s.less(&s.rows[worst], &s.rows[r]) {
-			worst = r
-		}
-		if worst == i {
-			return
-		}
-		s.rows[i], s.rows[worst] = s.rows[worst], s.rows[i]
-		i = worst
-	}
-}
-
-func (s *topKSorter) flush(yield func([]sqlval.Value) bool) error {
-	// (keys, seq) is a strict total order, so a plain sort equals the
-	// interpreter's stable sort; for the bounded case the heap retained
-	// exactly the first cap rows of that order.
-	slices.SortFunc(s.rows, func(a, b sortedRow) int { return orderCmp(s.p.order, &a, &b) })
-	rows := window(s.rows, s.p.offset, s.p.limit)
-	for i := range rows {
-		if !yield(rows[i].row) {
-			return nil
-		}
-	}
-	return nil
-}
-
-// window slices the OFFSET / LIMIT range out of fully ordered rows; a
-// negative offset or limit means the clause is absent.
-func window[T any](rows []T, offset, limit int) []T {
-	if offset > 0 {
-		rows = rows[min(offset, len(rows)):]
-	}
-	if limit >= 0 && limit < len(rows) {
-		rows = rows[:limit]
-	}
-	return rows
 }
