@@ -251,22 +251,27 @@
 // live in the compiled shape): core.Stats.SPARQLQueries lists only the
 // queries that ran and core.Stats.ContextHits counts the reuses.
 //
-// The pipeline ends in place. The paper's Fig. 6 hands the joined rows to
-// a temporary support database and runs a "final query" there; here the
-// workset already sits in the same process as the SQL executor's compiled
-// comparator, so the final stage projects the visible columns (dropping
-// the hidden ones WHERE enrichments add) and, when ORDER BY / LIMIT /
-// OFFSET had to wait for enrichment, selects and sorts the window directly
-// (sqlexec.SortLimit: keys compiled once against the result headers,
-// stable, the same selection and key comparison every other ORDER BY in
-// the system uses). The tail waits when a WHERE enrichment filters rows
-// after the base query or when an ORDER BY key names a column a schema
-// enrichment adds; otherwise it stays in the base query and keeps the
-// bounded ORDER BY buffer. Values keep the types the ontology gave them — nothing is
-// coerced to a column type on the way out. core.Stats.FinalSQLText
-// ("final_sql" over REST) renders the stage as the SELECT ... FROM
-// sesql_result ORDER BY ... of Fig. 6 so the correspondence stays
-// visible; it is a description, no SQL text is parsed or run.
+// The JoinManager compiles with the shape (core/shape.go): each step's
+// attribute, mapping rule and output slot, the result's headers (clash
+// suffixes such as dangerLevel_2 included) and the final stage. A request
+// materialises the base rows, fetches every step's extract and makes one
+// pass: each base row goes into one scratch row, is tested against the
+// WHERE enrichments and fanned out by the schema enrichments, and every
+// row that comes out is copied once, as its visible columns, into one
+// arena. Extracts are keyed by sqlval.AppendJoinKey of the value read back
+// through the resource mapping; NULL joins with nothing. Where the paper's
+// Fig. 6 stages the joined rows in a support database for a "final query",
+// the final stage here is a sqlexec.Tail compiled once against the
+// result's headers: the same stable selection and key comparison as every
+// other ORDER BY. The whole tail waits for it when a WHERE enrichment
+// filters rows after the base query or an ORDER BY key names an enriched
+// column. Otherwise the base query keeps the ORDER BY, and when a
+// SCHEMAEXTENSION / SCHEMAREPLACEMENT step can fan a row out, it keeps the
+// first offset+limit rows (every base row yields at least one joined row,
+// so they hold the window) and the final stage only re-applies the window.
+// Values keep the ontology's types. core.Stats.FinalSQLText ("final_sql"
+// over REST) renders the stage as the SELECT ... FROM sesql_result of
+// Fig. 6; it is a description, no SQL text is parsed or run.
 //
 // # Persistence and recovery
 //

@@ -3,7 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
-	"strconv"
+	"slices"
 	"strings"
 	"time"
 
@@ -73,7 +73,7 @@ type Stats struct {
 	BaseSQL  time.Duration // relational query on the main platform
 	SPARQL   time.Duration // ontology queries on the user's KB
 	Join     time.Duration // JoinManager: combine partial results
-	FinalSQL time.Duration // final stage: deferred ORDER BY / LIMIT / OFFSET over the workset
+	FinalSQL time.Duration // final stage: deferred ORDER BY / LIMIT / OFFSET over the joined rows
 
 	BaseRows  int
 	FinalRows int
@@ -85,7 +85,7 @@ type Stats struct {
 	ContextHits   int
 	// FinalSQLText describes the final stage as Fig. 6's "final query" over
 	// a notional sesql_result table. No SQL runs: the stage sorts and slices
-	// the workset in place. Empty when nothing was deferred.
+	// the joined rows in place. Empty when nothing was deferred.
 	FinalSQLText string
 
 	// SkippedSources names remote sources that were down and skipped
@@ -191,66 +191,42 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		return res, st, err
 	}
 
-	// --- Run the base SQL query on the main platform ---
-	// It streams straight into the JoinManager's workset: no intermediate
-	// Result, rows land once in a workset-owned arena.
+	// --- Base SQL: the base rows, materialised once ---
 	t0 = time.Now()
-	work := &workset{headers: plan.Columns()}
-	arena := sqlval.NewRowArena(len(work.headers))
+	var base [][]sqlval.Value
+	arena := sqlval.NewRowArena(sp.width)
 	info, err := plan.StreamInfoContext(ctx, func(row []sqlval.Value) bool {
-		work.rows = append(work.rows, arena.Copy(row))
+		base = append(base, arena.Copy(row))
 		return true
 	})
 	st.BaseSQL = time.Since(t0)
 	if err != nil {
 		return nil, st, fmt.Errorf("core: base query: %w", err)
 	}
-	skipped := info.SkippedSources
-	st.SkippedSources = skipped
+	st.SkippedSources = info.SkippedSources
 	st.addParallelFallback("base-sql", info.ParallelFallback)
-	st.BaseRows = len(work.rows)
-	visible := sp.visible
-	hidden := len(work.headers) - visible
+	st.BaseRows = len(base)
 
-	// --- WHERE enrichments (JoinManager filtering) ---
-	for i := range sp.where {
-		if err := e.applyWhereEnrichment(&sp.where[i], lits, work, uc, st); err != nil {
+	// --- SPARQL: every step's extract (timed per query in extract) ---
+	j := &joiner{sp: sp, m: e.Mapping, runs: make([]stepRun, len(sp.steps)), scratch: make([]sqlval.Value, sp.scratch)}
+	for i := range sp.steps {
+		if j.runs[i], err = e.fetch(&sp.steps[i], lits, uc, st); err != nil {
 			return nil, st, err
 		}
 	}
 
-	// --- Schema enrichments ---
-	for i := range sp.schema {
-		if err := e.applySchemaEnrichment(q, &sp.schema[i], work, uc, visible, st); err != nil {
-			return nil, st, err
-		}
-		visible = len(work.headers) - hidden // new columns are visible
-	}
+	// --- JoinManager: one pass over the base rows ---
+	t0 = time.Now()
+	res := &sqlexec.Result{Columns: slices.Clone(sp.headers), Rows: j.join(base), SkippedSources: info.SkippedSources}
+	st.Join = time.Since(t0)
 
 	// --- Final stage (Fig. 6's last step) ---
 	// The paper hands the joined rows to a support database and queries
-	// them; here they already sit next to a compiled comparator, so the
-	// stage projects the visible columns and sorts and slices in place.
-	t0 = time.Now()
-	res := &sqlexec.Result{Columns: work.headers[:visible:visible], Rows: work.rows, SkippedSources: skipped}
-	for i, r := range res.Rows {
-		res.Rows[i] = r[:visible]
-	}
-	st.Join += time.Since(t0)
-
-	if sp.deferTail {
+	// them; here the compiled tail sorts and slices them in place.
+	if sp.tail != nil {
 		t0 = time.Now()
-		final := &sqlparser.Select{
-			From:    []sqlparser.TableRef{{Table: "sesql_result"}},
-			OrderBy: q.Select.OrderBy, Limit: q.Select.Limit, Offset: q.Select.Offset,
-		}
-		cols := make([]sqlexec.ScopeCol, visible)
-		for i, h := range res.Columns {
-			final.Items = append(final.Items, sqlparser.SelectItem{Expr: &sqlparser.ColRef{Name: h}})
-			cols[i] = sqlexec.ScopeCol{Name: h}
-		}
-		st.FinalSQLText = sqlparser.SelectSQL(final)
-		res.Rows, err = sqlexec.SortLimit(cols, final, res.Rows)
+		st.FinalSQLText = sp.finalSQL
+		res.Rows, err = sp.tail.Apply(res.Rows)
 		st.FinalSQL = time.Since(t0)
 		if err != nil {
 			return nil, st, fmt.Errorf("core: final stage: %w", err)
@@ -266,12 +242,6 @@ type userCtx struct {
 	name  string
 	view  rdf.Graph
 	epoch uint64
-}
-
-// workset is the JoinManager's in-flight partial result.
-type workset struct {
-	headers []string
-	rows    [][]sqlval.Value
 }
 
 // hiddenCols tracks the extra projections added to the base query so that
@@ -349,198 +319,131 @@ func parseConstant(text string) sqlparser.Expr {
 	return parseAttrRef(text)
 }
 
-// --- WHERE enrichments ---
+// --- the JoinManager ---
 
-// applyWhereEnrichment re-evaluates the tagged condition over every base
-// row with the constant (ReplaceConstant) or the attribute's value
-// (ReplaceVariable) replaced by the values the ontology yields; a row
-// survives when some replacement satisfies the condition (the paper's
-// "treat the list as if it was a relational attribute").
-func (e *Enricher) applyWhereEnrichment(step *enrichStep, lits sesql.Literals, work *workset, uc userCtx, st *Stats) error {
-	pred := step.pred.Bind(lits.Vals)
+// The candidate lists of a boolean enrichment's two answers, and of a
+// value that draws nothing from a (SCHEMAEXTENSION/-REPLACEMENT) extract:
+// the row stays, with NULL in the new column. Shared; never modified.
+var (
+	isTrue  = []sqlval.Value{sqlval.NewBool(true)}
+	isFalse = []sqlval.Value{sqlval.NewBool(false)}
+	isNull  = []sqlval.Value{sqlval.Null}
+)
+
+// stepRun is one step's state for one request: its condition with the
+// request's literals bound, its extract, and the candidates each attribute
+// value drew (values repeat across rows; the memo spares a mapping round
+// trip per row).
+type stepRun struct {
+	pred   *sqlexec.Predicate
+	values []sqlval.Value            // REPLACECONSTANT: every row's candidates
+	keyed  map[string][]sqlval.Value // otherwise: candidates by join key
+	memo   map[sqlval.Value][]sqlval.Value
+}
+
+// fetch returns the step's request state, running (or reusing) its
+// extract.
+func (e *Enricher) fetch(step *enrichStep, lits sesql.Literals, uc userCtx, st *Stats) (stepRun, error) {
+	var r stepRun
+	var err error
+	if step.pred != nil {
+		r.pred = step.pred.Bind(lits.Vals)
+	}
 	switch step.en.Kind {
 	case sesql.ReplaceConstant:
-		values, err := e.replacementValues(step, uc, st)
-		if err != nil {
-			return err
-		}
-		existsFilter(work, pred, func(row []sqlval.Value, try func(sqlval.Value) bool) bool {
-			for _, v := range values {
-				if try(v) {
-					return true
-				}
-			}
-			return false
-		}, st)
-
-	case sesql.ReplaceVariable:
-		pairs, err := e.propertyPairs(step, uc, st)
-		if err != nil {
-			return err
-		}
-		column := parseAttrRef(step.en.Attr).Name
-		existsFilter(work, pred, func(row []sqlval.Value, try func(sqlval.Value) bool) bool {
-			for _, v := range pairs[valueKeyMapped(e.Mapping, step.table, column, row[step.attrIdx])] {
-				if try(v) {
-					return true
-				}
-			}
-			return false
-		}, st)
-	}
-	return nil
-}
-
-// existsFilter keeps rows for which the candidate generator finds a value
-// satisfying the compiled condition; per candidate value the cost is one
-// evaluation over the scratch row.
-func existsFilter(work *workset, pred *sqlexec.Predicate,
-	gen func(row []sqlval.Value, try func(sqlval.Value) bool) bool, st *Stats) {
-	t0 := time.Now()
-	defer func() { st.Join += time.Since(t0) }()
-
-	scratch := make([]sqlval.Value, len(work.headers)+1)
-	var kept [][]sqlval.Value
-	for _, row := range work.rows {
-		copy(scratch, row)
-		try := func(v sqlval.Value) bool {
-			scratch[len(work.headers)] = v
-			// Type mismatches against heterogeneous ontology values behave
-			// like SQL UNKNOWN rather than aborting the query.
-			tri, err := pred.EvalBool(scratch)
-			return err == nil && tri == sqlval.True
-		}
-		if gen(row, try) {
-			kept = append(kept, row)
-		}
-	}
-	work.rows = kept
-}
-
-// --- schema enrichments ---
-
-func (e *Enricher) applySchemaEnrichment(q *sesql.Query, step *enrichStep, work *workset, uc userCtx, visible int, st *Stats) error {
-	en := step.en
-	attrIdx, err := resolveAttr(q.Select, work.headers[:visible], en.Attr)
-	if err != nil {
-		return err
-	}
-	// The ontology side of the join: what the column's values map to.
-	table := attrTable(q.Select, en.Attr)
-	column := parseAttrRef(en.Attr).Name
-
-	switch en.Kind {
-	case sesql.SchemaExtension, sesql.SchemaReplacement:
-		pairs, err := e.propertyPairs(step, uc, st)
-		if err != nil {
-			return err
-		}
-		t0 := time.Now()
-		replace := replaces(en)
-		rows := make([][]sqlval.Value, 0, len(work.rows))
-		arena := extendArena(work.rows, replace)
-		// Column values repeat across rows; memoise the value→term→key
-		// mapping so the per-row cost is one comparable-map probe instead
-		// of an IRI string build.
-		memo := make(map[sqlval.Value][]sqlval.Value)
-		for _, row := range work.rows {
-			objs, ok := memo[row[attrIdx]]
-			if !ok {
-				objs = pairs[valueKeyMapped(e.Mapping, table, column, row[attrIdx])]
-				memo[row[attrIdx]] = objs
-			}
-			if len(objs) == 0 {
-				rows = append(rows, extendRow(arena, row, attrIdx, sqlval.Null, replace, visible))
-				continue
-			}
-			for _, o := range objs {
-				rows = append(rows, extendRow(arena, row, attrIdx, o, replace, visible))
-			}
-		}
-		work.rows = rows
-		work.headers, _ = enrichHeader(work.headers, visible, attrIdx, en)
-		st.Join += time.Since(t0)
-		return nil
-
+		r.values, err = e.replacementValues(step, uc, st)
+		return r, err
 	case sesql.BoolSchemaExtension, sesql.BoolSchemaReplacement:
-		members, err := e.conceptMembers(step, uc, st)
-		if err != nil {
-			return err
+		r.keyed, err = e.conceptMembers(step, uc, st)
+	default:
+		r.keyed, err = e.propertyPairs(step, uc, st)
+	}
+	r.memo = make(map[sqlval.Value][]sqlval.Value)
+	return r, err
+}
+
+// joiner is one request's pass of the compiled JoinManager.
+type joiner struct {
+	sp      *shapePlan
+	m       *Mapping
+	runs    []stepRun
+	scratch []sqlval.Value // see shapePlan
+	key     []byte         // join key buffer, reused for every lookup
+	arena   *sqlval.RowArena
+	rows    [][]sqlval.Value
+}
+
+// join makes the one pass over the base rows: each is copied into the
+// scratch row and walked through the steps (fan), and every row that
+// comes out is copied once, as its visible columns, into one arena.
+func (j *joiner) join(base [][]sqlval.Value) [][]sqlval.Value {
+	j.arena = sqlval.NewRowArena(len(j.sp.out))
+	j.rows = make([][]sqlval.Value, 0, len(base))
+	for _, row := range base {
+		copy(j.scratch, row)
+		j.fan(0)
+	}
+	return j.rows
+}
+
+// fan walks the scratch row through steps[k:]. A WHERE step passes it on
+// once if some candidate satisfies the tagged condition (the paper's
+// "treat the list as if it was a relational attribute"); a schema step
+// passes it on once per candidate, in the extract's order.
+func (j *joiner) fan(k int) {
+	if k == len(j.sp.steps) {
+		out := j.arena.Next()
+		for i, s := range j.sp.out {
+			out[i] = j.scratch[s]
 		}
-		t0 := time.Now()
-		replace := replaces(en)
-		rows := make([][]sqlval.Value, 0, len(work.rows))
-		arena := extendArena(work.rows, replace)
-		memo := make(map[sqlval.Value]bool)
-		for _, row := range work.rows {
-			isMember, ok := memo[row[attrIdx]]
-			if !ok {
-				_, isMember = members[valueKeyMapped(e.Mapping, table, column, row[attrIdx])]
-				memo[row[attrIdx]] = isMember
+		j.rows = append(j.rows, out)
+		return
+	}
+	step, run := &j.sp.steps[k], &j.runs[k]
+	for _, v := range j.candidates(step, run) {
+		j.scratch[step.out] = v
+		if run.pred == nil {
+			j.fan(k + 1)
+			continue
+		}
+		// Type mismatches against heterogeneous ontology values behave
+		// like SQL UNKNOWN rather than aborting the query.
+		if tri, err := run.pred.EvalBool(j.scratch); err == nil && tri == sqlval.True {
+			j.fan(k + 1)
+			return
+		}
+	}
+}
+
+// candidates returns the values the step tries for the scratch row. A
+// keyed extract is probed with the attribute's value routed through the
+// resource mapping and back (so a column mapped to IRIs joins with
+// IRI-derived values), encoded by sqlval.AppendJoinKey: Compare-equal
+// numerics share a key. NULL joins with nothing; read through the mapping
+// it would name a subject "NULL".
+func (j *joiner) candidates(step *enrichStep, run *stepRun) []sqlval.Value {
+	if run.keyed == nil {
+		return run.values
+	}
+	v := j.scratch[step.attr]
+	got, ok := run.memo[v]
+	if !ok {
+		got = step.miss
+		if !v.IsNull() {
+			j.key = sqlval.AppendJoinKey(j.key[:0], j.m.FromTerm(j.m.ToTerm(step.table, step.column, v)))
+			if objs, ok := run.keyed[string(j.key)]; ok {
+				got = objs
 			}
-			rows = append(rows, extendRow(arena, row, attrIdx, sqlval.NewBool(isMember), replace, visible))
 		}
-		work.rows = rows
-		work.headers, _ = enrichHeader(work.headers, visible, attrIdx, en)
-		st.Join += time.Since(t0)
-		return nil
+		run.memo[v] = got
 	}
-	return fmt.Errorf("core: unexpected schema enrichment %v", en.Kind)
-}
-
-// extendArena returns a row arena sized for the enrichment's output rows
-// (same width on replacement, one wider on extension).
-func extendArena(rows [][]sqlval.Value, replace bool) *sqlval.RowArena {
-	w := 0
-	if len(rows) > 0 {
-		w = len(rows[0])
-		if !replace {
-			w++
-		}
-	}
-	return sqlval.NewRowArena(w)
-}
-
-// extendRow either replaces column attrIdx with v or inserts v as a new
-// column just before position visible (i.e. after the visible columns,
-// before any hidden ones). Output rows come from the arena, so the
-// per-input-row join loop does not allocate.
-func extendRow(a *sqlval.RowArena, row []sqlval.Value, attrIdx int, v sqlval.Value, replace bool, visible int) []sqlval.Value {
-	if replace {
-		out := a.Copy(row)
-		out[attrIdx] = v
-		return out
-	}
-	out := a.Next()
-	copy(out, row[:visible])
-	out[visible] = v
-	copy(out[visible+1:], row[visible:])
-	return out
-}
-
-// enrichHeader names the column a schema enrichment adds at visible (or
-// substitutes at attrIdx, in place) and returns the headers after it.
-func enrichHeader(headers []string, visible, attrIdx int, en sesql.Enrichment) ([]string, string) {
-	name := uniqueName(shortName(en.Property), headers)
-	if replaces(en) {
-		headers[attrIdx] = name
-		return headers, name
-	}
-	return insertHeader(headers, visible, name), name
+	return got
 }
 
 // replaces reports whether a schema enrichment substitutes the attribute's
 // column rather than adding one.
 func replaces(en sesql.Enrichment) bool {
 	return en.Kind == sesql.SchemaReplacement || en.Kind == sesql.BoolSchemaReplacement
-}
-
-func insertHeader(headers []string, visible int, name string) []string {
-	out := make([]string, 0, len(headers)+1)
-	out = append(out, headers[:visible]...)
-	out = append(out, name)
-	out = append(out, headers[visible:]...)
-	return out
 }
 
 // --- ontology access (the SQM's constructed SPARQL queries) ---
@@ -556,25 +459,29 @@ func (e *Enricher) propertyPairs(step *enrichStep, uc userCtx, st *Stats) (map[s
 		text = sq.Text
 		minVarsErr = fmt.Sprintf("stored query %q must project (subject, object) for %s", step.en.Property, step.en.Kind)
 	}
+	var key []byte
 	return extract(e, uc, extractPairs, text, st, 2, minVarsErr, map[string][]sqlval.Value{},
 		func(pairs map[string][]sqlval.Value, sol sparql.Solution) map[string][]sqlval.Value {
 			s, okS := sol.Term(0)
 			o, okO := sol.Term(1)
 			if okS && okO {
-				key := valueKey(e.Mapping.FromTerm(s))
-				pairs[key] = append(pairs[key], e.Mapping.FromTerm(o))
+				key = sqlval.AppendJoinKey(key[:0], e.Mapping.FromTerm(s))
+				pairs[string(key)] = append(pairs[string(key)], e.Mapping.FromTerm(o))
 			}
 			return pairs
 		})
 }
 
-// conceptMembers returns the set of values related to the concept through
-// the property (for the boolean enrichments).
-func (e *Enricher) conceptMembers(step *enrichStep, uc userCtx, st *Stats) (map[string]struct{}, error) {
-	return extract(e, uc, extractMembers, step.text, st, 1, "", map[string]struct{}{},
-		func(members map[string]struct{}, sol sparql.Solution) map[string]struct{} {
+// conceptMembers returns the values related to the concept through the
+// property (for the boolean enrichments), each with the candidate list
+// isTrue.
+func (e *Enricher) conceptMembers(step *enrichStep, uc userCtx, st *Stats) (map[string][]sqlval.Value, error) {
+	var key []byte
+	return extract(e, uc, extractMembers, step.text, st, 1, "", map[string][]sqlval.Value{},
+		func(members map[string][]sqlval.Value, sol sparql.Solution) map[string][]sqlval.Value {
 			if s, ok := sol.Term(0); ok {
-				members[valueKey(e.Mapping.FromTerm(s))] = struct{}{}
+				key = sqlval.AppendJoinKey(key[:0], e.Mapping.FromTerm(s))
+				members[string(key)] = isTrue
 			}
 			return members
 		})
@@ -658,42 +565,6 @@ func (e *Enricher) SPARQL(user, text string) (*sparql.Result, error) {
 }
 
 // --- helpers ---
-
-// valueKey encodes a SQL value for hash joining ontology results with
-// relational values. Numeric types fold together: both render canonically
-// as the float64 they widen to, as sqlval.AppendJoinKey renders them, so
-// Compare-equal values (INTEGER 2500000, DOUBLE 2.5e6) share a key. It runs
-// once per base row per enrichment, so it builds the key directly instead
-// of going through fmt.
-func valueKey(v sqlval.Value) string {
-	t := v.Type()
-	var s string
-	if t == sqlval.TypeInt || t == sqlval.TypeFloat {
-		t = sqlval.TypeInt
-		f := v.Float()
-		if f == 0 {
-			f = 0 // fold -0.0 into +0.0
-		}
-		s = strconv.FormatFloat(f, 'g', -1, 64)
-	} else {
-		s = v.String()
-	}
-	var b strings.Builder
-	b.Grow(len(s) + 4)
-	b.WriteString(strconv.Itoa(int(t)))
-	b.WriteByte('|')
-	b.WriteString(s)
-	return b.String()
-}
-
-// valueKeyMapped routes the relational value through the resource mapping
-// and back, so a column mapped to IRIs joins with IRI-derived values.
-func valueKeyMapped(m *Mapping, table, column string, v sqlval.Value) string {
-	if v.IsNull() {
-		return "null"
-	}
-	return valueKey(m.FromTerm(m.ToTerm(table, column, v)))
-}
 
 // resolveAttr finds the result column an enrichment attr argument denotes:
 // an alias, a projected column name, or a qualified column whose projection

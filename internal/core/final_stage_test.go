@@ -139,7 +139,8 @@ func TestFinalStage(t *testing.T) {
 
 // TestOrderByEnrichedColumnWithoutWhereEnrichment: a schema-only query
 // whose ORDER BY names the column the enrichment adds must defer its tail;
-// one that sorts by a base column keeps the top-K pushdown.
+// one that sorts by a base column keeps the top-K pushdown, and the final
+// stage only re-applies the LIMIT after the fan-out.
 func TestOrderByEnrichedColumnWithoutWhereEnrichment(t *testing.T) {
 	e := fixture(t)
 	r, st, err := e.QueryStats("alice", `SELECT elem_name, landfill_name FROM elem_contained
@@ -159,8 +160,8 @@ ORDER BY elem_name LIMIT 3 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(st.BaseSQLText, "ORDER BY elem_name LIMIT 3") || st.FinalSQLText != "" {
-		t.Errorf("base-column ORDER BY must stay in the base query: base %q, final %q", st.BaseSQLText, st.FinalSQLText)
+	if !strings.Contains(st.BaseSQLText, "ORDER BY elem_name LIMIT 3") || st.FinalSQLText != "SELECT elem_name, landfill_name, dangerLevel FROM sesql_result LIMIT 3" {
+		t.Errorf("base-column ORDER BY must stay in the base query, the window re-applied after the fan-out: base %q, final %q", st.BaseSQLText, st.FinalSQLText)
 	}
 }
 
@@ -193,10 +194,114 @@ ORDER BY dangerLevel DESC LIMIT 2 ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(st.BaseSQLText, "ORDER BY dangerLevel DESC LIMIT 2") || st.FinalSQLText != "" {
-		t.Errorf("base-column ORDER BY must stay in the base query: base %q, final %q", st.BaseSQLText, st.FinalSQLText)
+	if !strings.Contains(st.BaseSQLText, "ORDER BY dangerLevel DESC LIMIT 2") || st.FinalSQLText != "SELECT elem_name, dangerLevel, dangerLevel_2 FROM sesql_result LIMIT 2" {
+		t.Errorf("base-column ORDER BY must stay in the base query, the window re-applied after the fan-out: base %q, final %q", st.BaseSQLText, st.FinalSQLText)
 	}
 	if got, want := orderedRows(r), "Lead|c|high Gold|b|NULL"; got != want {
 		t.Errorf("rows = %s, want %s", got, want)
+	}
+}
+
+// TestLimitAfterFanOut: a LIMIT / OFFSET the base query could apply on its
+// own still bounds the enriched answer when a multi-valued property fans a
+// base row out. With Mercury dangerLevel both high and extreme, the base
+// rows of landfill b (Mercury, Gold under ORDER BY elem_name DESC) yield
+// three result rows; the base query keeps its top offset+limit rows and
+// the final stage cuts the window out of the joined rows.
+func TestLimitAfterFanOut(t *testing.T) {
+	const q = `SELECT elem_name FROM elem_contained WHERE landfill_name = 'b' ORDER BY elem_name DESC `
+	const enrich = ` ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
+	cases := []struct{ tail, rows, base, final string }{
+		{"", "Mercury|high Mercury|extreme Gold|NULL", "ORDER BY elem_name DESC", ""},
+		{"LIMIT 2", "Mercury|high Mercury|extreme", "ORDER BY elem_name DESC LIMIT 2", "SELECT elem_name, dangerLevel FROM sesql_result LIMIT 2"},
+		{"LIMIT 1 OFFSET 1", "Mercury|extreme", "ORDER BY elem_name DESC LIMIT 2", "SELECT elem_name, dangerLevel FROM sesql_result LIMIT 1 OFFSET 1"},
+		{"LIMIT 5 OFFSET 2", "Gold|NULL", "ORDER BY elem_name DESC LIMIT 7", "SELECT elem_name, dangerLevel FROM sesql_result LIMIT 5 OFFSET 2"},
+		{"OFFSET 1", "Mercury|extreme Gold|NULL", "ORDER BY elem_name DESC", "SELECT elem_name, dangerLevel FROM sesql_result OFFSET 1"},
+		{"LIMIT 0", "", "ORDER BY elem_name DESC LIMIT 0", "SELECT elem_name, dangerLevel FROM sesql_result LIMIT 0"},
+		{"LIMIT 2 OFFSET 3", "", "ORDER BY elem_name DESC LIMIT 5", "SELECT elem_name, dangerLevel FROM sesql_result LIMIT 2 OFFSET 3"},
+	}
+	e := fixture(t)
+	if _, err := e.Platform.Insert("alice", rdf.Triple{S: smg("Mercury"), P: smg("dangerLevel"), O: lit("extreme")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 4} {
+		e.SetExecOptions(ExecOptions{Parallelism: par})
+		for _, c := range cases {
+			r, st, err := e.QueryStats("alice", q+c.tail+enrich)
+			if err != nil {
+				t.Fatalf("parallelism=%d %s: %v", par, c.tail, err)
+			}
+			if got := orderedRows(r); got != c.rows {
+				t.Errorf("parallelism=%d %s: rows = %q, want %q", par, c.tail, got, c.rows)
+			}
+			if !strings.HasSuffix(st.BaseSQLText, c.base) || st.FinalSQLText != c.final {
+				t.Errorf("parallelism=%d %s: base %q (want suffix %q), final %q (want %q)", par, c.tail, st.BaseSQLText, c.base, st.FinalSQLText, c.final)
+			}
+		}
+	}
+}
+
+// TestFinalStageComposition pins enrichment steps that compose: a step
+// whose attribute is the previous step's column, two multi-valued steps
+// (their fan-outs multiply), a SCHEMAREPLACEMENT fan-out under a LIMIT and
+// a star projection.
+func TestFinalStageComposition(t *testing.T) {
+	cases := []struct {
+		name, query string
+		cols, rows  string
+	}{
+		{"attribute is the previous step's column",
+			`SELECT elem_name FROM elem_contained WHERE landfill_name = 'a' ORDER BY elem_name ENRICH SCHEMAEXTENSION(elem_name, oreAssemblage) SCHEMAEXTENSION(oreAssemblage, dangerLevel)`,
+			"elem_name,oreAssemblage,dangerLevel", "Lead|Zinc|low Mercury|Lead|high Zinc|NULL|NULL"},
+		{"two multi-valued steps multiply",
+			`SELECT elem_name FROM elem_contained WHERE landfill_name = 'b' ENRICH SCHEMAEXTENSION(elem_name, alias) SCHEMAEXTENSION(elem_name, dangerLevel)`,
+			"elem_name,alias,dangerLevel", "Gold|NULL|NULL Mercury|Hg|high Mercury|Hg|extreme Mercury|quicksilver|high Mercury|quicksilver|extreme"},
+		{"two multi-valued steps under LIMIT and OFFSET",
+			`SELECT elem_name FROM elem_contained WHERE landfill_name = 'b' ORDER BY elem_name DESC LIMIT 3 OFFSET 1 ENRICH SCHEMAEXTENSION(elem_name, alias) SCHEMAEXTENSION(elem_name, dangerLevel)`,
+			"elem_name,alias,dangerLevel", "Mercury|Hg|extreme Mercury|quicksilver|high Mercury|quicksilver|extreme"},
+		{"SCHEMAREPLACEMENT fan-out under LIMIT",
+			`SELECT elem_name, landfill_name FROM elem_contained ORDER BY landfill_name DESC, elem_name LIMIT 4 ENRICH SCHEMAREPLACEMENT(elem_name, alias)`,
+			"alias,landfill_name", "NULL|c NULL|b Hg|b quicksilver|b"},
+		{"star projection",
+			`SELECT * FROM elem_contained WHERE landfill_name = 'b' ORDER BY elem_name DESC LIMIT 2 ENRICH SCHEMAEXTENSION(elem_name, alias)`,
+			"elem_name,landfill_name,alias", "Mercury|b|Hg Mercury|b|quicksilver"},
+	}
+	e := finalStageFixture(t)
+	if _, err := e.Platform.Insert("alice", rdf.Triple{S: smg("Mercury"), P: smg("dangerLevel"), O: lit("extreme")}); err != nil {
+		t.Fatal(err)
+	}
+	for _, par := range []int{1, 2, 4} {
+		e.SetExecOptions(ExecOptions{Parallelism: par})
+		for _, c := range cases {
+			t.Run(fmt.Sprintf("%s/parallelism=%d", c.name, par), func(t *testing.T) {
+				r, err := e.Query("alice", c.query)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := strings.Join(r.Columns, ","); got != c.cols {
+					t.Errorf("columns = %s, want %s", got, c.cols)
+				}
+				if got := orderedRows(r); got != c.rows {
+					t.Errorf("rows = %s, want %s", got, c.rows)
+				}
+			})
+		}
+	}
+}
+
+// TestUnresolvableEnrichmentAttribute: an attribute the SELECT clause does
+// not project fails when the shape compiles, with the same error as ever,
+// and only after the user is resolved: an unknown user hears about the user.
+func TestUnresolvableEnrichmentAttribute(t *testing.T) {
+	e := fixture(t)
+	const q = `SELECT landfill_name FROM elem_contained ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
+	for i := 0; i < 2; i++ {
+		_, err := e.Query("alice", q)
+		if err == nil || err.Error() != `core: enrichment attribute "elem_name" is not in the SELECT clause` {
+			t.Errorf("round %d: err = %v", i, err)
+		}
+	}
+	if _, err := e.Query("ghost", q); err == nil || strings.Contains(err.Error(), "enrichment attribute") {
+		t.Errorf("unknown user: err = %v, want the user's error", err)
 	}
 }

@@ -4,9 +4,11 @@
 // tree; this package's Enricher — the Semantic Query Module (SQM) — then
 // constructs SPARQL queries against the user's knowledge base, issues the
 // SQL and SPARQL queries independently, and a JoinManager combines the
-// partial results using an XML-declared resource mapping. The paper stages
-// them in a temporary support database and runs a final SQL query there;
-// this implementation sorts and slices the joined rows in place.
+// partial results using an XML-declared resource mapping. The JoinManager
+// compiles with the query's shape and joins in one pass over the base
+// rows. The paper stages the joined rows in a temporary support database
+// and runs a final SQL query there; this implementation runs the final
+// ORDER BY / LIMIT / OFFSET, compiled with the shape, over them in place.
 package core
 
 import (

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -9,6 +10,7 @@ import (
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlexec"
 	"crosse/internal/sqlparser"
+	"crosse/internal/sqlval"
 )
 
 // shapePlan is one SESQL shape compiled against one schema epoch:
@@ -24,14 +26,25 @@ type shapePlan struct {
 
 	q *sesql.Query // the template: its literals are *sqlparser.Param slots
 	// plan runs the whole query when it has no enrichment, else the base
-	// query: tagged conditions neutralised, hidden projections added and,
-	// with deferTail, ORDER BY / LIMIT / OFFSET stripped.
-	plan      *sqlexec.SelectPlan
-	baseSQL   sqlparser.Pieces // plan's SELECT text, cut at its slots
-	deferTail bool
-	visible   int // the base query's visible columns (the rest are hidden)
-	where     []enrichStep
-	schema    []enrichStep
+	// query: tagged conditions neutralised, hidden projections added, and
+	// the part of ORDER BY / LIMIT / OFFSET that tail does not apply.
+	plan    *sqlexec.SelectPlan
+	baseSQL sqlparser.Pieces // plan's SELECT text, cut at its slots
+
+	// The JoinManager, compiled. A request joins in one scratch row of
+	// scratch slots: the base row's width columns (visible, then hidden),
+	// the slot __v where a WHERE step tries its candidates, then one slot
+	// per schema step.
+	width, scratch int
+	steps          []enrichStep // the WHERE steps, then the schema steps
+	headers        []string     // the result's columns
+	out            []int        // the scratch slot of each result column
+	// tail is the final stage — the deferred ORDER BY / LIMIT / OFFSET,
+	// or only the window re-applied after a fan-out — and finalSQL its
+	// rendering as Fig. 6's final query. nil and "" when the base query
+	// applies the whole tail.
+	tail     *sqlexec.Tail
+	finalSQL string
 }
 
 // enrichStep is one compiled enrichment clause.
@@ -40,12 +53,18 @@ type enrichStep struct {
 	// text is the constructed SPARQL text of the clause's extract; a
 	// stored query of the same name, looked up per user, replaces it.
 	text string
-	// WHERE enrichments: the tagged condition over the base row plus the
-	// candidate value __v, and for REPLACEVARIABLE the attribute's hidden
-	// column and table.
-	pred    *sqlexec.Predicate
-	attrIdx int
-	table   string
+	// pred is a WHERE step's tagged condition over the scratch row, with
+	// the candidate in slot __v.
+	pred *sqlexec.Predicate
+	// attr is the scratch slot of the value whose join key selects the
+	// candidates (unused by REPLACECONSTANT, whose candidates are the same
+	// for every row); table and column pick its mapping rule.
+	attr          int
+	table, column string
+	// out is the scratch slot each candidate is written to; miss is the
+	// candidate list of a value the extract does not hold.
+	out  int
+	miss []sqlval.Value
 }
 
 // textKey is the shape key of a text that is its own shape. No sesql.Shape
@@ -146,40 +165,119 @@ func (e *Enricher) compileShape(db *sqldb.Database, q *sesql.Query, slotted bool
 	if err != nil {
 		return nil, err
 	}
-	// ORDER BY / LIMIT / OFFSET stay in the base query (top-K pushdown)
-	// unless enrichment changes what they see: a WHERE enrichment filters
-	// rows afterwards, and a key naming an enriched column has nothing to
-	// sort by until the column exists. Then they wait for the final stage.
-	sp.deferTail = (len(q.Select.OrderBy) > 0 || q.Select.Limit != nil || q.Select.Offset != nil) &&
-		(len(whereEnr) > 0 || ordersByEnriched(db, opts, q, base, len(hidden.order), schemaEnr))
-	if sp.deferTail {
-		base.OrderBy, base.Limit, base.Offset = nil, nil, nil
-	}
-	if sp.plan, err = sqlexec.CompileOpts(db, base, opts); err != nil {
+	// The base query compiles without its tail, so that its headers are
+	// known before deciding which part of the tail it keeps.
+	sel := q.Select
+	base.OrderBy, base.Limit, base.Offset = nil, nil, nil
+	plan, err := sqlexec.CompileOpts(db, base, opts)
+	if err != nil {
 		return nil, fmt.Errorf("core: base query: %w", err)
 	}
-	sp.baseSQL = pieces(sqlparser.SelectSQL(base))
-	headers := sp.plan.Columns()
-	sp.visible = len(headers) - len(hidden.order)
+	headers := plan.Columns()
+	sp.width, sp.scratch = len(headers), len(headers)+1+len(schemaEnr)
 
 	for _, en := range whereEnr {
 		step, err := e.compileWhereStep(q, en, hidden, headers)
 		if err != nil {
 			return nil, err
 		}
-		sp.where = append(sp.where, step)
+		sp.steps = append(sp.steps, step)
 	}
-	for _, en := range schemaEnr {
-		step := enrichStep{en: en}
+
+	// The result's columns: the visible base columns, each schema step
+	// adding its column after them or substituting it for the attribute's.
+	// A name the result (or a hidden column) already holds is suffixed
+	// (dangerLevel_2).
+	visible := sp.width - len(hidden.order)
+	sp.headers = slices.Clone(headers[:visible])
+	for i := range visible {
+		sp.out = append(sp.out, i)
+	}
+	var enriched []string
+	fanOut := false
+	for i, en := range schemaEnr {
+		at, err := resolveAttr(sel, sp.headers, en.Attr)
+		if err != nil {
+			return nil, err
+		}
+		step := enrichStep{en: en, attr: sp.out[at], table: attrTable(sel, en.Attr),
+			column: parseAttrRef(en.Attr).Name, out: sp.width + 1 + i}
 		switch en.Kind {
 		case sesql.BoolSchemaExtension, sesql.BoolSchemaReplacement:
-			step.text = e.membersText(en)
+			step.text, step.miss = e.membersText(en), isFalse
 		default:
-			step.text = e.pairsText(en)
+			step.text, step.miss = e.pairsText(en), isNull
+			fanOut = true
 		}
-		sp.schema = append(sp.schema, step)
+		sp.steps = append(sp.steps, step)
+		name := uniqueName(shortName(en.Property), slices.Concat(sp.headers, hidden.order))
+		enriched = append(enriched, name)
+		if replaces(en) {
+			sp.headers[at], sp.out[at] = name, step.out
+		} else {
+			sp.headers, sp.out = append(sp.headers, name), append(sp.out, step.out)
+		}
+	}
+
+	// Placement of ORDER BY / LIMIT / OFFSET. They wait for the final
+	// stage when a WHERE step filters rows after the base query, or when a
+	// key names an enriched column, which does not exist until the join.
+	// Otherwise the base query applies them (top-K pushdown), except that
+	// a fan-out (a SCHEMAEXTENSION/-REPLACEMENT step, which can yield
+	// several rows per base row) would stretch the window: the base query
+	// then keeps its ORDER BY and its first offset+limit rows, which hold
+	// the window because every base row yields at least one row, and the
+	// final stage re-applies the window.
+	limit, offset, err := sqlexec.LimitOffset(sel)
+	if err != nil {
+		return nil, fmt.Errorf("core: base query: %w", err)
+	}
+	hasTail := len(sel.OrderBy) > 0 || limit >= 0 || offset >= 0
+	deferAll := hasTail && (len(whereEnr) > 0 || ordersBy(sel.OrderBy, enriched))
+	window := !deferAll && fanOut && (limit >= 0 || offset > 0)
+	if hasTail && !deferAll {
+		base.OrderBy, base.Limit, base.Offset = sel.OrderBy, sel.Limit, sel.Offset
+		if window {
+			base.Limit, base.Offset = nil, nil
+			if limit >= 0 && limit <= math.MaxInt-max(offset, 0) {
+				base.Limit = &sqlparser.Literal{Val: sqlval.NewInt(int64(limit + max(offset, 0)))}
+			}
+		}
+		if plan, err = plan.WithTail(base); err != nil {
+			return nil, fmt.Errorf("core: base query: %w", err)
+		}
+	}
+	sp.plan, sp.baseSQL = plan, pieces(sqlparser.SelectSQL(base))
+
+	if deferAll || window {
+		final := &sqlparser.Select{From: []sqlparser.TableRef{{Table: "sesql_result"}}, Limit: sel.Limit, Offset: sel.Offset}
+		if deferAll {
+			final.OrderBy = sel.OrderBy
+		}
+		cols := make([]sqlexec.ScopeCol, len(sp.headers))
+		for i, h := range sp.headers {
+			final.Items = append(final.Items, sqlparser.SelectItem{Expr: &sqlparser.ColRef{Name: h}})
+			cols[i] = sqlexec.ScopeCol{Name: h}
+		}
+		if sp.tail, err = sqlexec.CompileTail(cols, final); err != nil {
+			return nil, fmt.Errorf("core: final stage: %w", err)
+		}
+		sp.finalSQL = sqlparser.SelectSQL(final)
 	}
 	return sp, nil
+}
+
+// ordersBy reports whether an ORDER BY key refers to one of the named
+// result columns.
+func ordersBy(order []sqlparser.OrderItem, names []string) bool {
+	for _, ob := range order {
+		for _, cr := range sqlparser.ColRefs(ob.Expr) {
+			if cr.Qualifier == "" && slices.ContainsFunc(names, func(n string) bool { return strings.EqualFold(n, cr.Name) }) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // compileWhereStep rewrites a WHERE enrichment's tagged condition — every
@@ -187,7 +285,7 @@ func (e *Enricher) compileShape(db *sqldb.Database, q *sesql.Query, slotted bool
 // or the attribute (REPLACEVARIABLE) to the pseudo-variable __v — and
 // compiles it over the base row extended with __v.
 func (e *Enricher) compileWhereStep(q *sesql.Query, en sesql.Enrichment, hidden *hiddenCols, headers []string) (enrichStep, error) {
-	step := enrichStep{en: en}
+	step := enrichStep{en: en, out: len(headers)}
 	tag := q.Conds[en.CondID]
 	cond := tag.Expr
 	refs := sqlparser.ColRefs(tag.Expr)
@@ -209,10 +307,10 @@ func (e *Enricher) compileWhereStep(q *sesql.Query, en sesql.Enrichment, hidden 
 		}
 		cond = rewritten
 		step.text = e.pairsText(en)
-		if step.attrIdx = slices.Index(headers, hidden.alias[attr.SQL()]); step.attrIdx < 0 {
+		if step.attr = slices.Index(headers, hidden.alias[attr.SQL()]); step.attr < 0 {
 			return step, fmt.Errorf("core: internal: hidden column for %s missing", en.Attr)
 		}
-		step.table = attrTable(q.Select, en.Attr)
+		step.table, step.column = attrTable(q.Select, en.Attr), attr.Name
 	}
 	for _, cr := range refs {
 		alias, ok := hidden.alias[cr.SQL()]
@@ -233,57 +331,6 @@ func (e *Enricher) compileWhereStep(q *sesql.Query, en sesql.Enrichment, hidden 
 	}
 	step.pred = pred
 	return step, nil
-}
-
-// ordersByEnriched reports whether an ORDER BY key names a column a schema
-// enrichment adds or substitutes — a column the base query cannot sort by.
-// Those columns are named by enrichHeader, which suffixes a property whose
-// short name the base headers already hold (dangerLevel_2). So when a key
-// could be such a name, the base query is planned without its tail to
-// learn its headers and the enrichment steps' naming is replayed over
-// them.
-func ordersByEnriched(db *sqldb.Database, opts sqlexec.Options, q *sesql.Query, base *sqlparser.Select, hidden int, schemaEnr []sesql.Enrichment) bool {
-	var refs, keys []*sqlparser.ColRef
-	for _, ob := range q.Select.OrderBy {
-		refs = append(refs, sqlparser.ColRefs(ob.Expr)...)
-	}
-	for _, cr := range refs {
-		for _, en := range schemaEnr {
-			short := shortName(en.Property)
-			if cr.Qualifier == "" && len(cr.Name) >= len(short) && strings.EqualFold(cr.Name[:len(short)], short) {
-				keys = append(keys, cr)
-				break
-			}
-		}
-	}
-	if len(keys) == 0 {
-		return false
-	}
-	stripped := *base
-	stripped.OrderBy, stripped.Limit, stripped.Offset = nil, nil, nil
-	plan, err := sqlexec.CompileOpts(db, &stripped, opts)
-	if err != nil {
-		return false // the base query reports it
-	}
-	headers := plan.Columns()
-	visible := len(headers) - hidden
-	for _, en := range schemaEnr {
-		attrIdx, err := resolveAttr(q.Select, headers[:visible], en.Attr)
-		if err != nil {
-			return true // the enrichment step reports it
-		}
-		var name string
-		headers, name = enrichHeader(headers, visible, attrIdx, en)
-		if !replaces(en) {
-			visible++
-		}
-		for _, cr := range keys {
-			if strings.EqualFold(cr.Name, name) {
-				return true
-			}
-		}
-	}
-	return false
 }
 
 // The constructed SPARQL texts of the three extracts, built once per

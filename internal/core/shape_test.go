@@ -168,7 +168,7 @@ func TestShapeLiteralConstantFallsBack(t *testing.T) {
 	}
 }
 
-// TestNumericJoinKeysFromOneMillion pins valueKey's canonical numerics: a
+// TestNumericJoinKeysFromOneMillion pins the join key's canonical numerics: a
 // DOUBLE column mapped to literals must join with an ontology subject bound
 // as an xsd:integer from 1e6 up, where the two used to render differently
 // (2.5e+06 vs 2500000).

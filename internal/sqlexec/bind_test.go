@@ -91,3 +91,37 @@ func TestUnboundTemplateFails(t *testing.T) {
 		t.Errorf("unbound run: err = %v", err)
 	}
 }
+
+// TestWithTailMatchesCompile: a plan compiled without its ORDER BY /
+// LIMIT / OFFSET and given them by WithTail runs exactly as the plan
+// compiled with them, and fails exactly when it fails.
+func TestWithTailMatchesCompile(t *testing.T) {
+	rng := rand.New(rand.NewSource(44))
+	opts := Options{Parallelism: 1}
+	for trial := 0; trial < 4; trial++ {
+		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
+		for q := 0; q < 40; q++ {
+			text := genSelect(rng)
+			sel, err := sqlparser.ParseSelect(text)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, werr := EvalSelectOpts(db, sel, opts)
+			bare := *sel
+			bare.OrderBy, bare.Limit, bare.Offset = nil, nil, nil
+			var got *Result
+			p, gerr := CompileOpts(db, &bare, opts)
+			if gerr == nil {
+				if p, gerr = p.WithTail(sel); gerr == nil {
+					got, gerr = p.Run()
+				}
+			}
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%q: compiled err=%v, WithTail err=%v", text, werr, gerr)
+			}
+			if werr == nil && strings.Join(renderRows(got), " ") != strings.Join(renderRows(want), " ") {
+				t.Fatalf("%q:\nWithTail %v\ncompiled %v", text, renderRows(got), renderRows(want))
+			}
+		}
+	}
+}

@@ -82,6 +82,8 @@ type SelectPlan struct {
 	sortWidth int // buffered output row: projected columns, then hidden ORDER BY keys
 	limit     int // -1 = absent
 	offset    int // -1 = absent
+
+	under *compileEnv // the row ORDER BY keys fall back to (see setTail)
 }
 
 // Columns returns the output column headers.
@@ -313,11 +315,37 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 	}
 
 	p.distinct = sel.Distinct
+	p.under = underEnv
+	if err := p.setTail(sel); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
 
-	// ORDER BY: projected aliases first, then underlying columns. Both
-	// resolutions are kept when both compile — evaluation retries the
-	// underlying key per row when the projected one errors, mirroring the
-	// interpreter's row-level fallback.
+// WithTail returns the plan with sel's ORDER BY, LIMIT and OFFSET in place
+// of its own; sel's other clauses are ignored. The keys compile as the
+// plan's own would have, against its projection and its underlying row,
+// so the enrichment pipeline can compile the base query once, learn its
+// headers, and only then decide which part of the tail it keeps. p itself
+// is left as it is.
+func (p *SelectPlan) WithTail(sel *sqlparser.Select) (*SelectPlan, error) {
+	if p.fromless {
+		return p, nil
+	}
+	b := *p
+	if err := b.setTail(sel); err != nil {
+		return nil, err
+	}
+	return &b, nil
+}
+
+// setTail compiles sel's ORDER BY / LIMIT / OFFSET into p. ORDER BY:
+// projected aliases first, then underlying columns. Both resolutions are
+// kept when both compile — evaluation retries the underlying key per row
+// when the projected one errors, mirroring the interpreter's row-level
+// fallback.
+func (p *SelectPlan) setTail(sel *sqlparser.Select) error {
+	p.order = nil
 	if len(sel.OrderBy) > 0 {
 		outCols := make([]ScopeCol, len(p.headers))
 		for i, h := range p.headers {
@@ -327,7 +355,7 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 		for _, ob := range sel.OrderBy {
 			op := orderPlan{desc: ob.Desc}
 			outCE, outErr := compileExpr(ob.Expr, outEnv)
-			underCE, underErr := compileExpr(ob.Expr, underEnv)
+			underCE, underErr := compileExpr(ob.Expr, p.under)
 			if outErr == nil {
 				op.outKey = outCE
 			}
@@ -335,23 +363,20 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 				op.underKey = underCE
 			}
 			if op.outKey == nil && op.underKey == nil {
-				return nil, fmt.Errorf("sqlexec: ORDER BY: %w", underErr)
+				return fmt.Errorf("sqlexec: ORDER BY: %w", underErr)
 			}
 			p.order = append(p.order, op)
 		}
 	}
 	p.sortWidth = placeKeys(p.order, p.items, len(p.items))
-
-	p.limit, p.offset, err = limitOffset(sel)
-	if err != nil {
-		return nil, err
-	}
-	return p, nil
+	var err error
+	p.limit, p.offset, err = LimitOffset(sel)
+	return err
 }
 
-// limitOffset evaluates a SELECT's LIMIT and OFFSET, which are constant
+// LimitOffset evaluates a SELECT's LIMIT and OFFSET, which are constant
 // expressions; -1 stands for an absent clause.
-func limitOffset(sel *sqlparser.Select) (limit, offset int, err error) {
+func LimitOffset(sel *sqlparser.Select) (limit, offset int, err error) {
 	limit, offset = -1, -1
 	if sel.Offset != nil {
 		if offset, err = constInt(sel.Offset); err != nil {
@@ -1429,43 +1454,56 @@ func (x *CompiledExpr) Eval(row []sqlval.Value) (sqlval.Value, error) {
 	return x.e.eval(row)
 }
 
-// SortLimit applies sel's ORDER BY / LIMIT / OFFSET to rows that are
-// already materialised under the column layout cols — the tail the
-// enrichment pipeline defers past its joins. Keys compile once against the
-// layout; a key that is a column reads the row itself, any other is
-// evaluated once per row into an extended copy. The window is selected
-// and sorted by the executor's own comparison (sortWindow, ties in
-// arrival order) and returned in the prefix of rows; the rest of rows is
-// left in no particular order.
-func SortLimit(cols []ScopeCol, sel *sqlparser.Select, rows [][]sqlval.Value) ([][]sqlval.Value, error) {
-	limit, offset, err := limitOffset(sel)
-	if err != nil {
+// Tail is a compiled ORDER BY / LIMIT / OFFSET over rows already
+// materialised under a fixed column layout — the final stage the
+// enrichment pipeline runs after its join. It compiles once with the
+// query; a key that is a column reads the row itself, any other is
+// evaluated once per row into an extended copy. Safe for concurrent use.
+type Tail struct {
+	order         []orderPlan
+	n, width      int // layout width; buffered row width with hidden keys
+	limit, offset int // -1 = absent
+}
+
+// CompileTail compiles sel's ORDER BY / LIMIT / OFFSET against the column
+// layout cols; sel's other clauses are ignored.
+func CompileTail(cols []ScopeCol, sel *sqlparser.Select) (*Tail, error) {
+	t := &Tail{n: len(cols)}
+	var err error
+	if t.limit, t.offset, err = LimitOffset(sel); err != nil {
 		return nil, err
 	}
-	if len(sel.OrderBy) == 0 {
-		return window(rows, offset, limit), nil
-	}
 	env := &compileEnv{cols: cols}
-	order := make([]orderPlan, len(sel.OrderBy))
-	for k, ob := range sel.OrderBy {
+	for _, ob := range sel.OrderBy {
 		ce, err := compileExpr(ob.Expr, env)
 		if err != nil {
 			return nil, fmt.Errorf("sqlexec: ORDER BY: %w", err)
 		}
-		order[k] = orderPlan{outKey: ce, desc: ob.Desc}
+		t.order = append(t.order, orderPlan{outKey: ce, desc: ob.Desc})
 	}
-	n := len(cols)
-	width := placeKeys(order, nil, n)
+	t.width = placeKeys(t.order, nil, t.n)
+	return t, nil
+}
+
+// Apply runs the tail over rows laid out as compiled. The window is
+// selected and sorted by the executor's own comparison (sortWindow, ties
+// in arrival order) and returned in the prefix of rows; the rest of rows
+// is left in no particular order. Without an ORDER BY it only slices.
+func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
+	if len(t.order) == 0 {
+		return window(rows, t.offset, t.limit), nil
+	}
 	var ext *sqlval.RowArena
-	if width > n {
-		ext = sqlval.NewRowArena(width)
+	if t.width > t.n {
+		ext = sqlval.NewRowArena(t.width)
 	}
 	sorted := make([]sortedRow, len(rows))
 	for i, row := range rows {
 		if ext != nil {
 			x := ext.Copy(row)
-			for _, op := range order {
-				if op.at >= n {
+			for _, op := range t.order {
+				if op.at >= t.n {
+					var err error
 					if x[op.at], err = op.outKey.eval(row); err != nil {
 						return nil, err
 					}
@@ -1475,9 +1513,9 @@ func SortLimit(cols []ScopeCol, sel *sqlparser.Select, rows [][]sqlval.Value) ([
 		}
 		sorted[i] = sortedRow{row: row, seq: int64(i)}
 	}
-	win := windowRuns(order, [][]sortedRow{sorted}, offset, limit, 1)
+	win := windowRuns(t.order, [][]sortedRow{sorted}, t.offset, t.limit, 1)
 	for i, sr := range win {
-		rows[i] = sr.row[:n:n]
+		rows[i] = sr.row[:t.n:t.n]
 	}
 	return rows[:len(win)], nil
 }

@@ -1,7 +1,7 @@
 package sqlexec
 
 // order.go — ORDER BY / LIMIT / OFFSET by selection. Every ORDER BY site
-// (the serial sink, the parallel merge, SortLimit) buffers its rows as
+// (the serial sink, the parallel merge, Tail.Apply) buffers its rows as
 // sortedRows and hands them to windowRuns, which brackets the OFFSET /
 // LIMIT window with a sample and keeps only the rows inside the bracket,
 // and sortWindow, which selects the window from those and sorts only the
@@ -25,7 +25,7 @@ import (
 // stamp, the tiebreak that makes the order stable: the (morsel,
 // within-morsel sequence) composite of runner.at for pipeline rows, which
 // orders rows identically on both drivers, and the position for rows
-// sorted after the pipeline (groups, SortLimit).
+// sorted after the pipeline (groups, Tail.Apply).
 type sortedRow struct {
 	row []sqlval.Value
 	seq int64
