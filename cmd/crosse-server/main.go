@@ -38,10 +38,10 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -56,27 +56,70 @@ import (
 )
 
 func main() {
-	var (
-		addr          = flag.String("addr", ":8080", "HTTP listen address")
-		scale         = flag.Int("scale", 200, "synthetic databank size (landfills)")
-		attach        = flag.String("attach", "", "FDW server address to attach as foreign tables")
-		mapping       = flag.String("mapping", "", "resource mapping XML file")
-		walDir        = flag.String("wal", "", "journal directory: write-ahead-log every mutation, recover via image + replay on boot")
-		walSync       = flag.String("wal-sync", "interval", "WAL durability policy: always (fsync per ack, group-committed), interval, never")
-		walSyncEvery  = flag.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync interval")
-		compactEvery  = flag.Duration("compact-interval", 0, "rewrite image + truncate log periodically (0 disables; requires -wal)")
-		partial       = flag.Bool("partial-results", false, "degrade gracefully when a remote source is down: skip it (reported in query stats) instead of failing the query")
-		sourceTimeout = flag.Duration("source-timeout", 30*time.Second, "per-request deadline for remote FDW sources")
-		healthEvery   = flag.Duration("health-interval", 2*time.Second, "remote-source health poll cadence (0 disables polling)")
-		cacheEntries  = flag.Int("cache-entries", 4096, "enriched-result cache entry bound (0 disables result caching)")
-		cacheBytes    = flag.Int64("cache-bytes", 64<<20, "enriched-result cache byte budget")
-		maxInflight   = flag.Int("max-inflight", 0, "maximum concurrently executing queries (0 = unlimited)")
-		inflightQueue = flag.Int("inflight-queue", 32, "queries allowed to wait for an execution slot before a 429 (requires -max-inflight)")
-	)
-	flag.Parse()
+	// The first SIGINT/SIGTERM drains in-flight requests and triggers the
+	// final save; a second one (operator impatience or a supervisor
+	// escalating) forces immediate exit instead of hanging in a slow drain
+	// or save.
+	sigs := make(chan os.Signal, 2)
+	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
+	stop := make(chan os.Signal, 1)
+	go func() {
+		stop <- <-sigs
+		log.Printf("second signal (%s) during shutdown: forcing immediate exit", <-sigs)
+		os.Exit(130)
+	}()
+	if err := run(os.Args[1:], stop); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run parses args, boots the platform and serves until a signal arrives
+// on stop; it then drains in-flight requests, saves the journal and
+// returns. Every flag is validated before anything is bootstrapped, opened
+// or bound, and every failure is returned rather than exiting.
+func run(args []string, stop <-chan os.Signal) (err error) {
+	fl := flag.NewFlagSet("crosse-server", flag.ContinueOnError)
+	var (
+		addr          = fl.String("addr", ":8080", "HTTP listen address")
+		scale         = fl.Int("scale", 200, "synthetic databank size (landfills)")
+		attach        = fl.String("attach", "", "FDW server address to attach as foreign tables")
+		mapping       = fl.String("mapping", "", "resource mapping XML file")
+		walDir        = fl.String("wal", "", "journal directory: write-ahead-log every mutation, recover via image + replay on boot")
+		walSync       = fl.String("wal-sync", "interval", "WAL durability policy: always (fsync per ack, group-committed), interval, never")
+		walSyncEvery  = fl.Duration("wal-sync-interval", 100*time.Millisecond, "fsync cadence under -wal-sync interval")
+		compactEvery  = fl.Duration("compact-interval", 0, "rewrite image + truncate log periodically (0 disables; requires -wal)")
+		partial       = fl.Bool("partial-results", false, "degrade gracefully when a remote source is down: skip it (reported in query stats) instead of failing the query")
+		sourceTimeout = fl.Duration("source-timeout", 30*time.Second, "per-request deadline for remote FDW sources")
+		healthEvery   = fl.Duration("health-interval", 2*time.Second, "remote-source health poll cadence (0 disables polling)")
+		cacheEntries  = fl.Int("cache-entries", 4096, "enriched-result cache entry bound (0 disables result caching)")
+		cacheBytes    = fl.Int64("cache-bytes", 64<<20, "enriched-result cache byte budget")
+		maxInflight   = fl.Int("max-inflight", 0, "maximum concurrently executing queries (0 = unlimited)")
+		inflightQueue = fl.Int("inflight-queue", 32, "queries allowed to wait for an execution slot before a 429 (requires -max-inflight)")
+	)
+	if err := fl.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return err
+	}
 	if *compactEvery > 0 && *walDir == "" {
-		log.Fatalf("-compact-interval requires -wal")
+		return errors.New("-compact-interval requires -wal")
+	}
+	policy, err := wal.ParseSyncPolicy(*walSync)
+	if err != nil {
+		return err
+	}
+	var m *core.Mapping
+	if *mapping != "" {
+		f, err := os.Open(*mapping)
+		if err != nil {
+			return fmt.Errorf("open mapping: %w", err)
+		}
+		m, err = core.LoadMapping(f)
+		f.Close()
+		if err != nil {
+			return fmt.Errorf("parse mapping: %w", err)
+		}
 	}
 
 	bootstrap := func() (*engine.DB, *kb.Platform, error) {
@@ -100,20 +143,23 @@ func main() {
 		restored bool
 	)
 	if *walDir != "" {
-		policy, err := wal.ParseSyncPolicy(*walSync)
-		if err != nil {
-			log.Fatal(err)
-		}
 		if err := os.MkdirAll(*walDir, 0o755); err != nil {
-			log.Fatalf("create journal directory: %v", err)
+			return fmt.Errorf("create journal directory: %w", err)
 		}
 		start := time.Now()
 		journal, restored, err = core.OpenJournal(*walDir, core.JournalOptions{
 			Sync: policy, SyncEvery: *walSyncEvery, Logf: log.Printf,
 		}, bootstrap)
 		if err != nil {
-			log.Fatalf("open journal %s: %v", *walDir, err)
+			return fmt.Errorf("open journal %s: %w", *walDir, err)
 		}
+		// The one close of the journal, on every return; its error joins
+		// run's, so a failed final flush exits non-zero too.
+		defer func() {
+			if cerr := journal.Close(); cerr != nil {
+				err = errors.Join(err, fmt.Errorf("close journal %s: %w", *walDir, cerr))
+			}
+		}()
 		db, platform = journal.DB(), journal.Platform()
 		st := journal.Status()
 		if restored {
@@ -123,25 +169,8 @@ func main() {
 		} else {
 			log.Printf("initialised journal %s (sync policy %s)", *walDir, st.Policy)
 		}
-	} else {
-		var err error
-		db, platform, err = bootstrap()
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-
-	var m *core.Mapping
-	if *mapping != "" {
-		f, err := os.Open(*mapping)
-		if err != nil {
-			log.Fatalf("open mapping: %v", err)
-		}
-		m, err = core.LoadMapping(f)
-		f.Close()
-		if err != nil {
-			log.Fatalf("parse mapping: %v", err)
-		}
+	} else if db, platform, err = bootstrap(); err != nil {
+		return err
 	}
 
 	enricher := core.New(db, platform, m)
@@ -150,45 +179,55 @@ func main() {
 
 	enricher.SetExecOptions(core.ExecOptions{PartialResults: *partial})
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	var health *fdw.Health
 	if *attach != "" {
 		client, err := fdw.DialConfig(*attach, fdw.Config{Name: *attach, RequestTimeout: *sourceTimeout})
 		if err != nil {
-			log.Fatalf("attach %s: %v", *attach, err)
+			return fmt.Errorf("attach %s: %w", *attach, err)
 		}
 		n, err := client.Attach(db.Catalog(), "remote_")
 		if err != nil {
-			log.Fatalf("import foreign schema: %v", err)
+			return fmt.Errorf("import foreign schema: %w", err)
 		}
 		log.Printf("attached %d foreign table(s) from %s (prefix remote_)", n, *attach)
 		health = fdw.NewHealth()
 		health.Register(client)
 		if *healthEvery > 0 {
-			go health.Poll(context.Background(), *healthEvery)
+			go health.Poll(ctx, *healthEvery)
 		}
 	}
 
-	// save compacts the journal under -wal and reports whether it
-	// succeeded. A failed save on a shutdown signal must surface as a
-	// non-zero exit — the operator believes the state is on disk.
-	save := func(reason string) bool {
+	// save compacts the journal under -wal. A failed save on a shutdown
+	// signal must surface as a non-zero exit — the operator believes the
+	// state is on disk.
+	save := func(reason string) error {
 		if journal == nil {
-			return true
+			return nil
 		}
 		start := time.Now()
 		st, err := journal.Compact()
 		if err != nil {
-			log.Printf("journal compaction (%s) failed: %v", reason, err)
-			return false
+			return fmt.Errorf("journal compaction (%s) failed: %w", reason, err)
 		}
 		log.Printf("compacted journal at LSN %d (%v, %s)", st.Start, time.Since(start).Round(time.Millisecond), reason)
-		return true
+		return nil
 	}
 
 	if *compactEvery > 0 {
+		tick := time.NewTicker(*compactEvery)
+		defer tick.Stop()
 		go func() {
-			for range time.Tick(*compactEvery) {
-				save("interval")
+			for {
+				select {
+				case <-tick.C:
+					if err := save("interval"); err != nil {
+						log.Print(err)
+					}
+				case <-ctx.Done():
+					return
+				}
 			}
 		}()
 	}
@@ -207,58 +246,43 @@ func main() {
 	if health != nil {
 		srv.SetHealth(health)
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
 
-	// Buffered for two signals: the first drains in-flight requests and
-	// triggers the final save, the second (operator impatience or a
-	// supervisor escalating) forces immediate exit instead of hanging in a
-	// slow drain or save.
-	sigs := make(chan os.Signal, 2)
-	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
-	go func() {
-		sig := <-sigs
-		go func() {
-			second := <-sigs
-			log.Printf("second signal (%s) during shutdown: forcing immediate exit", second)
-			os.Exit(130)
-		}()
-		// Stop accepting connections and drain in-flight requests before
-		// the final save, so a mutation acknowledged just before the
-		// signal lands in the saved state; a stuck handler forfeits the
-		// drain after the timeout rather than blocking the save forever.
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		if err := httpSrv.Shutdown(ctx); err != nil {
-			log.Printf("HTTP drain (%s) incomplete: %v", sig, err)
-		}
-		cancel()
-		ok := save(sig.String())
-		if journal != nil {
-			if err := journal.Close(); err != nil {
-				log.Printf("close journal: %v", err)
-				ok = false
-			}
-		}
-		if !ok {
-			log.Printf("shutdown (%s) with FAILED save: durable state is stale", sig)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}()
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		return err
+	}
+	httpSrv := &http.Server{Handler: srv.Handler()}
+	served := make(chan error, 1)
+	go func() { served <- httpSrv.Serve(ln) }()
 
 	if restored {
-		log.Printf("CroSSE platform on %s (databank: %d tables, restored)", *addr, len(db.Catalog().Names()))
+		log.Printf("CroSSE platform on %s (databank: %d tables, restored)", ln.Addr(), len(db.Catalog().Names()))
 	} else {
-		log.Printf("CroSSE platform on %s (databank: %d landfills)", *addr, *scale)
+		log.Printf("CroSSE platform on %s (databank: %d landfills)", ln.Addr(), *scale)
 	}
-	hint := *addr
-	if strings.HasPrefix(hint, ":") {
-		hint = "localhost" + hint
+	hint := ln.Addr().String()
+	if host, port, _ := net.SplitHostPort(hint); net.ParseIP(host).IsUnspecified() {
+		hint = "localhost:" + port
 	}
 	fmt.Println("try: curl -s " + hint + "/api/v1/tables")
-	if err := httpSrv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
-		log.Fatal(err)
+
+	var sig os.Signal
+	select {
+	case err := <-served:
+		return err
+	case sig = <-stop:
 	}
-	// Shutdown in progress: the signal handler finishes the save and exits
-	// the process.
-	select {}
+	// Stop accepting connections and drain in-flight requests before the
+	// final save, so a mutation acknowledged just before the signal lands
+	// in the saved state; a stuck handler forfeits the drain after the
+	// timeout rather than blocking the save forever.
+	drain, cancelDrain := context.WithTimeout(ctx, 5*time.Second)
+	if err := httpSrv.Shutdown(drain); err != nil {
+		log.Printf("HTTP drain (%s) incomplete: %v", sig, err)
+	}
+	cancelDrain()
+	if err := save(sig.String()); err != nil {
+		return fmt.Errorf("shutdown (%s) with FAILED save, durable state is stale: %w", sig, err)
+	}
+	return nil
 }

@@ -283,7 +283,7 @@
 // with statements (provenance, believers, references), stored queries,
 // vocabulary declarations and the id counter; and core.WriteImage combines
 // the kb snapshot with the engine's SQL dump into one checksummed
-// (CRC-32) platform image — core.ReadImage / kb.Restore /
+// (CRC-32) platform image — core.ReadImageLSN / kb.Restore /
 // rdf.ReadSharedSnapshot are the inverses. Restore is a bulk ID-level load:
 // triples come back as integer keys and take dense ordinals in stream
 // order (ordinals are not part of the format), view members come back as
@@ -322,12 +322,12 @@
 // the two steps only leaves records the new image already shadows. Any
 // append/fsync failure wedges the journal permanently rather than let
 // in-memory state run ahead of the durable log. The guarantees are
-// enforced twice: a fault-injection property suite
-// (internal/core/crash_test.go over wal.MemFS + wal.FaultFS) crashes
-// randomized workloads at arbitrary write/sync boundaries in-process,
-// and cmd/walcheck + the CI wal-crash-recovery job kill -9 a real
-// serving process mid-workload and diff recovery against exactly the
-// acknowledged operations.
+// enforced twice in internal/core/crash_test.go, with one workload and one
+// probe: a fault-injection property suite (over wal.MemFS + wal.FaultFS)
+// crashes randomized workloads at arbitrary write/sync boundaries
+// in-process, and TestJournalCrashRecovery re-runs the test binary as a
+// child journaling on disk, SIGKILLs it mid-workload five times, and diffs
+// each recovery against exactly the acknowledged operations.
 //
 // Operationally, cmd/crosse-server persists only through the journal:
 // -wal DIR (with -wal-sync always|interval|never and periodic
@@ -338,10 +338,12 @@
 // /api/v1/admin/wal (log position and sync counters) and POST
 // /api/v1/admin/compact (an image at the current LSN, on demand). A
 // backup is restored by placing it alone as platform.img in an empty
-// directory and starting with -wal on that directory. cmd/snapcheck proves
-// cold-start recovery in CI: it saves an image plus recorded probe
-// results, restores in a fresh process, and diffs SESQL/SPARQL results
-// and pattern counts.
+// directory and starting with -wal on that directory.
+// cmd/crosse-server's TestServerCrashRecovery proves all of this on the
+// binary itself, run as a child: acknowledged writes over /api/v1 survive
+// a SIGKILL, SIGTERM exits 0 and the state survives the next start, a
+// restored backup answers the same users, statements, SESQL and SPARQL
+// probes, and a backup with one flipped byte is refused at boot.
 //
 // # Federation and fault tolerance
 //

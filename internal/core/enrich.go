@@ -336,8 +336,8 @@ var (
 // trip per row).
 type stepRun struct {
 	pred   *sqlexec.Predicate
-	values []sqlval.Value            // REPLACECONSTANT: every row's candidates
-	keyed  map[string][]sqlval.Value // otherwise: candidates by join key
+	values []sqlval.Value // REPLACECONSTANT: every row's candidates
+	keyed  keyed          // otherwise: candidates by subject
 	memo   map[sqlval.Value][]sqlval.Value
 }
 
@@ -418,8 +418,7 @@ func (j *joiner) fan(k int) {
 // candidates returns the values the step tries for the scratch row. A
 // keyed extract is probed with the attribute's value routed through the
 // resource mapping and back (so a column mapped to IRIs joins with
-// IRI-derived values), encoded by sqlval.AppendJoinKey: Compare-equal
-// numerics share a key. NULL joins with nothing; read through the mapping
+// IRI-derived values). NULL joins with nothing; read through the mapping
 // it would name a subject "NULL".
 func (j *joiner) candidates(step *enrichStep, run *stepRun) []sqlval.Value {
 	if run.keyed == nil {
@@ -430,12 +429,58 @@ func (j *joiner) candidates(step *enrichStep, run *stepRun) []sqlval.Value {
 	if !ok {
 		got = step.miss
 		if !v.IsNull() {
-			j.key = sqlval.AppendJoinKey(j.key[:0], j.m.FromTerm(j.m.ToTerm(step.table, step.column, v)))
-			if objs, ok := run.keyed[string(j.key)]; ok {
+			s := j.m.FromTerm(j.m.ToTerm(step.table, step.column, v))
+			j.key = sqlval.AppendJoinKey(j.key[:0], s)
+			if objs := run.keyed.match(j.key, s); objs != nil {
 				got = objs
 			}
 		}
 		run.memo[v] = got
+	}
+	return got
+}
+
+// keyed is a pairs or members extract: its subjects, each with its
+// candidates in solution order, bucketed by sqlval.AppendJoinKey. The
+// key folds the numerics into one float64 bucket, so distinct integers
+// beyond 2^53 share one: it only narrows the search, and a probe
+// re-verifies each subject with sqlval.Compare, as sqlexec's hash probe
+// does.
+type keyed map[string][]subjectCands
+
+type subjectCands struct {
+	subj  sqlval.Value
+	cands []sqlval.Value
+}
+
+// entry returns subject s's entry, adding it if new.
+func (k keyed) entry(key []byte, s sqlval.Value) *subjectCands {
+	b := k[string(key)]
+	for i := range b {
+		if b[i].subj == s {
+			return &b[i]
+		}
+	}
+	b = append(b, subjectCands{subj: s})
+	k[string(key)] = b
+	return &b[len(b)-1]
+}
+
+// match returns the candidates of every subject under key that is
+// Compare-equal to v (INTEGER 2 and DOUBLE 2.0 both match 2), or nil.
+// A list several subjects share (a concept's isTrue) counts once.
+func (k keyed) match(key []byte, v sqlval.Value) []sqlval.Value {
+	var got []sqlval.Value
+	for _, e := range k[string(key)] {
+		if c, err := sqlval.Compare(e.subj, v); err != nil || c != 0 {
+			continue
+		}
+		switch {
+		case got == nil:
+			got = e.cands
+		case &got[0] != &e.cands[0]:
+			got = append(slices.Clip(got), e.cands...)
+		}
 	}
 	return got
 }
@@ -452,7 +497,7 @@ func replaces(en sesql.Enrichment) bool {
 // constructed SPARQL query or a stored one (Sec. IV-A.5: "prop refers to
 // either a property from the contextual ontology, or the identifier of a
 // previously stored SPARQL query").
-func (e *Enricher) propertyPairs(step *enrichStep, uc userCtx, st *Stats) (map[string][]sqlval.Value, error) {
+func (e *Enricher) propertyPairs(step *enrichStep, uc userCtx, st *Stats) (keyed, error) {
 	text := step.text
 	minVarsErr := ""
 	if sq, ok := e.Platform.LookupQuery(uc.name, step.en.Property); ok {
@@ -460,13 +505,15 @@ func (e *Enricher) propertyPairs(step *enrichStep, uc userCtx, st *Stats) (map[s
 		minVarsErr = fmt.Sprintf("stored query %q must project (subject, object) for %s", step.en.Property, step.en.Kind)
 	}
 	var key []byte
-	return extract(e, uc, extractPairs, text, st, 2, minVarsErr, map[string][]sqlval.Value{},
-		func(pairs map[string][]sqlval.Value, sol sparql.Solution) map[string][]sqlval.Value {
+	return extract(e, uc, extractPairs, text, st, 2, minVarsErr, keyed{},
+		func(pairs keyed, sol sparql.Solution) keyed {
 			s, okS := sol.Term(0)
 			o, okO := sol.Term(1)
 			if okS && okO {
-				key = sqlval.AppendJoinKey(key[:0], e.Mapping.FromTerm(s))
-				pairs[string(key)] = append(pairs[string(key)], e.Mapping.FromTerm(o))
+				sv := e.Mapping.FromTerm(s)
+				key = sqlval.AppendJoinKey(key[:0], sv)
+				en := pairs.entry(key, sv)
+				en.cands = append(en.cands, e.Mapping.FromTerm(o))
 			}
 			return pairs
 		})
@@ -475,13 +522,14 @@ func (e *Enricher) propertyPairs(step *enrichStep, uc userCtx, st *Stats) (map[s
 // conceptMembers returns the values related to the concept through the
 // property (for the boolean enrichments), each with the candidate list
 // isTrue.
-func (e *Enricher) conceptMembers(step *enrichStep, uc userCtx, st *Stats) (map[string][]sqlval.Value, error) {
+func (e *Enricher) conceptMembers(step *enrichStep, uc userCtx, st *Stats) (keyed, error) {
 	var key []byte
-	return extract(e, uc, extractMembers, step.text, st, 1, "", map[string][]sqlval.Value{},
-		func(members map[string][]sqlval.Value, sol sparql.Solution) map[string][]sqlval.Value {
+	return extract(e, uc, extractMembers, step.text, st, 1, "", keyed{},
+		func(members keyed, sol sparql.Solution) keyed {
 			if s, ok := sol.Term(0); ok {
-				key = sqlval.AppendJoinKey(key[:0], e.Mapping.FromTerm(s))
-				members[string(key)] = isTrue
+				sv := e.Mapping.FromTerm(s)
+				key = sqlval.AppendJoinKey(key[:0], sv)
+				members.entry(key, sv).cands = isTrue
 			}
 			return members
 		})

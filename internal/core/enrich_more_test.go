@@ -1,10 +1,13 @@
 package core
 
 import (
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 	"time"
 
+	"crosse/internal/engine"
 	"crosse/internal/kb"
 	"crosse/internal/rdf"
 )
@@ -205,6 +208,92 @@ ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`)
 	got := resultRows(r)
 	if !strings.Contains(strings.Join(got, " "), "Mercury|extreme") {
 		t.Errorf("custom-prefix join: %v", got)
+	}
+}
+
+// A literal-mapped INTEGER column joins by value, not by join-key bucket:
+// 2^53 and 2^53+1 widen to the same float64, so they share a bucket, but
+// only the row whose value equals the subject takes its grade. A DOUBLE
+// subject equal to an integer joins it too, as Compare says.
+func TestEnrichJoinReverifiesIntegerKeys(t *testing.T) {
+	m, err := LoadMapping(strings.NewReader(`<resourceMapping>
+  <map table="lot" column="id" literal="true"/>
+  <map table="pair" column="id" literal="true"/>
+</resourceMapping>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := engine.Open()
+	if _, err := db.ExecScript(`CREATE TABLE lot (id INT);
+INSERT INTO lot VALUES (9007199254740992);
+INSERT INTO lot VALUES (9007199254740993);
+INSERT INTO lot VALUES (7);`); err != nil {
+		t.Fatal(err)
+	}
+	p := kb.NewPlatform()
+	if err := p.RegisterUser("u"); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ s, o rdf.Term }{
+		{rdf.NewTypedLiteral("9007199254740992", rdf.XSDInteger), lit("A")},
+		{rdf.NewTypedLiteral("7.0", rdf.XSDDouble), lit("B")},
+	} {
+		if _, err := p.Insert("u", rdf.Triple{S: f.s, P: smg("grade"), O: f.o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []string{"7|B", "9007199254740992|A", "9007199254740993|NULL"}
+	for _, par := range []int{1, 2, 4} {
+		e := New(db, p, m)
+		e.SetExecOptions(ExecOptions{Parallelism: par})
+		r, err := e.Query("u", `SELECT id FROM lot ENRICH SCHEMAEXTENSION(id, grade)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := resultRows(r)
+		sort.Strings(got)
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parallelism %d: %v, want %v", par, got, want)
+		}
+	}
+
+	// Compare-equal subjects of different types fan a row out subject by
+	// subject, in order of each subject's first solution, and each
+	// subject's objects in solution order: here the stored query's
+	// ORDER BY ?o alternates the subjects (C, D, E, F), yet the INTEGER
+	// subject's C, E come before the DOUBLE subject's D, F.
+	if _, err := db.ExecScript(`CREATE TABLE pair (id INT);
+INSERT INTO pair VALUES (5);`); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range []struct{ s, o rdf.Term }{
+		{rdf.NewTypedLiteral("5", rdf.XSDInteger), lit("C")},
+		{rdf.NewTypedLiteral("5.0", rdf.XSDDouble), lit("D")},
+		{rdf.NewTypedLiteral("5", rdf.XSDInteger), lit("E")},
+		{rdf.NewTypedLiteral("5.0", rdf.XSDDouble), lit("F")},
+	} {
+		if _, err := p.Insert("u", rdf.Triple{S: f.s, P: smg("tag"), O: f.o}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.RegisterQuery("u", "tags", `SELECT ?s ?o WHERE { ?s <`+smg("tag").Value+`> ?o } ORDER BY ?o`); err != nil {
+		t.Fatal(err)
+	}
+	want = []string{"5|C", "5|E", "5|D", "5|F"}
+	for _, par := range []int{1, 2, 4} {
+		e := New(db, p, m)
+		e.SetExecOptions(ExecOptions{Parallelism: par})
+		r, err := e.Query("u", `SELECT id FROM pair ENRICH SCHEMAEXTENSION(id, tags)`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []string // unsorted, unlike resultRows
+		for _, row := range r.Rows {
+			got = append(got, row[0].String()+"|"+row[1].String())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parallelism %d: fan-out %v, want %v", par, got, want)
+		}
 	}
 }
 

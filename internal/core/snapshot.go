@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
 	"path/filepath"
 
 	"crosse/internal/engine"
@@ -110,17 +109,11 @@ func readSection(br *bufio.Reader) ([]byte, error) {
 	return buf, nil
 }
 
-// ReadImage restores a platform image written by WriteImage, returning a
-// fresh databank and semantic platform. The checksum is verified before any
-// state is rebuilt.
-func ReadImage(r io.Reader) (*engine.DB, *kb.Platform, error) {
-	db, p, _, err := ReadImageLSN(r)
-	return db, p, err
-}
-
-// ReadImageLSN is ReadImage also returning the image's write-ahead-log
-// anchor: the LSN of the last logged mutation the image contains. Version 1
-// images (written before the log existed) report anchor 0.
+// ReadImageLSN restores a platform image written by WriteImageLSN,
+// returning a fresh databank and semantic platform and the image's
+// write-ahead-log anchor: the LSN of the last logged mutation the image
+// contains. Version 1 images (written before the log existed) report
+// anchor 0. The checksum is verified before any state is rebuilt.
 func ReadImageLSN(r io.Reader) (*engine.DB, *kb.Platform, uint64, error) {
 	br := bufio.NewReader(r)
 	magic := make([]byte, len(imageMagic))
@@ -189,18 +182,11 @@ func ReadImageLSN(r io.Reader) (*engine.DB, *kb.Platform, uint64, error) {
 	return db, p, lsn, nil
 }
 
-// SaveImageFile writes the platform image to path atomically, returning the
-// image size in bytes. The temp file is fsynced before the rename and the
-// parent directory after it, so the swap survives power loss — an atomic
-// rename alone only survives a process crash. A crash mid-save leaves the
-// previous image intact.
-func SaveImageFile(path string, db *engine.DB, p *kb.Platform) (int64, error) {
-	return saveImageFS(wal.OS, path, db, p, 0)
-}
-
-// saveImageFS is SaveImageFile over an explicit filesystem (the journal
-// saves through a fault-injecting FS in the crash property suite) with an
-// explicit log anchor.
+// saveImageFS writes the platform image anchored at lsn to path on fs
+// atomically, returning the image size in bytes. The temp file is fsynced
+// before the rename and the parent directory after it, so the swap
+// survives power loss — an atomic rename alone only survives a process
+// crash. A crash mid-save leaves the previous image intact.
 func saveImageFS(fs wal.FS, path string, db *engine.DB, p *kb.Platform, lsn uint64) (int64, error) {
 	var buf bytes.Buffer
 	if err := WriteImageLSN(&buf, db, p, lsn); err != nil {
@@ -231,14 +217,4 @@ func saveImageFS(fs wal.FS, path string, db *engine.DB, p *kb.Platform, lsn uint
 		return 0, err
 	}
 	return size, nil
-}
-
-// LoadImageFile restores a platform image from disk.
-func LoadImageFile(path string) (*engine.DB, *kb.Platform, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer f.Close()
-	return ReadImage(f)
 }

@@ -6,6 +6,10 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"crosse/internal/engine"
+	"crosse/internal/kb"
+	"crosse/internal/wal"
 )
 
 // enrichedQueries exercise the full pipeline: schema extension via the
@@ -23,9 +27,9 @@ func TestImageRoundTrip(t *testing.T) {
 	if err := WriteImage(&img, e.DB, e.Platform); err != nil {
 		t.Fatalf("WriteImage: %v", err)
 	}
-	db, p, err := ReadImage(bytes.NewReader(img.Bytes()))
-	if err != nil {
-		t.Fatalf("ReadImage: %v", err)
+	db, p, lsn, err := ReadImageLSN(bytes.NewReader(img.Bytes()))
+	if err != nil || lsn != 0 {
+		t.Fatalf("ReadImageLSN: lsn=%d err=%v", lsn, err)
 	}
 	restored := New(db, p, nil)
 
@@ -72,14 +76,14 @@ func TestImageChecksum(t *testing.T) {
 	// Flip one payload byte: the checksum must catch it.
 	flipped := append([]byte(nil), raw...)
 	flipped[len(flipped)/2] ^= 0x40
-	if _, _, err := ReadImage(bytes.NewReader(flipped)); err == nil {
+	if _, _, _, err := ReadImageLSN(bytes.NewReader(flipped)); err == nil {
 		t.Fatalf("bit flip restored without error")
 	}
 	// Truncation fails too.
-	if _, _, err := ReadImage(bytes.NewReader(raw[:len(raw)-2])); err == nil {
+	if _, _, _, err := ReadImageLSN(bytes.NewReader(raw[:len(raw)-2])); err == nil {
 		t.Fatalf("truncated image restored without error")
 	}
-	if _, _, err := ReadImage(bytes.NewReader([]byte("NOTANIMAGE"))); err == nil {
+	if _, _, _, err := ReadImageLSN(bytes.NewReader([]byte("NOTANIMAGE"))); err == nil {
 		t.Fatalf("bad magic accepted")
 	}
 }
@@ -109,10 +113,18 @@ func TestImageTruncationSeries(t *testing.T) {
 func TestImageFileSaveLoad(t *testing.T) {
 	e := fixture(t)
 	path := filepath.Join(t.TempDir(), "platform.img")
+	load := func(path string) (*engine.DB, *kb.Platform, error) {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			return nil, nil, err
+		}
+		db, p, _, err := ReadImageLSN(bytes.NewReader(raw))
+		return db, p, err
+	}
 
-	size, err := SaveImageFile(path, e.DB, e.Platform)
+	size, err := saveImageFS(wal.OS, path, e.DB, e.Platform, 0)
 	if err != nil {
-		t.Fatalf("SaveImageFile: %v", err)
+		t.Fatalf("saveImageFS: %v", err)
 	}
 	st, err := os.Stat(path)
 	if err != nil {
@@ -122,9 +134,9 @@ func TestImageFileSaveLoad(t *testing.T) {
 		t.Fatalf("reported size %d, file has %d", size, st.Size())
 	}
 
-	db, p, err := LoadImageFile(path)
+	db, p, err := load(path)
 	if err != nil {
-		t.Fatalf("LoadImageFile: %v", err)
+		t.Fatalf("load: %v", err)
 	}
 	if got, want := p.Users(), e.Platform.Users(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("users = %v, want %v", got, want)
@@ -135,10 +147,10 @@ func TestImageFileSaveLoad(t *testing.T) {
 
 	// A failed save must not clobber the existing image: saving over a
 	// read-only directory fails, the original stays loadable.
-	if _, err := SaveImageFile(filepath.Join(t.TempDir(), "missing", "x.img"), e.DB, e.Platform); err == nil {
+	if _, err := saveImageFS(wal.OS, filepath.Join(t.TempDir(), "missing", "x.img"), e.DB, e.Platform, 0); err == nil {
 		t.Fatalf("save into missing directory succeeded")
 	}
-	if _, _, err := LoadImageFile(path); err != nil {
+	if _, _, err := load(path); err != nil {
 		t.Fatalf("original image unreadable after failed save: %v", err)
 	}
 }

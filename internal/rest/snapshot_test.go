@@ -57,12 +57,12 @@ func TestAdminSnapshotDownload(t *testing.T) {
 	if ct := resp.Header.Get("Content-Type"); ct != "application/octet-stream" {
 		t.Fatalf("content type %q", ct)
 	}
-	db, p, err := func() (*engine.DB, *kb.Platform, error) {
+	db, p, lsn, err := func() (*engine.DB, *kb.Platform, uint64, error) {
 		defer io.Copy(io.Discard, resp.Body)
-		return core.ReadImage(resp.Body)
+		return core.ReadImageLSN(resp.Body)
 	}()
-	if err != nil {
-		t.Fatalf("downloaded image does not restore: %v", err)
+	if err != nil || lsn != 0 {
+		t.Fatalf("downloaded image does not restore: lsn=%d err=%v", lsn, err)
 	}
 	if got, want := p.Users(), e.Platform.Users(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored users %v, want %v", got, want)

@@ -3,6 +3,7 @@ package sqlexec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -38,6 +39,10 @@ func TestScalarFunctions(t *testing.T) {
 		{`ABS(-2.5)`, "2.5"},
 		{`ROUND(2.6)`, "3"},
 		{`ROUND(2.449, 1)`, "2.4"},
+		// Halves round away from zero, not to even.
+		{`ROUND(2.5)`, "3"},
+		{`ROUND(-2.5)`, "-3"},
+		{`ROUND(0.125, 2)`, "0.13"},
 		{`COALESCE(NULL, NULL, 'z')`, "z"},
 		{`COALESCE(NULL)`, "NULL"},
 		{`NULLIF(3, 3)`, "NULL"},
@@ -86,6 +91,10 @@ func TestArithmeticEdgeCases(t *testing.T) {
 	}{
 		{`7 % 3`, "1"},
 		{`7.5 % 2`, "1.5"},
+		// The remainder takes the dividend's sign (truncated, not floored).
+		{`-7 % 3`, "-1"},
+		{`7 % -3`, "1"},
+		{`-7.5 % 2`, "-1.5"},
 		{`2 * 3.5`, "7"},
 		{`1 - 2`, "-1"},
 		{`-(-5)`, "5"},
@@ -99,6 +108,14 @@ func TestArithmeticEdgeCases(t *testing.T) {
 			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
 		}
 	}
+	// The same sign and rounding rules per row, over table columns.
+	db := sqldb.NewDatabase()
+	mustExec(t, db, "CREATE TABLE nums (a INT, b INT, x DOUBLE, y DOUBLE)")
+	mustExec(t, db, "INSERT INTO nums VALUES (-7, 3, -7.5, 2), (7, -3, 2.5, 0.125), (7, 3, -2.5, 2)")
+	r := mustExec(t, db, "SELECT a % b, x % y, ROUND(x), ROUND(y, 2) FROM nums")
+	if got, want := rowsAsStrings(r), []string{"-1|-1.5|-8|2", "1|0|3|0.13", "1|-0.5|-3|2"}; !slices.Equal(got, want) {
+		t.Errorf("per-row %%, ROUND: %v, want %v", got, want)
+	}
 	for _, expr := range []string{`1/0`, `1%0`, `1.0/0`, `'a' + 1`, `TRUE * 2`, `-'text'`} {
 		if err := evalConstErr(t, expr); err == nil {
 			t.Errorf("%s should fail", expr)
@@ -106,7 +123,6 @@ func TestArithmeticEdgeCases(t *testing.T) {
 	}
 	// INTEGER arithmetic never wraps: every result outside int64 is an
 	// error, in the compiled path and in the reference interpreter alike.
-	db := sqldb.NewDatabase()
 	for _, expr := range []string{
 		`9223372036854775807 + 1`,
 		`-9223372036854775807 - 2`,
