@@ -535,9 +535,9 @@ func BenchmarkRecommend(b *testing.B) {
 // user re-interns and re-indexes the corpus into an arena of their own);
 // sharedOverlays is the platform layout (one SharedStore arena holding the
 // dictionary and the ordinal postings once, each user a View: a paged
-// bitset of arena ordinals plus per-view counters). Compare B/op: a
-// view's own cost is one bit per triple it holds plus its ID-keyed
-// counter maps — no term strings, no dictionary, no per-triple key — so
+// bitset of arena ordinals plus a count per predicate). Compare B/op: a
+// view's own cost is one bit per triple it holds plus one count per
+// predicate — no term strings, no dictionary, no per-triple key — so
 // total bytes must not scale with users × dictionary size.
 func BenchmarkManyUserMemory(b *testing.B) {
 	const corpusSize = 10000
@@ -1309,6 +1309,32 @@ func BenchmarkStoreCount(b *testing.B) {
 				rdf.Count(st, pats[i%len(pats)])
 			}
 		})
+		if size < 100000 {
+			continue
+		}
+		// A view holding every other triple of the arena, one shape per
+		// sub-benchmark: a view counts ?P? from its per-predicate counts
+		// and every other bound shape along the shorter of the arena's
+		// posting and its own set bits.
+		var all []rdf.TripleKey
+		st.ReadIDs(func(r rdf.IDReader) {
+			r.ForEachIDs(rdf.PatternIDs{}, func(s, p, o rdf.TermID) bool {
+				all = append(all, rdf.TripleKey{s, p, o})
+				return true
+			})
+		})
+		v := st.NewView()
+		for i := 0; i < len(all); i += 2 {
+			v.Add(all[i])
+		}
+		for i, name := range []string{"S", "P", "O", "SP", "PO", "SO", "all", "SPO"} {
+			p := pats[i]
+			b.Run(fmt.Sprintf("viewHalf%d/%s", size, name), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					rdf.Count(v, p)
+				}
+			})
+		}
 	}
 }
 

@@ -44,19 +44,20 @@
 // (rdf.SharedStore + rdf.View): the platform interns and indexes every
 // asserted triple exactly once — one dictionary, one set of refcounted
 // union postings — and each user's view holds only ID-level state, a paged
-// bitset of the arena ordinals it holds plus per-view counters that
-// answer every pattern-cardinality shape in O(1). A bitset page is
-// allocated by its first member and freed by its last, so a view costs
-// O(its triples), not O(the arena). Importing a peer's belief is therefore
-// a bit set plus six small-key counter updates (no term is ever
-// re-hashed), N users sharing a corpus cost O(corpus) string memory plus
-// compact per-view overlays, and view iteration picks the cheaper side per
-// pattern: the arena's posting filtered by one bit test per ordinal, or
-// the view's set bits filtered by the pattern. Views implement rdf.Graph,
-// so everything below this paragraph applies to them unchanged. The lock
-// order is view → arena: a read transaction holds both read locks, a view
-// mutation holds its view's write lock and the arena's read lock (to map
-// keys to ordinals), and an arena mutation holds only the arena lock.
+// bitset of the arena ordinals it holds plus its triple count per
+// predicate. A bitset page is allocated by its first member and freed by
+// its last, so a view costs O(its triples), not O(the arena). Importing a
+// peer's belief is therefore a bit set plus one predicate-count update (no
+// term is ever re-hashed), N users sharing a corpus cost O(corpus) string
+// memory plus compact per-view overlays, and view iteration and counting
+// pick the cheaper side per pattern: the arena's posting filtered by one
+// bit test per ordinal, or the view's set bits filtered by the pattern.
+// Counts stay exact, so the SPARQL join order sees the same numbers.
+// Views implement rdf.Graph, so everything below this paragraph applies
+// to them unchanged. The lock order is view → arena: a read transaction
+// holds both read locks, a view mutation holds its view's write lock and
+// the arena's read lock (to map keys to ordinals), and an arena mutation
+// holds only the arena lock.
 // Mutations are brief and never invalidate an in-flight read transaction,
 // which lets queries over distinct users' views run concurrently. A view
 // must drop a triple before the triple's last release, since its ordinal
@@ -287,8 +288,8 @@
 // rdf.ReadSharedSnapshot are the inverses. Restore is a bulk ID-level load:
 // triples come back as integer keys and take dense ordinals in stream
 // order (ordinals are not part of the format), view members come back as
-// keys whose ordinals' bits are set, per-view counters are rebuilt in the
-// same pass, statement triples decode from the restored dictionary, and
+// keys whose ordinals' bits are set, per-predicate counts are rebuilt in
+// the same pass, statement triples decode from the restored dictionary, and
 // only the dictionary's intern maps hash strings — once per distinct term,
 // not per triple.
 // BenchmarkSnapshotLoad times a cold start of a 100k-triple multi-user

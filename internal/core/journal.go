@@ -231,9 +231,18 @@ func (j *Journal) Insert(user string, t rdf.Triple, opts ...kb.InsertOption) (st
 }
 
 func (j *Journal) Import(user, id string) error {
+	var epoch uint64
 	return j.logged(
-		func() error { return j.p.Import(user, id) },
-		func() []byte { return encImport(user, id) },
+		func() error {
+			epoch = j.p.ViewEpoch(user)
+			return j.p.Import(user, id)
+		},
+		func() []byte {
+			if j.p.ViewEpoch(user) == epoch { // already believed; no record
+				return nil
+			}
+			return encImport(user, id)
+		},
 	)
 }
 

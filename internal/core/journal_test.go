@@ -267,6 +267,42 @@ func TestJournalImportFromNoOp(t *testing.T) {
 	}
 }
 
+// An Import the user already believes (a repeat, or the owner importing
+// their own statement) changes nothing, so it must neither append a
+// record nor wait for an fsync under SyncAlways.
+func TestJournalImportNoOp(t *testing.T) {
+	j, _, err := OpenJournal("j", JournalOptions{FS: wal.NewMemFS(), Sync: wal.SyncAlways}, func() (*engine.DB, *kb.Platform, error) {
+		p := kb.NewPlatform()
+		for _, u := range []string{"ada", "ben"} {
+			if err := p.RegisterUser(u); err != nil {
+				return nil, nil, err
+			}
+		}
+		return engine.Open(), p, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	id, err := j.Insert("ada", rdf.Triple{S: smg("Lead"), P: smg("dangerLevel"), O: lit("high")})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Import("ben", id); err != nil {
+		t.Fatal(err)
+	}
+	base := j.Status()
+	for _, user := range []string{"ben", "ada"} {
+		if err := j.Import(user, id); err != nil {
+			t.Fatal(err)
+		}
+		if got := j.Status(); got.LSN != base.LSN || got.Syncs != base.Syncs {
+			t.Fatalf("no-op Import(%s) moved the log: LSN %d→%d, syncs %d→%d",
+				user, base.LSN, got.LSN, base.Syncs, got.Syncs)
+		}
+	}
+}
+
 // TestJournalAppendsVsStreamedReads races write-ahead-logged mutations
 // against streamed SPARQL reads and SESQL enrichment over the overlay
 // views. Run with -race: the journal's lock covers {apply + append} but

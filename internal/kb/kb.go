@@ -9,10 +9,10 @@
 // Storage architecture: the platform keeps ONE dictionary-encoded triple
 // arena (rdf.SharedStore) holding every asserted triple, and each user's
 // KB is an overlay view (rdf.View) over it — a bitset of the arena's
-// triple ordinals plus O(1) per-view pattern counters, sharing the arena's
+// triple ordinals plus a triple count per predicate, sharing the arena's
 // dictionary and union postings. A crowdsourced corpus believed by N users
-// is interned and indexed once; importing a belief sets a bit and bumps a
-// few ID-keyed counters, never a re-hash of term strings. A statement's
+// is interned and indexed once; importing a belief sets a bit and bumps
+// one predicate count, never a re-hash of term strings. A statement's
 // key leaves every view before the arena releases it, because the arena
 // recycles a released triple's ordinal. Views implement rdf.Graph, so
 // SESQL enrichment and the streaming SPARQL executor evaluate against them

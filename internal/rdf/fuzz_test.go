@@ -61,6 +61,19 @@ func FuzzViewOps(f *testing.F) {
 	// s0 heads t0…t8: its posting grows past shortScan and shrinks back.
 	f.Add([]byte{opAcquire, 0, opAcquire, 1, opAcquire, 2, opAcquire, 3, opAcquire, 4, opAcquire, 5, opAcquire, 6,
 		opAcquire, 7, opAcquire, 8, opAddBatch, 0, opAddBatch, 3<<1 | 1, opRelease, 4, opRelease, 0, opRemove, 1 << 1})
+	// View 0 comes to hold every asserted triple after t26 takes t5's
+	// recycled ordinal, so a count walks the shorter arena posting there and
+	// the view's set bits in the sparse view 1; t5 then comes back under a
+	// fresh ordinal.
+	most := []byte{}
+	for i := byte(0); i < 26; i++ {
+		most = append(most, opAcquire, i)
+	}
+	most = append(most, opRelease, 5, opAcquire, 26)
+	for i := byte(0); i < 27; i += 3 {
+		most = append(most, opAddBatch, i<<1)
+	}
+	f.Add(append(most, opAdd, 26<<1|1, opAdd, 4<<1|1, opRemove, 26<<1, opAcquire, 5, opAdd, 5<<1))
 	// Adds of triples the arena does not assert.
 	f.Add([]byte{opAdd, 5, opAddBatch, 7, opAcquire, 5, opAdd, 5 << 1, opRelease, 5})
 	universe := viewOpsUniverse()

@@ -11,8 +11,8 @@ type PatternIDs struct {
 }
 
 // IDReader is the ID-native read surface handed out by ReadIDs: pattern
-// matching, O(1) pattern counting and term↔ID translation over the arena's
-// dictionary-encoded indexes, valid for the duration of one read
+// matching, exact pattern counting and term↔ID translation over the
+// arena's dictionary-encoded indexes, valid for the duration of one read
 // transaction. Every method is a pure read — the transaction's read locks
 // block all writers for the reader's whole lifetime — so one reader is
 // safe for concurrent use by the SPARQL executor's parallel workers.
@@ -22,7 +22,9 @@ type IDReader interface {
 	// ForEachIDs streams encoded triples matching the pattern; fn returning
 	// false stops early.
 	ForEachIDs(p PatternIDs, fn func(s, p, o TermID) bool)
-	// CountIDs returns the pattern's cardinality from index sizes.
+	// CountIDs returns the pattern's exact cardinality: the arena reads
+	// a posting's length, a view counts along the shorter of the arena's
+	// posting and its own set bits.
 	CountIDs(p PatternIDs) int
 	// TermOf decodes an issued ID.
 	TermOf(id TermID) (Term, bool)
@@ -63,8 +65,8 @@ func ForEach(g Graph, p Pattern, fn func(Triple) bool) {
 	})
 }
 
-// Count returns the number of g's triples matching the pattern, answered
-// from index sizes or per-view counters in O(1).
+// Count returns the exact number of g's triples matching the pattern (see
+// IDReader.CountIDs).
 func Count(g Graph, p Pattern) int {
 	n := 0
 	g.ReadIDs(func(r IDReader) {

@@ -4,12 +4,12 @@ package rdf
 // holds the platform-wide dictionary plus refcounted union postings over
 // every asserted triple, each under a dense uint32 ordinal, and each user's
 // knowledge base is a View — an overlay holding only compact ID-level
-// state (a paged bitset of arena ordinals plus O(1) per-view pattern
-// counters). A corpus believed by N users is interned and indexed once;
-// each extra believer costs one bit per triple plus its counter entries,
-// never term strings. The arena and each view implement Graph, so the
-// streaming SPARQL executor, the enrichment pipeline and the term-level
-// package functions (ForEach, Count, …) read both the same way.
+// state: a paged bitset of arena ordinals and one triple count per
+// predicate. A corpus believed by N users is interned and indexed once;
+// each extra believer costs one bit per triple, never term strings. The
+// arena and each view implement Graph, so the streaming SPARQL executor,
+// the enrichment pipeline and the term-level package functions (ForEach,
+// Count, …) read both the same way.
 //
 // Concurrency discipline: the arena and each view carry their own RWMutex,
 // and the lock order is view → arena. Readers (View.ReadIDs, and through it
@@ -117,25 +117,13 @@ func (s *SharedStore) ReadIDs(fn func(IDReader)) {
 
 // NewView returns an empty overlay over the arena.
 func (s *SharedStore) NewView() *View {
-	return &View{
-		shared: s,
-		cntS:   make(map[TermID]int32),
-		cntP:   make(map[TermID]int32),
-		cntO:   make(map[TermID]int32),
-		cntSP:  make(map[uint64]int32),
-		cntPO:  make(map[uint64]int32),
-		cntSO:  make(map[uint64]int32),
-	}
+	return &View{shared: s, cntP: make(map[TermID]int32)}
 }
 
-// pairKey packs two 32-bit term IDs into one map key.
-func pairKey(a, b TermID) uint64 { return uint64(a)<<32 | uint64(b) }
-
 // View is one user's knowledge base as an overlay over a SharedStore: a
-// paged bitset of the arena ordinals it holds plus per-view counters that
-// answer every pattern-cardinality shape in O(1) for the SPARQL join
-// orderer. A view holds no term strings and no dictionary — adding an
-// already-asserted triple sets one bit and bumps six small-key counters,
+// paged bitset of the arena ordinals it holds plus its triple count per
+// predicate. A view holds no term strings and no dictionary — adding an
+// already-asserted triple sets one bit and bumps one predicate count,
 // which is what makes belief imports cheap and keeps N views over one
 // corpus at O(corpus) string memory.
 //
@@ -149,11 +137,9 @@ type View struct {
 
 	members ordSet
 
-	// Exact distinct-triple counters per pattern shape: single-position
-	// (cntS/cntP/cntO) and pair-position (cntSP/cntPO/cntSO, packed keys).
-	// SPO tests one bit; ??? is the bitset's population.
-	cntS, cntP, cntO    map[TermID]int32
-	cntSP, cntPO, cntSO map[uint64]int32
+	// cntP counts the view's triples per predicate: one entry per distinct
+	// predicate, and the SPARQL planner counts ?P? at every activation.
+	cntP map[TermID]int32
 }
 
 // Add inserts an encoded triple into the view, reporting whether it was
@@ -168,20 +154,12 @@ func (v *View) Add(k TripleKey) bool {
 
 // AddBatch inserts a batch of encoded triples under one lock acquisition,
 // returning how many were new; like Add, it skips keys the arena does not
-// assert. This is the belief-import fast path: a bulk import into a fresh
-// view (the common crowdsourcing shape) presizes the pair-counter maps, so
-// insertion never pays incremental map growth.
+// assert. This is the belief-import fast path.
 func (v *View) AddBatch(ks []TripleKey) int {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	v.shared.mu.RLock()
 	defer v.shared.mu.RUnlock()
-	if v.members.n == 0 && len(ks) > 64 {
-		n := len(ks)
-		v.cntSP = make(map[uint64]int32, n)
-		v.cntPO = make(map[uint64]int32, n)
-		v.cntSO = make(map[uint64]int32, n)
-	}
 	added := 0
 	for _, k := range ks {
 		if v.addLocked(k) {
@@ -198,12 +176,7 @@ func (v *View) addLocked(k TripleKey) bool {
 	if !ok || !v.members.add(o) {
 		return false
 	}
-	v.cntS[k[0]]++
 	v.cntP[k[1]]++
-	v.cntO[k[2]]++
-	v.cntSP[pairKey(k[0], k[1])]++
-	v.cntPO[pairKey(k[1], k[2])]++
-	v.cntSO[pairKey(k[0], k[2])]++
 	return true
 }
 
@@ -218,23 +191,12 @@ func (v *View) Remove(k TripleKey) bool {
 	if !ok || !v.members.remove(o) {
 		return false
 	}
-	dec(v.cntS, k[0])
-	dec(v.cntP, k[1])
-	dec(v.cntO, k[2])
-	dec(v.cntSP, pairKey(k[0], k[1]))
-	dec(v.cntPO, pairKey(k[1], k[2]))
-	dec(v.cntSO, pairKey(k[0], k[2]))
-	return true
-}
-
-// dec decrements a counter entry, deleting it at zero so counter maps never
-// accumulate dead keys.
-func dec[K comparable](m map[K]int32, k K) {
-	if m[k] <= 1 {
-		delete(m, k)
-		return
+	if v.cntP[k[1]] <= 1 {
+		delete(v.cntP, k[1]) // no dead keys accumulate
+	} else {
+		v.cntP[k[1]]--
 	}
-	m[k]--
+	return true
 }
 
 // Has reports whether the view holds the encoded triple.
@@ -258,9 +220,14 @@ func (v *View) Len() int {
 	return v.members.n
 }
 
-// countIDsLocked answers every pattern shape from the per-view counters in
-// O(1). Counts are exact (distinct triples in the view).
+// countIDsLocked returns the exact number of the view's triples matching
+// the pattern. SPO tests one bit, ??? is the bitset's population and ?P?
+// is cntP; every other shape walks the cheaper side as matchIDsLocked
+// does: the arena's posting, counting the ordinals whose bit is set, or
+// the view's set bits, counting the triples the pattern matches. The
+// caller holds both the view and the arena read locks.
 func (v *View) countIDsLocked(p PatternIDs) int {
+	a := &v.shared.encStore
 	sb, pb, ob := p.S != 0, p.P != 0, p.O != 0
 	switch {
 	case sb && pb && ob:
@@ -268,21 +235,27 @@ func (v *View) countIDsLocked(p PatternIDs) int {
 			return 1
 		}
 		return 0
-	case sb && pb:
-		return int(v.cntSP[pairKey(p.S, p.P)])
-	case pb && ob:
-		return int(v.cntPO[pairKey(p.P, p.O)])
-	case sb && ob:
-		return int(v.cntSO[pairKey(p.S, p.O)])
-	case sb:
-		return int(v.cntS[p.S])
-	case pb:
-		return int(v.cntP[p.P])
-	case ob:
-		return int(v.cntO[p.O])
-	default:
+	case !sb && !pb && !ob:
 		return v.members.n
+	case pb && !sb && !ob:
+		return int(v.cntP[p.P])
 	}
+	n := 0
+	if l, exact := a.posting(p); len(l) < v.members.n {
+		for _, o := range l {
+			if v.members.has(o) && (exact || p.matches(a.keys[o])) {
+				n++
+			}
+		}
+		return n
+	}
+	v.members.each(func(o uint32) bool {
+		if p.matches(a.keys[o]) {
+			n++
+		}
+		return true
+	})
+	return n
 }
 
 // matchIDsLocked streams the view's triples matching the pattern. For bound

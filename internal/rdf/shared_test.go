@@ -3,9 +3,11 @@ package rdf
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
+	"unsafe"
 )
 
 func viri(n string) Term { return NewIRI("http://x/" + n) }
@@ -48,7 +50,9 @@ func TestSharedStoreAcquireRelease(t *testing.T) {
 	s.Release(TripleKey{999, 999, 999})
 }
 
-func TestViewMembershipAndCounters(t *testing.T) {
+// TestViewAddRemoveAndCount pins Add and Remove's new/present reports, and
+// that Len, Has and Count follow the membership both ways.
+func TestViewAddRemoveAndCount(t *testing.T) {
 	s := NewSharedStore()
 	v := s.NewView()
 	tr := Triple{viri("a"), viri("p"), viri("b")}
@@ -176,7 +180,7 @@ func TestViewReleaseDropsFromOverlay(t *testing.T) {
 	k := s.AcquireTriple(Triple{viri("a"), viri("p"), viri("b")})
 	v.Add(k)
 	s.Release(k)
-	// Per-view state still says 1 (the view was not told), but shared-side
+	// The view still holds the ordinal (it was not told), but shared-side
 	// iteration no longer surfaces it for bound patterns.
 	if n := len(collect(v, Pattern{S: viri("a")})); n != 0 {
 		t.Fatalf("released triple still iterates: %d", n)
@@ -212,9 +216,10 @@ func TestViewReadIDsTransaction(t *testing.T) {
 	})
 }
 
-// TestViewAddBatchPresize covers the bulk-import fast path (fresh view,
-// batch larger than the presize threshold) including duplicate keys.
-func TestViewAddBatchPresize(t *testing.T) {
+// TestViewAddBatchCountsDuplicatesOnce covers the bulk-import fast path
+// into a fresh view: a key repeated within the batch is added and counted
+// once.
+func TestViewAddBatchCountsDuplicatesOnce(t *testing.T) {
 	s := NewSharedStore()
 	var ks []TripleKey
 	for i := 0; i < 200; i++ {
@@ -230,6 +235,37 @@ func TestViewAddBatchPresize(t *testing.T) {
 	}
 	if n := Count(v, Pattern{P: viri("p")}); n != 200 {
 		t.Fatalf("Count(P) = %d", n)
+	}
+}
+
+// TestViewHeapIsItsMembership pins what a bulk import costs a fresh view:
+// its bitset pages, its page table and one count per predicate. A
+// per-pattern counter map with an entry per distinct subject, object or
+// pair would cost megabytes here.
+func TestViewHeapIsItsMembership(t *testing.T) {
+	const n, preds = 100000, 20
+	s := NewSharedStore()
+	ks := make([]TripleKey, n)
+	for i := range ks {
+		ks[i] = s.AcquireTriple(Triple{viri(fmt.Sprintf("s%d", i/4)), viri(fmt.Sprintf("p%d", i%preds)), viri(fmt.Sprintf("o%d", i))})
+	}
+	v := s.NewView()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if got := v.AddBatch(ks); got != n {
+		t.Fatalf("AddBatch = %d, want %d", got, n)
+	}
+	runtime.ReadMemStats(&after)
+	pages := (n + 1<<pageShift - 1) >> pageShift
+	bound := pages*int(unsafe.Sizeof(bitPage{})) + // the pages
+		2*pages*int(unsafe.Sizeof((*bitPage)(nil))) + // the page table, grown by append
+		preds*64 + // cntP
+		16<<10 // slack: size-class rounding and map buckets
+	if got := int(after.TotalAlloc - before.TotalAlloc); got > bound {
+		t.Fatalf("AddBatch of %d keys allocated %d bytes, want ≤ %d (%d pages)", n, got, bound, pages)
+	}
+	if got := Count(v, Pattern{P: viri("p3")}); got != n/preds {
+		t.Fatalf("Count(?P?) = %d, want %d", got, n/preds)
 	}
 }
 

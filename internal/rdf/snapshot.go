@@ -469,8 +469,8 @@ func (s *SharedStore) RefCount(k TripleKey) int {
 // --- views ---
 
 // WriteSnapshot serialises the view's members as raw TripleKeys, in
-// ordinal order. Per-view counters are not written: the decoder rebuilds
-// them in the same pass that sets the membership bits.
+// ordinal order. The per-predicate counts are not written: the decoder
+// rebuilds them in the same pass that sets the membership bits.
 func (v *View) WriteSnapshot(w io.Writer) error {
 	v.mu.RLock()
 	defer v.mu.RUnlock()
@@ -492,25 +492,16 @@ func (v *View) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadViewSnapshot rebuilds one overlay view over this arena from a stream
-// written by View.WriteSnapshot. The counter maps are presized, and every
-// key is validated to be asserted in the arena (the invariant the KB layer
-// maintains for live views) before its ordinal's bit is set.
+// written by View.WriteSnapshot. Every key is validated to be asserted in
+// the arena (the invariant the KB layer maintains for live views) before
+// its ordinal's bit is set.
 func (s *SharedStore) ReadViewSnapshot(r SnapshotReader) (*View, error) {
 	dec := &SnapshotDecoder{R: r}
 	n, err := dec.Uvarint()
 	if err != nil {
 		return nil, err
 	}
-	size := PresizeHint(n)
-	v := &View{
-		shared: s,
-		cntS:   make(map[TermID]int32, size/4+1),
-		cntP:   make(map[TermID]int32, size/4+1),
-		cntO:   make(map[TermID]int32, size/4+1),
-		cntSP:  make(map[uint64]int32, size),
-		cntPO:  make(map[uint64]int32, size),
-		cntSO:  make(map[uint64]int32, size),
-	}
+	v := s.NewView()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	dictLen := s.dict.Len()

@@ -41,6 +41,9 @@ type index struct {
 	byAB map[uint64][]uint32
 }
 
+// pairKey packs two 32-bit term IDs into one map key.
+func pairKey(a, b TermID) uint64 { return uint64(a)<<32 | uint64(b) }
+
 func newIndex() index { return index{byAB: make(map[uint64][]uint32)} }
 
 // first returns the posting of a; a never-issued ID has none.

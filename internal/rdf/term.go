@@ -11,13 +11,13 @@
 //
 // There is one triple store, the SharedStore arena: it interns and
 // indexes every asserted triple once, and each user's knowledge base is a
-// View over it holding only a bitset of arena ordinals and O(1) pattern
-// counters (see shared.go, and Fig. 4's per-user slices of one reified
-// store). Both implement Graph, whose one method, ReadIDs, opens a read
-// transaction over the encoded layer. The term-level reads — ForEach,
-// Count, MatchSorted, Subjects, Objects — are package functions written
-// once over ReadIDs, so the SPARQL executor and every other reader are
-// agnostic to which of the two they read.
+// View over it holding only a bitset of arena ordinals and a triple count
+// per predicate (see shared.go, and Fig. 4's per-user slices of one
+// reified store). Both implement Graph, whose one method, ReadIDs, opens
+// a read transaction over the encoded layer. The term-level reads —
+// ForEach, Count, MatchSorted, Subjects, Objects — are package functions
+// written once over ReadIDs, so the SPARQL executor and every other reader
+// are agnostic to which of the two they read.
 package rdf
 
 import (

@@ -444,8 +444,8 @@ func (e *exec) allBound(slots []int, ep uint32) bool {
 }
 
 // estimate guesses a pattern's cardinality for join ordering: constants and
-// row-bound variables probe the store's O(1) counters; variables bound by
-// already-ordered patterns get the seed engine's /2+1 discount. A property
+// row-bound variables are bound in the store's exact count; variables
+// bound by already-ordered patterns get the seed engine's /2+1 discount. A property
 // path whose every pair begins with one plain IRI step (leadIRI) is priced
 // as that step from the path's subject; the path's object is not that
 // step's object, so its binding is left out.
