@@ -358,10 +358,11 @@ func BenchmarkFDW(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			rows = 0
-			if err := plan.Stream(func([]sqlval.Value) bool { rows++; return true }); err != nil {
+			res, err := plan.Run()
+			if err != nil {
 				b.Fatal(err)
 			}
+			rows = len(res.Rows)
 		}
 		_, wire1 := tcp.Stats()
 		b.ReportMetric(float64(rows), "rows/op")
@@ -936,8 +937,8 @@ func BenchmarkSQLCompiledPlan(b *testing.B) {
 // federated_scan's join_replace_constant shape, here over all-local
 // tables, drives 4 000 analyses through a.purity into a build of the
 // dozen elem_contained rows the landfill seek returns. Each plan is compiled once from its
-// query shape and bound per operation, as the request path does; rows/op
-// makes a change in what is returned show.
+// query shape, bound per operation and run to its materialised Result, as
+// the request path does; rows/op makes a change in what is returned show.
 func BenchmarkSQLScanFilter(b *testing.B) {
 	db := engine.Open()
 	cfg := dataset.DefaultConfig()
@@ -959,11 +960,11 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 			b.Fatal(err)
 		}
 		return func() int {
-			n := 0
-			if err := tmpl.Bind(lits.Vals).Stream(func([]sqlval.Value) bool { n++; return true }); err != nil {
+			res, err := tmpl.Bind(lits.Vals).Run()
+			if err != nil {
 				b.Fatal(err)
 			}
-			return n
+			return len(res.Rows)
 		}
 	}
 	run := func(b *testing.B, op func() int) {

@@ -118,7 +118,9 @@
 // a push-based pipeline over one reused row buffer with arena-backed
 // materialisation only at the sink: a source's own conjuncts run on the
 // scanned row before it is copied into that buffer, so a rejected row is
-// never copied; LIMIT without ORDER BY stops the pipeline early. Values
+// never copied; LIMIT without ORDER BY stops the pipeline early. A plan
+// runs only to its Result (Run / RunContext), copying each output row
+// once: rows a sorter or a morsel worker holds become the Result's. Values
 // are 32 bytes (sqlval.Value: a type, one 8-byte payload for the
 // integer, the float bits or the bool, and a string), and the numbers
 // follow PostgreSQL's total order, NaN equal to itself and above every
@@ -179,7 +181,7 @@
 // buffers, and the serial SPARQL sort as one run — goes through
 // exec.MergeSorted, which sorts the runs concurrently and streams a
 // loser-tree merge (ties to the lower run, the earlier morsel — exactly
-// the serial stable sort) into a yield that stops at LIMIT; SPARQL property-path heads materialise the
+// the serial stable sort) into the result; SPARQL property-path heads materialise the
 // path frontier once and fan the pairs out like any posting list; and a
 // pool built with a LIMIT target cuts the remaining morsels once
 // Pool.Done sees a contiguous completed-morsel prefix holding enough
@@ -187,7 +189,7 @@
 // serial — ASK (first match wins), non-mergeable aggregate functions,
 // foreign-table scans, and inputs below the morsel threshold where fan-out costs more than it
 // wins — and every fallback names its reason:
-// sqlexec/sparql Result.ParallelFallback (and the streaming StreamInfo)
+// sqlexec/sparql Result.ParallelFallback (and sparql's StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages
 // that run a plan ("base-sql: ...", "sparql: ..."; the final stage is a
 // sort of rows already in memory and has no entry), and the REST stats

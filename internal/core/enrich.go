@@ -178,34 +178,23 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 	plan := sp.plan.Bind(lits.Vals)
 	st.BaseSQLText = sp.baseSQL.Splice(lits.Texts)
 
-	// Fast path: plain SQL.
-	if len(q.Enrichments) == 0 {
-		t0 = time.Now()
-		res, err := plan.RunContext(ctx)
-		st.BaseSQL = time.Since(t0)
-		if res != nil {
-			st.BaseRows, st.FinalRows = len(res.Rows), len(res.Rows)
-			st.SkippedSources = res.SkippedSources
-			st.addParallelFallback("base-sql", res.ParallelFallback)
-		}
-		return res, st, err
-	}
-
 	// --- Base SQL: the base rows, materialised once ---
+	// Without enrichments they are the answer (the fast path).
 	t0 = time.Now()
-	var base [][]sqlval.Value
-	arena := sqlval.NewRowArena(sp.width)
-	info, err := plan.StreamInfoContext(ctx, func(row []sqlval.Value) bool {
-		base = append(base, arena.Copy(row))
-		return true
-	})
+	res, err := plan.RunContext(ctx)
 	st.BaseSQL = time.Since(t0)
 	if err != nil {
-		return nil, st, fmt.Errorf("core: base query: %w", err)
+		if len(q.Enrichments) > 0 {
+			err = fmt.Errorf("core: base query: %w", err)
+		}
+		return nil, st, err
 	}
-	st.SkippedSources = info.SkippedSources
-	st.addParallelFallback("base-sql", info.ParallelFallback)
-	st.BaseRows = len(base)
+	st.SkippedSources = res.SkippedSources
+	st.addParallelFallback("base-sql", res.ParallelFallback)
+	st.BaseRows, st.FinalRows = len(res.Rows), len(res.Rows)
+	if len(q.Enrichments) == 0 {
+		return res, st, nil
+	}
 
 	// --- SPARQL: every step's extract (timed per query in extract) ---
 	j := &joiner{sp: sp, m: e.Mapping, runs: make([]stepRun, len(sp.steps)), scratch: make([]sqlval.Value, sp.scratch)}
@@ -217,7 +206,7 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 
 	// --- JoinManager: one pass over the base rows ---
 	t0 = time.Now()
-	res := &sqlexec.Result{Columns: slices.Clone(sp.headers), Rows: j.join(base), SkippedSources: info.SkippedSources}
+	res.Columns, res.Rows = slices.Clone(sp.headers), j.join(res.Rows)
 	st.Join = time.Since(t0)
 
 	// --- Final stage (Fig. 6's last step) ---

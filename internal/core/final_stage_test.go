@@ -305,3 +305,77 @@ func TestUnresolvableEnrichmentAttribute(t *testing.T) {
 		t.Errorf("unknown user: err = %v, want the user's error", err)
 	}
 }
+
+// morselFixture is a fixture whose base table passes the SQL executor's
+// morsel gate (4 096 driving rows) and whose dangerLevel extract passes
+// the SPARQL one (2 048 head matches): 6 000 elem_contained rows over
+// 2 400 elements, most with one dangerLevel, every seventh with two (a
+// fan-out), every eleventh with none (a NULL).
+func morselFixture(t *testing.T) *Enricher {
+	t.Helper()
+	e := fixture(t)
+	ec, _ := e.DB.Catalog().Table("elem_contained")
+	for i := 0; i < 6000; i++ {
+		ec.Insert([]sqlval.Value{sqlval.NewString(fmt.Sprintf("E%04d", i*7%2400)), sqlval.NewString(fmt.Sprintf("L%02d", i%40))})
+	}
+	for j := 0; j < 2400; j++ {
+		if j%11 == 0 {
+			continue
+		}
+		levels := []string{fmt.Sprintf("level%d", j%5)}
+		if j%7 == 0 {
+			levels = append(levels, "extreme")
+		}
+		for _, l := range levels {
+			if _, err := e.Platform.Insert("alice", rdf.Triple{S: smg(fmt.Sprintf("E%04d", j)), P: smg("dangerLevel"), O: lit(l)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return e
+}
+
+// TestEnrichedMorselPathParity compares enriched answers whose base query
+// runs on the morsel path: a plain base (the workers' rows merged in
+// morsel order), a base ORDER BY with and without a window (merged as
+// sorted runs or selected from the workers' sorters), and an ORDER BY on
+// the enriched column, deferred to the final stage. Each must give the
+// same rows, in the same order, at Parallelism 1, 2 and 4, and at 2 and 4
+// no stage may fall back to serial.
+func TestEnrichedMorselPathParity(t *testing.T) {
+	const enrich = ` ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
+	cases := []struct {
+		name, query string
+		deferred    bool
+	}{
+		{"plain base", `SELECT elem_name, landfill_name FROM elem_contained` + enrich, false},
+		{"base ORDER BY", `SELECT elem_name, landfill_name FROM elem_contained ORDER BY landfill_name DESC, elem_name` + enrich, false},
+		{"base ORDER BY window", `SELECT elem_name, landfill_name FROM elem_contained ORDER BY elem_name LIMIT 40 OFFSET 3000` + enrich, false},
+		{"deferred enriched ORDER BY", `SELECT elem_name, landfill_name FROM elem_contained ORDER BY dangerLevel DESC, landfill_name LIMIT 100 OFFSET 20` + enrich, true},
+	}
+	want := make([]string, len(cases))
+	for _, par := range []int{1, 2, 4} {
+		e := morselFixture(t)
+		e.SetExecOptions(ExecOptions{Parallelism: par})
+		for i, c := range cases {
+			r, st, err := e.QueryStats("alice", c.query)
+			if err != nil {
+				t.Fatalf("%s parallelism=%d: %v", c.name, par, err)
+			}
+			if deferred := st.FinalSQLText != "" && strings.Contains(st.FinalSQLText, "ORDER BY"); deferred != c.deferred {
+				t.Fatalf("%s: base %q, final %q: ORDER BY deferred = %v, want %v", c.name, st.BaseSQLText, st.FinalSQLText, deferred, c.deferred)
+			}
+			if par > 1 && st.ParallelFallback != "" {
+				t.Errorf("%s parallelism=%d: fell back (%q)", c.name, par, st.ParallelFallback)
+			}
+			got := orderedRows(r)
+			if par == 1 {
+				want[i] = got
+				continue
+			}
+			if got != want[i] {
+				t.Errorf("%s: parallelism %d diverges from serial", c.name, par)
+			}
+		}
+	}
+}

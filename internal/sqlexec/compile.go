@@ -54,7 +54,7 @@ type Options struct {
 	// PartialResults degrades instead of failing when a scanned source is
 	// down before producing any row (sqldb.ErrSourceDown — an open FDW
 	// circuit breaker): the source contributes zero rows and is named in
-	// Result.SkippedSources / StreamContext's skip list. Off by default:
+	// Result.SkippedSources. Off by default:
 	// a down source fails the query fast with a typed error.
 	PartialResults bool
 }

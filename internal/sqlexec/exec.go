@@ -19,7 +19,8 @@ type Result struct {
 	SkippedSources []string
 	// ParallelFallback is empty when the SELECT ran on the morsel-driven
 	// parallel path, and otherwise names why it fell back to the serial
-	// pipeline (see StreamInfo.ParallelFallback). Always empty for DML.
+	// pipeline (e.g. "parallelism=1", "driving scan below parallel
+	// threshold"). Always empty for DML.
 	ParallelFallback string
 }
 

@@ -119,16 +119,6 @@ func (s *rowSorter) add(row []sqlval.Value, seq int64) {
 	}
 }
 
-// emit yields the OFFSET / LIMIT window of the buffered rows in order,
-// each cut to its first width (projected) columns.
-func (s *rowSorter) emit(offset, limit, width int, yield func([]sqlval.Value) bool) {
-	for _, sr := range windowRuns(s.order, [][]sortedRow{s.rows}, offset, limit, 1) {
-		if !yield(sr.row[:width]) {
-			return
-		}
-	}
-}
-
 // windowSample is how many rows windowRuns samples to bracket a window;
 // inputs below 4·windowSample rows skip the sampling. A variable so tests
 // can take the sampled path on small inputs.

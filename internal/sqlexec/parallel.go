@@ -12,7 +12,9 @@ package sqlexec
 // morsel (or stamped with its (morsel, seq) arrival position, derived from
 // drivePos exactly as on the serial path) and merged in morsel order, so
 // the parallel output is byte-identical to the serial pipeline's: same
-// rows, same order, same ties, same first error.
+// rows, same order, same ties, same first error. A worker's buffered rows
+// are its own arena copies, and the merge hands them to the Result as
+// they are instead of copying them again.
 //
 // Hash-join builds past the threshold are partitioned two-phase parallel
 // builds (parallelBuildHash); float SUM/AVG folds per-morsel compensated
@@ -23,7 +25,7 @@ package sqlexec
 // shapes that still fall back to serial — driving relations without an
 // O(1) cardinality (foreign tables), pushed-down equality seeks (tiny by
 // construction), inputs below parallelMinRows, LIMIT 0 — record why in
-// runShared.fallback, surfaced as StreamInfo.ParallelFallback.
+// runShared.fallback, surfaced as Result.ParallelFallback.
 
 import (
 	"cmp"
@@ -130,20 +132,24 @@ func (r *runner) runParallel(workers int) error {
 	res := make([]parMorsel, nm)
 	ws := make([]*runner, pool.Workers())
 	for i := range ws {
-		ws[i] = r.newWorker(pool, res, len(drive)/len(ws)+1)
+		ws[i] = r.newWorker(pool, len(drive)/len(ws)+1)
 	}
 	pool.Run(func(worker, m int) {
 		ws[worker].runMorsel(pool, res, drive, m)
 	})
 
-	switch {
-	case p.grouped:
-		return r.mergeGroups(ws, res)
-	case len(p.order) > 0:
-		return r.mergeSorted(ws, res)
-	default:
+	if !p.grouped && len(p.order) == 0 {
 		return r.mergePlain(res)
 	}
+	for m := range res {
+		if res[m].err != nil {
+			return res[m].err
+		}
+	}
+	if p.grouped {
+		return r.mergeGroups(ws)
+	}
+	return r.mergeSorted(ws)
 }
 
 // parallelBuildHash builds the hash index over materialised build rows.
@@ -200,25 +206,19 @@ func parallelBuildHash(workers int, rows [][]sqlval.Value, keyCol int) *joinTabl
 
 // newWorker returns the runner one pool worker drives morsels through: its
 // own joined-row buffer over the coordinator's frozen sides, sinking into
-// the serial path's sink types. The plain sink yields into the current
-// morsel's buffer, without OFFSET/LIMIT (the merge windows the output),
-// and stops once the pool cancels the morsel; its sorter presizes for its
-// share of the driving rows, and under ORDER BY + DISTINCT it is
-// unbounded, since bounding it before the cross-worker DISTINCT merge
-// could evict rows that global deduplication would promote into the
-// window. The grouped sink collects DISTINCT aggregates.
-func (r *runner) newWorker(pool *sched.Pool, res []parMorsel, share int) *runner {
+// the serial path's sink types. The plain sink puts its rows into the
+// current morsel's buffer, without OFFSET/LIMIT (the merge windows the
+// output), and stops once the pool cancels the morsel; its sorter
+// presizes for its share of the driving rows, and under ORDER BY +
+// DISTINCT it is unbounded, since bounding it before the cross-worker
+// DISTINCT merge could evict rows that global deduplication would promote
+// into the window. The grouped sink collects DISTINCT aggregates.
+func (r *runner) newWorker(pool *sched.Pool, share int) *runner {
 	p := r.p
-	w := &runner{p: p, row: make([]sqlval.Value, p.width), shared: r.shared, sides: r.sides}
+	w := &runner{p: p, row: make([]sqlval.Value, p.width), shared: r.shared, pool: pool, sides: r.sides}
 	if p.grouped {
 		w.sink = newGroupedSink(w, true)
 		return w
-	}
-	arena := sqlval.NewRowArena(len(p.items))
-	w.yield = func(out []sqlval.Value) bool {
-		m := int((w.drivePos - 1) / int64(parallelMorsel))
-		res[m].rows = append(res[m].rows, arena.Copy(out))
-		return !pool.Cancelled(m)
 	}
 	k := keep(p.limit, p.offset)
 	if p.distinct {
@@ -234,7 +234,7 @@ func (r *runner) newWorker(pool *sched.Pool, res []parMorsel, share int) *runner
 // driving rows through feed, then records the morsel's first error.
 func (r *runner) runMorsel(pool *sched.Pool, res []parMorsel, drive [][]sqlval.Value, m int) {
 	lo, hi := sched.Bounds(m, parallelMorsel, len(drive))
-	r.drivePos = int64(lo)
+	r.drivePos, r.dst, r.morsel = int64(lo), &res[m].rows, m
 	for i := lo; i < hi && !pool.Cancelled(m) && r.feed(drive[i]); i++ {
 	}
 	if r.err != nil {
@@ -247,15 +247,24 @@ func (r *runner) runMorsel(pool *sched.Pool, res []parMorsel, drive [][]sqlval.V
 }
 
 // mergePlain replays the per-morsel buffers in morsel order through a
-// fresh plain sink — global DISTINCT, OFFSET, LIMIT and the caller's
-// yield all behave exactly as on the serial path, including rows buffered
-// before a worker's error.
+// fresh plain sink — global DISTINCT, OFFSET and LIMIT behave exactly as
+// on the serial path, including rows buffered before a worker's error.
+// The buffered rows are the workers' arena copies, so each row that passes
+// is handed over to the Result as it is, into Rows presized for the
+// OFFSET / LIMIT window of the merged total.
 func (r *runner) mergePlain(res []parMorsel) error {
+	total := 0
+	for m := range res {
+		total += len(res[m].rows)
+	}
+	*r.dst = make([][]sqlval.Value, 0, len(window(make([]struct{}, total), r.p.offset, r.p.limit)))
 	tail := newPlainSink(r, -1, 0)
 	for m := range res {
 		for _, row := range res[m].rows {
-			copy(tail.out, row)
-			if !tail.deliver(nil, 0) {
+			if tail.distinct.dup(row) {
+				continue
+			}
+			if !tail.window(row) {
 				return r.err
 			}
 		}
@@ -275,54 +284,38 @@ func (r *runner) mergePlain(res []parMorsel) error {
 // OFFSET. Under DISTINCT the candidates are first deduplicated in
 // arrival-stamp order — the order the serial sink deduplicates in, before
 // it sorts.
-func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
-	for m := range res {
-		if res[m].err != nil {
-			return res[m].err
-		}
-	}
+func (r *runner) mergeSorted(ws []*runner) error {
 	p := r.p
 	n := len(p.items)
 	runs := make([][]sortedRow, len(ws))
+	total := 0
 	for i, w := range ws {
 		runs[i] = w.sink.(*plainSink).sorter.rows
+		total += len(runs[i])
 	}
 	if p.limit < 0 && !p.distinct {
 		skip := p.offset
+		w := newWindowOut(max(total-max(skip, 0), 0), total, n)
 		sched.MergeSorted(len(ws), runs, func(a, b sortedRow) int { return orderCmp(p.order, &a, &b) },
 			func(sr sortedRow) bool {
 				if skip > 0 {
 					skip--
-					return true
+				} else {
+					w.add(sr.row)
 				}
-				return r.yield(sr.row[:n])
+				return true
 			})
+		*r.dst = w.rows
 		return nil
 	}
 	if p.distinct {
 		all := slices.Concat(runs...)
 		slices.SortFunc(all, func(a, b sortedRow) int { return cmp.Compare(a.seq, b.seq) })
-		seen := make(map[string]struct{}, len(all))
-		var key []byte
-		kept := all[:0]
-		for _, sr := range all {
-			key = key[:0]
-			for _, v := range sr.row[:n] {
-				key = sqlval.AppendKey(key, v)
-			}
-			if _, dup := seen[string(key)]; dup {
-				continue
-			}
-			seen[string(key)] = struct{}{}
-			kept = append(kept, sr)
-		}
-		runs = [][]sortedRow{kept}
+		d := distinctSet{seen: make(map[string]struct{}, len(all))}
+		runs = [][]sortedRow{slices.DeleteFunc(all, func(sr sortedRow) bool { return d.dup(sr.row[:n]) })}
+		total = len(runs[0])
 	}
-	for _, sr := range windowRuns(p.order, runs, p.offset, p.limit, len(ws)) {
-		if !r.yield(sr.row[:n]) {
-			break
-		}
-	}
+	r.putWindow(windowRuns(p.order, runs, p.offset, p.limit, len(ws)), total, n)
 	return nil
 }
 
@@ -333,12 +326,7 @@ func (r *runner) mergeSorted(ws []*runner, res []parMorsel) error {
 // stamp, and the merged groups are ordered by that stamp — first-seen
 // order, exactly as the serial grouped sink built it. The shared
 // HAVING/projection/ORDER tail then runs unchanged.
-func (r *runner) mergeGroups(ws []*runner, res []parMorsel) error {
-	for m := range res {
-		if res[m].err != nil {
-			return res[m].err
-		}
-	}
+func (r *runner) mergeGroups(ws []*runner) error {
 	combined := make(map[string]*groupState)
 	for _, w := range ws {
 		for key, grp := range w.sink.(*groupedSink).groups {

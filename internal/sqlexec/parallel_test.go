@@ -239,7 +239,7 @@ func TestOnePipelineBothDrivers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			r := &runner{p: plan, yield: func([]sqlval.Value) bool { return true }, shared: &runShared{}}
+			r := &runner{p: plan, dst: new([][]sqlval.Value), shared: &runShared{}}
 			if err := r.run(); err != nil {
 				t.Fatalf("%q: %v", text, err)
 			}

@@ -111,7 +111,7 @@ func TestComparisonPushdown(t *testing.T) {
 }
 
 // TestComparisonPushdownBinds pins template plans: a slot of the column's
-// type is sent with its bound value on Run, RunContext and Stream alike;
+// type is sent with its bound value on Run and RunContext alike;
 // a slot of another type is not sent.
 func TestComparisonPushdownBinds(t *testing.T) {
 	db := sampleDB(t)
@@ -148,11 +148,6 @@ func TestComparisonPushdownBinds(t *testing.T) {
 				return 0, err
 			}
 			return len(r.Rows), nil
-		},
-		"Stream": func() (int, error) {
-			n := 0
-			err := bound.Stream(func([]sqlval.Value) bool { n++; return true })
-			return n, err
 		},
 	}
 	for name, run := range entries {

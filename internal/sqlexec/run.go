@@ -1,21 +1,20 @@
 package sqlexec
 
-// run.go — the streaming executor for compiled SelectPlans. Execution is a
-// push-based pipeline over ONE reused joined-row buffer. Each source's own
-// filters run on the row as scanned, so only a row that passes them is
+// run.go — the executor for compiled SelectPlans: a push-based pipeline
+// over ONE reused joined-row buffer that ends in the Result. Each source's
+// own filters run on the row as scanned, so only a row that passes them is
 // copied into the driving scan's slot segment or retained by a join's
 // build side; each join step fills the right source's segment per
 // candidate; the other conjuncts run at the step their slots first become
 // bound. Every conjunct runs through its typed kernel when it has one
 // (kernel.go). Only the sink (projection / DISTINCT / ORDER BY /
-// grouping) allocates retained rows — via sqlval.RowArena, so
-// materialising n rows costs O(n/block) allocations. LIMIT without ORDER
-// BY stops the pipeline early; ORDER BY + LIMIT keeps a buffer of at most
-// twice limit + offset rows, cut back by selection (order.go), instead of
-// sorting everything. The pipeline body for one
-// driving row is feed, and it has two drivers: the serial one in run
-// streams the driving scan into it, the morsel workers of parallel.go
-// feed it materialised morsels.
+// grouping) allocates retained rows, via sqlval.RowArena, and it copies
+// each output row once: rows a sorter or a morsel worker holds become the
+// Result's as they are. LIMIT without ORDER BY stops the pipeline early;
+// ORDER BY + LIMIT keeps at most twice limit + offset rows, cut back by
+// selection (order.go). The pipeline body for one driving row is feed, and
+// it has two drivers: the serial one in run streams the driving scan into
+// it, the morsel workers of parallel.go feed it materialised morsels.
 
 import (
 	"context"
@@ -39,56 +38,17 @@ func (p *SelectPlan) Run() (*Result, error) {
 // Scans over context-aware relations (remote sources) honour the context's
 // deadline and cancellation; local in-memory scans ignore it. Under
 // Options.PartialResults the result's SkippedSources names any unavailable
-// sources that were skipped. A nil ctx behaves like Run.
+// sources that were skipped; its ParallelFallback says why the run stayed
+// serial, if it did. A nil ctx behaves like Run.
 func (p *SelectPlan) RunContext(ctx context.Context) (*Result, error) {
+	sh := &runShared{ctx: ctx, partial: p.opts.PartialResults}
 	res := &Result{Columns: append([]string(nil), p.headers...)}
-	arena := sqlval.NewRowArena(len(p.headers))
-	info, err := p.StreamInfoContext(ctx, func(row []sqlval.Value) bool {
-		res.Rows = append(res.Rows, arena.Copy(row))
-		return true
-	})
-	if err != nil {
+	r := &runner{p: p, dst: &res.Rows, shared: sh}
+	if err := r.run(); err != nil {
 		return nil, err
 	}
-	res.SkippedSources = info.SkippedSources
-	res.ParallelFallback = info.ParallelFallback
+	res.SkippedSources, res.ParallelFallback = sh.skipped, sh.fallback
 	return res, nil
-}
-
-// Stream executes the plan, pushing each output row to fn; fn returning
-// false stops execution early. The row slice is reused between calls —
-// callers that retain rows must copy them.
-func (p *SelectPlan) Stream(fn func(row []sqlval.Value) bool) error {
-	_, err := p.StreamContext(nil, fn)
-	return err
-}
-
-// StreamContext is Stream bounded by ctx (see RunContext); it additionally
-// returns the names of sources skipped under Options.PartialResults.
-func (p *SelectPlan) StreamContext(ctx context.Context, fn func(row []sqlval.Value) bool) ([]string, error) {
-	info, err := p.StreamInfoContext(ctx, fn)
-	return info.SkippedSources, err
-}
-
-// StreamInfo reports per-execution metadata of one plan run.
-type StreamInfo struct {
-	// SkippedSources names sources that were down and skipped under
-	// Options.PartialResults.
-	SkippedSources []string
-	// ParallelFallback is empty when the run took the morsel-driven
-	// parallel path, and otherwise names why it fell back to the serial
-	// pipeline (e.g. "parallelism=1", "driving scan below parallel
-	// threshold").
-	ParallelFallback string
-}
-
-// StreamInfoContext is StreamContext returning full per-run metadata,
-// including why the run fell back to the serial pipeline (if it did).
-func (p *SelectPlan) StreamInfoContext(ctx context.Context, fn func(row []sqlval.Value) bool) (StreamInfo, error) {
-	sh := &runShared{ctx: ctx, partial: p.opts.PartialResults}
-	r := &runner{p: p, yield: fn, shared: sh}
-	err := r.run()
-	return StreamInfo{SkippedSources: sh.skipped, ParallelFallback: sh.fallback}, err
 }
 
 // runShared is the per-execution state shared by the coordinator runner,
@@ -156,8 +116,11 @@ func (sh *runShared) scanRelation(sp scanPlan, h func([]sqlval.Value) bool) erro
 // gives each pool worker its own runner over the coordinator's frozen sides.
 type runner struct {
 	p      *SelectPlan
-	yield  func([]sqlval.Value) bool
+	dst    *[][]sqlval.Value // the output: the Result's rows, or a morsel's buffer
 	shared *runShared
+
+	pool   *sched.Pool // a morsel worker's pool, and the morsel it feeds
+	morsel int
 
 	row []sqlval.Value // the joined-row buffer, width p.width
 
@@ -172,8 +135,7 @@ type runner struct {
 	atMorsel int64
 	seq      int64
 
-	err     error
-	stopped bool // fn asked to stop (not an error)
+	err error
 
 	sink rowSink
 }
@@ -214,7 +176,7 @@ func (r *runner) run() error {
 			}
 			out[i] = v
 		}
-		r.yield(out)
+		*r.dst = [][]sqlval.Value{out}
 		return nil
 	}
 
@@ -272,9 +234,6 @@ func (r *runner) run() error {
 	}
 	if r.err != nil {
 		return r.err
-	}
-	if r.stopped {
-		return nil
 	}
 	return r.sink.finish()
 }
@@ -542,13 +501,7 @@ func buildHash(rows [][]sqlval.Value, keyCol int) *joinTable {
 func (r *runner) step(i int) bool {
 	p := r.p
 	if i > len(p.joins) {
-		if !r.sink.add(r.row) {
-			if r.err == nil {
-				r.stopped = true
-			}
-			return false
-		}
-		return true
+		return r.sink.add(r.row)
 	}
 	j := &p.joins[i-1]
 	src, probe, key := r.orient(i - 1)
@@ -668,14 +621,13 @@ func (r *runner) padAndDescend(i int, j *joinPlan, seg []sqlval.Value) bool {
 // --- plain (non-grouped) sink ---
 
 type plainSink struct {
-	r   *runner
-	p   *SelectPlan
-	out []sqlval.Value // reused projection buffer, then the hidden ORDER BY keys
+	r     *runner
+	p     *SelectPlan
+	out   []sqlval.Value   // reused projection buffer, then the hidden ORDER BY keys
+	arena *sqlval.RowArena // the output rows copied from out
 
-	seen       map[string]struct{} // DISTINCT keys
-	keyScratch []byte
-
-	sorter *rowSorter
+	distinct *distinctSet // nil without DISTINCT
+	sorter   *rowSorter
 
 	// offset and limit are the plan's, except on a morsel worker, whose
 	// buffered output the merge windows.
@@ -690,10 +642,12 @@ func newPlainSink(r *runner, k, hint int) *plainSink {
 	p := r.p
 	s := &plainSink{r: r, p: p, out: make([]sqlval.Value, p.sortWidth), offset: p.offset, limit: p.limit}
 	if p.distinct {
-		s.seen = make(map[string]struct{})
+		s.distinct = &distinctSet{seen: make(map[string]struct{})}
 	}
 	if len(p.order) > 0 {
 		s.sorter = newRowSorter(p.order, p.sortWidth, k, hint)
+	} else {
+		s.arena = sqlval.NewRowArena(len(p.items))
 	}
 	return s
 }
@@ -718,15 +672,8 @@ func (s *plainSink) add(row []sqlval.Value) bool {
 // row; under is the row order keys fall back to when they reference
 // non-projected columns, at the row's arrival stamp (the sort tiebreak).
 func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
-	if s.seen != nil {
-		s.keyScratch = s.keyScratch[:0]
-		for _, v := range s.out[:len(s.p.items)] {
-			s.keyScratch = sqlval.AppendKey(s.keyScratch, v)
-		}
-		if _, dup := s.seen[string(s.keyScratch)]; dup {
-			return true
-		}
-		s.seen[string(s.keyScratch)] = struct{}{}
+	if s.distinct.dup(s.out[:len(s.p.items)]) {
+		return true
 	}
 	if s.sorter != nil {
 		if err := s.evalKeys(under); err != nil {
@@ -736,6 +683,37 @@ func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 		s.sorter.add(s.out, at)
 		return true
 	}
+	return s.window(nil)
+}
+
+// distinctSet holds the DISTINCT keys of the rows seen so far; a nil set
+// (no DISTINCT) holds none.
+type distinctSet struct {
+	seen map[string]struct{}
+	key  []byte
+}
+
+// dup reports whether an earlier row held the same values as row, and
+// remembers row's values otherwise.
+func (d *distinctSet) dup(row []sqlval.Value) bool {
+	if d == nil {
+		return false
+	}
+	d.key = d.key[:0]
+	for _, v := range row {
+		d.key = sqlval.AppendKey(d.key, v)
+	}
+	if _, ok := d.seen[string(d.key)]; ok {
+		return true
+	}
+	d.seen[string(d.key)] = struct{}{}
+	return false
+}
+
+// window applies OFFSET and LIMIT to the next output row and puts it out:
+// row itself when the caller hands one over, otherwise (row nil) one copy
+// of the projected out. It returns false once no further row can pass.
+func (s *plainSink) window(row []sqlval.Value) bool {
 	if s.offset > 0 && s.skipped < s.offset {
 		s.skipped++
 		return true
@@ -743,11 +721,59 @@ func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 	if s.limit == 0 {
 		return false
 	}
-	if !s.r.yield(s.out) {
+	if row == nil {
+		row = s.arena.Copy(s.out)
+	}
+	if !s.r.put(row) {
 		return false
 	}
 	s.count++
 	return s.limit < 0 || s.count < s.limit
+}
+
+// put appends an output row to the run's output, reporting false once a
+// morsel worker's pool cancels its morsel.
+func (r *runner) put(row []sqlval.Value) bool {
+	*r.dst = append(*r.dst, row)
+	return r.pool == nil || !r.pool.Cancelled(r.morsel)
+}
+
+// putWindow makes the sorted window win, selected from buffered rows,
+// the Result's rows (see windowOut).
+func (r *runner) putWindow(win []sortedRow, buffered, n int) {
+	w := newWindowOut(len(win), buffered, n)
+	for _, sr := range win {
+		w.add(sr.row)
+	}
+	*r.dst = w.rows
+}
+
+// windowOut collects a sorted window of output rows, each cut to its
+// first n (projected) columns, into a slice of the window's exact length.
+// The rows already live in a sorter's arena, so they are handed over as
+// they are, capped at n so that appending to one can never overwrite its
+// hidden key slots — unless the window is under half of the buffered rows
+// it was selected from: then a fresh arena, which grows with the window,
+// takes a copy, so that a small window does not pin a large arena.
+type windowOut struct {
+	rows  [][]sqlval.Value
+	arena *sqlval.RowArena // nil when handing over
+	n     int
+}
+
+func newWindowOut(size, buffered, n int) windowOut {
+	w := windowOut{rows: make([][]sqlval.Value, 0, size), n: n}
+	if 2*size < buffered {
+		w.arena = sqlval.NewRowArena(n)
+	}
+	return w
+}
+
+func (w *windowOut) add(row []sqlval.Value) {
+	if w.arena != nil {
+		row = w.arena.Copy(row[:w.n])
+	}
+	w.rows = append(w.rows, row[:w.n:w.n])
 }
 
 // evalKeys evaluates the ORDER BY keys that no projected column holds
@@ -779,7 +805,8 @@ func (s *plainSink) evalKeys(under []sqlval.Value) error {
 
 func (s *plainSink) finish() error {
 	if s.sorter != nil {
-		s.sorter.emit(s.p.offset, s.p.limit, len(s.p.items), s.r.yield)
+		win := windowRuns(s.p.order, [][]sortedRow{s.sorter.rows}, s.p.offset, s.p.limit, 1)
+		s.r.putWindow(win, len(s.sorter.rows), len(s.p.items))
 	}
 	return nil
 }
@@ -805,6 +832,15 @@ type groupedSink struct {
 	collect bool // DISTINCT aggregates collect for the parallel merge
 
 	keyScratch []byte
+}
+
+// newGroup starts a group at its first row, arrived at stamp at.
+func newGroup(g *groupSink, first []sqlval.Value, at int64, collect bool) *groupState {
+	grp := &groupState{first: first, firstAt: at, aggs: make([]*aggState, len(g.aggs))}
+	for i, a := range g.aggs {
+		grp.aggs[i] = newAggState(a.fc, collect)
+	}
+	return grp
 }
 
 func newGroupedSink(r *runner, collect bool) *groupedSink {
@@ -835,11 +871,7 @@ func (s *groupedSink) add(row []sqlval.Value) bool {
 	at := s.r.at()
 	grp, ok := s.groups[string(s.keyScratch)]
 	if !ok {
-		grp = &groupState{first: s.arena.Copy(row), firstAt: at}
-		grp.aggs = make([]*aggState, len(g.aggs))
-		for i, a := range g.aggs {
-			grp.aggs[i] = newAggState(a.fc, s.collect)
-		}
+		grp = newGroup(g, s.arena.Copy(row), at, s.collect)
 		s.groups[string(s.keyScratch)] = grp
 		s.order = append(s.order, grp)
 	}
@@ -874,12 +906,7 @@ func emitGroups(r *runner, order []*groupState) error {
 	g := p.group
 	// A grand-total aggregate over zero rows still yields one group.
 	if len(order) == 0 && len(g.keys) == 0 {
-		grp := &groupState{first: make([]sqlval.Value, p.width)}
-		grp.aggs = make([]*aggState, len(g.aggs))
-		for i, a := range g.aggs {
-			grp.aggs[i] = newAggState(a.fc, false)
-		}
-		order = append(order, grp)
+		order = append(order, newGroup(g, make([]sqlval.Value, p.width), 0, false))
 	}
 
 	// The emit tail shares the plain sink's DISTINCT/ORDER/LIMIT logic.
@@ -911,10 +938,7 @@ func emitGroups(r *runner, order []*groupState) error {
 			tail.out[i] = v
 		}
 		if !tail.deliver(ext, int64(gi)) {
-			if r.err != nil {
-				return r.err
-			}
-			return nil
+			return r.err
 		}
 	}
 	return tail.finish()
