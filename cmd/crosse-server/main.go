@@ -102,6 +102,9 @@ func run(args []string, stop <-chan os.Signal) (err error) {
 		}
 		return err
 	}
+	if *scale < 1 {
+		return fmt.Errorf("-scale must be at least 1, got %d", *scale)
+	}
 	if *compactEvery > 0 && *walDir == "" {
 		return errors.New("-compact-interval requires -wal")
 	}

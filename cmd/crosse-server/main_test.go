@@ -1,12 +1,22 @@
 package main
 
-// The server leg of the durability proof: the test binary re-runs itself
-// as crosse-server (TestMain hands the child's arguments to main), so
-// every child is the server users start, on a loopback port with -wal.
-// Users, inserts, imports and retracts go over /api/v1; the child is
-// SIGKILLed mid-stream and restarted on the same directory, stopped with
-// SIGTERM, and restored from a GET /api/v1/admin/snapshot backup, and
-// each time the platform must answer exactly what was acknowledged.
+// Every check that starts the shipped crosse-server runs here: the test
+// binary re-runs itself as the server (TestMain hands the child's
+// arguments to main), so every child is the server users start, on a
+// loopback port.
+//
+// The durability leg runs it with -wal. Users, inserts, imports and
+// retracts go over /api/v1; the child is SIGKILLed mid-stream and
+// restarted on the same directory, stopped with SIGTERM, and restored from
+// a GET /api/v1/admin/snapshot backup, and each time the platform must
+// answer exactly what was acknowledged.
+//
+// The federation leg runs it with -attach -partial-results over a second
+// kind of child, a data node serving fdw-server's default registry. The
+// node is SIGKILLed with scans in flight: the circuit must open, the query
+// must still answer 200 naming the dead node and never come from the
+// result cache, and once the node restarts on the same address the health
+// poller must close the circuit and the answer must be whole again.
 
 import (
 	"bufio"
@@ -16,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"log"
 	"maps"
 	"net"
 	"net/http"
@@ -32,13 +43,24 @@ import (
 	"syscall"
 	"testing"
 	"time"
+
+	"crosse/internal/dataset"
+	"crosse/internal/engine"
+	"crosse/internal/fdw"
 )
 
 // childEnv marks a process started by startServer: TestMain runs main
-// instead of the tests.
-const childEnv = "CROSSE_SERVER_TEST_CHILD"
+// instead of the tests. dataNodeEnv marks one started by startDataNode:
+// TestMain hosts a data node on the address the variable holds.
+const (
+	childEnv    = "CROSSE_SERVER_TEST_CHILD"
+	dataNodeEnv = "CROSSE_SERVER_TEST_DATA_NODE"
+)
 
 func TestMain(m *testing.M) {
+	if addr := os.Getenv(dataNodeEnv); addr != "" {
+		hostDataNode(addr)
+	}
 	if os.Getenv(childEnv) != "" {
 		main()
 		os.Exit(0)
@@ -46,11 +68,33 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// server is one crosse-server child process.
+// registry builds the databank fdw-server serves with its default flags.
+func registry() (*engine.DB, error) {
+	db := engine.Open()
+	cfg := dataset.DefaultConfig()
+	cfg.Landfills, cfg.Seed = 500, 99
+	return db, dataset.Populate(db, cfg)
+}
+
+// hostDataNode serves the registry on addr until the process is killed.
+func hostDataNode(addr string) {
+	db, err := registry()
+	if err != nil {
+		log.Fatal(err)
+	}
+	bound, err := fdw.NewServer(db.Catalog()).Listen(addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	log.Printf("data node on %s", bound)
+	select {}
+}
+
+// server is one child process: a crosse-server or a data node.
 type server struct {
 	t      *testing.T
 	cmd    *exec.Cmd
-	base   string        // http://host:port, once it serves
+	base   string        // http://host:port, once a crosse-server serves
 	exited chan struct{} // closed once the process is reaped
 	err    error         // Wait's result, valid after exited
 	mu     sync.Mutex
@@ -58,14 +102,24 @@ type server struct {
 	client *http.Client
 }
 
-var servingRe = regexp.MustCompile(`CroSSE platform on (\S+)`)
+var (
+	servingRe  = regexp.MustCompile(`CroSSE platform on (\S+)`)
+	dataNodeRe = regexp.MustCompile(`data node on (\S+)`)
+)
 
-// spawn starts a child on a loopback port with the given extra flags. The
-// child is killed and reaped when the test ends.
+// spawn starts a crosse-server child on a loopback port with the given
+// extra flags.
 func spawn(t *testing.T, args ...string) (*server, <-chan string) {
+	return spawnChild(t, childEnv+"=1", servingRe, append([]string{"-addr", "127.0.0.1:0", "-scale", "20"}, args...)...)
+}
+
+// spawnChild starts the test binary with env added and args, and sends
+// on the returned channel the address of the first stderr line ready
+// matches. The child is killed and reaped when the test ends.
+func spawnChild(t *testing.T, env string, ready *regexp.Regexp, args ...string) (*server, <-chan string) {
 	t.Helper()
-	cmd := exec.Command(os.Args[0], append([]string{"-addr", "127.0.0.1:0", "-scale", "20"}, args...)...)
-	cmd.Env = append(os.Environ(), childEnv+"=1")
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), env)
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
 		t.Fatal(err)
@@ -82,7 +136,7 @@ func spawn(t *testing.T, args ...string) (*server, <-chan string) {
 			s.mu.Lock()
 			s.log.WriteString(sc.Text() + "\n")
 			s.mu.Unlock()
-			if m := servingRe.FindStringSubmatch(sc.Text()); m != nil {
+			if m := ready.FindStringSubmatch(sc.Text()); m != nil {
 				addr <- m[1]
 			}
 		}
@@ -96,19 +150,34 @@ func spawn(t *testing.T, args ...string) (*server, <-chan string) {
 	return s, addr
 }
 
-// startServer starts a child and waits until it serves.
+// await waits for the address a child announces once it serves.
+func (s *server) await(addr <-chan string) string {
+	s.t.Helper()
+	select {
+	case a := <-addr:
+		return a
+	case <-s.exited:
+		s.t.Fatalf("child exited before serving (%v):\n%s", s.err, s.stderr())
+	case <-time.After(20 * time.Second):
+		s.t.Fatalf("child did not serve within 20s:\n%s", s.stderr())
+	}
+	return ""
+}
+
+// startServer starts a crosse-server child and waits until it serves.
 func startServer(t *testing.T, args ...string) *server {
 	t.Helper()
 	s, addr := spawn(t, args...)
-	select {
-	case a := <-addr:
-		s.base = "http://" + a
-	case <-s.exited:
-		t.Fatalf("server exited before serving (%v):\n%s", s.err, s.stderr())
-	case <-time.After(20 * time.Second):
-		t.Fatalf("server did not serve within 20s:\n%s", s.stderr())
-	}
+	s.base = "http://" + s.await(addr)
 	return s
+}
+
+// startDataNode starts a data node child on addr ("127.0.0.1:0" picks a
+// port) and returns it with the address it listens on.
+func startDataNode(t *testing.T, addr string) (*server, string) {
+	t.Helper()
+	s, bound := spawnChild(t, dataNodeEnv+"="+addr, dataNodeRe)
+	return s, s.await(bound)
 }
 
 func (s *server) stderr() string {
@@ -137,32 +206,39 @@ func (s *server) terminate() {
 	}
 }
 
-// call sends one request and decodes a 2xx JSON answer into out (when
-// non-nil). A transport failure or a non-2xx status is an error.
-func (s *server) call(method, path string, body, out any) error {
+// do sends one request and returns the status and the body. An error
+// means no answer arrived.
+func (s *server) do(method, path string, body any) (int, []byte, error) {
 	var rd io.Reader
 	if body != nil {
 		raw, err := json.Marshal(body)
 		if err != nil {
-			return err
+			return 0, nil, err
 		}
 		rd = bytes.NewReader(raw)
 	}
 	req, err := http.NewRequest(method, s.base+path, rd)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	resp, err := s.client.Do(req)
 	if err != nil {
-		return err
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	raw, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, raw, err
+}
+
+// call sends one request and decodes a 2xx JSON answer into out (when
+// non-nil). A transport failure or a non-2xx status is an error.
+func (s *server) call(method, path string, body, out any) error {
+	status, raw, err := s.do(method, path, body)
 	if err != nil {
 		return err
 	}
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("%s %s: %s: %s", method, path, resp.Status, raw)
+	if status/100 != 2 {
+		return fmt.Errorf("%s %s: %d: %s", method, path, status, raw)
 	}
 	if out == nil {
 		return nil
@@ -484,6 +560,8 @@ func TestRunRejectsBadFlags(t *testing.T) {
 		args []string
 		want string
 	}{
+		{[]string{"-wal", dir, "-scale", "0"}, "-scale must be at least 1"},
+		{[]string{"-wal", dir, "-scale", "-3"}, "-scale must be at least 1"},
 		{[]string{"-compact-interval", "1s"}, "-compact-interval requires -wal"},
 		{[]string{"-wal", dir, "-wal-sync", "sometimes"}, `"sometimes"`},
 		{[]string{"-wal", dir, "-mapping", filepath.Join(t.TempDir(), "missing.xml")}, "open mapping"},
@@ -496,4 +574,193 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	if _, err := os.Stat(dir); !errors.Is(err, fs.ErrNotExist) {
 		t.Errorf("a rejected run touched the journal directory: %v", err)
 	}
+}
+
+// fedAnswer is a query answer as the federation leg reads it.
+type fedAnswer struct {
+	Rows            [][]string `json:"rows"`
+	DegradedSources []string   `json:"degraded_sources"`
+	Stats           struct {
+		CacheHit       bool     `json:"cache_hit"`
+		SkippedSources []string `json:"skipped_sources"`
+	} `json:"stats"`
+}
+
+// awaitSource polls GET /api/v1/admin/sources until the one attached
+// source is in state.
+func (s *server) awaitSource(state string) {
+	s.t.Helper()
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		var out struct {
+			Sources []struct{ Name, State string }
+		}
+		s.must("GET", "/api/v1/admin/sources", nil, &out)
+		if len(out.Sources) == 1 && out.Sources[0].State == state {
+			return
+		}
+		if time.Now().After(deadline) {
+			s.t.Fatalf("sources %+v after 15s, want one %s\n%s", out.Sources, state, s.stderr())
+		}
+		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+func TestServerSurvivesDataNodeDeath(t *testing.T) {
+	db, err := registry()
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, err := dataset.CountRows(db, "elem_contained")
+	if err != nil {
+		t.Fatal(err)
+	}
+	full := [][]string{{fmt.Sprint(n)}}
+
+	node, addr := startDataNode(t, "127.0.0.1:0")
+	s := startServer(t, "-attach", addr, "-partial-results", "-source-timeout", "2s", "-health-interval", "500ms")
+	s.must("POST", "/api/v1/users", map[string]string{"name": "ops"}, nil)
+	const count = "SELECT COUNT(*) FROM remote_elem_contained"
+	query := func(sesql string) fedAnswer {
+		t.Helper()
+		var r fedAnswer
+		s.must("POST", "/api/v1/query", map[string]any{"user": "ops", "sesql": sesql, "stats": true}, &r)
+		return r
+	}
+	whole := func(when string, r fedAnswer) {
+		t.Helper()
+		if !reflect.DeepEqual(r.Rows, full) || r.DegradedSources != nil || r.Stats.SkippedSources != nil {
+			t.Fatalf("%s: rows %v, degraded_sources %v, skipped_sources %v; want %v from the whole registry",
+				when, r.Rows, r.DegradedSources, r.Stats.SkippedSources, full)
+		}
+	}
+	var baseline fedAnswer
+	s.must("POST", "/api/v1/query", map[string]string{"user": "ops", "sesql": count}, &baseline)
+	whole("healthy", baseline)
+
+	// Scans in flight when the node dies, each text its own so that none
+	// is answered from the result cache. Whatever the moment of the kill,
+	// an answer is the whole count, the degraded answer naming the node,
+	// or an error envelope: never a count cut short.
+	stop := make(chan struct{})
+	scans := make(chan error, 1)
+	var answered atomic.Int32
+	seen := map[string]int{}
+	go func() {
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				scans <- nil
+				return
+			default:
+			}
+			sesql := fmt.Sprintf("%s WHERE amount > %d", count, -1-i)
+			status, raw, err := s.do("POST", "/api/v1/query", map[string]any{"user": "ops", "sesql": sesql})
+			var kind string
+			if err == nil {
+				kind, err = checkScan(status, raw, full, addr)
+			}
+			if err != nil {
+				scans <- fmt.Errorf("scan %d: %w", i, err)
+				return
+			}
+			seen[kind]++
+			answered.Add(1)
+		}
+	}()
+	for answered.Load() < 2 {
+		select {
+		case err := <-scans:
+			t.Fatalf("before the kill: %v\n%s", err, s.stderr())
+		case <-time.After(time.Millisecond):
+		}
+	}
+	node.kill()
+	close(stop)
+	if err := <-scans; err != nil {
+		t.Fatalf("%v\n%s", err, s.stderr())
+	}
+	t.Logf("answers to the scans around the kill: %v", seen)
+
+	// The circuit opens; the node is dark, and the same query still
+	// answers 200: nothing counted, the node named in the result and in
+	// the stats, and each time evaluated afresh, since a degraded answer
+	// is never cached.
+	s.awaitSource("open")
+	var h struct{ Status string }
+	s.must("GET", "/healthz", nil, &h)
+	if h.Status != "degraded" {
+		t.Errorf("healthz status %q with the circuit open, want degraded", h.Status)
+	}
+	for i := 1; i <= 2; i++ {
+		r := query(count)
+		if !reflect.DeepEqual(r.Rows, [][]string{{"0"}}) ||
+			!slices.Equal(r.DegradedSources, []string{addr}) || !slices.Equal(r.Stats.SkippedSources, []string{addr}) {
+			t.Fatalf("degraded query %d: rows %v, degraded_sources %v, skipped_sources %v; want [[0]] with %s skipped",
+				i, r.Rows, r.DegradedSources, r.Stats.SkippedSources, addr)
+		}
+		if r.Stats.CacheHit {
+			t.Fatalf("degraded query %d was answered from the result cache", i)
+		}
+	}
+
+	// The node restarts on the same address: the health poller's
+	// half-open probe closes the circuit with no request from the test,
+	// and the answer is whole again.
+	startDataNode(t, addr)
+	s.awaitSource("closed")
+	r := query(count)
+	whole("recovered", r)
+	if r.Stats.CacheHit {
+		t.Error("the first answer after recovery came from the result cache")
+	}
+	s.terminate()
+}
+
+// checkScan judges one answer to a query in flight around the kill and
+// names its kind.
+func checkScan(status int, raw []byte, full [][]string, addr string) (string, error) {
+	if status != http.StatusOK {
+		var env struct {
+			Error struct{ Code, Message string }
+		}
+		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
+			return "", fmt.Errorf("status %d without an error envelope: %s", status, raw)
+		}
+		return fmt.Sprintf("%d %s: %s", status, env.Error.Code, env.Error.Message), nil
+	}
+	var r fedAnswer
+	if err := json.Unmarshal(raw, &r); err != nil {
+		return "", err
+	}
+	switch {
+	case r.DegradedSources == nil && reflect.DeepEqual(r.Rows, full):
+		return "whole", nil
+	case slices.Equal(r.DegradedSources, []string{addr}) && reflect.DeepEqual(r.Rows, [][]string{{"0"}}):
+		return "degraded", nil
+	}
+	return "", fmt.Errorf("200 with rows %v, degraded_sources %v; want %v whole or [[0]] with %s skipped",
+		r.Rows, r.DegradedSources, full, addr)
+}
+
+// The serving-tier flags reach the handler: -max-inflight and
+// -inflight-queue shape the admission section of /api/v1/metrics, and the
+// default -cache-entries installs the result cache.
+func TestRunFlagsReachServingTier(t *testing.T) {
+	s := startServer(t, "-max-inflight", "1", "-inflight-queue", "0")
+	var m struct {
+		Admission *struct {
+			MaxInflight int `json:"max_inflight"`
+			QueueDepth  int `json:"queue_depth"`
+		} `json:"admission"`
+		ResultCache map[string]any `json:"result_cache"`
+	}
+	s.must("GET", "/api/v1/metrics", nil, &m)
+	if m.Admission == nil || m.Admission.MaxInflight != 1 || m.Admission.QueueDepth != 0 {
+		t.Errorf("admission = %+v, want max_inflight 1, queue_depth 0", m.Admission)
+	}
+	if m.ResultCache == nil {
+		t.Error("metrics carry no result_cache section")
+	}
+	s.terminate()
 }

@@ -411,10 +411,11 @@
 // batch) asserts every trial ends within its deadline with either the
 // complete correct result or a typed error, and that each trial's fault
 // fired during its first scan; FuzzFDWFrame holds the frame reader and
-// batch decoder to typed errors. The CI fdw-fault-injection job kill -9s
-// a real fdw-server mid-scan, watches the circuit open over the REST API,
-// verifies the degraded partial response, and verifies the half-open
-// probe readmits the restarted node.
+// batch decoder to typed errors. In cmd/crosse-server's tests a real
+// data node is SIGKILLed with scans in flight under the shipped server:
+// the circuit must open over the REST API, the query must answer 200 with
+// the node named in degraded_sources and never from the result cache,
+// and the half-open probe must readmit the node restarted on its address.
 //
 // # Serving tier
 //
@@ -429,8 +430,10 @@
 // struct projected into sqlexec.Options and sparql.Options — instead of
 // per-package plumbing, and both query endpoints run under them: /sparql
 // evaluates through core.Enricher.SPARQL, on the same cached plans as the
-// pipeline's own ontology queries. docs/API.md is the contract; the CI api-contract
-// job boots the real binary and fails on envelope drift.
+// pipeline's own ontology queries. docs/API.md is the contract;
+// internal/rest/contract_test.go fails on envelope drift, and
+// cmd/crosse-server's tests check that the serving-tier flags reach the
+// shipped binary.
 //
 // In front of the handlers sits internal/serve, the heavy-traffic tier:
 //

@@ -7,6 +7,7 @@ import (
 
 	"crosse/internal/rdf"
 	"crosse/internal/sqlexec"
+	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
 )
 
@@ -133,6 +134,63 @@ func TestFinalStage(t *testing.T) {
 	for i, row := range r.Rows {
 		if row[1].Type() != want[i] {
 			t.Errorf("rank of %v has type %v, want %v", row[0], row[1].Type(), want[i])
+		}
+	}
+}
+
+// TestFinalStageWindowOwnsItsRows: a small window of the joined rows is
+// copied out, so the result does not pin every joined row, and a window
+// of most of them hands the rows over; the joined rows are left as they
+// were either way.
+func TestFinalStageWindowOwnsItsRows(t *testing.T) {
+	const n = 1200
+	backing := make([]sqlval.Value, 2*n) // one block, like the join's arena
+	rows := make([][]sqlval.Value, n)
+	joined := make(map[*sqlval.Value]bool, n)
+	for i := range rows {
+		rows[i] = backing[2*i : 2*i+2 : 2*i+2]
+		rows[i][0], rows[i][1] = sqlval.NewInt(int64(i)), sqlval.NewString(fmt.Sprintf("r%04d", i))
+		joined[&rows[i][0]] = true
+	}
+	cols := []sqlexec.ScopeCol{{Name: "k"}, {Name: "name"}}
+	for _, c := range []struct {
+		tail        string
+		first, step int64 // k of the window's first row, and between rows
+		size        int
+		handedOver  bool
+	}{
+		{"ORDER BY k DESC LIMIT 10", n - 1, -1, 10, false},
+		{"LIMIT 10 OFFSET 5", 5, 1, 10, false},
+		{"ORDER BY k DESC", n - 1, -1, n, true},
+		{"LIMIT 2000", 0, 1, n, true},
+	} {
+		sel, err := sqlparser.ParseSelect("SELECT k, name FROM sesql_result " + c.tail)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tail, err := sqlexec.CompileTail(cols, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		win, err := tail.Apply(rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(win) != c.size {
+			t.Fatalf("%s: %d rows, want %d", c.tail, len(win), c.size)
+		}
+		for i, row := range win {
+			if k := c.first + int64(i)*c.step; row[0].Int() != k || len(row) != 2 || cap(row) != 2 {
+				t.Fatalf("%s: row %d = %v (cap %d), want k %d", c.tail, i, row, cap(row), k)
+			}
+			if joined[&row[0]] != c.handedOver {
+				t.Fatalf("%s: row %d shares the joined rows' block: %v, want %v", c.tail, i, joined[&row[0]], c.handedOver)
+			}
+		}
+		for i, row := range rows {
+			if row[0].Int() != int64(i) {
+				t.Fatalf("%s: joined row %d now holds k %v", c.tail, i, row[0])
+			}
 		}
 	}
 }

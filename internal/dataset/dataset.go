@@ -89,8 +89,12 @@ CREATE INDEX idx_elem_name ON elem_contained (elem_name);
 CREATE INDEX idx_analysis_landfill ON analysis (landfill_name);
 `
 
-// Populate creates and fills the databank tables in db.
+// Populate creates and fills the databank tables in db. A config it cannot
+// generate from (no landfills, say) is an error, and db is left untouched.
 func Populate(db *engine.DB, cfg Config) error {
+	if cfg.Landfills < 1 || cfg.Elements < 1 || cfg.Labs < 1 || cfg.Cities < 1 || cfg.PerLCount < 0 || cfg.Analyses < 0 {
+		return fmt.Errorf("dataset: Landfills, Elements, Labs and Cities must be at least 1, PerLCount and Analyses at least 0; got %+v", cfg)
+	}
 	if _, err := db.ExecScript(Schema); err != nil {
 		return err
 	}

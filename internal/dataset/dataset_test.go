@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"strings"
 	"testing"
 
 	"crosse/internal/engine"
@@ -64,6 +65,34 @@ func TestPopulateDeterministic(t *testing.T) {
 				t.Fatalf("row %d differs: %v vs %v", i, r1.Rows[i], r2.Rows[i])
 			}
 		}
+	}
+}
+
+// A config with nothing to draw from is an error before any table exists,
+// not a panic in the generator.
+func TestPopulateRejectsEmptyConfig(t *testing.T) {
+	for _, set := range []func(*Config){
+		func(c *Config) { c.Landfills = 0 },
+		func(c *Config) { c.Landfills = -5 },
+		func(c *Config) { c.Cities = 0 },
+		func(c *Config) { c.Labs = 0 },
+		func(c *Config) { c.Elements = 0 },
+		func(c *Config) { c.Analyses = -1 },
+	} {
+		cfg := DefaultConfig()
+		set(&cfg)
+		db := engine.Open()
+		if err := Populate(db, cfg); err == nil || !strings.HasPrefix(err.Error(), "dataset: ") {
+			t.Errorf("Populate(%+v) = %v, want a dataset error", cfg, err)
+		}
+		if names := db.Catalog().Names(); len(names) != 0 {
+			t.Errorf("Populate(%+v) created %v", cfg, names)
+		}
+	}
+	cfg := DefaultConfig()
+	cfg.Landfills, cfg.PerLCount, cfg.Analyses = 1, 0, 0
+	if err := Populate(engine.Open(), cfg); err != nil {
+		t.Errorf("smallest config: %v", err)
 	}
 }
 

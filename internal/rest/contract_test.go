@@ -1,20 +1,26 @@
 package rest
 
 // Contract tests for the v1 surface: the uniform error envelope, typed
-// status mapping, pagination fields, legacy-alias deprecation headers,
-// the serving-tier metrics endpoint, the per-source federation state and
-// the context memo's stats with read-your-writes. These are the assertions the CI
-// api-contract job re-checks against a real server binary.
+// status mapping (a 429 burst against one execution slot among them),
+// pagination fields, the serving-tier metrics endpoint with the result,
+// plan and context caches, the per-source federation state, the liveness
+// probe and the context memo's stats with read-your-writes. What needs
+// the shipped binary (the serving-tier flags, a data node dying under
+// -partial-results) is checked in cmd/crosse-server's tests.
 
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"crosse/internal/core"
@@ -22,6 +28,7 @@ import (
 	"crosse/internal/fdw"
 	"crosse/internal/kb"
 	"crosse/internal/serve"
+	"crosse/internal/wal"
 )
 
 // newV1Server builds a test server with the full serving tier installed:
@@ -145,6 +152,81 @@ func TestV1ErrorEnvelopeContract(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("post-release query status = %d, want 200", resp.StatusCode)
 	}
+
+	// A burst against the one slot and no queue: the slot is held while
+	// the first half runs and free for the second, which races for it.
+	// Every answer is rows or the typed 429, and admission counts exactly
+	// the 429s it sent.
+	rejected := func() uint64 {
+		t.Helper()
+		var m struct{ Admission serve.LimiterStats }
+		getJSON(t, ts.URL+"/api/v1/metrics", &m)
+		return m.Admission.Rejected
+	}
+	before := rejected()
+	const burst = 16
+	const slow = `{"user":"alice","rank":true,"sesql":"SELECT elem_name, landfill_name FROM elem_contained ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)"}`
+	var shed atomic.Int32
+	fire := func(n int) {
+		var wg sync.WaitGroup
+		for range n {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				resp, err := http.Post(ts.URL+"/api/v1/query", "application/json", strings.NewReader(slow))
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				defer resp.Body.Close()
+				var out struct {
+					Rows  [][]string `json:"rows"`
+					Error *apiError  `json:"error"`
+				}
+				if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+					t.Errorf("burst answer: %v", err)
+					return
+				}
+				switch {
+				case resp.StatusCode == http.StatusOK && len(out.Rows) == 3 && out.Error == nil:
+				case resp.StatusCode == http.StatusTooManyRequests && out.Error != nil && out.Error.Code == codeOverloaded:
+					shed.Add(1)
+				default:
+					t.Errorf("burst answer: status %d, %d rows, error %+v; want 3 rows or a 429 %s envelope",
+						resp.StatusCode, len(out.Rows), out.Error, codeOverloaded)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+	if err := s.limiter.Acquire(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fire(burst / 2)
+	s.limiter.Release()
+	fire(burst / 2)
+	if n := shed.Load(); n < burst/2 {
+		t.Errorf("%d of %d burst queries shed, want at least the %d sent while the slot was held", n, burst, burst/2)
+	}
+	if got := rejected() - before; got != uint64(shed.Load()) {
+		t.Errorf("admission.rejected rose by %d over the burst, but %d answers were 429", got, shed.Load())
+	}
+}
+
+// getJSON decodes a 200 answer to GET url into out.
+func getJSON(t *testing.T, url string, out any) {
+	t.Helper()
+	resp, err := http.Get(url)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d", url, resp.StatusCode)
+	}
+	if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestV1SuccessStatsContract(t *testing.T) {
@@ -218,15 +300,8 @@ func TestV1PaginationContract(t *testing.T) {
 
 	page := func(path, key string, wantLen, wantTotal, wantLimit, wantOffset int) {
 		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
 		var out map[string]any
-		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-			t.Fatal(err)
-		}
+		getJSON(t, ts.URL+path, &out)
 		items, ok := out[key].([]any)
 		if !ok {
 			t.Fatalf("%s: %q missing: %v", path, key, out)
@@ -256,18 +331,11 @@ func TestV1PaginationContract(t *testing.T) {
 	// Recommendations: other users' statements are recommended to u1; the
 	// exact count belongs to the recommender, so only check the window
 	// arithmetic — limit=1 returns one item out of the same total.
-	resp, err := http.Get(ts.URL + "/api/v1/recommendations?user=u1")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var recs struct {
 		Recommendations []any `json:"recommendations"`
 		Total           int   `json:"total"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&recs); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	getJSON(t, ts.URL+"/api/v1/recommendations?user=u1", &recs)
 	if recs.Total != len(recs.Recommendations) {
 		t.Errorf("recommendations: total = %d, items = %d", recs.Total, len(recs.Recommendations))
 	}
@@ -302,18 +370,21 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	resp := postJSON(t, ts.URL+"/api/v1/users", `{"name":"alice"}`)
 	resp.Body.Close()
-	resp = postJSON(t, ts.URL+"/api/v1/query", `{"user":"alice","sesql":"SELECT 1"}`)
-	resp.Body.Close()
+	query := func(sesql string) [][]string {
+		t.Helper()
+		resp := postJSON(t, ts.URL+"/api/v1/query", `{"user":"alice","sesql":"`+sesql+`"}`)
+		defer resp.Body.Close()
+		var out struct{ Rows [][]string }
+		if err := json.NewDecoder(resp.Body).Decode(&out); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: %d, %v", sesql, resp.StatusCode, err)
+		}
+		return out.Rows
+	}
+	// The repeat is answered by the result cache.
+	query("SELECT 1")
+	query("SELECT 1")
 
-	resp, err := http.Get(ts.URL + "/api/v1/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
-	}
-	var out struct {
+	type metrics struct {
 		Endpoints map[string]struct {
 			Requests uint64            `json:"requests"`
 			InFlight int64             `json:"in_flight"`
@@ -329,9 +400,19 @@ func TestMetricsEndpoint(t *testing.T) {
 		Admission   *serve.LimiterStats `json:"admission"`
 		PlanCache   map[string]int      `json:"plan_cache"`
 	}
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
+	var before metrics
+	getJSON(t, ts.URL+"/api/v1/metrics", &before)
+
+	// Two literals of one shape: each answers its own row, and the second
+	// reuses the plan the first compiled.
+	for _, lf := range []string{"a", "b"} {
+		if got := query("SELECT name FROM landfill WHERE name = '" + lf + "'"); !reflect.DeepEqual(got, [][]string{{lf}}) {
+			t.Errorf("landfill %s: rows %v", lf, got)
+		}
 	}
+
+	var out metrics
+	getJSON(t, ts.URL+"/api/v1/metrics", &out)
 	list := out.Endpoints["GET /api/v1/users"]
 	if list.Requests != 3 {
 		t.Errorf("GET /api/v1/users requests = %d, want 3", list.Requests)
@@ -340,11 +421,11 @@ func TestMetricsEndpoint(t *testing.T) {
 		t.Errorf("endpoint stats = %+v", list)
 	}
 	q := out.Endpoints["POST /api/v1/query"]
-	if q.Requests != 1 || q.Latency.P50US <= 0 {
+	if q.Requests != 4 || q.Latency.P50US <= 0 {
 		t.Errorf("query endpoint stats = %+v", q)
 	}
-	if out.ResultCache == nil || out.ResultCache.Misses == 0 {
-		t.Errorf("result_cache = %+v", out.ResultCache)
+	if out.ResultCache == nil || out.ResultCache.Misses == 0 || out.ResultCache.Hits == 0 {
+		t.Errorf("result_cache = %+v, want a miss and a hit", out.ResultCache)
 	}
 	if out.Admission == nil || out.Admission.MaxInflight != 4 || out.Admission.Admitted == 0 {
 		t.Errorf("admission = %+v", out.Admission)
@@ -353,6 +434,9 @@ func TestMetricsEndpoint(t *testing.T) {
 		if _, ok := out.PlanCache[k]; !ok {
 			t.Errorf("plan_cache.%s missing: %v", k, out.PlanCache)
 		}
+	}
+	if out.PlanCache["hits"] <= before.PlanCache["hits"] {
+		t.Errorf("plan_cache.hits %d after two literals of one shape, %d before", out.PlanCache["hits"], before.PlanCache["hits"])
 	}
 }
 
@@ -426,6 +510,15 @@ func TestV1ContextMemoContract(t *testing.T) {
 	if third.Stats.ContextHits != 0 {
 		t.Errorf("after insert: context_hits %d, want a miss", third.Stats.ContextHits)
 	}
+
+	// The metrics count the same memo: two misses around the hit.
+	var m struct {
+		PlanCache map[string]int `json:"plan_cache"`
+	}
+	getJSON(t, ts.URL+"/api/v1/metrics", &m)
+	if m.PlanCache["context_hits"] < 1 || m.PlanCache["context_misses"] < 2 {
+		t.Errorf("plan_cache = %v, want context_hits >= 1 and context_misses >= 2", m.PlanCache)
+	}
 }
 
 // The per-source federation state: GET /api/v1/admin/sources and the
@@ -464,18 +557,85 @@ func TestV1SourcesContract(t *testing.T) {
 		}
 	}
 	for _, path := range []string{"/api/v1/admin/sources", "/api/v1/metrics"} {
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
 		var out struct {
 			Sources []map[string]any `json:"sources"`
 		}
-		err = json.NewDecoder(resp.Body).Decode(&out)
-		resp.Body.Close()
-		if err != nil || resp.StatusCode != http.StatusOK {
-			t.Fatalf("%s: %d, %v", path, resp.StatusCode, err)
-		}
+		getJSON(t, ts.URL+path, &out)
 		check(path, out.Sources)
+	}
+}
+
+// GET /healthz: "ok" on a node with no journal and no sources, "degraded"
+// but still 200 while a source's circuit is open, and "degraded" with 503
+// once a fault has wedged the journal.
+func TestHealthzContract(t *testing.T) {
+	ts, s := newV1Server(t, 0, 0)
+	type source struct{ Name, State string }
+	type health struct {
+		Status  string
+		Sources []source
+		WAL     *struct{ Wedged bool }
+	}
+	probe := func(wantCode int, wantStatus string) health {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/healthz")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var h health
+		if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != wantCode || h.Status != wantStatus {
+			t.Fatalf("healthz: %d %+v, want %d %q", resp.StatusCode, h, wantCode, wantStatus)
+		}
+		return h
+	}
+	if h := probe(http.StatusOK, "ok"); h.Sources != nil || h.WAL != nil {
+		t.Errorf("a bare node reports %+v", h)
+	}
+
+	remote := engine.Open()
+	a, b := net.Pipe()
+	go fdw.NewServer(remote.Catalog()).ServeConn(a)
+	client := fdw.NewClientConfig(b, fdw.Config{Name: "registry"})
+	t.Cleanup(func() { client.Close() })
+	h := fdw.NewHealth()
+	h.Register(client)
+	s.SetHealth(h)
+	for st, _ := client.Breaker().State(); st != fdw.BreakerOpen; st, _ = client.Breaker().State() {
+		client.Breaker().Failure(errors.New("registry unreachable"))
+	}
+	if got := probe(http.StatusOK, "degraded").Sources; !reflect.DeepEqual(got, []source{{"registry", "open"}}) {
+		t.Errorf("sources with the circuit open: %+v", got)
+	}
+	client.Breaker().Success()
+	probe(http.StatusOK, "ok")
+
+	ffs := wal.NewFaultFS(wal.NewMemFS())
+	j, _, err := core.OpenJournal("j", core.JournalOptions{FS: ffs, Sync: wal.SyncAlways}, func() (*engine.DB, *kb.Platform, error) {
+		return engine.Open(), kb.NewPlatform(), nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { j.Close() })
+	s.SetJournal(j)
+	if h := probe(http.StatusOK, "ok"); h.WAL == nil || h.WAL.Wedged {
+		t.Errorf("healthy journal: wal %+v", h.WAL)
+	}
+	// The first write's log flush fails; the next append finds the log
+	// broken after its mutation applied, and wedges the journal.
+	ffs.FaultAt(1, wal.FaultError)
+	for i := 0; j.Wedged() == nil; i++ {
+		if i == 3 {
+			t.Fatal("the journal did not wedge")
+		}
+		postJSON(t, ts.URL+"/api/v1/users", fmt.Sprintf(`{"name":"u%d"}`, i)).Body.Close()
+	}
+	if h := probe(http.StatusServiceUnavailable, "degraded"); h.WAL == nil || !h.WAL.Wedged ||
+		!reflect.DeepEqual(h.Sources, []source{{"registry", "closed"}}) {
+		t.Errorf("wedged journal: wal %+v, sources %+v", h.WAL, h.Sources)
 	}
 }

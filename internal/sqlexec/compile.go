@@ -1485,13 +1485,20 @@ func CompileTail(cols []ScopeCol, sel *sqlparser.Select) (*Tail, error) {
 	return t, nil
 }
 
-// Apply runs the tail over rows laid out as compiled. The window is
-// selected and sorted by the executor's own comparison (sortWindow, ties
-// in arrival order) and returned in the prefix of rows; the rest of rows
-// is left in no particular order. Without an ORDER BY it only slices.
+// Apply runs the tail over rows laid out as compiled and returns the
+// window in a slice of its own, rows cut to the layout, leaving rows as it
+// was. The window is selected and sorted by the executor's own comparison
+// (sortWindow, ties in arrival order); without an ORDER BY it is only a
+// slice. As for a SelectPlan's window (windowOut), a window under half of
+// rows is copied, so that it does not pin every input row.
 func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 	if len(t.order) == 0 {
-		return window(rows, t.offset, t.limit), nil
+		win := window(rows, t.offset, t.limit)
+		w := newWindowOut(len(win), len(rows), t.n)
+		for _, row := range win {
+			w.add(row)
+		}
+		return w.rows, nil
 	}
 	var ext *sqlval.RowArena
 	if t.width > t.n {
@@ -1514,8 +1521,9 @@ func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 		sorted[i] = sortedRow{row: row, seq: int64(i)}
 	}
 	win := windowRuns(t.order, [][]sortedRow{sorted}, t.offset, t.limit, 1)
-	for i, sr := range win {
-		rows[i] = sr.row[:t.n:t.n]
+	w := newWindowOut(len(win), len(rows), t.n)
+	for _, sr := range win {
+		w.add(sr.row)
 	}
-	return rows[:len(win)], nil
+	return w.rows, nil
 }
