@@ -641,7 +641,7 @@ func TestServerSurvivesDataNodeDeath(t *testing.T) {
 	// Scans in flight when the node dies, each text its own so that none
 	// is answered from the result cache. Whatever the moment of the kill,
 	// an answer is the whole count, the degraded answer naming the node,
-	// or an error envelope: never a count cut short.
+	// or a 503 envelope: never a count cut short, and never a 4xx.
 	stop := make(chan struct{})
 	scans := make(chan error, 1)
 	var answered atomic.Int32
@@ -726,6 +726,11 @@ func checkScan(status int, raw []byte, full [][]string, addr string) (string, er
 		}
 		if err := json.Unmarshal(raw, &env); err != nil || env.Error.Code == "" {
 			return "", fmt.Errorf("status %d without an error envelope: %s", status, raw)
+		}
+		if status < 500 {
+			// A dead source is never the client's fault: it is skipped
+			// (ErrSourceDown) or, after some of its rows, a 503.
+			return "", fmt.Errorf("status %d %s: %s", status, env.Error.Code, env.Error.Message)
 		}
 		return fmt.Sprintf("%d %s: %s", status, env.Error.Code, env.Error.Message), nil
 	}

@@ -132,10 +132,19 @@
 // production expression evaluation is compiled, INSERT … VALUES and
 // UPDATE … SET included, and LIKE always runs the linear segment
 // matcher, whether the pattern is a constant or computed per row. The
-// seed's tree-walking interpreter stays in the package only as the
-// reference oracle the randomised parity suite
-// (internal/sqlexec/parity_test.go) pins the compiled semantics to; no
-// production path calls it. internal/sqlparser holds the one traversal
+// package holds that one evaluator and one set of value rules.
+//
+// The executors' parity suites check them against internal/oracle, which
+// only _test.go files import (a test in the package walks the module to
+// enforce it): a materialising SQL interpreter that resolves columns by
+// name per row and nested-loops every join, and a term-level SPARQL
+// evaluator over string-keyed bindings and a plain triple slice. The
+// oracle has its own arithmetic, scalar functions, aggregates (INTEGER
+// SUM in math/big, a DOUBLE SUM or AVG exactly rounded once), LIKE
+// matcher and SPARQL term order, written from PostgreSQL's and SPARQL
+// 1.1's documented semantics with the dialect's deviations named, and it
+// shares no code with sqlexec or sparql below the parsers, sqlval and
+// sqldb. internal/sqlparser holds the one traversal
 // of an expression's children (Walk, Rewrite), which the SESQL rewrite,
 // the enricher and the compiler share.
 //

@@ -306,8 +306,10 @@ func (c *Client) Retries() int { return int(c.retries.Load()) }
 // and retries transient transport failures on a fresh session as long as
 // no row has been delivered to onRow (the operations are idempotent reads,
 // but a mid-stream retry would duplicate rows — those surface as
-// ErrInterrupted instead). The response is nil when onRow stopped early
-// and the drain after it failed.
+// ErrInterrupted instead). When the attempts run out with no row
+// delivered it returns a *SourceDownError, whatever the breaker's state.
+// The response is nil when onRow stopped early and the drain after it
+// failed.
 func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlval.Value) bool) (*response, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -354,7 +356,12 @@ func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlva
 			return nil, err
 		}
 		if attempt >= c.cfg.Retry.MaxAttempts {
-			return nil, fmt.Errorf("fdw: source %q: %d attempt(s) failed: %w", c.name, attempt, err)
+			// Every attempt failed in transport and no row was delivered:
+			// the source is down whatever the breaker's count says, so a
+			// partial-results scan skips it as it would behind an open
+			// circuit.
+			state, _ := c.breaker.State()
+			return nil, &SourceDownError{Source: c.name, State: state, Reason: fmt.Errorf("%d attempt(s) failed: %w", attempt, err)}
 		}
 		// Back off, bounded by the request deadline and the context.
 		d := c.cfg.Retry.delay(attempt)

@@ -292,6 +292,40 @@ func TestNoRetryAfterRowsDelivered(t *testing.T) {
 	}
 }
 
+// TestDeadSourceBeforeBreakerOpens: a source that refuses every dial
+// while its breaker is still closed fails the round trip with
+// ErrSourceDown naming the source — what a partial-results scan skips —
+// not with a bare transport error that fails the whole query.
+func TestDeadSourceBeforeBreakerOpens(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close() // nothing listens there any more: every dial is refused
+	c := newClient(Config{
+		Name:    "registry",
+		Retry:   RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+		Breaker: BreakerConfig{FailureThreshold: 100},
+	}, func(timeout time.Duration) (net.Conn, error) { return net.DialTimeout("tcp", addr, timeout) })
+	defer c.Close()
+
+	_, err = scanAll(c, context.Background())
+	if !errors.Is(err, ErrSourceDown) {
+		t.Fatalf("scan of a dead source: %v, want ErrSourceDown", err)
+	}
+	if got := sqldb.SourceOf(err, "fallback"); got != "registry" {
+		t.Fatalf("SourceOf = %q, want registry", got)
+	}
+	var sd *SourceDownError
+	if !errors.As(err, &sd) || sd.State != BreakerClosed || !strings.Contains(fmt.Sprint(sd.Reason), "3 attempt(s) failed") {
+		t.Fatalf("error %v: want a SourceDownError with the breaker closed and the attempts as its reason", err)
+	}
+	if st, _ := c.Breaker().State(); st != BreakerClosed {
+		t.Fatalf("breaker %v after the scan: the case under test needs it closed", st)
+	}
+}
+
 // TestRequestDeadline: a blackholed peer costs one request deadline, not a
 // hang.
 func TestRequestDeadline(t *testing.T) {

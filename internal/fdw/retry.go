@@ -36,11 +36,13 @@ var ErrClientClosed = errors.New("fdw: client closed")
 var ErrInterrupted = errors.New("fdw: result stream interrupted mid-scan")
 
 // SourceDownError is the concrete error behind ErrSourceDown: which source,
-// the circuit state, and the failure that opened the circuit.
+// the circuit state, and the failure that opened the circuit — or, when a
+// round trip used up its attempts before the circuit opened, the last
+// transport failure.
 type SourceDownError struct {
 	Source string       // source name; filled by the Client
 	State  BreakerState // circuit position at rejection time
-	Reason error        // the failure that opened the circuit (may be nil)
+	Reason error        // why the source is down (may be nil)
 }
 
 func (e *SourceDownError) Error() string {

@@ -52,6 +52,10 @@ func classify(err error) (int, string) {
 		return http.StatusTooManyRequests, codeOverloaded
 	case errors.Is(err, fdw.ErrSourceDown), errors.Is(err, core.ErrWedged):
 		return http.StatusServiceUnavailable, codeUnavailable
+	case errors.Is(err, fdw.ErrInterrupted):
+		// A source failed after some of its rows were delivered: no
+		// partial-results policy may skip it, and the query was fine.
+		return http.StatusServiceUnavailable, codeUnavailable
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
 		// The client went away or its deadline passed while queued.
 		return http.StatusServiceUnavailable, codeUnavailable

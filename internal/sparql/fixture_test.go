@@ -19,8 +19,8 @@ type fixture struct {
 	arena     *rdf.SharedStore
 	neighbour *rdf.View
 	// triples is what the view holds, in insertion order: the term-level
-	// reference evaluators read it through Pattern.Matches, never the
-	// graph under test.
+	// oracle (internal/oracle) and the brute-force checks read it, never
+	// the graph under test.
 	triples []rdf.Triple
 }
 
@@ -48,14 +48,32 @@ func (f *fixture) Add(t rdf.Triple) bool {
 	return true
 }
 
-// scan streams the triples of ts that match p: the term-level reference
-// evaluators' only way to read a graph.
-func scan(ts []rdf.Triple, p rdf.Pattern, fn func(rdf.Triple) bool) {
-	for _, t := range ts {
-		if p.Matches(t) && !fn(t) {
-			return
+// renderSeq renders bindings in result order (no sorting) for exact
+// order-sensitive comparison.
+func renderSeq(bs []Binding, vars []string) []string {
+	out := make([]string, 0, len(bs))
+	for _, b := range bs {
+		s := ""
+		for _, v := range vars {
+			if t, ok := b[v]; ok {
+				s += t.String() + ";"
+			} else {
+				s += "_;"
+			}
 		}
+		out = append(out, s)
 	}
+	return out
+}
+
+// forceParallel drops the parallel-path thresholds so the small parity
+// fixtures split into many morsels and exercise the scheduler, restoring
+// the production values on cleanup.
+func forceParallel(t *testing.T) {
+	t.Helper()
+	minM, morsel := parMinMatches, parMorselMatches
+	parMinMatches, parMorselMatches = 1, 5
+	t.Cleanup(func() { parMinMatches, parMorselMatches = minM, morsel })
 }
 
 // TestFixtureDecoysAreVisibleOutsideTheView pins that the decoys can

@@ -1,7 +1,7 @@
-package sparql
+package sparql_test
 
 // path_test.go — property paths against hand-computed answers and against
-// the term-level reference (refEvalQuery): two SPARQL 1.1 §18.5 corners
+// the term-level oracle (internal/oracle): two SPARQL 1.1 §18.5 corners
 // pinned by hand, random paths over random cyclic graphs, and the fuzz
 // target that drives the same comparison from arbitrary bytes.
 
@@ -13,28 +13,30 @@ import (
 	"strings"
 	"testing"
 
+	"crosse/internal/oracle"
 	"crosse/internal/rdf"
+	"crosse/internal/sparql"
 )
 
 // pathAnswers evaluates src over st and renders its solutions sorted, with
-// the onto prefix stripped from IRIs.
-func pathAnswers(t *testing.T, st *fixture, src string) []string {
+// the Onto prefix stripped from IRIs.
+func pathAnswers(t *testing.T, st *sparql.Fixture, src string) []string {
 	t.Helper()
-	r, err := Eval(st, `PREFIX s: <`+onto+`> `+src)
+	r, err := sparql.Eval(st, `PREFIX s: <`+sparql.Onto+`> `+src)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Vars == nil {
 		return []string{fmt.Sprint(r.Bool)}
 	}
-	return strings.Split(strings.ReplaceAll(strings.Join(renderBindings(r.Bindings, r.Vars), " "), "<"+onto, "<"), " ")
+	return strings.Split(strings.ReplaceAll(strings.Join(sparql.RenderBindings(r.Bindings, r.Vars), " "), "<"+sparql.Onto, "<"), " ")
 }
 
 // TestClosurePlusReachesStartThroughCycle: p+ matches a path of length
 // one or more, so a start on a cycle (or a self-loop) reaches itself.
 func TestClosurePlusReachesStartThroughCycle(t *testing.T) {
-	st := newFixture()
-	a, b, c, next := iri("a"), iri("b"), iri("c"), iri("next")
+	st := sparql.NewFixture()
+	a, b, c, next := sparql.IRI("a"), sparql.IRI("b"), sparql.IRI("c"), sparql.IRI("next")
 	st.Add(rdf.Triple{S: a, P: next, O: b})
 	st.Add(rdf.Triple{S: b, P: next, O: a})
 	st.Add(rdf.Triple{S: c, P: next, O: c})
@@ -58,9 +60,9 @@ func TestClosurePlusReachesStartThroughCycle(t *testing.T) {
 // every node of the view with itself — nodes(G) holds objects, literals
 // among them, not just subjects — and nothing outside the view.
 func TestZeroLengthPathsPairEveryNode(t *testing.T) {
-	st := newFixture()
-	st.Add(rdf.Triple{S: iri("a"), P: iri("next"), O: iri("b")})
-	st.Add(rdf.Triple{S: iri("c"), P: iri("label"), O: rdf.NewLiteral("x")})
+	st := sparql.NewFixture()
+	st.Add(rdf.Triple{S: sparql.IRI("a"), P: sparql.IRI("next"), O: sparql.IRI("b")})
+	st.Add(rdf.Triple{S: sparql.IRI("c"), P: sparql.IRI("label"), O: rdf.NewLiteral("x")})
 	want := []string{`"x";"x";`, "<a>;<a>;", "<a>;<b>;", "<b>;<b>;", "<c>;<c>;"}
 	for _, src := range []string{
 		`SELECT ?x ?y WHERE { ?x s:next* ?y }`,
@@ -90,10 +92,10 @@ var pathForms = []string{"s:p", "s:q", "^P", "P/Q", "P|Q", "P+", "P*", "P?", "(P
 // never seen, or a node of the graph. FuzzSPARQLPath feeds pick from its
 // input bytes, so the order of the picks below is the fuzz input format.
 func genPathCase(pick func(n int) int) pathCase {
-	node := func() rdf.Term { return iri(fmt.Sprintf("n%d", pick(6))) }
+	node := func() rdf.Term { return sparql.IRI(fmt.Sprintf("n%d", pick(6))) }
 	var c pathCase
 	for i, n := 0, 1+pick(16); i < n; i++ {
-		s, p, o := node(), iri([]string{"p", "q"}[pick(2)]), node()
+		s, p, o := node(), sparql.IRI([]string{"p", "q"}[pick(2)]), node()
 		if pick(8) == 0 {
 			o = rdf.NewLiteral("lit")
 		}
@@ -125,7 +127,7 @@ func genPathCase(pick func(n int) int) pathCase {
 		}
 	}
 	s := end("?x")
-	c.query = `PREFIX s: <` + onto + `> SELECT * WHERE { ` + s + " " + step + " " + end("?y") + " }"
+	c.query = `PREFIX s: <` + sparql.Onto + `> SELECT * WHERE { ` + s + " " + step + " " + end("?y") + " }"
 	return c
 }
 
@@ -164,50 +166,50 @@ func pathSweep() [][]byte {
 	return out
 }
 
-// checkPathCase compares the executor with the reference on c, serially
+// checkPathCase compares the executor with the oracle on c, serially
 // and on the morsel path at several widths, and the ASK form with both.
 func checkPathCase(t *testing.T, c pathCase) {
 	t.Helper()
-	st := newFixture()
+	st := sparql.NewFixture()
 	for _, tr := range c.triples {
 		st.Add(tr)
 	}
-	q, err := Parse(c.query)
+	q, err := sparql.Parse(c.query)
 	if err != nil {
 		t.Fatalf("%s: %v", c.query, err)
 	}
-	ref, err := refEvalQuery(st.triples, q)
+	ref, err := oracle.SPARQL(st.Triples(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := renderBindings(ref.Bindings, ref.Vars)
-	for _, opts := range []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}} {
-		res, err := EvalQueryOpts(st, q, opts)
+	want := sparql.RenderBindings(ref.Bindings, ref.Vars)
+	for _, opts := range []sparql.Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}} {
+		res, err := sparql.EvalQueryOpts(st, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.query, err)
 		}
-		if got := renderBindings(res.Bindings, res.Vars); !reflect.DeepEqual(got, want) {
+		if got := sparql.RenderBindings(res.Bindings, res.Vars); !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s over %v (opts=%+v):\n got %v\nwant %v", c.query, c.triples, opts, got, want)
 		}
 	}
-	ask, err := Parse(strings.Replace(c.query, "SELECT * WHERE", "ASK", 1))
+	ask, err := sparql.Parse(strings.Replace(c.query, "SELECT * WHERE", "ASK", 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalQuery(st, ask)
+	res, err := sparql.EvalQuery(st, ask)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Bool != (len(want) > 0) {
-		t.Fatalf("ASK form of %s: got %v with %d reference solutions", c.query, res.Bool, len(want))
+		t.Fatalf("ASK form of %s: got %v with %d oracle solutions", c.query, res.Bool, len(want))
 	}
 }
 
 // TestRandomPropertyPathsVsReference: the executor agrees with the
-// term-level reference on the fixed sweep and on random nested paths over
+// term-level oracle on the fixed sweep and on random nested paths over
 // random graphs with cycles and self-loops, with the parallel path forced.
 func TestRandomPropertyPathsVsReference(t *testing.T) {
-	forceParallel(t)
+	sparql.ForceParallel(t)
 	for _, in := range pathSweep() {
 		checkPathCase(t, genPathCase(bytePicker(in)))
 	}
@@ -219,14 +221,14 @@ func TestRandomPropertyPathsVsReference(t *testing.T) {
 
 // FuzzSPARQLPath decodes arbitrary bytes into a graph, a path and its ends
 // (genPathCase's format) and requires the executor to answer exactly what
-// the reference answers. Generated queries always parse and evaluate, so
+// the oracle answers. Generated queries always parse and evaluate, so
 // an error fails the input as a mismatch does.
 func FuzzSPARQLPath(f *testing.F) {
 	for _, in := range pathSweep() {
 		f.Add(in)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		forceParallel(t)
+		sparql.ForceParallel(t)
 		checkPathCase(t, genPathCase(bytePicker(data)))
 	})
 }

@@ -52,7 +52,7 @@ func TestTemplateBindMatchesInlined(t *testing.T) {
 				if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
 					t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
 				}
-				wr, gr := renderRows(want), renderRows(got)
+				wr, gr := renderRows(want.Rows), renderRows(got.Rows)
 				switch {
 				case len(sel.OrderBy) > 0:
 					// genSelect ends every ORDER BY in a unique-key chain.
@@ -119,8 +119,8 @@ func TestWithTailMatchesCompile(t *testing.T) {
 			if (werr == nil) != (gerr == nil) {
 				t.Fatalf("%q: compiled err=%v, WithTail err=%v", text, werr, gerr)
 			}
-			if werr == nil && strings.Join(renderRows(got), " ") != strings.Join(renderRows(want), " ") {
-				t.Fatalf("%q:\nWithTail %v\ncompiled %v", text, renderRows(got), renderRows(want))
+			if werr == nil && strings.Join(renderRows(got.Rows), " ") != strings.Join(renderRows(want.Rows), " ") {
+				t.Fatalf("%q:\nWithTail %v\ncompiled %v", text, renderRows(got.Rows), renderRows(want.Rows))
 			}
 		}
 	}

@@ -148,11 +148,11 @@ type joinPlan struct {
 	post []pred
 }
 
-// orderPlan is one compiled ORDER BY key. The interpreter evaluates each
-// key against the projected row first and falls back to the underlying
-// row per row on ANY evaluation error (not just unresolved names), so the
-// plan keeps both compilations when both resolve; at least one is
-// non-nil. at is the key's slot in the buffered output row (placeKeys).
+// orderPlan is one compiled ORDER BY key. Each key evaluates against the
+// projected row first and falls back to the underlying row per row on
+// ANY evaluation error (not just unresolved names), so the plan keeps
+// both compilations when both resolve; at least one is non-nil. at is the
+// key's slot in the buffered output row (placeKeys).
 type orderPlan struct {
 	outKey   cexpr // against the projected row; nil if it doesn't resolve
 	underKey cexpr // against the underlying row; nil if it doesn't resolve
@@ -228,11 +228,10 @@ type selCompiler struct {
 }
 
 // conjInfo is one WHERE conjunct with its placement analysis. Resolution
-// follows the interpreter's earliest-prefix rule: the conjunct binds to
-// the first pipeline step whose accumulated layout resolves every
-// reference uniquely — so an unqualified name that is ambiguous in the
-// full join layout but unique over the first k sources resolves there,
-// exactly as applyReadyFilters would have applied it.
+// follows the earliest-prefix rule: the conjunct binds to the first
+// pipeline step whose accumulated layout resolves every reference
+// uniquely — so an unqualified name that is ambiguous in the full join
+// layout but unique over the first k sources resolves there.
 type conjInfo struct {
 	e        sqlparser.Expr
 	step     int   // earliest step whose prefix layout resolves it; -1 = never
@@ -241,9 +240,8 @@ type conjInfo struct {
 	consumed bool  // pushed into a seek or claimed as a hash-join key
 	// badRef records the full-layout resolution error of a conjunct no
 	// prefix resolves. It can still be claimed as a region-resolved
-	// hash-join key at a cross join (mirroring the interpreter's
-	// equiKeys, which resolved each side within its own rowset); if
-	// nothing claims it, compilation fails with this error.
+	// hash-join key at a cross join, each side resolving within its own
+	// sources; if nothing claims it, compilation fails with this error.
 	badRef error
 }
 
@@ -252,7 +250,7 @@ func (c *selCompiler) compile() (*SelectPlan, error) {
 	p := &SelectPlan{opts: c.opts, limit: -1, offset: -1}
 
 	// FROM-less SELECT: items evaluate once against an empty scope;
-	// DISTINCT/ORDER/LIMIT do not apply (mirroring the interpreter).
+	// DISTINCT/ORDER/LIMIT do not apply.
 	if len(sel.From) == 0 {
 		p.fromless = true
 		env := &compileEnv{}
@@ -342,8 +340,7 @@ func (p *SelectPlan) WithTail(sel *sqlparser.Select) (*SelectPlan, error) {
 // setTail compiles sel's ORDER BY / LIMIT / OFFSET into p. ORDER BY:
 // projected aliases first, then underlying columns. Both resolutions are
 // kept when both compile — evaluation retries the underlying key per row
-// when the projected one errors, mirroring the interpreter's row-level
-// fallback.
+// when the projected one errors.
 func (p *SelectPlan) setTail(sel *sqlparser.Select) error {
 	p.order = nil
 	if len(sel.OrderBy) > 0 {
@@ -764,10 +761,9 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 
 	default: // comma/cross: a WHERE equi conjunct can drive a hash join
 		jp.kind = joinCross
-		// Candidates are the conjuncts the interpreter would still be
-		// carrying at this join step: first evaluable here, or never
-		// resolvable as a whole yet region-resolvable (one side per
-		// rowset, the seed's equiKeys rule).
+		// Candidates are the conjuncts still unplaced at this join
+		// step: first evaluable here, or never resolvable as a whole
+		// yet region-resolvable (each side within its own sources).
 		for _, cj := range conjs {
 			if cj.consumed || (cj.step != i && cj.badRef == nil) {
 				continue
@@ -802,7 +798,7 @@ func (c *selCompiler) compileJoin(i int, conjs []*conjInfo) (*joinPlan, error) {
 func (c *selCompiler) onRightOnly(e sqlparser.Expr, rightLo, rightHi int) bool {
 	refs := sqlparser.ColRefs(e)
 	if len(refs) == 0 {
-		return false // constant ON conjuncts keep interpreter placement
+		return false // a constant ON conjunct stays a residual
 	}
 	for _, cr := range refs {
 		if _, ok := c.lookupIn(cr, rightLo, rightHi); !ok {
@@ -899,6 +895,70 @@ func (c *selCompiler) compileGrouped(p *SelectPlan) (*compileEnv, error) {
 	return aggEnv, nil
 }
 
+// itemName is an output column's header: its alias, a bare column's name,
+// or the expression's SQL text.
+func itemName(it sqlparser.SelectItem, pos int) string {
+	if it.Alias != "" {
+		return it.Alias
+	}
+	if cr, ok := it.Expr.(*sqlparser.ColRef); ok {
+		return cr.Name
+	}
+	if it.Expr != nil {
+		return it.Expr.SQL()
+	}
+	return fmt.Sprintf("col%d", pos+1)
+}
+
+// expandItems resolves stars into concrete column projections against a
+// column layout.
+func expandItems(sel *sqlparser.Select, cols []ScopeCol) ([]sqlparser.SelectItem, error) {
+	var out []sqlparser.SelectItem
+	for _, it := range sel.Items {
+		if !it.Star {
+			out = append(out, it)
+			continue
+		}
+		matched := false
+		for _, c := range cols {
+			if it.Qualifier != "" && !strings.EqualFold(c.Qualifier, it.Qualifier) {
+				continue
+			}
+			matched = true
+			out = append(out, sqlparser.SelectItem{
+				Expr:  &sqlparser.ColRef{Qualifier: c.Qualifier, Name: c.Name},
+				Alias: c.Name,
+			})
+		}
+		if !matched {
+			return nil, fmt.Errorf("sqlexec: %s.* matches no columns", it.Qualifier)
+		}
+	}
+	return out, nil
+}
+
+// anyItemAggregate reports whether a projected expression holds an
+// aggregate call, which makes the SELECT grouped.
+func anyItemAggregate(sel *sqlparser.Select) bool {
+	for _, it := range sel.Items {
+		if !it.Star && len(aggregateCalls(nil, it.Expr)) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
+// splitAnd flattens a conjunction into its conjuncts.
+func splitAnd(e sqlparser.Expr) []sqlparser.Expr {
+	if e == nil {
+		return nil
+	}
+	if be, ok := e.(*sqlparser.BinExpr); ok && be.Op == sqlparser.OpAnd {
+		return append(splitAnd(be.L), splitAnd(be.R)...)
+	}
+	return []sqlparser.Expr{e}
+}
+
 // --- expression compilation ---
 
 // compileEnv resolves column references (and, in grouped evaluation,
@@ -907,8 +967,7 @@ type compileEnv struct {
 	cols []ScopeCol
 	// aggs maps a rendered aggregate call (FuncCall.SQL()) to its ext-row
 	// slot. Nil outside grouped evaluation: aggregate calls then fail to
-	// compile, mirroring the interpreter's "aggregate outside grouping
-	// context" error.
+	// compile with an "aggregate outside grouping context" error.
 	aggs map[string]int
 }
 
@@ -1011,7 +1070,7 @@ func compileExpr(e sqlparser.Expr, env *compileEnv) (cexpr, error) {
 			}
 		}
 		// Name and arity validation stays at evaluation time (see
-		// applyScalarFunc), mirroring the interpreter.
+		// applyScalarFunc).
 		return cFunc{name: ex.Name, args: args}, nil
 	case *sqlparser.CaseExpr:
 		return compileCase(ex, env)
@@ -1075,15 +1134,15 @@ func compileCase(ex *sqlparser.CaseExpr, env *compileEnv) (cexpr, error) {
 	return out, nil
 }
 
-// --- compiled expression nodes (evaluation mirrors expr.go exactly) ---
+// --- compiled expression nodes (value rules in expr.go) ---
 
 // cexpr is a compiled expression evaluated against a row slice.
 type cexpr interface {
 	eval(row []sqlval.Value) (sqlval.Value, error)
 }
 
-// cEvalBool evaluates a compiled predicate with SQL 3VL, mirroring the
-// reference evalBool.
+// cEvalBool evaluates a compiled predicate with SQL 3VL: NULL is
+// UNKNOWN, and any other value must coerce to BOOLEAN.
 func cEvalBool(e cexpr, row []sqlval.Value) (sqlval.Tri, error) {
 	v, err := e.eval(row)
 	if err != nil {

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"crosse/internal/oracle"
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlparser"
+	"crosse/internal/sqlval"
 )
 
 // Deterministic edge cases the randomised parity suite cannot pin exactly:
@@ -49,7 +51,7 @@ func TestCompiledEdgeCases(t *testing.T) {
 }
 
 // Unqualified WHERE references resolve at the earliest join-layout prefix
-// that covers them (the interpreter's applyReadyFilters rule), even when
+// that covers them (the oracle's rule too), even when
 // they are ambiguous in the full layout.
 func TestWherePrefixResolution(t *testing.T) {
 	db := sqldb.NewDatabase()
@@ -69,8 +71,8 @@ func TestWherePrefixResolution(t *testing.T) {
 		if got := mustExec(t, db, c.q).Rows[0][0].Int(); got != c.want {
 			t.Errorf("%q: got %d, want %d", c.q, got, c.want)
 		}
-		if ref := mustInterp(t, db, c.q).Rows[0][0].Int(); ref != c.want {
-			t.Errorf("%q: interpreter disagrees: %d", c.q, ref)
+		if ref := mustOracle(t, db, c.q).Rows[0][0].Int(); ref != c.want {
+			t.Errorf("%q: oracle disagrees: %d", c.q, ref)
 		}
 	}
 }
@@ -102,7 +104,7 @@ func TestOrderByAliasEvalFallback(t *testing.T) {
 
 // Numeric join keys must follow Compare equality across renderings:
 // INTEGER 1000000 widens to DOUBLE 1e+06, and the hash join must match
-// them exactly like the reference interpreter does.
+// them exactly like the oracle does.
 func TestHashJoinNumericFolding(t *testing.T) {
 	db := sqldb.NewDatabase()
 	mustExec(t, db, `CREATE TABLE ai (x INT)`)
@@ -111,9 +113,9 @@ func TestHashJoinNumericFolding(t *testing.T) {
 	mustExec(t, db, `INSERT INTO bf VALUES (1000000.0), (2.5), (-3.0), (0.0)`)
 	const q = `SELECT COUNT(*) FROM ai JOIN bf ON ai.x = bf.y`
 	hash := mustExec(t, db, q).Rows[0][0].Int()
-	ref := mustInterp(t, db, q).Rows[0][0].Int()
+	ref := mustOracle(t, db, q).Rows[0][0].Int()
 	if hash != 2 || ref != 2 {
-		t.Fatalf("hash=%d interp=%d, want 2 (1e6 and -3 match)", hash, ref)
+		t.Fatalf("hash=%d oracle=%d, want 2 (1e6 and -3 match)", hash, ref)
 	}
 }
 
@@ -126,15 +128,15 @@ func TestNegativeZeroSeekAndJoin(t *testing.T) {
 	mustExec(t, db, `INSERT INTO nz VALUES (-0.0), (0.0), (1.5)`)
 	const q = `SELECT COUNT(*) FROM nz WHERE c = 0.0`
 	seek := mustExec(t, db, q).Rows[0][0].Int()
-	scan := mustInterp(t, db, q).Rows[0][0].Int()
+	scan := mustOracle(t, db, q).Rows[0][0].Int()
 	if seek != 2 || scan != 2 {
-		t.Fatalf("seek=%d interp=%d, want 2 (-0.0 = 0.0)", seek, scan)
+		t.Fatalf("seek=%d oracle=%d, want 2 (-0.0 = 0.0)", seek, scan)
 	}
 	const jq = `SELECT COUNT(*) FROM nz a JOIN nz b ON a.c = b.c`
 	hash := mustExec(t, db, jq).Rows[0][0].Int()
-	ref := mustInterp(t, db, jq).Rows[0][0].Int()
+	ref := mustOracle(t, db, jq).Rows[0][0].Int()
 	if hash != ref || hash != 5 {
-		t.Fatalf("hash=%d interp=%d, want 5 (2x2 zeros + 1)", hash, ref)
+		t.Fatalf("hash=%d oracle=%d, want 5 (2x2 zeros + 1)", hash, ref)
 	}
 }
 
@@ -145,10 +147,10 @@ func TestLeftJoinLeftOnlyOnConjunct(t *testing.T) {
 	q := `SELECT l.name, e.elem_name FROM landfill l
 		LEFT JOIN elem_contained e ON l.name = e.landfill_name AND l.active
 		ORDER BY l.name`
-	for name, r := range map[string]*Result{"compiled": mustExec(t, db, q), "interp": mustInterp(t, db, q)} {
+	for name, rows := range map[string][][]sqlval.Value{"compiled": mustExec(t, db, q).Rows, "oracle": mustOracle(t, db, q).Rows} {
 		// c is inactive: its 2 elements must NOT match; c appears once, padded.
 		sawC := 0
-		for _, row := range r.Rows {
+		for _, row := range rows {
 			if row[0].Str() == "c" {
 				sawC++
 				if !row[1].IsNull() {
@@ -188,19 +190,19 @@ func TestNaNOrdersAboveNumbers(t *testing.T) {
 		{`x > 1e308`, "3,6"},
 	}
 	options := []Options{{Parallelism: 1}, {Parallelism: 4}}
-	ids := func(r *Result) string {
-		return strings.Join(rowsAsStrings(r), ",")
+	ids := func(rows [][]sqlval.Value) string {
+		return strings.Join(rowsAsStrings(&Result{Rows: rows}), ",")
 	}
 	for _, table := range []string{"f", "fi"} {
 		for _, c := range cases {
 			q := `SELECT id FROM ` + table + ` WHERE ` + c.where + ` ORDER BY id`
 			for _, opts := range options {
-				if got := ids(mustExecOpts(t, db, q, opts)); got != c.want {
+				if got := ids(mustExecOpts(t, db, q, opts).Rows); got != c.want {
 					t.Errorf("%s opts=%+v: %s, want %s", q, opts, got, c.want)
 				}
 			}
-			if ref, err := evalSelectInterp(db, mustParseSelect(t, q)); err != nil || ids(ref) != c.want {
-				t.Errorf("%s: interpreter %v (err %v), want %s", q, ref, err, c.want)
+			if ref, err := oracle.SQL(db, mustParseSelect(t, q)); err != nil || ids(ref.Rows) != c.want {
+				t.Errorf("%s: oracle %v (err %v), want %s", q, ref, err, c.want)
 			}
 		}
 		for _, c := range []struct{ q, want string }{
@@ -211,12 +213,12 @@ func TestNaNOrdersAboveNumbers(t *testing.T) {
 			{`SELECT COUNT(DISTINCT x) FROM ` + table, "4"},
 		} {
 			for _, opts := range options {
-				if got := ids(mustExecOpts(t, db, c.q, opts)); got != c.want {
+				if got := ids(mustExecOpts(t, db, c.q, opts).Rows); got != c.want {
 					t.Errorf("%s opts=%+v: %s, want %s", c.q, opts, got, c.want)
 				}
 			}
-			if got := ids(mustInterp(t, db, c.q)); got != c.want {
-				t.Errorf("%s: interpreter %s, want %s", c.q, got, c.want)
+			if got := ids(mustOracle(t, db, c.q).Rows); got != c.want {
+				t.Errorf("%s: oracle %s, want %s", c.q, got, c.want)
 			}
 		}
 	}

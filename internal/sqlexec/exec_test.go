@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"crosse/internal/oracle"
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlval"
 )
@@ -15,13 +16,13 @@ func mustExec(t *testing.T, db *sqldb.Database, sql string) *Result {
 	return mustExecOpts(t, db, sql, Options{})
 }
 
-// mustInterp runs a SELECT through the reference interpreter (interp.go),
-// the expected answer for the compiled plans.
-func mustInterp(t *testing.T, db *sqldb.Database, sql string) *Result {
+// mustOracle runs a SELECT through the SQL oracle
+// (internal/oracle), the expected answer for the compiled plans.
+func mustOracle(t *testing.T, db *sqldb.Database, sql string) *oracle.Answer {
 	t.Helper()
-	r, err := evalSelectInterp(db, mustParseSelect(t, sql))
+	r, err := oracle.SQL(db, mustParseSelect(t, sql))
 	if err != nil {
-		t.Fatalf("interp %q: %v", sql, err)
+		t.Fatalf("oracle %q: %v", sql, err)
 	}
 	return r
 }
@@ -404,11 +405,38 @@ func TestLikeMatcher(t *testing.T) {
 		{"abc", "abc", true},
 		{"abc", "ab", false},
 		{"a%b", "a%b", true}, // literal traversal via % wildcard
+		// Adjacent '%' match like one; '_' at either end takes exactly one
+		// byte there.
+		{"abc", "a%%c", true},
+		{"ac", "a%%c", true},
+		{"", "%%", true},
+		{"abc", "%%b%%", true},
+		{"abc", "_bc", true},
+		{"bc", "_bc", false},
+		{"abc", "ab_", true},
+		{"ab", "ab_", false},
+		{"abc", "_b_", true},
+		{"abcd", "_b_", false},
+		{"ab", "%_", true},
+		{"", "%_", false},
+		{"a", "_%_", false},
+		{"ab", "_%_", true},
+		// Dialect: '_' matches one byte, not one character (PostgreSQL
+		// matches a character), and a backslash escapes nothing (in
+		// PostgreSQL `a\%` matches only "a%").
+		{"é", "_", false},
+		{"é", "__", true},
+		{`a\x`, `a\%`, true},
+		{`a%`, `a\%`, false},
 	}
 	for _, c := range cases {
-		if got := likeMatch(c.s, c.p); got != c.want {
-			t.Errorf("likeMatch(%q, %q) = %v", c.s, c.p, got)
+		if got := compileLike(c.p).match(c.s); got != c.want {
+			t.Errorf("compiled: %q LIKE %q = %v", c.s, c.p, got)
 		}
+		if got := oracleLike(t, c.s, c.p); got != c.want {
+			t.Errorf("oracle: %q LIKE %q = %v", c.s, c.p, got)
+		}
+		pin(t, sqldb.NewDatabase(), "SELECT "+sqlval.NewString(c.s).SQLLiteral()+" LIKE "+sqlval.NewString(c.p).SQLLiteral(), "BOOLEAN "+fmt.Sprint(c.want))
 	}
 }
 

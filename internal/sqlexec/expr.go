@@ -22,16 +22,17 @@
 //
 // Compilation makes column-reference errors data-independent: a SELECT,
 // UPDATE or DELETE naming an unknown or ambiguous column fails up front,
-// where the interpreter only failed once a row reached the broken
-// expression (queries over empty tables silently succeeded). Function
-// names, arities and value-type errors stay evaluation-time in both
-// paths.
+// even over an empty table. Function names, arities and value-type errors
+// stay evaluation-time.
 //
-// This file holds the value-level functions the compiled nodes call —
-// arithmetic, scalar functions, aggregate accumulation and its parallel
-// merge — and the tree-walking evaluator (eval, evalBool, scope) that,
-// with the materialising interpreter in interp.go and likeMatch, is the
-// parity suite's reference oracle. No production path calls the oracle.
+// The package has one evaluator, the compiled cexpr trees. The parity
+// suites check it against internal/oracle, a test-only materialising
+// interpreter with its own value rules, which shares no code with this
+// package below the parser.
+//
+// This file holds the value-level functions the compiled nodes call:
+// arithmetic, scalar functions, and aggregate accumulation with its
+// parallel merge.
 package sqlexec
 
 import (
@@ -53,173 +54,12 @@ type ScopeCol struct {
 	Name      string
 }
 
-// scope resolves column references for the reference evaluator eval, the
-// parity suite's oracle. Cols and Row are parallel. Aggs carries pre-computed aggregate results in grouped
-// evaluation (keyed by the rendered SQL of the call).
-type scope struct {
-	Cols []ScopeCol
-	Row  []sqlval.Value
-	Aggs map[string]sqlval.Value
-}
-
-// lookup finds the value of a (possibly qualified) column reference.
-func (s *scope) lookup(qual, name string) (sqlval.Value, error) {
-	found := -1
-	for i, c := range s.Cols {
-		if !strings.EqualFold(c.Name, name) {
-			continue
-		}
-		if qual != "" && !strings.EqualFold(c.Qualifier, qual) {
-			continue
-		}
-		if found >= 0 {
-			return sqlval.Null, fmt.Errorf("sqlexec: ambiguous column reference %q", refName(qual, name))
-		}
-		found = i
-	}
-	if found < 0 {
-		return sqlval.Null, fmt.Errorf("sqlexec: unknown column %q", refName(qual, name))
-	}
-	return s.Row[found], nil
-}
-
+// refName renders a column reference for an error message.
 func refName(qual, name string) string {
 	if qual != "" {
 		return qual + "." + name
 	}
 	return name
-}
-
-// eval is the reference tree-walking evaluator, the parity suite's oracle
-// (production evaluates compiled cexpr trees). It evaluates an expression
-// in the scope, producing a value (NULL encodes SQL UNKNOWN for boolean
-// expressions).
-func eval(e sqlparser.Expr, s *scope) (sqlval.Value, error) {
-	switch ex := e.(type) {
-	case *sqlparser.Literal:
-		return ex.Val, nil
-	case *sqlparser.ColRef:
-		return s.lookup(ex.Qualifier, ex.Name)
-	case *sqlparser.BinExpr:
-		return evalBin(ex, s)
-	case *sqlparser.UnaryExpr:
-		return evalUnary(ex, s)
-	case *sqlparser.IsNull:
-		v, err := eval(ex.E, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if ex.Not {
-			return sqlval.NewBool(!v.IsNull()), nil
-		}
-		return sqlval.NewBool(v.IsNull()), nil
-	case *sqlparser.InList:
-		return evalIn(ex, s)
-	case *sqlparser.Between:
-		return evalBetween(ex, s)
-	case *sqlparser.FuncCall:
-		if isAggregate(ex.Name) {
-			if s.Aggs == nil {
-				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s outside grouping context", ex.Name)
-			}
-			v, ok := s.Aggs[ex.SQL()]
-			if !ok {
-				return sqlval.Null, fmt.Errorf("sqlexec: aggregate %s not computed", ex.SQL())
-			}
-			return v, nil
-		}
-		return evalScalarFunc(ex, s)
-	case *sqlparser.CaseExpr:
-		return evalCase(ex, s)
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: unsupported expression %T", e)
-	}
-}
-
-// evalBool evaluates e as a predicate with 3VL: NULL ⇒ Unknown. Like eval,
-// it serves only the parity suite's oracle.
-func evalBool(e sqlparser.Expr, s *scope) (sqlval.Tri, error) {
-	v, err := eval(e, s)
-	if err != nil {
-		return sqlval.Unknown, err
-	}
-	if v.IsNull() {
-		return sqlval.Unknown, nil
-	}
-	b, err := sqlval.Coerce(v, sqlval.TypeBool)
-	if err != nil {
-		return sqlval.Unknown, fmt.Errorf("sqlexec: predicate is not boolean: %w", err)
-	}
-	return sqlval.TriOf(b.Bool()), nil
-}
-
-func evalBin(ex *sqlparser.BinExpr, s *scope) (sqlval.Value, error) {
-	switch ex.Op {
-	case sqlparser.OpAnd, sqlparser.OpOr:
-		l, err := evalBool(ex.L, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		r, err := evalBool(ex.R, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if ex.Op == sqlparser.OpAnd {
-			return l.And(r).Value(), nil
-		}
-		return l.Or(r).Value(), nil
-	}
-
-	l, err := eval(ex.L, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	r, err := eval(ex.R, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-
-	switch ex.Op {
-	case sqlparser.OpEq, sqlparser.OpNe, sqlparser.OpLt, sqlparser.OpLe, sqlparser.OpGt, sqlparser.OpGe:
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil // UNKNOWN
-		}
-		c, err := sqlval.Compare(l, r)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		switch ex.Op {
-		case sqlparser.OpEq:
-			return sqlval.NewBool(c == 0), nil
-		case sqlparser.OpNe:
-			return sqlval.NewBool(c != 0), nil
-		case sqlparser.OpLt:
-			return sqlval.NewBool(c < 0), nil
-		case sqlparser.OpLe:
-			return sqlval.NewBool(c <= 0), nil
-		case sqlparser.OpGt:
-			return sqlval.NewBool(c > 0), nil
-		default:
-			return sqlval.NewBool(c >= 0), nil
-		}
-	case sqlparser.OpAdd, sqlparser.OpSub, sqlparser.OpMul, sqlparser.OpDiv, sqlparser.OpMod:
-		return evalArith(ex.Op, l, r)
-	case sqlparser.OpConcat:
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		return sqlval.NewString(l.String() + r.String()), nil
-	case sqlparser.OpLike:
-		if l.IsNull() || r.IsNull() {
-			return sqlval.Null, nil
-		}
-		if l.Type() != sqlval.TypeString || r.Type() != sqlval.TypeString {
-			return sqlval.Null, fmt.Errorf("sqlexec: LIKE requires text operands")
-		}
-		return sqlval.NewBool(likeMatch(l.Str(), r.Str())), nil
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: unsupported operator %v", ex.Op)
-	}
 }
 
 // errIntRange is the error of INTEGER arithmetic whose exact result does
@@ -316,151 +156,6 @@ func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) 
 	}
 }
 
-func evalUnary(ex *sqlparser.UnaryExpr, s *scope) (sqlval.Value, error) {
-	switch ex.Op {
-	case "NOT":
-		t, err := evalBool(ex.E, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		return t.Not().Value(), nil
-	case "-":
-		v, err := eval(ex.E, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		return negate(v)
-	default:
-		return sqlval.Null, fmt.Errorf("sqlexec: unknown unary operator %q", ex.Op)
-	}
-}
-
-func evalIn(ex *sqlparser.InList, s *scope) (sqlval.Value, error) {
-	v, err := eval(ex.E, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	if v.IsNull() {
-		return sqlval.Null, nil
-	}
-	sawNull := false
-	for _, le := range ex.List {
-		lv, err := eval(le, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		if lv.IsNull() {
-			sawNull = true
-			continue
-		}
-		if c, err := sqlval.Compare(v, lv); err == nil && c == 0 {
-			return sqlval.NewBool(!ex.Not), nil
-		}
-	}
-	if sawNull {
-		return sqlval.Null, nil // UNKNOWN per SQL semantics
-	}
-	return sqlval.NewBool(ex.Not), nil
-}
-
-func evalBetween(ex *sqlparser.Between, s *scope) (sqlval.Value, error) {
-	v, err := eval(ex.E, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	lo, err := eval(ex.Lo, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	hi, err := eval(ex.Hi, s)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	if v.IsNull() || lo.IsNull() || hi.IsNull() {
-		return sqlval.Null, nil
-	}
-	c1, err := sqlval.Compare(v, lo)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	c2, err := sqlval.Compare(v, hi)
-	if err != nil {
-		return sqlval.Null, err
-	}
-	in := c1 >= 0 && c2 <= 0
-	if ex.Not {
-		in = !in
-	}
-	return sqlval.NewBool(in), nil
-}
-
-func evalCase(ex *sqlparser.CaseExpr, s *scope) (sqlval.Value, error) {
-	if ex.Operand != nil {
-		op, err := eval(ex.Operand, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		for _, w := range ex.Whens {
-			wv, err := eval(w.Cond, s)
-			if err != nil {
-				return sqlval.Null, err
-			}
-			if !op.IsNull() && !wv.IsNull() {
-				if c, err := sqlval.Compare(op, wv); err == nil && c == 0 {
-					return eval(w.Then, s)
-				}
-			}
-		}
-	} else {
-		for _, w := range ex.Whens {
-			t, err := evalBool(w.Cond, s)
-			if err != nil {
-				return sqlval.Null, err
-			}
-			if t == sqlval.True {
-				return eval(w.Then, s)
-			}
-		}
-	}
-	if ex.Else != nil {
-		return eval(ex.Else, s)
-	}
-	return sqlval.Null, nil
-}
-
-// likeMatch implements SQL LIKE: '%' matches any run, '_' one character.
-// It is the parity suite's oracle for the compiled matcher (like.go): its
-// backtracking takes time exponential in the number of '%' runs, so no
-// production path calls it.
-func likeMatch(s, pattern string) bool {
-	return likeRec(s, pattern)
-}
-
-func likeRec(s, p string) bool {
-	if p == "" {
-		return s == ""
-	}
-	switch p[0] {
-	case '%':
-		for i := 0; i <= len(s); i++ {
-			if likeRec(s[i:], p[1:]) {
-				return true
-			}
-		}
-		return false
-	case '_':
-		if s == "" {
-			return false
-		}
-		return likeRec(s[1:], p[1:])
-	default:
-		if s == "" || s[0] != p[0] {
-			return false
-		}
-		return likeRec(s[1:], p[1:])
-	}
-}
-
 // isAggregate reports whether the (upper-cased) function name is an
 // aggregate.
 func isAggregate(name string) bool {
@@ -485,21 +180,9 @@ func aggregateCalls(out []*sqlparser.FuncCall, e sqlparser.Expr) []*sqlparser.Fu
 	return out
 }
 
-func evalScalarFunc(ex *sqlparser.FuncCall, s *scope) (sqlval.Value, error) {
-	args := make([]sqlval.Value, len(ex.Args))
-	for i, a := range ex.Args {
-		v, err := eval(a, s)
-		if err != nil {
-			return sqlval.Null, err
-		}
-		args[i] = v
-	}
-	return applyScalarFunc(ex.Name, args)
-}
-
 // applyScalarFunc applies a scalar function to already-evaluated
-// arguments. Shared by the interpreter and the compiled executor; name and
-// arity validation happens here, at evaluation time, in both paths.
+// arguments (cFunc). Name and arity validation happens here, at
+// evaluation time.
 func applyScalarFunc(name string, args []sqlval.Value) (sqlval.Value, error) {
 	need := func(n int) error {
 		if len(args) != n {
@@ -674,8 +357,8 @@ type aggState struct {
 	count int64
 	// (sumHi, sumLo) is the exact INTEGER sum as a two's-complement
 	// 128-bit pair: additions commute exactly, so every accumulation
-	// order — serial, morsel-parallel, the interpreter — ends at the same
-	// sum, and only a final sum outside int64 is an error.
+	// order — serial or morsel-parallel — ends at the same sum, and only a
+	// final sum outside int64 is an error.
 	sumHi  int64
 	sumLo  uint64
 	isInt  bool
@@ -700,10 +383,9 @@ type aggState struct {
 	dvals   map[string]distinctVal
 
 	// stamp is the arrival position of the value being added; minAt/maxAt
-	// record the stamp that last changed min/max. The interpreter leaves
-	// stamps zero; the compiled paths set them so that the parallel merge
-	// reproduces the serial first-among-equals MIN/MAX tie behaviour and
-	// the morsel-ordered float reduction.
+	// record the stamp that last changed min/max. The parallel merge
+	// compares stamps to reproduce the serial first-among-equals MIN/MAX
+	// tie behaviour and the morsel-ordered float reduction.
 	stamp, minAt, maxAt int64
 }
 
@@ -720,23 +402,6 @@ func newAggState(call *sqlparser.FuncCall, collect bool) *aggState {
 		st.seen = map[string]struct{}{}
 	}
 	return st
-}
-
-// add evaluates the aggregate's argument with the reference evaluator; it
-// serves only the parity suite's oracle (compiled paths call addValue).
-func (a *aggState) add(s *scope) error {
-	if a.call.Star { // COUNT(*)
-		a.count++
-		return nil
-	}
-	if len(a.call.Args) != 1 {
-		return fmt.Errorf("sqlexec: %s expects one argument", a.call.Name)
-	}
-	v, err := eval(a.call.Args[0], s)
-	if err != nil {
-		return err
-	}
-	return a.addValue(v)
 }
 
 // addValue accumulates one already-evaluated argument value.

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"crosse/internal/oracle"
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlval"
 )
@@ -17,6 +18,52 @@ func evalConst(t *testing.T, expr string) sqlval.Value {
 	db := sqldb.NewDatabase()
 	r := mustExec(t, db, "SELECT "+expr)
 	return r.Rows[0][0]
+}
+
+// typedRows renders rows as "TYPE value" cells, a NULL as NULL, cells
+// joined by "|" and rows by ";".
+func typedRows(rows [][]sqlval.Value) string {
+	var out []string
+	for _, row := range rows {
+		var cells []string
+		for _, v := range row {
+			if v.IsNull() {
+				cells = append(cells, "NULL")
+			} else {
+				cells = append(cells, v.Type().String()+" "+v.String())
+			}
+		}
+		out = append(out, strings.Join(cells, "|"))
+	}
+	return strings.Join(out, ";")
+}
+
+// pin checks q's answer against a hand-computed want — its rows rendered
+// by typedRows, or the executor's error text — on the executor, serially
+// and on the morsel path, and on the oracle. The oracle words its errors
+// its own way, so where want is an error it is held only to failing.
+func pin(t *testing.T, db *sqldb.Database, q, want string) {
+	t.Helper()
+	for _, par := range []int{1, 4} {
+		res, err := ExecOpts(db, q, Options{Parallelism: par})
+		got := fmt.Sprint(err)
+		if err == nil {
+			got = typedRows(res.Rows)
+		}
+		if got != want {
+			t.Errorf("%s (parallelism %d) = %s, want %s", q, par, got, want)
+		}
+	}
+	wantErr := strings.HasPrefix(want, "sqlexec: ") || strings.HasPrefix(want, "sqlval: ")
+	ans, err := oracle.SQL(db, mustParseSelect(t, q))
+	switch {
+	case wantErr || err != nil:
+		if (err != nil) != wantErr {
+			t.Errorf("%s: oracle error %v, want %s", q, err, want)
+		}
+	case typedRows(ans.Rows) != want:
+		t.Errorf("%s: oracle = %s, want %s", q, typedRows(ans.Rows), want)
+	}
 }
 
 func evalConstErr(t *testing.T, expr string) error {
@@ -116,48 +163,40 @@ func TestArithmeticEdgeCases(t *testing.T) {
 	if got, want := rowsAsStrings(r), []string{"-1|-1.5|-8|2", "1|0|3|0.13", "1|-0.5|-3|2"}; !slices.Equal(got, want) {
 		t.Errorf("per-row %%, ROUND: %v, want %v", got, want)
 	}
-	for _, expr := range []string{`1/0`, `1%0`, `1.0/0`, `'a' + 1`, `TRUE * 2`, `-'text'`} {
+	for _, expr := range []string{`'a' + 1`, `TRUE * 2`, `-'text'`} {
 		if err := evalConstErr(t, expr); err == nil {
 			t.Errorf("%s should fail", expr)
 		}
 	}
 	// INTEGER arithmetic never wraps: every result outside int64 is an
-	// error, in the compiled path and in the reference interpreter alike.
-	for _, expr := range []string{
-		`9223372036854775807 + 1`,
-		`-9223372036854775807 - 2`,
-		`4611686018427387904 * 2`,
-		`-1 * (-9223372036854775807 - 1)`,
-		`-(-9223372036854775807 - 1)`,
-		`(-9223372036854775807 - 1) / -1`,
-		`ABS(-9223372036854775807 - 1)`,
+	// error, in the compiled path and in the oracle alike, and the edges
+	// themselves are representable.
+	const outOfRange = "sqlexec: integer out of range"
+	for _, c := range []struct{ q, want string }{
+		{`SELECT 9223372036854775807 + 1`, outOfRange},
+		{`SELECT -9223372036854775807 - 2`, outOfRange},
+		{`SELECT 4611686018427387904 * 2`, outOfRange},
+		{`SELECT 3037000500 * 3037000500`, outOfRange},
+		{`SELECT -1 * (-9223372036854775807 - 1)`, outOfRange},
+		{`SELECT -(-9223372036854775807 - 1)`, outOfRange},
+		{`SELECT (-9223372036854775807 - 1) / -1`, outOfRange},
+		{`SELECT ABS(-9223372036854775807 - 1)`, outOfRange},
+		{`SELECT 9223372036854775806 + 1`, "INTEGER 9223372036854775807"},
+		{`SELECT -9223372036854775807 - 1`, "INTEGER -9223372036854775808"},
+		{`SELECT -9223372036854775807`, "INTEGER -9223372036854775807"},
+		{`SELECT (-9223372036854775807 - 1) % -1`, "INTEGER 0"},
+		{`SELECT ABS(-9223372036854775807)`, "INTEGER 9223372036854775807"},
+		{`SELECT 3037000499 * 3037000499`, "INTEGER 9223372030926249001"},
+		{`SELECT 9223372036854775807 + 1.0`, "DOUBLE 9.223372036854776e+18"},
 	} {
-		const want = "sqlexec: integer out of range"
-		if err := evalConstErr(t, expr); err == nil || err.Error() != want {
-			t.Errorf("%s: err = %v, want %q", expr, err, want)
-		}
-		if _, err := evalSelectInterp(db, mustParseSelect(t, "SELECT "+expr)); err == nil || err.Error() != want {
-			t.Errorf("%s: interpreter err = %v, want %q", expr, err, want)
-		}
-	}
-	// The edges themselves are representable.
-	for _, c := range []struct{ expr, want string }{
-		{`9223372036854775806 + 1`, "9223372036854775807"},
-		{`-9223372036854775807 - 1`, "-9223372036854775808"},
-		{`(-9223372036854775807 - 1) % -1`, "0"},
-		{`ABS(-9223372036854775807)`, "9223372036854775807"},
-		{`3037000499 * 3037000499`, "9223372030926249001"},
-	} {
-		if got := evalConst(t, c.expr).String(); got != c.want {
-			t.Errorf("%s = %q, want %q", c.expr, got, c.want)
-		}
+		pin(t, db, c.q, c.want)
 	}
 }
 
 // Integer arguments — LIMIT, OFFSET, ROUND's scale, SUBSTR's start and
 // length — take their value through the INTEGER coercion: an integral
 // DOUBLE or a numeric string works, anything else is an error, never a
-// zero read from the wrong payload. The interpreter agrees on LIMIT and
+// zero read from the wrong payload. The oracle agrees on LIMIT and
 // OFFSET.
 func TestIntegerArgumentsCoerce(t *testing.T) {
 	for _, c := range []struct{ expr, want string }{
@@ -200,9 +239,9 @@ func TestIntegerArgumentsCoerce(t *testing.T) {
 		if n := len(mustExec(t, db, c.q).Rows); n != c.rows {
 			t.Errorf("%s: %d rows, want %d", c.q, n, c.rows)
 		}
-		ref, err := evalSelectInterp(db, mustParseSelect(t, c.q))
+		ref, err := oracle.SQL(db, mustParseSelect(t, c.q))
 		if err != nil || len(ref.Rows) != c.rows {
-			t.Errorf("%s: interpreter rows=%v err=%v, want %d", c.q, ref, err, c.rows)
+			t.Errorf("%s: oracle answer=%v err=%v, want %d rows", c.q, ref, err, c.rows)
 		}
 	}
 	for _, q := range []string{
@@ -214,8 +253,8 @@ func TestIntegerArgumentsCoerce(t *testing.T) {
 		if _, err := Exec(db, q); err == nil {
 			t.Errorf("%s should fail", q)
 		}
-		if _, err := evalSelectInterp(db, mustParseSelect(t, q)); err == nil {
-			t.Errorf("%s: interpreter should fail", q)
+		if _, err := oracle.SQL(db, mustParseSelect(t, q)); err == nil {
+			t.Errorf("%s: the oracle should fail", q)
 		}
 	}
 }
@@ -299,8 +338,8 @@ func TestSumDistinct(t *testing.T) {
 
 // TestIntegerSumExact pins INTEGER SUM: it accumulates exactly, whatever
 // the order of its additions, and fails only when the final sum leaves
-// int64 — on the serial and the morsel-parallel paths and in the
-// interpreter alike. Zero rows between the extremes put them in different
+// int64 — on the serial and the morsel-parallel paths and in the oracle
+// alike. Zero rows between the extremes put them in different
 // morsels, so the parallel path merges partial sums.
 func TestIntegerSumExact(t *testing.T) {
 	forceParallel(t)
@@ -314,35 +353,13 @@ func TestIntegerSumExact(t *testing.T) {
 			}
 		}
 	}
-	cases := []struct {
-		q    string
-		want string // the sum, or the error
-	}{
+	for _, tc := range []struct{ q, want string }{
 		{`SELECT SUM(x) FROM t WHERE x > 0`, "sqlexec: integer out of range"},
 		{`SELECT SUM(x) FROM t WHERE x < 0`, "sqlexec: integer out of range"},
-		{`SELECT SUM(x) FROM t WHERE x >= -9223372036854775807`, fmt.Sprint(int64(math.MaxInt64))},
-		{`SELECT SUM(x) FROM t`, "-1"},
-	}
-	for _, tc := range cases {
-		sel := mustParseSelect(t, tc.q)
-		res, err := evalSelectInterp(db, sel)
-		results := map[string]*Result{"interpreter": res}
-		errs := map[string]error{"interpreter": err}
-		for _, par := range []int{1, 4} {
-			name := fmt.Sprintf("parallelism=%d", par)
-			results[name], errs[name] = EvalSelectOpts(db, sel, Options{Parallelism: par})
-		}
-		for name, res := range results {
-			got := ""
-			if err := errs[name]; err != nil {
-				got = err.Error()
-			} else {
-				got = res.Rows[0][0].String()
-			}
-			if got != tc.want {
-				t.Errorf("%s, %s: got %s, want %s", tc.q, name, got, tc.want)
-			}
-		}
+		{`SELECT SUM(x) FROM t WHERE x >= -9223372036854775807`, fmt.Sprint("INTEGER ", int64(math.MaxInt64))},
+		{`SELECT SUM(x) FROM t`, "INTEGER -1"},
+	} {
+		pin(t, db, tc.q, tc.want)
 	}
 }
 
@@ -408,5 +425,100 @@ func TestUnknownFromAndStar(t *testing.T) {
 	}
 	if _, err := Exec(db, `SELECT * `); err == nil {
 		t.Error("bare star without FROM must fail")
+	}
+}
+
+// TestSemanticsPinnedByHand pins, by hand-computed answers, the value
+// rules internal/oracle writes out again on its own: the same table runs
+// against the executor (serially and on the morsel path) and the oracle,
+// so a rule both got wrong the same way would still fail here. Where the
+// dialect deviates from PostgreSQL the case says so.
+func TestSemanticsPinnedByHand(t *testing.T) {
+	forceParallel(t)
+	db := sqldb.NewDatabase()
+	mustExec(t, db, `CREATE TABLE agg (g INT, x INT, y DOUBLE)`)
+	mustExec(t, db, `INSERT INTO agg VALUES (1, NULL, NULL), (1, NULL, NULL),
+		(2, 1, 0.5), (2, 1, 0.25), (2, NULL, NULL), (2, 2, 0.25)`)
+	const divZero = "sqlexec: division by zero"
+	for _, c := range []struct{ q, want string }{
+		// SUBSTR counts 1-based bytes. Dialect: PostgreSQL counts positions
+		// before 1 against the length (SUBSTR('abcdef', 0, 2) is 'a',
+		// SUBSTR('abcdef', -3, 5) is 'a') and rejects a negative length;
+		// here a start before 1 reads as 1 and a negative length as 0.
+		{`SELECT SUBSTR('abcdef', 0)`, "TEXT abcdef"},
+		{`SELECT SUBSTR('abcdef', 0, 2)`, "TEXT ab"},
+		{`SELECT SUBSTR('abcdef', -3, 5)`, "TEXT abcde"},
+		{`SELECT SUBSTR('abcdef', 4, 100)`, "TEXT def"},
+		{`SELECT SUBSTR('abcdef', 6, 1)`, "TEXT f"},
+		{`SELECT SUBSTR('abcdef', 7)`, "TEXT "},
+		{`SELECT SUBSTR('abcdef', 2, 0)`, "TEXT "},
+		{`SELECT SUBSTR('abcdef', 2, -1)`, "TEXT "},
+		{`SELECT SUBSTR(NULL, 1)`, "NULL"},
+		{`SELECT SUBSTR('abc', NULL)`, "NULL"},
+		{`SELECT SUBSTR('abc', 1, NULL)`, "NULL"},
+		// LENGTH, TRIM, NULLIF and COALESCE with NULLs. Dialect: LENGTH
+		// counts bytes (PostgreSQL: characters), TRIM strips all white
+		// space (PostgreSQL: spaces), and NULLIF of incomparable values
+		// returns the first (PostgreSQL: a type error).
+		{`SELECT LENGTH(NULL)`, "NULL"},
+		{`SELECT LENGTH('')`, "INTEGER 0"},
+		{`SELECT LENGTH('héllo')`, "INTEGER 6"},
+		{`SELECT TRIM(NULL)`, "NULL"},
+		{`SELECT TRIM('   ')`, "TEXT "},
+		{`SELECT TRIM(' a b ')`, "TEXT a b"},
+		{`SELECT NULLIF(NULL, 1)`, "NULL"},
+		{`SELECT NULLIF(1, NULL)`, "INTEGER 1"},
+		{`SELECT NULLIF(NULL, NULL)`, "NULL"},
+		{`SELECT NULLIF(2, 2.0)`, "NULL"},
+		{`SELECT NULLIF(2, 3)`, "INTEGER 2"},
+		{`SELECT NULLIF(1, 'a')`, "INTEGER 1"},
+		{`SELECT COALESCE(NULL, NULL)`, "NULL"},
+		{`SELECT COALESCE(NULL, 2, 3)`, "INTEGER 2"},
+		{`SELECT COALESCE(NULL, 'x', NULL)`, "TEXT x"},
+		// CONCAT skips a NULL, || yields NULL. Dialect: a BOOLEAN renders
+		// as true / false (PostgreSQL: t / f).
+		{`SELECT CONCAT('a', NULL, 'b')`, "TEXT ab"},
+		{`SELECT CONCAT(NULL)`, "TEXT "},
+		{`SELECT CONCAT(1, 2.5, TRUE)`, "TEXT 12.5true"},
+		{`SELECT 'a' || NULL`, "NULL"},
+		{`SELECT NULL || NULL`, "NULL"},
+		{`SELECT 1 || 'a'`, "TEXT 1a"},
+		// Division by zero fails for both types; / truncates toward zero.
+		// (The int64 edges of + - * /, unary minus and ABS are in
+		// TestArithmeticEdgeCases.)
+		{`SELECT 1 / 0`, divZero},
+		{`SELECT 1 % 0`, divZero},
+		{`SELECT 1.0 / 0`, divZero},
+		{`SELECT 1 / 0.0`, divZero},
+		{`SELECT 2.5 % 0.0`, divZero},
+		{`SELECT -7 / 2`, "INTEGER -3"},
+		{`SELECT 7 / -2`, "INTEGER -3"},
+		{`SELECT 7.0 / 2`, "DOUBLE 3.5"},
+		{`SELECT NULL / 0`, "NULL"},
+		// DOUBLE arithmetic, and INTEGER with DOUBLE, is IEEE 754. Dialect:
+		// PostgreSQL reports a DOUBLE overflow as an error.
+		{`SELECT 2.5 + -1.0`, "DOUBLE 1.5"},
+		{`SELECT 1 - 2.5`, "DOUBLE -1.5"},
+		{`SELECT -1.5 * 2`, "DOUBLE -3"},
+		{`SELECT -7.5 % 2`, "DOUBLE -1.5"},
+		{`SELECT ABS(-0.0)`, "DOUBLE 0"},
+		{`SELECT 1e308 * 10`, "DOUBLE +Inf"},
+		{`SELECT 1e308 * 10 - 1e308 * 10`, "DOUBLE NaN"},
+		// Aggregates over an empty and an all-NULL group: COUNT is 0, the
+		// rest NULL; GROUP BY over no rows has no group at all.
+		{`SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), SUM(y) FROM agg WHERE g = 9`,
+			"INTEGER 0|INTEGER 0|NULL|NULL|NULL|NULL|NULL"},
+		{`SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), SUM(y) FROM agg WHERE g = 1`,
+			"INTEGER 2|INTEGER 0|NULL|NULL|NULL|NULL|NULL"},
+		{`SELECT g, COUNT(*) FROM agg WHERE g = 9 GROUP BY g`, ""},
+		{`SELECT g, COUNT(x), SUM(x), AVG(x), MIN(y), MAX(y), SUM(y) FROM agg GROUP BY g ORDER BY g`,
+			"INTEGER 1|INTEGER 0|NULL|NULL|NULL|NULL|NULL;" +
+				"INTEGER 2|INTEGER 3|INTEGER 4|DOUBLE 1.3333333333333333|DOUBLE 0.25|DOUBLE 0.5|DOUBLE 1"},
+		// DISTINCT aggregates skip NULLs and count each value once.
+		{`SELECT COUNT(DISTINCT x), SUM(DISTINCT x), AVG(DISTINCT x), COUNT(DISTINCT y), SUM(DISTINCT y) FROM agg`,
+			"INTEGER 2|INTEGER 3|DOUBLE 1.5|INTEGER 2|DOUBLE 0.75"},
+		{`SELECT COUNT(DISTINCT x) FROM agg WHERE g = 1`, "INTEGER 0"},
+	} {
+		pin(t, db, c.q, c.want)
 	}
 }

@@ -10,8 +10,9 @@ import "strings"
 // time linear in the input per segment. Segments without '_' search with
 // strings.Index. A constant pattern lowers once per plan (cLikeConst); a
 // pattern computed per row lowers per row (cLikeDyn). Semantics are
-// byte-oriented and agree with the reference likeMatch, the parity
-// suite's backtracking oracle.
+// byte-oriented ('_' matches one byte) with no escape character; the LIKE
+// tests check the matcher against internal/oracle's dynamic-programming
+// matcher.
 
 // likeMatcher is an immutable compiled LIKE pattern.
 type likeMatcher struct {

@@ -83,13 +83,13 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q serial: %v", text, err)
 		}
-		want := strings.Join(renderRows(base), "\n")
+		want := strings.Join(renderRows(base.Rows), "\n")
 		for _, par := range []int{2, 4} {
 			got, err := EvalSelectOpts(db, sel, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("%q parallelism %d: %v", text, par, err)
 			}
-			if g := strings.Join(renderRows(got), "\n"); g != want {
+			if g := strings.Join(renderRows(got.Rows), "\n"); g != want {
 				t.Fatalf("%q: parallelism %d diverges from serial\nserial:\n%s\nparallel:\n%s",
 					text, par, want, g)
 			}
@@ -259,7 +259,7 @@ func TestOnePipelineBothDrivers(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want := strings.Join(renderRows(base), "\n")
+			want := strings.Join(renderRows(base.Rows), "\n")
 			for _, par := range []int{2, 4} {
 				got, err := EvalSelectOpts(db, sel, Options{Parallelism: par})
 				if err != nil {
@@ -268,7 +268,7 @@ func TestOnePipelineBothDrivers(t *testing.T) {
 				if got.ParallelFallback != "" {
 					t.Fatalf("%q parallelism %d: fell back (%q)", text, par, got.ParallelFallback)
 				}
-				if g := strings.Join(renderRows(got), "\n"); g != want {
+				if g := strings.Join(renderRows(got.Rows), "\n"); g != want {
 					t.Fatalf("%q: parallelism %d diverges from serial\nserial:\n%s\nparallel:\n%s", text, par, want, g)
 				}
 			}

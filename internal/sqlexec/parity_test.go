@@ -1,7 +1,7 @@
 package sqlexec
 
 // parity_test.go — pins the compiled streaming pipeline (compile.go /
-// run.go) to the reference interpreter's semantics (interp.go). Randomised
+// run.go) to the semantics of the oracle (internal/oracle). Randomised
 // SELECTs — joins (inner/left/comma), NULLs, LIKE, DISTINCT, ORDER
 // BY/LIMIT/OFFSET, grouping and aggregates — are evaluated both ways,
 // under every planner-option combination (hash joins and index pushdown on
@@ -15,6 +15,7 @@ import (
 	"strings"
 	"testing"
 
+	"crosse/internal/oracle"
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
@@ -23,6 +24,12 @@ import (
 // parityDB builds two tables with NULLs sprinkled through every nullable
 // column; t1.id is an indexed PRIMARY KEY and t2.k carries a secondary
 // index, so equality pushdown has something to seek.
+//
+// Every DOUBLE is dyadic and small (a multiple of 1/4 below 20), so every
+// SUM and AVG over them is exact in float64: the oracle's exactly rounded
+// sum and the executor's compensated per-morsel fold then agree bit for
+// bit. Keep the fixtures dyadic; a decimal like 0.1 would make the two
+// round differently and the comparison meaningless.
 func parityDB(t *testing.T, rng *rand.Rand, n1, n2 int) *sqldb.Database {
 	t.Helper()
 	db := sqldb.NewDatabase()
@@ -58,7 +65,7 @@ func parityDB(t *testing.T, rng *rand.Rand, n1, n2 int) *sqldb.Database {
 	for i := 0; i < n2; i++ {
 		// t2.id is unique (though not declared so): ORDER BY chains ending
 		// in x.id, y.id are then total orders over join results, making
-		// ordered comparisons against the interpreter exact.
+		// ordered comparisons against the oracle exact.
 		row := []sqlval.Value{
 			sqlval.NewInt(int64(i)),
 			sqlval.NewString(fmt.Sprintf("s%d", rng.Intn(6))),
@@ -79,7 +86,7 @@ func parityDB(t *testing.T, rng *rand.Rand, n1, n2 int) *sqldb.Database {
 
 // genSelect produces a random SELECT over t1 (alias x) and optionally t2
 // (alias y). Predicates are type-safe (errors would otherwise diverge
-// between the lazy interpreter and the early-stopping pipeline), and
+// between the materialising oracle and the early-stopping pipeline), and
 // ORDER BY always ends with the unique x.id when a LIMIT rides along, so
 // the expected prefix is deterministic.
 func genSelect(rng *rand.Rand) string {
@@ -211,9 +218,9 @@ func genSelect(rng *rand.Rand) string {
 	return b.String()
 }
 
-func renderRows(res *Result) []string {
-	out := make([]string, len(res.Rows))
-	for i, row := range res.Rows {
+func renderRows(rows [][]sqlval.Value) []string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
 		parts := make([]string, len(row))
 		for j, v := range row {
 			parts[j] = fmt.Sprintf("%d:%s", v.Type(), v.String())
@@ -247,11 +254,11 @@ func forceParallel(t *testing.T) {
 }
 
 // TestCompiledMatchesInterpreter is the parity property: for every
-// generated query, the compiled pipeline agrees with the interpreter under
+// generated query, the compiled pipeline agrees with the oracle under
 // every option combination — exact row sequence when the query orders by a
 // unique key chain, multiset equality otherwise (SQL leaves that order
 // unspecified, and the executor's build-side choice may legitimately
-// differ from the interpreter's nesting).
+// differ from the oracle's nesting).
 func TestCompiledMatchesInterpreter(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(41))
@@ -265,13 +272,13 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			}
 			sel := st.(*sqlparser.Select)
 
-			want, wantErr := evalSelectInterp(db, sel)
+			want, wantErr := oracle.SQL(db, sel)
 			ordered := len(sel.OrderBy) > 0
 
 			for _, opts := range parityOptions {
 				got, gotErr := EvalSelectOpts(db, sel, opts)
 				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("%q opts=%+v: interp err=%v compiled err=%v", text, opts, wantErr, gotErr)
+					t.Fatalf("%q opts=%+v: oracle err=%v compiled err=%v", text, opts, wantErr, gotErr)
 				}
 				if wantErr != nil {
 					continue
@@ -279,14 +286,14 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 				if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
 					t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
 				}
-				wr, gr := renderRows(want), renderRows(got)
+				wr, gr := renderRows(want.Rows), renderRows(got.Rows)
 				if sel.Limit == nil && sel.Offset == nil {
 					if strings.Join(sortedCopy(wr), "\n") != strings.Join(sortedCopy(gr), "\n") {
-						t.Fatalf("%q opts=%+v:\ninterp:\n%s\ncompiled:\n%s",
+						t.Fatalf("%q opts=%+v:\noracle:\n%s\ncompiled:\n%s",
 							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 					}
 					if ordered && strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-						t.Fatalf("%q opts=%+v: ordered sequences differ\ninterp:\n%s\ncompiled:\n%s",
+						t.Fatalf("%q opts=%+v: ordered sequences differ\noracle:\n%s\ncompiled:\n%s",
 							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 					}
 					continue
@@ -297,7 +304,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 					// (unique-key tiebreak) whenever LIMIT rides on ORDER
 					// BY, so the prefix must match exactly.
 					if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-						t.Fatalf("%q opts=%+v: limited sequences differ\ninterp:\n%s\ncompiled:\n%s",
+						t.Fatalf("%q opts=%+v: limited sequences differ\noracle:\n%s\ncompiled:\n%s",
 							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 					}
 					continue
@@ -307,7 +314,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 				// against the unlimited query.
 				noLim := *sel
 				noLim.Limit, noLim.Offset = nil, nil
-				full, err := evalSelectInterp(db, &noLim)
+				full, err := oracle.SQL(db, &noLim)
 				if err != nil {
 					t.Fatalf("%q: unlimited reference failed: %v", text, err)
 				}
@@ -315,7 +322,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 					t.Fatalf("%q opts=%+v: LIMIT row count %d != %d", text, opts, len(gr), len(wr))
 				}
 				pool := map[string]int{}
-				for _, r := range renderRows(full) {
+				for _, r := range renderRows(full.Rows) {
 					pool[r]++
 				}
 				for _, r := range gr {
@@ -329,7 +336,7 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 	}
 }
 
-// TestOrderWindowParity pins the ORDER BY window against the interpreter
+// TestOrderWindowParity pins the ORDER BY window against the oracle
 // on keys with many ties, so the arrival order decides most positions and
 // the sequences must match exactly, at every Parallelism. The LIMIT /
 // OFFSET pairs are sized against the table so that a bounded buffer
@@ -376,11 +383,11 @@ func TestOrderWindowParity(t *testing.T) {
 	for _, shape := range shapes {
 		for _, w := range windows {
 			text := shape + w
-			want := strings.Join(renderRows(mustInterp(t, db, text)), "\n")
+			want := strings.Join(renderRows(mustOracle(t, db, text).Rows), "\n")
 			for _, opts := range parityOptions {
-				got := strings.Join(renderRows(mustExecOpts(t, db, text, opts)), "\n")
+				got := strings.Join(renderRows(mustExecOpts(t, db, text, opts).Rows), "\n")
 				if got != want {
-					t.Fatalf("%q opts=%+v: sequences differ\ninterp:\n%s\ncompiled:\n%s", text, opts, want, got)
+					t.Fatalf("%q opts=%+v: sequences differ\noracle:\n%s\ncompiled:\n%s", text, opts, want, got)
 				}
 			}
 		}
@@ -419,7 +426,7 @@ func TestCompiledOrderStability(t *testing.T) {
 }
 
 // TestIndexSeekMatchesScan checks the pushed-down seeks against the
-// interpreter's scan across value types, including coerced constants (int
+// oracle's scan across value types, including coerced constants (int
 // literal on a float-typed column) and values absent from the index.
 func TestIndexSeekMatchesScan(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
@@ -434,8 +441,8 @@ func TestIndexSeekMatchesScan(t *testing.T) {
 		`SELECT COUNT(*) FROM t1 x, t2 y WHERE x.b = y.k AND y.k = 's2'`,
 	}
 	for _, q := range queries {
-		with := renderRows(mustExec(t, db, q))
-		without := renderRows(mustInterp(t, db, q))
+		with := renderRows(mustExec(t, db, q).Rows)
+		without := renderRows(mustOracle(t, db, q).Rows)
 		if strings.Join(sortedCopy(with), "\n") != strings.Join(sortedCopy(without), "\n") {
 			t.Fatalf("%q: seek=%v scan=%v", q, with, without)
 		}

@@ -4,8 +4,8 @@ package sqlexec
 // swapped first join whose inner side is a local table with a hash index
 // on its join column probes that index once per driving row when the
 // driving rows are few; these tests pin that it pairs exactly the rows the
-// reference interpreter pairs, that it is taken only
-// where it should be, and that it never deadlocks against writers.
+// oracle (internal/oracle) pairs, that it is taken only where it should
+// be, and that it never deadlocks against writers.
 
 import (
 	"fmt"
@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"crosse/internal/oracle"
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlparser"
 	"crosse/internal/sqlval"
@@ -88,11 +89,11 @@ var probeOptions = []Options{
 }
 
 // TestIndexProbeMatchesInterpreter is the probe's parity table. Each query
-// runs under every probeOptions setting and must equal the reference
-// interpreter: as a multiset, and as the exact sequence when it is ordered
-// or when the probe ran — the probe walks driving rows in scan order and
-// each index bucket in row order, as the interpreter's nested loops do.
-// Where the interpreter reports a type error the join never hits (TEXT
+// runs under every probeOptions setting and must equal the oracle: as a
+// multiset, and as the exact sequence when it is ordered or when the probe
+// ran — the probe walks driving rows in scan order and each index bucket
+// in row order, as the oracle's nested loops do.
+// Where the oracle reports a type error the join never hits (TEXT
 // against INTEGER keys), the reference is the empty answer.
 func TestIndexProbeMatchesInterpreter(t *testing.T) {
 	forceParallel(t)
@@ -123,17 +124,17 @@ func TestIndexProbeMatchesInterpreter(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			sel := mustParseSelect(t, tc.q)
-			want, err := evalSelectInterp(db, sel)
+			want, err := oracle.SQL(db, sel)
 			if err != nil {
-				// The interpreter compares a TEXT key with an INTEGER one
+				// The oracle compares a TEXT key with an INTEGER one
 				// and fails. Hash and probe keys never match across type
 				// classes, so no pair joins: the answer is empty.
 				if !strings.Contains(err.Error(), "cannot compare") {
 					t.Fatal(err)
 				}
-				want = &Result{}
+				want = &oracle.Answer{}
 			}
-			wr := renderRows(want)
+			wr := renderRows(want.Rows)
 			for _, opts := range probeOptions {
 				got, err := EvalSelectOpts(db, sel, opts)
 				if err != nil {
@@ -143,7 +144,7 @@ func TestIndexProbeMatchesInterpreter(t *testing.T) {
 				if probed != tc.probe {
 					t.Fatalf("opts=%+v: probed=%v, want %v (fallback %q)", opts, probed, tc.probe, got.ParallelFallback)
 				}
-				gr := renderRows(got)
+				gr := renderRows(got.Rows)
 				ties := strings.Contains(tc.name, "ties")
 				switch {
 				case sel.Limit != nil && len(sel.OrderBy) == 0:
@@ -179,7 +180,7 @@ func checkLimited(t *testing.T, db *sqldb.Database, sel *sqlparser.Select, opts 
 	t.Helper()
 	noLim := *sel
 	noLim.Limit, noLim.Offset = nil, nil
-	full, err := evalSelectInterp(db, &noLim)
+	full, err := oracle.SQL(db, &noLim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +188,7 @@ func checkLimited(t *testing.T, db *sqldb.Database, sel *sqlparser.Select, opts 
 		t.Fatalf("opts=%+v: %d rows, want %d", opts, len(got), n)
 	}
 	pool := map[string]int{}
-	for _, r := range renderRows(full) {
+	for _, r := range renderRows(full.Rows) {
 		pool[r]++
 	}
 	for _, r := range got {
@@ -253,10 +254,10 @@ func TestIndexProbeTakenForSeekDrivenJoin(t *testing.T) {
 		}
 	}
 
-	run := func(q string) (*Result, *Result) {
+	run := func(q string) *Result {
 		t.Helper()
 		sel := mustParseSelect(t, q)
-		want, err := evalSelectInterp(db, sel)
+		want, err := oracle.SQL(db, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,13 +267,13 @@ func TestIndexProbeTakenForSeekDrivenJoin(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if g, w := strings.Join(sortedCopy(renderRows(got)), "\n"), strings.Join(sortedCopy(renderRows(want)), "\n"); g != w {
+		if g, w := strings.Join(sortedCopy(renderRows(got.Rows)), "\n"), strings.Join(sortedCopy(renderRows(want.Rows)), "\n"); g != w {
 			t.Fatalf("%q:\nwant:\n%s\ngot:\n%s", q, w, g)
 		}
-		return got, want
+		return got
 	}
 
-	got, _ := run(`SELECT e.landfill_name, e.elem_name, a.lab_name FROM elem_contained e, analysis a
+	got := run(`SELECT e.landfill_name, e.elem_name, a.lab_name FROM elem_contained e, analysis a
 		WHERE e.landfill_name = 'landfill_0007' AND a.landfill_name = e.landfill_name AND a.purity >= 0.5`)
 	if len(got.Rows) == 0 {
 		t.Fatal("the probe shape returned no rows")
@@ -284,7 +285,7 @@ func TestIndexProbeTakenForSeekDrivenJoin(t *testing.T) {
 	// 2 400 elem_contained rows pass amount < 60 of ≈2 900: far more than
 	// analysis's 400 rows can carry, so the hash path runs.
 	mustExec(t, db, `DELETE FROM elem_contained WHERE amount >= 70`)
-	got, _ = run(`SELECT e.landfill_name, a.lab_name FROM elem_contained e, analysis a
+	got = run(`SELECT e.landfill_name, a.lab_name FROM elem_contained e, analysis a
 		WHERE a.landfill_name = e.landfill_name AND e.amount < 60`)
 	if got.ParallelFallback == "index probe join" {
 		t.Fatal("a large driving side took the probe")

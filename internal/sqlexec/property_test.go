@@ -70,7 +70,7 @@ func TestWhereMatchesGoFilter(t *testing.T) {
 	}
 }
 
-// Property: the hash join agrees with the reference interpreter's nested
+// Property: the hash join agrees with the oracle's nested
 // loops on random data.
 func TestHashJoinEqualsNestedLoop(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -79,10 +79,10 @@ func TestHashJoinEqualsNestedLoop(t *testing.T) {
 		const q = `SELECT COUNT(*) FROM r x, r y WHERE x.b = y.b AND x.a < y.a`
 
 		fast := mustExec(t, db, q).Rows[0][0].Int()
-		slow := mustInterp(t, db, q).Rows[0][0].Int()
+		slow := mustOracle(t, db, q).Rows[0][0].Int()
 
 		if fast != slow {
-			t.Fatalf("trial %d: hash=%d interp=%d", trial, fast, slow)
+			t.Fatalf("trial %d: hash=%d oracle=%d", trial, fast, slow)
 		}
 	}
 }

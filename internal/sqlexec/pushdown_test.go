@@ -91,8 +91,8 @@ func TestComparisonPushdown(t *testing.T) {
 		if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 			t.Fatalf("%s: error %v, want %v", tc.where, gotErr, wantErr)
 		}
-		if gotErr == nil && strings.Join(sortedCopy(renderRows(got)), "\n") != strings.Join(sortedCopy(renderRows(want)), "\n") {
-			t.Fatalf("%s: %v, want %v", tc.where, renderRows(got), renderRows(want))
+		if gotErr == nil && strings.Join(sortedCopy(renderRows(got.Rows)), "\n") != strings.Join(sortedCopy(renderRows(want.Rows)), "\n") {
+			t.Fatalf("%s: %v, want %v", tc.where, renderRows(got.Rows), renderRows(want.Rows))
 		}
 		if tc.sent == "-" {
 			if len(sent) != 0 {

@@ -778,8 +778,7 @@ func (w *windowOut) add(row []sqlval.Value) {
 
 // evalKeys evaluates the ORDER BY keys that no projected column holds
 // into their hidden slots of out. A key resolving against the projected
-// row falls back to the underlying row per row when it errors there, like
-// the interpreter.
+// row falls back to the underlying row per row when it errors there.
 func (s *plainSink) evalKeys(under []sqlval.Value) error {
 	for _, op := range s.p.order {
 		if op.at < len(s.p.items) {
