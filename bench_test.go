@@ -721,9 +721,10 @@ func BenchmarkSQLSelect(b *testing.B) {
 }
 
 // BenchmarkSQLJoin measures the multi-join pipeline: a three-table
-// star-ish join at two sizes, and the
-// 100k-row probe join the parallel-scaling sweep tracks (run with
-// -cpu 1,4,8: the morsel-driven probe should scale near-linearly).
+// star-ish join at two sizes, and the 100k-row join the parallel-scaling
+// sweep tracks (-cpu 1,4,8). Each counts its rows with COUNT(*), so each
+// is an aggregate plan and runs on the serial driver at every
+// Parallelism.
 func BenchmarkSQLJoin(b *testing.B) {
 	const multi = `SELECT COUNT(*) FROM points p JOIN dims d ON p.id = d.id JOIN grps g ON d.grp = g.grp WHERE p.n < 500`
 	big := sqlBenchDB(b, 5000)
@@ -754,10 +755,10 @@ func BenchmarkSQLJoin(b *testing.B) {
 }
 
 // BenchmarkSQLGroupBy and BenchmarkSQLOrderTopK are the other two
-// parallel-scaling families: per-worker aggregation maps merged by
-// commutative accumulators, and per-worker bounded heaps merged into one
-// top-K. Both run over 100k rows so the morsel path engages at its default
-// threshold; compare -cpu 1,4,8.
+// scaling families over 100k rows: a GROUP BY, which runs on the serial
+// driver at every Parallelism, and a top-K, whose per-worker bounded
+// buffers are merged into one window on the morsel path. Compare
+// -cpu 1,4,8.
 func BenchmarkSQLGroupBy(b *testing.B) {
 	db := sqlBenchDB(b, 100000)
 	const q = `SELECT k, COUNT(*), MIN(v), MAX(v) FROM points GROUP BY k`
@@ -782,30 +783,37 @@ func BenchmarkSQLOrderTopK(b *testing.B) {
 	})
 }
 
-// The four families below track the stages parallelised after the initial
-// morsel engine landed (see internal/sqlexec/parallel.go and
-// internal/sparql/parallel.go): partitioned hash-join builds, deterministic
-// SUM/AVG merges, the full final sort (ORDER BY without LIMIT), and SPARQL
-// property-path head fan-out. All clear the engines' parallel thresholds;
-// compare -cpu 1,4,8 — CI guards that 8-core ns/op never regresses past
-// 1-core (cmd/benchjson -guard).
+// The four families below track the stages whose parallel scaling CI
+// guards (see internal/sqlexec/parallel.go and internal/sparql/parallel.go):
+// a plan dominated by its serial hash-join build, a grouped float SUM/AVG
+// (an aggregate plan, which runs on the serial driver at every
+// Parallelism), the full final sort (ORDER BY without LIMIT), and SPARQL
+// property-path head fan-out. Compare -cpu 1,4,8 — CI guards that 8-core
+// ns/op never regresses past 1-core (cmd/benchjson -guard).
 
-// BenchmarkSQLJoinBuildHeavy drives a small scan into a 100k-row build
-// side, so the partitioned parallel hash build dominates the query.
+// BenchmarkSQLJoinBuildHeavy self-joins the 100k-row points table, so the
+// hash build over all 100k rows is a large share of the query. Equal
+// cardinalities keep the join unswapped, so it can never become an index
+// probe, which would build no hash; the benchmark fails if it does.
 func BenchmarkSQLJoinBuildHeavy(b *testing.B) {
 	db := sqlBenchDB(b, 100000)
-	const q = `SELECT COUNT(*) FROM dims d JOIN points p ON d.id = p.id`
+	const q = `SELECT p.id, q.v FROM points p JOIN points q ON p.n = q.id`
 	b.Run("Build100k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := db.Query(q); err != nil {
+			res, err := db.Query(q)
+			if err != nil {
 				b.Fatal(err)
+			}
+			if res.ParallelFallback == "index probe join" {
+				b.Fatal("the join ran as an index probe and built no hash")
 			}
 		}
 	})
 }
 
-// BenchmarkSQLGroupBySum exercises the morsel-structured compensated
-// SUM/AVG merge (bit-identical to serial; see aggState.sumFloat).
+// BenchmarkSQLGroupBySum measures a grouped float SUM/AVG: one
+// Neumaier-compensated accumulator per group, filled in arrival order
+// (see aggState).
 func BenchmarkSQLGroupBySum(b *testing.B) {
 	db := sqlBenchDB(b, 100000)
 	const q = `SELECT k, SUM(v), AVG(v) FROM points GROUP BY k`

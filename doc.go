@@ -158,46 +158,40 @@
 // each worker runs the full compiled pipeline (joins, filters,
 // projection) with private execution state, against shared state frozen
 // before the first worker starts (hash tables and materialised join
-// sides in SQL, the resolved constant table and one read transaction in
-// SPARQL, whose rdf.IDReader probes are pure reads under the transaction
-// lock). In SQL the pipeline body is one function per driving row with
-// two drivers: the serial driver streams the driving scan into it, the
-// parallel driver feeds it materialised morsels; below it both use the
-// same plain sink, grouped sink and side-build routine. SQL heap tables
-// implement sqldb.StableRowScanner — scanned rows are immutable in place,
-// updates replace rows wholesale — so join-side materialisation retains
-// the stored rows zero-copy on both drivers. Output is buffered per morsel (or stamped with its
-// (morsel, sequence) arrival position) and merged in morsel order, which
-// makes the parallel result byte-identical to the serial one: same rows,
-// same order, same ties, same first error.
+// sides in SQL, built serially in join order, the resolved constant table
+// and one read transaction in SPARQL, whose rdf.IDReader probes are pure
+// reads under the transaction lock). In SQL the pipeline body is one
+// function per driving row with two drivers: the serial driver streams
+// the driving scan into it, the parallel driver feeds it materialised
+// morsels; below it both use the same plain sink and side-build routine.
+// SQL heap tables implement sqldb.StableRowScanner — scanned rows are
+// immutable in place, updates replace rows wholesale — so join-side
+// materialisation retains the stored rows zero-copy on both drivers.
+// Output is buffered per morsel (or stamped with its (morsel, sequence)
+// arrival position) and merged in morsel order, which makes the parallel
+// result byte-identical to the serial one: same rows, same order, same
+// ties, same first error.
 //
-// Every parallel reduction follows one rule: workers may compute their
-// partials in any interleaving, but partials FOLD in morsel order, and
-// float folds are Neumaier-compensated — so the reduction is not merely
-// order-insensitive "close enough" arithmetic but reproduces the serial
-// accumulation bit for bit. Under that rule every standard aggregate
-// merges (COUNT/SUM as sums, MIN/MAX with arrival stamps breaking ties,
-// float SUM/AVG as per-morsel compensated partials, DISTINCT aggregates
-// as first-occurrence maps keeping the earliest stamp); hash-join builds
-// partition the build side and merge per-worker bucket maps in morsel
-// order, a scatter and an assemble stage separated by a barrier — which
-// is nothing more than two consecutive exec.Pool.Run calls, since Run
-// returns only when every claimed morsel has finished (with one worker it
-// is an inline loop on the calling goroutine); a SQL ORDER BY with a LIMIT
-// brackets its window in the workers' buffers with a sample, one pass per
-// worker, and selects the window from the rows inside the bracket alone;
-// every other ORDER BY merge — SQL full-sort runs, SPARQL per-morsel
-// buffers, and the serial SPARQL sort as one run — goes through
-// exec.MergeSorted, which sorts the runs concurrently and streams a
-// loser-tree merge (ties to the lower run, the earlier morsel — exactly
-// the serial stable sort) into the result; SPARQL property-path heads materialise the
-// path frontier once and fan the pairs out like any posting list; and a
-// pool built with a LIMIT target cuts the remaining morsels once
-// Pool.Done sees a contiguous completed-morsel prefix holding enough
-// rows. Shapes that still cannot merge exactly fall back to
-// serial — ASK (first match wins), non-mergeable aggregate functions,
-// foreign-table scans, and inputs below the morsel threshold where fan-out costs more than it
-// wins — and every fallback names its reason:
+// Every parallel merge follows one rule: workers may fill their buffers
+// in any interleaving, but the buffers combine in morsel order. A SQL
+// ORDER BY with a LIMIT brackets its window in the workers' buffers with
+// a sample, one pass per worker, and selects the window from the rows
+// inside the bracket alone; every other ORDER BY merge — SQL full-sort
+// runs, SPARQL per-morsel buffers, and the serial SPARQL sort as one run
+// — goes through exec.MergeSorted, which sorts the runs concurrently and
+// streams a loser-tree merge (ties to the lower run, the earlier morsel —
+// exactly the serial stable sort) into the result; SPARQL property-path
+// heads materialise the path frontier once and fan the pairs out like any
+// posting list; and a pool built with a LIMIT target cuts the remaining
+// morsels once Pool.Done sees a contiguous completed-morsel prefix
+// holding enough rows. SQL aggregates are not reduced in parallel: a
+// per-worker aggregation merge and a partitioned hash build each lost to
+// the serial path on every measurement, so an aggregate plan runs on the
+// serial driver, its float SUM/AVG one Neumaier-compensated accumulator
+// filled in arrival order. The shapes that run serially — SQL aggregate
+// plans, ASK (first match wins), foreign-table scans, and inputs below
+// the morsel threshold where fan-out costs more than it wins — each name
+// their reason:
 // sqlexec/sparql Result.ParallelFallback (and sparql's StreamInfo)
 // carry it per query, core.Stats.ParallelFallback aggregates the stages
 // that run a plan ("base-sql: ...", "sparql: ..."; the final stage is a

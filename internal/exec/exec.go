@@ -10,10 +10,10 @@
 // cross-worker synchronisation on the hot path. That merge rule lives here
 // once:
 //
-//   - a barrier between two stages (hash-join scatter → assemble, run sort
-//     → merge) is two consecutive Pool.Run calls, since Run returns only
-//     when every claimed morsel has finished; with one worker Run is an
-//     inline loop on the calling goroutine;
+//   - a barrier between two stages (run sort → merge) is two consecutive
+//     Pool.Run calls, since Run returns only when every claimed morsel has
+//     finished; with one worker Run is an inline loop on the calling
+//     goroutine;
 //   - cancellation is a monotonically decreasing cut index: Cut(m) declares
 //     every morsel with index >= m unneeded (ASK answered, error observed),
 //     and workers poll Cancelled cheaply to stop claiming or abort

@@ -2,6 +2,7 @@ package fdw
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -306,8 +307,11 @@ func (c *Client) Retries() int { return int(c.retries.Load()) }
 // and retries transient transport failures on a fresh session as long as
 // no row has been delivered to onRow (the operations are idempotent reads,
 // but a mid-stream retry would duplicate rows — those surface as
-// ErrInterrupted instead). When the attempts run out with no row
-// delivered it returns a *SourceDownError, whatever the breaker's state.
+// ErrInterrupted instead). When the attempts or the source's
+// RequestTimeout run out with no row delivered it returns a
+// *SourceDownError, whatever the breaker's state; when the caller's
+// context ends first (its deadline, or a cancel), an error wrapping the
+// context's error.
 // The response is nil when onRow stopped early and the drain after it
 // failed.
 func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlval.Value) bool) (*response, error) {
@@ -320,8 +324,11 @@ func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlva
 	if c.cfg.RequestTimeout > 0 {
 		deadline = time.Now().Add(c.cfg.RequestTimeout)
 	}
-	if d, ok := ctx.Deadline(); ok && (deadline.IsZero() || d.Before(deadline)) {
-		deadline = d
+	// callerFirst marks a deadline set by the caller's context rather
+	// than by the source's own RequestTimeout.
+	cd, callerFirst := ctx.Deadline()
+	if callerFirst = callerFirst && (deadline.IsZero() || cd.Before(deadline)); callerFirst {
+		deadline = cd
 	}
 
 	for attempt := 1; ; attempt++ {
@@ -355,24 +362,24 @@ func (c *Client) roundTrip(ctx context.Context, req *request, onRow func([]sqlva
 		if !isTransient(err) {
 			return nil, err
 		}
-		if attempt >= c.cfg.Retry.MaxAttempts {
-			// Every attempt failed in transport and no row was delivered:
-			// the source is down whatever the breaker's count says, so a
-			// partial-results scan skips it as it would behind an open
-			// circuit.
+		// The caller's deadline or cancellation ends the request as the
+		// caller's error; the source's own RequestTimeout, or the last
+		// attempt, failing in transport with no row delivered means the
+		// source is down whatever the breaker's count says, so a
+		// partial-results scan skips it as it would behind an open
+		// circuit.
+		expired := !deadline.IsZero() && !time.Now().Before(deadline)
+		if cerr := ctx.Err(); cerr != nil || expired && callerFirst {
+			return nil, fmt.Errorf("fdw: source %q: %w after %d attempt(s) (last transport error: %v)", c.name, cmp.Or(cerr, context.DeadlineExceeded), attempt, err)
+		}
+		if expired || attempt >= c.cfg.Retry.MaxAttempts {
 			state, _ := c.breaker.State()
 			return nil, &SourceDownError{Source: c.name, State: state, Reason: fmt.Errorf("%d attempt(s) failed: %w", attempt, err)}
 		}
 		// Back off, bounded by the request deadline and the context.
 		d := c.cfg.Retry.delay(attempt)
 		if !deadline.IsZero() {
-			remain := time.Until(deadline)
-			if remain <= 0 {
-				return nil, fmt.Errorf("fdw: source %q: deadline exhausted after %d attempt(s): %w", c.name, attempt, err)
-			}
-			if d > remain {
-				d = remain
-			}
+			d = min(d, time.Until(deadline))
 		}
 		t := time.NewTimer(d)
 		select {

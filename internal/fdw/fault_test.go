@@ -327,27 +327,56 @@ func TestDeadSourceBeforeBreakerOpens(t *testing.T) {
 }
 
 // TestRequestDeadline: a blackholed peer costs one request deadline, not a
-// hang.
+// hang, and the error says whose deadline ran out. The source's own
+// RequestTimeout expiring with no row delivered reports the source down,
+// so a partial-results scan skips it; the caller's context deadline
+// expiring first is the caller's context.DeadlineExceeded.
 func TestRequestDeadline(t *testing.T) {
 	remote := newRemote(t, 10)
-	d := &faultDialer{srv: NewServer(remote), mode: FaultBlackhole, at: 1, nFaulted: 99}
-	c := NewClientDialer(Config{
-		RequestTimeout: 100 * time.Millisecond,
-		Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
-	}, d.dial)
-	defer c.Close()
+	for _, tc := range []struct {
+		name       string
+		timeout    time.Duration // the source's RequestTimeout
+		ctxTimeout time.Duration // the caller's deadline; 0 = none
+		sourceDown bool
+	}{
+		{"source timeout", 100 * time.Millisecond, 0, true},
+		{"caller deadline", 5 * time.Second, 100 * time.Millisecond, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := &faultDialer{srv: NewServer(remote), mode: FaultBlackhole, at: 1, nFaulted: 99}
+			c := NewClientDialer(Config{
+				Name:           "blackholed",
+				RequestTimeout: tc.timeout,
+				Retry:          RetryPolicy{MaxAttempts: 3, BaseDelay: time.Millisecond, MaxDelay: 5 * time.Millisecond},
+			}, d.dial)
+			defer c.Close()
+			ctx := context.Background()
+			if tc.ctxTimeout > 0 {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithTimeout(ctx, tc.ctxTimeout)
+				defer cancel()
+			}
 
-	start := time.Now()
-	_, err := scanAll(c, context.Background())
-	elapsed := time.Since(start)
-	if err == nil {
-		t.Fatal("blackholed peer must fail the request")
-	}
-	if !isDeadline(err) && !errors.Is(err, context.DeadlineExceeded) {
-		t.Logf("note: error is not a deadline error: %v", err)
-	}
-	if elapsed > time.Second {
-		t.Fatalf("deadline took %v, want ~100ms", elapsed)
+			start := time.Now()
+			_, err := scanAll(c, ctx)
+			elapsed := time.Since(start)
+			if err == nil {
+				t.Fatal("blackholed peer must fail the request")
+			}
+			if elapsed > time.Second {
+				t.Fatalf("deadline took %v, want ~100ms", elapsed)
+			}
+			var sd *SourceDownError
+			if down := errors.As(err, &sd); down != tc.sourceDown || errors.Is(err, ErrSourceDown) != tc.sourceDown {
+				t.Fatalf("error %v: source down = %v, want %v", err, down, tc.sourceDown)
+			}
+			if tc.sourceDown && sqldb.SourceOf(err, "fallback") != "blackholed" {
+				t.Fatalf("error %v does not name the source", err)
+			}
+			if deadline := errors.Is(err, context.DeadlineExceeded); deadline == tc.sourceDown {
+				t.Fatalf("error %v: context.DeadlineExceeded = %v, want %v", err, deadline, !tc.sourceDown)
+			}
+		})
 	}
 }
 

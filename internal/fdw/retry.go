@@ -7,12 +7,9 @@ package fdw
 // lifecycle errors never retry.
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math/rand"
-	"net"
-	"os"
 	"time"
 
 	"crosse/internal/sqldb"
@@ -122,15 +119,4 @@ func isTransient(err error) bool {
 		return false
 	}
 	return true
-}
-
-// isDeadline reports whether err is a deadline/cancellation expiry.
-func isDeadline(err error) bool {
-	if errors.Is(err, os.ErrDeadlineExceeded) ||
-		errors.Is(err, context.DeadlineExceeded) ||
-		errors.Is(err, context.Canceled) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
 }

@@ -47,9 +47,9 @@ type Options struct {
 	// Parallelism bounds the worker count of morsel-driven parallel
 	// execution: 0 (the default) means GOMAXPROCS, 1 forces the serial
 	// path, anything higher caps the workers of one query. Output is
-	// identical to the serial path at every setting; plans fall back to
-	// serial when the input is small or the shape cannot merge exactly
-	// (see run.go).
+	// identical to the serial path at every setting; plans run serially
+	// when they aggregate, the input is small or its size unknown, and
+	// name the reason in Result.ParallelFallback (see parallel.go).
 	Parallelism int
 	// PartialResults degrades instead of failing when a scanned source is
 	// down before producing any row (sqldb.ErrSourceDown — an open FDW

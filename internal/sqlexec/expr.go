@@ -31,8 +31,7 @@
 // package below the parser.
 //
 // This file holds the value-level functions the compiled nodes call:
-// arithmetic, scalar functions, and aggregate accumulation with its
-// parallel merge.
+// arithmetic, scalar functions, and aggregate accumulation.
 package sqlexec
 
 import (
@@ -40,7 +39,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"strings"
 
 	"crosse/internal/sqlparser"
@@ -320,18 +318,6 @@ func applyScalarFunc(name string, args []sqlval.Value) (sqlval.Value, error) {
 	}
 }
 
-// floatPart is one morsel's compensated partial sum of a float SUM/AVG:
-// the values of driving-scan morsel `morsel` Neumaier-accumulated in
-// arrival order. Both the serial pipeline and the parallel workers produce
-// the same set of partials (each morsel is accumulated by exactly one of
-// them, in the same within-morsel order), and result() folds them in
-// morsel order — a fixed reduction tree independent of worker scheduling —
-// so parallel float aggregation is bit-identical to serial.
-type floatPart struct {
-	morsel    int64
-	sum, comp float64
-}
-
 // neumaierAdd adds x into the compensated accumulator (s, c): s carries the
 // running sum, c the running compensation for the low-order bits s lost.
 func neumaierAdd(s, c, x float64) (float64, float64) {
@@ -344,61 +330,30 @@ func neumaierAdd(s, c, x float64) (float64, float64) {
 	return t, c
 }
 
-// distinctVal is one distinct aggregate argument collected by a parallel
-// worker: the value and the arrival stamp of its first occurrence.
-type distinctVal struct {
-	v  sqlval.Value
-	at int64
-}
-
-// aggState accumulates one aggregate over a group.
+// aggState accumulates one aggregate over a group, fed by the serial
+// grouped sink in arrival order.
 type aggState struct {
 	call  *sqlparser.FuncCall
 	count int64
 	// (sumHi, sumLo) is the exact INTEGER sum as a two's-complement
-	// 128-bit pair: additions commute exactly, so every accumulation
-	// order — serial or morsel-parallel — ends at the same sum, and only a
-	// final sum outside int64 is an error.
-	sumHi  int64
-	sumLo  uint64
-	isInt  bool
-	first  bool
-	min    sqlval.Value
-	max    sqlval.Value
-	seen   map[string]struct{} // DISTINCT support
-	keyBuf []byte              // scratch for DISTINCT keys
-
-	// Float SUM/AVG accumulates per driving-scan morsel: (psum, pcomp) is
-	// the open partial of morsel pmorsel (-1 = none yet), parts the closed
-	// ones. See floatPart for why.
-	parts       []floatPart
-	pmorsel     int64
-	psum, pcomp float64
-
-	// collect switches a DISTINCT aggregate into the parallel workers'
-	// collect-only mode: addValue records first occurrences into dvals
-	// instead of accumulating, and resolveDistinct replays them in global
-	// first-occurrence order after the cross-worker merge.
-	collect bool
-	dvals   map[string]distinctVal
-
-	// stamp is the arrival position of the value being added; minAt/maxAt
-	// record the stamp that last changed min/max. The parallel merge
-	// compares stamps to reproduce the serial first-among-equals MIN/MAX
-	// tie behaviour and the morsel-ordered float reduction.
-	stamp, minAt, maxAt int64
+	// 128-bit pair, so only a final sum outside int64 is an error.
+	sumHi int64
+	sumLo uint64
+	// (sum, comp) is the float SUM/AVG as one Neumaier-compensated
+	// accumulator: sum is the running sum, comp the bits it lost.
+	sum, comp float64
+	isInt     bool
+	first     bool
+	min       sqlval.Value
+	max       sqlval.Value
+	seen      map[string]struct{} // DISTINCT support
+	keyBuf    []byte              // scratch for DISTINCT keys
 }
 
-// newAggState starts an aggregate. collect puts a DISTINCT aggregate into
-// the parallel workers' collect mode: per-worker seen-sets cannot be merged
-// into an exact global accumulation; first-occurrence values with stamps
-// can.
-func newAggState(call *sqlparser.FuncCall, collect bool) *aggState {
-	st := &aggState{call: call, isInt: true, first: true, pmorsel: -1}
-	switch {
-	case call.Distinct && collect:
-		st.collect, st.dvals = true, map[string]distinctVal{}
-	case call.Distinct:
+// newAggState starts an aggregate.
+func newAggState(call *sqlparser.FuncCall) *aggState {
+	st := &aggState{call: call, isInt: true, first: true}
+	if call.Distinct {
 		st.seen = map[string]struct{}{}
 	}
 	return st
@@ -408,16 +363,6 @@ func newAggState(call *sqlparser.FuncCall, collect bool) *aggState {
 func (a *aggState) addValue(v sqlval.Value) error {
 	if v.IsNull() {
 		return nil // aggregates skip NULLs
-	}
-	if a.collect {
-		// Parallel DISTINCT collect mode: record the first occurrence with
-		// its stamp. Within one worker stamps are strictly increasing, so
-		// the first insertion is the worker-local minimum.
-		a.keyBuf = sqlval.AppendKey(a.keyBuf[:0], v)
-		if _, dup := a.dvals[string(a.keyBuf)]; !dup {
-			a.dvals[string(a.keyBuf)] = distinctVal{v: v, at: a.stamp}
-		}
-		return nil
 	}
 	if a.seen != nil {
 		// Allocation-free probe: the string conversion in the map index
@@ -434,7 +379,7 @@ func (a *aggState) addValue(v sqlval.Value) error {
 		var x float64
 		switch v.Type() {
 		case sqlval.TypeInt:
-			a.addInt(v.Int(), v.Int()>>63)
+			a.addInt(v.Int())
 			x = float64(v.Int())
 		case sqlval.TypeFloat:
 			a.isInt = false
@@ -442,135 +387,34 @@ func (a *aggState) addValue(v sqlval.Value) error {
 		default:
 			return fmt.Errorf("sqlexec: %s on non-numeric value", a.call.Name)
 		}
-		if m := a.stamp >> 32; m != a.pmorsel {
-			a.closePart()
-			a.pmorsel = m
-		}
-		a.psum, a.pcomp = neumaierAdd(a.psum, a.pcomp, x)
+		a.sum, a.comp = neumaierAdd(a.sum, a.comp, x)
 	case "MIN":
 		if a.first || sqlval.CompareForSort(v, a.min) < 0 {
 			a.min = v
-			a.minAt = a.stamp
 		}
 	case "MAX":
 		if a.first || sqlval.CompareForSort(v, a.max) > 0 {
 			a.max = v
-			a.maxAt = a.stamp
 		}
 	}
 	a.first = false
 	return nil
 }
 
-// addInt adds the 128-bit pair (hi, lo) into the exact INTEGER sum; an
-// int64 x is the pair (x>>63, x).
-func (a *aggState) addInt(lo, hi int64) {
+// addInt adds x into the exact INTEGER sum: the 128-bit pair (x>>63, x).
+func (a *aggState) addInt(x int64) {
 	var carry uint64
-	a.sumLo, carry = bits.Add64(a.sumLo, uint64(lo), 0)
-	a.sumHi += hi + int64(carry)
+	a.sumLo, carry = bits.Add64(a.sumLo, uint64(x), 0)
+	a.sumHi += x>>63 + int64(carry)
 }
 
-// closePart freezes the open morsel partial into parts.
-func (a *aggState) closePart() {
-	if a.pmorsel >= 0 {
-		a.parts = append(a.parts, floatPart{morsel: a.pmorsel, sum: a.psum, comp: a.pcomp})
-		a.psum, a.pcomp = 0, 0
-		a.pmorsel = -1
-	}
-}
-
-// sumFloat folds the morsel partials in morsel order — the fixed reduction
-// tree that makes float SUM/AVG independent of which worker accumulated
-// which morsel. Each morsel index occurs at most once across workers (one
-// worker claims each morsel), so the sort is a pure reordering.
+// sumFloat is the compensated float sum. An infinite running sum is the
+// answer as it stands: its compensation computed Inf − Inf, which is NaN.
 func (a *aggState) sumFloat() float64 {
-	a.closePart()
-	sort.Slice(a.parts, func(i, j int) bool { return a.parts[i].morsel < a.parts[j].morsel })
-	var s, c float64
-	for _, p := range a.parts {
-		s, c = neumaierAdd(s, c, p.sum)
-		s, c = neumaierAdd(s, c, p.comp)
+	if math.IsInf(a.sum, 0) {
+		return a.sum
 	}
-	return s + c
-}
-
-// mergeableAgg reports whether an aggregate merges exactly from per-worker
-// partials: COUNT is an integer sum, MIN/MAX a stamped comparison, float
-// SUM/AVG a union of per-morsel compensated partials folded in morsel
-// order, and DISTINCT aggregates a stamp-ordered replay of collected first
-// occurrences.
-func mergeableAgg(fc *sqlparser.FuncCall) bool {
-	switch fc.Name {
-	case "COUNT", "MIN", "MAX", "SUM", "AVG":
-		return true
-	}
-	return false
-}
-
-// merge folds another partial into a. Only valid for mergeableAgg
-// aggregates; b's values must carry arrival stamps so CompareForSort ties
-// resolve to the globally first arrival, exactly as the serial
-// accumulation would.
-func (a *aggState) merge(b *aggState) {
-	if a.collect {
-		// Union the distinct first occurrences, keeping the globally
-		// earliest stamp per value (every occurrence is in exactly one
-		// worker's map, so the pairwise minimum is the global one).
-		for k, dv := range b.dvals {
-			if have, ok := a.dvals[k]; !ok || dv.at < have.at {
-				a.dvals[k] = dv
-			}
-		}
-		return
-	}
-	a.count += b.count
-	a.addInt(int64(b.sumLo), b.sumHi)
-	a.isInt = a.isInt && b.isInt
-	a.closePart()
-	b.closePart()
-	a.parts = append(a.parts, b.parts...)
-	if b.first {
-		return // b never saw a non-NULL value
-	}
-	if a.first {
-		a.min, a.minAt = b.min, b.minAt
-		a.max, a.maxAt = b.max, b.maxAt
-		a.first = false
-		return
-	}
-	if c := sqlval.CompareForSort(b.min, a.min); c < 0 || (c == 0 && b.minAt < a.minAt) {
-		a.min, a.minAt = b.min, b.minAt
-	}
-	if c := sqlval.CompareForSort(b.max, a.max); c > 0 || (c == 0 && b.maxAt < a.maxAt) {
-		a.max, a.maxAt = b.max, b.maxAt
-	}
-}
-
-// resolveDistinct turns a collect-mode DISTINCT aggregate into a resolved
-// one after the cross-worker merge: the collected values replay through
-// the serial accumulation in global first-occurrence order, each carrying
-// its original stamp, so the result (including the morsel each value's sum
-// contribution folds into and MIN/MAX tie arrivals) is exactly what the
-// serial pipeline computed.
-func (a *aggState) resolveDistinct() error {
-	if !a.collect {
-		return nil
-	}
-	vals := make([]distinctVal, 0, len(a.dvals))
-	for _, dv := range a.dvals {
-		vals = append(vals, dv)
-	}
-	sort.Slice(vals, func(i, j int) bool { return vals[i].at < vals[j].at })
-	a.collect = false
-	a.dvals = nil
-	a.seen = nil // values are already distinct
-	for _, dv := range vals {
-		a.stamp = dv.at
-		if err := a.addValue(dv.v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return a.sum + a.comp
 }
 
 // result is the aggregate's final value. An INTEGER SUM outside int64

@@ -439,6 +439,10 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE agg (g INT, x INT, y DOUBLE)`)
 	mustExec(t, db, `INSERT INTO agg VALUES (1, NULL, NULL), (1, NULL, NULL),
 		(2, 1, 0.5), (2, 1, 0.25), (2, NULL, NULL), (2, 2, 0.25)`)
+	mustExec(t, db, `CREATE TABLE fl (g INT, x DOUBLE)`)
+	mustExec(t, db, `INSERT INTO fl VALUES (1, 1.0), (1, 1e308 * 10), (1, 2.0),
+		(2, 1e308 * 10), (2, -1e308 * 10),
+		(3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1)`)
 	const divZero = "sqlexec: division by zero"
 	for _, c := range []struct{ q, want string }{
 		// SUBSTR counts 1-based bytes. Dialect: PostgreSQL counts positions
@@ -518,6 +522,12 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 		{`SELECT COUNT(DISTINCT x), SUM(DISTINCT x), AVG(DISTINCT x), COUNT(DISTINCT y), SUM(DISTINCT y) FROM agg`,
 			"INTEGER 2|INTEGER 3|DOUBLE 1.5|INTEGER 2|DOUBLE 0.75"},
 		{`SELECT COUNT(DISTINCT x) FROM agg WHERE g = 1`, "INTEGER 0"},
+		// A float SUM / AVG over an infinity is that infinity, and over
+		// both infinities NaN. Ten 0.1s sum to exactly 1: the sum is
+		// compensated (added naively they give 0.9999999999999999).
+		{`SELECT SUM(x), AVG(x), SUM(-x) FROM fl WHERE g = 1`, "DOUBLE +Inf|DOUBLE +Inf|DOUBLE -Inf"},
+		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 2`, "DOUBLE NaN|DOUBLE NaN"},
+		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 3`, "DOUBLE 1|DOUBLE 0.1"},
 	} {
 		pin(t, db, c.q, c.want)
 	}

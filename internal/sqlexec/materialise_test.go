@@ -32,8 +32,9 @@ func materialiseDB(t *testing.T, n int) *sqldb.Database {
 // claimed every morsel. Then it appends to every row of results whose
 // rows come out of an arena — sorted windows with and without hidden
 // ORDER BY keys, a small window copied out of a large buffer, the morsel
-// workers' plain rows, grouped rows — and requires that no value of any
-// row changes: each row is capped at its own width.
+// workers' plain rows, grouped rows (which the serial driver sinks at
+// every Parallelism) — and requires that no value of any row changes:
+// each row is capped at its own width.
 func TestRunCopiesEachRowOnce(t *testing.T) {
 	const n = 20000
 	db := materialiseDB(t, n)
@@ -76,21 +77,22 @@ func TestRunCopiesEachRowOnce(t *testing.T) {
 		}
 	}
 
-	queries := []string{
-		`SELECT id, v FROM big ORDER BY v DESC`,
-		`SELECT id FROM big ORDER BY v, id LIMIT 10`,
-		`SELECT id FROM big ORDER BY v DESC LIMIT 50 OFFSET 10000`,
-		`SELECT id, v FROM big WHERE v >= 100`,
-		`SELECT DISTINCT v % 50 FROM big`,
-		`SELECT v % 97, COUNT(*), MIN(id) FROM big GROUP BY v % 97`,
-		`SELECT COUNT(*), MIN(id) FROM big GROUP BY v % 97 ORDER BY v % 97 DESC`,
+	queries := []struct{ text, fallback string }{
+		{`SELECT id, v FROM big ORDER BY v DESC`, ""},
+		{`SELECT id FROM big ORDER BY v, id LIMIT 10`, ""},
+		{`SELECT id FROM big ORDER BY v DESC LIMIT 50 OFFSET 10000`, ""},
+		{`SELECT id, v FROM big WHERE v >= 100`, ""},
+		{`SELECT DISTINCT v % 50 FROM big`, ""},
+		{`SELECT v % 97, COUNT(*), MIN(id) FROM big GROUP BY v % 97`, "aggregate"},
+		{`SELECT COUNT(*), MIN(id) FROM big GROUP BY v % 97 ORDER BY v % 97 DESC`, "aggregate"},
 	}
 	marker := sqlval.NewString("appended")
-	for _, text := range queries {
+	for _, q := range queries {
+		text := q.text
 		for _, par := range []int{1, 2} {
 			res := mustExecOpts(t, db, text, Options{Parallelism: par})
-			if par > 1 && res.ParallelFallback != "" {
-				t.Fatalf("%q parallelism %d: fell back (%q)", text, par, res.ParallelFallback)
+			if par > 1 && res.ParallelFallback != q.fallback {
+				t.Fatalf("%q parallelism %d: fallback %q, want %q", text, par, res.ParallelFallback, q.fallback)
 			}
 			want := make([][]sqlval.Value, len(res.Rows))
 			for i, row := range res.Rows {

@@ -1,37 +1,34 @@
 package sqlexec
 
-// parallel.go — morsel-driven parallel execution of compiled SelectPlans.
-// The driving scan is materialised once in serial enumeration order and
-// partitioned into fixed-size morsels; a bounded worker pool (see
-// internal/exec) claims morsels from an atomic counter. This is the second
-// driver of the one pipeline in run.go: each worker is a runner that feeds
-// its morsels' rows through runner.feed — the body the serial driver
-// streams its scan into — over its own joined-row buffer and its own plain
-// or grouped sink, against the coordinator's frozen join sides (built by
-// the same buildSide, zero-copy for heap tables). Output is buffered per
-// morsel (or stamped with its (morsel, seq) arrival position, derived from
-// drivePos exactly as on the serial path) and merged in morsel order, so
-// the parallel output is byte-identical to the serial pipeline's: same
-// rows, same order, same ties, same first error. A worker's buffered rows
-// are its own arena copies, and the merge hands them to the Result as
-// they are instead of copying them again.
+// parallel.go — morsel-driven parallel execution of compiled SelectPlans
+// without aggregates. The driving scan is materialised once in serial
+// enumeration order and partitioned into fixed-size morsels; a bounded
+// worker pool (see internal/exec) claims morsels from an atomic counter.
+// This is the second driver of the one pipeline in run.go: each worker is
+// a runner that feeds its morsels' rows through runner.feed — the body the
+// serial driver streams its scan into — over its own joined-row buffer and
+// its own plain sink, against the coordinator's frozen join sides (built
+// by the same buildSide, serially and in join order, zero-copy for heap
+// tables). Output is buffered per morsel (or stamped with its (morsel,
+// seq) arrival position, derived from drivePos exactly as on the serial
+// path) and merged in morsel order, so the parallel output is
+// byte-identical to the serial pipeline's: same rows, same order, same
+// ties, same first error. A worker's buffered rows are its own arena
+// copies, and the merge hands them to the Result as they are instead of
+// copying them again.
 //
-// Hash-join builds past the threshold are partitioned two-phase parallel
-// builds (parallelBuildHash); float SUM/AVG folds per-morsel compensated
-// partials in morsel order (see aggState); DISTINCT aggregates collect
-// stamped first occurrences and replay them after the merge; and ORDER BY
-// selects its window from the per-worker buffers (windowRuns), or,
-// without a LIMIT, merges them as sorted runs (exec.MergeSorted). The
-// shapes that still fall back to serial — driving relations without an
-// O(1) cardinality (foreign tables), pushed-down equality seeks (tiny by
+// ORDER BY selects its window from the per-worker buffers (windowRuns),
+// or, without a LIMIT, merges them as sorted runs (exec.MergeSorted). The
+// shapes that run serially — aggregate plans (GROUP BY or an aggregate
+// select list: a per-worker aggregation merge lost to the serial grouped
+// sink on every measurement), driving relations without an O(1)
+// cardinality (foreign tables), pushed-down equality seeks (tiny by
 // construction), inputs below parallelMinRows, LIMIT 0 — record why in
 // runShared.fallback, surfaced as Result.ParallelFallback.
 
 import (
 	"cmp"
 	"slices"
-	"sort"
-	"sync"
 
 	sched "crosse/internal/exec"
 	"crosse/internal/sqlval"
@@ -62,12 +59,8 @@ func (r *runner) tryParallel() (done bool, err error) {
 		return false, nil
 	}
 	if p.grouped {
-		for _, a := range p.group.aggs {
-			if !mergeableAgg(a.fc) {
-				r.shared.fallback = "non-mergeable aggregate " + a.fc.Name
-				return false, nil
-			}
-		}
+		r.shared.fallback = "aggregate"
+		return false, nil
 	}
 	est, ok := scanEstimate(r.driving)
 	if !ok {
@@ -92,39 +85,19 @@ type parMorsel struct {
 func (r *runner) runParallel(workers int) error {
 	p := r.p
 
-	// Build every non-streamed side and materialise the driving scan
-	// concurrently; everything is frozen before the first worker starts.
-	// The driving scan is materialised raw — its source-local filters run
-	// in feed.
-	var (
-		wg        sync.WaitGroup
-		drive     [][]sqlval.Value
-		driveErr  error
-		buildErrs = make([]error, len(p.joins))
-	)
-	wg.Add(1 + len(p.joins))
-	go func() {
-		defer wg.Done()
-		drive, driveErr = materializeSide(r.shared, r.driving, true)
-	}()
-	for i := range p.joins {
-		go func(i int) {
-			defer wg.Done()
-			buildErrs[i] = r.buildSide(i, workers)
-		}(i)
-	}
-	wg.Wait()
-	// Report the error the serial pipeline would have hit first: builds
-	// happen in join order, the driving scan after them.
-	if err := cmp.Or(append(buildErrs, driveErr)...); err != nil {
+	// run has built the sides; the driving scan is materialised after
+	// them, raw — its source-local filters run in feed — and everything
+	// is frozen before the first worker starts.
+	drive, err := materializeSide(r.shared, r.driving, true)
+	if err != nil {
 		return err
 	}
 
 	// A completed prefix of morsels can prove a LIMIT satisfied — but
 	// only when buffered rows map 1:1 to merged output rows (no global
-	// DISTINCT collapsing, no sort reordering, no group aggregation).
+	// DISTINCT collapsing, no sort reordering).
 	need := -1
-	if !p.grouped && len(p.order) == 0 && !p.distinct && p.limit >= 0 {
+	if len(p.order) == 0 && !p.distinct && p.limit >= 0 {
 		need = p.limit + max(p.offset, 0)
 	}
 	nm := sched.Morsels(len(drive), parallelMorsel)
@@ -138,7 +111,7 @@ func (r *runner) runParallel(workers int) error {
 		ws[worker].runMorsel(pool, res, drive, m)
 	})
 
-	if !p.grouped && len(p.order) == 0 {
+	if len(p.order) == 0 {
 		return r.mergePlain(res)
 	}
 	for m := range res {
@@ -146,80 +119,21 @@ func (r *runner) runParallel(workers int) error {
 			return res[m].err
 		}
 	}
-	if p.grouped {
-		return r.mergeGroups(ws)
-	}
 	return r.mergeSorted(ws)
-}
-
-// parallelBuildHash builds the hash index over materialised build rows.
-// Small sides build serially; past the threshold the build runs in two
-// barrier-separated pool runs: a scatter phase walks the
-// row morsels and partitions each row index by the FNV-1a hash of its
-// encoded join key, then an assemble phase builds each partition's bucket
-// map by visiting the scatter lists in morsel order — so every bucket
-// holds globally ascending row indexes, exactly as the serial single-map
-// build inserts them, with no rehashing and no cross-worker merging. The
-// probe side only ever sees identical bucket contents, which keeps the
-// parallel output byte-identical to serial.
-func parallelBuildHash(workers int, rows [][]sqlval.Value, keyCol int) *joinTable {
-	if workers <= 1 || len(rows) < parallelMinRows {
-		return buildHash(rows, keyCol)
-	}
-	nparts := 1
-	for nparts < workers {
-		nparts <<= 1
-	}
-	mask := uint32(nparts - 1)
-	nm := sched.Morsels(len(rows), parallelMorsel)
-	scatter := make([][][]int32, nm) // [morsel][partition] → row indexes
-	sched.NewPool(workers, nm, -1).Run(func(_, m int) {
-		lo, hi := sched.Bounds(m, parallelMorsel, len(rows))
-		lists := make([][]int32, nparts)
-		var scratch []byte
-		for i := lo; i < hi; i++ {
-			v := rows[i][keyCol]
-			if v.IsNull() {
-				continue // NULL keys never equi-join
-			}
-			scratch = sqlval.AppendJoinKey(scratch[:0], v)
-			pt := hashJoinKey(scratch) & mask
-			lists[pt] = append(lists[pt], int32(i))
-		}
-		scatter[m] = lists
-	})
-	parts := make([]map[string][]int32, nparts)
-	sched.NewPool(workers, nparts, -1).Run(func(_, pt int) {
-		buckets := make(map[string][]int32)
-		var scratch []byte
-		for m := 0; m < nm; m++ {
-			for _, i := range scatter[m][pt] {
-				scratch = sqlval.AppendJoinKey(scratch[:0], rows[i][keyCol])
-				k := string(scratch)
-				buckets[k] = append(buckets[k], i)
-			}
-		}
-		parts[pt] = buckets
-	})
-	return &joinTable{parts: parts, mask: mask}
 }
 
 // newWorker returns the runner one pool worker drives morsels through: its
 // own joined-row buffer over the coordinator's frozen sides, sinking into
-// the serial path's sink types. The plain sink puts its rows into the
-// current morsel's buffer, without OFFSET/LIMIT (the merge windows the
-// output), and stops once the pool cancels the morsel; its sorter
-// presizes for its share of the driving rows, and under ORDER BY +
-// DISTINCT it is unbounded, since bounding it before the cross-worker
-// DISTINCT merge could evict rows that global deduplication would promote
-// into the window. The grouped sink collects DISTINCT aggregates.
+// the serial path's plain sink. The sink puts its rows into the current
+// morsel's buffer, without OFFSET/LIMIT (the merge windows the output),
+// and stops once the pool cancels the morsel; its sorter presizes for its
+// share of the driving rows, and under ORDER BY + DISTINCT it is
+// unbounded, since bounding it before the cross-worker DISTINCT merge
+// could evict rows that global deduplication would promote into the
+// window.
 func (r *runner) newWorker(pool *sched.Pool, share int) *runner {
 	p := r.p
 	w := &runner{p: p, row: make([]sqlval.Value, p.width), shared: r.shared, pool: pool, sides: r.sides}
-	if p.grouped {
-		w.sink = newGroupedSink(w, true)
-		return w
-	}
 	k := keep(p.limit, p.offset)
 	if p.distinct {
 		k = -1
@@ -317,49 +231,4 @@ func (r *runner) mergeSorted(ws []*runner) error {
 	}
 	r.putWindow(windowRuns(p.order, runs, p.offset, p.limit, len(ws)), total, n)
 	return nil
-}
-
-// mergeGroups folds the per-worker aggregation maps into one group set.
-// COUNT partials sum exactly, MIN/MAX partials compare with their arrival
-// stamps breaking CompareForSort ties toward the globally first value,
-// each group's representative first-row is the one with the smallest
-// stamp, and the merged groups are ordered by that stamp — first-seen
-// order, exactly as the serial grouped sink built it. The shared
-// HAVING/projection/ORDER tail then runs unchanged.
-func (r *runner) mergeGroups(ws []*runner) error {
-	combined := make(map[string]*groupState)
-	for _, w := range ws {
-		for key, grp := range w.sink.(*groupedSink).groups {
-			have, ok := combined[key]
-			if !ok {
-				combined[key] = grp
-				continue
-			}
-			if grp.firstAt < have.firstAt {
-				for i := range grp.aggs {
-					grp.aggs[i].merge(have.aggs[i])
-				}
-				combined[key] = grp
-			} else {
-				for i := range have.aggs {
-					have.aggs[i].merge(grp.aggs[i])
-				}
-			}
-		}
-	}
-	order := make([]*groupState, 0, len(combined))
-	for _, g := range combined {
-		order = append(order, g)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].firstAt < order[j].firstAt })
-	// DISTINCT aggregates were collected, not accumulated: replay the
-	// merged first occurrences in global arrival order now.
-	for _, g := range order {
-		for _, a := range g.aggs {
-			if err := a.resolveDistinct(); err != nil {
-				return err
-			}
-		}
-	}
-	return emitGroups(r, order)
 }

@@ -4,7 +4,8 @@ package sqlexec
 // (parallel.go). The contract under test is byte-identical output: for any
 // plan, any Parallelism setting must produce exactly the rows the serial
 // pipeline produces, in the same order — including ties under ORDER BY on
-// non-unique keys, DISTINCT survivor choice, and group first-seen order.
+// non-unique keys and DISTINCT survivor choice. Aggregate plans run on the
+// serial driver at every setting, and say so.
 
 import (
 	"fmt"
@@ -99,9 +100,10 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 
 // TestParallelFallbackReasons pins the fallback contract:
 // Result.ParallelFallback names exactly why a SELECT declined the
-// parallel path, and is empty — the query really fanned out — for the
-// shapes the morsel engine covers, including the ones parallelised after
-// the initial landing (join builds, SUM/AVG groups, full final sorts).
+// parallel path — an aggregate plan at any Parallelism above 1 says
+// "aggregate" — and is empty, the query really fanned out, for the shapes
+// the morsel engine covers: plain and ORDER BY plans over a join, full
+// final sorts and global DISTINCT.
 func TestParallelFallbackReasons(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	db := parityDB(t, rng, 200, 60)
@@ -136,19 +138,32 @@ func TestParallelFallbackReasons(t *testing.T) {
 		}
 	}
 
-	// With thresholds forced down, the previously-serial shapes run
+	// With thresholds forced down, the plans without aggregates run
 	// parallel: empty fallback end to end.
 	forceParallel(t)
 	parallel := []string{
-		`SELECT COUNT(*) FROM t2 y JOIN t1 x ON y.id = x.id`,     // join build
-		`SELECT x.b, SUM(x.c), AVG(x.c) FROM t1 x GROUP BY x.b`,  // float SUM/AVG merge
-		`SELECT x.b, COUNT(DISTINCT x.a) FROM t1 x GROUP BY x.b`, // DISTINCT aggregate merge
-		`SELECT x.id, x.c FROM t1 x ORDER BY x.c DESC`,           // full final sort
-		`SELECT DISTINCT x.a FROM t1 x`,                          // plain morsel path
+		`SELECT y.id, x.a FROM t2 y JOIN t1 x ON y.id = x.id`,                                // swapped join build
+		`SELECT x.id, y.v FROM t1 x JOIN t2 y ON x.b = y.k ORDER BY y.v DESC, x.id LIMIT 20`, // ORDER BY over a join
+		`SELECT x.id, x.c FROM t1 x ORDER BY x.c DESC`,                                       // full final sort
+		`SELECT DISTINCT x.a FROM t1 x`,                                                      // plain morsel path
 	}
 	for _, text := range parallel {
 		if got := eval(text, 4).ParallelFallback; got != "" {
 			t.Errorf("%q: fell back to serial (%q), want parallel", text, got)
+		}
+	}
+
+	// Aggregate plans stay on the serial driver even then.
+	aggregates := []string{
+		`SELECT COUNT(*) FROM t2 y JOIN t1 x ON y.id = x.id`,
+		`SELECT x.b, SUM(x.c), AVG(x.c) FROM t1 x GROUP BY x.b`,
+		`SELECT x.b, COUNT(DISTINCT x.a) FROM t1 x GROUP BY x.b`,
+	}
+	for _, text := range aggregates {
+		for _, par := range []int{2, 4} {
+			if got := eval(text, par).ParallelFallback; got != "aggregate" {
+				t.Errorf("%q at parallelism %d: fallback %q, want \"aggregate\"", text, par, got)
+			}
 		}
 	}
 }
@@ -192,8 +207,10 @@ func TestParallelErrorMatchesSerial(t *testing.T) {
 // orientation (the runner swaps build and probe when the left input is
 // the smaller one), every sink mode — plain, DISTINCT, ORDER BY + LIMIT,
 // and GROUP BY with COUNT(DISTINCT), float SUM and MIN — gives the same
-// bytes at Parallelism 1, 2 and 4, and the serial run keeps the build
-// side's rows by reference instead of copying them.
+// bytes at Parallelism 1, 2 and 4, the plain modes on the morsel workers
+// and the grouped one on the serial driver, which it names; and the
+// serial run keeps the build side's rows by reference instead of copying
+// them.
 func TestOnePipelineBothDrivers(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(71))
@@ -221,15 +238,15 @@ func TestOnePipelineBothDrivers(t *testing.T) {
 		{"small s JOIN big b ON s.k = b.k", true},
 		{"big b JOIN small s ON b.k = s.k", false},
 	}
-	modes := []string{
-		`SELECT b.id, s.name, b.x FROM %s`,
-		`SELECT DISTINCT s.name, b.k FROM %s`,
-		`SELECT b.id, s.name FROM %s ORDER BY s.name DESC, b.k LIMIT 25`,
-		`SELECT s.name, COUNT(DISTINCT b.k), SUM(b.x), MIN(b.x) FROM %s GROUP BY s.name`,
+	modes := []struct{ text, fallback string }{
+		{`SELECT b.id, s.name, b.x FROM %s`, ""},
+		{`SELECT DISTINCT s.name, b.k FROM %s`, ""},
+		{`SELECT b.id, s.name FROM %s ORDER BY s.name DESC, b.k LIMIT 25`, ""},
+		{`SELECT s.name, COUNT(DISTINCT b.k), SUM(b.x), MIN(b.x) FROM %s GROUP BY s.name`, "aggregate"},
 	}
 	for _, j := range joins {
 		for _, mode := range modes {
-			text := fmt.Sprintf(mode, j.from)
+			text := fmt.Sprintf(mode.text, j.from)
 			st, err := sqlparser.Parse(text)
 			if err != nil {
 				t.Fatal(err)
@@ -265,8 +282,8 @@ func TestOnePipelineBothDrivers(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%q parallelism %d: %v", text, par, err)
 				}
-				if got.ParallelFallback != "" {
-					t.Fatalf("%q parallelism %d: fell back (%q)", text, par, got.ParallelFallback)
+				if got.ParallelFallback != mode.fallback {
+					t.Fatalf("%q parallelism %d: fallback %q, want %q", text, par, got.ParallelFallback, mode.fallback)
 				}
 				if g := strings.Join(renderRows(got.Rows), "\n"); g != want {
 					t.Fatalf("%q: parallelism %d diverges from serial\nserial:\n%s\nparallel:\n%s", text, par, want, g)

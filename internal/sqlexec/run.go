@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	sched "crosse/internal/exec"
 	"crosse/internal/sqldb"
@@ -51,10 +50,9 @@ func (p *SelectPlan) RunContext(ctx context.Context) (*Result, error) {
 	return res, nil
 }
 
-// runShared is the per-execution state shared by the coordinator runner,
-// the parallel workers and the concurrent side builds: the bounding
-// context plus the partial-results skip list (mutex-guarded — side builds
-// run concurrently).
+// runShared is the per-execution state shared by the coordinator runner
+// and the parallel workers: the bounding context plus the partial-results
+// skip list. Only the coordinator scans sources, so only it writes here.
 type runShared struct {
 	ctx     context.Context
 	partial bool
@@ -63,19 +61,13 @@ type runShared struct {
 	// parallel). Written by the coordinator before any worker starts.
 	fallback string
 
-	mu      sync.Mutex
 	skipped []string
 }
 
 func (sh *runShared) recordSkip(name string) {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	for _, s := range sh.skipped {
-		if s == name {
-			return
-		}
+	if !slices.Contains(sh.skipped, name) {
+		sh.skipped = append(sh.skipped, name)
 	}
-	sh.skipped = append(sh.skipped, name)
 }
 
 // scanRelation dispatches one source scan: pre-filtered by the pushed
@@ -153,7 +145,7 @@ type sides struct {
 	swapped bool
 	probing bool
 	rights  [][][]sqlval.Value
-	hashes  []*joinTable
+	hashes  []map[string][]int32
 }
 
 // rowSink consumes completed joined rows and produces output rows.
@@ -183,7 +175,7 @@ func (r *runner) run() error {
 	r.row = make([]sqlval.Value, p.width)
 	r.driving = p.scan0
 	r.rights = make([][][]sqlval.Value, len(p.joins))
-	r.hashes = make([]*joinTable, len(p.joins))
+	r.hashes = make([]map[string][]int32, len(p.joins))
 
 	// Decide the orientation of the first join: when both base relations
 	// expose O(1) cardinalities and the left side is the smaller input,
@@ -203,22 +195,23 @@ func (r *runner) run() error {
 		}
 	}
 
-	// Large driving inputs take the morsel-driven parallel path (see
-	// parallel.go). The serial driver builds the sides in join order
-	// (sequentially, so no table locks nest), then streams the driving
-	// scan through feed, or feeds the probe's materialised driving rows.
+	// Both drivers start from the sides built in join order
+	// (sequentially, so no table locks nest). Large driving inputs of
+	// plans without aggregates then take the morsel-driven parallel path
+	// (see parallel.go); the serial driver streams the driving scan
+	// through feed, or feeds the probe's materialised driving rows.
+	for i := range p.joins {
+		if err := r.buildSide(i); err != nil {
+			return err
+		}
+	}
 	if r.probing {
 		r.shared.fallback = "index probe join"
 	} else if done, err := r.tryParallel(); done {
 		return err
 	}
-	for i := range p.joins {
-		if err := r.buildSide(i, 1); err != nil {
-			return err
-		}
-	}
 	if p.grouped {
-		r.sink = newGroupedSink(r, false)
+		r.sink = newGroupedSink(r)
 	} else {
 		est, _ := scanEstimate(r.driving)
 		r.sink = newPlainSink(r, keep(p.limit, p.offset), est)
@@ -291,7 +284,7 @@ func (r *runner) planProbe() ([][]sqlval.Value, error) {
 		return rows, nil
 	}
 	r.rights[0] = rows
-	r.hashes[0] = parallelBuildHash(sched.Workers(p.opts.Parallelism), rows, key)
+	r.hashes[0] = buildHash(rows, key)
 	return nil, nil
 }
 
@@ -388,9 +381,9 @@ func (r *runner) orient(k int) (build *scanPlan, probe, key int) {
 }
 
 // buildSide materialises join k's build source and, for hash joins,
-// indexes it. Both drivers build through here; workers > 1 lets a large
-// hash build fan out (parallelBuildHash).
-func (r *runner) buildSide(k, workers int) error {
+// indexes it; run builds every side through here before either driver
+// starts.
+func (r *runner) buildSide(k int) error {
 	if k == 0 && (r.probing || r.hashes[0] != nil) {
 		return nil // probed, or built by planProbe
 	}
@@ -401,7 +394,7 @@ func (r *runner) buildSide(k, workers int) error {
 	}
 	r.rights[k] = rows
 	if kind := r.p.joins[k].kind; kind == joinHash || kind == joinHashLeft {
-		r.hashes[k] = parallelBuildHash(workers, rows, key-src.offset)
+		r.hashes[k] = buildHash(rows, key-src.offset)
 	}
 	return nil
 }
@@ -448,40 +441,11 @@ func materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, er
 	return rows, nil
 }
 
-// joinTable is a frozen hash index over materialised build rows: buckets of
-// ascending row indexes keyed by the encoded join key. The serial build
-// produces a single partition; the parallel build (see parallelBuildHash)
-// partitions by key hash so workers can assemble disjoint bucket maps
-// without synchronisation — bucket contents are identical either way, so
-// probes cannot observe which build ran.
-type joinTable struct {
-	parts []map[string][]int32
-	mask  uint32 // len(parts)-1; 0 = single partition
-}
-
-// lookup returns the bucket for an encoded join key.
-func (t *joinTable) lookup(key []byte) []int32 {
-	if t.mask == 0 {
-		return t.parts[0][string(key)]
-	}
-	return t.parts[hashJoinKey(key)&t.mask][string(key)]
-}
-
-// hashJoinKey is FNV-1a over the encoded key bytes — the partitioning hash
-// of the parallel build (independent of Go's randomized map hash).
-func hashJoinKey(key []byte) uint32 {
-	h := uint32(2166136261)
-	for _, b := range key {
-		h ^= uint32(b)
-		h *= 16777619
-	}
-	return h
-}
-
 // buildHash indexes materialised rows by their join-key column (relative
-// to the row, not the joined layout). NULL keys are skipped: they never
-// equi-join.
-func buildHash(rows [][]sqlval.Value, keyCol int) *joinTable {
+// to the row, not the joined layout): buckets of ascending row indexes
+// keyed by the encoded join key, frozen before driving starts. NULL keys
+// are skipped: they never equi-join.
+func buildHash(rows [][]sqlval.Value, keyCol int) map[string][]int32 {
 	h := make(map[string][]int32, len(rows))
 	var scratch []byte
 	for i, row := range rows {
@@ -493,7 +457,7 @@ func buildHash(rows [][]sqlval.Value, keyCol int) *joinTable {
 		k := string(scratch)
 		h[k] = append(h[k], int32(i))
 	}
-	return &joinTable{parts: []map[string][]int32{h}}
+	return h
 }
 
 // step runs join i (1-based; i > len(joins) hands the row to the sink).
@@ -518,7 +482,7 @@ func (r *runner) step(i int) bool {
 		if !v.IsNull() {
 			var scratch [48]byte
 			keyRel := key - src.offset
-			for _, ri := range r.hashes[i-1].lookup(sqlval.AppendJoinKey(scratch[:0], v)) {
+			for _, ri := range r.hashes[i-1][string(sqlval.AppendJoinKey(scratch[:0], v))] {
 				// The bucket may hold Compare-unequal values (the numeric
 				// fold is lossy past 2^53): re-verify the actual equality.
 				if cmp, err := sqlval.Compare(v, rows[ri][keyRel]); err != nil || cmp != 0 {
@@ -815,40 +779,34 @@ func (s *plainSink) finish() error {
 type groupState struct {
 	first []sqlval.Value // retained copy of the group's first joined row
 	aggs  []*aggState
-
-	// firstAt is the arrival stamp of the group's first row; the parallel
-	// merge orders groups by it to reproduce first-seen output order.
-	firstAt int64
 }
 
 type groupedSink struct {
 	r *runner
 	p *SelectPlan
 
-	groups  map[string]*groupState
-	order   []*groupState
-	arena   *sqlval.RowArena
-	collect bool // DISTINCT aggregates collect for the parallel merge
+	groups map[string]*groupState
+	order  []*groupState
+	arena  *sqlval.RowArena
 
 	keyScratch []byte
 }
 
-// newGroup starts a group at its first row, arrived at stamp at.
-func newGroup(g *groupSink, first []sqlval.Value, at int64, collect bool) *groupState {
-	grp := &groupState{first: first, firstAt: at, aggs: make([]*aggState, len(g.aggs))}
+// newGroup starts a group at its first row.
+func newGroup(g *groupSink, first []sqlval.Value) *groupState {
+	grp := &groupState{first: first, aggs: make([]*aggState, len(g.aggs))}
 	for i, a := range g.aggs {
-		grp.aggs[i] = newAggState(a.fc, collect)
+		grp.aggs[i] = newAggState(a.fc)
 	}
 	return grp
 }
 
-func newGroupedSink(r *runner, collect bool) *groupedSink {
+func newGroupedSink(r *runner) *groupedSink {
 	return &groupedSink{
-		r:       r,
-		p:       r.p,
-		groups:  make(map[string]*groupState),
-		arena:   sqlval.NewRowArena(r.p.width),
-		collect: collect,
+		r:      r,
+		p:      r.p,
+		groups: make(map[string]*groupState),
+		arena:  sqlval.NewRowArena(r.p.width),
 	}
 }
 
@@ -863,14 +821,9 @@ func (s *groupedSink) add(row []sqlval.Value) bool {
 		}
 		s.keyScratch = sqlval.AppendKey(s.keyScratch, v)
 	}
-	// The stamp's morsel makes float SUM/AVG fold per morsel — the
-	// reduction tree the parallel merge uses, which is what makes the two
-	// paths bit-identical; the whole stamp orders first rows and MIN/MAX
-	// ties across workers.
-	at := s.r.at()
 	grp, ok := s.groups[string(s.keyScratch)]
 	if !ok {
-		grp = newGroup(g, s.arena.Copy(row), at, s.collect)
+		grp = newGroup(g, s.arena.Copy(row))
 		s.groups[string(s.keyScratch)] = grp
 		s.order = append(s.order, grp)
 	}
@@ -884,7 +837,6 @@ func (s *groupedSink) add(row []sqlval.Value) bool {
 			s.r.err = err
 			return false
 		}
-		grp.aggs[i].stamp = at
 		if err := grp.aggs[i].addValue(v); err != nil {
 			s.r.err = err
 			return false
@@ -893,19 +845,14 @@ func (s *groupedSink) add(row []sqlval.Value) bool {
 	return true
 }
 
+// finish runs the HAVING / projection / DISTINCT / ORDER / LIMIT tail
+// over the completed groups in first-seen order.
 func (s *groupedSink) finish() error {
-	return emitGroups(s.r, s.order)
-}
-
-// emitGroups runs the shared HAVING / projection / DISTINCT / ORDER /
-// LIMIT tail over completed groups in first-seen order. Both the serial
-// grouped sink and the parallel merge end here.
-func emitGroups(r *runner, order []*groupState) error {
-	p := r.p
+	r, p, order := s.r, s.p, s.order
 	g := p.group
 	// A grand-total aggregate over zero rows still yields one group.
 	if len(order) == 0 && len(g.keys) == 0 {
-		order = append(order, newGroup(g, make([]sqlval.Value, p.width), 0, false))
+		order = append(order, newGroup(g, make([]sqlval.Value, p.width)))
 	}
 
 	// The emit tail shares the plain sink's DISTINCT/ORDER/LIMIT logic.
