@@ -722,9 +722,8 @@ func BenchmarkSQLSelect(b *testing.B) {
 
 // BenchmarkSQLJoin measures the multi-join pipeline: a three-table
 // star-ish join at two sizes, and the 100k-row join the parallel-scaling
-// sweep tracks (-cpu 1,4,8). Each counts its rows with COUNT(*), so each
-// is an aggregate plan and runs on the serial driver at every
-// Parallelism.
+// sweep tracks (-cpu 1,4,8). Each counts its rows with COUNT(*); like
+// every SQL plan, each runs on the one serial driver at every -cpu.
 func BenchmarkSQLJoin(b *testing.B) {
 	const multi = `SELECT COUNT(*) FROM points p JOIN dims d ON p.id = d.id JOIN grps g ON d.grp = g.grp WHERE p.n < 500`
 	big := sqlBenchDB(b, 5000)
@@ -755,10 +754,9 @@ func BenchmarkSQLJoin(b *testing.B) {
 }
 
 // BenchmarkSQLGroupBy and BenchmarkSQLOrderTopK are the other two
-// scaling families over 100k rows: a GROUP BY, which runs on the serial
-// driver at every Parallelism, and a top-K, whose per-worker bounded
-// buffers are merged into one window on the morsel path. Compare
-// -cpu 1,4,8.
+// scaling families over 100k rows: a GROUP BY and a top-K, whose bounded
+// buffer keeps at most twice its LIMIT. Both run serial code at every
+// -cpu, so the sweep shows only the runtime's own scaling.
 func BenchmarkSQLGroupBy(b *testing.B) {
 	db := sqlBenchDB(b, 100000)
 	const q = `SELECT k, COUNT(*), MIN(v), MAX(v) FROM points GROUP BY k`
@@ -783,29 +781,24 @@ func BenchmarkSQLOrderTopK(b *testing.B) {
 	})
 }
 
-// The four families below track the stages whose parallel scaling CI
-// guards (see internal/sqlexec/parallel.go and internal/sparql/parallel.go):
-// a plan dominated by its serial hash-join build, a grouped float SUM/AVG
-// (an aggregate plan, which runs on the serial driver at every
-// Parallelism), the full final sort (ORDER BY without LIMIT), and SPARQL
-// property-path head fan-out. Compare -cpu 1,4,8 — CI guards that 8-core
-// ns/op never regresses past 1-core (cmd/benchjson -guard).
+// The four families below track the stages whose scaling CI guards: a
+// plan dominated by its hash-join build, a grouped float SUM/AVG, the
+// full final sort (ORDER BY without LIMIT) — SQL plans, which run on the
+// one serial driver at every -cpu — and SPARQL property-path head fan-out
+// (internal/sparql/parallel.go). Compare -cpu 1,4,8 — CI guards that
+// 8-core ns/op never regresses past 1-core (cmd/benchjson -guard).
 
 // BenchmarkSQLJoinBuildHeavy self-joins the 100k-row points table, so the
 // hash build over all 100k rows is a large share of the query. Equal
 // cardinalities keep the join unswapped, so it can never become an index
-// probe, which would build no hash; the benchmark fails if it does.
+// probe, which would build no hash.
 func BenchmarkSQLJoinBuildHeavy(b *testing.B) {
 	db := sqlBenchDB(b, 100000)
 	const q = `SELECT p.id, q.v FROM points p JOIN points q ON p.n = q.id`
 	b.Run("Build100k", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			res, err := db.Query(q)
-			if err != nil {
+			if _, err := db.Query(q); err != nil {
 				b.Fatal(err)
-			}
-			if res.ParallelFallback == "index probe join" {
-				b.Fatal("the join ran as an index probe and built no hash")
 			}
 		}
 	})
@@ -827,8 +820,8 @@ func BenchmarkSQLGroupBySum(b *testing.B) {
 }
 
 // BenchmarkSQLOrderFullSort covers the ORDER BYs that keep most of their
-// input: Sort100k has no LIMIT (per-worker sorted runs merged by a loser
-// tree), and JoinSortOffset is analytic_large's join_sort_offset shape
+// input: Sort100k has no LIMIT (every row sorted into the Result), and
+// JoinSortOffset is analytic_large's join_sort_offset shape
 // over the same 8 400-landfill databank (≈100k joined rows, a window of
 // 100 rows past OFFSET 50 000), which no heap-sized bound can prune.
 func BenchmarkSQLOrderFullSort(b *testing.B) {
@@ -957,13 +950,13 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 	city := dataset.CityName(7)
 	cityQ := fmt.Sprintf("SELECT name, city FROM landfill WHERE city = '%s' AND area >= 250", city)
 	joinQ := fmt.Sprintf("SELECT e.landfill_name, e.elem_name, a.lab_name FROM elem_contained e, analysis a WHERE e.landfill_name = '%s' AND a.landfill_name = e.landfill_name AND a.purity >= 0.6", dataset.LandfillName(14))
-	plan := func(b *testing.B, q string, opts sqlexec.Options) func() int {
+	plan := func(b *testing.B, q string) func() int {
 		key, lits, _ := sesql.Shape(q)
 		sel, err := sqlparser.ParseSelectTemplate(key)
 		if err != nil {
 			b.Fatal(err)
 		}
-		tmpl, err := sqlexec.CompileOpts(db.Catalog(), sel, opts)
+		tmpl, err := sqlexec.Compile(db.Catalog(), sel)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -984,11 +977,9 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 		}
 		b.ReportMetric(float64(rows), "rows/op")
 	}
-	for _, par := range []int{0, 1} {
-		b.Run(fmt.Sprintf("City/Parallelism=%d", par), func(b *testing.B) {
-			run(b, plan(b, cityQ, sqlexec.Options{Parallelism: par}))
-		})
-	}
+	b.Run("City", func(b *testing.B) {
+		run(b, plan(b, cityQ))
+	})
 	b.Run("City/HandLoop", func(b *testing.B) {
 		t, err := db.Catalog().Table("landfill")
 		if err != nil {
@@ -1005,11 +996,9 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 			return n
 		})
 	})
-	for _, par := range []int{0, 1} {
-		b.Run(fmt.Sprintf("JoinReplaceConstant/Parallelism=%d", par), func(b *testing.B) {
-			run(b, plan(b, joinQ, sqlexec.Options{Parallelism: par}))
-		})
-	}
+	b.Run("JoinReplaceConstant", func(b *testing.B) {
+		run(b, plan(b, joinQ))
+	})
 	// ProbeShare sweeps the driving side of a swapped join — the
 	// landfills above an area cutoff — against the 4 000 analyses. Up to
 	// one driving row per sqlexec's probeRatio (4) analyses the plan probes
@@ -1018,7 +1007,7 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 	for _, drive := range []int{62, 125, 250, 500, 1000, 2000} {
 		q := fmt.Sprintf("SELECT l.name, a.lab_name FROM landfill l, analysis a WHERE a.landfill_name = l.name AND l.area >= %.2f", 550-float64(drive)/4)
 		b.Run(fmt.Sprintf("ProbeShare/drive=%d", drive), func(b *testing.B) {
-			run(b, plan(b, q, sqlexec.Options{}))
+			run(b, plan(b, q))
 		})
 	}
 }

@@ -120,15 +120,15 @@
 // scanned row before it is copied into that buffer, so a rejected row is
 // never copied; LIMIT without ORDER BY stops the pipeline early. A plan
 // runs only to its Result (Run / RunContext), copying each output row
-// once: rows a sorter or a morsel worker holds become the Result's. Values
+// once: rows a sorter holds become the Result's. Values
 // are 32 bytes (sqlval.Value: a type, one 8-byte payload for the
 // integer, the float bits or the bool, and a string), and the numbers
 // follow PostgreSQL's total order, NaN equal to itself and above every
 // other number. INTEGER arithmetic and SUM fail with "integer out of
 // range" instead of wrapping; SUM adds exactly in 128 bits, so only a
 // final sum outside int64 fails, whatever the order of its additions.
-// Each query has one plan: sqlexec.Options carries only the worker bound
-// and the partial-results policy, never a switch between plans. Every
+// Each query has one plan and one driver: sqlexec.Options carries only
+// the partial-results policy, never a switch between plans. Every
 // production expression evaluation is compiled, INSERT … VALUES and
 // UPDATE … SET included, and LIKE always runs the linear segment
 // matcher, whether the pattern is a constant or computed per row. The
@@ -150,60 +150,49 @@
 //
 // # Intra-query parallel execution
 //
-// Both executors share a morsel-driven scheduler (internal/exec): the
-// query's driving input — the base-table scan on the SQL side, the head
-// pattern's posting list on the SPARQL side — is materialised once in
-// serial enumeration order and partitioned into fixed-size morsels; a
-// bounded worker pool claims morsel indexes from an atomic counter and
-// each worker runs the full compiled pipeline (joins, filters,
-// projection) with private execution state, against shared state frozen
-// before the first worker starts (hash tables and materialised join
-// sides in SQL, built serially in join order, the resolved constant table
-// and one read transaction in SPARQL, whose rdf.IDReader probes are pure
-// reads under the transaction lock). In SQL the pipeline body is one
-// function per driving row with two drivers: the serial driver streams
-// the driving scan into it, the parallel driver feeds it materialised
-// morsels; below it both use the same plain sink and side-build routine.
-// SQL heap tables implement sqldb.StableRowScanner — scanned rows are
-// immutable in place, updates replace rows wholesale — so join-side
-// materialisation retains the stored rows zero-copy on both drivers.
-// Output is buffered per morsel (or stamped with its (morsel, sequence)
-// arrival position) and merged in morsel order, which makes the parallel
-// result byte-identical to the serial one: same rows, same order, same
-// ties, same first error.
+// Only the SPARQL executor runs a query on several cores. Its driving
+// input, the head pattern's posting list, is materialised once in serial
+// enumeration order and partitioned into fixed-size morsels by the
+// scheduler in internal/exec; a bounded worker pool claims morsel indexes
+// from an atomic counter and each worker runs the full compiled pipeline
+// (joins, filters, projection) with private execution state, against
+// shared state frozen before the first worker starts (the resolved
+// constant table and one read transaction, whose rdf.IDReader probes are
+// pure reads under the transaction lock). Output is buffered per morsel
+// and merged in morsel order, which makes the parallel result
+// byte-identical to the serial one: same rows, same order, same ties,
+// same first error. Every ORDER BY merge — per-morsel buffers, and the
+// serial sort as one run — goes through exec.MergeSorted, which sorts the
+// runs concurrently and streams a loser-tree merge (ties to the lower
+// run, the earlier morsel — exactly the serial stable sort) into the
+// result; property-path heads materialise the path frontier once and fan
+// the pairs out like any posting list; and a pool built with a LIMIT
+// target cuts the remaining morsels once Pool.Done sees a contiguous
+// completed-morsel prefix holding enough rows.
 //
-// Every parallel merge follows one rule: workers may fill their buffers
-// in any interleaving, but the buffers combine in morsel order. A SQL
-// ORDER BY with a LIMIT brackets its window in the workers' buffers with
-// a sample, one pass per worker, and selects the window from the rows
-// inside the bracket alone; every other ORDER BY merge — SQL full-sort
-// runs, SPARQL per-morsel buffers, and the serial SPARQL sort as one run
-// — goes through exec.MergeSorted, which sorts the runs concurrently and
-// streams a loser-tree merge (ties to the lower run, the earlier morsel —
-// exactly the serial stable sort) into the result; SPARQL property-path
-// heads materialise the path frontier once and fan the pairs out like any
-// posting list; and a pool built with a LIMIT target cuts the remaining
-// morsels once Pool.Done sees a contiguous completed-morsel prefix
-// holding enough rows. SQL aggregates are not reduced in parallel: a
-// per-worker aggregation merge and a partitioned hash build each lost to
-// the serial path on every measurement, so an aggregate plan runs on the
-// serial driver, its float SUM/AVG one Neumaier-compensated accumulator
-// filled in arrival order. The shapes that run serially — SQL aggregate
-// plans, ASK (first match wins), foreign-table scans, and inputs below
-// the morsel threshold where fan-out costs more than it wins — each name
-// their reason:
-// sqlexec/sparql Result.ParallelFallback (and sparql's StreamInfo)
-// carry it per query, core.Stats.ParallelFallback aggregates the stages
-// that run a plan ("base-sql: ...", "sparql: ..."; the final stage is a
-// sort of rows already in memory and has no entry), and the REST stats
-// object surfaces it as parallel_fallback on /query and /sparql alike, so
-// "why didn't this query parallelise" is an API field, not a profiling
-// session. The knob is sqlexec.Options.Parallelism /
+// The SQL executor runs every plan on one serial driver: it streams the
+// driving scan through the compiled pipeline, so a LIMIT without ORDER BY
+// stops the scan after the rows it needs. A morsel driver for plain and
+// ORDER BY plans, a per-worker aggregation merge and a partitioned hash
+// build each lost to the serial path under the benchmark harness's load,
+// and were removed. SQL heap tables implement sqldb.StableRowScanner —
+// scanned rows are immutable in place, updates replace rows wholesale —
+// so join-side materialisation retains the stored rows zero-copy.
+//
+// The SPARQL shapes that run serially — ASK (first match wins), LIMIT 0,
+// and inputs below the morsel threshold where fan-out costs more than it
+// wins — each name their reason: sparql's Result.ParallelFallback (and
+// its StreamInfo) carry it per query, core.Stats.ParallelFallback
+// collects the reasons of an evaluation's SPARQL queries ("sparql: ...";
+// the base SQL and the final stage always run serially and have no
+// entry), and the REST stats object surfaces it as parallel_fallback on
+// /query and /sparql alike, so "why didn't this query parallelise" is an
+// API field, not a profiling session. The knob is
 // sparql.Options.Parallelism / core.ExecOptions.Parallelism, set through
-// core.Enricher.SetExecOptions (0 = GOMAXPROCS, 1 = serial); parity
-// suites run every test at 1, 2 and 4 workers, and a determinism suite
-// requires ORDER BY (+ OFFSET/LIMIT) output to be byte-identical across
-// parallelism levels on tie-heavy keys.
+// core.Enricher.SetExecOptions (0 = GOMAXPROCS, 1 = serial); the SPARQL
+// parity suites run every test at 1, 2 and 4 workers, and a determinism
+// suite requires ORDER BY (+ OFFSET/LIMIT) output to be byte-identical
+// across parallelism levels on tie-heavy keys.
 //
 // The enrichment pipeline (internal/core) compiles each SESQL *shape*
 // once. sesql.Shape lexes a text in one pass into a shape key — the text

@@ -92,22 +92,22 @@ type Stats struct {
 	// under partial-results degradation (empty on complete results).
 	SkippedSources []string
 
-	// ParallelFallback records why query stages fell back to the serial
-	// pipeline instead of morsel-driven parallel execution — stage-prefixed
-	// reasons ("base-sql: driving scan below parallel threshold";
-	// "sparql: parallelism=1") joined by "; ", deduplicated. Empty when
-	// every executed stage ran parallel.
+	// ParallelFallback records why SPARQL queries ran on the serial path
+	// instead of morsel-driven parallel execution — stage-prefixed reasons
+	// ("sparql: parallelism=1") joined by "; ", deduplicated. Empty when
+	// every SPARQL query ran parallel. The base SQL and the final stage
+	// always run serially and have no entry.
 	ParallelFallback string
 }
 
-// addParallelFallback records one stage's serial-fallback reason,
+// addParallelFallback records one SPARQL query's serial-fallback reason,
 // deduplicating repeats (a single SESQL evaluation can run many SPARQL
 // queries that all decline for the same reason).
-func (s *Stats) addParallelFallback(stage, reason string) {
+func (s *Stats) addParallelFallback(reason string) {
 	if reason == "" {
 		return
 	}
-	entry := stage + ": " + reason
+	entry := "sparql: " + reason
 	for _, have := range strings.Split(s.ParallelFallback, "; ") {
 		if have == entry {
 			return
@@ -190,7 +190,6 @@ func (e *Enricher) QueryStatsContext(ctx context.Context, user, text string) (*s
 		return nil, st, err
 	}
 	st.SkippedSources = res.SkippedSources
-	st.addParallelFallback("base-sql", res.ParallelFallback)
 	st.BaseRows, st.FinalRows = len(res.Rows), len(res.Rows)
 	if len(q.Enrichments) == 0 {
 		return res, st, nil
@@ -581,7 +580,7 @@ func extract[T any](e *Enricher, uc userCtx, kind extractKind, text string, st *
 	if err != nil {
 		return zero, fmt.Errorf("core: SPARQL: %w", err)
 	}
-	st.addParallelFallback("sparql", info.ParallelFallback)
+	st.addParallelFallback(info.ParallelFallback)
 	e.cache.putExtract(key, uc.epoch, v, n)
 	return v, nil
 }

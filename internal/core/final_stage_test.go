@@ -364,11 +364,10 @@ func TestUnresolvableEnrichmentAttribute(t *testing.T) {
 	}
 }
 
-// morselFixture is a fixture whose base table passes the SQL executor's
-// morsel gate (4 096 driving rows) and whose dangerLevel extract passes
-// the SPARQL one (2 048 head matches): 6 000 elem_contained rows over
-// 2 400 elements, most with one dangerLevel, every seventh with two (a
-// fan-out), every eleventh with none (a NULL).
+// morselFixture is a fixture whose dangerLevel extract passes the SPARQL
+// executor's morsel gate (2 048 head matches) over a base table of 6 000
+// elem_contained rows over 2 400 elements, most with one dangerLevel,
+// every seventh with two (a fan-out), every eleventh with none (a NULL).
 func morselFixture(t *testing.T) *Enricher {
 	t.Helper()
 	e := fixture(t)
@@ -393,13 +392,12 @@ func morselFixture(t *testing.T) *Enricher {
 	return e
 }
 
-// TestEnrichedMorselPathParity compares enriched answers whose base query
-// runs on the morsel path: a plain base (the workers' rows merged in
-// morsel order), a base ORDER BY with and without a window (merged as
-// sorted runs or selected from the workers' sorters), and an ORDER BY on
-// the enriched column, deferred to the final stage. Each must give the
-// same rows, in the same order, at Parallelism 1, 2 and 4, and at 2 and 4
-// no stage may fall back to serial.
+// TestEnrichedMorselPathParity compares enriched answers whose extract
+// runs on the SPARQL morsel path: over a plain base, a base ORDER BY with
+// and without a window, and with an ORDER BY on the enriched column,
+// deferred to the final stage. Each must give the same rows, in the same
+// order, at Parallelism 1, 2 and 4, and at 2 and 4 no SPARQL query may
+// fall back to serial.
 func TestEnrichedMorselPathParity(t *testing.T) {
 	const enrich = ` ENRICH SCHEMAEXTENSION(elem_name, dangerLevel)`
 	cases := []struct {

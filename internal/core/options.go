@@ -5,16 +5,16 @@ import (
 	"crosse/internal/sqlexec"
 )
 
-// ExecOptions is the single knob set for one enriched evaluation: it
-// unifies the previously parallel sqlexec.Options / sparql.Options
-// plumbing, so callers configure the pipeline once and the enricher
-// projects the relevant subset onto each executor. The zero value is the
-// production configuration (parallel GOMAXPROCS execution, fail fast on
-// down sources).
+// ExecOptions is the single knob set for one enriched evaluation: callers
+// configure the pipeline once and the enricher projects the relevant
+// subset onto each executor. The zero value is the production
+// configuration (SPARQL on GOMAXPROCS workers, fail fast on down
+// sources).
 type ExecOptions struct {
-	// Parallelism caps intra-query parallelism for both the SQL and the
-	// SPARQL executor: 0 (the default) means GOMAXPROCS, 1 forces the
-	// serial paths, larger values bound each query's worker fan-out.
+	// Parallelism caps the SPARQL executor's intra-query parallelism: 0
+	// (the default) means GOMAXPROCS, 1 forces its serial path, larger
+	// values bound each query's worker fan-out. The SQL executor runs
+	// every plan serially and ignores it.
 	Parallelism int
 
 	// PartialResults degrades instead of failing when a remote source is
@@ -25,7 +25,7 @@ type ExecOptions struct {
 
 // SQL projects the options onto the relational executor.
 func (o ExecOptions) SQL() sqlexec.Options {
-	return sqlexec.Options{Parallelism: o.Parallelism, PartialResults: o.PartialResults}
+	return sqlexec.Options{PartialResults: o.PartialResults}
 }
 
 // SPARQL projects the options onto the ontology executor.

@@ -9,7 +9,7 @@ import (
 
 func TestExecOptionsRoundTrip(t *testing.T) {
 	o := ExecOptions{Parallelism: 3, PartialResults: true}
-	wantSQL := sqlexec.Options{Parallelism: 3, PartialResults: true}
+	wantSQL := sqlexec.Options{PartialResults: true}
 	if got := o.SQL(); got != wantSQL {
 		t.Errorf("SQL() = %+v, want %+v", got, wantSQL)
 	}

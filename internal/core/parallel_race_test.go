@@ -1,13 +1,14 @@
 package core
 
-// parallel_race_test.go — concurrency regression for intra-query
-// parallelism: reader goroutines run parallel SQL and SESQL-enrichment
-// queries (Parallelism 4, fixtures large enough that the morsel path
-// actually engages) while a writer drives journaled mutations — SQL
-// inserts, KB inserts, periodic compaction — through the same engine and
-// platform. Meaningful chiefly under -race: the morsel workers must only
-// ever touch state frozen at materialisation time, and every live read
-// must go through the table/store locks the writers take.
+// parallel_race_test.go — concurrency regression for concurrent and
+// intra-query-parallel reads: reader goroutines run SQL queries and
+// SESQL-enrichment queries (Parallelism 4, fixtures large enough that the
+// SPARQL morsel path actually engages) while a writer drives journaled
+// mutations — SQL inserts, KB inserts, periodic compaction — through the
+// same engine and platform. Meaningful chiefly under -race: the SPARQL
+// morsel workers must only ever touch state frozen at materialisation
+// time, and every live read must go through the table/store locks the
+// writers take.
 
 import (
 	"fmt"
@@ -18,15 +19,13 @@ import (
 	"crosse/internal/engine"
 	"crosse/internal/kb"
 	"crosse/internal/rdf"
-	"crosse/internal/sqlexec"
 	"crosse/internal/sqlval"
 	"crosse/internal/wal"
 )
 
-// parallelRaceBootstrap builds a platform big enough that the parallel
-// paths engage at their default thresholds: 5000 SQL rows (the morsel
-// gate is 4096) and 2600 KB triples on one predicate (the SPARQL head
-// gate is 2048).
+// parallelRaceBootstrap builds a platform big enough that the SPARQL
+// parallel path engages at its default threshold: 2600 KB triples on one
+// predicate (the head gate is 2048), beside 5000 SQL rows.
 func parallelRaceBootstrap() (*engine.DB, *kb.Platform, error) {
 	db := engine.Open()
 	if _, err := db.ExecScript(`
@@ -125,8 +124,8 @@ func TestParallelQueriesRaceJournaledWrites(t *testing.T) {
 		}
 	}()
 
-	// Parallel SQL readers: each query shape exercises a distinct merge
-	// mode (grouped, plain probe+filter, sorted top-K).
+	// SQL readers: each query shape exercises a distinct sink (grouped,
+	// a join under a COUNT(*), sorted top-K).
 	for _, q := range []string{
 		`SELECT k, COUNT(*), MIN(v), MAX(v) FROM pts GROUP BY k`,
 		`SELECT COUNT(*) FROM pts p JOIN dim d ON p.id = d.id WHERE p.n < 500`,
@@ -136,7 +135,7 @@ func TestParallelQueriesRaceJournaledWrites(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				res, err := j.DB().QueryOpts(q, sqlexec.Options{Parallelism: 4})
+				res, err := j.DB().Query(q)
 				if err != nil {
 					fail("%q: %v", q, err)
 					return

@@ -32,8 +32,8 @@ func (d *DB) Exec(sql string) (*sqlexec.Result, error) {
 	return sqlexec.Exec(d.cat, sql)
 }
 
-// ExecOpts executes one SQL statement with execution options (the worker
-// bound and the partial-results policy).
+// ExecOpts executes one SQL statement with execution options (the
+// partial-results policy).
 func (d *DB) ExecOpts(sql string, opts sqlexec.Options) (*sqlexec.Result, error) {
 	return sqlexec.ExecOpts(d.cat, sql, opts)
 }

@@ -1,14 +1,15 @@
-// Package exec is the shared morsel-driven scheduler behind the SQL and
-// SPARQL executors' intra-query parallelism. A query's driving input is
-// partitioned into fixed-size contiguous morsels in serial enumeration
-// order; a Pool of bounded workers claims morsel indexes from an atomic
-// counter, so each worker processes a strictly increasing sequence of
-// morsels and every morsel is processed by exactly one worker. Executors
-// keep all mutable scratch state per worker and buffer output per morsel,
-// then merge the buffers in morsel-index order — which makes the parallel
-// output identical to the serial executor's, byte for byte, without any
-// cross-worker synchronisation on the hot path. That merge rule lives here
-// once:
+// Package exec is the morsel-driven scheduler behind the SPARQL
+// executor's intra-query parallelism (the SQL executor runs every plan
+// serially). A query's driving input is partitioned into fixed-size
+// contiguous morsels in serial enumeration order; a Pool of bounded
+// workers claims morsel indexes from an atomic counter, so each worker
+// processes a strictly increasing sequence of morsels and every morsel is
+// processed by exactly one worker. The executor keeps all mutable
+// scratch state per worker and buffers output per morsel, then merges the
+// buffers in morsel-index order — which makes the parallel output
+// identical to the serial executor's, byte for byte, without any
+// cross-worker synchronisation on the hot path. That merge rule lives
+// here:
 //
 //   - a barrier between two stages (run sort → merge) is two consecutive
 //     Pool.Run calls, since Run returns only when every claimed morsel has
@@ -58,14 +59,6 @@ func Bounds(m, size, n int) (lo, hi int) {
 		hi = n
 	}
 	return lo, hi
-}
-
-// At composes a global arrival stamp from a morsel index and a sequence
-// number within the morsel. Stamps order exactly like the serial
-// executor's arrival order, so they serve as the stable-sort tiebreak of
-// parallel ORDER BY paths.
-func At(morsel int, seq int64) int64 {
-	return int64(morsel)<<32 | seq
 }
 
 // Pool schedules morsel indexes [0, morsels) over a bounded set of worker

@@ -384,9 +384,10 @@ type statsJSON struct {
 	ContextHits    int      `json:"context_hits,omitempty"`
 	FinalSQL       string   `json:"final_sql,omitempty"`
 	SkippedSources []string `json:"skipped_sources,omitempty"`
-	// ParallelFallback names why query stages ran serial instead of on the
-	// morsel-driven parallel path (stage-prefixed, "; "-joined). Omitted
-	// when every executed stage parallelised.
+	// ParallelFallback names why SPARQL queries ran serial instead of on
+	// the morsel-driven parallel path ("sparql: ..." entries, "; "-joined).
+	// The base SQL always runs serially and has no entry. Omitted when
+	// every SPARQL query parallelised.
 	ParallelFallback string `json:"parallel_fallback,omitempty"`
 }
 

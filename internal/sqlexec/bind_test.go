@@ -13,11 +13,9 @@ import (
 // corpus: the template of a query's shape, compiled without its literals
 // and bound with them, returns the rows the query compiled with its
 // literals inlined returns — the same sequence where ORDER BY is a total
-// order — serially and in parallel.
+// order.
 func TestTemplateBindMatchesInlined(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(43))
-	options := []Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}}
 	slots := 0
 	for trial := 0; trial < 6; trial++ {
 		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
@@ -36,38 +34,36 @@ func TestTemplateBindMatchesInlined(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, opts := range options {
-				want, werr := EvalSelectOpts(db, sel, opts)
-				tmpl, gerr := CompileOpts(db, tsel, opts)
-				var got *Result
-				if gerr == nil {
-					got, gerr = tmpl.Bind(lits.Vals).Run()
+			want, werr := EvalSelectOpts(db, sel, Options{})
+			tmpl, gerr := Compile(db, tsel)
+			var got *Result
+			if gerr == nil {
+				got, gerr = tmpl.Bind(lits.Vals).Run()
+			}
+			if (werr == nil) != (gerr == nil) {
+				t.Fatalf("%q: inlined err=%v template err=%v", text, werr, gerr)
+			}
+			if werr != nil {
+				continue
+			}
+			if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
+				t.Fatalf("%q: headers %v != %v", text, got.Columns, want.Columns)
+			}
+			wr, gr := renderRows(want.Rows), renderRows(got.Rows)
+			switch {
+			case len(sel.OrderBy) > 0:
+				// genSelect ends every ORDER BY in a unique-key chain.
+			case sel.Limit != nil || sel.Offset != nil:
+				// Any |limit| rows are a right answer: compare counts.
+				if len(wr) != len(gr) {
+					t.Fatalf("%q: LIMIT row count %d != %d", text, len(gr), len(wr))
 				}
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("%q opts=%+v: inlined err=%v template err=%v", text, opts, werr, gerr)
-				}
-				if werr != nil {
-					continue
-				}
-				if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
-					t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
-				}
-				wr, gr := renderRows(want.Rows), renderRows(got.Rows)
-				switch {
-				case len(sel.OrderBy) > 0:
-					// genSelect ends every ORDER BY in a unique-key chain.
-				case sel.Limit != nil || sel.Offset != nil:
-					// Any |limit| rows are a right answer: compare counts.
-					if len(wr) != len(gr) {
-						t.Fatalf("%q opts=%+v: LIMIT row count %d != %d", text, opts, len(gr), len(wr))
-					}
-					continue
-				default:
-					wr, gr = sortedCopy(wr), sortedCopy(gr)
-				}
-				if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-					t.Fatalf("%q opts=%+v:\ninlined:\n%s\ntemplate:\n%s", text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-				}
+				continue
+			default:
+				wr, gr = sortedCopy(wr), sortedCopy(gr)
+			}
+			if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
+				t.Fatalf("%q:\ninlined:\n%s\ntemplate:\n%s", text, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 			}
 		}
 	}
@@ -97,7 +93,6 @@ func TestUnboundTemplateFails(t *testing.T) {
 // compiled with them, and fails exactly when it fails.
 func TestWithTailMatchesCompile(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	opts := Options{Parallelism: 1}
 	for trial := 0; trial < 4; trial++ {
 		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
 		for q := 0; q < 40; q++ {
@@ -106,11 +101,11 @@ func TestWithTailMatchesCompile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, werr := EvalSelectOpts(db, sel, opts)
+			want, werr := EvalSelectOpts(db, sel, Options{})
 			bare := *sel
 			bare.OrderBy, bare.Limit, bare.Offset = nil, nil, nil
 			var got *Result
-			p, gerr := CompileOpts(db, &bare, opts)
+			p, gerr := Compile(db, &bare)
 			if gerr == nil {
 				if p, gerr = p.WithTail(sel); gerr == nil {
 					got, gerr = p.Run()

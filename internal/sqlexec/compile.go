@@ -41,16 +41,9 @@ import (
 )
 
 // Options tunes SELECT execution. The zero value is the production
-// default. No field selects a plan: each query compiles to one, and the
-// fields bound its workers and set the policy for a down source.
+// default. No field selects a plan: each query compiles to one, and
+// every plan runs on the one serial driver in run.go.
 type Options struct {
-	// Parallelism bounds the worker count of morsel-driven parallel
-	// execution: 0 (the default) means GOMAXPROCS, 1 forces the serial
-	// path, anything higher caps the workers of one query. Output is
-	// identical to the serial path at every setting; plans run serially
-	// when they aggregate, the input is small or its size unknown, and
-	// name the reason in Result.ParallelFallback (see parallel.go).
-	Parallelism int
 	// PartialResults degrades instead of failing when a scanned source is
 	// down before producing any row (sqldb.ErrSourceDown — an open FDW
 	// circuit breaker): the source contributes zero rows and is named in
@@ -1579,7 +1572,7 @@ func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 		}
 		sorted[i] = sortedRow{row: row, seq: int64(i)}
 	}
-	win := windowRuns(t.order, [][]sortedRow{sorted}, t.offset, t.limit, 1)
+	win := bracketWindow(t.order, sorted, t.offset, t.limit)
 	w := newWindowOut(len(win), len(rows), t.n)
 	for _, sr := range win {
 		w.add(sr.row)

@@ -12,7 +12,8 @@ import (
 
 // Deterministic edge cases the randomised parity suite cannot pin exactly:
 // self-referential INSERT ... SELECT, LIMIT 0/OFFSET-past-end, DISTINCT
-// early-stop, and grouped first-row semantics through the compiled path.
+// and plain LIMIT early-stop, and grouped first-row semantics through the
+// compiled path.
 func TestCompiledEdgeCases(t *testing.T) {
 	db := sampleDB(t)
 	// Self INSERT ... SELECT must materialise before inserting.
@@ -36,6 +37,27 @@ func TestCompiledEdgeCases(t *testing.T) {
 	// DISTINCT with LIMIT early-stops correctly.
 	if n := len(mustExec(t, db, `SELECT DISTINCT landfill_name FROM elem_contained LIMIT 2`).Rows); n != 2 {
 		t.Fatalf("distinct limit rows = %d", n)
+	}
+	// LIMIT without ORDER BY stops the driving scan once it has its rows,
+	// however many rows the relation holds.
+	tab, err := sqldb.NewTable("counted", sqldb.Schema{{Name: "id", Type: sqlval.TypeInt}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5000; i++ {
+		if err := tab.Insert([]sqlval.Value{sqlval.NewInt(int64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	counted := &countingTable{Table: tab}
+	if err := db.RegisterForeign(counted); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(mustExec(t, db, `SELECT id FROM counted LIMIT 3`).Rows); n != 3 {
+		t.Fatalf("LIMIT 3 rows = %d", n)
+	}
+	if n := counted.rows.Load(); n > 3 {
+		t.Fatalf("LIMIT 3 scanned %d of %d rows, want 3", n, tab.Len())
 	}
 	// Grouped query over a view joined twice + HAVING + ORDER + LIMIT.
 	r = mustExec(t, db, `SELECT e.landfill_name, COUNT(*) AS n FROM elem_contained e, landfill l
@@ -166,9 +188,8 @@ func TestLeftJoinLeftOnlyOnConjunct(t *testing.T) {
 
 // NaN follows PostgreSQL: NaN equals NaN and sorts above every other
 // number. Filters, IN, BETWEEN, ORDER BY both ways, MIN/MAX, index seeks
-// and hash joins all see that one order, serially and in parallel.
+// and hash joins all see that one order.
 func TestNaNOrdersAboveNumbers(t *testing.T) {
-	forceParallel(t)
 	db := sqldb.NewDatabase()
 	mustExec(t, db, `CREATE TABLE f (id INT, x DOUBLE)`)
 	mustExec(t, db, `INSERT INTO f VALUES (1, 1.0), (2, 2.0), (3, 'NaN'), (4, 3.0), (5, NULL)`)
@@ -189,17 +210,14 @@ func TestNaNOrdersAboveNumbers(t *testing.T) {
 		{`x = 1e308*10 - 1e308*10`, "3,6"},
 		{`x > 1e308`, "3,6"},
 	}
-	options := []Options{{Parallelism: 1}, {Parallelism: 4}}
 	ids := func(rows [][]sqlval.Value) string {
 		return strings.Join(rowsAsStrings(&Result{Rows: rows}), ",")
 	}
 	for _, table := range []string{"f", "fi"} {
 		for _, c := range cases {
 			q := `SELECT id FROM ` + table + ` WHERE ` + c.where + ` ORDER BY id`
-			for _, opts := range options {
-				if got := ids(mustExecOpts(t, db, q, opts).Rows); got != c.want {
-					t.Errorf("%s opts=%+v: %s, want %s", q, opts, got, c.want)
-				}
+			if got := ids(mustExec(t, db, q).Rows); got != c.want {
+				t.Errorf("%s: %s, want %s", q, got, c.want)
 			}
 			if ref, err := oracle.SQL(db, mustParseSelect(t, q)); err != nil || ids(ref.Rows) != c.want {
 				t.Errorf("%s: oracle %v (err %v), want %s", q, ref, err, c.want)
@@ -212,10 +230,8 @@ func TestNaNOrdersAboveNumbers(t *testing.T) {
 			{`SELECT COUNT(*) FROM ` + table + ` a JOIN ` + table + ` b ON a.x = b.x`, "7"},
 			{`SELECT COUNT(DISTINCT x) FROM ` + table, "4"},
 		} {
-			for _, opts := range options {
-				if got := ids(mustExecOpts(t, db, c.q, opts).Rows); got != c.want {
-					t.Errorf("%s opts=%+v: %s, want %s", c.q, opts, got, c.want)
-				}
+			if got := ids(mustExec(t, db, c.q).Rows); got != c.want {
+				t.Errorf("%s: %s, want %s", c.q, got, c.want)
 			}
 			if got := ids(mustOracle(t, db, c.q).Rows); got != c.want {
 				t.Errorf("%s: oracle %s, want %s", c.q, got, c.want)

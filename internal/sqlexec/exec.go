@@ -17,11 +17,6 @@ type Result struct {
 	// SkippedSources names sources that were down and skipped under
 	// Options.PartialResults (empty on complete results).
 	SkippedSources []string
-	// ParallelFallback is empty when the SELECT ran on the morsel-driven
-	// parallel path, and otherwise names why it fell back to the serial
-	// pipeline (e.g. "parallelism=1", "driving scan below parallel
-	// threshold"). Always empty for DML.
-	ParallelFallback string
 }
 
 // Exec parses and executes one SQL statement against db.

@@ -13,7 +13,11 @@ import (
 // mustExec runs a statement and fails the test on error.
 func mustExec(t *testing.T, db *sqldb.Database, sql string) *Result {
 	t.Helper()
-	return mustExecOpts(t, db, sql, Options{})
+	r, err := Exec(db, sql)
+	if err != nil {
+		t.Fatalf("exec %q: %v", sql, err)
+	}
+	return r
 }
 
 // mustOracle runs a SELECT through the SQL oracle
@@ -23,16 +27,6 @@ func mustOracle(t *testing.T, db *sqldb.Database, sql string) *oracle.Answer {
 	r, err := oracle.SQL(db, mustParseSelect(t, sql))
 	if err != nil {
 		t.Fatalf("oracle %q: %v", sql, err)
-	}
-	return r
-}
-
-// mustExecOpts runs a statement with execution options.
-func mustExecOpts(t *testing.T, db *sqldb.Database, sql string, opts Options) *Result {
-	t.Helper()
-	r, err := ExecOpts(db, sql, opts)
-	if err != nil {
-		t.Fatalf("exec %q: %v", sql, err)
 	}
 	return r
 }

@@ -9,12 +9,12 @@
 // sqldb.FilteredRelation index seeks, equi-joins planned as hash joins
 // and ORDER BY keys as slots of the buffered output row, which a LIMIT
 // bounds by selection (order.go) — and the plan executes as a
-// push-based streaming pipeline over reused rows (run.go). A predicate
-// over slots and constants also gets a typed kernel (kernel.go) that
-// answers most rows without building a Value, and declines the rest to
-// the generic tree; a source's own conjuncts run on the row as scanned,
-// before it is copied into the joined-row buffer. Options
-// carries the worker bound and the partial-results policy. EvalSelectOpts/Exec wrap
+// push-based streaming pipeline over reused rows on one serial driver
+// (run.go). A predicate over slots and constants also gets a typed kernel
+// (kernel.go) that answers most rows without building a Value, and
+// declines the rest to the generic tree; a source's own conjuncts run on
+// the row as scanned, before it is copied into the joined-row buffer.
+// Options carries only the partial-results policy. EvalSelectOpts/Exec wrap
 // compile-then-run; internal/core caches compiled plans per SESQL shape
 // and binds each request's literals into them (bind.go). INSERT … VALUES,
 // UPDATE … SET and UPDATE/DELETE predicates compile through CompileExpr

@@ -39,20 +39,18 @@ func typedRows(rows [][]sqlval.Value) string {
 }
 
 // pin checks q's answer against a hand-computed want — its rows rendered
-// by typedRows, or the executor's error text — on the executor, serially
-// and on the morsel path, and on the oracle. The oracle words its errors
-// its own way, so where want is an error it is held only to failing.
+// by typedRows, or the executor's error text — on the executor and on the
+// oracle. The oracle words its errors its own way, so where want is an
+// error it is held only to failing.
 func pin(t *testing.T, db *sqldb.Database, q, want string) {
 	t.Helper()
-	for _, par := range []int{1, 4} {
-		res, err := ExecOpts(db, q, Options{Parallelism: par})
-		got := fmt.Sprint(err)
-		if err == nil {
-			got = typedRows(res.Rows)
-		}
-		if got != want {
-			t.Errorf("%s (parallelism %d) = %s, want %s", q, par, got, want)
-		}
+	res, err := Exec(db, q)
+	got := fmt.Sprint(err)
+	if err == nil {
+		got = typedRows(res.Rows)
+	}
+	if got != want {
+		t.Errorf("%s = %s, want %s", q, got, want)
 	}
 	wantErr := strings.HasPrefix(want, "sqlexec: ") || strings.HasPrefix(want, "sqlval: ")
 	ans, err := oracle.SQL(db, mustParseSelect(t, q))
@@ -338,19 +336,14 @@ func TestSumDistinct(t *testing.T) {
 
 // TestIntegerSumExact pins INTEGER SUM: it accumulates exactly, whatever
 // the order of its additions, and fails only when the final sum leaves
-// int64 — on the serial and the morsel-parallel paths and in the oracle
-// alike. Zero rows between the extremes put them in different
-// morsels, so the parallel path merges partial sums.
+// int64 — in the executor and in the oracle alike.
 func TestIntegerSumExact(t *testing.T) {
-	forceParallel(t)
 	db := sqldb.NewDatabase()
 	mustExec(t, db, `CREATE TABLE t (x INT)`)
 	tab, _ := db.Table("t")
 	for _, x := range []int64{math.MaxInt64, math.MaxInt64, -math.MaxInt64, math.MinInt64} {
-		for _, v := range []int64{x, 0, 0, 0, 0, 0, 0, 0} {
-			if err := tab.Insert([]sqlval.Value{sqlval.NewInt(v)}); err != nil {
-				t.Fatal(err)
-			}
+		if err := tab.Insert([]sqlval.Value{sqlval.NewInt(x)}); err != nil {
+			t.Fatal(err)
 		}
 	}
 	for _, tc := range []struct{ q, want string }{
@@ -430,11 +423,10 @@ func TestUnknownFromAndStar(t *testing.T) {
 
 // TestSemanticsPinnedByHand pins, by hand-computed answers, the value
 // rules internal/oracle writes out again on its own: the same table runs
-// against the executor (serially and on the morsel path) and the oracle,
-// so a rule both got wrong the same way would still fail here. Where the
-// dialect deviates from PostgreSQL the case says so.
+// against the executor and the oracle, so a rule both got wrong the same
+// way would still fail here. Where the dialect deviates from PostgreSQL
+// the case says so.
 func TestSemanticsPinnedByHand(t *testing.T) {
-	forceParallel(t)
 	db := sqldb.NewDatabase()
 	mustExec(t, db, `CREATE TABLE agg (g INT, x INT, y DOUBLE)`)
 	mustExec(t, db, `INSERT INTO agg VALUES (1, NULL, NULL), (1, NULL, NULL),
@@ -443,7 +435,10 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 	mustExec(t, db, `INSERT INTO fl VALUES (1, 1.0), (1, 1e308 * 10), (1, 2.0),
 		(2, 1e308 * 10), (2, -1e308 * 10),
 		(3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1)`)
+	mustExec(t, db, `CREATE TABLE tx (id INT, s TEXT)`)
+	mustExec(t, db, `INSERT INTO tx VALUES (1, NULL), (2, 'a'), (3, 'b')`)
 	const divZero = "sqlexec: division by zero"
+	const textPlus = "sqlexec: arithmetic on non-numeric values TEXT, INTEGER"
 	for _, c := range []struct{ q, want string }{
 		// SUBSTR counts 1-based bytes. Dialect: PostgreSQL counts positions
 		// before 1 against the length (SUBSTR('abcdef', 0, 2) is 'a',
@@ -528,6 +523,13 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 		{`SELECT SUM(x), AVG(x), SUM(-x) FROM fl WHERE g = 1`, "DOUBLE +Inf|DOUBLE +Inf|DOUBLE -Inf"},
 		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 2`, "DOUBLE NaN|DOUBLE NaN"},
 		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 3`, "DOUBLE 1|DOUBLE 0.1"},
+		// A row-level evaluation error fails the query wherever it is
+		// raised: in the select list, in WHERE, in HAVING, in an ORDER BY
+		// key. The NULL row passes; the first TEXT row fails.
+		{`SELECT id, s + 1 FROM tx`, textPlus},
+		{`SELECT id FROM tx WHERE s + 1 > 0`, textPlus},
+		{`SELECT s, COUNT(*) FROM tx GROUP BY s HAVING MIN(s + 1) > 0`, textPlus},
+		{`SELECT id FROM tx ORDER BY s + 1`, textPlus},
 	} {
 		pin(t, db, c.q, c.want)
 	}

@@ -13,11 +13,9 @@ import (
 
 // A comparison across type classes is a query error wherever the
 // predicate runs — a scan filter, a join residual, a post-join WHERE
-// conjunct — whether the literal is inlined or bound into a template, and
-// on the serial and the morsel-parallel paths alike. The text is the one
-// sqlval.Compare reports.
+// conjunct — whether the literal is inlined or bound into a template. The
+// text is the one sqlval.Compare reports.
 func TestTypeMismatchErrorsPinned(t *testing.T) {
-	forceParallel(t)
 	db := sampleDB(t)
 	cases := []struct{ q, want string }{
 		// Scan filters on the driving source.
@@ -34,7 +32,6 @@ func TestTypeMismatchErrorsPinned(t *testing.T) {
 		{`SELECT l.name FROM landfill l, elem_contained e WHERE l.name = e.landfill_name AND l.area >= e.elem_name`, "sqlval: cannot compare DOUBLE with TEXT"},
 		{`SELECT l.name FROM landfill l, elem_contained e WHERE l.name = e.landfill_name AND e.amount >= 'x'`, "sqlval: cannot compare DOUBLE with TEXT"},
 	}
-	options := []Options{{Parallelism: 1}, {Parallelism: 4}}
 	for _, c := range cases {
 		key, lits, ok := sesql.Shape(c.q)
 		if !ok {
@@ -48,17 +45,15 @@ func TestTypeMismatchErrorsPinned(t *testing.T) {
 		if _, err := oracle.SQL(db, mustParseSelect(t, c.q)); err == nil {
 			t.Errorf("%q: the oracle answered, want an error", c.q)
 		}
-		for _, opts := range options {
-			if _, err := ExecOpts(db, c.q, opts); err == nil || err.Error() != c.want {
-				t.Errorf("%q opts=%+v: inlined err = %v, want %q", c.q, opts, err, c.want)
-			}
-			tmpl, err := CompileOpts(db, tsel, opts)
-			if err == nil {
-				_, err = tmpl.Bind(lits.Vals).Run()
-			}
-			if err == nil || err.Error() != c.want {
-				t.Errorf("%q opts=%+v: template err = %v, want %q", c.q, opts, err, c.want)
-			}
+		if _, err := Exec(db, c.q); err == nil || err.Error() != c.want {
+			t.Errorf("%q: inlined err = %v, want %q", c.q, err, c.want)
+		}
+		tmpl, err := Compile(db, tsel)
+		if err == nil {
+			_, err = tmpl.Bind(lits.Vals).Run()
+		}
+		if err == nil || err.Error() != c.want {
+			t.Errorf("%q: template err = %v, want %q", c.q, err, c.want)
 		}
 	}
 }

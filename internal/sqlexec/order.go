@@ -1,14 +1,13 @@
 package sqlexec
 
 // order.go — ORDER BY / LIMIT / OFFSET by selection. Every ORDER BY site
-// (the serial sink, the parallel merge, Tail.Apply) buffers its rows as
-// sortedRows and hands them to windowRuns, which brackets the OFFSET /
-// LIMIT window with a sample and keeps only the rows inside the bracket,
-// and sortWindow, which selects the window from those and sorts only the
-// window. A bounded ORDER BY (one with a LIMIT) keeps its buffer at most
+// (the plain sink, the grouped sink's tail, Tail.Apply) buffers its rows
+// as sortedRows and hands them to bracketWindow, which brackets the
+// OFFSET / LIMIT window with a sample and keeps only the rows inside the
+// bracket, and sortWindow, which selects the window from those and sorts
+// only the window. A bounded ORDER BY (one with a LIMIT) keeps its buffer at most
 // 2k rows for k = limit + offset by cutting it back to the k best with
-// the same selection. Only ORDER BY without a LIMIT on the parallel path
-// sorts whole runs instead (exec.MergeSorted).
+// the same selection.
 
 import (
 	"cmp"
@@ -16,16 +15,13 @@ import (
 	"math/bits"
 	"slices"
 
-	sched "crosse/internal/exec"
 	"crosse/internal/sqlval"
 )
 
 // sortedRow is one buffered output row — its projected columns, then the
 // plan's hidden ORDER BY key slots (see orderPlan.at) — and its arrival
-// stamp, the tiebreak that makes the order stable: the (morsel,
-// within-morsel sequence) composite of runner.at for pipeline rows, which
-// orders rows identically on both drivers, and the position for rows
-// sorted after the pipeline (groups, Tail.Apply).
+// stamp, the tiebreak that makes the order stable: the row's position in
+// the order it reached the sorter.
 type sortedRow struct {
 	row []sqlval.Value
 	seq int64
@@ -119,26 +115,23 @@ func (s *rowSorter) add(row []sqlval.Value, seq int64) {
 	}
 }
 
-// windowSample is how many rows windowRuns samples to bracket a window;
+// windowSample is how many rows bracketWindow samples to bracket a window;
 // inputs below 4·windowSample rows skip the sampling. A variable so tests
 // can take the sampled path on small inputs.
 var windowSample = 1024
 
-// windowRuns returns the OFFSET / LIMIT window (negative: clause absent)
-// of the union of runs in sorted order. A window that is a small share of
-// a large input is bracketed first: a strided sample of the rows, sorted,
-// gives two pivots whose sample ranks lie a margin of 2·√sample below the
-// window's start and above its end. One pass over each run — on the
-// pool's workers, one run each — counts the rows below the lower pivot
-// and keeps those up to the upper one, and when the bracket holds the
-// whole window, sortWindow runs on the kept rows alone. A sample that
-// misses (rare; the margin is four standard deviations of a sample rank)
-// falls back to sortWindow over every row. Either way the result is exact.
-func windowRuns(order []orderPlan, runs [][]sortedRow, offset, limit, workers int) []sortedRow {
-	total := 0
-	for _, r := range runs {
-		total += len(r)
-	}
+// bracketWindow returns the OFFSET / LIMIT window (negative: clause absent)
+// of rows in sorted order. A window that is a small share of a large
+// input is bracketed first: a strided sample of the rows, sorted, gives
+// two pivots whose sample ranks lie a margin of 2·√sample below the
+// window's start and above its end. One pass counts the rows below the
+// lower pivot and keeps those up to the upper one, and when the bracket
+// holds the whole window, sortWindow runs on the kept rows alone. A
+// sample that misses (rare; the margin is four standard deviations of a
+// sample rank) falls back to sortWindow over every row. Either way the
+// result is exact.
+func bracketWindow(order []orderPlan, rows []sortedRow, offset, limit int) []sortedRow {
+	total := len(rows)
 	offset = max(offset, 0)
 	end := total
 	if limit >= 0 && limit < total-offset {
@@ -146,20 +139,12 @@ func windowRuns(order []orderPlan, runs [][]sortedRow, offset, limit, workers in
 	}
 	ns := windowSample
 	if offset >= end || total < 4*ns || end-offset > total/2 {
-		if len(runs) == 1 {
-			return sortWindow(order, runs[0], offset, limit)
-		}
-		return sortWindow(order, slices.Concat(runs...), offset, limit)
+		return sortWindow(order, rows, offset, limit)
 	}
 
-	sample := make([]sortedRow, 0, ns)
-	for i, r, base := 0, 0, 0; i < ns; i++ {
-		at := i * total / ns
-		for at-base >= len(runs[r]) {
-			base += len(runs[r])
-			r++
-		}
-		sample = append(sample, runs[r][at-base])
+	sample := make([]sortedRow, ns)
+	for i := range sample {
+		sample[i] = rows[i*total/ns]
 	}
 	slices.SortFunc(sample, func(a, b sortedRow) int { return orderCmp(order, &a, &b) })
 	margin := 2 * int(math.Sqrt(float64(ns)))
@@ -172,26 +157,18 @@ func windowRuns(order []orderPlan, runs [][]sortedRow, offset, limit, workers in
 		hi = &sample[hiAt]
 	}
 
-	below := make([]int, len(runs))
-	kept := make([][]sortedRow, len(runs))
-	sched.NewPool(workers, len(runs), -1).Run(func(_, i int) {
-		kept[i] = make([]sortedRow, 0, len(runs[i])*(min(hiAt, ns)-max(loAt, 0))/ns)
-		for _, sr := range runs[i] {
-			switch {
-			case lo != nil && orderCmp(order, &sr, lo) < 0:
-				below[i]++
-			case hi == nil || orderCmp(order, &sr, hi) <= 0:
-				kept[i] = append(kept[i], sr)
-			}
-		}
-	})
 	skipped := 0
-	for _, n := range below {
-		skipped += n
+	mid := make([]sortedRow, 0, total*(min(hiAt, ns)-max(loAt, 0))/ns)
+	for _, sr := range rows {
+		switch {
+		case lo != nil && orderCmp(order, &sr, lo) < 0:
+			skipped++
+		case hi == nil || orderCmp(order, &sr, hi) <= 0:
+			mid = append(mid, sr)
+		}
 	}
-	mid := slices.Concat(kept...)
 	if skipped > offset || skipped+len(mid) < end {
-		return sortWindow(order, slices.Concat(runs...), offset, limit)
+		return sortWindow(order, rows, offset, limit)
 	}
 	return sortWindow(order, mid, offset-skipped, end-offset)
 }

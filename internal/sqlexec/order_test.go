@@ -31,7 +31,7 @@ func windowRows(data []byte) []sortedRow {
 	return rows
 }
 
-// smallWindowSample lets windowRuns bracket windows of inputs from 64
+// smallWindowSample lets bracketWindow bracket windows of inputs from 64
 // rows on, so the fuzz inputs reach its sampled path.
 func smallWindowSample(tb testing.TB) {
 	old := windowSample
@@ -39,9 +39,9 @@ func smallWindowSample(tb testing.TB) {
 	tb.Cleanup(func() { windowSample = old })
 }
 
-// checkWindow compares sortWindow, windowRuns over the rows split into up
-// to three runs, and a bounded rowSorter fed the rows one by one, against
-// a stable sort on the keys alone followed by window.
+// checkWindow compares sortWindow, bracketWindow and a bounded rowSorter
+// fed the rows one by one against a stable sort on the keys alone
+// followed by window.
 func checkWindow(t *testing.T, data []byte, offset, limit int) {
 	t.Helper()
 	rows := windowRows(data)
@@ -64,27 +64,22 @@ func checkWindow(t *testing.T, data []byte, offset, limit int) {
 	}
 	check("sortWindow", sortWindow(windowOrder, slices.Clone(rows), offset, limit))
 
-	runs, rest := [][]sortedRow{}, slices.Clone(rows)
-	for len(runs) < 2 && len(rest) > 0 {
-		cut := int(data[len(runs)%len(data)]) % (len(rest) + 1)
-		runs, rest = append(runs, rest[:cut]), rest[cut:]
-	}
-	check("windowRuns", windowRuns(windowOrder, append(runs, rest), offset, limit, 2))
+	check("bracketWindow", bracketWindow(windowOrder, slices.Clone(rows), offset, limit))
 
 	s := newRowSorter(windowOrder, 2, keep(limit, offset), len(rows)/3)
 	for _, r := range rows {
 		s.add(r.row, r.seq)
 	}
 	var got []sortedRow
-	for _, r := range windowRuns(s.order, [][]sortedRow{s.rows}, offset, limit, 1) {
+	for _, r := range bracketWindow(s.order, s.rows, offset, limit) {
 		got = append(got, sortedRow{seq: r.seq})
 	}
 	check("rowSorter", got)
 }
 
 // FuzzSortWindow: on any rows, OFFSET and LIMIT (negative: absent), the
-// selection kernel, the sampled bracket over split runs and the bounded
-// buffer return exactly the stable sort's window.
+// selection kernel, the sampled bracket and the bounded buffer return
+// exactly the stable sort's window.
 func FuzzSortWindow(f *testing.F) {
 	seq := func(n int, at func(i int) byte) []byte {
 		b := make([]byte, n)

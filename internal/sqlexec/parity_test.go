@@ -3,9 +3,8 @@ package sqlexec
 // parity_test.go — pins the compiled streaming pipeline (compile.go /
 // run.go) to the semantics of the oracle (internal/oracle). Randomised
 // SELECTs — joins (inner/left/comma), NULLs, LIKE, DISTINCT, ORDER
-// BY/LIMIT/OFFSET, grouping and aggregates — are evaluated both ways,
-// under every planner-option combination (hash joins and index pushdown on
-// and off), and the results must agree.
+// BY/LIMIT/OFFSET, grouping and aggregates — are evaluated both ways, and
+// the results must agree.
 
 import (
 	"fmt"
@@ -27,8 +26,7 @@ import (
 //
 // Every DOUBLE is dyadic and small (a multiple of 1/4 below 20), so every
 // SUM and AVG over them is exact in float64: the oracle's exactly rounded
-// sum and the executor's compensated per-morsel fold then agree bit for
-// bit. Keep the fixtures dyadic; a decimal like 0.1 would make the two
+// sum and the executor's compensated sum then agree bit for bit. Keep the fixtures dyadic; a decimal like 0.1 would make the two
 // round differently and the comparison meaningless.
 func parityDB(t *testing.T, rng *rand.Rand, n1, n2 int) *sqldb.Database {
 	t.Helper()
@@ -236,31 +234,12 @@ func sortedCopy(rows []string) []string {
 	return out
 }
 
-var parityOptions = []Options{
-	{},
-	{Parallelism: 1},
-	{Parallelism: 2},
-	{Parallelism: 4},
-}
-
-// forceParallel drops the parallel-path thresholds so the small parity
-// fixtures split into many morsels and actually exercise the scheduler,
-// restoring the production values on cleanup.
-func forceParallel(t *testing.T) {
-	t.Helper()
-	minRows, morsel := parallelMinRows, parallelMorsel
-	parallelMinRows, parallelMorsel = 1, 7
-	t.Cleanup(func() { parallelMinRows, parallelMorsel = minRows, morsel })
-}
-
 // TestCompiledMatchesInterpreter is the parity property: for every
-// generated query, the compiled pipeline agrees with the oracle under
-// every option combination — exact row sequence when the query orders by a
-// unique key chain, multiset equality otherwise (SQL leaves that order
+// generated query, the compiled pipeline agrees with the oracle — exact
+// row sequence when the query orders by a unique key chain, multiset equality otherwise (SQL leaves that order
 // unspecified, and the executor's build-side choice may legitimately
 // differ from the oracle's nesting).
 func TestCompiledMatchesInterpreter(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 12; trial++ {
 		db := parityDB(t, rng, 30+rng.Intn(30), 20+rng.Intn(25))
@@ -275,62 +254,60 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 			want, wantErr := oracle.SQL(db, sel)
 			ordered := len(sel.OrderBy) > 0
 
-			for _, opts := range parityOptions {
-				got, gotErr := EvalSelectOpts(db, sel, opts)
-				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("%q opts=%+v: oracle err=%v compiled err=%v", text, opts, wantErr, gotErr)
+			got, gotErr := EvalSelectOpts(db, sel, Options{})
+			if (wantErr != nil) != (gotErr != nil) {
+				t.Fatalf("%q: oracle err=%v compiled err=%v", text, wantErr, gotErr)
+			}
+			if wantErr != nil {
+				continue
+			}
+			if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
+				t.Fatalf("%q: headers %v != %v", text, got.Columns, want.Columns)
+			}
+			wr, gr := renderRows(want.Rows), renderRows(got.Rows)
+			if sel.Limit == nil && sel.Offset == nil {
+				if strings.Join(sortedCopy(wr), "\n") != strings.Join(sortedCopy(gr), "\n") {
+					t.Fatalf("%q:\noracle:\n%s\ncompiled:\n%s",
+						text, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 				}
-				if wantErr != nil {
-					continue
+				if ordered && strings.Join(wr, "\n") != strings.Join(gr, "\n") {
+					t.Fatalf("%q: ordered sequences differ\noracle:\n%s\ncompiled:\n%s",
+						text, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 				}
-				if strings.Join(got.Columns, ",") != strings.Join(want.Columns, ",") {
-					t.Fatalf("%q opts=%+v: headers %v != %v", text, opts, got.Columns, want.Columns)
+				continue
+			}
+			// LIMIT/OFFSET present.
+			if ordered {
+				// The generator guarantees a deterministic total order
+				// (unique-key tiebreak) whenever LIMIT rides on ORDER
+				// BY, so the prefix must match exactly.
+				if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
+					t.Fatalf("%q: limited sequences differ\noracle:\n%s\ncompiled:\n%s",
+						text, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 				}
-				wr, gr := renderRows(want.Rows), renderRows(got.Rows)
-				if sel.Limit == nil && sel.Offset == nil {
-					if strings.Join(sortedCopy(wr), "\n") != strings.Join(sortedCopy(gr), "\n") {
-						t.Fatalf("%q opts=%+v:\noracle:\n%s\ncompiled:\n%s",
-							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-					if ordered && strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-						t.Fatalf("%q opts=%+v: ordered sequences differ\noracle:\n%s\ncompiled:\n%s",
-							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-					continue
+				continue
+			}
+			// LIMIT without ORDER BY: any |limit| rows of the full
+			// result are acceptable — check count and containment
+			// against the unlimited query.
+			noLim := *sel
+			noLim.Limit, noLim.Offset = nil, nil
+			full, err := oracle.SQL(db, &noLim)
+			if err != nil {
+				t.Fatalf("%q: unlimited reference failed: %v", text, err)
+			}
+			if len(gr) != len(wr) {
+				t.Fatalf("%q: LIMIT row count %d != %d", text, len(gr), len(wr))
+			}
+			pool := map[string]int{}
+			for _, r := range renderRows(full.Rows) {
+				pool[r]++
+			}
+			for _, r := range gr {
+				if pool[r] == 0 {
+					t.Fatalf("%q: limited row %q not in full result", text, r)
 				}
-				// LIMIT/OFFSET present.
-				if ordered {
-					// The generator guarantees a deterministic total order
-					// (unique-key tiebreak) whenever LIMIT rides on ORDER
-					// BY, so the prefix must match exactly.
-					if strings.Join(wr, "\n") != strings.Join(gr, "\n") {
-						t.Fatalf("%q opts=%+v: limited sequences differ\noracle:\n%s\ncompiled:\n%s",
-							text, opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-					continue
-				}
-				// LIMIT without ORDER BY: any |limit| rows of the full
-				// result are acceptable — check count and containment
-				// against the unlimited query.
-				noLim := *sel
-				noLim.Limit, noLim.Offset = nil, nil
-				full, err := oracle.SQL(db, &noLim)
-				if err != nil {
-					t.Fatalf("%q: unlimited reference failed: %v", text, err)
-				}
-				if len(gr) != len(wr) {
-					t.Fatalf("%q opts=%+v: LIMIT row count %d != %d", text, opts, len(gr), len(wr))
-				}
-				pool := map[string]int{}
-				for _, r := range renderRows(full.Rows) {
-					pool[r]++
-				}
-				for _, r := range gr {
-					if pool[r] == 0 {
-						t.Fatalf("%q opts=%+v: limited row %q not in full result", text, opts, r)
-					}
-					pool[r]--
-				}
+				pool[r]--
 			}
 		}
 	}
@@ -338,14 +315,13 @@ func TestCompiledMatchesInterpreter(t *testing.T) {
 
 // TestOrderWindowParity pins the ORDER BY window against the oracle
 // on keys with many ties, so the arrival order decides most positions and
-// the sequences must match exactly, at every Parallelism. The LIMIT /
+// the sequences must match exactly. The LIMIT /
 // OFFSET pairs are sized against the table so that a bounded buffer
 // (twice limit + offset rows) both does and does not fill and cut. The
 // keys cover DESC, a computed key and a key on an unprojected column
 // (each held in a hidden slot), a projected alias, and a key mixing
 // INTEGER, DOUBLE, NULL and NaN.
 func TestOrderWindowParity(t *testing.T) {
-	forceParallel(t)
 	rng := rand.New(rand.NewSource(47))
 	const n1 = 400
 	db := parityDB(t, rng, n1, 0)
@@ -384,12 +360,75 @@ func TestOrderWindowParity(t *testing.T) {
 		for _, w := range windows {
 			text := shape + w
 			want := strings.Join(renderRows(mustOracle(t, db, text).Rows), "\n")
-			for _, opts := range parityOptions {
-				got := strings.Join(renderRows(mustExecOpts(t, db, text, opts).Rows), "\n")
-				if got != want {
-					t.Fatalf("%q opts=%+v: sequences differ\noracle:\n%s\ncompiled:\n%s", text, opts, want, got)
-				}
+			got := strings.Join(renderRows(mustExec(t, db, text).Rows), "\n")
+			if got != want {
+				t.Fatalf("%q: sequences differ\noracle:\n%s\ncompiled:\n%s", text, want, got)
 			}
+		}
+	}
+}
+
+// genOrderedSelect produces ORDER BY queries over deliberately low-
+// cardinality keys (x.a spans 10 values, x.b six), so nearly every sort
+// has ties and the stable-order contract is what distinguishes a correct
+// sort from a lucky one. No unique-key tiebreak is appended on purpose.
+func genOrderedSelect(rng *rand.Rand) string {
+	var b strings.Builder
+	b.WriteString("SELECT ")
+	if rng.Intn(3) == 0 {
+		b.WriteString("DISTINCT ")
+	}
+	cols := []string{"x.id", "x.a", "x.b", "x.c", "UPPER(x.b)", "x.a + 1"}
+	join := rng.Intn(3) == 0
+	if join {
+		cols = append(cols, "y.k", "y.v")
+	}
+	k := rng.Intn(3) + 1
+	for i := 0; i < k; i++ {
+		if i > 0 {
+			b.WriteString(", ")
+		}
+		b.WriteString(cols[rng.Intn(len(cols))])
+	}
+	b.WriteString(" FROM t1 x")
+	if join {
+		b.WriteString(" JOIN t2 y ON x.b = y.k")
+	}
+	switch rng.Intn(3) {
+	case 0:
+		b.WriteString(" WHERE x.a > 0")
+	case 1:
+		b.WriteString(" WHERE x.c BETWEEN 2 AND 15")
+	}
+	orders := []string{
+		" ORDER BY x.a",
+		" ORDER BY x.b DESC",
+		" ORDER BY x.a DESC, x.b",
+		" ORDER BY x.b, x.a",
+	}
+	b.WriteString(orders[rng.Intn(len(orders))])
+	if rng.Intn(2) == 0 {
+		b.WriteString(fmt.Sprintf(" LIMIT %d", rng.Intn(12)+1))
+		if rng.Intn(2) == 0 {
+			b.WriteString(fmt.Sprintf(" OFFSET %d", rng.Intn(6)))
+		}
+	}
+	return b.String()
+}
+
+// TestOrderedTiesMatchOracle runs 100 randomised ORDER BY (+ OFFSET /
+// LIMIT) queries, DISTINCT and joins among them, whose keys tie on
+// nearly every row, and requires the exact sequence the oracle returns:
+// ties in arrival order. t1 has more rows than t2, so the join is never
+// swapped and arrives in the oracle's nested-loop order.
+func TestOrderedTiesMatchOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	db := parityDB(t, rng, 160, 90)
+	for q := 0; q < 100; q++ {
+		text := genOrderedSelect(rng)
+		want := strings.Join(renderRows(mustOracle(t, db, text).Rows), "\n")
+		if got := strings.Join(renderRows(mustExec(t, db, text).Rows), "\n"); got != want {
+			t.Fatalf("%q: sequences differ\noracle:\n%s\ncompiled:\n%s", text, want, got)
 		}
 	}
 }

@@ -81,22 +81,21 @@ func (s sizedScan) Schema() sqldb.Schema                    { return s.t.Schema(
 func (s sizedScan) Scan(fn func([]sqlval.Value) bool) error { return s.t.Scan(fn) }
 func (s sizedScan) Len() int                                { return s.t.Len() }
 
-// probeOptions are the settings every probe-parity row runs under.
-var probeOptions = []Options{
-	{Parallelism: 1},
-	{Parallelism: 2},
-	{Parallelism: 4},
+// runProbed runs plan as Run does and reports whether its first join ran
+// as an index probe.
+func runProbed(plan *SelectPlan) (res *Result, probed bool, err error) {
+	r := &runner{p: plan}
+	err = r.run()
+	return &Result{Columns: plan.headers, Rows: r.out}, r.probing, err
 }
 
 // TestIndexProbeMatchesInterpreter is the probe's parity table. Each query
-// runs under every probeOptions setting and must equal the oracle: as a
-// multiset, and as the exact sequence when it is ordered or when the probe
+// must equal the oracle: as a multiset, and as the exact sequence when it is ordered or when the probe
 // ran — the probe walks driving rows in scan order and each index bucket
 // in row order, as the oracle's nested loops do.
 // Where the oracle reports a type error the join never hits (TEXT
 // against INTEGER keys), the reference is the empty answer.
 func TestIndexProbeMatchesInterpreter(t *testing.T) {
-	forceParallel(t)
 	db := probeDB(t)
 	cases := []struct {
 		name, q string
@@ -135,38 +134,39 @@ func TestIndexProbeMatchesInterpreter(t *testing.T) {
 				want = &oracle.Answer{}
 			}
 			wr := renderRows(want.Rows)
-			for _, opts := range probeOptions {
-				got, err := EvalSelectOpts(db, sel, opts)
-				if err != nil {
-					t.Fatalf("opts=%+v: %v", opts, err)
+			plan, err := Compile(db, sel)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, probed, err := runProbed(plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if probed != tc.probe {
+				t.Fatalf("probed=%v, want %v", probed, tc.probe)
+			}
+			gr := renderRows(got.Rows)
+			ties := strings.Contains(tc.name, "ties")
+			switch {
+			case sel.Limit != nil && len(sel.OrderBy) == 0:
+				checkLimited(t, db, sel, gr, len(wr))
+			case ties && !probed:
+				// The hash path meets tied rows in another order: the
+				// sort keys (the last column) must still agree row by
+				// row, and every row must belong to the answer.
+				checkLimited(t, db, sel, gr, len(wr))
+				for i := range gr {
+					if g, w := gr[i][strings.LastIndex(gr[i], "|"):], wr[i][strings.LastIndex(wr[i], "|"):]; g != w {
+						t.Fatalf("row %d sorts by %s, want %s", i, g, w)
+					}
 				}
-				probed := got.ParallelFallback == "index probe join"
-				if probed != tc.probe {
-					t.Fatalf("opts=%+v: probed=%v, want %v (fallback %q)", opts, probed, tc.probe, got.ParallelFallback)
+			case probed || len(sel.OrderBy) > 0:
+				if strings.Join(gr, "\n") != strings.Join(wr, "\n") {
+					t.Fatalf("want:\n%s\ngot:\n%s", strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 				}
-				gr := renderRows(got.Rows)
-				ties := strings.Contains(tc.name, "ties")
-				switch {
-				case sel.Limit != nil && len(sel.OrderBy) == 0:
-					checkLimited(t, db, sel, opts, gr, len(wr))
-				case ties && !probed:
-					// The hash path meets tied rows in another order: the
-					// sort keys (the last column) must still agree row by
-					// row, and every row must belong to the answer.
-					checkLimited(t, db, sel, opts, gr, len(wr))
-					for i := range gr {
-						if g, w := gr[i][strings.LastIndex(gr[i], "|"):], wr[i][strings.LastIndex(wr[i], "|"):]; g != w {
-							t.Fatalf("opts=%+v: row %d sorts by %s, want %s", opts, i, g, w)
-						}
-					}
-				case probed || len(sel.OrderBy) > 0:
-					if strings.Join(gr, "\n") != strings.Join(wr, "\n") {
-						t.Fatalf("opts=%+v:\nwant:\n%s\ngot:\n%s", opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
-				default:
-					if strings.Join(sortedCopy(gr), "\n") != strings.Join(sortedCopy(wr), "\n") {
-						t.Fatalf("opts=%+v:\nwant:\n%s\ngot:\n%s", opts, strings.Join(wr, "\n"), strings.Join(gr, "\n"))
-					}
+			default:
+				if strings.Join(sortedCopy(gr), "\n") != strings.Join(sortedCopy(wr), "\n") {
+					t.Fatalf("want:\n%s\ngot:\n%s", strings.Join(wr, "\n"), strings.Join(gr, "\n"))
 				}
 			}
 		})
@@ -176,7 +176,7 @@ func TestIndexProbeMatchesInterpreter(t *testing.T) {
 // checkLimited checks an answer whose choice of rows the query leaves
 // open — a LIMIT without ORDER BY, or a LIMIT cutting through tied rows:
 // the right number of rows, each drawn from the unlimited answer.
-func checkLimited(t *testing.T, db *sqldb.Database, sel *sqlparser.Select, opts Options, got []string, n int) {
+func checkLimited(t *testing.T, db *sqldb.Database, sel *sqlparser.Select, got []string, n int) {
 	t.Helper()
 	noLim := *sel
 	noLim.Limit, noLim.Offset = nil, nil
@@ -185,7 +185,7 @@ func checkLimited(t *testing.T, db *sqldb.Database, sel *sqlparser.Select, opts 
 		t.Fatal(err)
 	}
 	if len(got) != n {
-		t.Fatalf("opts=%+v: %d rows, want %d", opts, len(got), n)
+		t.Fatalf("%d rows, want %d", len(got), n)
 	}
 	pool := map[string]int{}
 	for _, r := range renderRows(full.Rows) {
@@ -193,21 +193,25 @@ func checkLimited(t *testing.T, db *sqldb.Database, sel *sqlparser.Select, opts 
 	}
 	for _, r := range got {
 		if pool[r]--; pool[r] < 0 {
-			t.Fatalf("opts=%+v: row %q is not in the unlimited answer", opts, r)
+			t.Fatalf("row %q is not in the unlimited answer", r)
 		}
 	}
 }
 
-// countingTable is a local table that counts its full scans and seeks, so
-// a test can see which side a join read and how.
+// countingTable is a local table that counts its full scans, the rows
+// they hand out, and its seeks, so a test can see which side a join read
+// and how, and where a scan stopped.
 type countingTable struct {
 	*sqldb.Table
-	scans, seeks atomic.Int64
+	scans, rows, seeks atomic.Int64
 }
 
 func (c *countingTable) Scan(fn func([]sqlval.Value) bool) error {
 	c.scans.Add(1)
-	return c.Table.Scan(fn)
+	return c.Table.Scan(func(row []sqlval.Value) bool {
+		c.rows.Add(1)
+		return fn(row)
+	})
 }
 
 func (c *countingTable) ScanEq(col string, v sqlval.Value, fn func([]sqlval.Value) bool) error {
@@ -287,9 +291,6 @@ func TestIndexProbeTakenForSeekDrivenJoin(t *testing.T) {
 	mustExec(t, db, `DELETE FROM elem_contained WHERE amount >= 70`)
 	got = run(`SELECT e.landfill_name, a.lab_name FROM elem_contained e, analysis a
 		WHERE a.landfill_name = e.landfill_name AND e.amount < 60`)
-	if got.ParallelFallback == "index probe join" {
-		t.Fatal("a large driving side took the probe")
-	}
 	if s, k := analysis.scans.Load(), analysis.seeks.Load(); s != 1 || k != 0 {
 		t.Fatalf("hash shape: %d full scans and %d seeks of analysis, want 1 and 0", s, k)
 	}
@@ -350,12 +351,12 @@ func TestIndexProbeSelfJoinUnderWriters(t *testing.T) {
 		go func(g int) {
 			defer readers.Done()
 			for i := 0; i < 150; i++ {
-				res, err := plan.Bind([]sqlval.Value{sqlval.NewInt(int64((g*37 + i) % 400))}).Run()
+				res, probed, err := runProbed(plan.Bind([]sqlval.Value{sqlval.NewInt(int64((g*37 + i) % 400))}))
 				if err != nil {
 					errs <- err
 					return
 				}
-				if res.ParallelFallback == "index probe join" {
+				if probed {
 					probes.Add(1)
 				}
 				for _, row := range res.Rows {

@@ -9,12 +9,11 @@ package sqlexec
 // bound. Every conjunct runs through its typed kernel when it has one
 // (kernel.go). Only the sink (projection / DISTINCT / ORDER BY /
 // grouping) allocates retained rows, via sqlval.RowArena, and it copies
-// each output row once: rows a sorter or a morsel worker holds become the
-// Result's as they are. LIMIT without ORDER BY stops the pipeline early;
-// ORDER BY + LIMIT keeps at most twice limit + offset rows, cut back by
-// selection (order.go). The pipeline body for one driving row is feed, and
-// it has two drivers: the serial one in run streams the driving scan into
-// it, the morsel workers of parallel.go feed it materialised morsels.
+// each output row once: rows a sorter holds become the Result's as they
+// are. LIMIT without ORDER BY stops the driving scan early; ORDER BY +
+// LIMIT keeps at most twice limit + offset rows, cut back by selection
+// (order.go). Every plan runs on this one serial driver, which streams
+// the driving scan through feed.
 
 import (
 	"context"
@@ -23,7 +22,6 @@ import (
 	"math"
 	"slices"
 
-	sched "crosse/internal/exec"
 	"crosse/internal/sqldb"
 	"crosse/internal/sqlval"
 )
@@ -37,37 +35,41 @@ func (p *SelectPlan) Run() (*Result, error) {
 // Scans over context-aware relations (remote sources) honour the context's
 // deadline and cancellation; local in-memory scans ignore it. Under
 // Options.PartialResults the result's SkippedSources names any unavailable
-// sources that were skipped; its ParallelFallback says why the run stayed
-// serial, if it did. A nil ctx behaves like Run.
+// sources that were skipped. A nil ctx behaves like Run.
 func (p *SelectPlan) RunContext(ctx context.Context) (*Result, error) {
-	sh := &runShared{ctx: ctx, partial: p.opts.PartialResults}
-	res := &Result{Columns: append([]string(nil), p.headers...)}
-	r := &runner{p: p, dst: &res.Rows, shared: sh}
+	r := &runner{p: p, ctx: ctx}
 	if err := r.run(); err != nil {
 		return nil, err
 	}
-	res.SkippedSources, res.ParallelFallback = sh.skipped, sh.fallback
-	return res, nil
+	return &Result{Columns: append([]string(nil), p.headers...), Rows: r.out, SkippedSources: r.skipped}, nil
 }
 
-// runShared is the per-execution state shared by the coordinator runner
-// and the parallel workers: the bounding context plus the partial-results
-// skip list. Only the coordinator scans sources, so only it writes here.
-type runShared struct {
-	ctx     context.Context
-	partial bool
+// runner holds all per-execution state of one plan run.
+type runner struct {
+	p   *SelectPlan
+	ctx context.Context
+	out [][]sqlval.Value // the Result's rows
 
-	// fallback names why the run declined the parallel path ("" = ran
-	// parallel). Written by the coordinator before any worker starts.
-	fallback string
+	row []sqlval.Value // the joined-row buffer, width p.width
 
-	skipped []string
-}
+	// The join state, fixed before driving starts: the driving scan and,
+	// per join (index parallel to p.joins), the materialised
+	// non-streamed side and its hash index. swapped marks the first join
+	// running in build-left/stream-right orientation (chosen from live
+	// cardinalities): its right source drives, and rights[0]/hashes[0]
+	// hold the scan0 build. probing marks the first join running as an
+	// index probe of its right source (planProbe): scan0's materialised
+	// rows drive, and rights[0]/hashes[0] stay empty.
+	driving scanPlan
+	swapped bool
+	probing bool
+	rights  [][][]sqlval.Value
+	hashes  []map[string][]int32
 
-func (sh *runShared) recordSkip(name string) {
-	if !slices.Contains(sh.skipped, name) {
-		sh.skipped = append(sh.skipped, name)
-	}
+	skipped []string // sources skipped under Options.PartialResults
+	err     error
+
+	sink rowSink
 }
 
 // scanRelation dispatches one source scan: pre-filtered by the pushed
@@ -77,75 +79,33 @@ func (sh *runShared) recordSkip(name string) {
 // (sqldb.ErrSourceDown) is skipped — recorded, scan yields zero rows —
 // under PartialResults; every other error fails the query, annotated with
 // the relation name.
-func (sh *runShared) scanRelation(sp scanPlan, h func([]sqlval.Value) bool) error {
+func (r *runner) scanRelation(sp scanPlan, h func([]sqlval.Value) bool) error {
 	var err error
 	pr, pre := sp.rel.(sqldb.PrefilterRelation)
 	cfr, ctxEq := sp.rel.(sqldb.ContextFilteredRelation)
 	cr, ctxScan := sp.rel.(sqldb.ContextRelation)
 	switch {
 	case pre && len(sp.where) > 0 && !slices.ContainsFunc(sp.whereParam, isSlot):
-		err = pr.ScanWhere(sh.ctx, sp.eqCol, sp.eqVal, sp.where, h)
-	case sp.eqCol != "" && ctxEq && sh.ctx != nil:
-		err = cfr.ScanEqContext(sh.ctx, sp.eqCol, sp.eqVal, h)
+		err = pr.ScanWhere(r.ctx, sp.eqCol, sp.eqVal, sp.where, h)
+	case sp.eqCol != "" && ctxEq && r.ctx != nil:
+		err = cfr.ScanEqContext(r.ctx, sp.eqCol, sp.eqVal, h)
 	case sp.eqCol != "":
 		err = sp.rel.(sqldb.FilteredRelation).ScanEq(sp.eqCol, sp.eqVal, h)
-	case ctxScan && sh.ctx != nil:
-		err = cr.ScanContext(sh.ctx, h)
+	case ctxScan && r.ctx != nil:
+		err = cr.ScanContext(r.ctx, h)
 	default:
 		err = sp.rel.Scan(h)
 	}
 	if err == nil {
 		return nil
 	}
-	if sh.partial && errors.Is(err, sqldb.ErrSourceDown) {
-		sh.recordSkip(sqldb.SourceOf(err, sp.rel.Name()))
+	if r.p.opts.PartialResults && errors.Is(err, sqldb.ErrSourceDown) {
+		if name := sqldb.SourceOf(err, sp.rel.Name()); !slices.Contains(r.skipped, name) {
+			r.skipped = append(r.skipped, name)
+		}
 		return nil
 	}
 	return fmt.Errorf("scan %s: %w", sp.rel.Name(), err)
-}
-
-// runner holds all per-execution state of one plan run. A parallel run
-// gives each pool worker its own runner over the coordinator's frozen sides.
-type runner struct {
-	p      *SelectPlan
-	dst    *[][]sqlval.Value // the output: the Result's rows, or a morsel's buffer
-	shared *runShared
-
-	pool   *sched.Pool // a morsel worker's pool, and the morsel it feeds
-	morsel int
-
-	row []sqlval.Value // the joined-row buffer, width p.width
-
-	sides
-
-	// drivePos counts the driving rows fed so far, pre-filter: the serial
-	// driver advances it from 0, a morsel worker from the morsel's first
-	// row index, so (drivePos-1)/parallelMorsel is the current driving
-	// row's morsel on both paths. seq numbers the rows sunk within that
-	// morsel (atMorsel); see at.
-	drivePos int64
-	atMorsel int64
-	seq      int64
-
-	err error
-
-	sink rowSink
-}
-
-// sides is the join state both drivers share, frozen before driving
-// starts: the driving scan and, per join (index parallel to p.joins), the
-// materialised non-streamed side and its hash index. swapped marks the
-// first join running in build-left/stream-right orientation (chosen from
-// live cardinalities): its right source drives, and rights[0]/hashes[0]
-// hold the scan0 build. probing marks the first join running as an index
-// probe of its right source (planProbe): scan0's materialised rows drive,
-// and rights[0]/hashes[0] stay empty.
-type sides struct {
-	driving scanPlan
-	swapped bool
-	probing bool
-	rights  [][][]sqlval.Value
-	hashes  []map[string][]int32
 }
 
 // rowSink consumes completed joined rows and produces output rows.
@@ -159,7 +119,6 @@ type rowSink interface {
 func (r *runner) run() error {
 	p := r.p
 	if p.fromless {
-		r.shared.fallback = "fromless select"
 		out := make([]sqlval.Value, len(p.items))
 		for i, it := range p.items {
 			v, err := it.eval(nil)
@@ -168,7 +127,7 @@ func (r *runner) run() error {
 			}
 			out[i] = v
 		}
-		*r.dst = [][]sqlval.Value{out}
+		r.out = [][]sqlval.Value{out}
 		return nil
 	}
 
@@ -195,20 +154,13 @@ func (r *runner) run() error {
 		}
 	}
 
-	// Both drivers start from the sides built in join order
-	// (sequentially, so no table locks nest). Large driving inputs of
-	// plans without aggregates then take the morsel-driven parallel path
-	// (see parallel.go); the serial driver streams the driving scan
-	// through feed, or feeds the probe's materialised driving rows.
+	// The sides are built in join order (sequentially, so no table locks
+	// nest); then the driving scan streams through feed, or the probe's
+	// materialised driving rows do.
 	for i := range p.joins {
 		if err := r.buildSide(i); err != nil {
 			return err
 		}
-	}
-	if r.probing {
-		r.shared.fallback = "index probe join"
-	} else if done, err := r.tryParallel(); done {
-		return err
 	}
 	if p.grouped {
 		r.sink = newGroupedSink(r)
@@ -222,7 +174,7 @@ func (r *runner) run() error {
 				break
 			}
 		}
-	} else if err := r.shared.scanRelation(r.driving, r.feed); err != nil && r.err == nil {
+	} else if err := r.scanRelation(r.driving, r.feed); err != nil && r.err == nil {
 		r.err = err
 	}
 	if r.err != nil {
@@ -257,8 +209,7 @@ type indexedTable interface {
 // are few next to its rows, and every left key seeks exactly (probeSeek).
 // Probing returns the left rows, which then drive the pipeline unswapped;
 // otherwise they become the hash build, so nothing is scanned twice. The
-// decision reads the rows, never Options.Parallelism, so every setting
-// runs the same plan.
+// decision reads only the rows.
 func (r *runner) planProbe() ([][]sqlval.Value, error) {
 	p := r.p
 	j := &p.joins[0]
@@ -270,7 +221,7 @@ func (r *runner) planProbe() ([][]sqlval.Value, error) {
 	if !inner.HasIndex(col.Name) {
 		return nil, nil
 	}
-	rows, err := materializeSide(r.shared, p.scan0, false)
+	rows, err := r.materializeSide(p.scan0)
 	if err != nil {
 		return nil, err
 	}
@@ -331,30 +282,16 @@ func scanEstimate(sp scanPlan) (int, bool) {
 	return 0, false
 }
 
-// feed is the pipeline body for one driving row, shared by both drivers:
-// advance drivePos, apply the source-local filters to the row as scanned,
-// copy a row that passes into its slot segment, then run the joins. It
-// returns false to stop driving.
+// feed is the pipeline body for one driving row: apply the source-local
+// filters to the row as scanned, copy a row that passes into its slot
+// segment, then run the joins. It returns false to stop driving.
 func (r *runner) feed(in []sqlval.Value) bool {
 	sp := &r.driving
-	r.drivePos++
 	if ok, done := r.applyConjuncts(sp.filters, in); !ok {
 		return !done
 	}
 	copy(r.row[sp.offset:sp.offset+sp.width], in)
 	return r.step(1)
-}
-
-// at returns the arrival stamp of the joined row being sunk — its driving
-// row's morsel and its sequence within that morsel (exec.At) — and
-// advances the sequence. Both drivers derive the same stamp for the same
-// row, which is what lets the parallel merges reproduce serial order.
-func (r *runner) at() int64 {
-	if m := (r.drivePos - 1) / int64(parallelMorsel); m != r.atMorsel {
-		r.atMorsel, r.seq = m, 0
-	}
-	r.seq++
-	return sched.At(int(r.atMorsel), r.seq-1)
 }
 
 // applyConjuncts evaluates the conjuncts over row. ok reports whether
@@ -381,14 +318,13 @@ func (r *runner) orient(k int) (build *scanPlan, probe, key int) {
 }
 
 // buildSide materialises join k's build source and, for hash joins,
-// indexes it; run builds every side through here before either driver
-// starts.
+// indexes it; run builds every side through here before driving starts.
 func (r *runner) buildSide(k int) error {
 	if k == 0 && (r.probing || r.hashes[0] != nil) {
 		return nil // probed, or built by planProbe
 	}
 	src, _, key := r.orient(k)
-	rows, err := materializeSide(r.shared, *src, false)
+	rows, err := r.materializeSide(*src)
 	if err != nil {
 		return err
 	}
@@ -400,29 +336,23 @@ func (r *runner) buildSide(k int) error {
 }
 
 // materializeSide scans one source into retained rows of the source's
-// width. The pushed-down equality seek always applies; the source-local
-// filters apply, to the row as scanned, unless raw is set. Sources whose
-// scans hand out immutable retained rows (sqldb.StableRowScanner — the
-// in-memory heap tables) are kept by reference; anything else is
-// deep-copied into an arena, since the callback rows may be reused
-// buffers.
-func materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, error) {
+// width, its pushed-down equality seek and its source-local filters
+// applied. Sources whose scans hand out immutable retained rows
+// (sqldb.StableRowScanner — the in-memory heap tables) are kept by
+// reference; anything else is deep-copied into an arena, since the
+// callback rows may be reused buffers.
+func (r *runner) materializeSide(sp scanPlan) ([][]sqlval.Value, error) {
 	_, stable := sp.rel.(sqldb.StableRowScanner)
 	var arena *sqlval.RowArena
 	if !stable {
 		arena = sqlval.NewRowArena(sp.width)
 	}
 	var rows [][]sqlval.Value
-	if n, ok := sp.rel.(interface{ Len() int }); ok && raw {
-		rows = make([][]sqlval.Value, 0, n.Len())
-	}
 	var ferr error
 	h := func(in []sqlval.Value) bool {
-		if !raw {
-			var ok bool
-			if ok, ferr = allTrue(sp.filters, in); !ok {
-				return ferr == nil
-			}
+		var ok bool
+		if ok, ferr = allTrue(sp.filters, in); !ok {
+			return ferr == nil
 		}
 		if stable {
 			rows = append(rows, in)
@@ -431,7 +361,7 @@ func materializeSide(sh *runShared, sp scanPlan, raw bool) ([][]sqlval.Value, er
 		}
 		return true
 	}
-	err := sh.scanRelation(sp, h)
+	err := r.scanRelation(sp, h)
 	if err == nil {
 		err = ferr
 	}
@@ -593,10 +523,8 @@ type plainSink struct {
 	distinct *distinctSet // nil without DISTINCT
 	sorter   *rowSorter
 
-	// offset and limit are the plan's, except on a morsel worker, whose
-	// buffered output the merge windows.
-	offset, limit  int
-	count, skipped int
+	seq            int64 // the arrival stamp of the next row added
+	count, skipped int   // rows put out and rows skipped by OFFSET
 }
 
 // newPlainSink returns the plan's plain sink. Under ORDER BY its sorter
@@ -604,7 +532,7 @@ type plainSink struct {
 // expects to reach it.
 func newPlainSink(r *runner, k, hint int) *plainSink {
 	p := r.p
-	s := &plainSink{r: r, p: p, out: make([]sqlval.Value, p.sortWidth), offset: p.offset, limit: p.limit}
+	s := &plainSink{r: r, p: p, out: make([]sqlval.Value, p.sortWidth)}
 	if p.distinct {
 		s.distinct = &distinctSet{seen: make(map[string]struct{})}
 	}
@@ -625,11 +553,8 @@ func (s *plainSink) add(row []sqlval.Value) bool {
 		}
 		s.out[i] = v
 	}
-	var at int64
-	if s.sorter != nil {
-		at = s.r.at()
-	}
-	return s.deliver(row, at)
+	s.seq++
+	return s.deliver(row, s.seq-1)
 }
 
 // deliver runs the DISTINCT / ORDER BY / LIMIT tail over the projected
@@ -647,7 +572,7 @@ func (s *plainSink) deliver(under []sqlval.Value, at int64) bool {
 		s.sorter.add(s.out, at)
 		return true
 	}
-	return s.window(nil)
+	return s.window()
 }
 
 // distinctSet holds the DISTINCT keys of the rows seen so far; a nil set
@@ -674,42 +599,21 @@ func (d *distinctSet) dup(row []sqlval.Value) bool {
 	return false
 }
 
-// window applies OFFSET and LIMIT to the next output row and puts it out:
-// row itself when the caller hands one over, otherwise (row nil) one copy
-// of the projected out. It returns false once no further row can pass.
-func (s *plainSink) window(row []sqlval.Value) bool {
-	if s.offset > 0 && s.skipped < s.offset {
+// window applies OFFSET and LIMIT to the next output row and puts one
+// copy of the projected out into the Result. It returns false once no
+// further row can pass.
+func (s *plainSink) window() bool {
+	offset, limit := s.p.offset, s.p.limit
+	if offset > 0 && s.skipped < offset {
 		s.skipped++
 		return true
 	}
-	if s.limit == 0 {
+	if limit == 0 {
 		return false
 	}
-	if row == nil {
-		row = s.arena.Copy(s.out)
-	}
-	if !s.r.put(row) {
-		return false
-	}
+	s.r.out = append(s.r.out, s.arena.Copy(s.out))
 	s.count++
-	return s.limit < 0 || s.count < s.limit
-}
-
-// put appends an output row to the run's output, reporting false once a
-// morsel worker's pool cancels its morsel.
-func (r *runner) put(row []sqlval.Value) bool {
-	*r.dst = append(*r.dst, row)
-	return r.pool == nil || !r.pool.Cancelled(r.morsel)
-}
-
-// putWindow makes the sorted window win, selected from buffered rows,
-// the Result's rows (see windowOut).
-func (r *runner) putWindow(win []sortedRow, buffered, n int) {
-	w := newWindowOut(len(win), buffered, n)
-	for _, sr := range win {
-		w.add(sr.row)
-	}
-	*r.dst = w.rows
+	return limit < 0 || s.count < limit
 }
 
 // windowOut collects a sorted window of output rows, each cut to its
@@ -768,8 +672,12 @@ func (s *plainSink) evalKeys(under []sqlval.Value) error {
 
 func (s *plainSink) finish() error {
 	if s.sorter != nil {
-		win := windowRuns(s.p.order, [][]sortedRow{s.sorter.rows}, s.p.offset, s.p.limit, 1)
-		s.r.putWindow(win, len(s.sorter.rows), len(s.p.items))
+		win := bracketWindow(s.p.order, s.sorter.rows, s.p.offset, s.p.limit)
+		w := newWindowOut(len(win), len(s.sorter.rows), len(s.p.items))
+		for _, sr := range win {
+			w.add(sr.row)
+		}
+		s.r.out = w.rows
 	}
 	return nil
 }
