@@ -1072,6 +1072,30 @@ func BenchmarkSPARQL(b *testing.B) {
 			}
 		}
 	})
+	// OrderBy100k sorts the 100k-row level head once, on the coordinator,
+	// after the workers buffer it; Limit10of100k stops the serial head
+	// scan at its tenth row.
+	for _, c := range []struct {
+		name string
+		q    string
+		rows int
+	}{
+		{"OrderBy100k", `SELECT ?x ?l WHERE { ?x <` + ns + `level> ?l } ORDER BY ?l ?x`, 100000},
+		{"Limit10of100k", `SELECT ?x ?l WHERE { ?x <` + ns + `level> ?l } LIMIT 10`, 10},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				res, err := sparql.Eval(big, c.q)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if len(res.Bindings) != c.rows {
+					b.Fatalf("%d solutions, want %d", len(res.Bindings), c.rows)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkSPARQLPathHead is the property-path fan-out family: the driving

@@ -88,7 +88,7 @@
 // itself; the start is tracked apart from the bitset, because a constant
 // the graph never interned carries a synthetic ID from the top of the ID
 // space.
-// Plan.Stream is the one result path (no Binding maps); Eval/EvalQuery
+// Plan.Stream is the one result path (no Binding maps); Eval/Plan.Eval
 // are thin wrappers that collect the stream into map-based Bindings for
 // tools and tests.
 //
@@ -152,23 +152,20 @@
 //
 // Only the SPARQL executor runs a query on several cores. Its driving
 // input, the head pattern's posting list, is materialised once in serial
-// enumeration order and partitioned into fixed-size morsels by the
-// scheduler in internal/exec; a bounded worker pool claims morsel indexes
-// from an atomic counter and each worker runs the full compiled pipeline
-// (joins, filters, projection) with private execution state, against
-// shared state frozen before the first worker starts (the resolved
-// constant table and one read transaction, whose rdf.IDReader probes are
-// pure reads under the transaction lock). Output is buffered per morsel
-// and merged in morsel order, which makes the parallel result
-// byte-identical to the serial one: same rows, same order, same ties,
-// same first error. Every ORDER BY merge — per-morsel buffers, and the
-// serial sort as one run — goes through exec.MergeSorted, which sorts the
-// runs concurrently and streams a loser-tree merge (ties to the lower
-// run, the earlier morsel — exactly the serial stable sort) into the
-// result; property-path heads materialise the path frontier once and fan
-// the pairs out like any posting list; and a pool built with a LIMIT
-// target cuts the remaining morsels once Pool.Done sees a contiguous
-// completed-morsel prefix holding enough rows.
+// enumeration order and partitioned into fixed-size morsels; workers
+// claim morsel indexes from one atomic counter (sparql/parallel.go holds
+// the whole scheduler) and each runs the full compiled pipeline (joins,
+// filters, projection) with private execution state, against shared state
+// frozen before the first worker starts (the resolved constant table and
+// one read transaction, whose rdf.IDReader probes are pure reads under
+// the transaction lock). Output is buffered per morsel and replayed in
+// morsel order, which makes the parallel result byte-identical to the
+// serial one: same rows, same order, same ties. ORDER BY sorts once, on
+// the coordinator, for both paths: the parallel path appends its morsel
+// buffers in morsel order to the row arena and hands them to the serial
+// sort, which decodes each row's order keys once and sorts row indexes
+// with a full-row ID tiebreak. Property-path heads materialise the path
+// frontier once and fan the pairs out like any posting list.
 //
 // The SQL executor runs every plan on one serial driver: it streams the
 // driving scan through the compiled pipeline, so a LIMIT without ORDER BY
@@ -180,12 +177,13 @@
 // so join-side materialisation retains the stored rows zero-copy.
 //
 // The SPARQL shapes that run serially — ASK (first match wins), LIMIT 0,
-// and inputs below the morsel threshold where fan-out costs more than it
-// wins — each name their reason: sparql's Result.ParallelFallback (and
-// its StreamInfo) carry it per query, core.Stats.ParallelFallback
-// collects the reasons of an evaluation's SPARQL queries ("sparql: ...";
-// the base SQL and the final stage always run serially and have no
-// entry), and the REST stats object surfaces it as parallel_fallback on
+// LIMIT without ORDER BY (the serial pipeline stops its scan at the rows
+// it needs), and inputs below the morsel threshold where fan-out costs
+// more than it wins — each name their reason: sparql's
+// Result.ParallelFallback (and its StreamInfo) carry it per query,
+// core.Stats.ParallelFallback collects the reasons of an evaluation's
+// SPARQL queries ("sparql: ..."; the base SQL and the final stage always
+// run serially and have no entry), and the REST stats object surfaces it as parallel_fallback on
 // /query and /sparql alike, so "why didn't this query parallelise" is an
 // API field, not a profiling session. The knob is
 // sparql.Options.Parallelism / core.ExecOptions.Parallelism, set through

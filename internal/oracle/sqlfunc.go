@@ -19,10 +19,11 @@ import (
 )
 
 var (
-	errIntRange = errors.New("oracle: integer out of range")
-	errDivZero  = errors.New("oracle: division by zero")
-	minInt64    = big.NewInt(math.MinInt64)
-	maxInt64    = big.NewInt(math.MaxInt64)
+	errIntRange   = errors.New("oracle: integer out of range")
+	errFloatRange = errors.New("oracle: DOUBLE out of range")
+	errDivZero    = errors.New("oracle: division by zero")
+	minInt64      = big.NewInt(math.MinInt64)
+	maxInt64      = big.NewInt(math.MaxInt64)
 )
 
 // fromBig returns z as an INTEGER, or errIntRange when it leaves int64.
@@ -404,7 +405,9 @@ func (a *aggInput) result() (sqlval.Value, error) {
 
 // sumAvg is SUM or AVG of non-NULL numeric values. Finite values sum
 // exactly as rationals. A NaN, or infinities of both signs, make the sum
-// NaN; otherwise an infinity is the sum.
+// NaN; otherwise an infinity is the sum. Before any of those arrives, a
+// partial sum that rounds past the largest DOUBLE is an overflow error,
+// as in PostgreSQL, which checks its float8 running sum in arrival order.
 func sumAvg(name string, vals []sqlval.Value) (sqlval.Value, error) {
 	allInt := true
 	exact := new(big.Rat)
@@ -427,6 +430,11 @@ func sumAvg(name string, vals []sqlval.Value) (sqlval.Value, error) {
 			}
 		default:
 			return sqlval.Null, fmt.Errorf("oracle: %s of %s", name, v.Type())
+		}
+		if !allInt && !nan && !posInf && !negInf {
+			if f, _ := exact.Float64(); math.IsInf(f, 0) {
+				return sqlval.Null, errFloatRange
+			}
 		}
 	}
 	switch {

@@ -1,10 +1,10 @@
 package sparql
 
 // eval.go — the public result model and the term-level helpers shared by
-// the compiled executor (exec.go). Evaluation itself is ID-native: Eval and
-// EvalQuery compile the query into a Plan (plan.go) and run it as a
-// streaming pipeline over dictionary-ID rows; the map-based Binding form
-// below is collected from that stream, for tools and tests.
+// the compiled executor (exec.go). Evaluation itself is ID-native: Eval
+// compiles the query into a Plan (plan.go), which runs as a streaming
+// pipeline over dictionary-ID rows; the map-based Binding form below is
+// collected from that stream, for tools and tests.
 
 import (
 	"fmt"
@@ -78,32 +78,50 @@ func isTrue(t rdf.Term) bool {
 
 // compareTerms orders two terms: numeric literals numerically when both
 // parse, otherwise lexically by kind/value. Unbound (zero) terms sort first.
-func compareTerms(a, b rdf.Term) int {
-	if a.IsZero() || b.IsZero() {
+// FILTER comparisons and ORDER BY (which decodes each key once, see
+// emitSorted) share this one rule through compareKeys.
+func compareTerms(a, b rdf.Term) int { return compareKeys(keyOf(a), keyOf(b)) }
+
+// sortKey is a term decoded for comparison: whether it is unbound, and
+// the number a numeric literal parses to.
+type sortKey struct {
+	t     rdf.Term
+	num   float64
+	isNum bool
+	zero  bool
+}
+
+func keyOf(t rdf.Term) sortKey {
+	k := sortKey{t: t, zero: t.IsZero()}
+	if t.IsLiteral() {
+		k.num, k.isNum = parseNum(t)
+	}
+	return k
+}
+
+// compareKeys is compareTerms over decoded keys.
+func compareKeys(a, b sortKey) int {
+	if a.zero || b.zero {
 		switch {
-		case a.IsZero() && b.IsZero():
+		case a.zero && b.zero:
 			return 0
-		case a.IsZero():
+		case a.zero:
 			return -1
 		default:
 			return 1
 		}
 	}
-	if a.IsLiteral() && b.IsLiteral() {
-		af, aok := parseNum(a)
-		bf, bok := parseNum(b)
-		if aok && bok {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			default:
-				return 0
-			}
+	if a.isNum && b.isNum {
+		switch {
+		case a.num < b.num:
+			return -1
+		case a.num > b.num:
+			return 1
+		default:
+			return 0
 		}
 	}
-	return a.Compare(b)
+	return a.t.Compare(b.t)
 }
 
 func parseNum(t rdf.Term) (float64, bool) {

@@ -6,8 +6,10 @@ package sparql
 // (backtracking in place, so intermediate solutions are never materialised),
 // OPTIONAL/UNION blocks transform the stream recursively, filters run at
 // the first step where all their variables are bound, and terms are decoded
-// only at projection. Early termination (ASK, LIMIT without ORDER BY)
-// propagates as a stop signal back up the pipeline.
+// only at projection. Early termination (ASK, LIMIT without ORDER BY,
+// both of which always run here rather than on the parallel path)
+// propagates as a stop signal back up the pipeline. ORDER BY materialises
+// the rows and sorts them once (emitSorted), decoding each order key once.
 //
 // The whole query runs under a single rdf.Graph ReadIDs read transaction,
 // so no per-probe locking happens on the join path.
@@ -18,7 +20,6 @@ import (
 	"slices"
 	"strings"
 
-	sched "crosse/internal/exec"
 	"crosse/internal/rdf"
 )
 
@@ -33,17 +34,6 @@ func EvalOpts(g rdf.Graph, src string, o Options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return EvalQueryOpts(g, q, o)
-}
-
-// EvalQuery compiles and evaluates a parsed query against g. Callers that
-// re-evaluate the same query should Compile once and use Plan.Eval.
-func EvalQuery(g rdf.Graph, q *Query) (*Result, error) {
-	return EvalQueryOpts(g, q, Options{})
-}
-
-// EvalQueryOpts is EvalQuery with evaluation options.
-func EvalQueryOpts(g rdf.Graph, q *Query, o Options) (*Result, error) {
 	p, err := Compile(q)
 	if err != nil {
 		return nil, err
@@ -112,12 +102,7 @@ func (s Solution) Var(name string) (rdf.Term, bool) {
 // enrichment pipeline consumes. DISTINCT, ORDER BY, OFFSET and LIMIT are
 // honoured exactly as in Eval; fn returning false stops evaluation early.
 func (p *Plan) Stream(g rdf.Graph, fn func(Solution) bool) error {
-	return p.StreamOpts(g, Options{}, fn)
-}
-
-// StreamOpts is Stream with evaluation options.
-func (p *Plan) StreamOpts(g rdf.Graph, o Options, fn func(Solution) bool) error {
-	_, err := p.StreamInfoOpts(g, o, fn)
+	_, err := p.StreamInfoOpts(g, Options{}, fn)
 	return err
 }
 
@@ -130,8 +115,8 @@ type StreamInfo struct {
 	ParallelFallback string
 }
 
-// StreamInfoOpts is StreamOpts returning evaluation metadata alongside the
-// stream.
+// StreamInfoOpts is Stream with evaluation options, returning evaluation
+// metadata alongside the stream.
 func (p *Plan) StreamInfoOpts(g rdf.Graph, o Options, fn func(Solution) bool) (StreamInfo, error) {
 	if p.q.Form == Ask {
 		return StreamInfo{}, fmt.Errorf("sparql: Stream requires a SELECT query")
@@ -690,50 +675,43 @@ func (e *exec) emitFinal(row []rdf.TermID) bool {
 }
 
 // emitSorted orders the materialised rows by the plan's ORDER BY keys
-// (unbound-first, numeric-aware) and replays them through emitFinal.
+// (unbound-first, numeric-aware) and replays them through emitFinal. Each
+// row's keys are decoded once, then one sort runs over row indexes. A
+// full-row ID comparison is the final tiebreak: it makes the sort a total
+// order, so ORDER BY output — and any OFFSET/LIMIT window over it — is
+// deterministic, independent of index map iteration order and identical
+// between the serial and parallel paths, which both sort here.
 func (e *exec) emitSorted() {
-	sched.MergeSorted(1, [][][]rdf.TermID{splitRows(e.arena, len(e.row))}, e.rowCmp, e.emitFinal)
-}
-
-// splitRows views a flat buffer of ns-slot rows as one slice per row.
-func splitRows(buf []rdf.TermID, ns int) [][]rdf.TermID {
-	if ns == 0 {
-		return nil
-	}
-	rows := make([][]rdf.TermID, 0, len(buf)/ns)
-	for off := 0; off+ns <= len(buf); off += ns {
-		rows = append(rows, buf[off:off+ns:off+ns])
-	}
-	return rows
-}
-
-// rowCmp is the ORDER BY comparator shared by the serial sort and the
-// parallel run merge: the plan's order keys (unbound-first, numeric-aware)
-// followed by a full-row ID comparison as the final tiebreak. The tiebreak
-// makes the sort a total order, so ORDER BY output — and any OFFSET/LIMIT
-// window over it — is deterministic, independent of index map iteration
-// order and identical between the serial and parallel paths.
-func (e *exec) rowCmp(ra, rb []rdf.TermID) int {
-	for _, k := range e.p.order {
-		ta, _ := e.termOfZero(ra[k.slot])
-		tb, _ := e.termOfZero(rb[k.slot])
-		if c := compareTerms(ta, tb); c != 0 {
-			if k.desc {
-				return -c
-			}
-			return c
+	// Every order key has a slot, so rows are never empty.
+	rows, ns, order := e.arena, len(e.row), e.p.order
+	n, nk := len(rows)/ns, len(order)
+	keys := make([]sortKey, n*nk)
+	idx := make([]int32, n)
+	for r := range idx {
+		idx[r] = int32(r)
+		for j, k := range order {
+			// An unbound slot (ID 0) decodes to the zero term.
+			t, _ := e.termOf(rows[r*ns+k.slot])
+			keys[r*nk+j] = keyOf(t)
 		}
 	}
-	return slices.Compare(ra, rb)
-}
-
-// termOfZero decodes an ID, mapping the unbound marker to the zero term
-// (which compareTerms sorts first).
-func (e *exec) termOfZero(id rdf.TermID) (rdf.Term, bool) {
-	if id == 0 {
-		return rdf.Term{}, false
+	slices.SortFunc(idx, func(a, b int32) int {
+		ka, kb := keys[int(a)*nk:], keys[int(b)*nk:]
+		for j, k := range order {
+			if c := compareKeys(ka[j], kb[j]); c != 0 {
+				if k.desc {
+					return -c
+				}
+				return c
+			}
+		}
+		return slices.Compare(rows[int(a)*ns:int(a+1)*ns], rows[int(b)*ns:int(b+1)*ns])
+	})
+	for _, r := range idx {
+		if !e.emitFinal(rows[int(r)*ns : int(r+1)*ns]) {
+			return
+		}
 	}
-	return e.termOf(id)
 }
 
 // projKey builds the DISTINCT deduplication key from the projected slots'

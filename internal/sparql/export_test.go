@@ -23,4 +23,5 @@ var (
 	ForceParallel  = forceParallel
 	RenderBindings = renderBindings
 	RenderSeq      = renderSeq
+	CompileEval    = compileEval
 )

@@ -66,6 +66,15 @@ func renderSeq(bs []Binding, vars []string) []string {
 	return out
 }
 
+// compileEval compiles q and evaluates it against g with options.
+func compileEval(g rdf.Graph, q *Query, o Options) (*Result, error) {
+	p, err := Compile(q)
+	if err != nil {
+		return nil, err
+	}
+	return p.EvalOpts(g, o)
+}
+
 // forceParallel drops the parallel-path thresholds so the small parity
 // fixtures split into many morsels and exercise the scheduler, restoring
 // the production values on cleanup.

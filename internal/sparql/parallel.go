@@ -3,32 +3,34 @@ package sparql
 // parallel.go — morsel-driven parallel evaluation of compiled plans. The
 // head pattern of the root group (the first step of the activation's join
 // order) is materialised once — an index probe streaming its (s, p, o) ID
-// matches into a slice — and partitioned into fixed-size morsels; a
-// bounded worker pool (see internal/exec) claims morsels from an atomic
-// counter, and each worker drives its own backtracking pipeline (private
-// row, private group contexts) over its matches under the one shared read
-// transaction. Workers buffer solution rows per morsel; the coordinator
-// merges the buffers in morsel order and replays them through the
-// unchanged DISTINCT / ORDER BY / OFFSET / LIMIT tail, so the parallel
-// result is exactly what the serial executor would produce given the same
-// head enumeration.
+// matches into a slice — and partitioned into fixed-size morsels in serial
+// enumeration order. Workers claim morsel indexes from one atomic counter,
+// so every morsel runs on exactly one worker, and each worker drives its
+// own backtracking pipeline (private row, private group contexts) over its
+// matches under the one shared read transaction. Rows are buffered per
+// morsel; the coordinator replays the buffers in morsel order through the
+// unchanged DISTINCT / OFFSET / LIMIT tail, or under ORDER BY appends them
+// to the row arena and sorts once with the serial emitSorted. Either way
+// the parallel result is exactly what the serial executor would produce
+// given the same head enumeration.
 //
 // Property-path heads fan out too: the path step's (subject, object)
 // frontier is materialised once on the coordinator — exactly the pair list
 // the serial step would walk — and the pairs are distributed as (s, 0, o)
-// matches through the same worker pipeline. Under ORDER BY the per-morsel
-// buffers become sorted runs (sorted in parallel with the serial
-// comparator) merged by exec.MergeSorted, with ties resolving to the
-// earlier morsel, so the merged sequence is exactly the serial sort.
+// matches through the same worker pipeline.
 //
 // Workers share the transaction's rdf.IDReader, whose methods are pure
 // reads under the transaction lock. ASK queries (first match wins; nothing
-// to fan out) and small posting lists stay serial; every decline records
-// its reason in exec.fallback, surfaced as Result.ParallelFallback /
+// to fan out), LIMIT without ORDER BY (the serial pipeline stops at its
+// rows) and small posting lists stay serial; every decline records its
+// reason in exec.fallback, surfaced as Result.ParallelFallback /
 // StreamInfo.
 
 import (
-	sched "crosse/internal/exec"
+	"runtime"
+	"sync"
+	"sync/atomic"
+
 	"crosse/internal/rdf"
 )
 
@@ -47,16 +49,21 @@ var (
 // The caller has already dispatched ASK and LIMIT-0 queries.
 func (e *exec) tryParallel() bool {
 	p := e.p
-	workers := sched.Workers(e.opts.Parallelism)
-	if workers <= 1 {
+	workers := e.opts.Parallelism
+	if workers == 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	switch {
+	case workers <= 1:
 		e.fallback = "parallelism=1"
 		return false
-	}
-	if len(e.row) == 0 {
+	case e.limit >= 0 && len(p.order) == 0:
+		e.fallback = "limit without order by"
+		return false
+	case len(e.row) == 0:
 		e.fallback = "query binds no variables"
 		return false
-	}
-	if len(p.root.patterns) == 0 {
+	case len(p.root.patterns) == 0:
 		e.fallback = "no triple patterns"
 		return false
 	}
@@ -80,7 +87,7 @@ func (e *exec) tryParallel() bool {
 	}
 
 	// Materialise the head step's matches. This fixes the enumeration
-	// order the morsel merge then reproduces.
+	// order the morsel-order replay then reproduces.
 	var matches []rdf.TermID
 	if pp := head.pp; pp.path != nil {
 		// Property-path head: materialise the path step's frontier — the
@@ -109,38 +116,30 @@ func (e *exec) tryParallel() bool {
 		})
 	}
 
-	// A completed prefix of morsels can prove a LIMIT satisfied — but only
-	// when buffered rows map 1:1 to emitted solutions (no cross-worker
-	// DISTINCT collapsing, no sort reordering).
-	need := -1
-	if !e.distinct && len(p.order) == 0 && e.limit >= 0 {
-		need = e.limit + e.skip
-	}
-	nm := sched.Morsels(len(matches)/3, parMorselMatches)
-	pool := sched.NewPool(workers, nm, need)
+	nm := (len(matches)/3 + parMorselMatches - 1) / parMorselMatches
 	res := make([][]rdf.TermID, nm)
-	wks := make([]*parExec, pool.Workers())
-	for i := range wks {
-		wks[i] = newParExec(e, pool)
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(workers, nm) {
+		w := newParExec(e)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for m := int(next.Add(1) - 1); m < nm; m = int(next.Add(1) - 1) {
+				res[m] = w.runMorsel(m, matches)
+			}
+		}()
 	}
-	pool.Run(func(w, m int) {
-		wks[w].runMorsel(m, matches, res)
-	})
+	wg.Wait()
 
-	// Merge in morsel order through the serial tail. Under ORDER BY each
-	// morsel buffer is one sorted run; rowCmp is a total order up to
-	// identical rows and merge ties resolve to the earlier morsel, so the
-	// merged sequence is exactly emitSorted's over the morsel-order
-	// concatenation.
-	ns := len(e.row)
 	if len(p.order) > 0 {
-		runs := make([][][]rdf.TermID, len(res))
-		for m, rows := range res {
-			runs[m] = splitRows(rows, ns)
+		for _, rows := range res {
+			e.arena = append(e.arena, rows...)
 		}
-		sched.MergeSorted(workers, runs, e.rowCmp, e.emitFinal)
+		e.emitSorted()
 		return true
 	}
+	ns := len(e.row)
 	for _, rows := range res {
 		for off := 0; off+ns <= len(rows); off += ns {
 			if !e.emitFinal(rows[off : off+ns]) {
@@ -171,15 +170,13 @@ func headPattern(e *exec, pp *patternPlan) rdf.PatternIDs {
 // and scratch marks, sharing only the reader and the resolved constant
 // table with the coordinator.
 type parExec struct {
-	e      *exec
-	head   *stepCtx
-	pool   *sched.Pool
-	morsel int
-	buf    []rdf.TermID
-	seen   map[string]struct{} // worker-local DISTINCT pre-filter
+	e    *exec
+	head *stepCtx
+	buf  []rdf.TermID
+	seen map[string]struct{} // worker-local DISTINCT pre-filter
 }
 
-func newParExec(parent *exec, pool *sched.Pool) *parExec {
+func newParExec(parent *exec) *parExec {
 	p := parent.p
 	we := &exec{
 		p:       p,
@@ -192,7 +189,7 @@ func newParExec(parent *exec, pool *sched.Pool) *parExec {
 		groups:  make([]groupState, p.ngroups),
 	}
 	we.initGroup(p.root)
-	w := &parExec{e: we, pool: pool}
+	w := &parExec{e: we}
 	gs := &we.groups[p.root.id]
 	gs.emit = w.collect
 	we.activate(gs)
@@ -219,23 +216,18 @@ func (w *parExec) collect() bool {
 		w.seen[key] = struct{}{}
 	}
 	w.buf = append(w.buf, row...)
-	return !w.pool.Cancelled(w.morsel)
+	return true
 }
 
-// runMorsel feeds one morsel of head matches through the worker's
-// pipeline, exactly as the head step's index enumeration would have.
-func (w *parExec) runMorsel(m int, matches []rdf.TermID, res [][]rdf.TermID) {
-	w.morsel = m
+// runMorsel feeds morsel m of the head matches through the worker's
+// pipeline, exactly as the head step's index enumeration would have, and
+// returns the rows it buffered.
+func (w *parExec) runMorsel(m int, matches []rdf.TermID) []rdf.TermID {
 	w.buf = nil
-	lo, hi := sched.Bounds(m, parMorselMatches, len(matches)/3)
+	lo := m * parMorselMatches
+	hi := min(lo+parMorselMatches, len(matches)/3)
 	for i := lo; i < hi; i++ {
-		if w.pool.Cancelled(m) {
-			break
-		}
-		if !w.head.match(matches[3*i], matches[3*i+1], matches[3*i+2]) {
-			break
-		}
+		w.head.match(matches[3*i], matches[3*i+1], matches[3*i+2])
 	}
-	res[m] = w.buf
-	w.pool.Done(m, len(w.buf)/len(w.e.row))
+	return w.buf
 }

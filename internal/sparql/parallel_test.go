@@ -13,6 +13,7 @@ import (
 	"reflect"
 	"sort"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"crosse/internal/rdf"
@@ -76,13 +77,13 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatalf("generated unparseable query %q: %v", text, err)
 		}
-		base, err := EvalQueryOpts(st, qu, Options{Parallelism: 1})
+		base, err := compileEval(st, qu, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%q serial: %v", text, err)
 		}
 		want := renderSeq(base.Bindings, base.Vars)
 		for _, par := range []int{2, 4} {
-			got, err := EvalQueryOpts(st, qu, Options{Parallelism: par})
+			got, err := compileEval(st, qu, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("%q parallelism %d: %v", text, par, err)
 			}
@@ -94,13 +95,57 @@ func TestParallelOrderedDeterminism(t *testing.T) {
 	}
 }
 
+// TestParallelOrderedMixedKeys pins ORDER BY over keys on which the term
+// comparison is not a strict weak order: numbers compare numerically, a
+// number and a string lexically, and NaN ties with every number, so
+// 10 < "6" < 9 < 10 is a cycle. Such a sort's output depends on the
+// algorithm, so every Parallelism must run the one serial sort to agree.
+func TestParallelOrderedMixedKeys(t *testing.T) {
+	forceParallel(t)
+	const ns = "http://x/"
+	st := newFixture()
+	for i := 0; i < 400; i++ {
+		var o rdf.Term
+		switch i % 5 {
+		case 0:
+			o = rdf.NewTypedLiteral(fmt.Sprint(i%13), rdf.XSDInteger)
+		case 1:
+			o = rdf.NewTypedLiteral(fmt.Sprintf("%d.5", i%11), rdf.XSDDouble)
+		case 2:
+			o = rdf.NewLiteral(fmt.Sprint(i % 17))
+		case 3:
+			o = rdf.NewTypedLiteral("NaN", rdf.XSDDouble)
+		default:
+			o = rdf.NewIRI(fmt.Sprintf("%sv%d", ns, i%7))
+		}
+		st.Add(rdf.Triple{S: rdf.NewIRI(fmt.Sprintf("%se%03d", ns, i)), P: rdf.NewIRI(ns + "val"), O: o})
+	}
+	for _, order := range []string{"?v", "DESC(?v)", "?v ?x"} {
+		text := fmt.Sprintf("SELECT ?x ?v WHERE { ?x <%sval> ?v } ORDER BY %s", ns, order)
+		var want []string
+		for _, par := range []int{1, 2, 4} {
+			res, err := EvalOpts(st, text, Options{Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := renderSeq(res.Bindings, res.Vars)
+			if par == 1 {
+				want = got
+			} else if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%q: parallelism %d diverges from serial", text, par)
+			}
+		}
+	}
+}
+
 // TestParallelPathHeadDeterminism pins the property-path head fan-out.
 // Path closure enumeration is map-order nondeterministic even serially, so
 // unordered queries compare as multisets; under ORDER BY the total-order
 // sort (full-row tiebreak) makes the output byte-identical at every
-// Parallelism setting and the comparison is exact. Each parallel run must
-// actually take the parallel path (empty ParallelFallback) rather than
-// silently running serial.
+// Parallelism setting and the comparison is exact. A LIMIT without ORDER
+// BY runs on the serial pipeline at every setting, so its rows compare
+// exactly too. Every other parallel run must actually take the parallel
+// path (empty ParallelFallback) rather than silently running serial.
 func TestParallelPathHeadDeterminism(t *testing.T) {
 	forceParallel(t)
 	const ns = "http://x/"
@@ -124,20 +169,20 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 		st.Add(rdf.Triple{S: s, P: p("rank"), O: rdf.NewTypedLiteral(fmt.Sprint(i%5), rdf.XSDInteger)})
 	}
 	for _, tc := range []struct {
-		text    string
-		ordered bool // exact sequence compare; else sorted multiset
-		count   int  // when > 0, compare size only (LIMIT over unordered)
+		text     string
+		ordered  bool   // exact sequence compare; else sorted multiset
+		fallback string // the reason a parallel run must report
 	}{
 		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c }", ns, ns)},
 		{text: fmt.Sprintf("SELECT DISTINCT ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>+ ?c }", ns, ns)},
 		{text: fmt.Sprintf("SELECT ?x ?c ?r WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c . ?x <%srank> ?r } ORDER BY ?r ?c", ns, ns, ns), ordered: true},
-		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c } LIMIT 40", ns, ns), count: 40},
+		{text: fmt.Sprintf("SELECT ?x ?c WHERE { ?x <%smemberOf>/<%ssubClassOf>* ?c } LIMIT 40", ns, ns), ordered: true, fallback: "limit without order by"},
 	} {
 		qu, err := Parse(tc.text)
 		if err != nil {
 			t.Fatal(err)
 		}
-		base, err := EvalQueryOpts(st, qu, Options{Parallelism: 1})
+		base, err := compileEval(st, qu, Options{Parallelism: 1})
 		if err != nil {
 			t.Fatalf("%q serial: %v", tc.text, err)
 		}
@@ -152,18 +197,12 @@ func TestParallelPathHeadDeterminism(t *testing.T) {
 			sort.Strings(want)
 		}
 		for _, par := range []int{2, 4} {
-			got, err := EvalQueryOpts(st, qu, Options{Parallelism: par})
+			got, err := compileEval(st, qu, Options{Parallelism: par})
 			if err != nil {
 				t.Fatalf("%q parallelism %d: %v", tc.text, par, err)
 			}
-			if got.ParallelFallback != "" {
-				t.Fatalf("%q parallelism %d fell back: %q", tc.text, par, got.ParallelFallback)
-			}
-			if tc.count > 0 {
-				if len(got.Bindings) != tc.count {
-					t.Fatalf("%q parallelism %d: %d solutions, want %d", tc.text, par, len(got.Bindings), tc.count)
-				}
-				continue
+			if got.ParallelFallback != tc.fallback {
+				t.Fatalf("%q parallelism %d: fallback %q, want %q", tc.text, par, got.ParallelFallback, tc.fallback)
 			}
 			g := renderSeq(got.Bindings, got.Vars)
 			if !tc.ordered {
@@ -200,6 +239,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 		want  string
 	}{
 		{sel, Options{Parallelism: 1}, "parallelism=1"},
+		{sel, Options{Parallelism: -3}, "parallelism=1"},
 		{sel, Options{Parallelism: 4}, "driving pattern below parallel threshold"},
 		{pathSel, Options{Parallelism: 4}, "driving path frontier below parallel threshold"},
 		{fmt.Sprintf("ASK { ?x <%srank> ?r }", ns), Options{Parallelism: 4}, "ask query"},
@@ -221,7 +261,7 @@ func TestParallelFallbackReasons(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := EvalQueryOpts(st, qu, Options{Parallelism: 4})
+	res, err := compileEval(st, qu, Options{Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,9 +288,9 @@ func TestParallelFallbackReasons(t *testing.T) {
 	}
 }
 
-// TestParallelStreamLimit pins the streaming path: StreamOpts at higher
-// parallelism honours LIMIT/OFFSET and early consumer stops exactly like
-// the serial stream.
+// TestParallelStreamLimit pins the streaming path: StreamInfoOpts at
+// higher parallelism honours LIMIT/OFFSET and early consumer stops exactly
+// like the serial stream.
 func TestParallelStreamLimit(t *testing.T) {
 	forceParallel(t)
 	const ns = "http://x/"
@@ -262,12 +302,16 @@ func TestParallelStreamLimit(t *testing.T) {
 			O: rdf.NewTypedLiteral(fmt.Sprint(i%9), rdf.XSDInteger),
 		})
 	}
-	for _, text := range []string{
-		fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r } LIMIT 17", ns),
-		fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r } OFFSET 5 LIMIT 17", ns),
-		fmt.Sprintf("SELECT DISTINCT ?r WHERE { ?x <%srank> ?r } LIMIT 4", ns),
+	for _, tc := range []struct {
+		text string
+		want int
+	}{
+		{fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r } LIMIT 17", ns), 17},
+		{fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r } OFFSET 5 LIMIT 17", ns), 17},
+		{fmt.Sprintf("SELECT DISTINCT ?r WHERE { ?x <%srank> ?r } LIMIT 4", ns), 4},
+		{fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r } OFFSET 5", ns), 195},
 	} {
-		qu, err := Parse(text)
+		qu, err := Parse(tc.text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -277,30 +321,82 @@ func TestParallelStreamLimit(t *testing.T) {
 		}
 		for _, par := range []int{1, 2, 4} {
 			n := 0
-			if err := pl.StreamOpts(st, Options{Parallelism: par}, func(Solution) bool {
+			if _, err := pl.StreamInfoOpts(st, Options{Parallelism: par}, func(Solution) bool {
 				n++
 				return true
 			}); err != nil {
 				t.Fatal(err)
 			}
-			want := qu.Limit
-			if want > 200 {
-				want = 200
-			}
-			if n != want {
-				t.Fatalf("%q parallelism %d: streamed %d solutions, want %d", text, par, n, want)
+			if n != tc.want {
+				t.Fatalf("%q parallelism %d: streamed %d solutions, want %d", tc.text, par, n, tc.want)
 			}
 			// Early stop after 3 solutions.
 			n = 0
-			if err := pl.StreamOpts(st, Options{Parallelism: par}, func(Solution) bool {
+			if _, err := pl.StreamInfoOpts(st, Options{Parallelism: par}, func(Solution) bool {
 				n++
 				return n < 3
 			}); err != nil {
 				t.Fatal(err)
 			}
 			if n != 3 {
-				t.Fatalf("%q parallelism %d: early stop streamed %d, want 3", text, par, n)
+				t.Fatalf("%q parallelism %d: early stop streamed %d, want 3", tc.text, par, n)
 			}
+		}
+	}
+}
+
+// countingGraph wraps a graph so a test can see how many index matches
+// its queries read: reads counts every ForEachIDs callback.
+type countingGraph struct {
+	rdf.Graph
+	reads atomic.Int64
+}
+
+func (g *countingGraph) ReadIDs(fn func(rdf.IDReader)) {
+	g.Graph.ReadIDs(func(r rdf.IDReader) { fn(countingReader{r, &g.reads}) })
+}
+
+type countingReader struct {
+	rdf.IDReader
+	reads *atomic.Int64
+}
+
+func (r countingReader) ForEachIDs(p rdf.PatternIDs, fn func(s, p, o rdf.TermID) bool) {
+	r.IDReader.ForEachIDs(p, func(s, pr, o rdf.TermID) bool {
+		r.reads.Add(1)
+		return fn(s, pr, o)
+	})
+}
+
+// TestLimitStopsScan pins that a LIMIT without ORDER BY stops the head
+// scan once it has its rows, at every Parallelism, rather than reading
+// the whole posting list first.
+func TestLimitStopsScan(t *testing.T) {
+	forceParallel(t)
+	const ns = "http://x/"
+	st := newFixture()
+	const n = 3000
+	for i := 0; i < n; i++ {
+		st.Add(rdf.Triple{
+			S: rdf.NewIRI(fmt.Sprintf("%se%04d", ns, i)),
+			P: rdf.NewIRI(ns + "rank"),
+			O: rdf.NewTypedLiteral(fmt.Sprint(i%9), rdf.XSDInteger),
+		})
+	}
+	g := &countingGraph{Graph: st}
+	q := fmt.Sprintf("SELECT ?x ?r WHERE { ?x <%srank> ?r } LIMIT 5", ns)
+	for _, par := range []int{1, 2, 4} {
+		g.reads.Store(0)
+		res, err := EvalOpts(g, q, Options{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Bindings) != 5 {
+			t.Fatalf("parallelism %d: %d solutions, want 5", par, len(res.Bindings))
+		}
+		if r := g.reads.Load(); r > 32 {
+			t.Fatalf("parallelism %d (fallback %q): read %d of %d head matches for LIMIT 5",
+				par, res.ParallelFallback, r, n)
 		}
 	}
 }

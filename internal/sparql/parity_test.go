@@ -100,7 +100,7 @@ func TestExecutorParityWithSeedSemantics(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, opts := range parityEvalOptions {
-				got, err := sparql.EvalQueryOpts(st, q, opts)
+				got, err := sparql.CompileEval(st, q, opts)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -180,7 +180,7 @@ func TestExecutorParityUnknownConstants(t *testing.T) {
 		}
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		got, err := sparql.EvalQuery(st, q)
+		got, err := sparql.CompileEval(st, q, sparql.Options{})
 		runtime.ReadMemStats(&after)
 		if err != nil {
 			t.Fatal(err)
@@ -272,7 +272,7 @@ func TestRandomBGPsSlotPathVsTermLevel(t *testing.T) {
 		}
 		want := sparql.RenderBindings(ref.Bindings, vars)
 		for _, opts := range []sparql.Options{{}, {Parallelism: 2}, {Parallelism: 4}} {
-			res, err := sparql.EvalQueryOpts(st, q, opts)
+			res, err := sparql.CompileEval(st, q, opts)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

@@ -184,7 +184,7 @@ func checkPathCase(t *testing.T, c pathCase) {
 	}
 	want := sparql.RenderBindings(ref.Bindings, ref.Vars)
 	for _, opts := range []sparql.Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}} {
-		res, err := sparql.EvalQueryOpts(st, q, opts)
+		res, err := sparql.CompileEval(st, q, opts)
 		if err != nil {
 			t.Fatalf("%s: %v", c.query, err)
 		}
@@ -196,7 +196,7 @@ func checkPathCase(t *testing.T, c pathCase) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sparql.EvalQuery(st, ask)
+	res, err := sparql.CompileEval(st, ask, sparql.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

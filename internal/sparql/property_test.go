@@ -94,7 +94,7 @@ func TestBGPJoinEqualsNaive(t *testing.T) {
 			Vars:  []string{"x", "y", "z"},
 			Where: &Group{Elems: []Element{p1, p2}},
 		}
-		res, err := EvalQuery(st, q)
+		res, err := compileEval(st, q, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -134,7 +134,7 @@ func TestBGPPermutationsAgree(t *testing.T) {
 		var want []string
 		for i, perm := range [][3]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
 			q := &Query{Limit: -1, Vars: vars, Where: &Group{Elems: []Element{ps[perm[0]], ps[perm[1]], ps[perm[2]]}}}
-			res, err := EvalQuery(st, q)
+			res, err := compileEval(st, q, Options{})
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}

@@ -212,7 +212,7 @@ func checkQuery(t *testing.T, st *sparql.Fixture, text string) {
 		keys = append(keys, k.Var)
 	}
 	for _, opts := range []sparql.Options{{Parallelism: 1}, {Parallelism: 2}, {Parallelism: 4}} {
-		res, err := sparql.EvalQueryOpts(st, q, opts)
+		res, err := sparql.CompileEval(st, q, opts)
 		if err != nil {
 			t.Fatalf("%s (opts=%+v): %v", text, opts, err)
 		}

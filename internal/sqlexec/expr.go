@@ -64,6 +64,12 @@ func refName(qual, name string) string {
 // not fit in an int64: + - * /, unary minus, ABS and SUM never wrap.
 var errIntRange = errors.New("sqlexec: integer out of range")
 
+// errFloatRange is the error of a DOUBLE SUM or AVG whose running sum
+// leaves the DOUBLE range on finite inputs, as PostgreSQL's float8 sum
+// raises "value out of range: overflow". A sum already infinite through
+// an infinite input stays that infinity.
+var errFloatRange = errors.New("sqlexec: DOUBLE out of range")
+
 // negate is unary minus over a numeric value; NULL stays NULL.
 func negate(v sqlval.Value) (sqlval.Value, error) {
 	switch v.Type() {
@@ -387,7 +393,11 @@ func (a *aggState) addValue(v sqlval.Value) error {
 		default:
 			return fmt.Errorf("sqlexec: %s on non-numeric value", a.call.Name)
 		}
+		prev := a.sum
 		a.sum, a.comp = neumaierAdd(a.sum, a.comp, x)
+		if math.IsInf(a.sum, 0) && !math.IsInf(prev, 0) && !math.IsInf(x, 0) {
+			return errFloatRange
+		}
 	case "MIN":
 		if a.first || sqlval.CompareForSort(v, a.min) < 0 {
 			a.min = v

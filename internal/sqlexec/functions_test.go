@@ -434,10 +434,12 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 	mustExec(t, db, `CREATE TABLE fl (g INT, x DOUBLE)`)
 	mustExec(t, db, `INSERT INTO fl VALUES (1, 1.0), (1, 1e308 * 10), (1, 2.0),
 		(2, 1e308 * 10), (2, -1e308 * 10),
-		(3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1)`)
+		(3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1),
+		(4, 1e308), (4, 1e308), (4, -1e308), (5, -1e308), (5, 1e308), (5, 1e308)`)
 	mustExec(t, db, `CREATE TABLE tx (id INT, s TEXT)`)
 	mustExec(t, db, `INSERT INTO tx VALUES (1, NULL), (2, 'a'), (3, 'b')`)
 	const divZero = "sqlexec: division by zero"
+	const floatRange = "sqlexec: DOUBLE out of range"
 	const textPlus = "sqlexec: arithmetic on non-numeric values TEXT, INTEGER"
 	for _, c := range []struct{ q, want string }{
 		// SUBSTR counts 1-based bytes. Dialect: PostgreSQL counts positions
@@ -523,6 +525,12 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 		{`SELECT SUM(x), AVG(x), SUM(-x) FROM fl WHERE g = 1`, "DOUBLE +Inf|DOUBLE +Inf|DOUBLE -Inf"},
 		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 2`, "DOUBLE NaN|DOUBLE NaN"},
 		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 3`, "DOUBLE 1|DOUBLE 0.1"},
+		// Finite inputs whose running sum leaves the DOUBLE range fail, as
+		// PostgreSQL's float8 sum does; the check runs in arrival order, so
+		// the same values in another order may sum without overflow.
+		{`SELECT SUM(x) FROM fl WHERE g = 4`, floatRange},
+		{`SELECT AVG(x) FROM fl WHERE g = 4`, floatRange},
+		{`SELECT SUM(x), AVG(x) FROM fl WHERE g = 5`, "DOUBLE 1e+308|DOUBLE 3.333333333333333e+307"},
 		// A row-level evaluation error fails the query wherever it is
 		// raised: in the select list, in WHERE, in HAVING, in an ORDER BY
 		// key. The NULL row passes; the first TEXT row fails.
