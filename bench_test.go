@@ -1072,6 +1072,22 @@ func BenchmarkSPARQL(b *testing.B) {
 			}
 		}
 	})
+	// DynRegex100k filters the 100k-row level head by a REGEX whose pattern
+	// is each row's own level: the executor compiles a pattern once per
+	// evaluation (ten distinct levels), not once per row.
+	b.Run("DynRegex100k", func(b *testing.B) {
+		q := `SELECT ?x WHERE { ?x <` + ns + `level> ?l . FILTER REGEX(STR(?x), STR(?l)) }`
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			res, err := sparql.Eval(big, q)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if len(res.Bindings) == 0 {
+				b.Fatal("no solutions")
+			}
+		}
+	})
 	// OrderBy100k sorts the 100k-row level head once, on the coordinator,
 	// after the workers buffer it; Limit10of100k stops the serial head
 	// scan at its tenth row.

@@ -68,7 +68,12 @@
 // Plan: every variable gets a dense slot index, triple patterns and
 // property paths reference slots plus a shared constant table, FILTER
 // expressions become slot-resolved evaluator trees with constant regex()
-// patterns precompiled (invalid ones fail at compile time), and projection,
+// patterns precompiled (invalid ones fail at compile time; a pattern
+// computed per solution compiles once per evaluation), each behind a
+// literal prefilter — the longest case-sensitive literal of the pattern's
+// top-level concatenation, a required suffix when `$` closes the pattern
+// right after it, rejected with strings.Contains / HasSuffix before the
+// regexp runs — and projection,
 // ORDER BY and DISTINCT are resolved to slot lists. A solution in flight is
 // a []rdf.TermID row, not a string-keyed map: BGP joins run as a push-based
 // backtracking pipeline under one Graph.ReadIDs transaction, filters
@@ -82,7 +87,9 @@
 // cleared through the words it touched, and a plain or inverted IRI step
 // streams each node's neighbours from one index probe through a callback
 // bound once. A walk emits nodes in discovery order, which is each node's
-// shortest depth. Following SPARQL 1.1's ALP, p+ reaches its own start
+// shortest depth, into a pair buffer drawn from a sync.Pool and returned
+// once the step (or the parallel path's morsels, which read the pairs in
+// place) has read it. Following SPARQL 1.1's ALP, p+ reaches its own start
 // only through a cycle, and with both ends open the walks start from
 // every subject and object of the graph, so p* and p? pair each node with
 // itself; the start is tracked apart from the bitset, because a constant
@@ -120,12 +127,20 @@
 // scanned row before it is copied into that buffer, so a rejected row is
 // never copied; LIMIT without ORDER BY stops the pipeline early. A plan
 // runs only to its Result (Run / RunContext), copying each output row
-// once: rows a sorter holds become the Result's. Values
+// once: rows a sorter holds become the Result's when its window is at
+// least half of them, and a smaller window is copied out. Every sorter
+// (the plain sink, the grouped tail, Tail.Apply) then leaves what the
+// Result does not hold — its sortedRow buffer, cleared, and its arena
+// blocks, zeroed, all of them after a copy-out — to one sync.Pool the next
+// sorter draws from, so join_sort_offset's 86k-row buffer is reused, not
+// re-allocated per request; pooled scratch lives only until the next
+// garbage collection. Values
 // are 32 bytes (sqlval.Value: a type, one 8-byte payload for the
 // integer, the float bits or the bool, and a string), and the numbers
 // follow PostgreSQL's total order, NaN equal to itself and above every
 // other number. INTEGER arithmetic and SUM fail with "integer out of
-// range" instead of wrapping; SUM adds exactly in 128 bits, so only a
+// range" instead of wrapping, and DOUBLE + - * / on finite operands, SUM
+// and AVG with "DOUBLE out of range" where IEEE 754 would give ±Inf; SUM adds exactly in 128 bits, so only a
 // final sum outside int64 fails, whatever the order of its additions.
 // Each query has one plan and one driver: sqlexec.Options carries only
 // the partial-results policy, never a switch between plans. Every

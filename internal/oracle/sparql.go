@@ -8,8 +8,10 @@ package oracle
 // and LIMIT in that order.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"regexp"
 	"sort"
 	"strconv"
@@ -450,23 +452,28 @@ func isTrue(t rdf.Term) bool {
 	return t.Kind == rdf.Literal && t.Datatype == rdf.XSDBoolean && t.Value == "true"
 }
 
-// compareTerms orders two terms. An unbound (zero) term sorts first. Two
-// literals that both read as xsd:integer or xsd:double compare as numbers;
-// anything else compares by rdf.Term.Compare (kind, then lexical form).
+// compareTerms orders two terms. An unbound (zero) term sorts first;
+// then the kinds sort IRI, literal, blank node. A literal that reads as
+// xsd:integer or xsd:double is a number, and the numbers sort before every
+// other literal: by value, with NaN after every other number and equal to
+// NaN. Anything else compares by rdf.Term.Compare (kind, then lexical
+// form, then datatype).
 func compareTerms(a, b rdf.Term) int {
 	if a.IsZero() || b.IsZero() {
 		return boolCmp(b.IsZero(), a.IsZero())
 	}
-	if af, ok := parseNum(a); ok {
-		if bf, ok := parseNum(b); ok {
-			switch {
-			case af < bf:
-				return -1
-			case af > bf:
-				return 1
-			}
-			return 0
+	af, aNum := parseNum(a)
+	bf, bNum := parseNum(b)
+	switch {
+	case aNum && bNum:
+		if math.IsNaN(af) || math.IsNaN(bf) {
+			return boolCmp(math.IsNaN(af), math.IsNaN(bf))
 		}
+		return cmp.Compare(af, bf)
+	case aNum && b.Kind == rdf.Literal:
+		return -1
+	case bNum && a.Kind == rdf.Literal:
+		return 1
 	}
 	return a.Compare(b)
 }

@@ -44,9 +44,10 @@ func numeric(v sqlval.Value) bool {
 // DOUBLE operand makes the operation DOUBLE. Division or remainder by zero
 // is an error for both types.
 //
-// Dialect: PostgreSQL reports DOUBLE overflow as an error and has no
-// DOUBLE %; here DOUBLE arithmetic follows IEEE 754 (1e308*10 is
-// Infinity, Infinity - Infinity is NaN) and % is the C fmod.
+// A DOUBLE + - * / of two finite operands whose result is infinite fails
+// with errFloatRange, as PostgreSQL's float8 overflow does; with an
+// infinite operand IEEE 754 holds (Infinity - Infinity is NaN). Dialect:
+// PostgreSQL has no DOUBLE %; here % is the C fmod.
 func arith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) {
 	if l.IsNull() || r.IsNull() {
 		return sqlval.Null, nil
@@ -78,21 +79,31 @@ func arith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) {
 		return fromBig(z)
 	}
 	a, b := toFloat(l), toFloat(r)
+	if op == sqlparser.OpMod {
+		if b == 0 {
+			return sqlval.Null, errDivZero
+		}
+		return sqlval.NewFloat(math.Mod(a, b)), nil
+	}
+	var z float64
 	switch op {
 	case sqlparser.OpAdd:
-		return sqlval.NewFloat(a + b), nil
+		z = a + b
 	case sqlparser.OpSub:
-		return sqlval.NewFloat(a - b), nil
+		z = a - b
 	case sqlparser.OpMul:
-		return sqlval.NewFloat(a * b), nil
+		z = a * b
+	default:
+		if b == 0 {
+			return sqlval.Null, errDivZero
+		}
+		z = a / b
 	}
-	if b == 0 {
-		return sqlval.Null, errDivZero
+	finite := func(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+	if !math.IsInf(z, 0) || !finite(a) || !finite(b) {
+		return sqlval.NewFloat(z), nil
 	}
-	if op == sqlparser.OpDiv {
-		return sqlval.NewFloat(a / b), nil
-	}
-	return sqlval.NewFloat(math.Mod(a, b)), nil
+	return sqlval.Null, errFloatRange
 }
 
 func toFloat(v sqlval.Value) float64 {

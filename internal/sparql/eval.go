@@ -7,7 +7,9 @@ package sparql
 // collected from that stream, for tools and tests.
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"strconv"
 
 	"crosse/internal/rdf"
@@ -76,8 +78,11 @@ func isTrue(t rdf.Term) bool {
 	return t.IsLiteral() && t.Datatype == rdf.XSDBoolean && t.Value == "true"
 }
 
-// compareTerms orders two terms: numeric literals numerically when both
-// parse, otherwise lexically by kind/value. Unbound (zero) terms sort first.
+// compareTerms orders two terms. The order is total: unbound (zero) terms
+// first, then IRIs, literals and blank nodes. Among literals the numeric
+// ones (xsd:integer or xsd:double that parse) form one block before every
+// other literal, ordered by value with NaN last and equal to NaN; every
+// other pair compares by rdf.Term.Compare (lexical form, then datatype).
 // FILTER comparisons and ORDER BY (which decodes each key once, see
 // emitSorted) share this one rule through compareKeys.
 func compareTerms(a, b rdf.Term) int { return compareKeys(keyOf(a), keyOf(b)) }
@@ -111,17 +116,25 @@ func compareKeys(a, b sortKey) int {
 			return 1
 		}
 	}
-	if a.isNum && b.isNum {
-		switch {
-		case a.num < b.num:
-			return -1
-		case a.num > b.num:
-			return 1
-		default:
-			return 0
+	switch {
+	case a.isNum && b.isNum:
+		if an, bn := math.IsNaN(a.num), math.IsNaN(b.num); an || bn {
+			return cmp.Compare(b2i(an), b2i(bn))
 		}
+		return cmp.Compare(a.num, b.num)
+	case a.isNum && b.t.IsLiteral():
+		return -1
+	case b.isNum && a.t.IsLiteral():
+		return 1
 	}
 	return a.t.Compare(b.t)
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func parseNum(t rdf.Term) (float64, bool) {

@@ -16,9 +16,8 @@ package sparql
 
 import (
 	"fmt"
-	"regexp"
 	"slices"
-	"strings"
+	"sync"
 
 	"crosse/internal/rdf"
 )
@@ -159,7 +158,8 @@ type exec struct {
 	arena    []rdf.TermID // materialised rows for the ORDER BY path
 	fallback string       // why the parallel path declined (see tryParallel)
 
-	walks []*closureWalk // free property-path closure scratch (see walk)
+	walks   []*closureWalk           // free property-path closure scratch (see walk)
+	regexes map[string]compiledRegex // dynamic regex() sources compiled so far
 }
 
 type groupState struct {
@@ -523,12 +523,16 @@ func (sc *stepCtx) run() bool {
 		pat.O = e.ids[pp.o.konst]
 	}
 	if pp.path != nil {
-		for _, pr := range e.pathPairs(pp.path, pat.S, pat.S != 0, pat.O, pat.O != 0) {
-			if !sc.match(pr[0], 0, pr[1]) {
-				return false
+		buf := takePairs()
+		prs := e.pathPairs(*buf, pp.path, pat.S, pat.S != 0, pat.O, pat.O != 0)
+		ok := true
+		for _, pr := range prs {
+			if ok = sc.match(pr[0], 0, pr[1]); !ok {
+				break
 			}
 		}
-		return true
+		putPairs(buf, prs)
+		return ok
 	}
 	if pp.pred >= 0 {
 		pat.P = e.ids[pp.pred]
@@ -802,7 +806,7 @@ func (x fRegex) eval(e *exec) (rdf.Term, error) {
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	return boolTerm(x.re.MatchString(t.Value)), nil
+	return boolTerm(x.m.match(t.Value)), nil
 }
 
 func (x fDynRegex) eval(e *exec) (rdf.Term, error) {
@@ -814,21 +818,39 @@ func (x fDynRegex) eval(e *exec) (rdf.Term, error) {
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	pat := p.Value
+	var flags string
 	if x.flags != nil {
 		f, err := x.flags.eval(e)
 		if err != nil {
 			return rdf.Term{}, err
 		}
-		if strings.Contains(f.Value, "i") {
-			pat = "(?i)" + pat
-		}
+		flags = f.Value
 	}
-	re, err := regexp.Compile(pat)
+	m, err := e.regex(regexSource(p.Value, flags))
 	if err != nil {
-		return rdf.Term{}, fmt.Errorf("sparql: bad REGEX pattern: %w", err)
+		return rdf.Term{}, err
 	}
-	return boolTerm(re.MatchString(t.Value)), nil
+	return boolTerm(m.match(t.Value)), nil
+}
+
+// regex returns the compiled matcher of a dynamic regex() source,
+// compiling it once per evaluation; a bad pattern's error is memoised too.
+func (e *exec) regex(src string) (*regexMatcher, error) {
+	c, ok := e.regexes[src]
+	if !ok {
+		c.m, c.err = compileRegex(src)
+		if e.regexes == nil {
+			e.regexes = map[string]compiledRegex{}
+		}
+		e.regexes[src] = c
+	}
+	return c.m, c.err
+}
+
+// compiledRegex is one memoised compileRegex outcome.
+type compiledRegex struct {
+	m   *regexMatcher
+	err error
 }
 
 func (x fErr) eval(e *exec) (rdf.Term, error) { return rdf.Term{}, x.err }
@@ -891,14 +913,13 @@ func (x fBinary) eval(e *exec) (rdf.Term, error) {
 
 // --- property paths over IDs ---
 
-// pathPairs materialises the (subject, object) ID pairs connected by a
+// pathPairs appends to out the (subject, object) ID pairs connected by a
 // complex property path, mirroring the term-level evaluator's semantics
 // (including per-operator pair deduplication and zero-length closure
 // matches) on dictionary IDs.
-func (e *exec) pathPairs(p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oBound bool) [][2]rdf.TermID {
+func (e *exec) pathPairs(out [][2]rdf.TermID, p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oBound bool) [][2]rdf.TermID {
 	switch pp := p.(type) {
 	case pIRI:
-		var out [][2]rdf.TermID
 		pat := rdf.PatternIDs{P: e.ids[pp.konst]}
 		if sBound {
 			pat.S = s
@@ -912,7 +933,6 @@ func (e *exec) pathPairs(p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oB
 		})
 		return out
 	case pVarStep:
-		var out [][2]rdf.TermID
 		pat := rdf.PatternIDs{}
 		if sBound {
 			pat.S = s
@@ -926,17 +946,14 @@ func (e *exec) pathPairs(p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oB
 		})
 		return out
 	case pInv:
-		inv := e.pathPairs(pp.p, o, oBound, s, sBound)
-		out := make([][2]rdf.TermID, len(inv))
-		for i, pr := range inv {
-			out[i] = [2]rdf.TermID{pr[1], pr[0]}
-		}
+		n := len(out)
+		out = e.pathPairs(out, pp.p, o, oBound, s, sBound)
+		swapPairs(out[n:])
 		return out
 	case pSeq:
-		var out [][2]rdf.TermID
 		seen := map[[2]rdf.TermID]struct{}{}
-		for _, lp := range e.pathPairs(pp.l, s, sBound, 0, false) {
-			for _, rp := range e.pathPairs(pp.r, lp[1], true, o, oBound) {
+		for _, lp := range e.pathPairs(nil, pp.l, s, sBound, 0, false) {
+			for _, rp := range e.pathPairs(nil, pp.r, lp[1], true, o, oBound) {
 				pair := [2]rdf.TermID{lp[0], rp[1]}
 				if _, dup := seen[pair]; !dup {
 					seen[pair] = struct{}{}
@@ -946,40 +963,66 @@ func (e *exec) pathPairs(p pathPlan, s rdf.TermID, sBound bool, o rdf.TermID, oB
 		}
 		return out
 	case pAlt:
-		out := e.pathPairs(pp.l, s, sBound, o, oBound)
+		n := len(out)
+		out = e.pathPairs(out, pp.l, s, sBound, o, oBound)
 		seen := map[[2]rdf.TermID]struct{}{}
-		for _, pr := range out {
+		for _, pr := range out[n:] {
 			seen[pr] = struct{}{}
 		}
-		for _, pr := range e.pathPairs(pp.r, s, sBound, o, oBound) {
+		for _, pr := range e.pathPairs(nil, pp.r, s, sBound, o, oBound) {
 			if _, dup := seen[pr]; !dup {
 				out = append(out, pr)
 			}
 		}
 		return out
 	case pClosure:
-		return e.closurePairs(pp, s, sBound, o, oBound)
+		return e.closurePairs(out, pp, s, sBound, o, oBound)
 	default:
-		return nil
+		return out
 	}
 }
 
-// closurePairs evaluates p+, p*, p? (SPARQL 1.1 §18.5, ALP) by
-// breadth-first walks over IDs. Each walk emits its start's reachable nodes
-// in discovery order; a node is first discovered at its shortest depth.
-func (e *exec) closurePairs(pc pClosure, s rdf.TermID, sBound bool, o rdf.TermID, oBound bool) [][2]rdf.TermID {
+// pairPool recycles the buffers a path step's pairs are materialised in
+// (takePairs): the step reads them once and nothing keeps them after. A
+// pooled buffer lives until the next garbage collection.
+var pairPool sync.Pool // of *[][2]rdf.TermID
+
+// takePairs returns an empty pooled pair buffer.
+func takePairs() *[][2]rdf.TermID {
+	if buf, _ := pairPool.Get().(*[][2]rdf.TermID); buf != nil {
+		return buf
+	}
+	return new([][2]rdf.TermID)
+}
+
+// putPairs pools prs, the pairs last appended to buf, once read.
+func putPairs(buf *[][2]rdf.TermID, prs [][2]rdf.TermID) {
+	*buf = prs[:0]
+	pairPool.Put(buf)
+}
+
+func swapPairs(prs [][2]rdf.TermID) {
+	for i := range prs {
+		prs[i][0], prs[i][1] = prs[i][1], prs[i][0]
+	}
+}
+
+// closurePairs appends to out the pairs of p+, p*, p? (SPARQL 1.1 §18.5,
+// ALP), found by breadth-first walks over IDs. Each walk emits its
+// start's reachable nodes in discovery order; a node is first discovered
+// at its shortest depth.
+func (e *exec) closurePairs(out [][2]rdf.TermID, pc pClosure, s rdf.TermID, sBound bool, o rdf.TermID, oBound bool) [][2]rdf.TermID {
 	switch {
 	case sBound:
 		var target rdf.TermID
 		if oBound {
 			target = o
 		}
-		return e.walk(pc, s, target, nil)
+		return e.walk(pc, s, target, out)
 	case oBound:
-		out := e.walk(pClosure{p: pInv{p: pc.p}, min: pc.min, max: pc.max}, o, 0, nil)
-		for i := range out {
-			out[i][0], out[i][1] = out[i][1], out[i][0]
-		}
+		n := len(out)
+		out = e.walk(pClosure{p: pInv{p: pc.p}, min: pc.min, max: pc.max}, o, 0, out)
+		swapPairs(out[n:])
 		return out
 	default:
 		// Both ends open: walk from every node of the view, subjects and
@@ -996,7 +1039,6 @@ func (e *exec) closurePairs(pc pClosure, s rdf.TermID, sBound bool, o rdf.TermID
 			return true
 		})
 		e.putWalk(w)
-		var out [][2]rdf.TermID
 		for _, n := range nodes {
 			out = e.walk(pc, n, 0, out)
 		}
@@ -1038,7 +1080,7 @@ func (e *exec) walk(pc pClosure, start, target rdf.TermID, out [][2]rdf.TermID) 
 				}
 				e.r.ForEachIDs(pat, visit)
 			} else {
-				for _, pr := range e.pathPairs(pc.p, n, true, 0, false) {
+				for _, pr := range e.pathPairs(nil, pc.p, n, true, 0, false) {
 					w.discover(pr[1])
 				}
 			}

@@ -16,7 +16,7 @@ package sparql
 //
 // Property-path heads fan out too: the path step's (subject, object)
 // frontier is materialised once on the coordinator — exactly the pair list
-// the serial step would walk — and the pairs are distributed as (s, 0, o)
+// the serial step would walk — and the morsels feed its pairs as (s, 0, o)
 // matches through the same worker pipeline.
 //
 // Workers share the transaction's rdf.IDReader, whose methods are pure
@@ -88,21 +88,19 @@ func (e *exec) tryParallel() bool {
 
 	// Materialise the head step's matches. This fixes the enumeration
 	// order the morsel-order replay then reproduces.
-	var matches []rdf.TermID
+	var h headMatches
 	if pp := head.pp; pp.path != nil {
 		// Property-path head: materialise the path step's frontier — the
-		// exact (subject, object) pair list the serial step walks — and fan
-		// the pairs out as (s, 0, o) matches, mirroring the serial
+		// exact (subject, object) pair list the serial step walks — whose
+		// pairs the morsels feed as (s, 0, o) matches, mirroring the serial
 		// sc.match(pr[0], 0, pr[1]) calls.
 		pat := headPattern(e, pp)
-		pairs := e.pathPairs(pp.path, pat.S, pat.S != 0, pat.O, pat.O != 0)
-		if len(pairs) < parMinMatches {
+		buf := takePairs()
+		h.pairs = e.pathPairs(*buf, pp.path, pat.S, pat.S != 0, pat.O, pat.O != 0)
+		defer putPairs(buf, h.pairs)
+		if len(h.pairs) < parMinMatches {
 			e.fallback = "driving path frontier below parallel threshold"
 			return false
-		}
-		matches = make([]rdf.TermID, 0, 3*len(pairs))
-		for _, pr := range pairs {
-			matches = append(matches, pr[0], 0, pr[1])
 		}
 	} else {
 		pat := headPattern(e, pp)
@@ -111,12 +109,12 @@ func (e *exec) tryParallel() bool {
 			return false
 		}
 		e.r.ForEachIDs(pat, func(s, pr, o rdf.TermID) bool {
-			matches = append(matches, s, pr, o)
+			h.triples = append(h.triples, s, pr, o)
 			return true
 		})
 	}
 
-	nm := (len(matches)/3 + parMorselMatches - 1) / parMorselMatches
+	nm := (h.len() + parMorselMatches - 1) / parMorselMatches
 	res := make([][]rdf.TermID, nm)
 	var next atomic.Int64
 	var wg sync.WaitGroup
@@ -126,7 +124,7 @@ func (e *exec) tryParallel() bool {
 		go func() {
 			defer wg.Done()
 			for m := int(next.Add(1) - 1); m < nm; m = int(next.Add(1) - 1) {
-				res[m] = w.runMorsel(m, matches)
+				res[m] = w.runMorsel(m, &h)
 			}
 		}()
 	}
@@ -219,15 +217,35 @@ func (w *parExec) collect() bool {
 	return true
 }
 
+// headMatches is the head step's materialised matches: an index probe's
+// (s, p, o) triples, flat, or a property path's (s, o) pairs.
+type headMatches struct {
+	triples []rdf.TermID
+	pairs   [][2]rdf.TermID
+}
+
+func (h *headMatches) len() int {
+	if h.pairs != nil {
+		return len(h.pairs)
+	}
+	return len(h.triples) / 3
+}
+
 // runMorsel feeds morsel m of the head matches through the worker's
-// pipeline, exactly as the head step's index enumeration would have, and
+// pipeline, exactly as the head step's enumeration would have, and
 // returns the rows it buffered.
-func (w *parExec) runMorsel(m int, matches []rdf.TermID) []rdf.TermID {
+func (w *parExec) runMorsel(m int, h *headMatches) []rdf.TermID {
 	w.buf = nil
 	lo := m * parMorselMatches
-	hi := min(lo+parMorselMatches, len(matches)/3)
+	hi := min(lo+parMorselMatches, h.len())
+	if h.pairs != nil {
+		for _, pr := range h.pairs[lo:hi] {
+			w.head.match(pr[0], 0, pr[1])
+		}
+		return w.buf
+	}
 	for i := lo; i < hi; i++ {
-		w.head.match(matches[3*i], matches[3*i+1], matches[3*i+2])
+		w.head.match(h.triples[3*i], h.triples[3*i+1], h.triples[3*i+2])
 	}
 	return w.buf
 }

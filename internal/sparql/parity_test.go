@@ -33,6 +33,11 @@ func parityStore() *sparql.Fixture {
 		if i%2 == 0 {
 			st.Add(rdf.Triple{S: s, P: sparql.IRI("audited"), O: rdf.NewLiteral("yes")})
 		}
+		if i%3 == 0 {
+			// A plain string that reads like a number: ORDER BY and FILTER
+			// over ?site ?p ?o mix it with the integer ranks.
+			st.Add(rdf.Triple{S: s, P: sparql.IRI("code"), O: rdf.NewLiteral(fmt.Sprint(i))})
+		}
 		if i%4 == 0 {
 			st.Add(rdf.Triple{S: s, P: sparql.IRI("contains"), O: sparql.IRI("Mercury")})
 			st.Add(rdf.Triple{S: s, P: sparql.IRI("contains"), O: sparql.IRI("Gold")})
@@ -85,6 +90,9 @@ func TestExecutorParityWithSeedSemantics(t *testing.T) {
 		{name: "path closure join", query: pre + `SELECT ?x ?c WHERE { ?x s:isA s:HazardousWaste . ?x s:isA/s:subClassOf+ ?c }`},
 		{name: "path nested closure", query: pre + `SELECT ?x ?c WHERE { ?x (s:isA/s:subClassOf*)+ ?c }`},
 		{name: "var predicate", query: pre + `SELECT ?p ?o WHERE { s:Mercury ?p ?o }`},
+		{name: "mixed-type filter", query: pre + `SELECT ?site ?r WHERE { ?site s:rank ?r . FILTER (?r < "6") }`},
+		{name: "mixed-type order by", query: pre + `SELECT ?x ?w WHERE { ?x ?p ?w } ORDER BY ?w`},
+		{name: "mixed-type distinct order limit", query: pre + `SELECT DISTINCT ?w WHERE { ?x ?p ?w } ORDER BY DESC(?w) LIMIT 5`, ordered: true},
 		{name: "ask true", query: pre + `ASK { ?x s:contains s:Gold }`},
 		{name: "ask false", query: pre + `ASK { s:Gold s:contains ?x }`},
 	}

@@ -18,7 +18,9 @@ package sparql
 import (
 	"fmt"
 	"regexp"
+	"regexp/syntax"
 	"strings"
+	"unicode/utf8"
 
 	"crosse/internal/rdf"
 )
@@ -368,11 +370,12 @@ type fIsLit struct{ e fexpr }
 // fRegex is regex() with a constant pattern, compiled once per plan.
 type fRegex struct {
 	arg fexpr
-	re  *regexp.Regexp
+	m   *regexMatcher
 }
 
 // fDynRegex is regex() whose pattern (or flags) is itself computed per
-// solution; it compiles at evaluation time like the original engine did.
+// solution; it compiles at evaluation time, once per pattern and flags
+// an evaluation meets (exec.regexes).
 type fDynRegex struct {
 	arg, pat fexpr
 	flags    fexpr // nil when absent
@@ -454,15 +457,11 @@ func (c *compiler) call(ex Call) (fexpr, error) {
 			flagsLit, flagsConst = ex.Args[2].(Lit)
 		}
 		if patConst && flagsConst {
-			pat := patLit.Term.Value
-			if len(ex.Args) == 3 && strings.Contains(flagsLit.Term.Value, "i") {
-				pat = "(?i)" + pat
-			}
-			re, err := regexp.Compile(pat)
+			m, err := compileRegex(regexSource(patLit.Term.Value, flagsLit.Term.Value))
 			if err != nil {
-				return nil, fmt.Errorf("sparql: bad REGEX pattern: %w", err)
+				return nil, err
 			}
-			return fRegex{arg: arg, re: re}, nil
+			return fRegex{arg: arg, m: m}, nil
 		}
 		pat, err := c.expr(ex.Args[1])
 		if err != nil {
@@ -478,4 +477,76 @@ func (c *compiler) call(ex Call) (fexpr, error) {
 	default:
 		return fErr{err: fmt.Errorf("sparql: unknown function %s", ex.Name)}, nil
 	}
+}
+
+// regexMatcher is a compiled regex() pattern behind a literal prefilter:
+// every match contains lit (at the very end when suffix), so a string
+// without it is rejected before the regexp runs.
+type regexMatcher struct {
+	re     *regexp.Regexp
+	lit    string
+	suffix bool
+}
+
+// regexSource is the regexp source of regex(·, pat, flags): the "i" flag
+// makes the match case-insensitive; no other flag changes it.
+func regexSource(pat, flags string) string {
+	if strings.Contains(flags, "i") {
+		return "(?i)" + pat
+	}
+	return pat
+}
+
+// compileRegex compiles a regexSource and derives its prefilter.
+func compileRegex(src string) (*regexMatcher, error) {
+	re, err := regexp.Compile(src)
+	if err != nil {
+		return nil, fmt.Errorf("sparql: bad REGEX pattern: %w", err)
+	}
+	m := &regexMatcher{re: re}
+	m.lit, m.suffix = requiredLiteral(src)
+	return m, nil
+}
+
+func (m *regexMatcher) match(s string) bool {
+	if m.suffix {
+		if !strings.HasSuffix(s, m.lit) {
+			return false
+		}
+	} else if !strings.Contains(s, m.lit) {
+		return false
+	}
+	return m.re.MatchString(s)
+}
+
+// requiredLiteral returns the longest literal every match of the regexp
+// src must contain: a case-sensitive literal element of its top-level
+// concatenation, reported as a suffix when the end-of-text assertion
+// directly follows it and ends the pattern. It returns "" when no element
+// qualifies, and never a literal holding U+FFFD, which the matcher also
+// matches on an invalid input byte.
+func requiredLiteral(src string) (lit string, suffix bool) {
+	re, err := syntax.Parse(src, syntax.Perl) // regexp.Compile's flags
+	if err != nil {
+		return "", false
+	}
+	re = re.Simplify()
+	elems := []*syntax.Regexp{re}
+	if re.Op == syntax.OpConcat {
+		elems = re.Sub
+	}
+	for i, el := range elems {
+		if el.Op != syntax.OpLiteral || el.Flags&syntax.FoldCase != 0 {
+			continue
+		}
+		l := string(el.Rune)
+		if strings.ContainsRune(l, utf8.RuneError) {
+			continue
+		}
+		end := i == len(elems)-2 && elems[i+1].Op == syntax.OpEndText
+		if len(l) > len(lit) || len(l) == len(lit) && end {
+			lit, suffix = l, end
+		}
+	}
+	return lit, suffix
 }

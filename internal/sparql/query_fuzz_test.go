@@ -21,7 +21,7 @@ import (
 var (
 	queryVars  = []string{"x", "y", "c", "d", "w", "r", "z", "a", "site"}
 	queryIRIs  = []string{"s:Mercury", "s:Lead", "s:Gold", "s:HazardousWaste", "s:PreciousMetal", "s:zone1", "s:NeverSeen"}
-	queryLits  = []string{`"high"`, `"low"`, `"yes"`, "200", "4"}
+	queryLits  = []string{`"high"`, `"low"`, `"yes"`, "200", "4", `"6"`}
 	queryPreds = []string{"s:isA", "s:dangerLevel", "s:weight", "s:foundWith", "s:subClassOf", "s:rank",
 		"s:zone", "s:audited", "s:contains", "s:isA/s:subClassOf*", "s:isA/s:subClassOf+", "^s:foundWith|s:isA", "?p"}
 	queryOps = []string{"=", "!=", "<", "<=", ">", ">="}
@@ -161,6 +161,12 @@ var querySeeds = []struct {
 		`SELECT ?site WHERE { ?site s:rank ?r . OPTIONAL { ?site s:audited ?a } FILTER (!BOUND(?a)) }`},
 	{[]byte{0, 1, 0, 1, 3, 1, 2, 5, 0, 3, 0, 16, 1, 5, 4, 0, 0, 0, 3, 1, 17, 1, 0},
 		`SELECT ?x WHERE { ?x s:dangerLevel ?d . FILTER (?d = "high" || ISIRI(?x) && ?d != "low") }`},
+	{[]byte{0, 1, 8, 5, 5, 1, 2, 0, 5, 2, 21, 2, 8, 5},
+		`SELECT ?site ?r WHERE { ?site s:rank ?r . FILTER (?r < "6") }`},
+	{[]byte{0, 1, 0, 12, 4, 0, 2, 0, 4, 1, 1, 0},
+		`SELECT ?x ?w WHERE { ?x ?p ?w } ORDER BY ?w`},
+	{[]byte{1, 1, 0, 12, 4, 0, 1, 4, 1, 0, 1, 0, 6},
+		`SELECT DISTINCT ?w WHERE { ?x ?p ?w } ORDER BY DESC(?w) LIMIT 5`},
 }
 
 // TestQuerySeedsAreParityCases pins that each seed of FuzzSPARQLQuery

@@ -1542,7 +1542,8 @@ func CompileTail(cols []ScopeCol, sel *sqlparser.Select) (*Tail, error) {
 // was. The window is selected and sorted by the executor's own comparison
 // (sortWindow, ties in arrival order); without an ORDER BY it is only a
 // slice. As for a SelectPlan's window (windowOut), a window under half of
-// rows is copied, so that it does not pin every input row.
+// rows is copied, so that it does not pin every input row, and the sort
+// buffers are recycled (putSortScratch).
 func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 	if len(t.order) == 0 {
 		win := window(rows, t.offset, t.limit)
@@ -1552,13 +1553,10 @@ func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 		}
 		return w.rows, nil
 	}
-	var ext *sqlval.RowArena
-	if t.width > t.n {
-		ext = sqlval.NewRowArena(t.width)
-	}
-	sorted := make([]sortedRow, len(rows))
+	sorted, ext := takeSortScratch(t.width, len(rows))
+	sorted = sorted[:len(rows)]
 	for i, row := range rows {
-		if ext != nil {
+		if t.width > t.n {
 			x := ext.Copy(row)
 			for _, op := range t.order {
 				if op.at >= t.n {
@@ -1577,5 +1575,6 @@ func (t *Tail) Apply(rows [][]sqlval.Value) ([][]sqlval.Value, error) {
 	for _, sr := range win {
 		w.add(sr.row)
 	}
+	putSortScratch(sorted, ext, w.arena != nil)
 	return w.rows, nil
 }

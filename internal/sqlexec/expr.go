@@ -64,10 +64,10 @@ func refName(qual, name string) string {
 // not fit in an int64: + - * /, unary minus, ABS and SUM never wrap.
 var errIntRange = errors.New("sqlexec: integer out of range")
 
-// errFloatRange is the error of a DOUBLE SUM or AVG whose running sum
-// leaves the DOUBLE range on finite inputs, as PostgreSQL's float8 sum
-// raises "value out of range: overflow". A sum already infinite through
-// an infinite input stays that infinity.
+// errFloatRange is the error of DOUBLE + - * / and of a DOUBLE SUM or
+// AVG whose result leaves the DOUBLE range on finite operands, as
+// PostgreSQL's float8 raises "value out of range: overflow". A result
+// infinite through an infinite operand stays that infinity (or NaN).
 var errFloatRange = errors.New("sqlexec: DOUBLE out of range")
 
 // negate is unary minus over a numeric value; NULL stays NULL.
@@ -140,24 +140,29 @@ func evalArith(op sqlparser.BinOpKind, l, r sqlval.Value) (sqlval.Value, error) 
 		}
 	}
 	a, b := l.Float(), r.Float()
+	var f float64
 	switch op {
 	case sqlparser.OpAdd:
-		return sqlval.NewFloat(a + b), nil
+		f = a + b
 	case sqlparser.OpSub:
-		return sqlval.NewFloat(a - b), nil
+		f = a - b
 	case sqlparser.OpMul:
-		return sqlval.NewFloat(a * b), nil
+		f = a * b
 	case sqlparser.OpDiv:
 		if b == 0 {
 			return sqlval.Null, fmt.Errorf("sqlexec: division by zero")
 		}
-		return sqlval.NewFloat(a / b), nil
+		f = a / b
 	default:
 		if b == 0 {
 			return sqlval.Null, fmt.Errorf("sqlexec: division by zero")
 		}
 		return sqlval.NewFloat(math.Mod(a, b)), nil
 	}
+	if math.IsInf(f, 0) && !math.IsInf(a, 0) && !math.IsInf(b, 0) {
+		return sqlval.Null, errFloatRange
+	}
+	return sqlval.NewFloat(f), nil
 }
 
 // isAggregate reports whether the (upper-cased) function name is an

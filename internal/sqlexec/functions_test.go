@@ -432,8 +432,8 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 	mustExec(t, db, `INSERT INTO agg VALUES (1, NULL, NULL), (1, NULL, NULL),
 		(2, 1, 0.5), (2, 1, 0.25), (2, NULL, NULL), (2, 2, 0.25)`)
 	mustExec(t, db, `CREATE TABLE fl (g INT, x DOUBLE)`)
-	mustExec(t, db, `INSERT INTO fl VALUES (1, 1.0), (1, 1e308 * 10), (1, 2.0),
-		(2, 1e308 * 10), (2, -1e308 * 10),
+	mustExec(t, db, `INSERT INTO fl VALUES (1, 1.0), (1, 'Infinity'), (1, 2.0),
+		(2, 'Infinity'), (2, '-Infinity'),
 		(3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1), (3, 0.1),
 		(4, 1e308), (4, 1e308), (4, -1e308), (5, -1e308), (5, 1e308), (5, 1e308)`)
 	mustExec(t, db, `CREATE TABLE tx (id INT, s TEXT)`)
@@ -496,15 +496,25 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 		{`SELECT 7 / -2`, "INTEGER -3"},
 		{`SELECT 7.0 / 2`, "DOUBLE 3.5"},
 		{`SELECT NULL / 0`, "NULL"},
-		// DOUBLE arithmetic, and INTEGER with DOUBLE, is IEEE 754. Dialect:
-		// PostgreSQL reports a DOUBLE overflow as an error.
+		// DOUBLE arithmetic, and INTEGER with DOUBLE, is IEEE 754, except
+		// that + - * / of finite operands fails where IEEE 754 gives an
+		// infinity, as PostgreSQL's float8 overflow does. An infinite
+		// operand keeps IEEE 754: Infinity * 2 is Infinity, Infinity -
+		// Infinity is NaN.
 		{`SELECT 2.5 + -1.0`, "DOUBLE 1.5"},
 		{`SELECT 1 - 2.5`, "DOUBLE -1.5"},
 		{`SELECT -1.5 * 2`, "DOUBLE -3"},
 		{`SELECT -7.5 % 2`, "DOUBLE -1.5"},
 		{`SELECT ABS(-0.0)`, "DOUBLE 0"},
-		{`SELECT 1e308 * 10`, "DOUBLE +Inf"},
-		{`SELECT 1e308 * 10 - 1e308 * 10`, "DOUBLE NaN"},
+		{`SELECT 1e308 * 1`, "DOUBLE 1e+308"},
+		{`SELECT 1e308 * 10`, floatRange},
+		{`SELECT 1e308 * -10`, floatRange},
+		{`SELECT 1e308 + 1e308`, floatRange},
+		{`SELECT -1e308 - 1e308`, floatRange},
+		{`SELECT 1e308 / 1e-10`, floatRange},
+		{`SELECT 9223372036854775807 * 1e300`, floatRange},
+		{`SELECT 1e308 * 10 - 1e308 * 10`, floatRange},
+		{`SELECT x * 2, x - x FROM fl WHERE g = 2 ORDER BY x DESC`, "DOUBLE +Inf|DOUBLE NaN;DOUBLE -Inf|DOUBLE NaN"},
 		// Aggregates over an empty and an all-NULL group: COUNT is 0, the
 		// rest NULL; GROUP BY over no rows has no group at all.
 		{`SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), SUM(y) FROM agg WHERE g = 9`,

@@ -7,13 +7,15 @@ package sqlexec
 // bracket, and sortWindow, which selects the window from those and sorts
 // only the window. A bounded ORDER BY (one with a LIMIT) keeps its buffer at most
 // 2k rows for k = limit + offset by cutting it back to the k best with
-// the same selection.
+// the same selection. Each sorter draws its buffers from, and leaves
+// what the Result does not hold to, one pool (putSortScratch).
 
 import (
 	"cmp"
 	"math"
 	"math/bits"
 	"slices"
+	"sync"
 
 	"crosse/internal/sqlval"
 )
@@ -84,7 +86,48 @@ func newRowSorter(order []orderPlan, width, k, hint int) *rowSorter {
 	if k >= 0 {
 		n = min(n, 2*k)
 	}
-	return &rowSorter{order: order, rows: make([]sortedRow, 0, max(n, 0)), arena: sqlval.NewRowArena(width), k: k}
+	rows, arena := takeSortScratch(width, max(n, 0))
+	return &rowSorter{order: order, rows: rows, arena: arena, k: k}
+}
+
+// sortScratch is the buffers a sorter leaves behind: its []sortedRow
+// buffer, cleared, and those of its arena blocks no Result row lives in,
+// zeroed — all of them when the window was copied out, only the pooled
+// blocks it never carved when the rows were handed over. Nothing else
+// references them, so the next sorter takes them instead of allocating;
+// sortScratchPool holds them only until the next garbage collection.
+type sortScratch struct {
+	rows   []sortedRow
+	blocks [][]sqlval.Value
+}
+
+var sortScratchPool sync.Pool
+
+// takeSortScratch returns an empty sortedRow buffer of capacity at least
+// n and an arena of the given width, both drawn from sortScratchPool
+// when it holds scratch.
+func takeSortScratch(width, n int) ([]sortedRow, *sqlval.RowArena) {
+	sc, _ := sortScratchPool.Get().(*sortScratch)
+	if sc == nil {
+		return make([]sortedRow, 0, n), sqlval.NewRowArena(width)
+	}
+	rows := sc.rows[:0]
+	if cap(rows) < n {
+		rows = make([]sortedRow, 0, n)
+	}
+	return rows, sqlval.NewRowArenaFrom(width, sc.blocks)
+}
+
+// putSortScratch clears rows over its whole capacity and pools it with
+// arena's blocks: every block when copied says the caller holds no row of
+// arena, else only the blocks arena never carved.
+func putSortScratch(rows []sortedRow, arena *sqlval.RowArena, copied bool) {
+	clear(rows[:cap(rows)])
+	blocks := arena.Spare()
+	if copied {
+		blocks = arena.Release()
+	}
+	sortScratchPool.Put(&sortScratch{rows: rows[:0], blocks: blocks})
 }
 
 // add buffers a copy of row, which holds the projected columns and the

@@ -622,7 +622,8 @@ func (s *plainSink) window() bool {
 // they are, capped at n so that appending to one can never overwrite its
 // hidden key slots — unless the window is under half of the buffered rows
 // it was selected from: then a fresh arena, which grows with the window,
-// takes a copy, so that a small window does not pin a large arena.
+// takes a copy, so that a small window does not pin a large arena, and
+// the sorter's arena is recycled for the next sorter (putSortScratch).
 type windowOut struct {
 	rows  [][]sqlval.Value
 	arena *sqlval.RowArena // nil when handing over
@@ -678,6 +679,8 @@ func (s *plainSink) finish() error {
 			w.add(sr.row)
 		}
 		s.r.out = w.rows
+		putSortScratch(s.sorter.rows, s.sorter.arena, w.arena != nil)
+		s.sorter = nil
 	}
 	return nil
 }

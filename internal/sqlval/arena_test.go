@@ -43,3 +43,51 @@ func TestRowArena(t *testing.T) {
 		t.Fatalf("zero-width Next = %v", r)
 	}
 }
+
+// TestRowArenaRelease: released blocks come back zeroed, are carved again
+// by the next arena before it allocates, and a block too narrow for a row
+// is skipped; Spare gives back only the blocks an arena never carved.
+func TestRowArenaRelease(t *testing.T) {
+	a := NewRowArena(2)
+	for i := 0; i < 100; i++ {
+		a.Copy([]Value{NewString("x"), NewInt(int64(i))})
+	}
+	blocks := a.Release()
+	if len(blocks) == 0 {
+		t.Fatal("Release returned no blocks")
+	}
+	held := map[*Value]bool{}
+	for _, b := range blocks {
+		for i, v := range b {
+			if v != Null {
+				t.Fatalf("released block holds %v", v)
+			}
+			held[&b[i]] = true
+		}
+	}
+	b := NewRowArenaFrom(3, append([][]Value{make([]Value, 2)}, blocks...))
+	for i := 0; i < 30; i++ {
+		r := b.Next()
+		if !held[&r[0]] {
+			t.Fatalf("row %d was allocated while released blocks were spare", i)
+		}
+		if r[0] != Null || r[1] != Null || r[2] != Null {
+			t.Fatalf("reused row %d = %v", i, r)
+		}
+	}
+	spare := b.Spare()
+	if len(spare) == 0 || len(spare) >= len(blocks)+1 {
+		t.Fatalf("Spare returned %d of %d blocks", len(spare), len(blocks)+1)
+	}
+	given := map[*Value]bool{}
+	for _, blk := range spare {
+		for i := range blk {
+			given[&blk[i]] = true
+		}
+	}
+	for i := 0; i < 200; i++ {
+		if r := b.Next(); given[&r[0]] {
+			t.Fatal("an arena carved a block it gave back through Spare")
+		}
+	}
+}
