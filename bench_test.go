@@ -12,10 +12,15 @@ package crosse
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math/rand"
 	"net"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -26,6 +31,7 @@ import (
 	"crosse/internal/kb"
 	"crosse/internal/rdf"
 	"crosse/internal/recommend"
+	"crosse/internal/rest"
 	"crosse/internal/sesql"
 	"crosse/internal/sparql"
 	"crosse/internal/sqlexec"
@@ -835,12 +841,7 @@ func BenchmarkSQLOrderFullSort(b *testing.B) {
 		}
 	})
 
-	jdb := engine.Open()
-	cfg := dataset.DefaultConfig()
-	cfg.Landfills = 8400
-	if err := dataset.Populate(jdb, cfg); err != nil {
-		b.Fatal(err)
-	}
+	jdb := analyticDB()
 	const jq = `SELECT e.landfill_name, e.elem_name, e.amount, l.city FROM elem_contained e JOIN landfill l ON l.name = e.landfill_name WHERE e.amount < 100000 ORDER BY e.amount, e.landfill_name, e.elem_name LIMIT 100 OFFSET 50000`
 	b.Run("JoinSortOffset", func(b *testing.B) {
 		b.ReportAllocs()
@@ -851,6 +852,49 @@ func BenchmarkSQLOrderFullSort(b *testing.B) {
 			}
 			if len(res.Rows) != 100 {
 				b.Fatalf("got %d rows, want 100", len(res.Rows))
+			}
+		}
+	})
+}
+
+// analyticDB is the 8 400-landfill databank of benchmark/'s
+// analytic_large workload (≈100k elem_contained rows), built once per
+// test binary for the families that run its shapes.
+var analyticDB = sync.OnceValue(func() *engine.DB {
+	db := engine.Open()
+	cfg := dataset.DefaultConfig()
+	cfg.Landfills = 8400
+	if err := dataset.Populate(db, cfg); err != nil {
+		panic(err)
+	}
+	return db
+})
+
+// countRows runs a COUNT(*) query and returns its count.
+func countRows(b *testing.B, db *engine.DB, q string) int64 {
+	b.Helper()
+	res, err := db.Query(q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if len(res.Rows) != 1 {
+		b.Fatalf("%q: %d rows, want 1", q, len(res.Rows))
+	}
+	return res.Rows[0][0].Int()
+}
+
+// BenchmarkSQLHashJoin/Probe100k is the hash join of analytic_large's
+// join_sort_offset shape without its sort: the 8 400 landfills build the
+// table, the ≈100k elem_contained rows probe it, every one matching.
+func BenchmarkSQLHashJoin(b *testing.B) {
+	db := analyticDB()
+	const q = `SELECT COUNT(*) FROM elem_contained e JOIN landfill l ON l.name = e.landfill_name WHERE e.amount < 100000`
+	want := countRows(b, db, `SELECT COUNT(*) FROM elem_contained`)
+	b.Run("Probe100k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := countRows(b, db, q); got != want {
+				b.Fatalf("count %d, want %d", got, want)
 			}
 		}
 	})
@@ -999,6 +1043,20 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 	b.Run("JoinReplaceConstant", func(b *testing.B) {
 		run(b, plan(b, joinQ))
 	})
+	// DoubleColIntConst100k compares the DOUBLE amount column with an
+	// INTEGER literal on every one of analytic_large's ≈100k rows, the
+	// filter of its group_sum and join_sort_offset shapes.
+	b.Run("DoubleColIntConst100k", func(b *testing.B) {
+		adb := analyticDB()
+		const q = `SELECT COUNT(*) FROM elem_contained WHERE amount < 100000`
+		want := countRows(b, adb, `SELECT COUNT(*) FROM elem_contained`)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if got := countRows(b, adb, q); got != want {
+				b.Fatalf("count %d, want %d", got, want)
+			}
+		}
+	})
 	// ProbeShare sweeps the driving side of a swapped join — the
 	// landfills above an area cutoff — against the 4 000 analyses. Up to
 	// one driving row per sqlexec's probeRatio (4) analyses the plan probes
@@ -1010,6 +1068,37 @@ func BenchmarkSQLScanFilter(b *testing.B) {
 			run(b, plan(b, q))
 		})
 	}
+}
+
+// BenchmarkRESTEncode/Rows4k sends a plain SESQL query whose 4 000-row,
+// four-column result is the size of analytic_large's order_enriched answer
+// through the REST handler, result cache off. The query stops its scan at
+// the LIMIT, so writing the response body is most of the work.
+func BenchmarkRESTEncode(b *testing.B) {
+	const rows = 4000
+	h := rest.NewServer(benchFixture(b, 400, 0)).Handler()
+	body := fmt.Sprintf(`{"user":"alice","sesql":"SELECT elem_name, landfill_name, amount, elem_name FROM elem_contained LIMIT %d"}`, rows)
+	send := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/query", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+		return rec
+	}
+	var out struct{ Rows [][]string }
+	if err := json.Unmarshal(send().Body.Bytes(), &out); err != nil {
+		b.Fatal(err)
+	}
+	if len(out.Rows) != rows {
+		b.Fatalf("%d rows, want %d", len(out.Rows), rows)
+	}
+	b.Run("Rows4k", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			send()
+		}
+	})
 }
 
 // --- SPARQL engine ---

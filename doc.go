@@ -74,7 +74,10 @@
 // top-level concatenation, a required suffix when `$` closes the pattern
 // right after it, rejected with strings.Contains / HasSuffix before the
 // regexp runs — and projection,
-// ORDER BY and DISTINCT are resolved to slot lists. A solution in flight is
+// ORDER BY and DISTINCT are resolved to slot lists. A filter reads
+// REGEX, ! and BOUND straight as booleans, and REGEX and STR read a
+// variable's lexical form (a literal's, an IRI's string, a blank node's
+// label) from the dictionary without building a term per solution. A solution in flight is
 // a []rdf.TermID row, not a string-keyed map: BGP joins run as a push-based
 // backtracking pipeline under one Graph.ReadIDs transaction, filters
 // execute at the first join step where their variables are bound, DISTINCT
@@ -110,7 +113,12 @@
 // ship to the remote node over the FDW protocol, together with the
 // scan's leading `col op constant` comparisons as a pre-filter the
 // executor still applies itself — and equi-joins run as hash joins whose
-// build side is chosen from live cardinalities, or as index-probe joins:
+// build side is chosen from live cardinalities — over one typed table per
+// build (a head map per key class: a TEXT by its own bytes, a number by
+// the bits of the float64 it widens to, a bool by its value, plus one
+// chain array in build-row order, re-verified per candidate with
+// Compare), so a build allocates the same for few or all-distinct
+// keys — or as index-probe joins:
 // when the first join's smaller side turns out few next to an inner local
 // table with a hash index on its join column, each of its rows seeks that
 // index instead of the inner table being scanned. ORDER BY + LIMIT keeps
@@ -119,13 +127,15 @@
 // A WHERE/ON conjunct over row slots and constants (comparisons, BETWEEN,
 // IN over constants, IS [NOT] NULL, AND/OR/NOT of those) also lowers to a
 // typed kernel that evaluates it straight to a three-valued result,
-// checking each operand's type at run time and handing every row it does
-// not answer exactly — a NULL, an INTEGER against a DOUBLE, a class
+// checking each operand pair's types with one switch (sqlval.TryCompare:
+// one type, or an INTEGER against a DOUBLE compared as float64s) and
+// handing every row it does not answer exactly — a NULL, a class
 // mismatch — to the generic tree, the only source of errors. Execution is
 // a push-based pipeline over one reused row buffer with arena-backed
 // materialisation only at the sink: a source's own conjuncts run on the
 // scanned row before it is copied into that buffer, so a rejected row is
-// never copied; LIMIT without ORDER BY stops the pipeline early. A plan
+// never copied, and a plan without joins hands the scanned row to its
+// sink uncopied; LIMIT without ORDER BY stops the pipeline early. A plan
 // runs only to its Result (Run / RunContext), copying each output row
 // once: rows a sorter holds become the Result's when its window is at
 // least half of them, and a smaller window is copied out. Every sorter
@@ -455,6 +465,12 @@
 //     serving pre-mutation rows under the new one. Degraded federated
 //     results are never cached (circuit state is not covered by epochs).
 //     Every query response reports stats.cache_hit and stats.elapsed_us.
+//     A /api/v1/query answer is encoded once, at the edge: one appender
+//     writes its rows from the result's values (sqlval.Value.AppendText,
+//     the rule String renders by) into a pooled buffer, with
+//     encoding/json's exact bytes; the cache holds those bytes, charged
+//     by their length, and a hit writes them around freshly encoded
+//     serving stats. /api/v1/sparql still encodes through encoding/json.
 //   - Per-endpoint request metrics (serve.Metrics): request counts,
 //     in-flight gauges, status classes and fixed-bucket latency
 //     histograms (p50/p95/p99), exposed at GET /api/v1/metrics together

@@ -238,8 +238,14 @@ func round(args []sqlval.Value) (sqlval.Value, error) {
 	if err != nil {
 		return sqlval.Null, err
 	}
-	scale := math.Pow(10, float64(digits))
-	return sqlval.NewFloat(math.Round(toFloat(x)*scale) / scale), nil
+	// A scaled x past the largest DOUBLE means x is already integral in
+	// units of 10^-digits: PostgreSQL returns it unchanged.
+	f, scale := toFloat(x), math.Pow(10, float64(digits))
+	scaled := f * scale
+	if math.IsInf(scaled, 0) || math.IsNaN(scaled) {
+		return sqlval.NewFloat(f), nil
+	}
+	return sqlval.NewFloat(math.Round(scaled) / scale), nil
 }
 
 // substr is SUBSTR(s, start[, n]): n bytes of s from 1-based byte start

@@ -17,7 +17,9 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"crosse/internal/core"
 	"crosse/internal/fdw"
@@ -27,6 +29,7 @@ import (
 	"crosse/internal/recommend"
 	"crosse/internal/serve"
 	"crosse/internal/sqlexec"
+	"crosse/internal/sqlval"
 )
 
 // Server serves the CroSSE REST API.
@@ -352,17 +355,18 @@ func (s *Server) registerQuery(w http.ResponseWriter, r *http.Request) {
 
 // --- query execution ---
 
-type resultJSON struct {
-	Columns []string   `json:"columns"`
-	Rows    [][]string `json:"rows"`
-	Stats   *statsJSON `json:"stats,omitempty"`
-	// Scores holds per-row contextual relevance when ranking was requested.
-	Scores []float64 `json:"scores,omitempty"`
-	// DegradedSources names remote sources that were down and skipped
-	// under partial-results degradation: the result is complete except for
-	// their rows. Empty (omitted) on complete results.
-	DegradedSources []string `json:"degraded_sources,omitempty"`
-}
+// A /api/v1/query answer is the JSON object
+//
+//	{"columns":[…],"rows":[[…],…],"stats":{…},"scores":[…],"degraded_sources":[…]}
+//
+// written once, straight from the result's values (appendResultHead):
+// every cell is the string sqlval.Value.String renders. Scores holds
+// per-row contextual relevance when ranking was requested; degraded
+// sources names remote sources that were down and skipped under
+// partial-results degradation — the result is complete except for their
+// rows. Both are omitted when empty; stats is always present. The bytes
+// are those encoding/json's Encoder writes for the same object (HTML-safe
+// escaping, trailing newline).
 
 type statsJSON struct {
 	// ElapsedMicros and CacheHit are per-request serving stats, attached
@@ -391,50 +395,180 @@ type statsJSON struct {
 	ParallelFallback string `json:"parallel_fallback,omitempty"`
 }
 
-func toResultJSON(res *sqlexec.Result, stats *core.Stats) resultJSON {
-	out := resultJSON{Columns: res.Columns, Rows: make([][]string, len(res.Rows))}
-	for i, row := range res.Rows {
-		cells := make([]string, len(row))
-		for j, v := range row {
-			cells[j] = v.String()
-		}
-		out.Rows[i] = cells
+// statsOf is the pipeline breakdown of a run; the serving fields are left
+// for the response to set.
+func statsOf(stats *core.Stats) statsJSON {
+	return statsJSON{
+		ParseMicros:      stats.Parse.Microseconds(),
+		BaseSQLMicros:    stats.BaseSQL.Microseconds(),
+		SPARQLMicros:     stats.SPARQL.Microseconds(),
+		JoinMicros:       stats.Join.Microseconds(),
+		FinalSQLMicros:   stats.FinalSQL.Microseconds(),
+		BaseRows:         stats.BaseRows,
+		FinalRows:        stats.FinalRows,
+		SPARQLQueries:    stats.SPARQLQueries,
+		ContextHits:      stats.ContextHits,
+		FinalSQL:         stats.FinalSQLText,
+		SkippedSources:   stats.SkippedSources,
+		ParallelFallback: stats.ParallelFallback,
 	}
-	out.DegradedSources = res.SkippedSources
-	if stats != nil {
-		out.Stats = &statsJSON{
-			ParseMicros:      stats.Parse.Microseconds(),
-			BaseSQLMicros:    stats.BaseSQL.Microseconds(),
-			SPARQLMicros:     stats.SPARQL.Microseconds(),
-			JoinMicros:       stats.Join.Microseconds(),
-			FinalSQLMicros:   stats.FinalSQL.Microseconds(),
-			BaseRows:         stats.BaseRows,
-			FinalRows:        stats.FinalRows,
-			SPARQLQueries:    stats.SPARQLQueries,
-			ContextHits:      stats.ContextHits,
-			FinalSQL:         stats.FinalSQLText,
-			SkippedSources:   stats.SkippedSources,
-			ParallelFallback: stats.ParallelFallback,
-		}
-	}
-	return out
 }
 
-// resultSize approximates an enriched result's heap footprint for the
-// cache's byte budget: string bytes plus per-cell and per-row overhead.
-func resultSize(out resultJSON) int64 {
-	size := int64(64)
-	for _, c := range out.Columns {
-		size += int64(len(c)) + 16
-	}
-	for _, row := range out.Rows {
-		size += 24
-		for _, cell := range row {
-			size += int64(len(cell)) + 16
+// appendResultHead appends the part of a query answer before its stats:
+// `{"columns":[…],"rows":[…]`.
+func appendResultHead(dst []byte, res *sqlexec.Result) []byte {
+	dst = append(dst, `{"columns":`...)
+	dst = appendStrings(dst, res.Columns)
+	dst = append(dst, `,"rows":[`...)
+	for i, row := range res.Rows {
+		if i > 0 {
+			dst = append(dst, ',')
 		}
+		dst = append(dst, '[')
+		for j, v := range row {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			if v.Type() == sqlval.TypeString {
+				dst = appendJSONString(dst, v.Str())
+				continue
+			}
+			// Every other rendering is ASCII that needs no escape.
+			dst = append(dst, '"')
+			dst = v.AppendText(dst)
+			dst = append(dst, '"')
+		}
+		dst = append(dst, ']')
 	}
-	size += int64(8 * len(out.Scores))
-	return size
+	return append(dst, ']')
+}
+
+// closeResult is the part of an answer after its stats when it has no
+// scores and no degraded sources.
+var closeResult = []byte("}\n")
+
+// resultTail returns the part of a query answer after its stats: the
+// scores and degraded sources when there are any, the closing brace and
+// the newline.
+func resultTail(scores []float64, degraded []string) ([]byte, error) {
+	if len(scores) == 0 && len(degraded) == 0 {
+		return closeResult, nil
+	}
+	var dst []byte
+	if len(scores) > 0 {
+		b, err := json.Marshal(scores)
+		if err != nil {
+			return nil, err
+		}
+		dst = append(append(dst, `,"scores":`...), b...)
+	}
+	if len(degraded) > 0 {
+		dst = appendStrings(append(dst, `,"degraded_sources":`...), degraded)
+	}
+	return append(dst, closeResult...), nil
+}
+
+// appendStrings appends a JSON array of strings; a nil slice is null.
+func appendStrings(dst []byte, ss []string) []byte {
+	if ss == nil {
+		return append(dst, "null"...)
+	}
+	dst = append(dst, '[')
+	for i, s := range ss {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		dst = appendJSONString(dst, s)
+	}
+	return append(dst, ']')
+}
+
+// appendJSONString appends s as a JSON string the way encoding/json
+// writes it: `"` and `\` escaped, control bytes as \b \f \n \r \t or
+// \u00XX, <, > and & as \u003c \u003e \u0026, U+2028 and U+2029
+// escaped, and each byte of invalid UTF-8 as \ufffd.
+func appendJSONString(dst []byte, s string) []byte {
+	const hex = "0123456789abcdef"
+	dst = append(dst, '"')
+	start := 0
+	for i := 0; i < len(s); {
+		b := s[i]
+		if b < utf8.RuneSelf {
+			if b >= 0x20 && b != '"' && b != '\\' && b != '<' && b != '>' && b != '&' {
+				i++
+				continue
+			}
+			dst = append(dst, s[start:i]...)
+			switch b {
+			case '"', '\\':
+				dst = append(dst, '\\', b)
+			case '\b':
+				dst = append(dst, '\\', 'b')
+			case '\f':
+				dst = append(dst, '\\', 'f')
+			case '\n':
+				dst = append(dst, '\\', 'n')
+			case '\r':
+				dst = append(dst, '\\', 'r')
+			case '\t':
+				dst = append(dst, '\\', 't')
+			default:
+				dst = append(dst, '\\', 'u', '0', '0', hex[b>>4], hex[b&0xF])
+			}
+			i++
+			start = i
+			continue
+		}
+		c, size := utf8.DecodeRuneInString(s[i:])
+		switch {
+		case c == utf8.RuneError && size == 1:
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, `\ufffd`...)
+		case c == '\u2028' || c == '\u2029':
+			dst = append(dst, s[start:i]...)
+			dst = append(dst, '\\', 'u', '2', '0', '2', hex[c&0xF])
+		default:
+			i += size
+			continue
+		}
+		i += size
+		start = i
+	}
+	dst = append(dst, s[start:]...)
+	return append(dst, '"')
+}
+
+// bodyPool recycles response buffers; one past maxPooledBody is dropped
+// rather than pinned.
+var bodyPool sync.Pool
+
+const maxPooledBody = 4 << 20
+
+// takeBody returns an empty response buffer, pooled when one is free.
+func takeBody() []byte {
+	if b, ok := bodyPool.Get().(*[]byte); ok {
+		return (*b)[:0]
+	}
+	return nil
+}
+
+// writeResult completes a query answer whose head b holds — the stats,
+// then tail — writes it and pools b.
+func writeResult(w http.ResponseWriter, b []byte, st *statsJSON, tail []byte) {
+	b = appendStats(b, st)
+	b = append(b, tail...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(b)
+	if cap(b) <= maxPooledBody {
+		bodyPool.Put(&b)
+	}
+}
+
+// appendStats appends `,"stats":` and the stats object.
+func appendStats(dst []byte, st *statsJSON) []byte {
+	b, _ := json.Marshal(st) // a struct of numbers, strings and bools
+	return append(append(dst, `,"stats":`...), b...)
 }
 
 // cacheKey builds the enriched-result cache key for a request. The view
@@ -453,11 +587,12 @@ func (s *Server) cacheKey(user, query, lang, opts string) serve.Key {
 	}
 }
 
-// cachedResult is the cache entry: the rendered result without its Stats
-// (per-request) plus the pipeline stats of the original run.
+// cachedResult is the cache entry: a query answer's bytes before and
+// after its stats (appendResultHead, resultTail), which the cache charges
+// by their length, and the pipeline stats of the original run.
 type cachedResult struct {
-	out   resultJSON // Stats nil; Columns/Rows shared read-only
-	stats statsJSON  // original run's breakdown; per-request fields unset
+	head, tail []byte
+	stats      statsJSON // original run's breakdown; per-request fields unset
 }
 
 func (s *Server) sesqlQuery(w http.ResponseWriter, r *http.Request) {
@@ -480,12 +615,10 @@ func (s *Server) sesqlQuery(w http.ResponseWriter, r *http.Request) {
 		key = s.cacheKey(req.User, req.SESQL, "sesql", fmt.Sprintf("stats=%t&rank=%t", req.Stats, req.Rank))
 		if v, ok := s.cache.Get(key); ok {
 			ent := v.(cachedResult)
-			out := ent.out
 			st := ent.stats
 			st.CacheHit = true
 			st.ElapsedMicros = time.Since(start).Microseconds()
-			out.Stats = &st
-			writeJSON(w, http.StatusOK, out)
+			writeResult(w, append(takeBody(), ent.head...), &st, ent.tail)
 			return
 		}
 	}
@@ -495,10 +628,11 @@ func (s *Server) sesqlQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	if !req.Stats {
-		stats = nil
+	var st statsJSON
+	if req.Stats {
+		st = statsOf(stats)
 	}
-	out := toResultJSON(res, stats)
+	var scores []float64
 	if req.Rank {
 		view, err := s.enricher.Platform.View(req.User)
 		if err != nil {
@@ -506,29 +640,28 @@ func (s *Server) sesqlQuery(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		ranked := preview.Rank(res, view, s.enricher.Mapping)
-		out = toResultJSON(ranked.Result, stats)
-		out.Scores = ranked.Scores
+		res, scores = ranked.Result, ranked.Scores
 	}
-	s.finishQuery(w, out, key, start)
+	tail, err := resultTail(scores, res.SkippedSources)
+	if err != nil {
+		writeError(w, err)
+		return
+	}
+	s.finishQuery(w, res, tail, st, key, start)
 }
 
-// finishQuery attaches serving stats to a fresh (uncached) query result,
-// stores it in the result cache when eligible, and writes it. Degraded
-// results are never cached: the skipped source may come back at any
-// moment, and epochs do not cover circuit state.
-func (s *Server) finishQuery(w http.ResponseWriter, out resultJSON, key serve.Key, start time.Time) {
-	var st statsJSON
-	if out.Stats != nil {
-		st = *out.Stats
-	}
-	if s.cache != nil && len(out.DegradedSources) == 0 {
-		ent := cachedResult{out: out, stats: st}
-		ent.out.Stats = nil
-		s.cache.Put(key, ent, resultSize(out))
+// finishQuery encodes a fresh (uncached) query result, stores its bytes in
+// the result cache when eligible, attaches the serving stats and writes
+// it. Degraded results are never cached: the skipped source may come back
+// at any moment, and epochs do not cover circuit state.
+func (s *Server) finishQuery(w http.ResponseWriter, res *sqlexec.Result, tail []byte, st statsJSON, key serve.Key, start time.Time) {
+	head := appendResultHead(takeBody(), res)
+	if s.cache != nil && len(res.SkippedSources) == 0 {
+		ent := cachedResult{head: bytes.Clone(head), tail: tail, stats: st}
+		s.cache.Put(key, ent, int64(len(ent.head)+len(ent.tail)))
 	}
 	st.ElapsedMicros = time.Since(start).Microseconds()
-	out.Stats = &st
-	writeJSON(w, http.StatusOK, out)
+	writeResult(w, head, &st, tail)
 }
 
 func (s *Server) sparqlQuery(w http.ResponseWriter, r *http.Request) {

@@ -747,8 +747,44 @@ func (e *exec) projectBinding(row []rdf.TermID) Binding {
 // --- FILTER evaluation over rows ---
 
 func (e *exec) filterPasses(f *filterPlan) bool {
-	v, err := f.e.eval(e)
-	return err == nil && isTrue(v)
+	ok, err := truth(f.e, e)
+	return err == nil && ok
+}
+
+// truth is x's effective boolean value, isTrue(x.eval(e)), read straight
+// off REGEX, ! and BOUND without building a boolean term; err is x.eval's
+// error.
+func truth(x fexpr, e *exec) (bool, error) {
+	switch x := x.(type) {
+	case fRegex:
+		s, err := lexical(x.arg, e)
+		return err == nil && x.m.match(s), err
+	case fNot:
+		ok, err := truth(x.e, e)
+		return err == nil && !ok, err
+	case fBound:
+		return e.row[x.slot] != 0, nil
+	}
+	v, err := x.eval(e)
+	return err == nil && isTrue(v), err
+}
+
+// lexical is the lexical form of x's value, x.eval(e).Value, read without
+// building a term where x is a variable, STR() or a constant: a literal's
+// lexical form, an IRI's string, a blank node's label. An unbound
+// variable is errUnbound, as in eval.
+func lexical(x fexpr, e *exec) (string, error) {
+	switch x := x.(type) {
+	case fSlot:
+		t, err := x.eval(e)
+		return t.Value, err
+	case fStr:
+		return lexical(x.e, e)
+	case fLit:
+		return x.t.Value, nil
+	}
+	t, err := x.eval(e)
+	return t.Value, err
 }
 
 func (x fLit) eval(e *exec) (rdf.Term, error) { return x.t, nil }
@@ -766,11 +802,11 @@ func (x fSlot) eval(e *exec) (rdf.Term, error) {
 }
 
 func (x fNot) eval(e *exec) (rdf.Term, error) {
-	v, err := x.e.eval(e)
+	ok, err := truth(x, e)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	return boolTerm(!isTrue(v)), nil
+	return boolTerm(ok), nil
 }
 
 func (x fBound) eval(e *exec) (rdf.Term, error) {
@@ -778,11 +814,11 @@ func (x fBound) eval(e *exec) (rdf.Term, error) {
 }
 
 func (x fStr) eval(e *exec) (rdf.Term, error) {
-	t, err := x.e.eval(e)
+	s, err := lexical(x.e, e)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	return rdf.NewLiteral(t.Value), nil
+	return rdf.NewLiteral(s), nil
 }
 
 func (x fIsIRI) eval(e *exec) (rdf.Term, error) {
@@ -802,15 +838,15 @@ func (x fIsLit) eval(e *exec) (rdf.Term, error) {
 }
 
 func (x fRegex) eval(e *exec) (rdf.Term, error) {
-	t, err := x.arg.eval(e)
+	ok, err := truth(x, e)
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	return boolTerm(x.m.match(t.Value)), nil
+	return boolTerm(ok), nil
 }
 
 func (x fDynRegex) eval(e *exec) (rdf.Term, error) {
-	t, err := x.arg.eval(e)
+	s, err := lexical(x.arg, e)
 	if err != nil {
 		return rdf.Term{}, err
 	}
@@ -830,7 +866,7 @@ func (x fDynRegex) eval(e *exec) (rdf.Term, error) {
 	if err != nil {
 		return rdf.Term{}, err
 	}
-	return boolTerm(m.match(t.Value)), nil
+	return boolTerm(m.match(s)), nil
 }
 
 // regex returns the compiled matcher of a dynamic regex() source,

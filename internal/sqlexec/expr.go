@@ -272,8 +272,13 @@ func applyScalarFunc(name string, args []sqlval.Value) (sqlval.Value, error) {
 		if err != nil {
 			return sqlval.Null, err
 		}
-		scale := math.Pow(10, float64(digits))
-		return sqlval.NewFloat(math.Round(args[0].Float()*scale) / scale), nil
+		// Where x·10^digits leaves the DOUBLE range, x has no digits at
+		// that scale to round away: it is its own answer.
+		x, scale := args[0].Float(), math.Pow(10, float64(digits))
+		if scaled := x * scale; !math.IsInf(scaled, 0) && !math.IsNaN(scaled) {
+			x = math.Round(scaled) / scale
+		}
+		return sqlval.NewFloat(x), nil
 	case "COALESCE":
 		for _, a := range args {
 			if !a.IsNull() {

@@ -515,6 +515,13 @@ func TestSemanticsPinnedByHand(t *testing.T) {
 		{`SELECT 9223372036854775807 * 1e300`, floatRange},
 		{`SELECT 1e308 * 10 - 1e308 * 10`, floatRange},
 		{`SELECT x * 2, x - x FROM fl WHERE g = 2 ORDER BY x DESC`, "DOUBLE +Inf|DOUBLE NaN;DOUBLE -Inf|DOUBLE NaN"},
+		// ROUND(x, n) scales by 10^n in DOUBLE; where the scaled value
+		// leaves the DOUBLE range, x is already integral at that scale and
+		// comes back unchanged, as in PostgreSQL (never +Inf).
+		{`SELECT ROUND(1e308, 1)`, "DOUBLE 1e+308"},
+		{`SELECT ROUND(1e300, 10)`, "DOUBLE 1e+300"},
+		{`SELECT ROUND(-1e300, 10)`, "DOUBLE -1e+300"},
+		{`SELECT ROUND(2.345, 2)`, "DOUBLE 2.35"},
 		// Aggregates over an empty and an all-NULL group: COUNT is 0, the
 		// rest NULL; GROUP BY over no rows has no group at all.
 		{`SELECT COUNT(*), COUNT(x), SUM(x), AVG(x), MIN(x), MAX(x), SUM(y) FROM agg WHERE g = 9`,

@@ -3,9 +3,11 @@ package sqlexec
 // kernel.go — typed predicate kernels. A WHERE/ON conjunct whose operands
 // are row slots and constants lowers, besides its generic cexpr tree, to a
 // kernel that evaluates it straight to a Tri: no Value result, no
-// interface call per operand, no error and no Coerce. Each operand's type
-// is checked at run time with one type compare; whatever the kernel does
-// not answer exactly — a NULL, an INTEGER against a DOUBLE, a class
+// interface call per operand, no error and no Coerce. Each operand pair's
+// types are checked at run time by one type switch (sqlval.TryCompare):
+// two values of one type, or an INTEGER against a DOUBLE — both widened
+// to float64, NaN above every number, exactly as sqlval.Compare orders
+// them. Whatever the kernel does not answer exactly — a NULL, a class
 // mismatch, any type it did not expect — it declines, and the generic tree
 // evaluates the row. The generic tree thus stays the only source of
 // predicate errors, and nothing trusts the schema: foreign rows and
@@ -126,13 +128,15 @@ func lowerKernel(e cexpr) kernel {
 }
 
 // lowerIn lowers `e IN (constants)` whose non-NULL constants share one
-// type: the only case where a same-type test decides every element.
+// type: then the row value's comparison with the first decides whether it
+// compares with every element.
 func lowerIn(c cIn) kernel {
 	v, ok := operandOf(c.e)
 	if !ok {
 		return nil
 	}
-	k := &inKernel{e: v, typ: sqlval.TypeNull, not: c.not}
+	k := &inKernel{e: v, not: c.not}
+	typ := sqlval.TypeNull
 	for _, le := range c.list {
 		lc, ok := le.(cConst)
 		switch {
@@ -140,14 +144,14 @@ func lowerIn(c cIn) kernel {
 			return nil
 		case lc.v.IsNull():
 			k.sawNull = true
-		case k.typ == sqlval.TypeNull || k.typ == lc.v.Type():
-			k.typ = lc.v.Type()
+		case typ == sqlval.TypeNull || typ == lc.v.Type():
+			typ = lc.v.Type()
 			k.list = append(k.list, lc.v)
 		default:
 			return nil
 		}
 	}
-	if k.typ == sqlval.TypeNull {
+	if typ == sqlval.TypeNull {
 		return nil
 	}
 	return k
@@ -177,7 +181,7 @@ type cmpKernel struct {
 }
 
 func (k *cmpKernel) tri(row []sqlval.Value) (sqlval.Tri, bool) {
-	c, ok := sqlval.CompareSame(k.l.get(row), k.r.get(row))
+	c, ok := sqlval.TryCompare(k.l.get(row), k.r.get(row))
 	return sqlval.TriOf(holds(k.op, c)), ok
 }
 
@@ -188,16 +192,16 @@ type betweenKernel struct {
 
 func (k *betweenKernel) tri(row []sqlval.Value) (sqlval.Tri, bool) {
 	v := k.e.get(row)
-	c1, ok1 := sqlval.CompareSame(v, k.lo.get(row))
-	c2, ok2 := sqlval.CompareSame(v, k.hi.get(row))
+	c1, ok1 := sqlval.TryCompare(v, k.lo.get(row))
+	c2, ok2 := sqlval.TryCompare(v, k.hi.get(row))
 	return sqlval.TriOf((c1 >= 0 && c2 <= 0) != k.not), ok1 && ok2
 }
 
-// inKernel is `e [NOT] IN (list)` over constants of one type; sawNull
-// records a NULL in the list, which turns a miss into UNKNOWN.
+// inKernel is `e [NOT] IN (list)` over non-NULL constants of one type;
+// sawNull records a NULL in the list, which turns a miss into UNKNOWN.
+// It declines a row value that does not compare with the list's type.
 type inKernel struct {
 	e       operand
-	typ     sqlval.Type
 	list    []sqlval.Value
 	sawNull bool
 	not     bool
@@ -205,11 +209,12 @@ type inKernel struct {
 
 func (k *inKernel) tri(row []sqlval.Value) (sqlval.Tri, bool) {
 	v := k.e.get(row)
-	if v.Type() != k.typ {
-		return sqlval.Unknown, false
-	}
 	for _, lv := range k.list {
-		if c, _ := sqlval.CompareSame(v, lv); c == 0 {
+		c, ok := sqlval.TryCompare(v, lv)
+		if !ok {
+			return sqlval.Unknown, false
+		}
+		if c == 0 {
 			return sqlval.TriOf(!k.not), true
 		}
 	}

@@ -64,7 +64,7 @@ type runner struct {
 	swapped bool
 	probing bool
 	rights  [][][]sqlval.Value
-	hashes  []map[string][]int32
+	hashes  []*joinTable
 
 	skipped []string // sources skipped under Options.PartialResults
 	err     error
@@ -134,7 +134,7 @@ func (r *runner) run() error {
 	r.row = make([]sqlval.Value, p.width)
 	r.driving = p.scan0
 	r.rights = make([][][]sqlval.Value, len(p.joins))
-	r.hashes = make([]map[string][]int32, len(p.joins))
+	r.hashes = make([]*joinTable, len(p.joins))
 
 	// Decide the orientation of the first join: when both base relations
 	// expose O(1) cardinalities and the left side is the smaller input,
@@ -284,11 +284,17 @@ func scanEstimate(sp scanPlan) (int, bool) {
 
 // feed is the pipeline body for one driving row: apply the source-local
 // filters to the row as scanned, copy a row that passes into its slot
-// segment, then run the joins. It returns false to stop driving.
+// segment, then run the joins. A plan without joins hands a scanned row
+// of its source's width to the sink as it is: its layout is the driving
+// source's, and every sink copies what it keeps. It returns false to stop
+// driving.
 func (r *runner) feed(in []sqlval.Value) bool {
 	sp := &r.driving
 	if ok, done := r.applyConjuncts(sp.filters, in); !ok {
 		return !done
+	}
+	if len(r.p.joins) == 0 && len(in) == sp.width {
+		return r.sink.add(in)
 	}
 	copy(r.row[sp.offset:sp.offset+sp.width], in)
 	return r.step(1)
@@ -371,23 +377,100 @@ func (r *runner) materializeSide(sp scanPlan) ([][]sqlval.Value, error) {
 	return rows, nil
 }
 
-// buildHash indexes materialised rows by their join-key column (relative
-// to the row, not the joined layout): buckets of ascending row indexes
-// keyed by the encoded join key, frozen before driving starts. NULL keys
-// are skipped: they never equi-join.
-func buildHash(rows [][]sqlval.Value, keyCol int) map[string][]int32 {
-	h := make(map[string][]int32, len(rows))
-	var scratch []byte
-	for i, row := range rows {
-		v := row[keyCol]
-		if v.IsNull() {
-			continue
+// joinTable is a hash join's index over its materialised build rows,
+// frozen before driving starts: per key class a map from key to the first
+// row of its chain, and next, which links each row to the following row
+// of its chain in ascending row order (-1 ends a chain). A TEXT is keyed
+// by its own bytes, an INTEGER or DOUBLE by the bits of the float64 it
+// widens to (numKey), a BOOLEAN by its value. NULL keys are left out: they
+// never equi-join. The numeric key is lossy past 2^53, where integers
+// that widen to one float64 share a chain, so a probe re-verifies each
+// candidate with Compare: the chain is an accelerator, not the equality
+// test.
+type joinTable struct {
+	strs  map[string]int32
+	nums  map[uint64]int32
+	bools [2]int32
+	next  []int32
+}
+
+// buildHash indexes rows by their join-key column (relative to the row,
+// not the joined layout). It walks the rows backwards, so each new row
+// becomes its chain's head and the chains run in row order. Each class's
+// map is sized once, for the rows still to come when it is first needed,
+// so a build allocates the same whether its keys are few or all distinct.
+func buildHash(rows [][]sqlval.Value, keyCol int) *joinTable {
+	t := &joinTable{bools: [2]int32{-1, -1}, next: make([]int32, len(rows))}
+	for i := len(rows) - 1; i >= 0; i-- {
+		v, next := rows[i][keyCol], int32(-1)
+		switch v.Type() {
+		case sqlval.TypeString:
+			if t.strs == nil {
+				t.strs = make(map[string]int32, i+1)
+			}
+			if h, ok := t.strs[v.Str()]; ok {
+				next = h
+			}
+			t.strs[v.Str()] = int32(i)
+		case sqlval.TypeInt, sqlval.TypeFloat:
+			if t.nums == nil {
+				t.nums = make(map[uint64]int32, i+1)
+			}
+			k := numKey(v)
+			if h, ok := t.nums[k]; ok {
+				next = h
+			}
+			t.nums[k] = int32(i)
+		case sqlval.TypeBool:
+			b := boolKey(v)
+			next, t.bools[b] = t.bools[b], int32(i)
 		}
-		scratch = sqlval.AppendJoinKey(scratch[:0], v)
-		k := string(scratch)
-		h[k] = append(h[k], int32(i))
+		t.next[i] = next
 	}
-	return h
+	return t
+}
+
+// first returns the head of the chain of rows whose key may equal v, or
+// -1 when there is none (always for NULL).
+func (t *joinTable) first(v sqlval.Value) int32 {
+	switch v.Type() {
+	case sqlval.TypeString:
+		if h, ok := t.strs[v.Str()]; ok {
+			return h
+		}
+	case sqlval.TypeInt, sqlval.TypeFloat:
+		if h, ok := t.nums[numKey(v)]; ok {
+			return h
+		}
+	case sqlval.TypeBool:
+		return t.bools[boolKey(v)]
+	}
+	return -1
+}
+
+// canonicalNaN is the one key every NaN folds into: Compare makes all
+// NaNs equal.
+var canonicalNaN = math.Float64bits(math.NaN())
+
+// numKey is the join key of a number: the bits of the float64 it widens
+// to, with -0 folded into +0 and every NaN into canonicalNaN, so that
+// Compare-equal numbers always share a key.
+func numKey(v sqlval.Value) uint64 {
+	f := v.Float()
+	switch {
+	case f == 0:
+		return 0
+	case f != f:
+		return canonicalNaN
+	}
+	return math.Float64bits(f)
+}
+
+func boolKey(v sqlval.Value) int {
+	if v.Bool() {
+		return 1
+	}
+	return 0
 }
 
 // step runs join i (1-based; i > len(joins) hands the row to the sink).
@@ -408,22 +491,18 @@ func (r *runner) step(i int) bool {
 			return r.probe(i, j, seg)
 		}
 		matched := false
-		v := r.row[probe]
-		if !v.IsNull() {
-			var scratch [48]byte
-			keyRel := key - src.offset
-			for _, ri := range r.hashes[i-1][string(sqlval.AppendJoinKey(scratch[:0], v))] {
-				// The bucket may hold Compare-unequal values (the numeric
-				// fold is lossy past 2^53): re-verify the actual equality.
-				if cmp, err := sqlval.Compare(v, rows[ri][keyRel]); err != nil || cmp != 0 {
-					continue
-				}
-				copy(seg, rows[ri])
-				cont, passed := r.emit(i, j)
-				matched = matched || passed
-				if !cont {
-					return false
-				}
+		v, t, keyRel := r.row[probe], r.hashes[i-1], key-src.offset
+		for ri := t.first(v); ri >= 0; ri = t.next[ri] {
+			// The chain may hold Compare-unequal values (the numeric key
+			// is lossy past 2^53): re-verify the actual equality.
+			if c, ok := sqlval.TryCompare(v, rows[ri][keyRel]); !ok || c != 0 {
+				continue
+			}
+			copy(seg, rows[ri])
+			cont, passed := r.emit(i, j)
+			matched = matched || passed
+			if !cont {
+				return false
 			}
 		}
 		if j.kind == joinHashLeft && !matched {

@@ -128,24 +128,33 @@ func (v Value) Str() string { return v.s }
 // Bool returns the payload of a BOOLEAN, and false for any other type.
 func (v Value) Bool() bool { return v.typ == TypeBool && v.n != 0 }
 
-// String renders the value the way result tables print it.
+// String renders the value the way result tables print it: AppendText's
+// bytes, and a TEXT's own string without a copy.
 func (v Value) String() string {
+	if v.typ == TypeString {
+		return v.s
+	}
+	var buf [32]byte
+	return string(v.AppendText(buf[:0]))
+}
+
+// AppendText appends the String rendering of v to dst: NULL, a decimal
+// INTEGER, a DOUBLE in shortest 'g' form (NaN, +Inf, -Inf), the TEXT
+// itself, true or false.
+func (v Value) AppendText(dst []byte) []byte {
 	switch v.typ {
 	case TypeNull:
-		return "NULL"
+		return append(dst, "NULL"...)
 	case TypeInt:
-		return strconv.FormatInt(v.Int(), 10)
+		return strconv.AppendInt(dst, v.Int(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.Float(), 'g', -1, 64)
+		return strconv.AppendFloat(dst, v.Float(), 'g', -1, 64)
 	case TypeString:
-		return v.s
+		return append(dst, v.s...)
 	case TypeBool:
-		if v.Bool() {
-			return "true"
-		}
-		return "false"
+		return strconv.AppendBool(dst, v.Bool())
 	default:
-		return "?"
+		return append(dst, '?')
 	}
 }
 
@@ -195,31 +204,26 @@ func (e *ErrIncomparable) Error() string {
 // PostgreSQL's order: NaN equals NaN and sorts above every other number,
 // so the order is total.
 func Compare(a, b Value) (int, error) {
-	if c, ok := CompareSame(a, b); ok {
+	if c, ok := TryCompare(a, b); ok {
 		return c, nil
-	}
-	if a.numeric() && b.numeric() {
-		return compareFloat(a.Float(), b.Float()), nil
 	}
 	return 0, &ErrIncomparable{a.typ, b.typ}
 }
 
-// CompareSame is Compare for two values of the same non-NULL type, which
-// need no conversion. It reports false for every other pair — NULL, an
-// INTEGER against a DOUBLE, different classes — and then the caller
-// decides through Compare.
-func CompareSame(a, b Value) (int, bool) {
-	if a.typ != b.typ {
-		return 0, false
-	}
-	switch a.typ {
-	case TypeInt:
+// TryCompare is Compare without the error value: ok is false exactly
+// where Compare fails — a NULL or two different classes. An INTEGER
+// against a DOUBLE compares both widened to float64.
+func TryCompare(a, b Value) (int, bool) {
+	switch a.typ<<3 | b.typ {
+	case TypeInt<<3 | TypeInt:
 		return cmp.Compare(int64(a.n), int64(b.n)), true
-	case TypeFloat:
+	case TypeFloat<<3 | TypeFloat:
 		return compareFloat(math.Float64frombits(a.n), math.Float64frombits(b.n)), true
-	case TypeString:
+	case TypeInt<<3 | TypeFloat, TypeFloat<<3 | TypeInt:
+		return compareFloat(a.Float(), b.Float()), true
+	case TypeString<<3 | TypeString:
 		return strings.Compare(a.s, b.s), true
-	case TypeBool:
+	case TypeBool<<3 | TypeBool:
 		return cmp.Compare(a.n, b.n), true
 	}
 	return 0, false

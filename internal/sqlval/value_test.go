@@ -113,7 +113,7 @@ func TestValueIs32Bytes(t *testing.T) {
 
 // NaN follows PostgreSQL: equal to itself, above every other number
 // (+Inf and integers included), so Compare and CompareForSort stay total
-// orders; CompareSame agrees with Compare wherever it answers.
+// orders; TryCompare answers exactly where Compare does, and agrees.
 func TestCompareNaN(t *testing.T) {
 	nan := NewFloat(math.NaN())
 	for _, o := range []Value{NewFloat(math.Inf(1)), NewFloat(math.Inf(-1)), NewFloat(0), NewInt(math.MaxInt64), NewInt(math.MinInt64)} {
@@ -138,8 +138,8 @@ func TestCompareNaN(t *testing.T) {
 	for _, a := range vals {
 		for _, b := range vals {
 			want, werr := Compare(a, b)
-			if got, ok := CompareSame(a, b); ok && (werr != nil || got != want) {
-				t.Errorf("CompareSame(%v, %v) = %d, Compare = %d, %v", a, b, got, want, werr)
+			if got, ok := TryCompare(a, b); ok != (werr == nil) || got != want {
+				t.Errorf("TryCompare(%v, %v) = %d, %t; Compare = %d, %v", a, b, got, ok, want, werr)
 			}
 		}
 	}
